@@ -43,7 +43,7 @@ from .errors import (
 from .evaluation import UpliftCurve, bootstrap_band, compare_strategies, cumulative_uplift, delay_analysis
 from .learner import grid_search
 from .simulator import CatalogArrays, GroundTruth, generate_catalog, run_rct
-from .uplift import fit_predictor_pair, predict_batch, round1_arm_probabilities, round1_training_dataset
+from .uplift import fit_predictor_pair, predict_arrays, round1_arm_probabilities, round1_training_dataset
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -156,13 +156,13 @@ def cmd_train(args: argparse.Namespace) -> None:
 
 
 def _sold_item_ids(cfg: RunConfig) -> set[str]:
-    sold = set()
-    for path in (cfg.io.round1_log, cfg.io.round2_log):
-        if os.path.exists(path):
-            for record in fileio.read_outcomes(path):
-                if record.sold:
-                    sold.add(record.item_id)
-    return sold
+    """Items either round log records as sold; a missing log raises OSError."""
+    return {
+        record.item_id
+        for path in (cfg.io.round1_log, cfg.io.round2_log)
+        for record in fileio.read_outcomes(path)
+        if record.sold
+    }
 
 
 def cmd_allocate(args: argparse.Namespace) -> None:
@@ -178,14 +178,14 @@ def cmd_allocate(args: argparse.Namespace) -> None:
     )
     plans = []
     if unsold:
-        p1, _, p2, p_baseline = predict_batch(pair, unsold, cfg.attach_delay_h)
         cat = CatalogArrays.from_items(unsold)
+        p1, _, p2, p_baseline = predict_arrays(pair, cat.matrix, cat.age_days, cfg.attach_delay_h)
         j, k, feasible = allocate_batch(
             p1, p2, p_baseline, cat.price, cat.ltv,
             pair.round1_set, pair.round2_set, cfg.constraint(),
         )
         plans = materialize_plans(
-            [it.item_id for it in unsold], j, k, feasible,
+            cat.ids, j, k, feasible,
             p1, p2, p_baseline, cat.price, cat.ltv,
             pair.round1_set, pair.round2_set, cfg.constraint(), cfg.attach_delay_h,
         )

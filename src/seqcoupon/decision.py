@@ -13,12 +13,13 @@ still unsold after a completed cycle.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .domain import CouponConfig, CouponSet, ItemRecord, OutcomeRecord, coupon_cost
+from .domain import CouponConfig, CouponSet, ItemRecord, OutcomeRecord, coupon_cost, coupon_costs
 from .errors import ContractError, InputError
 from .uplift import ItemPredictions, PredictorPair, predict_item
 
@@ -92,6 +93,11 @@ def combine_cost(p1: float, p2: float, cost_j: float, cost_k: float) -> float:
     p_combined = p1 + (1.0 - p1) * p2
     if p_combined == 0.0:
         return 0.0
+    if p_combined < sys.float_info.min:
+        # Subnormal products lose relative precision, and dividing by a
+        # subnormal p_combined would magnify that past the dearer coupon.
+        w = p1 / p_combined
+        return w * cost_j + (1.0 - w) * cost_k
     return (p1 * cost_j + (1.0 - p1) * p2 * cost_k) / p_combined
 
 
@@ -273,13 +279,8 @@ def allocate_batch(
     """
     n, M = p1.shape
     K = p2.shape[1]
-    prices = np.asarray(prices)
-    disc1 = np.array([c.discount_pct for c in round1_set])
-    cap1 = np.array([c.cap_yen for c in round1_set])
-    disc2 = np.array([c.discount_pct for c in round2_set])
-    cap2 = np.array([c.cap_yen for c in round2_set])
-    cost1 = np.minimum(prices[:, None] * disc1[None, :] // 100, cap1[None, :]).astype(float)
-    cost2 = np.minimum(prices[:, None] * disc2[None, :] // 100, cap2[None, :]).astype(float)
+    cost1 = coupon_costs(prices, round1_set).astype(float)
+    cost2 = coupon_costs(prices, round2_set).astype(float)
 
     a = p1[:, :, None]  # (n, M, 1)
     b = p2[:, None, :]  # (n, 1, K)
@@ -361,14 +362,9 @@ def allocate_independent_batch(
     flag reflects the combined lift of the resulting pair.
     """
     n = p1.shape[0]
-    prices = np.asarray(prices)
     ltvs = np.asarray(ltvs, dtype=float)
-    disc1 = np.array([c.discount_pct for c in round1_set])
-    cap1 = np.array([c.cap_yen for c in round1_set])
-    disc2 = np.array([c.discount_pct for c in round2_set])
-    cap2 = np.array([c.cap_yen for c in round2_set])
-    cost1 = np.minimum(prices[:, None] * disc1[None, :] // 100, cap1[None, :]).astype(float)
-    cost2 = np.minimum(prices[:, None] * disc2[None, :] // 100, cap2[None, :]).astype(float)
+    cost1 = coupon_costs(prices, round1_set).astype(float)
+    cost2 = coupon_costs(prices, round2_set).astype(float)
     j = _best_round_arm_batch(p1, cost1, ltvs, constraint.lift_threshold)
     k = _best_round_arm_batch(p2, cost2, ltvs, constraint.lift_threshold)
     rows = np.arange(n)

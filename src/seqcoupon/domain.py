@@ -222,6 +222,18 @@ def coupon_cost(coupon: CouponConfig, price_yen: int) -> int:
     return min((price_yen * coupon.discount_pct) // 100, coupon.cap_yen)
 
 
+def coupon_costs(prices: np.ndarray, coupon_set: CouponSet) -> np.ndarray:
+    """Vectorised ``coupon_cost``: an (n, arms) int64 grid, one column per arm.
+
+    Row i, column j is the cost of arm j of ``coupon_set`` on an item priced
+    ``prices[i]``; the no-coupon arm (discount 0, cap 0) costs nothing.
+    """
+    prices = np.asarray(prices, dtype=np.int64)
+    disc = np.array([c.discount_pct for c in coupon_set], dtype=np.int64)
+    cap = np.array([c.cap_yen for c in coupon_set], dtype=np.int64)
+    return np.minimum(prices[:, None] * disc[None, :] // 100, cap[None, :])
+
+
 def schema_length(schema_id: str) -> int:
     if schema_id == SCHEMA_ROUND1:
         return len(ROUND1_FEATURE_NAMES)

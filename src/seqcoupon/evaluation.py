@@ -10,7 +10,6 @@ numbers.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -24,7 +23,7 @@ from .decision import (
     allocate_batch,
     allocate_independent_batch,
 )
-from .domain import CouponConfig, ItemRecord, OutcomeRecord
+from .domain import OutcomeRecord
 from .errors import ContractError, InputError
 from .simulator import (
     CatalogArrays,
@@ -33,10 +32,10 @@ from .simulator import (
     SimConfig,
     arm_draw,
     generate_catalog,
-    rollout_policy,
+    rollout_arms,
     validate_probs,
 )
-from .uplift import PredictorPair, predict_batch
+from .uplift import PredictorPair, predict_arrays
 
 STRATEGY_RANDOM = "random"
 STRATEGY_INDEPENDENT = "independent"
@@ -336,15 +335,6 @@ def bootstrap_band(
 # strategy comparison
 
 
-def _catalog_digest(items: Sequence[ItemRecord]) -> str:
-    h = hashlib.sha256()
-    for it in items:
-        h.update(
-            f"{it.item_id}|{it.price_yen}|{it.seller_ltv_yen}|{it.likes}|{it.age_days}\n".encode()
-        )
-    return h.hexdigest()
-
-
 def _metrics(
     totals: RolloutTotals, holdout_sales: int, n_items: int, mean_ltv: float
 ) -> StrategyMetrics:
@@ -362,21 +352,6 @@ def _metrics(
     )
 
 
-def _fixed_policy(
-    items: Sequence[ItemRecord],
-    coupon1: Sequence[CouponConfig],
-    coupon2: Sequence[CouponConfig],
-    attach_delay_h: float,
-):
-    lut = {it.item_id: i for i, it in enumerate(items)}
-
-    def policy(item: ItemRecord):
-        i = lut[item.item_id]
-        return (coupon1[i], attach_delay_h), coupon2[i]
-
-    return policy
-
-
 def compare_strategies(
     config: SimConfig,
     pair: PredictorPair,
@@ -388,10 +363,13 @@ def compare_strategies(
 ) -> ComparisonReport:
     """Roll out random / per-round / sequential allocation on common seeds.
 
-    For each seed one catalog is generated and four rollouts share its sale
-    substreams: a no-coupon holdout plus the three strategies. Realized ROI is
-    incremental sales over the holdout times the catalog's mean seller LTV,
-    divided by realized coupon spend (``inf`` when a strategy spends nothing).
+    For each seed one catalog is generated and built once into columns
+    (``CatalogArrays``). Predictions come from those columns, and four
+    columnar rollouts share that one catalog and its sale substreams: a
+    no-coupon holdout plus the three strategies, each given as arm-index
+    arrays. Realized ROI is incremental sales over the holdout times the
+    catalog's mean seller LTV, divided by realized coupon spend (``inf`` when
+    a strategy spends nothing).
     Plans below the lift threshold attach no coupons under both model-driven
     strategies. The random strategy draws arms uniformly unless explicit
     probabilities are given.
@@ -416,16 +394,14 @@ def compare_strategies(
     ltv_sum = 0.0
     n_total = 0
 
-    none_arm = r1_set[0]
     for seed in seeds:
         cfg = dataclasses.replace(config, rng_seed=seed)
         gt = GroundTruth(cfg)
-        items = generate_catalog(cfg)
-        cat = CatalogArrays.from_items(items)
-        n = len(items)
+        cat = CatalogArrays.from_items(generate_catalog(cfg))
+        n = len(cat)
         mean_ltv = float(cat.ltv.mean())
 
-        p1, _, p2, p_baseline = predict_batch(pair, items, attach_delay_h)
+        p1, _, p2, p_baseline = predict_arrays(pair, cat.matrix, cat.age_days, attach_delay_h)
         ltvs = (
             np.full(n, float(constraint.ltv_override))
             if constraint.ltv_override is not None
@@ -446,18 +422,19 @@ def compare_strategies(
             STRATEGY_SEQUENTIAL: (j_seq, k_seq, feas_seq),
         }
 
-        digests = {_catalog_digest(items)}
-        holdout_policy = _fixed_policy(items, [none_arm] * n, [r2_set[0]] * n, attach_delay_h)
-        _, holdout_totals = rollout_policy(gt, items, holdout_policy, seed)
+        no_coupon = np.zeros(n, dtype=np.int64)
+        holdout_totals = rollout_arms(
+            gt, cat, r1_set, r2_set, no_coupon, no_coupon, attach_delay_h, seed
+        )
         holdout_sales_total += holdout_totals.sales_count
 
         for key in STRATEGY_ORDER:
             j, k, active = choices[key]
-            coupon1 = [r1_set[int(a)] if act else none_arm for a, act in zip(j, active)]
-            coupon2 = [r2_set[int(a)] if act else r2_set[0] for a, act in zip(k, active)]
-            digests.add(_catalog_digest(items))
-            policy = _fixed_policy(items, coupon1, coupon2, attach_delay_h)
-            _, totals = rollout_policy(gt, items, policy, seed)
+            # An inactive plan attaches no coupon in either round.
+            totals = rollout_arms(
+                gt, cat, r1_set, r2_set,
+                np.where(active, j, 0), np.where(active, k, 0), attach_delay_h, seed,
+            )
             per_seed[key].append(
                 _metrics(totals, holdout_totals.sales_count, n, mean_ltv)
             )
@@ -465,8 +442,6 @@ def compare_strategies(
             acc[0] += totals.sales_count
             acc[1] += totals.coupon_cost_yen
             acc[2] += totals.gmv_yen
-        if len(digests) != 1:
-            raise ContractError("strategies ran on differing catalogs within one seed")
         ltv_sum += float(cat.ltv.sum())
         n_total += n
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -24,6 +24,8 @@ from .domain import (
     CouponSet,
     ItemRecord,
     OutcomeRecord,
+    coupon_cost,
+    coupon_costs,
     item_feature_matrix,
 )
 from .errors import InputError
@@ -251,11 +253,21 @@ def validate_probs(probs: Sequence[float], n_arms: int, label: str):
         raise InputError(f"{label}: probabilities must sum to 1, got {probs.sum()}")
 
 
+def _coupon_columns(coupons: Iterable[CouponConfig]) -> tuple[np.ndarray, np.ndarray]:
+    """(discount_pct, validity_hours) float columns, one entry per coupon."""
+    coupons = list(coupons)
+    return (
+        np.array([c.discount_pct for c in coupons], dtype=float),
+        np.array([c.validity_hours for c in coupons], dtype=float),
+    )
+
+
 def _simulate_round(
     gt: GroundTruth,
     cat: CatalogArrays,
     idx: np.ndarray,
-    coupons: list[CouponConfig],
+    discount_pct: np.ndarray,
+    validity_hours: np.ndarray,
     attach_delay_h: np.ndarray,
     round: int,
     seed: int,
@@ -264,13 +276,12 @@ def _simulate_round(
 ):
     """Bernoulli sale draws plus purchase timing with validity truncation.
 
-    Returns (sold, purchase_delay_h) for the rows ``idx`` of the catalog;
+    ``discount_pct``, ``validity_hours`` and ``attach_delay_h`` align with the
+    catalog rows ``idx``. Returns (sold, purchase_delay_h) for those rows;
     purchase_delay_h is NaN where unsold.
     """
     keys = cat.keys[idx]
-    disc = np.array([c.discount_pct for c in coupons], dtype=float)
-    validity = np.array([c.validity_hours for c in coupons], dtype=float)
-    p = gt.propensity_arrays(cat.matrix[idx], cat.likes[idx], disc, round, attach_delay_h)
+    p = gt.propensity_arrays(cat.matrix[idx], cat.likes[idx], discount_pct, round, attach_delay_h)
     sold = rng.uniforms(seed, keys, sale_tag) < p
 
     u_t = rng.uniforms(seed, keys, ptime_tag)
@@ -278,11 +289,41 @@ def _simulate_round(
     t = -np.log1p(-u_t) / lam
 
     # A coupon sale drawn past the validity window is recorded as unsold.
-    real = disc > 0
-    truncated = sold & real & (t > validity)
+    real = discount_pct > 0
+    truncated = sold & real & (t > validity_hours)
     sold = sold & ~truncated
     t = np.where(sold, t, np.nan)
     return sold, t
+
+
+def _simulate_rounds(
+    gt: GroundTruth,
+    cat: CatalogArrays,
+    disc1: np.ndarray,
+    validity1: np.ndarray,
+    delay1: np.ndarray,
+    disc2: np.ndarray,
+    validity2: np.ndarray,
+    seed: int,
+):
+    """Both rounds over the whole catalog; every input has one entry per row.
+
+    Round 2 runs on the round-1 survivors only, attached once the round-1
+    coupon's validity has run out (never before the round-2 floor). Returns
+    (sold1, t1, surv_idx, delay2, sold2, t2); the round-2 arrays align with
+    ``surv_idx``.
+    """
+    sold1, t1 = _simulate_round(
+        gt, cat, np.arange(len(cat)), disc1, validity1, delay1, 1, seed,
+        rng.SALE_R1, rng.PURCHASE_R1,
+    )
+    surv_idx = np.flatnonzero(~sold1)
+    delay2 = round2_attach_delay(delay1[surv_idx], validity1[surv_idx])
+    sold2, t2 = _simulate_round(
+        gt, cat, surv_idx, disc2[surv_idx], validity2[surv_idx], delay2, 2, seed,
+        rng.SALE_R2, rng.PURCHASE_R2,
+    )
+    return sold1, t1, surv_idx, delay2, sold2, t2
 
 
 def _outcome(cat: CatalogArrays, i: int, round: int, coupon: CouponConfig,
@@ -297,12 +338,39 @@ def _outcome(cat: CatalogArrays, i: int, round: int, coupon: CouponConfig,
             sold=True,
             purchase_delay_h=float(t),
             sale_price_yen=price,
-            coupon_cost_yen=min((price * coupon.discount_pct) // 100, coupon.cap_yen),
+            coupon_cost_yen=coupon_cost(coupon, price),
         )
     return OutcomeRecord(
         item_id=cat.ids[i], round=round, coupon=coupon,
         attach_delay_h=float(delay), sold=False,
     )
+
+
+def _round_logs(
+    cat: CatalogArrays,
+    coupons1: Sequence[CouponConfig],
+    coupons2: Sequence[CouponConfig],
+    delay1: np.ndarray,
+    sold1: np.ndarray,
+    t1: np.ndarray,
+    surv_idx: np.ndarray,
+    delay2: np.ndarray,
+    sold2: np.ndarray,
+    t2: np.ndarray,
+) -> tuple[list[OutcomeRecord], list[OutcomeRecord]]:
+    """Outcome records of both rounds, each sorted by item_id.
+
+    ``coupons1``/``coupons2``/``delay1`` hold one entry per catalog row; the
+    rest is the result of ``_simulate_rounds``.
+    """
+    order = np.argsort(np.array(cat.ids))
+    log1 = [_outcome(cat, i, 1, coupons1[i], delay1[i], bool(sold1[i]), t1[i]) for i in order]
+    surv_order = np.argsort(np.array([cat.ids[i] for i in surv_idx]))
+    log2 = [
+        _outcome(cat, surv_idx[s], 2, coupons2[surv_idx[s]], delay2[s], bool(sold2[s]), t2[s])
+        for s in surv_order
+    ]
+    return log1, log2
 
 
 def run_rct(
@@ -324,36 +392,21 @@ def run_rct(
     if not items:
         return [], [], []
     cat = CatalogArrays.from_items(items)
-    n = len(cat)
-    order = np.argsort(np.array(cat.ids))
 
+    # Draws are per item key, so drawing round-2 arms for every row and using
+    # only the survivors' reproduces a survivor-only draw.
     arm1 = arm_draw(rng.uniforms(seed, cat.keys, rng.ARM_R1), round1_probs)
+    arm2 = arm_draw(rng.uniforms(seed, cat.keys, rng.ARM_R2), round2_probs)
     delay1 = rng.uniforms(seed, cat.keys, rng.ATTACH_DELAY) * gt.config.rct_max_delay_h
-    coupons1 = [round1_set[j] for j in arm1]
-    sold1, t1 = _simulate_round(
-        gt, cat, np.arange(n), coupons1, delay1, 1, seed, rng.SALE_R1, rng.PURCHASE_R1
+    disc1, validity1 = _coupon_columns(round1_set)
+    disc2, validity2 = _coupon_columns(round2_set)
+    rounds = _simulate_rounds(
+        gt, cat, disc1[arm1], validity1[arm1], delay1, disc2[arm2], validity2[arm2], seed
     )
-
-    round1_log = [
-        _outcome(cat, i, 1, coupons1[i], delay1[i], bool(sold1[i]), t1[i]) for i in order
-    ]
-
-    surv_idx = np.flatnonzero(~sold1)
-    survivors = sorted(cat.ids[i] for i in surv_idx)
-
-    arm2 = arm_draw(rng.uniforms(seed, cat.keys[surv_idx], rng.ARM_R2), round2_probs)
-    validity1 = np.array([coupons1[i].validity_hours for i in surv_idx])
-    delay2 = round2_attach_delay(delay1[surv_idx], validity1)
-    coupons2 = [round2_set[k] for k in arm2]
-    sold2, t2 = _simulate_round(
-        gt, cat, surv_idx, coupons2, delay2, 2, seed, rng.SALE_R2, rng.PURCHASE_R2
+    round1_log, round2_log = _round_logs(
+        cat, [round1_set[j] for j in arm1], [round2_set[k] for k in arm2], delay1, *rounds
     )
-
-    surv_order = np.argsort(np.array([cat.ids[i] for i in surv_idx]))
-    round2_log = [
-        _outcome(cat, surv_idx[s], 2, coupons2[s], delay2[s], bool(sold2[s]), t2[s])
-        for s in surv_order
-    ]
+    survivors = sorted(cat.ids[i] for i in rounds[2])
     return round1_log, survivors, round2_log
 
 
@@ -370,39 +423,76 @@ def rollout_policy(
 
     ``policy(item)`` returns ((round1 coupon, round1 attach delay), round2 coupon).
     Sale draws share substreams with run_rct, so different policies on the same
-    seed are compared under common random numbers.
+    seed are compared under common random numbers. The rounds run on the same
+    core as ``rollout_arms``; this entry point also builds and validates one
+    record per item and round.
     """
     if not items:
         return [], RolloutTotals(0, 0, 0)
     cat = CatalogArrays.from_items(items)
-    n = len(cat)
 
     plans = [policy(it) for it in cat.items]
     coupons1 = [p[0][0] for p in plans]
+    coupons2 = [p[1] for p in plans]
     delay1 = np.array([p[0][1] for p in plans], dtype=float)
     if np.any(delay1 < 0):
         raise InputError("policy produced a negative attach delay")
-    sold1, t1 = _simulate_round(
-        gt, cat, np.arange(n), coupons1, delay1, 1, seed, rng.SALE_R1, rng.PURCHASE_R1
-    )
-
-    surv_idx = np.flatnonzero(~sold1)
-    coupons2 = [plans[i][1] for i in surv_idx]
-    validity1 = np.array([coupons1[i].validity_hours for i in surv_idx])
-    delay2 = round2_attach_delay(delay1[surv_idx], validity1)
-    sold2, t2 = _simulate_round(
-        gt, cat, surv_idx, coupons2, delay2, 2, seed, rng.SALE_R2, rng.PURCHASE_R2
-    )
-
-    order = np.argsort(np.array(cat.ids))
-    records = [_outcome(cat, i, 1, coupons1[i], delay1[i], bool(sold1[i]), t1[i]) for i in order]
-    surv_order = np.argsort(np.array([cat.ids[i] for i in surv_idx]))
-    records += [
-        _outcome(cat, surv_idx[s], 2, coupons2[s], delay2[s], bool(sold2[s]), t2[s])
-        for s in surv_order
-    ]
+    disc1, validity1 = _coupon_columns(coupons1)
+    disc2, validity2 = _coupon_columns(coupons2)
+    rounds = _simulate_rounds(gt, cat, disc1, validity1, delay1, disc2, validity2, seed)
+    log1, log2 = _round_logs(cat, coupons1, coupons2, delay1, *rounds)
+    records = log1 + log2
 
     sales = sum(1 for r in records if r.sold)
     cost = sum(r.coupon_cost_yen for r in records if r.sold)
     gmv = sum(r.sale_price_yen for r in records if r.sold)
     return records, RolloutTotals(sales_count=sales, coupon_cost_yen=cost, gmv_yen=gmv)
+
+
+def _check_arms(arms, n: int, coupon_set: CouponSet, label: str) -> np.ndarray:
+    arms = np.asarray(arms)
+    if arms.shape != (n,) or not np.issubdtype(arms.dtype, np.integer):
+        raise InputError(f"{label}: need one integer arm index per catalog row ({n})")
+    if n and (arms.min() < 0 or arms.max() >= len(coupon_set)):
+        raise InputError(f"{label}: arm indices must lie in [0, {len(coupon_set)})")
+    return arms
+
+
+def rollout_arms(
+    gt: GroundTruth,
+    cat: CatalogArrays,
+    round1_set: CouponSet,
+    round2_set: CouponSet,
+    arm1: np.ndarray,
+    arm2: np.ndarray,
+    attach_delay_h: float,
+    seed: int,
+) -> RolloutTotals:
+    """Simulate both rounds under per-row arm indices and tally exact totals.
+
+    ``arm1``/``arm2`` hold one menu index per catalog row, arm 0 being the
+    no-coupon arm; round-1 coupons attach ``attach_delay_h`` hours after the
+    key action. The draws are those of ``rollout_policy`` under the equivalent
+    per-item policy, so the totals equal its totals, summed here over integer
+    columns instead of per-item records.
+    """
+    if attach_delay_h < 0:
+        raise InputError("attach_delay_h must be >= 0")
+    n = len(cat)
+    arm1 = _check_arms(arm1, n, round1_set, "arm1")
+    arm2 = _check_arms(arm2, n, round2_set, "arm2")
+    disc1, validity1 = _coupon_columns(round1_set)
+    disc2, validity2 = _coupon_columns(round2_set)
+    sold1, _, surv_idx, _, sold2, _ = _simulate_rounds(
+        gt, cat, disc1[arm1], validity1[arm1], np.full(n, float(attach_delay_h)),
+        disc2[arm2], validity2[arm2], seed,
+    )
+    rows = np.arange(n)
+    cost1 = coupon_costs(cat.price, round1_set)[rows, arm1]
+    cost2 = coupon_costs(cat.price, round2_set)[rows, arm2]
+    sold2_rows = surv_idx[sold2]
+    return RolloutTotals(
+        sales_count=int(sold1.sum()) + len(sold2_rows),
+        coupon_cost_yen=int(cost1[sold1].sum() + cost2[sold2_rows].sum()),
+        gmv_yen=int(cat.price[sold1].sum() + cat.price[sold2_rows].sum()),
+    )

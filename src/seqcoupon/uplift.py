@@ -291,17 +291,20 @@ def fit_predictor_pair(
     )
 
 
-def predict_batch(
+def predict_arrays(
     pair: PredictorPair,
-    items: Sequence[ItemRecord],
+    item_matrix: np.ndarray,
+    age_days: np.ndarray,
     attach_delay_h: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorised predictions: (p1 matrix, mean_p1, p2 matrix, p_baseline)."""
-    item_matrix = item_feature_matrix(items)
+    """Columnar predictions from an item-feature matrix and an ``age_days`` column.
+
+    Returns (p1 matrix, mean_p1, p2 matrix, p_baseline), one row per matrix row.
+    """
     p1 = round1_arm_probabilities(pair.first, item_matrix, pair.round1_set,
                                   attach_delay_h)
     mean_p1 = p1.mean(axis=1)
-    elapsed_age_h = np.array([it.age_days * 24.0 for it in items])
+    elapsed_age_h = np.asarray(age_days, dtype=float) * 24.0
     p2 = np.column_stack(
         [
             predict_matrix(
@@ -313,6 +316,20 @@ def predict_batch(
     )
     p_baseline = p1[:, 0] + (1.0 - p1[:, 0]) * p2[:, 0]
     return p1, mean_p1, p2, p_baseline
+
+
+def predict_batch(
+    pair: PredictorPair,
+    items: Sequence[ItemRecord],
+    attach_delay_h: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``predict_arrays`` over a list of items: (p1 matrix, mean_p1, p2 matrix, p_baseline)."""
+    return predict_arrays(
+        pair,
+        item_feature_matrix(items),
+        np.array([it.age_days for it in items], dtype=float),
+        attach_delay_h,
+    )
 
 
 def predict_item(

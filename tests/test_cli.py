@@ -243,6 +243,17 @@ class TestExitCodes:
         code = main(["train", "--config", ws["cfg"], "--out", ws["alloc"], "--quiet"])
         assert code == 3
 
+    def test_allocate_with_missing_round_log_exits_3(self, ws, tmp_path):
+        sim = tmp_path / "sim"
+        shutil.copytree(ws["sim"], sim)
+        (sim / "round2_log.csv").unlink()
+        cfg = tmp_path / "m.cfg"
+        cfg.write_text(sim_config_text(sim, ws["model"]))
+        out = tmp_path / "alloc"
+        code = main(["allocate", "--config", str(cfg), "--out", str(out), "--quiet"])
+        assert code == 3
+        assert not (out / "plans.csv").exists()
+
     def test_single_arm_log_exits_4(self, tmp_path):
         cfg = craft_single_arm_world(tmp_path, CouponConfig.none())
         code = main(["train", "--config", cfg, "--out", str(tmp_path / "m"), "--quiet"])

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seqcoupon.domain import CouponConfig, CouponSet, coupon_cost
@@ -90,6 +90,8 @@ class TestCombineCost:
             combine_cost(0.5, 0.5, -1.0, 0.0)
 
     @given(p1=probability, p2=probability, cj=st.floats(0, 3000), ck=st.floats(0, 3000))
+    @example(p1=5e-324, p2=0.0, cj=1.5, ck=0.0)
+    @example(p1=0.0, p2=5e-324, cj=0.0, ck=1.5)
     @settings(max_examples=200, deadline=None)
     def test_cost_bounded_by_the_dearer_coupon(self, p1, p2, cj, ck):
         cost = combine_cost(p1, p2, cj, ck)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seqcoupon.config import RunConfig
 from seqcoupon.domain import (
     CouponConfig,
     CouponSet,
@@ -17,6 +18,7 @@ from seqcoupon.domain import (
     SCHEMA_ROUND1,
     SCHEMA_ROUND2,
     coupon_cost,
+    coupon_costs,
     encode_round1,
     encode_round1_batch,
     encode_round2,
@@ -60,6 +62,24 @@ class TestCouponCost:
     def test_rejects_non_positive_price(self):
         with pytest.raises(InputError):
             coupon_cost(CouponConfig(10, 72.0, 1000), 0)
+
+    def test_vectorised_grid_matches_scalar_on_default_menus(self):
+        # Prices straddle each cap's saturation point (cap * 100 / discount).
+        prices = np.array(
+            [1, 19, 20, 99, 100, 13_333, 13_334, 19_999, 20_000, 20_001, 20_020, 250_000]
+        )
+        cfg = RunConfig()
+        for menu in (cfg.round1_set, cfg.round2_set):
+            grid = coupon_costs(prices, menu)
+            assert grid.shape == (len(prices), len(menu))
+            assert grid.dtype == np.int64
+            for i, price in enumerate(prices):
+                for j, coupon in enumerate(menu):
+                    assert grid[i, j] == coupon_cost(coupon, int(price))
+            assert not grid[:, 0].any()
+            caps = np.array([c.cap_yen for c in menu])[1:]
+            assert (grid[:, 1:] == caps).any(axis=0).all()
+            assert (grid[:, 1:] < caps).any(axis=0).all()
 
     @given(
         disc_lo=st.integers(1, 50),

@@ -20,7 +20,8 @@ from seqcoupon.evaluation import (
     delay_analysis,
     str_lift,
 )
-from seqcoupon.simulator import SimConfig
+from seqcoupon import rng
+from seqcoupon.simulator import CatalogArrays, SimConfig
 
 
 TEN_PCT = CouponConfig(10, 72.0, 1000)
@@ -362,6 +363,33 @@ class TestCompareStrategies:
             compare_strategies(
                 SimConfig(n_items=0), trained_pair, PolicyConstraint(), seeds=[1]
             )
+        with pytest.raises(InputError):
+            compare_strategies(
+                SimConfig(n_items=100), trained_pair, PolicyConstraint(), seeds=[1],
+                attach_delay_h=-1.0,
+            )
+
+    def test_one_catalog_build_per_seed(self, trained_pair, monkeypatch):
+        builds, hashed = [], []
+        real_keys = rng.item_keys
+        real_from_items = CatalogArrays.from_items.__func__
+
+        def counting_keys(item_ids):
+            item_ids = list(item_ids)
+            hashed.extend(item_ids)
+            return real_keys(item_ids)
+
+        def counting_from_items(cls, items):
+            builds.append(len(items))
+            return real_from_items(cls, items)
+
+        monkeypatch.setattr(rng, "item_keys", counting_keys)
+        monkeypatch.setattr(CatalogArrays, "from_items", classmethod(counting_from_items))
+        compare_strategies(
+            SimConfig(n_items=500, rng_seed=0), trained_pair, PolicyConstraint(), seeds=[4]
+        )
+        assert builds == [500]
+        assert len(hashed) == 500 and len(set(hashed)) == 500
 
     def test_report_requires_all_strategies(self, light_report):
         broken = {k: v for k, v in light_report.strategies.items() if k != STRATEGY_SEQUENTIAL}

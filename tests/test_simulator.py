@@ -7,6 +7,7 @@ from seqcoupon.domain import CouponConfig, ItemRecord
 from seqcoupon.errors import InputError
 from seqcoupon.simulator import (
     DELAY_FLOOR_AT_H,
+    CatalogArrays,
     GroundTruth,
     ROUND2_MIN_DELAY_H,
     RolloutTotals,
@@ -14,6 +15,7 @@ from seqcoupon.simulator import (
     arm_draw,
     generate_catalog,
     purchase_rate,
+    rollout_arms,
     rollout_policy,
     round2_attach_delay,
     run_rct,
@@ -285,3 +287,47 @@ class TestRolloutPolicy:
         policy = lambda it: ((CouponConfig.none(), -1.0), CouponConfig.none())
         with pytest.raises(InputError):
             rollout_policy(small_world["gt"], small_world["items"], policy, 3)
+
+
+class TestRolloutArms:
+    @pytest.mark.parametrize("delay", [2.0, 30.0])
+    def test_totals_match_record_rollout(self, small_world, round1_menu, round2_menu, delay):
+        items = small_world["items"]
+        gen = np.random.default_rng(11)
+        n = len(items)
+        active = gen.uniform(size=n) < 0.7
+        arm1 = np.where(active, gen.integers(0, len(round1_menu), n), 0)
+        arm2 = np.where(active, gen.integers(0, len(round2_menu), n), 0)
+        row = {it.item_id: i for i, it in enumerate(items)}
+
+        def policy(item):
+            i = row[item.item_id]
+            return (round1_menu[arm1[i]], delay), round2_menu[arm2[i]]
+
+        records, expected = rollout_policy(small_world["gt"], items, policy, 3)
+        assert expected.coupon_cost_yen > 0 and any(r.round == 2 and r.sold for r in records)
+        cat = CatalogArrays.from_items(items)
+        got = rollout_arms(small_world["gt"], cat, round1_menu, round2_menu, arm1, arm2, delay, 3)
+        assert got == expected
+
+    def test_empty_catalog(self, round1_menu, round2_menu):
+        gt = GroundTruth(SimConfig(n_items=0))
+        none = np.zeros(0, dtype=np.int64)
+        cat = CatalogArrays.from_items([])
+        assert rollout_arms(gt, cat, round1_menu, round2_menu, none, none, 2.0, 1) == (
+            RolloutTotals(0, 0, 0)
+        )
+
+    def test_input_validation(self, small_world, round1_menu, round2_menu):
+        cat = CatalogArrays.from_items(small_world["items"][:10])
+        gt = small_world["gt"]
+        ok = np.zeros(10, dtype=np.int64)
+        for arm1, arm2, delay in (
+            (ok, ok, -1.0),
+            (ok[:9], ok, 2.0),
+            (ok, np.full(10, len(round2_menu)), 2.0),
+            (np.full(10, -1), ok, 2.0),
+            (ok.astype(float), ok, 2.0),
+        ):
+            with pytest.raises(InputError):
+                rollout_arms(gt, cat, round1_menu, round2_menu, arm1, arm2, delay, 3)

@@ -25,7 +25,10 @@ def main() -> None:
     parser.add_argument("--eval-items", type=int, default=100_000)
     parser.add_argument("--seeds", type=int, nargs="+", default=list(range(1, 11)))
     parser.add_argument("--lift-threshold", type=float, default=0.01)
-    parser.add_argument("--epochs", type=int, default=1500)
+    parser.add_argument(
+        "--epochs", type=int, default=1500,
+        help="iteration cap for the logistic fits, which stop earlier once converged",
+    )
     parser.add_argument("--out", default=None, help="optional path for the text report")
     args = parser.parse_args()
 

@@ -41,7 +41,7 @@ from .errors import (
     SchemaMismatchError,
 )
 from .evaluation import UpliftCurve, bootstrap_band, compare_strategies, cumulative_uplift, delay_analysis
-from .learner import grid_search
+from .learner import Model, grid_search
 from .simulator import CatalogArrays, GroundTruth, generate_catalog, run_rct
 from .uplift import fit_predictor_pair, predict_arrays, round1_arm_probabilities, round1_training_dataset
 
@@ -152,7 +152,17 @@ def cmd_train(args: argparse.Namespace) -> None:
         variant=cfg.ipw_variant,
     )
     fileio.save_pair(pair, run.out)
+    run.say(
+        f"first-round model: {_fit_summary(pair.first)}; "
+        f"second-round model: {_fit_summary(pair.second)}"
+    )
     run.say(f"wrote model pair and {GRID_TABLE_FILE} in {run.out}")
+
+
+def _fit_summary(model: Model) -> str:
+    if model.iterations is None:
+        return f"{len(model.stumps)} stumps"
+    return f"{model.iterations} Newton steps, final |gradient| {model.grad_norm:.1e}"
 
 
 def _sold_item_ids(cfg: RunConfig) -> set[str]:

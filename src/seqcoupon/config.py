@@ -11,6 +11,9 @@ Grammar (INI as understood by :mod:`configparser`, ``#``/``;`` comments):
     [learner]        — first-round learner: kind, learning_rate, l2, epochs,
                        max_stumps, rng_seed, k_folds; optional ``grid_<key>``
                        comma lists expand to a cartesian candidate grid.
+                       For logistic fits ``epochs`` caps the Newton steps
+                       (a fit stops earlier once converged) and
+                       ``learning_rate`` scales each step (1.0 = full step).
     [learner.second] — optional overrides for the second-round learner
                        (no grid); defaults to the [learner] point values.
     [policy]         — lift_threshold, attach_delay_h, ipw_epsilon,

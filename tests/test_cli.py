@@ -166,6 +166,16 @@ class TestPipeline:
         assert lines[0] == fileio.BUCKET_HEADER
         assert len(lines) > 2
 
+    def test_train_reports_convergence_of_both_models(self, ws, capsys):
+        assert main(["train", "--config", ws["cfg"], "--out", ws["model"]]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        summary = next(line for line in lines if line.startswith("first-round model:"))
+        first, second = summary.split("; ")
+        steps = int(first.split(": ")[1].split()[0])
+        grad_norm = float(first.rsplit(" ", 1)[1])
+        assert 1 <= steps <= 10 and grad_norm < 1e-10
+        assert second == "second-round model: 10 stumps"
+
     def test_comparison_report_sections(self, ws):
         text = open(f"{ws['cmp']}/comparison.txt", encoding="utf-8").read()
         for needle in ("[random]", "[independent]", "[sequential]",

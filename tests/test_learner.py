@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from seqcoupon import learner
 from seqcoupon.errors import DegenerateDataError, InputError, SchemaMismatchError
 from seqcoupon.domain import FeatureVector, SCHEMA_ROUND1
 from seqcoupon.learner import (
@@ -18,6 +20,7 @@ from seqcoupon.learner import (
     train,
     weighted_log_loss,
 )
+from seqcoupon.uplift import fit_first_round, fit_second_round
 
 
 def synthetic_dataset(seed: int = 2024, n: int = 400) -> tuple[Dataset, np.ndarray]:
@@ -26,6 +29,26 @@ def synthetic_dataset(seed: int = 2024, n: int = 400) -> tuple[Dataset, np.ndarr
     logits = 0.8 * X[:, 0] - 0.5 * X[:, 1] + 0.2
     y = gen.uniform(size=n) < 1 / (1 + np.exp(-logits))
     return Dataset(X, y), np.array([[0.25, -1.0, 2.0]])
+
+
+def gradient_descent_reference(data: Dataset, l2: float, epochs: int) -> Model:
+    """Full-batch gradient descent at step 1.0 on the objective ``train`` minimises."""
+    mean, scale = learner._standardise_constants(data.features, data.weights)
+    Xs = (data.features - mean) / scale
+    w_norm = data.weights / data.weights.sum()
+    coef, intercept = np.zeros(Xs.shape[1]), 0.0
+    for _ in range(epochs):
+        resid = w_norm * (learner._sigmoid(Xs @ coef + intercept) - data.labels)
+        coef = coef - (Xs.T @ resid + l2 * coef)
+        intercept = intercept - resid.sum()
+    return Model(
+        kind=KIND_LOGISTIC,
+        schema_id=data.schema_id,
+        feature_mean=mean,
+        feature_scale=scale,
+        intercept=intercept,
+        coef=coef,
+    )
 
 
 class TestDatasetValidation:
@@ -115,11 +138,91 @@ class TestLogistic:
         with pytest.raises(DegenerateDataError):
             train(Dataset(X, np.ones(30, dtype=bool)), LearnerConfig())
 
+    def test_constant_column_under_weights_standardises_to_zero(self):
+        gen = np.random.default_rng(12)
+        n = 300
+        X = np.column_stack([gen.normal(size=n), np.full(n, math.log(72.0))])
+        y = gen.uniform(size=n) < 1 / (1 + np.exp(-X[:, 0]))
+        weights = 1.0 / gen.uniform(0.05, 1.0, size=n)  # IPW-like
+        model = train(Dataset(X, y, weights), LearnerConfig(learning_rate=1.0, epochs=100))
+        assert model.feature_mean[1] == math.log(72.0)
+        assert model.feature_scale[1] == 1.0
+        assert model.coef[1] == 0.0
+        off_constant = X.copy()
+        off_constant[:, 1] = math.log(48.0)
+        np.testing.assert_array_equal(
+            predict_matrix(model, off_constant), predict_matrix(model, X)
+        )
+
     def test_raw_coefficients_only_for_logistic(self,ustub=None):
         data, _ = synthetic_dataset(n=80)
         boosted = train(data, LearnerConfig(kind=KIND_BOOSTED, max_stumps=2))
         with pytest.raises(InputError):
             boosted.coefficients_raw()
+
+
+class TestNewtonSolver:
+    @pytest.mark.parametrize("l2", [0.0, 0.1])
+    def test_matches_long_gradient_descent(self, l2):
+        data, probe = synthetic_dataset()
+        reference = gradient_descent_reference(data, l2, epochs=3000)
+        model = train(data, LearnerConfig(learning_rate=1.0, l2=l2, epochs=100))
+        for X in (data.features, probe):
+            np.testing.assert_allclose(
+                predict_matrix(model, X), predict_matrix(reference, X), rtol=0, atol=1e-6
+            )
+        assert model.iterations < 10 and model.grad_norm < learner.GRAD_TOL
+
+    def test_duplicated_column_gets_the_minimum_norm_split(self):
+        data, probe = synthetic_dataset()
+        config = LearnerConfig(learning_rate=1.0, epochs=100)
+        single = train(data, config)
+        widened = Dataset(np.column_stack([data.features, data.features[:, 0]]), data.labels)
+        doubled = train(widened, config)
+        assert doubled.coef[0] == doubled.coef[3]
+        assert doubled.coef[0] == pytest.approx(single.coef[0] / 2, rel=1e-12)
+        for X in (data.features, probe):
+            np.testing.assert_allclose(
+                predict_matrix(doubled, np.column_stack([X, X[:, 0]])),
+                predict_matrix(single, X),
+                rtol=0,
+                atol=1e-12,
+            )
+
+    def test_ipw_weighted_survivors_converge(self, small_world, round1_menu):
+        config = LearnerConfig(learning_rate=1.0, epochs=1500)
+        first = fit_first_round(small_world["items"], small_world["log1"], config)
+        second = fit_second_round(
+            small_world["items"], small_world["log1"], small_world["log2"],
+            first, round1_menu, config,
+        )
+        for model in (first, second):
+            assert model.iterations <= 10
+            assert model.grad_norm < 1e-10
+
+    def test_unreachable_tolerance_stops_at_the_rounding_floor(self, monkeypatch):
+        monkeypatch.setattr(learner, "GRAD_TOL", 0.0)
+        data, _ = synthetic_dataset()
+        model = train(data, LearnerConfig(learning_rate=1.0, epochs=1500))
+        assert model.iterations < 20
+
+    @pytest.mark.parametrize("step_scale", [1.0, 0.5])
+    def test_one_epoch_is_one_scaled_newton_step(self, step_scale):
+        data, _ = synthetic_dataset()
+        model = train(data, LearnerConfig(learning_rate=step_scale, epochs=1))
+        assert model.iterations == 1
+        # At zero coefficients every p is 1/2: g = Zᵀ w (1/2 - y), H = Zᵀ W Z / 4
+        # with Z the standardised design widened by an intercept column.
+        Z = np.column_stack([
+            (data.features - model.feature_mean) / model.feature_scale,
+            np.ones(len(data)),
+        ])
+        w = data.weights / data.weights.sum()
+        grad = Z.T @ (w * (0.5 - data.labels))
+        hess = Z.T @ (Z * (w / 4)[:, None])
+        expected = -step_scale * np.linalg.solve(hess, grad)
+        np.testing.assert_allclose(model.coef, expected[:-1], rtol=1e-10, atol=0)
+        assert model.intercept == pytest.approx(expected[-1], rel=1e-10)
 
 
 class TestDeterminismAndWeights:
@@ -269,18 +372,28 @@ class TestGridSearch:
     def test_crushing_regularisation_loses(self):
         data, _ = synthetic_dataset(n=300)
         sharp = LearnerConfig(learning_rate=1.0, l2=0.0, epochs=200)
-        # lr * l2 = 1 zeroes the coefficient carry-over each step: near-base-rate fit
+        # l2 = 10 shrinks every coefficient towards zero: a near-base-rate fit
         blunt = LearnerConfig(learning_rate=0.1, l2=10.0, epochs=200)
         best, table = grid_search(data, [blunt, sharp], k_folds=3, seed=0)
         assert best == sharp
         assert table[1].mean_loss < table[0].mean_loss
 
-    def test_diverged_config_ranks_last(self):
+    def test_diverged_config_ranks_last(self, monkeypatch):
         data, _ = synthetic_dataset(n=120)
         sane = LearnerConfig(learning_rate=0.5, epochs=100)
         diverging = LearnerConfig(learning_rate=1.0, l2=1e6, epochs=100)
-        with np.errstate(over="ignore", invalid="ignore"):
-            best, table = grid_search(data, [diverging, sane], k_folds=3, seed=0)
+        fit = learner.train
+
+        def train_diverging_to_nan(d, config):
+            model = fit(d, config)
+            if config == diverging:
+                return replace(model, coef=np.full(model.n_features, np.nan))
+            return model
+
+        # The Newton solver converges even at l2 = 1e6, so the diverged fit
+        # is stood in for by one whose coefficients went non-finite.
+        monkeypatch.setattr(learner, "train", train_diverging_to_nan)
+        best, table = grid_search(data, [diverging, sane], k_folds=3, seed=0)
         assert best == sane
         assert not math.isfinite(table[0].mean_loss)
 

@@ -248,20 +248,20 @@ class TestPredictions:
     def test_frozen_regression_bundle(self, trained_pair, fixture_item):
         pred = predict_item(trained_pair, fixture_item, 2.0)
         expected_p1 = (
-            0.4275059892782181,
-            0.4570618084514112,
-            0.5028427898649208,
-            0.5483630064825319,
+            0.4272136395879707,
+            0.4532796202286531,
+            0.5087238398819603,
+            0.5463279475885882,
         )
         expected_p2 = (
-            0.2687901472285774,
-            0.2687901472285774,
-            0.2687901472285774,
-            0.2862860885492732,
+            0.2685561827639355,
+            0.2685561827639355,
+            0.2685561827639355,
+            0.28610479727727894,
         )
         np.testing.assert_allclose(pred.p1, expected_p1, rtol=1e-6)
         np.testing.assert_allclose(pred.p2, expected_p2, rtol=1e-6)
-        assert pred.p_baseline == pytest.approx(0.5813867387076046, rel=1e-6)
+        assert pred.p_baseline == pytest.approx(0.581038958079473, rel=1e-6)
 
 
 class TestPairValidation:

@@ -244,17 +244,7 @@ def schema_length(schema_id: str) -> int:
 
 def item_features(item: ItemRecord) -> np.ndarray:
     """Item-only coordinates shared by both rounds (raw scale, no standardisation)."""
-    return np.array(
-        [
-            math.log(item.price_yen),
-            float(item.condition),
-            float(item.age_days),
-            float(item.likes),
-            item.demand_index,
-            math.sin(2.0 * math.pi * item.season_phase),
-            math.cos(2.0 * math.pi * item.season_phase),
-        ]
-    )
+    return item_feature_matrix([item])[0]
 
 
 def _coupon_features(coupon: CouponConfig) -> list[float]:
@@ -333,8 +323,39 @@ def encode_round2_batch(
     return out
 
 
+def feature_matrix(price, condition, age_days, likes, demand, season) -> np.ndarray:
+    """Item-only coordinates, one row per item, built column by column.
+
+    Columns follow ``ITEM_FEATURE_NAMES``: log price, condition, age in days,
+    likes, demand index, and the season phase as a point on the unit circle.
+    ``log``, ``sin`` and ``cos`` go through ``math`` one value at a time: the
+    SIMD kernels behind ``np.log``/``np.sin`` may differ from libm in the last
+    bit, and every sale draw and artifact downstream depends on these values.
+    """
+    price = np.asarray(price, dtype=float)
+    n = len(price)
+    angle = (2.0 * math.pi * np.asarray(season, dtype=float)).tolist()
+    out = np.empty((n, N_ITEM_FEATURES))
+    out[:, 0] = np.fromiter(map(math.log, price.tolist()), float, n)
+    out[:, 1] = condition
+    out[:, 2] = age_days
+    out[:, 3] = likes
+    out[:, 4] = demand
+    out[:, 5] = np.fromiter(map(math.sin, angle), float, n)
+    out[:, 6] = np.fromiter(map(math.cos, angle), float, n)
+    return out
+
+
 def item_feature_matrix(items: Sequence[ItemRecord]) -> np.ndarray:
-    """Stack ``item_features`` for a catalog; rows follow the input order."""
-    if not items:
-        return np.empty((0, N_ITEM_FEATURES))
-    return np.stack([item_features(it) for it in items])
+    """``feature_matrix`` over a list of records; rows follow the input order."""
+    def column(field):
+        return np.array([getattr(it, field) for it in items], dtype=float)
+
+    return feature_matrix(
+        column("price_yen"),
+        column("condition"),
+        column("age_days"),
+        column("likes"),
+        column("demand_index"),
+        column("season_phase"),
+    )

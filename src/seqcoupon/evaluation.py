@@ -26,12 +26,11 @@ from .decision import (
 from .domain import OutcomeRecord
 from .errors import ContractError, InputError
 from .simulator import (
-    CatalogArrays,
     GroundTruth,
     RolloutTotals,
     SimConfig,
     arm_draw,
-    generate_catalog,
+    generate_catalog_arrays,
     rollout_arms,
     validate_probs,
 )
@@ -363,8 +362,9 @@ def compare_strategies(
 ) -> ComparisonReport:
     """Roll out random / per-round / sequential allocation on common seeds.
 
-    For each seed one catalog is generated and built once into columns
-    (``CatalogArrays``). Predictions come from those columns, and four
+    For each seed one catalog is drawn straight into columns
+    (``generate_catalog_arrays``: no per-item records, keys hashed once).
+    Predictions come from those columns, and four
     columnar rollouts share that one catalog and its sale substreams: a
     no-coupon holdout plus the three strategies, each given as arm-index
     arrays. Realized ROI is incremental sales over the holdout times the
@@ -397,7 +397,7 @@ def compare_strategies(
     for seed in seeds:
         cfg = dataclasses.replace(config, rng_seed=seed)
         gt = GroundTruth(cfg)
-        cat = CatalogArrays.from_items(generate_catalog(cfg))
+        cat = generate_catalog_arrays(cfg)
         n = len(cat)
         mean_ltv = float(cat.ltv.mean())
 

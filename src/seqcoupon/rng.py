@@ -38,7 +38,11 @@ def item_key(item_id: str) -> int:
 
 
 def item_keys(item_ids) -> np.ndarray:
-    return np.array([item_key(i) for i in item_ids], dtype=np.uint64)
+    """``item_key`` for many ids: the digests are joined and read as one buffer."""
+    digests = b"".join(
+        hashlib.blake2s(i.encode("utf-8"), digest_size=8).digest() for i in item_ids
+    )
+    return np.frombuffer(digests, dtype="<u8").astype(np.uint64)
 
 
 def _mix(z: np.ndarray) -> np.ndarray:

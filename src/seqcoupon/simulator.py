@@ -26,6 +26,7 @@ from .domain import (
     OutcomeRecord,
     coupon_cost,
     coupon_costs,
+    feature_matrix,
     item_feature_matrix,
 )
 from .errors import InputError
@@ -161,68 +162,158 @@ def true_propensity(
     return float(p[0])
 
 
-def generate_catalog(config: SimConfig) -> list[ItemRecord]:
-    """Draw a catalog from the declared distributions; deterministic per seed."""
+def _draw_catalog(config: SimConfig) -> dict:
+    """The catalog's columns, keyed by ``CatalogArrays`` field; deterministic per seed.
+
+    Draws no keys and builds no features: both catalog generators start here.
+    """
     n = config.n_items
-    if n == 0:
-        return []
     gen = np.random.default_rng([config.rng_seed, 0xCA7A])
     price_mu, price_sigma = config.price_lognormal_params
     ltv_mu, ltv_sigma = config.ltv_lognormal_params
-    prices = np.maximum(1, np.rint(gen.lognormal(price_mu, price_sigma, n))).astype(int)
-    conditions = gen.integers(1, 6, n)
-    ages = gen.integers(0, config.max_age_days + 1, n)
+    price = np.maximum(1, np.rint(gen.lognormal(price_mu, price_sigma, n))).astype(np.int64)
+    condition = gen.integers(1, 6, n)
+    age_days = gen.integers(0, config.max_age_days + 1, n).astype(float)
     likes = gen.poisson(config.likes_rate, n)
     demand = gen.normal(0.0, 1.0, n)
     season = gen.uniform(0.0, 1.0, n)
-    ltv = np.maximum(1, np.rint(gen.lognormal(ltv_mu, ltv_sigma, n))).astype(int)
+    ltv = np.maximum(1, np.rint(gen.lognormal(ltv_mu, ltv_sigma, n))).astype(np.int64)
     key_ts = _KEY_ACTION_EPOCH_H + gen.uniform(0.0, 8760.0, n)
+    return dict(
+        ids=tuple(f"it{i:07d}" for i in range(n)),
+        seller_ids=tuple(f"sl{i:07d}" for i in range(n)),
+        price=price,
+        condition=condition,
+        age_days=age_days,
+        likes=likes,
+        demand=demand,
+        season=season,
+        ltv=ltv,
+        key_ts=key_ts,
+        status=("unsold",) * n,
+    )
+
+
+def _item_records(ids, seller_ids, price, condition, age_days, likes, demand, season,
+                  ltv, key_ts, status) -> list[ItemRecord]:
+    """One validated ``ItemRecord`` per row of the catalog columns."""
     return [
-        ItemRecord(
-            item_id=f"it{i:07d}",
-            seller_id=f"sl{i:07d}",
-            price_yen=int(prices[i]),
-            condition=int(conditions[i]),
-            age_days=float(ages[i]),
-            likes=int(likes[i]),
-            demand_index=float(demand[i]),
-            season_phase=float(season[i]),
-            seller_ltv_yen=int(ltv[i]),
-            key_action_ts=float(key_ts[i]),
+        ItemRecord(*row)
+        for row in zip(
+            ids, seller_ids, price.tolist(), condition.tolist(), age_days.tolist(),
+            likes.tolist(), demand.tolist(), season.tolist(), ltv.tolist(),
+            key_ts.tolist(), status,
         )
-        for i in range(n)
     ]
+
+
+def generate_catalog(config: SimConfig) -> list[ItemRecord]:
+    """Draw a catalog from the declared distributions; deterministic per seed."""
+    return _item_records(**_draw_catalog(config))
+
+
+def generate_catalog_arrays(config: SimConfig) -> "CatalogArrays":
+    """``generate_catalog`` drawn straight into columns, keys and feature matrix.
+
+    ``generate_catalog_arrays(config).to_items() == generate_catalog(config)``.
+    """
+    return CatalogArrays.from_columns(**_draw_catalog(config))
+
+
+def _check_column(bad: np.ndarray, column: np.ndarray, message: str):
+    if bad.any():
+        raise InputError(message.format(column[np.argmax(bad)]))
 
 
 @dataclass(frozen=True)
 class CatalogArrays:
-    """Column view of a catalog for the vectorised simulation and prediction paths."""
+    """A catalog as columns, one per ``ItemRecord`` field, plus keys and features.
 
-    items: tuple[ItemRecord, ...]
+    Row i of every column describes the same item; ``matrix`` holds its raw
+    item features and ``keys`` its ``rng.item_key``.
+    """
+
     ids: tuple[str, ...]
+    seller_ids: tuple[str, ...]
+    price: np.ndarray  # int64 yen
+    condition: np.ndarray  # int64, 1..5
+    age_days: np.ndarray
+    likes: np.ndarray  # int64
+    demand: np.ndarray
+    season: np.ndarray  # phase in [0, 1)
+    ltv: np.ndarray  # int64 yen
+    key_ts: np.ndarray
+    status: tuple[str, ...]
     keys: np.ndarray
     matrix: np.ndarray  # n x N_ITEM_FEATURES, raw item features
-    price: np.ndarray
-    likes: np.ndarray
-    ltv: np.ndarray
-    age_days: np.ndarray
+
+    @classmethod
+    def from_columns(cls, ids, seller_ids, price, condition, age_days, likes, demand,
+                     season, ltv, key_ts, status) -> "CatalogArrays":
+        """Validate the columns as ``ItemRecord`` would, then hash keys and featurise."""
+        ids, seller_ids, status = tuple(ids), tuple(seller_ids), tuple(status)
+        price = np.asarray(price, dtype=np.int64)
+        condition = np.asarray(condition, dtype=np.int64)
+        age_days = np.asarray(age_days, dtype=float)
+        likes = np.asarray(likes, dtype=np.int64)
+        demand = np.asarray(demand, dtype=float)
+        season = np.asarray(season, dtype=float)
+        ltv = np.asarray(ltv, dtype=np.int64)
+        key_ts = np.asarray(key_ts, dtype=float)
+        columns = (seller_ids, price, condition, age_days, likes, demand, season,
+                   ltv, key_ts, status)
+        if any(len(c) != len(ids) for c in columns):
+            raise InputError(f"every catalog column needs one entry per id ({len(ids)})")
+        _check_column(price <= 0, price, "price_yen must be > 0, got {}")
+        _check_column(ltv <= 0, ltv, "seller_ltv_yen must be > 0, got {}")
+        _check_column(~((1 <= condition) & (condition <= 5)), condition,
+                      "condition must be in 1..5, got {}")
+        _check_column(age_days < 0, age_days, "age_days must be >= 0")
+        _check_column(likes < 0, likes, "likes must be >= 0")
+        _check_column(~((0 <= season) & (season < 1)), season,
+                      "season_phase must be in [0, 1), got {}")
+        bad_status = set(status) - {"unsold", "sold"}
+        if bad_status:
+            raise InputError(f"status must be 'unsold' or 'sold', got {min(bad_status)!r}")
+        return cls(
+            ids=ids, seller_ids=seller_ids, price=price, condition=condition,
+            age_days=age_days, likes=likes, demand=demand, season=season, ltv=ltv,
+            key_ts=key_ts, status=status,
+            keys=rng.item_keys(ids),
+            matrix=feature_matrix(price, condition, age_days, likes, demand, season),
+        )
 
     @classmethod
     def from_items(cls, items: Sequence[ItemRecord]) -> "CatalogArrays":
-        items = tuple(items)
-        return cls(
-            items=items,
-            ids=tuple(it.item_id for it in items),
-            keys=rng.item_keys([it.item_id for it in items]),
-            matrix=item_feature_matrix(items),
-            price=np.array([it.price_yen for it in items], dtype=np.int64),
-            likes=np.array([it.likes for it in items], dtype=np.int64),
-            ltv=np.array([it.seller_ltv_yen for it in items], dtype=np.int64),
-            age_days=np.array([it.age_days for it in items], dtype=float),
+        # Each column becomes an array before the next is gathered, so only one
+        # per-item list is alive at a time.
+        def column(field, dtype=None):
+            values = [getattr(it, field) for it in items]
+            return tuple(values) if dtype is None else np.array(values, dtype=dtype)
+
+        return cls.from_columns(
+            ids=column("item_id"),
+            seller_ids=column("seller_id"),
+            price=column("price_yen", np.int64),
+            condition=column("condition", np.int64),
+            age_days=column("age_days", float),
+            likes=column("likes", np.int64),
+            demand=column("demand_index", float),
+            season=column("season_phase", float),
+            ltv=column("seller_ltv_yen", np.int64),
+            key_ts=column("key_action_ts", float),
+            status=column("status"),
+        )
+
+    def to_items(self) -> list[ItemRecord]:
+        """One ``ItemRecord`` per row, in row order."""
+        return _item_records(
+            self.ids, self.seller_ids, self.price, self.condition, self.age_days,
+            self.likes, self.demand, self.season, self.ltv, self.key_ts, self.status,
         )
 
     def __len__(self) -> int:
-        return len(self.items)
+        return len(self.ids)
 
 
 def purchase_rate(config: SimConfig, price_yen) -> np.ndarray:
@@ -431,7 +522,7 @@ def rollout_policy(
         return [], RolloutTotals(0, 0, 0)
     cat = CatalogArrays.from_items(items)
 
-    plans = [policy(it) for it in cat.items]
+    plans = [policy(it) for it in items]
     coupons1 = [p[0][0] for p in plans]
     coupons2 = [p[1] for p in plans]
     delay1 = np.array([p[0][1] for p in plans], dtype=float)

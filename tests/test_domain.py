@@ -23,6 +23,7 @@ from seqcoupon.domain import (
     encode_round1_batch,
     encode_round2,
     encode_round2_batch,
+    feature_matrix,
     item_feature_matrix,
     item_features,
     schema_length,
@@ -304,6 +305,20 @@ class TestEncoding:
         assert values[0] == math.log(3000)
         assert values[5] == 0.0 and values[6] == 1.0
         assert len(values) == N_ITEM_FEATURES
+
+    def test_feature_matrix_is_libm_where_simd_log_differs(self):
+        # np.log's SIMD kernel may round log(9170) and log(19143) differently from
+        # libm; the feature matrix must hold the libm values, bit for bit.
+        price = np.array([9170, 19143, 3000], dtype=np.int64)
+        season = np.array([0.1, 0.37, 0.999])
+        matrix = feature_matrix(
+            price, np.array([1, 3, 5]), np.array([0.0, 2.5, 90.0]),
+            np.array([0, 4, 12]), np.array([-1.5, 0.0, 2.25]), season,
+        )
+        for i in range(3):
+            angle = 2.0 * math.pi * season[i]
+            assert matrix[i, 0] == math.log(int(price[i]))
+            assert matrix[i, 5] == math.sin(angle) and matrix[i, 6] == math.cos(angle)
 
 
 class TestFeatureVector:

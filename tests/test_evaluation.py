@@ -372,19 +372,19 @@ class TestCompareStrategies:
     def test_one_catalog_build_per_seed(self, trained_pair, monkeypatch):
         builds, hashed = [], []
         real_keys = rng.item_keys
-        real_from_items = CatalogArrays.from_items.__func__
+        real_from_columns = CatalogArrays.from_columns.__func__
 
         def counting_keys(item_ids):
             item_ids = list(item_ids)
             hashed.extend(item_ids)
             return real_keys(item_ids)
 
-        def counting_from_items(cls, items):
-            builds.append(len(items))
-            return real_from_items(cls, items)
+        def counting_from_columns(cls, ids, *args, **kwargs):
+            builds.append(len(ids))
+            return real_from_columns(cls, ids, *args, **kwargs)
 
         monkeypatch.setattr(rng, "item_keys", counting_keys)
-        monkeypatch.setattr(CatalogArrays, "from_items", classmethod(counting_from_items))
+        monkeypatch.setattr(CatalogArrays, "from_columns", classmethod(counting_from_columns))
         compare_strategies(
             SimConfig(n_items=500, rng_seed=0), trained_pair, PolicyConstraint(), seeds=[4]
         )

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from seqcoupon.simulator import (
     SimConfig,
     arm_draw,
     generate_catalog,
+    generate_catalog_arrays,
     purchase_rate,
     rollout_arms,
     rollout_policy,
@@ -151,6 +154,77 @@ class TestGenerateCatalog:
             assert 0 <= it.age_days <= 90
             assert it.likes >= 0
             assert 0.0 <= it.season_phase < 1.0
+
+
+# CatalogArrays fields that hold one ItemRecord field each
+CATALOG_COLUMNS = tuple(
+    f.name for f in dataclasses.fields(CatalogArrays) if f.name not in ("keys", "matrix")
+)
+
+
+class TestCatalogArrays:
+    @pytest.mark.parametrize("seed,n", [(1, 300), (9, 50), (42, 1), (3, 0)])
+    def test_arrays_are_the_records(self, seed, n):
+        config = SimConfig(n_items=n, rng_seed=seed)
+        cat = generate_catalog_arrays(config)
+        assert len(cat) == n and cat.matrix.shape == (n, 7)
+        assert cat.to_items() == generate_catalog(config)
+
+    def test_from_items_columns_match_generated(self):
+        config = SimConfig(n_items=500, rng_seed=8)
+        drawn = generate_catalog_arrays(config)
+        gathered = CatalogArrays.from_items(generate_catalog(config))
+        for name in CATALOG_COLUMNS + ("keys", "matrix"):
+            a, b = getattr(drawn, name), getattr(gathered, name)
+            if isinstance(a, tuple):
+                assert a == b, name
+            else:
+                assert a.dtype == b.dtype and a.shape == b.shape, name
+                assert a.tobytes() == b.tobytes(), name
+
+    def test_matrix_is_libm_on_a_generated_catalog(self):
+        cat = generate_catalog_arrays(SimConfig(n_items=20_000, rng_seed=2))
+        angle = [2.0 * math.pi * s for s in cat.season.tolist()]
+        for col, expected in (
+            (0, [math.log(p) for p in cat.price.tolist()]),
+            (5, [math.sin(a) for a in angle]),
+            (6, [math.cos(a) for a in angle]),
+        ):
+            assert cat.matrix[:, col].tolist() == expected
+
+    @pytest.mark.parametrize(
+        "column,field,value",
+        [
+            ("price", "price_yen", 0),
+            ("ltv", "seller_ltv_yen", -3),
+            ("condition", "condition", 0),
+            ("condition", "condition", 6),
+            ("age_days", "age_days", -0.5),
+            ("likes", "likes", -1),
+            ("season", "season_phase", 1.0),
+            ("season", "season_phase", -0.25),
+            ("season", "season_phase", math.nan),
+            ("status", "status", "gone"),
+        ],
+    )
+    def test_out_of_range_column_rejected(self, column, field, value):
+        cat = generate_catalog_arrays(SimConfig(n_items=20, rng_seed=5))
+        columns = {name: getattr(cat, name) for name in CATALOG_COLUMNS}
+        bad = list(columns[column]) if column == "status" else columns[column].copy()
+        bad[7] = value
+        columns[column] = bad
+        record = dataclasses.asdict(cat.to_items()[7])
+        with pytest.raises(InputError) as expected:
+            ItemRecord(**{**record, field: value})
+        with pytest.raises(InputError, match=re.escape(str(expected.value))):
+            CatalogArrays.from_columns(**columns)
+
+    def test_column_lengths_must_agree(self):
+        cat = generate_catalog_arrays(SimConfig(n_items=5, rng_seed=5))
+        columns = {name: getattr(cat, name) for name in CATALOG_COLUMNS}
+        columns["likes"] = columns["likes"][:4]
+        with pytest.raises(InputError):
+            CatalogArrays.from_columns(**columns)
 
 
 class TestHelpers:

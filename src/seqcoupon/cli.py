@@ -186,19 +186,17 @@ def cmd_allocate(args: argparse.Namespace) -> None:
         (it for it in items if it.item_id not in sold and it.status == "unsold"),
         key=lambda it: it.item_id,
     )
-    plans = []
-    if unsold:
-        cat = CatalogArrays.from_items(unsold)
-        p1, _, p2, p_baseline = predict_arrays(pair, cat.matrix, cat.age_days, cfg.attach_delay_h)
-        j, k, feasible = allocate_batch(
-            p1, p2, p_baseline, cat.price, cat.ltv,
-            pair.round1_set, pair.round2_set, cfg.constraint(),
-        )
-        plans = materialize_plans(
-            cat.ids, j, k, feasible,
-            p1, p2, p_baseline, cat.price, cat.ltv,
-            pair.round1_set, pair.round2_set, cfg.constraint(), cfg.attach_delay_h,
-        )
+    cat = CatalogArrays.from_items(unsold)
+    p1, _, p2, p_baseline = predict_arrays(pair, cat.matrix, cat.age_days, cfg.attach_delay_h)
+    j, k, feasible = allocate_batch(
+        p1, p2, p_baseline, cat.price, cat.ltv,
+        pair.round1_set, pair.round2_set, cfg.constraint(),
+    )
+    plans = materialize_plans(
+        cat.ids, j, k, feasible,
+        p1, p2, p_baseline, cat.price, cat.ltv,
+        pair.round1_set, pair.round2_set, cfg.constraint(), cfg.attach_delay_h,
+    )
     fileio.write_plans(plans, run.path(PLANS_FILE))
     run.say(f"planned {len(plans)} unsold items -> {run.path(PLANS_FILE)}")
 

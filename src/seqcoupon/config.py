@@ -307,6 +307,10 @@ def _parse_policy(raw: dict[str, str], path: str) -> dict:
         if cell is not None:
             out[name] = _parse_scalar(cell, typ, f"{path}: [policy] {name}")
     _reject_leftovers(raw, "policy", path)
+    if out.get("attach_delay_h", 0.0) < 0:
+        raise InputError(
+            f"{path}: [policy] attach_delay_h must be >= 0, got {out['attach_delay_h']!r}"
+        )
     if out.get("ipw_variant") not in (None, "mean", "applied"):
         raise InputError(
             f"{path}: [policy] ipw_variant must be 'mean' or 'applied', "

@@ -6,8 +6,9 @@ conditions on the sale happening in either round; ROI relates the propensity
 lift over the never-coupon baseline to that cost. The allocator enumerates
 every (j, k) cell, filters by a minimum-lift constraint, and returns the
 highest-ROI cell with deterministic tie-breaking. A per-round-greedy variant
-serves as the comparison baseline, and ``replan`` re-runs allocation for items
-still unsold after a completed cycle.
+serves as the comparison baseline. Both run on whole catalogs of arrays;
+``allocate`` and ``allocate_independent`` are one-row views of them, and the
+scalar ``combine_*``/``roi`` are the reference their array economics equal.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .domain import CouponConfig, CouponSet, ItemRecord, OutcomeRecord, coupon_cost, coupon_costs
-from .errors import ContractError, InputError
-from .uplift import ItemPredictions, PredictorPair, predict_item
+from .domain import CouponConfig, CouponSet, ItemRecord, coupon_costs
+from .errors import InputError
+from .uplift import ItemPredictions
 
 DEFAULT_ATTACH_DELAY_H = 2.0
 
@@ -119,145 +120,59 @@ def roi(p_combined: float, p_baseline: float, ltv: float, expected_cost: float) 
     return lift * ltv / expected_cost
 
 
-def _check_preds(preds: ItemPredictions, round1_set: CouponSet, round2_set: CouponSet):
-    if len(preds.p1) != len(round1_set) or len(preds.p2) != len(round2_set):
+def _resolve_ltvs(ltvs: np.ndarray, constraint: PolicyConstraint) -> np.ndarray:
+    """Per-item LTVs as floats, or the constraint's override for every item."""
+    if constraint.ltv_override is not None:
+        return np.full(len(ltvs), float(constraint.ltv_override))
+    return np.asarray(ltvs, dtype=float)
+
+
+def _check_widths(p1: np.ndarray, p2: np.ndarray, round1_set: CouponSet, round2_set: CouponSet):
+    if p1.shape[1] != len(round1_set) or p2.shape[1] != len(round2_set):
         raise InputError("predictions do not match the coupon menus")
 
 
-def _plan(item, preds, round1_set, round2_set, j, k, attach_delay_h, ltv, feasible):
-    p1, p2 = preds.p1[j], preds.p2[k]
-    cost_j = coupon_cost(round1_set[j], item.price_yen)
-    cost_k = coupon_cost(round2_set[k], item.price_yen)
-    pc = combine_propensity(p1, p2)
-    cost = combine_cost(p1, p2, cost_j, cost_k)
-    return AllocationPlan(
-        item_id=item.item_id,
-        j_index=j,
-        k_index=k,
-        round1_coupon=round1_set[j],
-        round2_coupon=round2_set[k],
-        attach_delay_h=attach_delay_h,
-        p_round1=p1,
-        p_round2=p2,
-        p_combined=pc,
-        p_baseline=preds.p_baseline,
-        lift=pc - preds.p_baseline,
-        expected_cost=cost,
-        roi=roi(pc, preds.p_baseline, ltv, cost),
-        feasible=feasible,
+def _roi(lift: np.ndarray, ltv: np.ndarray, cost: np.ndarray) -> np.ndarray:
+    """Elementwise ``roi`` from a lift, with the same zero-cost sentinels."""
+    free = cost == 0.0
+    return np.where(
+        free, np.where(lift > 0.0, np.inf, 0.0), lift * ltv / np.where(free, 1.0, cost)
     )
 
 
-def allocate(
-    preds: ItemPredictions,
-    item: ItemRecord,
-    round1_set: CouponSet,
-    round2_set: CouponSet,
-    constraint: PolicyConstraint,
-    attach_delay_h: float = DEFAULT_ATTACH_DELAY_H,
-) -> AllocationPlan:
-    """Pick the feasible (j, k) pair with the highest ROI.
-
-    Every cell of the two menus is scored except (none, none), which is the
-    do-nothing baseline the lift is measured against. Ties fall to the lower
-    expected cost, then the lexicographically smaller (j, k). When no cell
-    clears the lift threshold the maximum-lift cell is returned flagged
-    infeasible so batch callers can decide their own fallback.
-    """
-    _check_preds(preds, round1_set, round2_set)
-    ltv = constraint.ltv_override if constraint.ltv_override is not None else item.seller_ltv_yen
-    best = None  # (roi, cost, j, k)
-    best_lift = None  # (lift, cost, j, k)
-    for j in range(len(round1_set)):
-        cost_j = coupon_cost(round1_set[j], item.price_yen)
-        for k in range(len(round2_set)):
-            if j == 0 and k == 0:
-                continue
-            p1, p2 = preds.p1[j], preds.p2[k]
-            pc = combine_propensity(p1, p2)
-            cost = combine_cost(p1, p2, cost_j, coupon_cost(round2_set[k], item.price_yen))
-            lift = pc - preds.p_baseline
-            r = roi(pc, preds.p_baseline, ltv, cost)
-            if lift >= constraint.lift_threshold:
-                if best is None or r > best[0] or (r == best[0] and cost < best[1]):
-                    best = (r, cost, j, k)
-            if best_lift is None or lift > best_lift[0] or (
-                lift == best_lift[0] and cost < best_lift[1]
-            ):
-                best_lift = (lift, cost, j, k)
-    if best is not None:
-        _, _, j, k = best
-        return _plan(item, preds, round1_set, round2_set, j, k, attach_delay_h, ltv, True)
-    _, _, j, k = best_lift
-    return _plan(item, preds, round1_set, round2_set, j, k, attach_delay_h, ltv, False)
+def _economics(p1, p2, p_baseline, cost1, cost2, ltv):
+    """(p_combined, expected_cost, lift, roi) over broadcast arrays, equal bit for
+    bit to ``combine_propensity``, ``combine_cost`` and ``roi`` elementwise."""
+    pc = p1 + (1.0 - p1) * p2
+    with np.errstate(invalid="ignore", divide="ignore"):
+        cost = np.where(pc == 0.0, 0.0, (p1 * cost1 + (1.0 - p1) * p2 * cost2) / pc)
+        if pc.min(initial=1.0) < sys.float_info.min:
+            subnormal = (pc > 0.0) & (pc < sys.float_info.min)
+            w = p1 / pc
+            cost = np.where(subnormal, w * cost1 + (1.0 - w) * cost2, cost)
+    lift = pc - p_baseline
+    return pc, cost, lift, _roi(lift, ltv, cost)
 
 
-def _best_round_arm(probs, costs, ltv, threshold):
-    """Greedy single-round pick: max per-round ROI subject to the round's lift."""
-    best = None  # (roi, cost, index)
-    best_lift = None
-    for j in range(len(probs)):
-        lift = probs[j] - probs[0]
-        cost = costs[j]
-        if cost == 0.0:
-            r = math.inf if lift > 0.0 else 0.0
-        else:
-            r = lift * ltv / cost
-        if lift >= threshold:
-            if best is None or r > best[0] or (r == best[0] and cost < best[1]):
-                best = (r, cost, j)
-        if best_lift is None or lift > best_lift[0] or (
-            lift == best_lift[0] and cost < best_lift[1]
-        ):
-            best_lift = (lift, cost, j)
-    return best[2] if best is not None else best_lift[2]
+def _cascade(value: np.ndarray, cost: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Per row, the masked argmax of value; ties go to the lower cost, then the lower index."""
+    v = np.where(mask, value, -np.inf)
+    tie = v == v.max(axis=1)[:, None]
+    c = np.where(tie, cost, np.inf)
+    tie &= c == c.min(axis=1)[:, None]
+    return tie.argmax(axis=1)
 
 
-def allocate_independent(
-    preds: ItemPredictions,
-    item: ItemRecord,
-    round1_set: CouponSet,
-    round2_set: CouponSet,
-    constraint: PolicyConstraint,
-    attach_delay_h: float = DEFAULT_ATTACH_DELAY_H,
-) -> AllocationPlan:
-    """Per-round greedy baseline: optimize each round on its own, then report
-    the coupled economics of the resulting pair for comparability.
-
-    The feasibility flag on the returned plan refers to the combined lift, so
-    plans from this allocator and ``allocate`` are judged by the same rule.
-    """
-    _check_preds(preds, round1_set, round2_set)
-    ltv = constraint.ltv_override if constraint.ltv_override is not None else item.seller_ltv_yen
-    cost1 = [float(coupon_cost(c, item.price_yen)) for c in round1_set]
-    cost2 = [float(coupon_cost(c, item.price_yen)) for c in round2_set]
-    j = _best_round_arm(preds.p1, cost1, ltv, constraint.lift_threshold)
-    k = _best_round_arm(preds.p2, cost2, ltv, constraint.lift_threshold)
-    pc = combine_propensity(preds.p1[j], preds.p2[k])
-    feasible = (pc - preds.p_baseline) >= constraint.lift_threshold
-    return _plan(item, preds, round1_set, round2_set, j, k, attach_delay_h, ltv, feasible)
-
-
-def replan(
-    item: ItemRecord,
-    history: Sequence[OutcomeRecord],
-    pair: PredictorPair,
-    constraint: PolicyConstraint,
-    attach_delay_h: float = DEFAULT_ATTACH_DELAY_H,
-) -> AllocationPlan:
-    """Fresh allocation for an item entering a new promotion cycle.
-
-    The item's current record (age, likes, ...) is re-encoded from scratch;
-    prior unsold rounds carry no state into the new plan. An item whose
-    history already contains a sale must not be replanned.
-    """
-    for rec in history:
-        if rec.item_id != item.item_id:
-            raise InputError("history record belongs to a different item")
-        if rec.sold:
-            raise ContractError(f"item {item.item_id!r} already sold; nothing to replan")
-    preds = predict_item(pair, item, attach_delay_h)
-    return allocate(preds, item, pair.round1_set, pair.round2_set, constraint, attach_delay_h)
+def _pick(rois: np.ndarray, lift: np.ndarray, cost: np.ndarray, candidates: np.ndarray,
+          threshold: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per row: (the highest-ROI candidate whose lift clears ``threshold``, else
+    the highest-lift candidate; whether any candidate cleared it)."""
+    feasible = candidates & (lift >= threshold)
+    any_feasible = feasible.any(axis=1)
+    choice = np.where(
+        any_feasible, _cascade(rois, cost, feasible), _cascade(lift, cost, candidates)
+    )
+    return choice, any_feasible
 
 
 def allocate_batch(
@@ -270,79 +185,40 @@ def allocate_batch(
     round2_set: CouponSet,
     constraint: PolicyConstraint,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorised arm choice for a whole catalog.
+    """(j, k, feasible) per item: the feasible pair with the highest ROI.
 
-    Returns (j, k, feasible) per item, reproducing ``allocate``'s argmax and
-    tie-breaking exactly: highest ROI, then lowest expected cost, then lowest
-    flattened (j, k) index; infeasible items fall back to the maximum-lift
-    cell. The full plan economics can then be recomputed per item.
+    Every cell except (none, none), the baseline the lift is measured against,
+    is scored. Ties fall to the lower expected cost, then the lower flattened
+    (j, k) index. An item with no cell clearing the lift threshold gets its
+    maximum-lift cell flagged infeasible. ``constraint.ltv_override``, when
+    set, replaces ``ltvs``.
     """
+    _check_widths(p1, p2, round1_set, round2_set)
     n, M = p1.shape
     K = p2.shape[1]
-    cost1 = coupon_costs(prices, round1_set).astype(float)
-    cost2 = coupon_costs(prices, round2_set).astype(float)
-
-    a = p1[:, :, None]  # (n, M, 1)
-    b = p2[:, None, :]  # (n, 1, K)
-    pc = a + (1.0 - a) * b
-    num = a * cost1[:, :, None] + (1.0 - a) * b * cost2[:, None, :]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        cost = np.where(pc == 0.0, 0.0, num / pc)
-    lift = pc - p_baseline[:, None, None]
-    ltv3 = np.asarray(ltvs, dtype=float)[:, None, None]
-    r = np.where(
-        cost == 0.0,
-        np.where(lift > 0.0, np.inf, 0.0),
-        lift * ltv3 / np.where(cost == 0.0, 1.0, cost),
+    _, cost, lift, r = _economics(
+        p1[:, :, None],
+        p2[:, None, :],
+        p_baseline[:, None, None],
+        coupon_costs(prices, round1_set).astype(float)[:, :, None],
+        coupon_costs(prices, round2_set).astype(float)[:, None, :],
+        _resolve_ltvs(ltvs, constraint)[:, None, None],
     )
-
-    flat_cost = cost.reshape(n, M * K)
-    flat_lift = lift.reshape(n, M * K)
-    flat_roi = r.reshape(n, M * K)
-    feasible = flat_lift >= constraint.lift_threshold
-    feasible[:, 0] = False  # the (none, none) baseline never competes
-
-    def cascade(value: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        # argmax of value, then min cost, then min flat index, within mask rows
-        v = np.where(mask, value, -np.inf)
-        vbest = v.max(axis=1)
-        tie = v == vbest[:, None]
-        c = np.where(tie, flat_cost, np.inf)
-        cbest = c.min(axis=1)
-        tie &= c == cbest[:, None]
-        return tie.argmax(axis=1)
-
-    any_feasible = feasible.any(axis=1)
-    choice = cascade(flat_roi, feasible)
-    all_mask = np.ones_like(feasible)
-    all_mask[:, 0] = False
-    fallback = cascade(flat_lift, all_mask)
-    flat = np.where(any_feasible, choice, fallback)
-    return flat // K, flat % K, any_feasible
+    candidates = np.ones((n, M * K), dtype=bool)
+    candidates[:, 0] = False  # the (none, none) baseline never competes
+    flat, feasible = _pick(
+        r.reshape(n, M * K), lift.reshape(n, M * K), cost.reshape(n, M * K),
+        candidates, constraint.lift_threshold,
+    )
+    return flat // K, flat % K, feasible
 
 
-def _best_round_arm_batch(
-    probs: np.ndarray, costs: np.ndarray, ltvs: np.ndarray, threshold: float
-) -> np.ndarray:
-    """Vectorised ``_best_round_arm`` over (n, arms) probability/cost grids."""
+def _best_round_arm(probs: np.ndarray, costs: np.ndarray, ltvs: np.ndarray, threshold: float):
+    """Greedy single-round pick over (n, arms) grids: max per-round ROI subject
+    to the lift over the round's no-coupon arm."""
     lift = probs - probs[:, [0]]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        r = np.where(
-            costs == 0.0,
-            np.where(lift > 0.0, np.inf, 0.0),
-            lift * ltvs[:, None] / np.where(costs == 0.0, 1.0, costs),
-        )
-
-    def cascade(value: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        v = np.where(mask, value, -np.inf)
-        tie = v == v.max(axis=1)[:, None]
-        c = np.where(tie, costs, np.inf)
-        tie &= c == c.min(axis=1)[:, None]
-        return tie.argmax(axis=1)
-
-    feas = lift >= threshold
-    all_mask = np.ones_like(feas)
-    return np.where(feas.any(axis=1), cascade(r, feas), cascade(lift, all_mask))
+    candidates = np.ones(lift.shape, dtype=bool)
+    return _pick(_roi(lift, ltvs[:, None], costs), lift, costs, candidates, threshold)[0]
 
 
 def allocate_independent_batch(
@@ -355,22 +231,24 @@ def allocate_independent_batch(
     round2_set: CouponSet,
     constraint: PolicyConstraint,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorised per-round greedy choice for a whole catalog.
+    """(j, k, feasible) per item under the per-round greedy baseline.
 
-    Returns (j, k, feasible) matching ``allocate_independent``: each round's arm
-    maximises that round's lift-to-cost ratio on its own, and the feasibility
-    flag reflects the combined lift of the resulting pair.
+    Each round's arm maximises that round's lift-to-cost ratio on its own; the
+    flag refers to the pair's combined lift, as for ``allocate_batch``.
+    ``constraint.ltv_override``, when set, replaces ``ltvs``.
     """
-    n = p1.shape[0]
-    ltvs = np.asarray(ltvs, dtype=float)
+    _check_widths(p1, p2, round1_set, round2_set)
+    ltvs = _resolve_ltvs(ltvs, constraint)
+    threshold = constraint.lift_threshold
     cost1 = coupon_costs(prices, round1_set).astype(float)
     cost2 = coupon_costs(prices, round2_set).astype(float)
-    j = _best_round_arm_batch(p1, cost1, ltvs, constraint.lift_threshold)
-    k = _best_round_arm_batch(p2, cost2, ltvs, constraint.lift_threshold)
-    rows = np.arange(n)
-    pc = p1[rows, j] + (1.0 - p1[rows, j]) * p2[rows, k]
-    feasible = (pc - p_baseline) >= constraint.lift_threshold
-    return j, k, feasible
+    j = _best_round_arm(p1, cost1, ltvs, threshold)
+    k = _best_round_arm(p2, cost2, ltvs, threshold)
+    rows = np.arange(len(j))
+    _, _, lift, _ = _economics(
+        p1[rows, j], p2[rows, k], p_baseline, cost1[rows, j], cost2[rows, k], ltvs
+    )
+    return j, k, lift >= threshold
 
 
 def materialize_plans(
@@ -388,38 +266,83 @@ def materialize_plans(
     constraint: PolicyConstraint,
     attach_delay_h: float = DEFAULT_ATTACH_DELAY_H,
 ) -> list[AllocationPlan]:
-    """Expand batch arm choices into full per-item plan rows.
+    """Expand batch arm choices into full per-item plan rows, pricing the
+    chosen cells with the same array economics as the allocators."""
+    rows = np.arange(len(item_ids))
+    p_round1, p_round2 = p1[rows, j], p2[rows, k]
+    pc, cost, lift, r = _economics(
+        p_round1,
+        p_round2,
+        p_baseline,
+        coupon_costs(prices, round1_set)[rows, j].astype(float),
+        coupon_costs(prices, round2_set)[rows, k].astype(float),
+        _resolve_ltvs(ltvs, constraint),
+    )
+    columns = zip(
+        item_ids, j.tolist(), k.tolist(), p_round1.tolist(), p_round2.tolist(),
+        pc.tolist(), p_baseline.tolist(), lift.tolist(), cost.tolist(), r.tolist(),
+        feasible.tolist(),
+    )
+    return [
+        AllocationPlan(
+            item_id=item_id,
+            j_index=jj,
+            k_index=kk,
+            round1_coupon=round1_set[jj],
+            round2_coupon=round2_set[kk],
+            attach_delay_h=attach_delay_h,
+            p_round1=a,
+            p_round2=b,
+            p_combined=c,
+            p_baseline=base,
+            lift=up,
+            expected_cost=spend,
+            roi=value,
+            feasible=ok,
+        )
+        for item_id, jj, kk, a, b, c, base, up, spend, value, ok in columns
+    ]
 
-    Recomputes each chosen cell's economics with the scalar helpers, so a row
-    here equals the plan ``allocate`` would return for the same item.
-    """
-    plans = []
-    for i, item_id in enumerate(item_ids):
-        ltv = constraint.ltv_override if constraint.ltv_override is not None else float(ltvs[i])
-        jj, kk = int(j[i]), int(k[i])
-        price = int(prices[i])
-        a, b = float(p1[i, jj]), float(p2[i, kk])
-        pc = combine_propensity(a, b)
-        cost = combine_cost(
-            a, b, coupon_cost(round1_set[jj], price), coupon_cost(round2_set[kk], price)
-        )
-        pb = float(p_baseline[i])
-        plans.append(
-            AllocationPlan(
-                item_id=item_id,
-                j_index=jj,
-                k_index=kk,
-                round1_coupon=round1_set[jj],
-                round2_coupon=round2_set[kk],
-                attach_delay_h=attach_delay_h,
-                p_round1=a,
-                p_round2=b,
-                p_combined=pc,
-                p_baseline=pb,
-                lift=pc - pb,
-                expected_cost=cost,
-                roi=roi(pc, pb, ltv, cost),
-                feasible=bool(feasible[i]),
-            )
-        )
-    return plans
+
+def _one_row(allocator, preds, item, round1_set, round2_set, constraint, attach_delay_h):
+    """Run a batch allocator on one item and return its materialised plan."""
+    p1, p2 = np.array([preds.p1]), np.array([preds.p2])
+    p_baseline = np.array([preds.p_baseline])
+    prices, ltvs = np.array([item.price_yen]), np.array([item.seller_ltv_yen])
+    j, k, feasible = allocator(
+        p1, p2, p_baseline, prices, ltvs, round1_set, round2_set, constraint
+    )
+    return materialize_plans(
+        [item.item_id], j, k, feasible, p1, p2, p_baseline, prices, ltvs,
+        round1_set, round2_set, constraint, attach_delay_h,
+    )[0]
+
+
+def allocate(
+    preds: ItemPredictions,
+    item: ItemRecord,
+    round1_set: CouponSet,
+    round2_set: CouponSet,
+    constraint: PolicyConstraint,
+    attach_delay_h: float = DEFAULT_ATTACH_DELAY_H,
+) -> AllocationPlan:
+    """``allocate_batch`` for one item: the feasible (j, k) plan with the highest ROI."""
+    return _one_row(
+        allocate_batch, preds, item, round1_set, round2_set, constraint, attach_delay_h
+    )
+
+
+def allocate_independent(
+    preds: ItemPredictions,
+    item: ItemRecord,
+    round1_set: CouponSet,
+    round2_set: CouponSet,
+    constraint: PolicyConstraint,
+    attach_delay_h: float = DEFAULT_ATTACH_DELAY_H,
+) -> AllocationPlan:
+    """``allocate_independent_batch`` for one item: the per-round greedy plan,
+    reported with the coupled economics of the resulting pair."""
+    return _one_row(
+        allocate_independent_batch, preds, item, round1_set, round2_set, constraint,
+        attach_delay_h,
+    )

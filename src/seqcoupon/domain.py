@@ -7,7 +7,7 @@ workers. Currency is integer yen throughout; probabilities are floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -15,7 +15,7 @@ import numpy as np
 from .errors import InputError
 
 # Schema identifiers for the two encoding layouts. Models remember which
-# schema they were trained against; predict refuses a mismatched vector.
+# schema they were trained against; a predictor pair refuses a mismatched model.
 SCHEMA_ROUND1 = "r1/v1"
 SCHEMA_ROUND2 = "r2/v1"
 
@@ -149,26 +149,6 @@ class ItemRecord:
 
 
 @dataclass(frozen=True)
-class FeatureVector:
-    """A fixed-length real vector bound to an encoding schema."""
-
-    values: np.ndarray
-    schema_id: str
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if not np.all(np.isfinite(values)):
-            raise InputError("feature vector contains non-finite entries")
-        expected = schema_length(self.schema_id)
-        if values.shape != (expected,):
-            raise InputError(
-                f"schema {self.schema_id} expects length {expected}, got shape {values.shape}"
-            )
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-
-
-@dataclass(frozen=True)
 class OutcomeRecord:
     """One item-round observation from a promotion log."""
 
@@ -234,19 +214,6 @@ def coupon_costs(prices: np.ndarray, coupon_set: CouponSet) -> np.ndarray:
     return np.minimum(prices[:, None] * disc[None, :] // 100, cap[None, :])
 
 
-def schema_length(schema_id: str) -> int:
-    if schema_id == SCHEMA_ROUND1:
-        return len(ROUND1_FEATURE_NAMES)
-    if schema_id == SCHEMA_ROUND2:
-        return len(ROUND2_FEATURE_NAMES)
-    raise InputError(f"unknown schema id {schema_id!r}")
-
-
-def item_features(item: ItemRecord) -> np.ndarray:
-    """Item-only coordinates shared by both rounds (raw scale, no standardisation)."""
-    return item_feature_matrix([item])[0]
-
-
 def _coupon_features(coupon: CouponConfig) -> list[float]:
     # Discount enters both linearly and squared so arm-level response curves can
     # bend; validity log-scaled, cap in thousand-yen units; zeros for no-coupon.
@@ -260,40 +227,15 @@ def _coupon_features(coupon: CouponConfig) -> list[float]:
     ]
 
 
-def encode_round1(item: ItemRecord, coupon: CouponConfig, attach_delay_h: float) -> FeatureVector:
-    """First-round features: item coordinates, attach delay, coupon coordinates,
-    and a discount-by-delay interaction (a coupon attached late may move the
-    needle differently than the same coupon attached right after the key action)."""
-    if attach_delay_h < 0:
-        raise InputError("attach_delay_h must be >= 0")
-    values = np.concatenate(
-        [
-            item_features(item),
-            [float(attach_delay_h)],
-            _coupon_features(coupon),
-            [float(coupon.discount_pct) * float(attach_delay_h)],
-        ]
-    )
-    return FeatureVector(values=values, schema_id=SCHEMA_ROUND1)
-
-
-def encode_round2(item: ItemRecord, coupon: CouponConfig, mean_p1: float) -> FeatureVector:
-    """Second-round features: round-1 layout with the attach-delay slot holding the
-    item's elapsed age in hours, plus a trailing coordinate for the mean first-round
-    propensity over all arms."""
-    if not 0.0 <= mean_p1 <= 1.0:
-        raise InputError(f"mean_p1 must be in [0, 1], got {mean_p1}")
-    elapsed_age_h = float(item.age_days) * 24.0
-    values = np.concatenate(
-        [item_features(item), [elapsed_age_h], _coupon_features(coupon), [float(mean_p1)]]
-    )
-    return FeatureVector(values=values, schema_id=SCHEMA_ROUND2)
-
-
 def encode_round1_batch(
     item_matrix: np.ndarray, coupon: CouponConfig, attach_delay_h: np.ndarray
 ) -> np.ndarray:
-    """Vectorised encode_round1 over a precomputed item-feature matrix (n x 7)."""
+    """First-round features, one row per row of an item-feature matrix (n x 7).
+
+    Item coordinates, attach delay, coupon coordinates, and a
+    discount-by-delay interaction (a coupon attached late may move the needle
+    differently than the same coupon attached right after the key action).
+    """
     n = item_matrix.shape[0]
     out = np.empty((n, len(ROUND1_FEATURE_NAMES)))
     out[:, :N_ITEM_FEATURES] = item_matrix
@@ -311,7 +253,12 @@ def encode_round2_batch(
     elapsed_age_h: np.ndarray,
     mean_p1: np.ndarray,
 ) -> np.ndarray:
-    """Vectorised encode_round2 over a precomputed item-feature matrix (n x 7)."""
+    """Second-round features, one row per row of an item-feature matrix (n x 7).
+
+    The round-1 layout with the attach-delay slot holding the item's elapsed
+    age in hours, plus a trailing coordinate for the mean first-round
+    propensity over all arms.
+    """
     n = item_matrix.shape[0]
     out = np.empty((n, len(ROUND2_FEATURE_NAMES)))
     out[:, :N_ITEM_FEATURES] = item_matrix

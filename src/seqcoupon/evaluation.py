@@ -134,23 +134,9 @@ class ComparisonReport:
 # lift estimation
 
 
-def _prop_diff(sold_a: float, n_a: int, sold_b: float, n_b: int) -> tuple[float, float]:
-    """Difference of two proportions with its two-sample standard error."""
-    pa = sold_a / n_a
-    pb = sold_b / n_b
-    stderr = math.sqrt(pa * (1.0 - pa) / n_a + pb * (1.0 - pb) / n_b)
-    return pa - pb, stderr
-
-
-def str_lift(
-    treated: Sequence[OutcomeRecord], control: Sequence[OutcomeRecord]
-) -> tuple[float, float]:
-    """Sold-rate difference between two outcome groups, with standard error."""
-    if not treated or not control:
-        raise InputError("str_lift needs non-empty treated and control groups")
-    sold_t = sum(1 for r in treated if r.sold)
-    sold_c = sum(1 for r in control if r.sold)
-    return _prop_diff(float(sold_t), len(treated), float(sold_c), len(control))
+def _prop_diff(sold_a: float, n_a: int, sold_b: float, n_b: int) -> float:
+    """Difference of two proportions."""
+    return sold_a / n_a - sold_b / n_b
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +182,7 @@ def delay_analysis(
         if t.any() and c.any():
             value = _prop_diff(
                 float(sold[t].sum()), int(t.sum()), float(sold[c].sum()), int(c.sum())
-            )[0]
+            )
         else:
             value = None
         lift_rows.append(BucketRow(float(start), value, int(in_bucket.sum())))
@@ -275,13 +261,9 @@ def cumulative_uplift(
         if n_t == 0 or n_c == 0:
             points.append((frac, None))
             continue
-        value = _prop_diff(
-            float(cum_ts[count - 1]), n_t, float(cum_cs[count - 1]), n_c
-        )[0]
+        value = _prop_diff(float(cum_ts[count - 1]), n_t, float(cum_cs[count - 1]), n_c)
         points.append((frac, value))
-    ate = _prop_diff(
-        float(cum_ts[-1]), int(cum_t[-1]), float(cum_cs[-1]), int(cum_c[-1])
-    )[0]
+    ate = _prop_diff(float(cum_ts[-1]), int(cum_t[-1]), float(cum_cs[-1]), int(cum_c[-1]))
     return UpliftCurve(points=tuple(points), random_reference=ate)
 
 
@@ -378,6 +360,8 @@ def compare_strategies(
         raise InputError("compare_strategies needs at least one seed")
     if config.n_items < 1:
         raise InputError("config.n_items must be >= 1 for a strategy comparison")
+    if attach_delay_h < 0:
+        raise InputError("attach_delay_h must be >= 0")
     r1_set, r2_set = pair.round1_set, pair.round2_set
     p_rand1 = list(random_round1_probs) if random_round1_probs is not None else None
     p_rand2 = list(random_round2_probs) if random_round2_probs is not None else None
@@ -402,16 +386,11 @@ def compare_strategies(
         mean_ltv = float(cat.ltv.mean())
 
         p1, _, p2, p_baseline = predict_arrays(pair, cat.matrix, cat.age_days, attach_delay_h)
-        ltvs = (
-            np.full(n, float(constraint.ltv_override))
-            if constraint.ltv_override is not None
-            else cat.ltv.astype(float)
-        )
         j_seq, k_seq, feas_seq = allocate_batch(
-            p1, p2, p_baseline, cat.price, ltvs, r1_set, r2_set, constraint
+            p1, p2, p_baseline, cat.price, cat.ltv, r1_set, r2_set, constraint
         )
         j_ind, k_ind, feas_ind = allocate_independent_batch(
-            p1, p2, p_baseline, cat.price, ltvs, r1_set, r2_set, constraint
+            p1, p2, p_baseline, cat.price, cat.ltv, r1_set, r2_set, constraint
         )
         j_rand = arm_draw(rng.uniforms(seed, cat.keys, rng.ARM_R1), p_rand1 or uniform1)
         k_rand = arm_draw(rng.uniforms(seed, cat.keys, rng.ARM_R2), p_rand2 or uniform2)

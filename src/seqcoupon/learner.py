@@ -15,7 +15,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .domain import FeatureVector
 from .errors import DegenerateDataError, InputError, SchemaMismatchError
 
 PROB_CLAMP = 1e-6
@@ -377,15 +376,6 @@ def decision_scores(model: Model, X: np.ndarray) -> np.ndarray:
 def predict_matrix(model: Model, X: np.ndarray) -> np.ndarray:
     """Clamped sale probabilities for a matrix of raw-scale features."""
     return _clamped(_sigmoid(decision_scores(model, X)))
-
-
-def predict(model: Model, fv: FeatureVector) -> float:
-    """Probability for one feature vector; refuses a schema mismatch."""
-    if fv.schema_id != model.schema_id:
-        raise SchemaMismatchError(
-            f"model bound to schema {model.schema_id!r}, vector carries {fv.schema_id!r}"
-        )
-    return float(predict_matrix(model, fv.values[None, :])[0])
 
 
 def weighted_log_loss(model: Model, data: Dataset) -> float:

@@ -89,6 +89,14 @@ def _index_items(items: Sequence[ItemRecord]) -> dict[str, int]:
     return {it.item_id: i for i, it in enumerate(items)}
 
 
+def _rows_by_arm(records: Sequence[OutcomeRecord]) -> dict[CouponConfig, np.ndarray]:
+    """Row indices of ``records`` grouped by coupon arm, arms in first-seen order."""
+    by_arm: dict[CouponConfig, list[int]] = {}
+    for i, r in enumerate(records):
+        by_arm.setdefault(r.coupon, []).append(i)
+    return {coupon: np.asarray(idx) for coupon, idx in by_arm.items()}
+
+
 def _round1_training_matrix(
     item_matrix: np.ndarray,
     rows: np.ndarray,
@@ -97,11 +105,7 @@ def _round1_training_matrix(
     """Assemble first-round features in log order, grouping rows by coupon arm."""
     delays = np.array([r.attach_delay_h for r in records], dtype=float)
     out = np.empty((len(records), len(ROUND1_FEATURE_NAMES)))
-    by_arm: dict[CouponConfig, list[int]] = {}
-    for i, r in enumerate(records):
-        by_arm.setdefault(r.coupon, []).append(i)
-    for coupon, idx in by_arm.items():
-        idx = np.asarray(idx)
+    for coupon, idx in _rows_by_arm(records).items():
         out[idx] = encode_round1_batch(item_matrix[rows[idx]], coupon, delays[idx])
     return out
 
@@ -175,32 +179,31 @@ def ipw_weights(
     all round-1 arms (default) or the propensity of the arm each survivor
     actually received.
     """
-    if not 0.0 < epsilon <= 1.0:
-        raise InputError("epsilon must lie in (0, 1]")
-    if variant not in (IPW_VARIANT_MEAN, IPW_VARIANT_APPLIED):
-        raise InputError(f"unknown IPW variant {variant!r}")
     if len(items) != len(round1_records):
         raise InputError("items and round-1 records must be aligned")
     for it, rec in zip(items, round1_records):
         if it.item_id != rec.item_id:
             raise InputError("items and round-1 records must be aligned by item_id")
-    item_matrix = item_feature_matrix(items)
+    return _ipw(first, item_feature_matrix(items), round1_records, round1_set, epsilon, variant)[0]
+
+
+def _ipw(first, item_matrix, round1_records, round1_set, epsilon, variant):
+    """(``ipw_weights``, mean round-1 propensity) from the survivors' feature matrix."""
+    if not 0.0 < epsilon <= 1.0:
+        raise InputError("epsilon must lie in (0, 1]")
+    if variant not in (IPW_VARIANT_MEAN, IPW_VARIANT_APPLIED):
+        raise InputError(f"unknown IPW variant {variant!r}")
     delays = np.array([r.attach_delay_h for r in round1_records], dtype=float)
+    mean_p1 = np.mean(round1_arm_probabilities(first, item_matrix, round1_set, delays), axis=1)
     if variant == IPW_VARIANT_MEAN:
-        p1 = np.mean(
-            round1_arm_probabilities(first, item_matrix, round1_set, delays), axis=1
-        )
+        p1 = mean_p1
     else:
-        p1 = np.empty(len(items))
-        by_arm: dict[CouponConfig, list[int]] = {}
-        for i, r in enumerate(round1_records):
-            by_arm.setdefault(r.coupon, []).append(i)
-        for coupon, idx in by_arm.items():
-            idx = np.asarray(idx)
+        p1 = np.empty(len(round1_records))
+        for coupon, idx in _rows_by_arm(round1_records).items():
             p1[idx] = predict_matrix(
                 first, encode_round1_batch(item_matrix[idx], coupon, delays[idx])
             )
-    return 1.0 / np.clip(1.0 - p1, epsilon, 1.0)
+    return 1.0 / np.clip(1.0 - p1, epsilon, 1.0), mean_p1
 
 
 def _survivor_frames(
@@ -242,21 +245,12 @@ def fit_second_round(
     if not round2_log:
         raise DegenerateDataError("round-2 survivor log is empty")
     surv_items, surv_r1 = _survivor_frames(items, round1_log, round2_log)
-    weights = ipw_weights(first, surv_items, surv_r1, round1_set, epsilon, variant)
-
     item_matrix = item_feature_matrix(surv_items)
-    delays = np.array([r.attach_delay_h for r in surv_r1], dtype=float)
-    mean_p1 = np.mean(
-        round1_arm_probabilities(first, item_matrix, round1_set, delays), axis=1
-    )
+    weights, mean_p1 = _ipw(first, item_matrix, surv_r1, round1_set, epsilon, variant)
     elapsed_age_h = np.array([it.age_days * 24.0 for it in surv_items])
 
     features = np.empty((len(round2_log), len(ROUND2_FEATURE_NAMES)))
-    by_arm: dict[CouponConfig, list[int]] = {}
-    for i, r in enumerate(round2_log):
-        by_arm.setdefault(r.coupon, []).append(i)
-    for coupon, idx in by_arm.items():
-        idx = np.asarray(idx)
+    for coupon, idx in _rows_by_arm(round2_log).items():
         features[idx] = encode_round2_batch(
             item_matrix[idx], coupon, elapsed_age_h[idx], mean_p1[idx]
         )
@@ -300,7 +294,10 @@ def predict_arrays(
     """Columnar predictions from an item-feature matrix and an ``age_days`` column.
 
     Returns (p1 matrix, mean_p1, p2 matrix, p_baseline), one row per matrix row.
+    A negative attach delay is refused: the models never saw one.
     """
+    if attach_delay_h < 0:
+        raise ContractError("attach_delay_h must be >= 0")
     p1 = round1_arm_probabilities(pair.first, item_matrix, pair.round1_set,
                                   attach_delay_h)
     mean_p1 = p1.mean(axis=1)
@@ -340,8 +337,6 @@ def predict_item(
     The no-coupon reference propensity composes the two rounds' no-coupon
     probabilities through the same survival chain as any coupon plan.
     """
-    if attach_delay_h < 0:
-        raise ContractError("attach_delay_h must be >= 0")
     p1, mean_p1, p2, p_baseline = predict_batch(pair, [item], attach_delay_h)
     return ItemPredictions(
         item_id=item.item_id,
@@ -350,22 +345,3 @@ def predict_item(
         p2=tuple(float(v) for v in p2[0]),
         p_baseline=float(p_baseline[0]),
     )
-
-
-def predict_items(
-    pair: PredictorPair, items: Sequence[ItemRecord], attach_delay_h: float
-) -> list[ItemPredictions]:
-    """``predict_item`` over a catalog using one vectorised pass."""
-    if attach_delay_h < 0:
-        raise ContractError("attach_delay_h must be >= 0")
-    p1, mean_p1, p2, p_baseline = predict_batch(pair, items, attach_delay_h)
-    return [
-        ItemPredictions(
-            item_id=it.item_id,
-            p1=tuple(float(v) for v in p1[i]),
-            mean_p1=float(mean_p1[i]),
-            p2=tuple(float(v) for v in p2[i]),
-            p_baseline=float(p_baseline[i]),
-        )
-        for i, it in enumerate(items)
-    ]

@@ -264,6 +264,16 @@ class TestExitCodes:
         assert code == 3
         assert not (out / "plans.csv").exists()
 
+    def test_allocate_with_negative_attach_delay_exits_2(self, ws, tmp_path):
+        cfg = tmp_path / "neg.cfg"
+        cfg.write_text(
+            sim_config_text(ws["sim"], ws["model"]) + "\n[policy]\nattach_delay_h = -5\n"
+        )
+        out = tmp_path / "alloc"
+        code = main(["allocate", "--config", str(cfg), "--out", str(out), "--quiet"])
+        assert code == 2
+        assert not (out / "plans.csv").exists()
+
     def test_single_arm_log_exits_4(self, tmp_path):
         cfg = craft_single_arm_world(tmp_path, CouponConfig.none())
         code = main(["train", "--config", cfg, "--out", str(tmp_path / "m"), "--quiet"])

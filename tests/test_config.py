@@ -178,6 +178,11 @@ class TestDiagnostics:
         with pytest.raises(InputError, match="'mean' or 'applied'"):
             load_config(path)
 
+    def test_negative_attach_delay_rejected(self, tmp_path):
+        path = write_config(tmp_path, "[policy]\nattach_delay_h = -5\n")
+        with pytest.raises(InputError, match=r"\[policy\] attach_delay_h must be >= 0"):
+            load_config(path)
+
     def test_duplicate_io_paths_rejected(self, tmp_path):
         path = write_config(
             tmp_path,

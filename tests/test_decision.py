@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seqcoupon.domain import CouponConfig, CouponSet, coupon_cost
-from seqcoupon.errors import ContractError, InputError
+from seqcoupon.errors import InputError
 from seqcoupon.decision import (
     AllocationPlan,
     PolicyConstraint,
@@ -17,10 +17,9 @@ from seqcoupon.decision import (
     combine_cost,
     combine_propensity,
     materialize_plans,
-    replan,
     roi,
 )
-from seqcoupon.uplift import ItemPredictions, predict_item
+from seqcoupon.uplift import ItemPredictions
 
 import oracles
 from test_domain import make_item
@@ -243,6 +242,19 @@ class TestAllocateIndependent:
         assert divergent > 0
 
 
+def assert_rows_equal_scalar(rows, p1, p2, p_baseline, prices, ltvs, r1, r2, constraint):
+    """Each plan's economics equal the scalar algebra on its chosen cell, bit for bit."""
+    for i, plan in enumerate(rows):
+        a, b = float(p1[i, plan.j_index]), float(p2[i, plan.k_index])
+        price, pb = int(prices[i]), float(p_baseline[i])
+        ltv = constraint.ltv_override if constraint.ltv_override is not None else float(ltvs[i])
+        pc = combine_propensity(a, b)
+        cost = combine_cost(a, b, coupon_cost(r1[plan.j_index], price),
+                            coupon_cost(r2[plan.k_index], price))
+        assert (plan.p_round1, plan.p_round2, plan.p_combined, plan.p_baseline) == (a, b, pc, pb)
+        assert (plan.lift, plan.expected_cost, plan.roi) == (pc - pb, cost, roi(pc, pb, ltv, cost))
+
+
 class TestBatchAllocators:
     @pytest.fixture()
     def batch_problem(self, round1_menu, round2_menu):
@@ -266,13 +278,9 @@ class TestBatchAllocators:
         )
         for i in range(len(prices)):
             preds = self.scalar_preds(i, p1, p2, p_baseline)
-            item = make_item(
-                item_id=f"it-{i}", price_yen=int(prices[i]), seller_ltv_yen=int(ltvs[i])
-            )
-            plan = allocate(preds, item, round1_menu, round2_menu, constraint)
-            assert (plan.j_index, plan.k_index, plan.feasible) == (
-                int(j[i]), int(k[i]), bool(feasible[i]),
-            )
+            assert oracles.brute_force_allocate(
+                preds, int(prices[i]), int(ltvs[i]), round1_menu, round2_menu, 0.05
+            ) == (int(j[i]), int(k[i]), bool(feasible[i]))
 
     def test_greedy_batch_matches_scalar(self, batch_problem, round1_menu, round2_menu):
         p1, p2, p_baseline, prices, ltvs = batch_problem
@@ -281,18 +289,17 @@ class TestBatchAllocators:
             p1, p2, p_baseline, prices, ltvs, round1_menu, round2_menu, constraint
         )
         for i in range(len(prices)):
-            preds = self.scalar_preds(i, p1, p2, p_baseline)
-            item = make_item(
-                item_id=f"it-{i}", price_yen=int(prices[i]), seller_ltv_yen=int(ltvs[i])
-            )
-            plan = allocate_independent(preds, item, round1_menu, round2_menu, constraint)
-            assert (plan.j_index, plan.k_index, plan.feasible) == (
-                int(j[i]), int(k[i]), bool(feasible[i]),
-            )
+            price, ltv = int(prices[i]), int(ltvs[i])
+            cost1 = [float(coupon_cost(c, price)) for c in round1_menu]
+            cost2 = [float(coupon_cost(c, price)) for c in round2_menu]
+            assert j[i] == oracles.brute_force_round_arm(p1[i], cost1, ltv, 0.05)
+            assert k[i] == oracles.brute_force_round_arm(p2[i], cost2, ltv, 0.05)
+            lift = combine_propensity(p1[i, j[i]], p2[i, k[i]]) - p_baseline[i]
+            assert feasible[i] == (lift >= 0.05)
 
     def test_materialized_rows_equal_scalar_plans(self, batch_problem, round1_menu, round2_menu):
         p1, p2, p_baseline, prices, ltvs = batch_problem
-        constraint = PolicyConstraint(lift_threshold=0.05)
+        constraint = PolicyConstraint(lift_threshold=0.05, ltv_override=25_000.0)
         j, k, feasible = allocate_batch(
             p1, p2, p_baseline, prices, ltvs, round1_menu, round2_menu, constraint
         )
@@ -301,38 +308,58 @@ class TestBatchAllocators:
             ids, j, k, feasible, p1, p2, p_baseline, prices, ltvs,
             round1_menu, round2_menu, constraint,
         )
-        for i in (0, 17, 101, 299):
-            preds = self.scalar_preds(i, p1, p2, p_baseline)
-            item = make_item(
-                item_id=f"it-{i}", price_yen=int(prices[i]), seller_ltv_yen=int(ltvs[i])
-            )
-            assert rows[i] == allocate(preds, item, round1_menu, round2_menu, constraint)
-
-
-class TestReplan:
-    def test_matches_fresh_allocation(self, trained_pair, small_world):
-        item = next(
-            it for it in small_world["items"] if it.item_id == small_world["survivors"][0]
+        assert [(r.item_id, r.j_index, r.k_index, r.feasible) for r in rows] == list(
+            zip(ids, j.tolist(), k.tolist(), feasible.tolist())
         )
-        history = [r for r in small_world["log1"] if r.item_id == item.item_id]
-        constraint = PolicyConstraint()
-        plan = replan(item, history, trained_pair, constraint)
-        preds = predict_item(trained_pair, item, 2.0)
-        assert plan == allocate(
-            preds, item, trained_pair.round1_set, trained_pair.round2_set, constraint
+        assert_rows_equal_scalar(
+            rows, p1, p2, p_baseline, prices, ltvs, round1_menu, round2_menu, constraint
         )
 
-    def test_sold_item_refused(self, trained_pair, small_world):
-        sold_rec = next(r for r in small_world["log1"] if r.sold)
-        item = next(it for it in small_world["items"] if it.item_id == sold_rec.item_id)
-        with pytest.raises(ContractError):
-            replan(item, [sold_rec], trained_pair, PolicyConstraint())
+    def test_materialized_zero_cost_rows_equal_scalar_plans(self, batch_problem, round1_menu):
+        # A free round-2 coupon: every (none, free) cell that lifts has ROI +inf.
+        p1, p2, p_baseline, prices, ltvs = batch_problem
+        round2 = CouponSet(
+            arms=(CouponConfig.none(), CouponConfig(5, 48.0, 0), CouponConfig(10, 48.0, 2000),
+                  CouponConfig(15, 48.0, 3000)),
+            purpose="round2",
+        )
+        constraint = PolicyConstraint(lift_threshold=0.05)
+        j, k, feasible = allocate_batch(
+            p1, p2, p_baseline, prices, ltvs, round1_menu, round2, constraint
+        )
+        rows = materialize_plans(
+            [f"it-{i}" for i in range(len(prices))], j, k, feasible, p1, p2, p_baseline,
+            prices, ltvs, round1_menu, round2, constraint,
+        )
+        assert any(r.roi == math.inf for r in rows)
+        assert_rows_equal_scalar(
+            rows, p1, p2, p_baseline, prices, ltvs, round1_menu, round2, constraint
+        )
 
-    def test_foreign_history_refused(self, trained_pair, small_world):
-        item = small_world["items"][0]
-        foreign = [r for r in small_world["log1"] if r.item_id != item.item_id][:1]
-        with pytest.raises(InputError):
-            replan(item, foreign, trained_pair, PolicyConstraint())
+    def test_subnormal_rows_equal_scalar_cost(self, round1_menu, round2_menu):
+        # combine_cost's weighted form below the smallest normal float differs
+        # in the last bit from the plain quotient for these cells.
+        tiny = 5e-324
+        p1 = np.array([[0.0, 0.0, 0.0, 19 * tiny]])
+        p2 = np.array([[0.0, 18 * tiny, 0.0, 0.0]])
+        prices, ltvs = np.array([20_000]), np.array([50_000])
+        rows = materialize_plans(
+            ["it-0"], np.array([3]), np.array([1]), np.array([True]), p1, p2,
+            np.array([0.0]), prices, ltvs, round1_menu, round2_menu, PolicyConstraint(),
+        )
+        assert rows[0].expected_cost == combine_cost(19 * tiny, 18 * tiny, 3000, 1000)
+        assert_rows_equal_scalar(
+            rows, p1, p2, np.array([0.0]), prices, ltvs, round1_menu, round2_menu,
+            PolicyConstraint(),
+        )
+
+    def test_mismatched_menus_rejected(self, batch_problem, round1_menu, round2_menu):
+        p1, p2, p_baseline, prices, ltvs = batch_problem
+        for allocator in (allocate_batch, allocate_independent_batch):
+            for a, b in ((p1[:, :2], p2), (p1, p2[:, :3])):
+                with pytest.raises(InputError, match="do not match the coupon menus"):
+                    allocator(a, b, p_baseline, prices, ltvs, round1_menu, round2_menu,
+                              PolicyConstraint())
 
 
 class TestPlanAndConstraintValidation:

@@ -9,24 +9,16 @@ from seqcoupon.config import RunConfig
 from seqcoupon.domain import (
     CouponConfig,
     CouponSet,
-    FeatureVector,
     ItemRecord,
     N_ITEM_FEATURES,
     OutcomeRecord,
     ROUND1_FEATURE_NAMES,
-    ROUND2_FEATURE_NAMES,
-    SCHEMA_ROUND1,
-    SCHEMA_ROUND2,
     coupon_cost,
     coupon_costs,
-    encode_round1,
     encode_round1_batch,
-    encode_round2,
     encode_round2_batch,
     feature_matrix,
     item_feature_matrix,
-    item_features,
-    schema_length,
 )
 from seqcoupon.errors import InputError
 
@@ -48,6 +40,20 @@ def make_item(**overrides) -> ItemRecord:
     )
     base.update(overrides)
     return ItemRecord(**base)
+
+
+def encode_round1(item, coupon, attach_delay_h):
+    """One item's first-round feature row, through the batch encoder."""
+    delays = np.array([attach_delay_h])
+    return encode_round1_batch(item_feature_matrix([item]), coupon, delays)[0]
+
+
+def encode_round2(item, coupon, mean_p1):
+    """One item's second-round feature row, through the batch encoder."""
+    elapsed_age_h = np.array([item.age_days * 24.0])
+    return encode_round2_batch(
+        item_feature_matrix([item]), coupon, elapsed_age_h, np.array([mean_p1])
+    )[0]
 
 
 class TestCouponCost:
@@ -200,22 +206,18 @@ class TestItemAndOutcomeRecords:
 
 
 class TestEncoding:
-    def test_schema_lengths(self):
-        assert schema_length(SCHEMA_ROUND1) == len(ROUND1_FEATURE_NAMES)
-        assert schema_length(SCHEMA_ROUND2) == len(ROUND2_FEATURE_NAMES)
-
     def test_deterministic(self):
         item = make_item()
         coupon = CouponConfig(10, 72.0, 2000)
         a = encode_round1(item, coupon, 2.0)
         b = encode_round1(item, coupon, 2.0)
-        assert np.array_equal(a.values, b.values)
-        assert a.schema_id == SCHEMA_ROUND1
+        assert np.array_equal(a, b)
+        assert a.shape == (len(ROUND1_FEATURE_NAMES),)
 
     def test_discount_change_touches_only_discount_coordinates(self):
         item = make_item()
-        a = encode_round1(item, CouponConfig(5, 72.0, 2000), 2.0).values
-        b = encode_round1(item, CouponConfig(10, 72.0, 2000), 2.0).values
+        a = encode_round1(item, CouponConfig(5, 72.0, 2000), 2.0)
+        b = encode_round1(item, CouponConfig(10, 72.0, 2000), 2.0)
         differing = {
             name
             for name, va, vb in zip(ROUND1_FEATURE_NAMES, a, b)
@@ -228,7 +230,7 @@ class TestEncoding:
         coupon = CouponConfig(
             golden["discount_pct"], golden["validity_hours"], golden["cap_yen"]
         )
-        got = encode_round1(fixture_item, coupon, golden["attach_delay_h"]).values
+        got = encode_round1(fixture_item, coupon, golden["attach_delay_h"])
         np.testing.assert_allclose(got, golden["values"], rtol=0, atol=1e-15)
 
     def test_round2_golden_vector(self, fixture_item):
@@ -236,26 +238,18 @@ class TestEncoding:
         coupon = CouponConfig(
             golden["discount_pct"], golden["validity_hours"], golden["cap_yen"]
         )
-        got = encode_round2(fixture_item, coupon, golden["mean_p1"]).values
+        got = encode_round2(fixture_item, coupon, golden["mean_p1"])
         np.testing.assert_allclose(got, golden["values"], rtol=0, atol=1e-15)
 
     def test_round2_trailing_coordinate_is_mean_p1(self):
         item = make_item()
         coupon = CouponConfig(10, 72.0, 2000)
-        assert encode_round2(item, coupon, 0.0).values[-1] == 0.0
-        assert encode_round2(item, coupon, 0.73).values[-1] == 0.73
-
-    def test_round2_rejects_out_of_range_mean_p1(self):
-        with pytest.raises(InputError):
-            encode_round2(make_item(), CouponConfig.none(), 1.5)
-
-    def test_round1_rejects_negative_delay(self):
-        with pytest.raises(InputError):
-            encode_round1(make_item(), CouponConfig.none(), -1.0)
+        assert encode_round2(item, coupon, 0.0)[-1] == 0.0
+        assert encode_round2(item, coupon, 0.73)[-1] == 0.73
 
     def test_injective_over_menu(self, round1_menu):
         item = make_item()
-        vectors = [tuple(encode_round1(item, c, 2.0).values) for c in round1_menu]
+        vectors = [tuple(encode_round1(item, c, 2.0)) for c in round1_menu]
         assert len(set(vectors)) == len(round1_menu)
 
     @given(
@@ -277,31 +271,13 @@ class TestEncoding:
             demand_index=demand,
             season_phase=season,
         )
-        v1 = encode_round1(item, CouponConfig(15, 72.0, 3000), delay).values
-        v2 = encode_round2(item, CouponConfig(15, 72.0, 3000), 0.5).values
+        v1 = encode_round1(item, CouponConfig(15, 72.0, 3000), delay)
+        v2 = encode_round2(item, CouponConfig(15, 72.0, 3000), 0.5)
         assert np.all(np.isfinite(v1)) and np.all(np.isfinite(v2))
-
-    def test_batch_encoders_match_scalar(self, round1_menu):
-        items = [make_item(item_id=f"it-{i}", price_yen=1000 + 777 * i, likes=i) for i in range(5)]
-        matrix = item_feature_matrix(items)
-        delays = np.array([0.5, 1.0, 2.0, 4.0, 8.0])
-        coupon = round1_menu[2]
-        batch = encode_round1_batch(matrix, coupon, delays)
-        for i, item in enumerate(items):
-            np.testing.assert_array_equal(
-                batch[i], encode_round1(item, coupon, delays[i]).values
-            )
-        mean_p1 = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
-        elapsed = np.array([it.age_days * 24.0 for it in items])
-        batch2 = encode_round2_batch(matrix, coupon, elapsed, mean_p1)
-        for i, item in enumerate(items):
-            np.testing.assert_array_equal(
-                batch2[i], encode_round2(item, coupon, mean_p1[i]).values
-            )
 
     def test_item_features_layout(self):
         item = make_item(price_yen=3000, season_phase=0.0)
-        values = item_features(item)
+        values = item_feature_matrix([item])[0]
         assert values[0] == math.log(3000)
         assert values[5] == 0.0 and values[6] == 1.0
         assert len(values) == N_ITEM_FEATURES
@@ -319,15 +295,3 @@ class TestEncoding:
             angle = 2.0 * math.pi * season[i]
             assert matrix[i, 0] == math.log(int(price[i]))
             assert matrix[i, 5] == math.sin(angle) and matrix[i, 6] == math.cos(angle)
-
-
-class TestFeatureVector:
-    def test_rejects_non_finite(self):
-        with pytest.raises(InputError):
-            FeatureVector(
-                values=np.full(len(ROUND1_FEATURE_NAMES), np.nan), schema_id=SCHEMA_ROUND1
-            )
-
-    def test_rejects_wrong_length(self):
-        with pytest.raises(InputError):
-            FeatureVector(values=np.zeros(3), schema_id=SCHEMA_ROUND1)

@@ -18,7 +18,6 @@ from seqcoupon.evaluation import (
     compare_strategies,
     cumulative_uplift,
     delay_analysis,
-    str_lift,
 )
 from seqcoupon import rng
 from seqcoupon.simulator import CatalogArrays, SimConfig
@@ -50,27 +49,6 @@ def group(prefix, n, n_sold, coupon=None, **kw):
     return [
         outcome(f"{prefix}-{i}", sold=i < n_sold, coupon=coupon, **kw) for i in range(n)
     ]
-
-
-class TestStrLift:
-    def test_worked_example(self):
-        treated = group("t", 100, 60, coupon=TEN_PCT)
-        control = group("c", 100, 40)
-        lift, stderr = str_lift(treated, control)
-        assert lift == pytest.approx(0.20, abs=1e-12)
-        assert stderr == pytest.approx(math.sqrt(0.6 * 0.4 / 100 + 0.4 * 0.6 / 100), rel=1e-12)
-
-    def test_no_difference(self):
-        treated = group("t", 50, 10, coupon=TEN_PCT)
-        control = group("c", 50, 10)
-        lift, _ = str_lift(treated, control)
-        assert lift == 0.0
-
-    def test_empty_group_refused(self):
-        with pytest.raises(InputError):
-            str_lift([], group("c", 10, 5))
-        with pytest.raises(InputError):
-            str_lift(group("t", 10, 5, coupon=TEN_PCT), [])
 
 
 class TestDelayAnalysis:
@@ -140,9 +118,7 @@ class TestCumulativeUplift:
         curve = cumulative_uplift(scores, treated, sold)
         assert curve.points[-1][0] == 1.0
         assert curve.points[-1][1] == curve.random_reference
-        t_records = group("t", int(treated.sum()), int((treated & sold).sum()), coupon=TEN_PCT)
-        c_records = group("c", int((~treated).sum()), int((~treated & sold).sum()))
-        assert curve.random_reference == str_lift(t_records, c_records)[0]
+        assert curve.random_reference == sold[treated].mean() - sold[~treated].mean()
 
     def test_nothing_sold_gives_flat_zero_curve(self):
         n = 100

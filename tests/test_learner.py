@@ -6,7 +6,6 @@ import pytest
 
 from seqcoupon import learner
 from seqcoupon.errors import DegenerateDataError, InputError, SchemaMismatchError
-from seqcoupon.domain import FeatureVector, SCHEMA_ROUND1
 from seqcoupon.learner import (
     Dataset,
     KIND_BOOSTED,
@@ -15,7 +14,6 @@ from seqcoupon.learner import (
     Model,
     PROB_CLAMP,
     grid_search,
-    predict,
     predict_matrix,
     train,
     weighted_log_loss,
@@ -327,19 +325,6 @@ class TestSchemaGuards:
         model = train(data, LearnerConfig(epochs=10))
         with pytest.raises(SchemaMismatchError):
             predict_matrix(model, np.zeros((4, 7)))
-
-    def test_wrong_schema_id_rejected(self):
-        fv = FeatureVector(values=np.zeros(13), schema_id=SCHEMA_ROUND1)
-        model = Model(
-            kind=KIND_LOGISTIC,
-            schema_id="adhoc/13",
-            feature_mean=np.zeros(13),
-            feature_scale=np.ones(13),
-            intercept=0.0,
-            coef=np.zeros(13),
-        )
-        with pytest.raises(SchemaMismatchError):
-            predict(model, fv)
 
     def test_model_coef_length_checked(self):
         with pytest.raises(InputError):

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from seqcoupon.domain import (
-    CouponConfig,
-    OutcomeRecord,
+    ROUND1_FEATURE_NAMES,
+    ROUND2_FEATURE_NAMES,
     SCHEMA_ROUND1,
     SCHEMA_ROUND2,
-    schema_length,
+    CouponConfig,
+    OutcomeRecord,
 )
 from seqcoupon.errors import (
     ContractError,
@@ -30,7 +31,6 @@ from seqcoupon.uplift import (
     ipw_weights,
     predict_batch,
     predict_item,
-    predict_items,
     round1_arm_probabilities,
     round1_training_dataset,
 )
@@ -40,7 +40,7 @@ from test_domain import make_item
 
 def flat_model(schema_id: str, intercept: float) -> Model:
     """A model that predicts sigmoid(intercept) regardless of features."""
-    width = schema_length(schema_id)
+    width = len(ROUND1_FEATURE_NAMES if schema_id == SCHEMA_ROUND1 else ROUND2_FEATURE_NAMES)
     return Model(
         kind=KIND_LOGISTIC,
         schema_id=schema_id,
@@ -136,7 +136,7 @@ class TestRound1TrainingDataset:
     def test_shape_and_labels(self, small_world):
         data = round1_training_dataset(small_world["items"], small_world["log1"])
         assert data.schema_id == SCHEMA_ROUND1
-        assert data.features.shape == (len(small_world["log1"]), schema_length(SCHEMA_ROUND1))
+        assert data.features.shape == (len(small_world["log1"]), len(ROUND1_FEATURE_NAMES))
         assert np.array_equal(data.labels, [r.sold for r in small_world["log1"]])
 
     def test_empty_log_refused(self, small_world):
@@ -227,23 +227,26 @@ class TestPredictions:
 
     def test_pure_and_vectorised_paths_agree(self, trained_pair, small_world):
         items = small_world["items"][:40]
-        once = predict_items(trained_pair, items, 2.0)
-        again = predict_items(trained_pair, items, 2.0)
-        assert once == again
+        once = predict_batch(trained_pair, items, 2.0)
+        again = predict_batch(trained_pair, items, 2.0)
+        for a, b in zip(once, again):
+            np.testing.assert_array_equal(a, b)
+        p1, mean_p1, p2, p_baseline = once
         # One-row and many-row matrix products may differ in the last ulp, so the
-        # scalar path agrees to floating-point noise rather than bit-for-bit.
-        singly = [predict_item(trained_pair, it, 2.0) for it in items]
-        for a, b in zip(once, singly):
-            assert a.item_id == b.item_id
-            np.testing.assert_allclose(a.p1, b.p1, rtol=1e-12)
-            np.testing.assert_allclose(a.p2, b.p2, rtol=1e-12)
-            assert a.p_baseline == pytest.approx(b.p_baseline, rel=1e-12)
+        # one-row path agrees to floating-point noise rather than bit-for-bit.
+        for i, item in enumerate(items):
+            one = predict_item(trained_pair, item, 2.0)
+            assert one.item_id == item.item_id
+            np.testing.assert_allclose(one.p1, p1[i], rtol=1e-12)
+            np.testing.assert_allclose(one.p2, p2[i], rtol=1e-12)
+            assert one.mean_p1 == pytest.approx(mean_p1[i], rel=1e-12)
+            assert one.p_baseline == pytest.approx(p_baseline[i], rel=1e-12)
 
     def test_negative_delay_refused(self, trained_pair, fixture_item):
         with pytest.raises(ContractError):
             predict_item(trained_pair, fixture_item, -0.5)
         with pytest.raises(ContractError):
-            predict_items(trained_pair, [fixture_item], -0.5)
+            predict_batch(trained_pair, [fixture_item], -0.5)
 
     def test_frozen_regression_bundle(self, trained_pair, fixture_item):
         pred = predict_item(trained_pair, fixture_item, 2.0)

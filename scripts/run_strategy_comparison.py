@@ -14,7 +14,7 @@ from seqcoupon.config import RunConfig
 from seqcoupon.decision import PolicyConstraint
 from seqcoupon.evaluation import compare_strategies
 from seqcoupon.learner import LearnerConfig
-from seqcoupon.simulator import GroundTruth, SimConfig, generate_catalog, run_rct
+from seqcoupon.simulator import GroundTruth, SimConfig, generate_catalog_arrays, run_rct
 from seqcoupon.uplift import fit_predictor_pair
 
 
@@ -34,7 +34,7 @@ def main() -> None:
 
     menus = RunConfig()
     train_sim = SimConfig(n_items=args.train_items, rng_seed=args.train_seed)
-    items = generate_catalog(train_sim)
+    items = generate_catalog_arrays(train_sim)
     uniform = [1.0 / len(menus.round1_set)] * len(menus.round1_set)
     log1, _, log2 = run_rct(
         GroundTruth(train_sim), items, menus.round1_set, menus.round2_set,

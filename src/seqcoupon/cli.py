@@ -32,7 +32,6 @@ import numpy as np
 from . import __version__, fileio
 from .config import RunConfig, load_config
 from .decision import allocate_batch, materialize_plans
-from .domain import ItemRecord, item_feature_matrix
 from .errors import (
     IdentifiabilityError,
     InputError,
@@ -42,7 +41,7 @@ from .errors import (
 )
 from .evaluation import UpliftCurve, bootstrap_band, compare_strategies, cumulative_uplift, delay_analysis
 from .learner import Model, grid_search
-from .simulator import CatalogArrays, GroundTruth, generate_catalog, run_rct
+from .simulator import CatalogArrays, GroundTruth, generate_catalog_arrays, run_rct
 from .uplift import fit_predictor_pair, predict_arrays, round1_arm_probabilities, round1_training_dataset
 
 EXIT_OK = 0
@@ -97,7 +96,7 @@ def _load_pair(run: _Run):
     return fileio.load_pair(run.config.io.model_dir)
 
 
-def _read_catalog(run: _Run) -> list[ItemRecord]:
+def _read_catalog(run: _Run) -> CatalogArrays:
     return fileio.read_catalog(run.config.io.catalog)
 
 
@@ -106,22 +105,22 @@ def cmd_simulate(args: argparse.Namespace) -> None:
     cfg = run.config
     sim = replace(cfg.simulator, rng_seed=run.seed)
     run.start()
-    items = generate_catalog(sim)
+    cat = generate_catalog_arrays(sim)
     gt = GroundTruth(sim)
     log1, _, log2 = run_rct(
         gt,
-        items,
+        cat,
         cfg.round1_set,
         cfg.round2_set,
         _uniform(len(cfg.round1_set)),
         _uniform(len(cfg.round2_set)),
         seed=sim.rng_seed,
     )
-    fileio.write_catalog(items, run.path(CATALOG_FILE))
+    fileio.write_catalog(cat, run.path(CATALOG_FILE))
     fileio.write_outcomes(log1, run.path(ROUND1_LOG_FILE))
     fileio.write_outcomes(log2, run.path(ROUND2_LOG_FILE))
     run.say(
-        f"simulated {len(items)} items -> {len(log1)} round-1 and "
+        f"simulated {len(cat)} items -> {len(log1)} round-1 and "
         f"{len(log2)} round-2 records in {run.out}"
     )
 
@@ -130,10 +129,10 @@ def cmd_train(args: argparse.Namespace) -> None:
     run = _Run(args, "train", seed_from=lambda cfg: cfg.simulator.rng_seed)
     cfg = run.config
     run.start()
-    items = _read_catalog(run)
+    cat = _read_catalog(run)
     log1 = fileio.read_outcomes(cfg.io.round1_log)
     log2 = fileio.read_outcomes(cfg.io.round2_log)
-    data = round1_training_dataset(items, log1)
+    data = round1_training_dataset(cat, log1)
     best, results = grid_search(data, cfg.learner.grid, cfg.learner.k_folds, run.seed)
     fileio.write_grid_table(results, run.path(GRID_TABLE_FILE))
     run.say(
@@ -141,7 +140,7 @@ def cmd_train(args: argparse.Namespace) -> None:
         f"{min(r.mean_loss for r in results):.6f}"
     )
     pair = fit_predictor_pair(
-        items,
+        cat,
         log1,
         log2,
         cfg.round1_set,
@@ -165,14 +164,13 @@ def _fit_summary(model: Model) -> str:
     return f"{model.iterations} Newton steps, final |gradient| {model.grad_norm:.1e}"
 
 
-def _sold_item_ids(cfg: RunConfig) -> set[str]:
-    """Items either round log records as sold; a missing log raises OSError."""
-    return {
-        record.item_id
-        for path in (cfg.io.round1_log, cfg.io.round2_log)
-        for record in fileio.read_outcomes(path)
-        if record.sold
-    }
+def _sold_rows(cfg: RunConfig, cat: CatalogArrays) -> np.ndarray:
+    """Catalog rows that either round log records as sold; a missing log raises OSError."""
+    sold = np.zeros(len(cat), dtype=bool)
+    for path in (cfg.io.round1_log, cfg.io.round2_log):
+        log = fileio.read_outcomes(path)
+        sold[cat.rows_of(log.item_ids)[log.sold]] = True
+    return sold
 
 
 def cmd_allocate(args: argparse.Namespace) -> None:
@@ -180,13 +178,10 @@ def cmd_allocate(args: argparse.Namespace) -> None:
     cfg = run.config
     run.start()
     pair = _load_pair(run)
-    items = _read_catalog(run)
-    sold = _sold_item_ids(cfg)
-    unsold = sorted(
-        (it for it in items if it.item_id not in sold and it.status == "unsold"),
-        key=lambda it: it.item_id,
-    )
-    cat = CatalogArrays.from_items(unsold)
+    catalog = _read_catalog(run)
+    unsold = ~_sold_rows(cfg, catalog) & (np.array(catalog.status) == "unsold")
+    rows = np.flatnonzero(unsold)
+    cat = catalog.take(rows[np.argsort(np.array(catalog.ids)[rows], kind="stable")])
     p1, _, p2, p_baseline = predict_arrays(pair, cat.matrix, cat.age_days, cfg.attach_delay_h)
     j, k, feasible = allocate_batch(
         p1, p2, p_baseline, cat.price, cat.ltv,
@@ -206,26 +201,20 @@ def cmd_evaluate(args: argparse.Namespace) -> None:
     cfg = run.config
     run.start()
     pair = _load_pair(run)
-    items = _read_catalog(run)
+    cat = _read_catalog(run)
     log1 = fileio.read_outcomes(cfg.io.round1_log)
-    if not log1:
+    if not len(log1):
         raise InputError(f"{cfg.io.round1_log}: log is empty; nothing to evaluate")
-    if not any(r.coupon.is_none for r in log1):
+    treated = log1.discount_pct != 0
+    if treated.all():
         raise MissingHoldoutError(
             f"{cfg.io.round1_log}: no no-coupon holdout records; lift is undefined"
         )
 
-    index = {it.item_id: i for i, it in enumerate(items)}
-    try:
-        rows = np.array([index[r.item_id] for r in log1])
-    except KeyError as exc:
-        raise InputError(f"log references unknown item {exc.args[0]!r}") from None
-    matrix = item_feature_matrix(items)[rows]
-    delays = np.array([r.attach_delay_h for r in log1])
-    p1 = round1_arm_probabilities(pair.first, matrix, pair.round1_set, delays)
+    matrix = cat.matrix[cat.rows_of(log1.item_ids)]
+    p1 = round1_arm_probabilities(pair.first, matrix, pair.round1_set, log1.attach_delay_h)
     scores = (p1[:, 1:] - p1[:, [0]]).mean(axis=1)
-    treated = np.array([not r.coupon.is_none for r in log1])
-    sold = np.array([r.sold for r in log1])
+    sold = log1.sold
 
     deciles = cfg.evaluation.deciles
     curve = cumulative_uplift(scores, treated, sold, deciles)
@@ -254,20 +243,20 @@ def cmd_compare(args: argparse.Namespace) -> None:
         n_items=cfg.evaluation.train_n_items,
         rng_seed=cfg.evaluation.train_seed,
     )
-    items = generate_catalog(train_sim)
+    cat = generate_catalog_arrays(train_sim)
     gt = GroundTruth(train_sim)
     log1, _, log2 = run_rct(
         gt,
-        items,
+        cat,
         cfg.round1_set,
         cfg.round2_set,
         _uniform(len(cfg.round1_set)),
         _uniform(len(cfg.round2_set)),
         seed=train_sim.rng_seed,
     )
-    run.say(f"trained on {len(items)} items ({len(log2)} survivors)")
+    run.say(f"trained on {len(cat)} items ({len(log2)} survivors)")
     pair = fit_predictor_pair(
-        items,
+        cat,
         log1,
         log2,
         cfg.round1_set,

@@ -1,4 +1,5 @@
-"""Core record types, coupon cost arithmetic, and feature-vector encoding.
+"""Core record types and the columnar outcome log, coupon cost arithmetic, and
+feature-vector encoding.
 
 Everything here is immutable after construction and safe to share across
 workers. Currency is integer yen throughout; probabilities are floats.
@@ -202,16 +203,201 @@ def coupon_cost(coupon: CouponConfig, price_yen: int) -> int:
     return min((price_yen * coupon.discount_pct) // 100, coupon.cap_yen)
 
 
+def coupon_cost_rows(prices, discount_pct, cap_yen) -> np.ndarray:
+    """Vectorised ``coupon_cost`` for aligned (or broadcastable) int64 columns.
+
+    The no-coupon arm (discount 0, cap 0) costs nothing.
+    """
+    prices = np.asarray(prices, dtype=np.int64)
+    return np.minimum(prices * np.asarray(discount_pct, dtype=np.int64) // 100,
+                      np.asarray(cap_yen, dtype=np.int64))
+
+
 def coupon_costs(prices: np.ndarray, coupon_set: CouponSet) -> np.ndarray:
-    """Vectorised ``coupon_cost``: an (n, arms) int64 grid, one column per arm.
+    """``coupon_cost_rows`` over a menu: an (n, arms) int64 grid, one column per arm.
 
     Row i, column j is the cost of arm j of ``coupon_set`` on an item priced
-    ``prices[i]``; the no-coupon arm (discount 0, cap 0) costs nothing.
+    ``prices[i]``.
     """
     prices = np.asarray(prices, dtype=np.int64)
     disc = np.array([c.discount_pct for c in coupon_set], dtype=np.int64)
     cap = np.array([c.cap_yen for c in coupon_set], dtype=np.int64)
-    return np.minimum(prices[:, None] * disc[None, :] // 100, cap[None, :])
+    return coupon_cost_rows(prices[:, None], disc[None, :], cap[None, :])
+
+
+def _check_column(bad: np.ndarray, column, message: str) -> None:
+    """Raise ``InputError(message.format(first bad value))`` if any row is bad."""
+    if bad.any():
+        value = column[int(np.argmax(bad))]
+        raise InputError(message.format(value.item() if hasattr(value, "item") else value))
+
+
+def _check_unique_ids(ids: Sequence[str], what: str) -> None:
+    """Refuse a repeated id, naming the first row whose id was seen before."""
+    if len(set(ids)) == len(ids):
+        return
+    seen = set()
+    for item_id in ids:
+        if item_id in seen:
+            raise InputError(f"{what} repeats item id {item_id!r}")
+        seen.add(item_id)
+
+
+def _id_rows(own: Sequence[str], ids: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """For each of ``ids``, a row of ``own`` holding that id, and whether one does.
+
+    ``own`` must not repeat an id. One sort of ``own`` (skipped when it is
+    already sorted) and one ``searchsorted`` join the whole sequence.
+    """
+    own, ids = tuple(own), tuple(ids)
+    if ids == own:
+        return np.arange(len(ids)), np.ones(len(ids), dtype=bool)
+    if not ids or not own:
+        return np.zeros(len(ids), dtype=np.intp), np.zeros(len(ids), dtype=bool)
+    have, want = np.array(own), np.array(ids)
+    order = None if (have[1:] > have[:-1]).all() else np.argsort(have, kind="stable")
+    rows = np.minimum(np.searchsorted(have, want, sorter=order), len(have) - 1)
+    if order is not None:
+        rows = order[rows]
+    return rows, have[rows] == want
+
+
+def _coupon(discount_pct: int, validity_hours: float, cap_yen: int) -> CouponConfig:
+    if discount_pct == 0:
+        return CouponConfig.none()
+    return CouponConfig(discount_pct, validity_hours, cap_yen)
+
+
+@dataclass(frozen=True)
+class OutcomeLog:
+    """A promotion log as columns: row i of every column is one ``OutcomeRecord``.
+
+    The coupon is split into ``discount_pct``/``validity_hours``/``cap_yen``
+    (validity and cap are 0 on no-coupon rows). ``purchase_delay_h`` is NaN
+    and ``sale_price_yen``/``coupon_cost_yen`` are 0 where the item did not
+    sell. Iterating yields ``OutcomeRecord``s built on demand.
+    """
+
+    item_ids: tuple[str, ...]
+    round: np.ndarray  # int64, 1 or 2
+    discount_pct: np.ndarray  # int64
+    validity_hours: np.ndarray
+    cap_yen: np.ndarray  # int64
+    attach_delay_h: np.ndarray
+    sold: np.ndarray  # bool
+    purchase_delay_h: np.ndarray
+    sale_price_yen: np.ndarray  # int64
+    coupon_cost_yen: np.ndarray  # int64
+
+    @classmethod
+    def from_columns(cls, item_ids, round, discount_pct, validity_hours, cap_yen,
+                     attach_delay_h, sold, purchase_delay_h, sale_price_yen,
+                     coupon_cost_yen) -> "OutcomeLog":
+        """Validate the columns as ``CouponConfig`` and ``OutcomeRecord`` would.
+
+        The last three columns are floats with NaN for a missing value (a
+        record's None); yen amounts must be integers below 2**53.
+        """
+        item_ids = tuple(item_ids)
+        round = np.asarray(round, dtype=np.int64)
+        disc = np.asarray(discount_pct, dtype=np.int64)
+        validity = np.asarray(validity_hours, dtype=float)
+        cap = np.asarray(cap_yen, dtype=np.int64)
+        attach = np.asarray(attach_delay_h, dtype=float)
+        sold = np.asarray(sold, dtype=bool)
+        purchase = np.asarray(purchase_delay_h, dtype=float)
+        price = np.asarray(sale_price_yen, dtype=float)
+        cost = np.asarray(coupon_cost_yen, dtype=float)
+        columns = (round, disc, validity, cap, attach, sold, purchase, price, cost)
+        if any(c.shape != (len(item_ids),) for c in columns):
+            raise InputError(f"every log column needs one entry per id ({len(item_ids)})")
+
+        _check_column(~((0 <= disc) & (disc < 100)), disc,
+                     "discount_pct must be in [0, 100), got {}")
+        _check_column(cap < 0, cap, "cap_yen must be >= 0, got {}")
+        none = disc == 0
+        _check_column(none & (cap != 0), cap, "no-coupon arm must have cap_yen = 0")
+        validity = np.where(none, 0.0, validity)
+        _check_column(~none & (validity <= 0), validity, "validity_hours must be > 0, got {}")
+
+        _check_column((round != 1) & (round != 2), round, "round must be 1 or 2, got {}")
+        _check_column(attach < 0, attach, "attach_delay_h must be >= 0")
+        has_t, has_price, has_cost = ~np.isnan(purchase), ~np.isnan(price), ~np.isnan(cost)
+        _check_column(sold & ~(has_t & has_price), sold,
+                     "sold record requires purchase_delay_h and sale_price_yen")
+        _check_column(sold & (purchase < 0), purchase, "purchase_delay_h must be >= 0")
+        outside = sold & ~none & (purchase > validity)
+        if outside.any():
+            i = int(np.argmax(outside))
+            raise InputError(
+                f"coupon sale outside validity window: {purchase[i]} > {validity[i]}"
+            )
+        sale_price = np.where(sold, price, 1).astype(np.int64)
+        _check_column(sold & (sale_price <= 0), sale_price, "price_yen must be > 0, got {}")
+        expected = coupon_cost_rows(sale_price, disc, cap)
+        wrong = sold & ~(has_cost & (cost == expected))
+        if wrong.any():
+            i = int(np.argmax(wrong))
+            got = int(cost[i]) if has_cost[i] else None
+            raise InputError(f"coupon_cost_yen {got} != expected {expected[i]}")
+        _check_column(~sold & (has_t | has_price), sold, "unsold record must not carry sale fields")
+        _check_column(~sold & has_cost, sold, "unsold record must not carry coupon_cost_yen")
+        _check_unique_ids(item_ids, "log")
+        return cls(
+            item_ids=item_ids, round=round, discount_pct=disc, validity_hours=validity,
+            cap_yen=cap, attach_delay_h=attach, sold=sold,
+            purchase_delay_h=np.where(sold, purchase, np.nan),
+            sale_price_yen=np.where(sold, sale_price, 0),
+            coupon_cost_yen=np.where(sold, expected, 0),
+        )
+
+    @classmethod
+    def from_records(cls, records: Sequence[OutcomeRecord]) -> "OutcomeLog":
+        nan = math.nan
+        return cls.from_columns(
+            item_ids=[r.item_id for r in records],
+            round=[r.round for r in records],
+            discount_pct=[r.coupon.discount_pct for r in records],
+            validity_hours=[r.coupon.validity_hours for r in records],
+            cap_yen=[r.coupon.cap_yen for r in records],
+            attach_delay_h=[r.attach_delay_h for r in records],
+            sold=[r.sold for r in records],
+            purchase_delay_h=[nan if r.purchase_delay_h is None else r.purchase_delay_h
+                              for r in records],
+            sale_price_yen=[nan if r.sale_price_yen is None else r.sale_price_yen
+                            for r in records],
+            coupon_cost_yen=[nan if r.coupon_cost_yen is None else r.coupon_cost_yen
+                             for r in records],
+        )
+
+    def to_records(self) -> list[OutcomeRecord]:
+        """One ``OutcomeRecord`` per row, in row order."""
+        return list(self)
+
+    def __iter__(self):
+        coupons: dict[tuple, CouponConfig] = {}
+        for row in zip(self.item_ids, self.round.tolist(), self.discount_pct.tolist(),
+                       self.validity_hours.tolist(), self.cap_yen.tolist(),
+                       self.attach_delay_h.tolist(), self.sold.tolist(),
+                       self.purchase_delay_h.tolist(), self.sale_price_yen.tolist(),
+                       self.coupon_cost_yen.tolist()):
+            item_id, round_, disc, validity, cap, attach, sold, t, price, cost = row
+            key = (disc, validity, cap)
+            if key not in coupons:
+                coupons[key] = _coupon(*key)
+            yield OutcomeRecord(
+                item_id=item_id, round=round_, coupon=coupons[key], attach_delay_h=attach,
+                sold=sold, purchase_delay_h=t if sold else None,
+                sale_price_yen=price if sold else None, coupon_cost_yen=cost if sold else None,
+            )
+
+    def __len__(self) -> int:
+        return len(self.item_ids)
+
+
+def _as_log(records) -> OutcomeLog:
+    """An ``OutcomeLog`` as is, or a sequence of ``OutcomeRecord``s converted to one."""
+    return records if isinstance(records, OutcomeLog) else OutcomeLog.from_records(records)
 
 
 def _coupon_features(coupon: CouponConfig) -> list[float]:

@@ -23,7 +23,7 @@ from .decision import (
     allocate_batch,
     allocate_independent_batch,
 )
-from .domain import OutcomeRecord
+from .domain import OutcomeLog, OutcomeRecord, _as_log
 from .errors import ContractError, InputError
 from .simulator import (
     GroundTruth,
@@ -149,7 +149,7 @@ def _bucket_edges(max_value: float, bucket_h: float) -> np.ndarray:
 
 
 def delay_analysis(
-    records: Sequence[OutcomeRecord], bucket_h: float = DEFAULT_BUCKET_H
+    records: Sequence[OutcomeRecord] | OutcomeLog, bucket_h: float = DEFAULT_BUCKET_H
 ) -> DelayTables:
     """Bucketed delay diagnostics over a log that includes a no-coupon holdout.
 
@@ -162,17 +162,14 @@ def delay_analysis(
     """
     if bucket_h <= 0:
         raise InputError("bucket_h must be > 0")
-    if not records:
+    log = _as_log(records)
+    if not len(log):
         raise InputError("delay_analysis needs a non-empty log")
-    treated = np.array([not r.coupon.is_none for r in records])
-    sold = np.array([r.sold for r in records])
-    attach = np.array([r.attach_delay_h for r in records], dtype=float)
-    purchase = np.array(
-        [r.purchase_delay_h if r.purchase_delay_h is not None else np.nan for r in records]
-    )
-    price = np.array(
-        [r.sale_price_yen if r.sale_price_yen is not None else np.nan for r in records]
-    )
+    treated = log.discount_pct != 0
+    sold = log.sold
+    attach = log.attach_delay_h
+    purchase = log.purchase_delay_h
+    price = log.sale_price_yen.astype(float)
 
     lift_rows = []
     for start in _bucket_edges(float(attach.max()), bucket_h):
@@ -195,7 +192,7 @@ def delay_analysis(
         in_bucket = has_sale & (purchase >= start) & (purchase < start + bucket_h)
         n_bucket = int(in_bucket.sum())
         str_rows.append(
-            BucketRow(float(start), n_bucket / len(records) if n_bucket else None, n_bucket)
+            BucketRow(float(start), n_bucket / len(log) if n_bucket else None, n_bucket)
         )
         aov_rows.append(
             BucketRow(

@@ -18,10 +18,11 @@ import numpy as np
 
 from . import __version__
 from .decision import AllocationPlan
-from .domain import CouponConfig, CouponSet, ItemRecord, OutcomeRecord
+from .domain import CouponConfig, CouponSet, ItemRecord, OutcomeLog, OutcomeRecord, _as_log
 from .errors import InputError, ManifestMismatchError
 from .evaluation import BucketRow, ComparisonReport, DelayTables, StrategyMetrics, UpliftCurve
 from .learner import GridResult, LearnerConfig, Model, Stump
+from .simulator import CatalogArrays, _as_catalog
 from .uplift import PredictorPair
 
 FORMAT_VERSION = 1
@@ -43,13 +44,14 @@ CURVE_HEADER = "fraction,uplift,lo,hi"
 BUCKET_HEADER = "bucket_start_h,metric,value,n"
 GRID_HEADER = "kind,learning_rate,l2,epochs,max_stumps,rng_seed,mean_loss,fold_losses,prior_folds"
 MANIFEST_NAME = "manifest.json"
+FLOAT_CELL = "%.12g"
 
 
 def fmt(value: Optional[float]) -> str:
     """Canonical float cell: 12 significant digits, `inf` literal, empty for null."""
     if value is None:
         return ""
-    return "%.12g" % value
+    return FLOAT_CELL % value
 
 
 def _write_text(path: str, text: str) -> None:
@@ -72,6 +74,7 @@ def _parse_int(cell: str, path: str, line: int, column: str) -> int:
 
 
 def _read_rows(path: str, expected_header: str) -> list[tuple[int, list[str]]]:
+    """The row parser: every non-blank row after the header, with its line number."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -93,111 +96,213 @@ def _read_rows(path: str, expected_header: str) -> list[tuple[int, list[str]]]:
     return rows
 
 
+def _split_columns(path: str, header: str) -> Optional[list[list[str]]]:
+    """The cells of each column, or None where only the row parser can tell.
+
+    Splitting the text on newlines and commas gives ``csv.reader``'s cells
+    when it holds no quote, carriage return or NUL, the header matches and
+    every non-blank row has the header's width.
+    """
+    with open(path, newline="") as fh:
+        text = fh.read()
+    if '"' in text or "\r" in text or "\0" in text:
+        return None
+    lines = text.split("\n")
+    width = header.count(",") + 1
+    body = [line for line in lines[1:] if line]
+    if lines[0] != header or any(line.count(",") != width - 1 for line in body):
+        return None
+    cells = ",".join(body).split(",") if body else []
+    return [cells[c::width] for c in range(width)]
+
+
+def _read_table(path: str, header: str, from_cells, parse_row) -> dict:
+    """A table's typed columns, keyed by the ``from_columns`` argument names.
+
+    ``from_cells`` converts whole columns of cells with ``int``/``float`` and
+    raises ValueError (or OverflowError) on any bad cell; the row parser then
+    re-reads the file, and ``parse_row`` names the first bad cell's line.
+    """
+    columns = _split_columns(path, header)
+    if columns is not None:
+        try:
+            return from_cells(columns)
+        except (ValueError, OverflowError):
+            pass
+    rows = [parse_row(row, path, line) for line, row in _read_rows(path, header)]
+    if not rows:
+        return from_cells([[]] * (header.count(",") + 1))
+    return {name: [row[name] for row in rows] for name in rows[0]}
+
+
+def _ints(cells: Sequence[str]) -> np.ndarray:
+    return np.fromiter(map(int, cells), np.int64, len(cells))
+
+
+def _floats(cells: Sequence[str]) -> np.ndarray:
+    return np.fromiter(map(float, cells), float, len(cells))
+
+
+def _int_text(column: np.ndarray) -> list[str]:
+    return list(map(str, column.tolist()))
+
+
+def _float_text(column: np.ndarray) -> list[str]:
+    """``fmt`` of every value of a column that holds no null."""
+    return list(map(FLOAT_CELL.__mod__, column.tolist()))
+
+
+WRITE_BLOCK_ROWS = 8192
+
+
+def _write_table(path: str, header: str, n_rows: int, cells) -> None:
+    """Write the header and ``n_rows`` rows; ``cells(block)`` gives every
+    column's cells for a slice of rows.
+
+    Rows are formatted one block at a time, so that only one block's cells
+    are alive at once rather than every cell of the table.
+    """
+    with open(path, "w", newline="\n") as fh:
+        fh.write(header + "\n")
+        for lo in range(0, n_rows, WRITE_BLOCK_ROWS):
+            rows = map(",".join, zip(*cells(slice(lo, lo + WRITE_BLOCK_ROWS))))
+            fh.write("\n".join(rows) + "\n")
+
+
 # ---------------------------------------------------------------------------
 # catalog
 
 
-def write_catalog(items: Sequence[ItemRecord], path: str) -> None:
-    lines = [CATALOG_HEADER]
-    for it in items:
-        lines.append(
-            ",".join(
-                [
-                    it.item_id,
-                    it.seller_id,
-                    str(it.price_yen),
-                    str(it.condition),
-                    fmt(it.age_days),
-                    str(it.likes),
-                    fmt(it.demand_index),
-                    fmt(it.season_phase),
-                    str(it.seller_ltv_yen),
-                    fmt(it.key_action_ts),
-                ]
-            )
-        )
-    _write_text(path, "\n".join(lines) + "\n")
+def write_catalog(items: Sequence[ItemRecord] | CatalogArrays, path: str) -> None:
+    cat = _as_catalog(items)
+    _write_table(path, CATALOG_HEADER, len(cat), lambda rows: [
+        cat.ids[rows],
+        cat.seller_ids[rows],
+        _int_text(cat.price[rows]),
+        _int_text(cat.condition[rows]),
+        _float_text(cat.age_days[rows]),
+        _int_text(cat.likes[rows]),
+        _float_text(cat.demand[rows]),
+        _float_text(cat.season[rows]),
+        _int_text(cat.ltv[rows]),
+        _float_text(cat.key_ts[rows]),
+    ])
 
 
-def read_catalog(path: str) -> list[ItemRecord]:
-    items = []
-    for line, row in _read_rows(path, CATALOG_HEADER):
-        items.append(
-            ItemRecord(
-                item_id=row[0],
-                seller_id=row[1],
-                price_yen=_parse_int(row[2], path, line, "price_yen"),
-                condition=_parse_int(row[3], path, line, "condition"),
-                age_days=_parse_float(row[4], path, line, "age_days"),
-                likes=_parse_int(row[5], path, line, "likes"),
-                demand_index=_parse_float(row[6], path, line, "demand_index"),
-                season_phase=_parse_float(row[7], path, line, "season_phase"),
-                seller_ltv_yen=_parse_int(row[8], path, line, "seller_ltv_yen"),
-                key_action_ts=_parse_float(row[9], path, line, "key_action_ts"),
-            )
-        )
-    return items
+def _catalog_cells(columns: list[list[str]]) -> dict:
+    ids, seller_ids, price, condition, age_days, likes, demand, season, ltv, key_ts = columns
+    return dict(
+        ids=ids, seller_ids=seller_ids, price=_ints(price), condition=_ints(condition),
+        age_days=_floats(age_days), likes=_ints(likes), demand=_floats(demand),
+        season=_floats(season), ltv=_ints(ltv), key_ts=_floats(key_ts),
+    )
+
+
+def _catalog_row(row: list[str], path: str, line: int) -> dict:
+    return dict(
+        ids=row[0],
+        seller_ids=row[1],
+        price=_parse_int(row[2], path, line, "price_yen"),
+        condition=_parse_int(row[3], path, line, "condition"),
+        age_days=_parse_float(row[4], path, line, "age_days"),
+        likes=_parse_int(row[5], path, line, "likes"),
+        demand=_parse_float(row[6], path, line, "demand_index"),
+        season=_parse_float(row[7], path, line, "season_phase"),
+        ltv=_parse_int(row[8], path, line, "seller_ltv_yen"),
+        key_ts=_parse_float(row[9], path, line, "key_action_ts"),
+    )
+
+
+def read_catalog(path: str) -> CatalogArrays:
+    """The catalog CSV as columns; every item is unsold."""
+    columns = _read_table(path, CATALOG_HEADER, _catalog_cells, _catalog_row)
+    return CatalogArrays.from_columns(**columns, status=("unsold",) * len(columns["ids"]))
 
 
 # ---------------------------------------------------------------------------
 # outcome logs
 
 
-def write_outcomes(records: Sequence[OutcomeRecord], path: str) -> None:
-    lines = [OUTCOME_HEADER]
-    for r in records:
-        lines.append(
-            ",".join(
-                [
-                    r.item_id,
-                    str(r.round),
-                    str(r.coupon.discount_pct),
-                    fmt(r.coupon.validity_hours),
-                    str(r.coupon.cap_yen),
-                    fmt(r.attach_delay_h),
-                    "1" if r.sold else "0",
-                    fmt(r.purchase_delay_h),
-                    "" if r.sale_price_yen is None else str(r.sale_price_yen),
-                    "" if r.coupon_cost_yen is None else str(r.coupon_cost_yen),
-                ]
-            )
-        )
-    _write_text(path, "\n".join(lines) + "\n")
+def write_outcomes(records: Sequence[OutcomeRecord] | OutcomeLog, path: str) -> None:
+    log = _as_log(records)
+
+    def cells(rows):
+        sold = log.sold[rows]
+        flags = sold.tolist()
+
+        def sale_cells(column, text):
+            """``text`` of the sold rows' values; unsold rows' cells stay empty."""
+            sold_cells = iter(text(column[rows][sold]))
+            return [next(sold_cells) if s else "" for s in flags]
+
+        return [
+            log.item_ids[rows],
+            _int_text(log.round[rows]),
+            _int_text(log.discount_pct[rows]),
+            _float_text(log.validity_hours[rows]),
+            _int_text(log.cap_yen[rows]),
+            _float_text(log.attach_delay_h[rows]),
+            ["1" if s else "0" for s in flags],
+            sale_cells(log.purchase_delay_h, _float_text),
+            sale_cells(log.sale_price_yen, _int_text),
+            sale_cells(log.coupon_cost_yen, _int_text),
+        ]
+
+    _write_table(path, OUTCOME_HEADER, len(log), cells)
 
 
-def read_outcomes(path: str) -> list[OutcomeRecord]:
-    records = []
-    for line, row in _read_rows(path, OUTCOME_HEADER):
-        disc = _parse_int(row[2], path, line, "discount_pct")
-        if disc == 0:
-            coupon = CouponConfig.none()
-        else:
-            coupon = CouponConfig(
-                discount_pct=disc,
-                validity_hours=_parse_float(row[3], path, line, "validity_hours"),
-                cap_yen=_parse_int(row[4], path, line, "cap_yen"),
-            )
-        if row[6] not in ("0", "1"):
-            raise InputError(f"{path}:{line}: column 'sold' must be 0 or 1, got {row[6]!r}")
-        records.append(
-            OutcomeRecord(
-                item_id=row[0],
-                round=_parse_int(row[1], path, line, "round"),
-                coupon=coupon,
-                attach_delay_h=_parse_float(row[5], path, line, "attach_delay_h"),
-                sold=row[6] == "1",
-                purchase_delay_h=(
-                    None if row[7] == "" else _parse_float(row[7], path, line, "purchase_delay_h")
-                ),
-                sale_price_yen=(
-                    None if row[8] == "" else _parse_int(row[8], path, line, "sale_price_yen")
-                ),
-                coupon_cost_yen=(
-                    None if row[9] == "" else _parse_int(row[9], path, line, "coupon_cost_yen")
-                ),
-            )
-        )
-    return records
+def _outcome_cells(columns: list[list[str]]) -> dict:
+    ids, round_, disc, validity, cap, attach, sold, purchase, price, cost = columns
+    disc = _ints(disc)
+    coupon = disc.tolist()
+    if not set(sold) <= {"0", "1"}:
+        raise ValueError("column 'sold' must be 0 or 1")
+    nan = float("nan")
+    return dict(
+        item_ids=ids,
+        round=_ints(round_),
+        discount_pct=disc,
+        # A no-coupon row's validity and cap cells are not read.
+        validity_hours=[float(v) if d else 0.0 for d, v in zip(coupon, validity)],
+        cap_yen=[int(c) if d else 0 for d, c in zip(coupon, cap)],
+        attach_delay_h=_floats(attach),
+        sold=[s == "1" for s in sold],
+        purchase_delay_h=[float(c) if c else nan for c in purchase],
+        sale_price_yen=[int(c) if c else nan for c in price],
+        coupon_cost_yen=[int(c) if c else nan for c in cost],
+    )
+
+
+def _outcome_row(row: list[str], path: str, line: int) -> dict:
+    nan = float("nan")
+    disc = _parse_int(row[2], path, line, "discount_pct")
+    out = dict(
+        item_ids=row[0],
+        discount_pct=disc,
+        validity_hours=_parse_float(row[3], path, line, "validity_hours") if disc else 0.0,
+        cap_yen=_parse_int(row[4], path, line, "cap_yen") if disc else 0,
+    )
+    if row[6] not in ("0", "1"):
+        raise InputError(f"{path}:{line}: column 'sold' must be 0 or 1, got {row[6]!r}")
+    out.update(
+        round=_parse_int(row[1], path, line, "round"),
+        attach_delay_h=_parse_float(row[5], path, line, "attach_delay_h"),
+        sold=row[6] == "1",
+        purchase_delay_h=(
+            nan if row[7] == "" else _parse_float(row[7], path, line, "purchase_delay_h")
+        ),
+        sale_price_yen=nan if row[8] == "" else _parse_int(row[8], path, line, "sale_price_yen"),
+        coupon_cost_yen=(
+            nan if row[9] == "" else _parse_int(row[9], path, line, "coupon_cost_yen")
+        ),
+    )
+    return out
+
+
+def read_outcomes(path: str) -> OutcomeLog:
+    return OutcomeLog.from_columns(
+        **_read_table(path, OUTCOME_HEADER, _outcome_cells, _outcome_row)
+    )
 
 
 # ---------------------------------------------------------------------------

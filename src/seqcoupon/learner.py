@@ -126,14 +126,6 @@ class Model:
     def n_features(self) -> int:
         return len(self.feature_mean)
 
-    def coefficients_raw(self) -> tuple[np.ndarray, float]:
-        """Logistic coefficients mapped back to the raw (unstandardised) feature scale."""
-        if self.kind != KIND_LOGISTIC:
-            raise InputError("raw coefficients only defined for logistic models")
-        raw = self.coef / self.feature_scale
-        intercept = self.intercept - float(np.dot(raw, self.feature_mean))
-        return raw, intercept
-
 
 def _sigmoid(z):
     z = np.asarray(z, dtype=float)
@@ -315,6 +307,13 @@ def _fit_boosted(Xs, y, w_norm, config) -> tuple[float, tuple[Stump, ...]]:
         return base, ()  # single-class data: the prior is the model
 
     candidates = _split_candidates(Xs, w_norm)
+    # The candidates are fixed for the whole fit, and so is each row's bucket
+    # per feature: one of at most N_SPLIT_CANDIDATES + 1 values.
+    bucket_dtype = np.min_scalar_type(N_SPLIT_CANDIDATES)
+    buckets = [
+        np.searchsorted(cand, Xs[:, f], side="left").astype(bucket_dtype)
+        for f, cand in enumerate(candidates)
+    ]
     n_rounds = min(config.epochs, config.max_stumps)
     F = np.full(len(yf), base)
     loss = _loss(_sigmoid(F), y, w_norm)
@@ -327,9 +326,7 @@ def _fit_boosted(Xs, y, w_norm, config) -> tuple[float, tuple[Stump, ...]]:
         g_tot, h_tot = g.sum(), h.sum()
 
         best = None  # (score, feature, cand_idx)
-        for f in range(Xs.shape[1]):
-            cand = candidates[f]
-            bucket = np.searchsorted(cand, Xs[:, f], side="left")
+        for f, (cand, bucket) in enumerate(zip(candidates, buckets)):
             gl = np.cumsum(np.bincount(bucket, weights=g, minlength=len(cand) + 1))[:-1]
             hl = np.cumsum(np.bincount(bucket, weights=h, minlength=len(cand) + 1))[:-1]
             gr, hr = g_tot - gl, h_tot - hl

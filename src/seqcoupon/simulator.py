@@ -23,11 +23,14 @@ from .domain import (
     CouponConfig,
     CouponSet,
     ItemRecord,
+    OutcomeLog,
     OutcomeRecord,
-    coupon_cost,
+    _check_column,
+    _check_unique_ids,
+    _id_rows,
+    coupon_cost_rows,
     coupon_costs,
     feature_matrix,
-    item_feature_matrix,
 )
 from .errors import InputError
 
@@ -141,27 +144,6 @@ def _sigmoid(x):
     return out
 
 
-def true_propensity(
-    gt: GroundTruth,
-    item: ItemRecord,
-    coupon: CouponConfig,
-    round: int,
-    attach_delay_h: float,
-) -> float:
-    """Exact sale propensity for one (item, coupon, round, delay)."""
-    if attach_delay_h < 0:
-        raise InputError("attach_delay_h must be >= 0")
-    m = item_feature_matrix([item])
-    p = gt.propensity_arrays(
-        m,
-        np.array([item.likes]),
-        np.array([float(coupon.discount_pct)]),
-        round,
-        np.array([float(attach_delay_h)]),
-    )
-    return float(p[0])
-
-
 def _draw_catalog(config: SimConfig) -> dict:
     """The catalog's columns, keyed by ``CatalogArrays`` field; deterministic per seed.
 
@@ -220,11 +202,6 @@ def generate_catalog_arrays(config: SimConfig) -> "CatalogArrays":
     return CatalogArrays.from_columns(**_draw_catalog(config))
 
 
-def _check_column(bad: np.ndarray, column: np.ndarray, message: str):
-    if bad.any():
-        raise InputError(message.format(column[np.argmax(bad)]))
-
-
 @dataclass(frozen=True)
 class CatalogArrays:
     """A catalog as columns, one per ``ItemRecord`` field, plus keys and features.
@@ -275,6 +252,7 @@ class CatalogArrays:
         bad_status = set(status) - {"unsold", "sold"}
         if bad_status:
             raise InputError(f"status must be 'unsold' or 'sold', got {min(bad_status)!r}")
+        _check_unique_ids(ids, "catalog")
         return cls(
             ids=ids, seller_ids=seller_ids, price=price, condition=condition,
             age_days=age_days, likes=likes, demand=demand, season=season, ltv=ltv,
@@ -312,8 +290,33 @@ class CatalogArrays:
             self.likes, self.demand, self.season, self.ltv, self.key_ts, self.status,
         )
 
+    def take(self, rows: np.ndarray) -> "CatalogArrays":
+        """The catalog restricted to ``rows``, in that order; nothing is recomputed."""
+        index = rows.tolist()
+        ids, seller_ids, status = (
+            tuple(c[i] for i in index) for c in (self.ids, self.seller_ids, self.status)
+        )
+        return CatalogArrays(
+            ids=ids, seller_ids=seller_ids, price=self.price[rows],
+            condition=self.condition[rows], age_days=self.age_days[rows],
+            likes=self.likes[rows], demand=self.demand[rows], season=self.season[rows],
+            ltv=self.ltv[rows], key_ts=self.key_ts[rows], status=status,
+            keys=self.keys[rows], matrix=self.matrix[rows],
+        )
+
+    def rows_of(self, ids: Sequence[str]) -> np.ndarray:
+        """The catalog row of each id, in the order given; an unknown id raises."""
+        rows, found = _id_rows(self.ids, ids)
+        _check_column(~found, tuple(ids), "log references unknown item {!r}")
+        return rows
+
     def __len__(self) -> int:
         return len(self.ids)
+
+
+def _as_catalog(items) -> CatalogArrays:
+    """A ``CatalogArrays`` as is, or a sequence of ``ItemRecord``s converted to one."""
+    return items if isinstance(items, CatalogArrays) else CatalogArrays.from_items(items)
 
 
 def purchase_rate(config: SimConfig, price_yen) -> np.ndarray:
@@ -344,12 +347,13 @@ def validate_probs(probs: Sequence[float], n_arms: int, label: str):
         raise InputError(f"{label}: probabilities must sum to 1, got {probs.sum()}")
 
 
-def _coupon_columns(coupons: Iterable[CouponConfig]) -> tuple[np.ndarray, np.ndarray]:
-    """(discount_pct, validity_hours) float columns, one entry per coupon."""
+def _coupon_columns(coupons: Iterable[CouponConfig]) -> tuple[np.ndarray, ...]:
+    """(discount_pct, validity_hours, cap_yen) columns, one entry per coupon."""
     coupons = list(coupons)
     return (
-        np.array([c.discount_pct for c in coupons], dtype=float),
+        np.array([c.discount_pct for c in coupons], dtype=np.int64),
         np.array([c.validity_hours for c in coupons], dtype=float),
+        np.array([c.cap_yen for c in coupons], dtype=np.int64),
     )
 
 
@@ -417,88 +421,83 @@ def _simulate_rounds(
     return sold1, t1, surv_idx, delay2, sold2, t2
 
 
-def _outcome(cat: CatalogArrays, i: int, round: int, coupon: CouponConfig,
-             delay: float, sold: bool, t: float) -> OutcomeRecord:
-    if sold:
-        price = int(cat.price[i])
-        return OutcomeRecord(
-            item_id=cat.ids[i],
-            round=round,
-            coupon=coupon,
-            attach_delay_h=float(delay),
-            sold=True,
-            purchase_delay_h=float(t),
-            sale_price_yen=price,
-            coupon_cost_yen=coupon_cost(coupon, price),
-        )
-    return OutcomeRecord(
-        item_id=cat.ids[i], round=round, coupon=coupon,
-        attach_delay_h=float(delay), sold=False,
+def _id_rank(cat: CatalogArrays) -> np.ndarray:
+    """Each catalog row's position in item-id order."""
+    ids = np.array(cat.ids)
+    if (ids[1:] > ids[:-1]).all():
+        return np.arange(len(ids))
+    rank = np.empty(len(ids), dtype=np.intp)
+    rank[np.argsort(ids)] = np.arange(len(ids))
+    return rank
+
+
+def _round_log(cat, rank, rows, round, disc, validity, cap, delay, sold, t) -> OutcomeLog:
+    """One round's log over the catalog ``rows``, sorted by item id.
+
+    Every other column aligns with ``rows``; ``t`` is NaN where unsold.
+    """
+    order = np.argsort(rank[rows], kind="stable")
+    rows, disc, cap, sold = rows[order], disc[order], cap[order], sold[order]
+    price = cat.price[rows]
+    return OutcomeLog.from_columns(
+        item_ids=[cat.ids[i] for i in rows.tolist()],
+        round=np.full(len(rows), round),
+        discount_pct=disc,
+        validity_hours=validity[order],
+        cap_yen=cap,
+        attach_delay_h=delay[order],
+        sold=sold,
+        purchase_delay_h=t[order],
+        sale_price_yen=np.where(sold, price, np.nan),
+        coupon_cost_yen=np.where(sold, coupon_cost_rows(price, disc, cap), np.nan),
     )
 
 
-def _round_logs(
-    cat: CatalogArrays,
-    coupons1: Sequence[CouponConfig],
-    coupons2: Sequence[CouponConfig],
-    delay1: np.ndarray,
-    sold1: np.ndarray,
-    t1: np.ndarray,
-    surv_idx: np.ndarray,
-    delay2: np.ndarray,
-    sold2: np.ndarray,
-    t2: np.ndarray,
-) -> tuple[list[OutcomeRecord], list[OutcomeRecord]]:
-    """Outcome records of both rounds, each sorted by item_id.
+def _round_logs(cat, coupons1, delay1, coupons2, sold1, t1, surv_idx, delay2, sold2, t2):
+    """The logs of both rounds, each sorted by item id.
 
-    ``coupons1``/``coupons2``/``delay1`` hold one entry per catalog row; the
-    rest is the result of ``_simulate_rounds``.
+    ``coupons1``/``coupons2`` are (discount, validity, cap) columns and
+    ``delay1`` a column, one entry per catalog row; the rest is the result of
+    ``_simulate_rounds``.
     """
-    order = np.argsort(np.array(cat.ids))
-    log1 = [_outcome(cat, i, 1, coupons1[i], delay1[i], bool(sold1[i]), t1[i]) for i in order]
-    surv_order = np.argsort(np.array([cat.ids[i] for i in surv_idx]))
-    log2 = [
-        _outcome(cat, surv_idx[s], 2, coupons2[surv_idx[s]], delay2[s], bool(sold2[s]), t2[s])
-        for s in surv_order
-    ]
+    rank = _id_rank(cat)
+    log1 = _round_log(cat, rank, np.arange(len(cat)), 1, *coupons1, delay1, sold1, t1)
+    disc2, validity2, cap2 = (c[surv_idx] for c in coupons2)
+    log2 = _round_log(cat, rank, surv_idx, 2, disc2, validity2, cap2, delay2, sold2, t2)
     return log1, log2
 
 
 def run_rct(
     gt: GroundTruth,
-    items: Sequence[ItemRecord],
+    items,
     round1_set: CouponSet,
     round2_set: CouponSet,
     round1_probs: Sequence[float],
     round2_probs: Sequence[float],
     seed: int,
-) -> tuple[list[OutcomeRecord], list[str], list[OutcomeRecord]]:
+) -> tuple[OutcomeLog, list[str], OutcomeLog]:
     """Randomised two-round trial: independent arm draws per round with holdout.
 
-    Returns (round1_log, survivor item ids, round2_log), each sorted by item_id.
+    ``items`` is a ``CatalogArrays`` or a sequence of ``ItemRecord``s. Returns
+    (round1_log, survivor item ids, round2_log), each sorted by item_id.
     Survivors are exactly the items unsold after round 1.
     """
     validate_probs(round1_probs, len(round1_set), "round1_probs")
     validate_probs(round2_probs, len(round2_set), "round2_probs")
-    if not items:
-        return [], [], []
-    cat = CatalogArrays.from_items(items)
+    cat = _as_catalog(items)
 
     # Draws are per item key, so drawing round-2 arms for every row and using
     # only the survivors' reproduces a survivor-only draw.
     arm1 = arm_draw(rng.uniforms(seed, cat.keys, rng.ARM_R1), round1_probs)
     arm2 = arm_draw(rng.uniforms(seed, cat.keys, rng.ARM_R2), round2_probs)
     delay1 = rng.uniforms(seed, cat.keys, rng.ATTACH_DELAY) * gt.config.rct_max_delay_h
-    disc1, validity1 = _coupon_columns(round1_set)
-    disc2, validity2 = _coupon_columns(round2_set)
+    coupons1 = [c[arm1] for c in _coupon_columns(round1_set)]
+    coupons2 = [c[arm2] for c in _coupon_columns(round2_set)]
     rounds = _simulate_rounds(
-        gt, cat, disc1[arm1], validity1[arm1], delay1, disc2[arm2], validity2[arm2], seed
+        gt, cat, coupons1[0], coupons1[1], delay1, coupons2[0], coupons2[1], seed
     )
-    round1_log, round2_log = _round_logs(
-        cat, [round1_set[j] for j in arm1], [round2_set[k] for k in arm2], delay1, *rounds
-    )
-    survivors = sorted(cat.ids[i] for i in rounds[2])
-    return round1_log, survivors, round2_log
+    round1_log, round2_log = _round_logs(cat, coupons1, delay1, coupons2, *rounds)
+    return round1_log, list(round2_log.item_ids), round2_log
 
 
 PolicyFn = Callable[[ItemRecord], tuple[tuple[CouponConfig, float], CouponConfig]]
@@ -515,29 +514,28 @@ def rollout_policy(
     ``policy(item)`` returns ((round1 coupon, round1 attach delay), round2 coupon).
     Sale draws share substreams with run_rct, so different policies on the same
     seed are compared under common random numbers. The rounds run on the same
-    core as ``rollout_arms``; this entry point also builds and validates one
-    record per item and round.
+    core as ``rollout_arms``; this entry point also returns the records of
+    both rounds' logs, round 1 first.
     """
     if not items:
         return [], RolloutTotals(0, 0, 0)
     cat = CatalogArrays.from_items(items)
 
     plans = [policy(it) for it in items]
-    coupons1 = [p[0][0] for p in plans]
-    coupons2 = [p[1] for p in plans]
+    coupons1 = _coupon_columns(p[0][0] for p in plans)
+    coupons2 = _coupon_columns(p[1] for p in plans)
     delay1 = np.array([p[0][1] for p in plans], dtype=float)
     if np.any(delay1 < 0):
         raise InputError("policy produced a negative attach delay")
-    disc1, validity1 = _coupon_columns(coupons1)
-    disc2, validity2 = _coupon_columns(coupons2)
-    rounds = _simulate_rounds(gt, cat, disc1, validity1, delay1, disc2, validity2, seed)
-    log1, log2 = _round_logs(cat, coupons1, coupons2, delay1, *rounds)
-    records = log1 + log2
-
-    sales = sum(1 for r in records if r.sold)
-    cost = sum(r.coupon_cost_yen for r in records if r.sold)
-    gmv = sum(r.sale_price_yen for r in records if r.sold)
-    return records, RolloutTotals(sales_count=sales, coupon_cost_yen=cost, gmv_yen=gmv)
+    rounds = _simulate_rounds(
+        gt, cat, coupons1[0], coupons1[1], delay1, coupons2[0], coupons2[1], seed
+    )
+    logs = _round_logs(cat, coupons1, delay1, coupons2, *rounds)
+    return logs[0].to_records() + logs[1].to_records(), RolloutTotals(
+        sales_count=sum(int(log.sold.sum()) for log in logs),
+        coupon_cost_yen=sum(int(log.coupon_cost_yen.sum()) for log in logs),
+        gmv_yen=sum(int(log.sale_price_yen.sum()) for log in logs),
+    )
 
 
 def _check_arms(arms, n: int, coupon_set: CouponSet, label: str) -> np.ndarray:
@@ -572,8 +570,8 @@ def rollout_arms(
     n = len(cat)
     arm1 = _check_arms(arm1, n, round1_set, "arm1")
     arm2 = _check_arms(arm2, n, round2_set, "arm2")
-    disc1, validity1 = _coupon_columns(round1_set)
-    disc2, validity2 = _coupon_columns(round2_set)
+    disc1, validity1, _ = _coupon_columns(round1_set)
+    disc2, validity2, _ = _coupon_columns(round2_set)
     sold1, _, surv_idx, _, sold2, _ = _simulate_rounds(
         gt, cat, disc1[arm1], validity1[arm1], np.full(n, float(attach_delay_h)),
         disc2[arm2], validity2[arm2], seed,

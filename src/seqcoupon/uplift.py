@@ -23,7 +23,12 @@ from .domain import (
     CouponConfig,
     CouponSet,
     ItemRecord,
+    OutcomeLog,
     OutcomeRecord,
+    _as_log,
+    _check_column,
+    _coupon,
+    _id_rows,
     encode_round1_batch,
     encode_round2_batch,
     item_feature_matrix,
@@ -37,6 +42,7 @@ from .errors import (
     SchemaMismatchError,
 )
 from .learner import Dataset, LearnerConfig, Model, predict_matrix, train
+from .simulator import CatalogArrays, _as_catalog
 
 IPW_EPSILON_DEFAULT = 1e-3
 IPW_VARIANT_MEAN = "mean"
@@ -85,44 +91,44 @@ class ItemPredictions:
             raise InputError("mean_p1 must equal the arithmetic mean of p1")
 
 
-def _index_items(items: Sequence[ItemRecord]) -> dict[str, int]:
-    return {it.item_id: i for i, it in enumerate(items)}
+def _rows_by_arm(
+    log: OutcomeLog, rows: Optional[np.ndarray] = None
+) -> list[tuple[CouponConfig, np.ndarray]]:
+    """Positions in ``log`` (or in its sub-log ``rows``) grouped by coupon arm.
 
-
-def _rows_by_arm(records: Sequence[OutcomeRecord]) -> dict[CouponConfig, np.ndarray]:
-    """Row indices of ``records`` grouped by coupon arm, arms in first-seen order."""
-    by_arm: dict[CouponConfig, list[int]] = {}
-    for i, r in enumerate(records):
-        by_arm.setdefault(r.coupon, []).append(i)
-    return {coupon: np.asarray(idx) for coupon, idx in by_arm.items()}
-
-
-def _round1_training_matrix(
-    item_matrix: np.ndarray,
-    rows: np.ndarray,
-    records: Sequence[OutcomeRecord],
-) -> np.ndarray:
-    """Assemble first-round features in log order, grouping rows by coupon arm."""
-    delays = np.array([r.attach_delay_h for r in records], dtype=float)
-    out = np.empty((len(records), len(ROUND1_FEATURE_NAMES)))
-    for coupon, idx in _rows_by_arm(records).items():
-        out[idx] = encode_round1_batch(item_matrix[rows[idx]], coupon, delays[idx])
-    return out
+    One stable ``lexsort`` over the three coupon columns: positions ascend
+    within each arm, and arms come in (discount, validity, cap) order.
+    """
+    columns = [log.discount_pct, log.validity_hours, log.cap_yen]
+    if rows is not None:
+        columns = [c[rows] for c in columns]
+    order = np.lexsort(columns[::-1])
+    disc, validity, cap = (c[order] for c in columns)
+    new_arm = np.zeros(len(order), dtype=bool)
+    new_arm[:1] = True
+    for c in (disc, validity, cap):
+        new_arm[1:] |= c[1:] != c[:-1]
+    starts = np.flatnonzero(new_arm)
+    return [
+        (_coupon(int(disc[i]), float(validity[i]), int(cap[i])), idx)
+        for i, idx in zip(starts.tolist(), np.split(order, starts[1:]))
+    ]
 
 
 def round1_training_dataset(
-    items: Sequence[ItemRecord],
-    round1_log: Sequence[OutcomeRecord],
+    items: Sequence[ItemRecord] | CatalogArrays,
+    round1_log: Sequence[OutcomeRecord] | OutcomeLog,
 ) -> Dataset:
-    """Design matrix and labels for the first-round model.
+    """Design matrix and labels for the first-round model, rows in log order.
 
     The log must span at least two coupon arms including the no-coupon arm;
     otherwise the per-arm effect is unidentifiable and training refuses.
     """
-    if not round1_log:
+    cat, log = _as_catalog(items), _as_log(round1_log)
+    if not len(log):
         raise DegenerateDataError("round-1 log is empty")
-    arms = {r.coupon for r in round1_log}
-    if not any(c.is_none for c in arms):
+    arms = _rows_by_arm(log)
+    if not any(coupon.is_none for coupon, _ in arms):
         raise MissingHoldoutError(
             "round-1 log has no no-coupon records; effects are unidentifiable"
         )
@@ -130,19 +136,18 @@ def round1_training_dataset(
         raise IdentifiabilityError(
             "round-1 log must cover >= 2 coupon arms including the no-coupon arm"
         )
-    index = _index_items(items)
-    try:
-        rows = np.array([index[r.item_id] for r in round1_log])
-    except KeyError as exc:
-        raise InputError(f"log references unknown item {exc.args[0]!r}") from None
-    features = _round1_training_matrix(item_feature_matrix(items), rows, round1_log)
-    labels = np.array([r.sold for r in round1_log])
-    return Dataset(features, labels, schema_id=SCHEMA_ROUND1)
+    rows = cat.rows_of(log.item_ids)
+    features = np.empty((len(log), len(ROUND1_FEATURE_NAMES)))
+    for coupon, idx in arms:
+        features[idx] = encode_round1_batch(
+            cat.matrix[rows[idx]], coupon, log.attach_delay_h[idx]
+        )
+    return Dataset(features, log.sold, schema_id=SCHEMA_ROUND1)
 
 
 def fit_first_round(
-    items: Sequence[ItemRecord],
-    round1_log: Sequence[OutcomeRecord],
+    items: Sequence[ItemRecord] | CatalogArrays,
+    round1_log: Sequence[OutcomeRecord] | OutcomeLog,
     config: LearnerConfig,
 ) -> Model:
     """Train the first-round propensity model on a randomized round-1 log."""
@@ -167,8 +172,8 @@ def round1_arm_probabilities(
 
 def ipw_weights(
     first: Model,
-    items: Sequence[ItemRecord],
-    round1_records: Sequence[OutcomeRecord],
+    items: Sequence[ItemRecord] | CatalogArrays,
+    round1_records: Sequence[OutcomeRecord] | OutcomeLog,
     round1_set: CouponSet,
     epsilon: float = IPW_EPSILON_DEFAULT,
     variant: str = IPW_VARIANT_MEAN,
@@ -179,27 +184,33 @@ def ipw_weights(
     all round-1 arms (default) or the propensity of the arm each survivor
     actually received.
     """
-    if len(items) != len(round1_records):
+    cat, log = _as_catalog(items), _as_log(round1_records)
+    if len(cat) != len(log):
         raise InputError("items and round-1 records must be aligned")
-    for it, rec in zip(items, round1_records):
-        if it.item_id != rec.item_id:
-            raise InputError("items and round-1 records must be aligned by item_id")
-    return _ipw(first, item_feature_matrix(items), round1_records, round1_set, epsilon, variant)[0]
+    if cat.ids != log.item_ids:
+        raise InputError("items and round-1 records must be aligned by item_id")
+    return _ipw(first, cat.matrix, log, None, round1_set, epsilon, variant)[0]
 
 
-def _ipw(first, item_matrix, round1_records, round1_set, epsilon, variant):
-    """(``ipw_weights``, mean round-1 propensity) from the survivors' feature matrix."""
+def _ipw(first, item_matrix, round1_log, rows, round1_set, epsilon, variant):
+    """(``ipw_weights``, mean round-1 propensity) for the round-1 rows ``rows``.
+
+    ``rows`` selects rows of ``round1_log`` (None: all of them) and
+    ``item_matrix`` holds their items' features, one row each.
+    """
     if not 0.0 < epsilon <= 1.0:
         raise InputError("epsilon must lie in (0, 1]")
     if variant not in (IPW_VARIANT_MEAN, IPW_VARIANT_APPLIED):
         raise InputError(f"unknown IPW variant {variant!r}")
-    delays = np.array([r.attach_delay_h for r in round1_records], dtype=float)
+    delays = round1_log.attach_delay_h
+    if rows is not None:
+        delays = delays[rows]
     mean_p1 = np.mean(round1_arm_probabilities(first, item_matrix, round1_set, delays), axis=1)
     if variant == IPW_VARIANT_MEAN:
         p1 = mean_p1
     else:
-        p1 = np.empty(len(round1_records))
-        for coupon, idx in _rows_by_arm(round1_records).items():
+        p1 = np.empty(len(delays))
+        for coupon, idx in _rows_by_arm(round1_log, rows):
             p1[idx] = predict_matrix(
                 first, encode_round1_batch(item_matrix[idx], coupon, delays[idx])
             )
@@ -207,34 +218,27 @@ def _ipw(first, item_matrix, round1_records, round1_set, epsilon, variant):
 
 
 def _survivor_frames(
-    items: Sequence[ItemRecord],
-    round1_log: Sequence[OutcomeRecord],
-    round2_log: Sequence[OutcomeRecord],
-) -> tuple[list[ItemRecord], list[OutcomeRecord]]:
-    """Match each round-2 record to its item and unsold round-1 record."""
-    index = _index_items(items)
-    r1_by_id = {r.item_id: r for r in round1_log}
-    matched_items: list[ItemRecord] = []
-    matched_r1: list[OutcomeRecord] = []
-    for rec in round2_log:
-        if rec.round != 2:
-            raise InputError("round-2 log contains a record from another round")
-        if rec.item_id not in index:
-            raise InputError(f"log references unknown item {rec.item_id!r}")
-        r1 = r1_by_id.get(rec.item_id)
-        if r1 is None or r1.sold:
-            raise InputError(
-                f"item {rec.item_id!r} in the round-2 log is not a round-1 survivor"
-            )
-        matched_items.append(items[index[rec.item_id]])
-        matched_r1.append(r1)
-    return matched_items, matched_r1
+    cat: CatalogArrays, round1_log: OutcomeLog, round2_log: OutcomeLog
+) -> tuple[np.ndarray, np.ndarray]:
+    """(catalog rows, round-1 log rows) of each round-2 record's item.
+
+    Every round-2 record must be a round-2 row of a catalog item whose
+    round-1 record is unsold.
+    """
+    _check_column(round2_log.round != 2, round2_log.round,
+                  "round-2 log contains a record from another round")
+    cat_rows = cat.rows_of(round2_log.item_ids)
+    r1_rows, survivor = _id_rows(round1_log.item_ids, round2_log.item_ids)
+    survivor[survivor] = ~round1_log.sold[r1_rows[survivor]]
+    _check_column(~survivor, round2_log.item_ids,
+                  "item {!r} in the round-2 log is not a round-1 survivor")
+    return cat_rows, r1_rows
 
 
 def fit_second_round(
-    items: Sequence[ItemRecord],
-    round1_log: Sequence[OutcomeRecord],
-    round2_log: Sequence[OutcomeRecord],
+    items: Sequence[ItemRecord] | CatalogArrays,
+    round1_log: Sequence[OutcomeRecord] | OutcomeLog,
+    round2_log: Sequence[OutcomeRecord] | OutcomeLog,
     first: Model,
     round1_set: CouponSet,
     config: LearnerConfig,
@@ -242,27 +246,27 @@ def fit_second_round(
     variant: str = IPW_VARIANT_MEAN,
 ) -> Model:
     """Train the second-round model on survivors with inverse-propensity weights."""
-    if not round2_log:
+    cat, log1, log2 = _as_catalog(items), _as_log(round1_log), _as_log(round2_log)
+    if not len(log2):
         raise DegenerateDataError("round-2 survivor log is empty")
-    surv_items, surv_r1 = _survivor_frames(items, round1_log, round2_log)
-    item_matrix = item_feature_matrix(surv_items)
-    weights, mean_p1 = _ipw(first, item_matrix, surv_r1, round1_set, epsilon, variant)
-    elapsed_age_h = np.array([it.age_days * 24.0 for it in surv_items])
+    cat_rows, r1_rows = _survivor_frames(cat, log1, log2)
+    item_matrix = cat.matrix[cat_rows]
+    weights, mean_p1 = _ipw(first, item_matrix, log1, r1_rows, round1_set, epsilon, variant)
+    elapsed_age_h = cat.age_days[cat_rows] * 24.0
 
-    features = np.empty((len(round2_log), len(ROUND2_FEATURE_NAMES)))
-    for coupon, idx in _rows_by_arm(round2_log).items():
+    features = np.empty((len(log2), len(ROUND2_FEATURE_NAMES)))
+    for coupon, idx in _rows_by_arm(log2):
         features[idx] = encode_round2_batch(
             item_matrix[idx], coupon, elapsed_age_h[idx], mean_p1[idx]
         )
-    labels = np.array([r.sold for r in round2_log])
-    data = Dataset(features, labels, weights=weights, schema_id=SCHEMA_ROUND2)
+    data = Dataset(features, log2.sold, weights=weights, schema_id=SCHEMA_ROUND2)
     return train(data, config)
 
 
 def fit_predictor_pair(
-    items: Sequence[ItemRecord],
-    round1_log: Sequence[OutcomeRecord],
-    round2_log: Sequence[OutcomeRecord],
+    items: Sequence[ItemRecord] | CatalogArrays,
+    round1_log: Sequence[OutcomeRecord] | OutcomeLog,
+    round2_log: Sequence[OutcomeRecord] | OutcomeLog,
     round1_set: CouponSet,
     round2_set: CouponSet,
     config_first: LearnerConfig,
@@ -271,9 +275,10 @@ def fit_predictor_pair(
     variant: str = IPW_VARIANT_MEAN,
 ) -> PredictorPair:
     """Fit both rounds end to end from the two logs."""
-    first = fit_first_round(items, round1_log, config_first)
+    cat, log1, log2 = _as_catalog(items), _as_log(round1_log), _as_log(round2_log)
+    first = fit_first_round(cat, log1, config_first)
     second = fit_second_round(
-        items, round1_log, round2_log, first, round1_set,
+        cat, log1, log2, first, round1_set,
         config_second or config_first, epsilon, variant,
     )
     return PredictorPair(

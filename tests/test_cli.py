@@ -7,7 +7,7 @@ import pytest
 
 from seqcoupon import fileio
 from seqcoupon.cli import main
-from seqcoupon.domain import SCHEMA_ROUND2, CouponConfig, OutcomeRecord
+from seqcoupon.domain import SCHEMA_ROUND2, CouponConfig, ItemRecord, OutcomeRecord
 from seqcoupon.simulator import SimConfig, generate_catalog
 from seqcoupon.uplift import predict_batch
 
@@ -93,7 +93,7 @@ class TestPipeline:
         log2 = fileio.read_outcomes(f"{ws['sim']}/round2_log.csv")
         assert len(catalog) == 800
         assert len(log1) == 800
-        all_ids = {it.item_id for it in catalog}
+        all_ids = set(catalog.ids)
         sold1 = {r.item_id for r in log1 if r.sold}
         assert {r.item_id for r in log2} == all_ids - sold1
 
@@ -125,14 +125,15 @@ class TestPipeline:
         sold = set()
         for name in ("round1_log.csv", "round2_log.csv"):
             sold |= {r.item_id for r in fileio.read_outcomes(f"{ws['sim']}/{name}") if r.sold}
-        expected = sorted({it.item_id for it in catalog} - sold)
+        expected = sorted(set(catalog.ids) - sold)
         lines = read_lines(f"{ws['alloc']}/plans.csv")
         assert lines[0] == fileio.PLAN_HEADER
         assert [line.split(",")[0] for line in lines[1:]] == expected
 
     def test_plan_rows_match_brute_force(self, ws):
         pair = fileio.load_pair(ws["model"])
-        catalog = {it.item_id: it for it in fileio.read_catalog(f"{ws['sim']}/catalog.csv")}
+        catalog = fileio.read_catalog(f"{ws['sim']}/catalog.csv")
+        catalog = {it.item_id: it for it in catalog.to_items()}
         rows = [line.split(",") for line in read_lines(f"{ws['alloc']}/plans.csv")[1:]]
         picked = rows[:15] + rows[::37]
         items = [catalog[row[0]] for row in picked]
@@ -181,6 +182,21 @@ class TestPipeline:
         for needle in ("[random]", "[independent]", "[sequential]",
                        "roi_realized", "lift_str"):
             assert needle in text
+
+
+def test_pipeline_builds_no_per_row_records(tmp_path, monkeypatch):
+    """The five commands run on columns: no ItemRecord or OutcomeRecord is built."""
+    built = []
+    for cls in (ItemRecord, OutcomeRecord):
+        check = cls.__post_init__
+        monkeypatch.setattr(cls, "__post_init__",
+                            lambda self, check=check: built.append(self) or check(self))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(sim_config_text(tmp_path / "sim", tmp_path / "model", n_items=300))
+    for command, out in (("simulate", "sim"), ("train", "model"), ("allocate", "alloc"),
+                         ("evaluate", "eval"), ("compare", "cmp")):
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / out), "--quiet"]) == 0
+    assert built == []
 
 
 class TestDeterminism:
@@ -322,6 +338,40 @@ class TestExitCodes:
         code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "s"), "--quiet"])
         assert code == 1
         assert "ValueError" in capsys.readouterr().err
+
+
+class TestDuplicateIds:
+    """A repeated item id in the catalog or a round log is refused with exit 2."""
+
+    @staticmethod
+    def duplicate_row(ws, tmp_path, name):
+        sim = tmp_path / "sim"
+        shutil.copytree(ws["sim"], sim)
+        path = sim / name
+        lines = read_lines(path)
+        # Row 2 is the catalog's second item, it0000001; none of the logs'
+        # first rows is special, so repeat that row.
+        row = lines[2] if name == "catalog.csv" else lines[1]
+        path.write_text("\n".join(lines + [row]) + "\n")
+        cfg = tmp_path / "dup.cfg"
+        cfg.write_text(sim_config_text(sim, ws["model"]))
+        return str(cfg), row.split(",")[0]
+
+    @pytest.mark.parametrize("command", ["train", "allocate", "evaluate"])
+    def test_duplicate_catalog_row_exits_2(self, ws, tmp_path, capsys, command):
+        cfg, item_id = self.duplicate_row(ws, tmp_path, "catalog.csv")
+        out = tmp_path / command
+        assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 2
+        assert f"catalog repeats item id {item_id!r}" in capsys.readouterr().err
+        assert not (out / "plans.csv").exists()
+
+    @pytest.mark.parametrize("command", ["train", "allocate", "evaluate"])
+    def test_duplicate_round1_log_row_exits_2(self, ws, tmp_path, capsys, command):
+        cfg, item_id = self.duplicate_row(ws, tmp_path, "round1_log.csv")
+        out = tmp_path / command
+        assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 2
+        assert f"log repeats item id {item_id!r}" in capsys.readouterr().err
+        assert not (out / fileio.FIRST_MODEL_FILE).exists()
 
 
 class TestEmptyWorld:

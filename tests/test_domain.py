@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from seqcoupon.domain import (
     CouponSet,
     ItemRecord,
     N_ITEM_FEATURES,
+    OutcomeLog,
     OutcomeRecord,
     ROUND1_FEATURE_NAMES,
     coupon_cost,
@@ -203,6 +206,117 @@ class TestItemAndOutcomeRecords:
                 sale_price_yen=3000,
                 coupon_cost_yen=999,
             )
+
+
+def sample_records() -> list[OutcomeRecord]:
+    """Ten valid rows: sold and unsold, coupon and no-coupon, both rounds."""
+    coupon = CouponConfig(10, 72.0, 2000)
+    out = []
+    for i in range(10):
+        arm = coupon if i % 2 else CouponConfig.none()
+        if i % 3:
+            out.append(OutcomeRecord(f"it{i:07d}", 1 + i % 2, arm, 1.5 * i, False))
+        else:
+            price = 1000 + 700 * i
+            out.append(OutcomeRecord(
+                f"it{i:07d}", 1 + i % 2, arm, 1.5 * i, True, purchase_delay_h=0.25 * i,
+                sale_price_yen=price, coupon_cost_yen=coupon_cost(arm, price),
+            ))
+    return out
+
+
+def log_columns(log: OutcomeLog) -> dict:
+    """``from_columns`` arguments that rebuild ``log``: NaN marks a missing value."""
+    columns = {f.name: getattr(log, f.name) for f in dataclasses.fields(OutcomeLog)}
+    for name in ("sale_price_yen", "coupon_cost_yen"):
+        columns[name] = np.where(log.sold, columns[name], np.nan)
+    return {name: list(c) if isinstance(c, tuple) else c.copy() for name, c in columns.items()}
+
+
+class TestOutcomeLog:
+    def test_records_round_trip(self):
+        records = sample_records()
+        log = OutcomeLog.from_records(records)
+        assert len(log) == 10
+        assert list(log) == records
+        assert log.to_records() == records
+        assert OutcomeLog.from_records(log.to_records()).to_records() == records
+
+    def test_columns_of_unsold_rows(self):
+        log = OutcomeLog.from_records(sample_records())
+        unsold = ~log.sold
+        assert np.isnan(log.purchase_delay_h[unsold]).all()
+        assert (log.sale_price_yen[unsold] == 0).all()
+        assert (log.coupon_cost_yen[unsold] == 0).all()
+        assert (log.validity_hours[log.discount_pct == 0] == 0.0).all()
+
+    def test_empty_log(self):
+        log = OutcomeLog.from_records([])
+        assert len(log) == 0 and log.to_records() == []
+
+    # (changes to row 4, a sold coupon row; None means the cell is missing)
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"discount_pct": 150},
+            {"discount_pct": -5},
+            {"cap_yen": -1},
+            {"discount_pct": 0, "cap_yen": 100},
+            {"validity_hours": 0.0},
+            {"round": 3},
+            {"attach_delay_h": -0.5},
+            {"purchase_delay_h": None},
+            {"sale_price_yen": None},
+            {"purchase_delay_h": -1.0},
+            {"purchase_delay_h": 80.0},
+            {"sale_price_yen": 0, "coupon_cost_yen": 0},
+            {"coupon_cost_yen": 5},
+            {"coupon_cost_yen": None},
+            {"sold": False},
+            {"sold": False, "purchase_delay_h": None, "sale_price_yen": None},
+        ],
+    )
+    def test_every_record_check_fires_with_the_same_message(self, change):
+        records = sample_records()
+        row = records[3]
+        fields = dict(
+            item_id=row.item_id, round=row.round, discount_pct=10, validity_hours=72.0,
+            cap_yen=2000, attach_delay_h=row.attach_delay_h, sold=True,
+            purchase_delay_h=row.purchase_delay_h, sale_price_yen=row.sale_price_yen,
+            coupon_cost_yen=row.coupon_cost_yen,
+        )
+        fields.update(change)
+        coupon_fields = ("discount_pct", "validity_hours", "cap_yen")
+        with pytest.raises(InputError) as expected:
+            OutcomeRecord(
+                coupon=CouponConfig(*(fields[f] for f in coupon_fields)),
+                **{k: v for k, v in fields.items() if k not in coupon_fields},
+            )
+        columns = log_columns(OutcomeLog.from_records(records))
+        for name, value in change.items():
+            columns[name][3] = math.nan if value is None else value
+        with pytest.raises(InputError, match=f"^{re.escape(str(expected.value))}$"):
+            OutcomeLog.from_columns(**columns)
+
+    def test_no_coupon_validity_is_normalised(self):
+        columns = log_columns(OutcomeLog.from_records(sample_records()))
+        columns["validity_hours"][0] = 5.0  # row 0 is a no-coupon row
+        log = OutcomeLog.from_columns(**columns)
+        assert log.validity_hours[0] == 0.0
+        assert list(log)[0].coupon == CouponConfig.none()
+
+    def test_column_lengths_must_agree(self):
+        columns = log_columns(OutcomeLog.from_records(sample_records()))
+        columns["round"] = columns["round"][:9]
+        with pytest.raises(InputError, match="one entry per id"):
+            OutcomeLog.from_columns(**columns)
+
+    def test_repeated_id_is_named(self):
+        records = sample_records()
+        records[5] = dataclasses.replace(records[5], item_id=records[2].item_id)
+        records[8] = dataclasses.replace(records[8], item_id=records[1].item_id)
+        with pytest.raises(InputError, match="log repeats item id 'it0000002'"):
+            OutcomeLog.from_records(records)
 
 
 class TestEncoding:

@@ -1,10 +1,13 @@
+import dataclasses
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
 
+from seqcoupon import fileio
 from seqcoupon.decision import AllocationPlan
 from seqcoupon.domain import CouponConfig
 from seqcoupon.errors import InputError, ManifestMismatchError
@@ -42,8 +45,10 @@ from seqcoupon.fileio import (
     write_plans,
 )
 from seqcoupon.learner import GridResult, LearnerConfig, train
+from seqcoupon.simulator import CatalogArrays
 from seqcoupon.uplift import predict_batch
 
+import oracles
 from test_learner import synthetic_dataset
 
 
@@ -96,7 +101,7 @@ class TestCatalogRoundTrip:
         write_catalog(items, path)
         with open(path) as fh:
             assert fh.readline().rstrip("\n") == CATALOG_HEADER
-        back = read_catalog(path)
+        back = read_catalog(path).to_items()
         assert_records_close(
             items,
             back,
@@ -118,7 +123,7 @@ class TestCatalogRoundTrip:
         write_catalog([], path)
         with open(path) as fh:
             assert fh.read() == CATALOG_HEADER + "\n"
-        assert read_catalog(path) == []
+        assert len(read_catalog(path)) == 0
 
     def test_wrong_header_rejected(self, tmp_path):
         path = str(tmp_path / "bad.csv")
@@ -148,16 +153,19 @@ class TestCatalogRoundTrip:
 
 class TestOutcomeRoundTrip:
     def test_round_trip(self, tmp_path, small_world):
-        records = small_world["log1"][:200] + small_world["log2"][:200]
-        path = str(tmp_path / "log.csv")
-        write_outcomes(records, path)
-        back = read_outcomes(path)
-        assert_records_close(
-            records,
-            back,
-            float_fields=("attach_delay_h", "purchase_delay_h"),
-            exact_fields=("item_id", "round", "coupon", "sold", "sale_price_yen", "coupon_cost_yen"),
-        )
+        for name in ("log1", "log2"):
+            records = small_world[name].to_records()[:200]
+            path = str(tmp_path / f"{name}.csv")
+            write_outcomes(records, path)
+            back = read_outcomes(path).to_records()
+            assert_records_close(
+                records,
+                back,
+                float_fields=("attach_delay_h", "purchase_delay_h"),
+                exact_fields=(
+                    "item_id", "round", "coupon", "sold", "sale_price_yen", "coupon_cost_yen",
+                ),
+            )
 
     def test_sold_flag_is_binary(self, tmp_path):
         path = str(tmp_path / "log.csv")
@@ -175,6 +183,106 @@ class TestOutcomeRoundTrip:
         (record,) = read_outcomes(path)
         assert record.coupon == CouponConfig.none()
         assert record.purchase_delay_h is None
+
+
+def column_bytes(table) -> dict:
+    """Every column of a ``CatalogArrays`` or ``OutcomeLog`` as comparable bytes."""
+    out = {}
+    for f in dataclasses.fields(table):
+        value = getattr(table, f.name)
+        out[f.name] = value if isinstance(value, tuple) else (value.dtype, value.tobytes())
+    return out
+
+
+class TestColumnParse:
+    """The column-wise parse against the row parser it falls back to."""
+
+    @pytest.fixture
+    def files(self, tmp_path, small_world):
+        paths = {name: str(tmp_path / f"{name}.csv") for name in ("catalog", "log1", "log2")}
+        write_catalog(small_world["items"], paths["catalog"])
+        write_outcomes(small_world["log1"], paths["log1"])
+        write_outcomes(small_world["log2"], paths["log2"])
+        return paths
+
+    @pytest.mark.parametrize("name", ["catalog", "log1", "log2"])
+    def test_fallback_gives_the_same_bits(self, files, monkeypatch, name):
+        read = read_catalog if name == "catalog" else read_outcomes
+        fast = read(files[name])
+        monkeypatch.setattr(fileio, "_split_columns", lambda path, header: None)
+        rows = read(files[name])
+        assert len(fast) > 1000
+        assert column_bytes(fast) == column_bytes(rows)
+
+    @pytest.mark.parametrize("name", ["log1", "log2"])
+    def test_outcome_writer_matches_the_per_record_writer(self, tmp_path, small_world, name):
+        log = small_world[name]
+        columnar, per_record = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
+        write_outcomes(log, columnar)
+        oracles.write_outcomes_per_record(log.to_records(), per_record)
+        assert open(columnar, "rb").read() == open(per_record, "rb").read()
+
+    def test_catalog_writer_matches_the_per_record_writer(self, tmp_path, small_world):
+        columnar, per_record = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
+        write_catalog(CatalogArrays.from_items(small_world["items"]), columnar)
+        oracles.write_catalog_per_record(small_world["items"], per_record)
+        assert open(columnar, "rb").read() == open(per_record, "rb").read()
+
+    @pytest.mark.parametrize(
+        "name,column,cell,message",
+        [
+            ("catalog", 2, "12.5", "column 'price_yen' is not an integer: '12.5'"),
+            ("catalog", 9, "soon", "column 'key_action_ts' is not a number: 'soon'"),
+            ("log1", 5, "", "column 'attach_delay_h' is not a number: ''"),
+            ("log1", 6, "yes", "column 'sold' must be 0 or 1, got 'yes'"),
+            ("log2", 1, "2.0", "column 'round' is not an integer: '2.0'"),
+        ],
+    )
+    def test_bad_cell_names_its_line(self, files, name, column, cell, message):
+        path = files[name]
+        lines = open(path).read().splitlines()
+        # A blank line still counts: the bad row sits on line 7 of the file.
+        lines.insert(3, "")
+        parts = lines[6].split(",")
+        parts[column] = cell
+        lines[6] = ",".join(parts)
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        read = read_catalog if name == "catalog" else read_outcomes
+        with pytest.raises(InputError, match=re.escape(f"{path}:7: {message}")):
+            read(path)
+
+    def test_row_width_is_checked(self, files):
+        path = files["log1"]
+        with open(path, "a") as fh:
+            fh.write("it9999999,1,0,0,0,2,0,,\n")
+        n = len(open(path).read().splitlines())
+        with pytest.raises(InputError, match=re.escape(f"{path}:{n}: expected 10 cells, got 9")):
+            read_outcomes(path)
+
+    def test_quoted_cells_parse_as_the_csv_module_reads_them(self, tmp_path):
+        path = str(tmp_path / "log.csv")
+        with open(path, "w") as fh:
+            fh.write(OUTCOME_HEADER + '\n"it-1",1,0,0,0,"2.5",0,,,\n')
+        (record,) = read_outcomes(path)
+        assert record.item_id == "it-1" and record.attach_delay_h == 2.5
+
+    def test_no_coupon_row_ignores_validity_and_cap_cells(self, tmp_path):
+        path = str(tmp_path / "log.csv")
+        with open(path, "w") as fh:
+            fh.write(OUTCOME_HEADER + "\nit-1,1,0,n/a,-7,2,0,,,\n")
+        (record,) = read_outcomes(path)
+        assert record.coupon == CouponConfig.none()
+
+    @pytest.mark.parametrize("header,read", [(CATALOG_HEADER, read_catalog),
+                                             (OUTCOME_HEADER, read_outcomes)])
+    def test_header_only_file_is_empty(self, tmp_path, header, read):
+        path = str(tmp_path / "empty.csv")
+        with open(path, "w") as fh:
+            fh.write(header + "\n")
+        table = read(path)
+        assert len(table) == 0
+        assert all(len(getattr(table, f.name)) == 0 for f in dataclasses.fields(table))
 
 
 class TestPlanWriter:

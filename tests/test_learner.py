@@ -13,12 +13,15 @@ from seqcoupon.learner import (
     LearnerConfig,
     Model,
     PROB_CLAMP,
+    decision_scores,
     grid_search,
     predict_matrix,
     train,
     weighted_log_loss,
 )
 from seqcoupon.uplift import fit_first_round, fit_second_round
+
+import oracles
 
 
 def synthetic_dataset(seed: int = 2024, n: int = 400) -> tuple[Dataset, np.ndarray]:
@@ -27,6 +30,13 @@ def synthetic_dataset(seed: int = 2024, n: int = 400) -> tuple[Dataset, np.ndarr
     logits = 0.8 * X[:, 0] - 0.5 * X[:, 1] + 0.2
     y = gen.uniform(size=n) < 1 / (1 + np.exp(-logits))
     return Dataset(X, y), np.array([[0.25, -1.0, 2.0]])
+
+
+def affine_readout(model: Model, d: int) -> tuple[np.ndarray, float]:
+    """(coefficients, intercept) of the affine map through ``decision_scores``
+    at the origin and at each unit vector; raw-scale logistic coefficients."""
+    scores = decision_scores(model, np.vstack([np.zeros(d), np.eye(d)]))
+    return scores[1:] - scores[0], float(scores[0])
 
 
 def gradient_descent_reference(data: Dataset, l2: float, epochs: int) -> Model:
@@ -115,7 +125,7 @@ class TestLogistic:
         model = train(
             Dataset(X, y), LearnerConfig(learning_rate=1.0, l2=0.0, epochs=2000)
         )
-        raw, intercept = model.coefficients_raw()
+        raw, intercept = affine_readout(model, 2)
         np.testing.assert_allclose(raw, true_coef, rtol=0, atol=0.1)
         assert abs(intercept - true_intercept) < 0.1
 
@@ -152,11 +162,20 @@ class TestLogistic:
             predict_matrix(model, off_constant), predict_matrix(model, X)
         )
 
-    def test_raw_coefficients_only_for_logistic(self,ustub=None):
+    def test_raw_coefficients_only_for_logistic(self):
         data, _ = synthetic_dataset(n=80)
+        d = data.features.shape[1]
+        logistic = train(data, LearnerConfig(learning_rate=1.0, epochs=50))
         boosted = train(data, LearnerConfig(kind=KIND_BOOSTED, max_stumps=2))
-        with pytest.raises(InputError):
-            boosted.coefficients_raw()
+
+        def affine_scores(model):
+            raw, intercept = affine_readout(model, d)
+            return data.features @ raw + intercept
+
+        np.testing.assert_allclose(
+            affine_scores(logistic), decision_scores(logistic, data.features), rtol=0, atol=1e-9
+        )
+        assert not np.allclose(affine_scores(boosted), decision_scores(boosted, data.features))
 
 
 class TestNewtonSolver:
@@ -317,6 +336,28 @@ class TestBoosted:
         )
         preds = predict_matrix(model, X)
         assert np.all(preds >= PROB_CLAMP) and np.all(preds <= 1.0 - PROB_CLAMP)
+
+    @pytest.mark.parametrize("l2,max_stumps", [(0.0, 25), (0.5, 40)])
+    def test_stumps_equal_the_per_round_bucketing_reference(self, l2, max_stumps):
+        gen = np.random.default_rng(31)
+        n = 3000
+        X = np.column_stack([
+            gen.normal(size=n),
+            gen.integers(0, 5, n).astype(float),  # ties straddle the candidates
+            gen.lognormal(size=n),
+            np.full(n, 2.0),  # constant column
+        ])
+        logits = 0.9 * X[:, 0] - 0.4 * X[:, 1] + 0.3 * np.log(X[:, 2])
+        y = gen.uniform(size=n) < 1 / (1 + np.exp(-logits))
+        weights = 1.0 / gen.uniform(0.05, 1.0, size=n)  # IPW-like
+        mean, scale = learner._standardise_constants(X, weights)
+        Xs, w_norm = (X - mean) / scale, weights / weights.sum()
+        config = LearnerConfig(kind=KIND_BOOSTED, learning_rate=0.4, l2=l2,
+                               max_stumps=max_stumps)
+        got = learner._fit_boosted(Xs, y, w_norm, config)
+        want = oracles.fit_boosted_per_round(Xs, y, w_norm, config)
+        assert len(want[1]) >= 10
+        assert got == want
 
 
 class TestSchemaGuards:

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from seqcoupon.domain import CouponConfig, ItemRecord
+from seqcoupon.domain import CouponConfig, ItemRecord, item_feature_matrix
 from seqcoupon.errors import InputError
 from seqcoupon.simulator import (
     DELAY_FLOOR_AT_H,
@@ -22,7 +22,6 @@ from seqcoupon.simulator import (
     rollout_policy,
     round2_attach_delay,
     run_rct,
-    true_propensity,
     validate_probs,
 )
 
@@ -34,6 +33,18 @@ CHI2_CRIT_DF3_P001 = 16.266
 
 def sigmoid(x: float) -> float:
     return 1.0 / (1.0 + math.exp(-x))
+
+
+def true_propensity(gt, item, coupon, round, attach_delay_h) -> float:
+    """The exact propensity of one (item, coupon, round, delay): a one-row
+    ``GroundTruth.propensity_arrays``."""
+    return float(gt.propensity_arrays(
+        item_feature_matrix([item]),
+        np.array([item.likes]),
+        np.array([float(coupon.discount_pct)]),
+        round,
+        np.array([float(attach_delay_h)]),
+    )[0])
 
 
 def manual_logit(config: SimConfig, item: ItemRecord, round: int) -> float:
@@ -227,6 +238,33 @@ class TestCatalogArrays:
             CatalogArrays.from_columns(**columns)
 
 
+    def test_repeated_id_is_named(self):
+        cat = generate_catalog_arrays(SimConfig(n_items=6, rng_seed=5))
+        columns = {name: getattr(cat, name) for name in CATALOG_COLUMNS}
+        columns["ids"] = cat.ids[:4] + (cat.ids[1], cat.ids[0])
+        with pytest.raises(InputError, match="catalog repeats item id 'it0000001'"):
+            CatalogArrays.from_columns(**columns)
+
+    def test_rows_of_joins_any_order(self):
+        cat = generate_catalog_arrays(SimConfig(n_items=40, rng_seed=5))
+        order = np.random.default_rng(4).permutation(40)
+        shuffled = cat.take(order)
+        assert shuffled.to_items() == [cat.to_items()[i] for i in order]
+        ids = [cat.ids[i] for i in (7, 3, 39, 0, 7)]
+        np.testing.assert_array_equal(cat.rows_of(ids), [7, 3, 39, 0, 7])
+        rows = shuffled.rows_of(ids)
+        assert [shuffled.ids[i] for i in rows] == ids
+        np.testing.assert_array_equal(cat.rows_of(cat.ids), np.arange(40))
+        assert len(cat.rows_of([])) == 0
+
+    @pytest.mark.parametrize("n", [0, 1, 40])
+    def test_rows_of_refuses_an_unknown_id(self, n):
+        cat = generate_catalog_arrays(SimConfig(n_items=n, rng_seed=5))
+        for missing in ("it9999999", "a", "zz"):
+            with pytest.raises(InputError, match=f"unknown item '{missing}'"):
+                cat.rows_of(list(cat.ids[:1]) + [missing])
+
+
 class TestHelpers:
     def test_purchase_rate_decreasing_in_price(self):
         rates = purchase_rate(SimConfig(), np.array([500.0, 1000.0, 5000.0, 50000.0]))
@@ -259,11 +297,10 @@ class TestHelpers:
 class TestRunRct:
     def test_empty_catalog(self, round1_menu, round2_menu):
         gt = GroundTruth(SimConfig(n_items=0))
-        assert run_rct(gt, [], round1_menu, round2_menu, [1, 0, 0, 0], [1, 0, 0, 0], 1) == (
-            [],
-            [],
-            [],
+        log1, survivors, log2 = run_rct(
+            gt, [], round1_menu, round2_menu, [1, 0, 0, 0], [1, 0, 0, 0], 1
         )
+        assert (len(log1), survivors, len(log2)) == (0, [], 0)
 
     def test_partition_and_sorting(self, small_world):
         log1 = small_world["log1"]
@@ -316,11 +353,13 @@ class TestRunRct:
             probs,
             seed=3,
         )
-        assert again == (small_world["log1"], small_world["survivors"], small_world["log2"])
+        assert again[1] == small_world["survivors"]
+        for got, want in ((again[0], small_world["log1"]), (again[2], small_world["log2"])):
+            assert got.to_records() == want.to_records()
 
     def test_coupon_sales_respect_validity(self, small_world):
         checked = 0
-        for r in small_world["log1"] + small_world["log2"]:
+        for r in [*small_world["log1"], *small_world["log2"]]:
             if r.sold and not r.coupon.is_none:
                 assert r.purchase_delay_h <= r.coupon.validity_hours
                 assert r.coupon_cost_yen == min(

@@ -9,6 +9,7 @@ from seqcoupon.domain import (
     SCHEMA_ROUND1,
     SCHEMA_ROUND2,
     CouponConfig,
+    OutcomeLog,
     OutcomeRecord,
 )
 from seqcoupon.errors import (
@@ -20,6 +21,7 @@ from seqcoupon.errors import (
     SchemaMismatchError,
 )
 from seqcoupon.learner import KIND_BOOSTED, KIND_LOGISTIC, LearnerConfig, Model, PROB_CLAMP
+from seqcoupon.simulator import CatalogArrays
 from seqcoupon.uplift import (
     IPW_EPSILON_DEFAULT,
     IPW_VARIANT_APPLIED,
@@ -33,6 +35,7 @@ from seqcoupon.uplift import (
     predict_item,
     round1_arm_probabilities,
     round1_training_dataset,
+    _rows_by_arm,
 )
 
 from test_domain import make_item
@@ -132,12 +135,41 @@ class TestIpwWeights:
             ipw_weights(first, three_items, records[:2], round1_menu)
 
 
+class TestRowsByArm:
+    def test_arms_differing_in_any_coupon_field_are_apart(self):
+        arms = [
+            CouponConfig.none(),
+            CouponConfig(10, 72.0, 2000),
+            CouponConfig(10, 48.0, 2000),
+            CouponConfig(10, 72.0, 1000),
+        ]
+        pattern = [1, 0, 2, 3, 1, 2, 0, 3, 1]
+        log = OutcomeLog.from_records(
+            [unsold(f"it{i}", coupon=arms[a]) for i, a in enumerate(pattern)]
+        )
+        got = {coupon: idx.tolist() for coupon, idx in _rows_by_arm(log)}
+        assert got == {arms[a]: [i for i, p in enumerate(pattern) if p == a] for a in range(4)}
+        # With a row subset, positions index the subset: rows 8, 2, 5, 0 hold arms 1, 2, 2, 1.
+        got = {coupon: idx.tolist() for coupon, idx in _rows_by_arm(log, np.array([8, 2, 5, 0]))}
+        assert got == {arms[1]: [0, 3], arms[2]: [1, 2]}
+        assert _rows_by_arm(OutcomeLog.from_records([])) == []
+
+
 class TestRound1TrainingDataset:
     def test_shape_and_labels(self, small_world):
         data = round1_training_dataset(small_world["items"], small_world["log1"])
         assert data.schema_id == SCHEMA_ROUND1
         assert data.features.shape == (len(small_world["log1"]), len(ROUND1_FEATURE_NAMES))
         assert np.array_equal(data.labels, [r.sold for r in small_world["log1"]])
+
+    def test_records_columns_and_row_order_give_the_same_bits(self, small_world):
+        items, log1 = small_world["items"], small_world["log1"]
+        cat = CatalogArrays.from_items(items)
+        shuffled = cat.take(np.random.default_rng(1).permutation(len(cat)))
+        want = round1_training_dataset(items, log1.to_records())
+        for got in (round1_training_dataset(cat, log1), round1_training_dataset(shuffled, log1)):
+            assert got.features.tobytes() == want.features.tobytes()
+            assert np.array_equal(got.labels, want.labels)
 
     def test_empty_log_refused(self, small_world):
         with pytest.raises(DegenerateDataError):

@@ -218,12 +218,7 @@ def cmd_evaluate(args: argparse.Namespace) -> None:
 
     deciles = cfg.evaluation.deciles
     curve = cumulative_uplift(scores, treated, sold, deciles)
-    bands = bootstrap_band(
-        lambda idx: cumulative_uplift(scores[idx], treated[idx], sold[idx], deciles),
-        len(log1),
-        cfg.evaluation.bootstrap_b,
-        run.seed,
-    )
+    bands = bootstrap_band(scores, treated, sold, deciles, cfg.evaluation.bootstrap_b, run.seed)
     fileio.write_curve(
         UpliftCurve(points=curve.points, random_reference=curve.random_reference, bands=bands),
         run.path(CURVE_FILE),

@@ -12,7 +12,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .decision import (
     allocate_independent_batch,
 )
 from .domain import OutcomeLog, OutcomeRecord, _as_log
-from .errors import ContractError, InputError
+from .errors import InputError
 from .simulator import (
     GroundTruth,
     RolloutTotals,
@@ -213,6 +213,105 @@ def delay_analysis(
 # cumulative uplift
 
 
+class _Ranking:
+    """A scored log ranked once by descending score, ready to score any resample.
+
+    A resample is given by its multiplicities ``w`` in rank order (how often
+    each ranked row was drawn) and, when scores tie, by its row indices
+    ``idx`` in draw order. ``uplift`` slices it at each decile cutoff exactly
+    as a stable sort of the resample by descending score would.
+    """
+
+    def __init__(self, scores, treated, sold, deciles: int):
+        scores = np.asarray(scores, dtype=float)
+        treated = np.asarray(treated, dtype=bool)
+        sold = np.asarray(sold, dtype=bool)
+        if scores.ndim != 1 or scores.shape != treated.shape or scores.shape != sold.shape:
+            raise InputError("scores, treated, and sold must be aligned 1-D arrays")
+        if not np.all(np.isfinite(scores)):
+            raise InputError("scores must be finite")
+        if deciles < 1:
+            raise InputError("deciles must be >= 1")
+        n = len(scores)
+        self.n = n
+        self.order = np.argsort(-scores, kind="stable")
+        t, s = treated[self.order], sold[self.order]
+        # Per ranked row: treated, treated and sold, untreated and sold.
+        self.columns = np.stack([t, t & s, ~t & s])
+        self.cutoffs = n * np.arange(1, deciles + 1, dtype=np.int64) // deciles
+        self.live = self.cutoffs > 0
+        # The tie group of each rank as the rank range [group_start, group_end);
+        # None when no two scores tie.
+        ranked = scores[self.order]
+        new_group = np.ones(n, dtype=bool)
+        new_group[1:] = ranked[1:] != ranked[:-1]
+        self.group_start = self.group_end = None
+        if not new_group.all():
+            starts = np.flatnonzero(new_group)
+            group = np.cumsum(new_group) - 1
+            self.group_start = starts[group]
+            self.group_end = np.append(starts[1:], n)[group]
+        self._rank_of_row = None
+        # Per-call buffers: draws up to each rank, and one column times ``w``.
+        self._cum_w = np.zeros(n + 1, dtype=np.int64)
+        self._product = np.empty(n, dtype=np.int64)
+
+    def uplift(self, w: np.ndarray, idx: Optional[np.ndarray] = None) -> np.ndarray:
+        """Uplift at every decile cutoff of a resample; NaN where a slice lacks a group."""
+        cut = self.cutoffs[self.live]
+        n_t, n_ts, n_cs = self._counts(w, idx, cut) if self.n else np.zeros((3, 0), int)
+        n_c = cut - n_t
+        # The last cutoff covers the whole resample.
+        if not self.n or n_t[-1] == 0 or n_c[-1] == 0:
+            raise InputError("cumulative_uplift needs items from both treatment groups")
+        diff = n_ts / np.maximum(n_t, 1) - n_cs / np.maximum(n_c, 1)
+        values = np.full(len(self.cutoffs), np.nan)
+        values[self.live] = np.where((n_t > 0) & (n_c > 0), diff, np.nan)
+        return values
+
+    def _counts(self, w, idx, cut):
+        """Per column, its count among the top ``cut`` draws of the resample.
+
+        A slice holds whole rows up to the rank holding its last slot, plus
+        some copies of that row, which all share its columns. When that row's
+        score is tied and the slice ends inside its tie group, the stable sort
+        fills the group in draw order, so such a cutoff takes the group's
+        draws from ``idx`` in position order instead.
+        """
+        cum_w = self._cum_w
+        np.cumsum(w, out=cum_w[1:])
+        p = np.searchsorted(cum_w, cut, side="left") - 1
+        at, ties = p, []
+        if idx is not None and self.group_start is not None:
+            start, end = self.group_start[p], self.group_end[p]
+            straddled = np.flatnonzero((end - start > 1) & (cut < cum_w[end]))
+            at = np.concatenate([p, start[straddled]])
+            ties = [
+                (i, self._tie_draws(idx, start[i], end[i], cut[i] - cum_w[start[i]]))
+                for i in straddled
+            ]
+        # Whole-row sums are needed only before the ranks in ``at``: sum each
+        # column times ``w`` over the segments between them.
+        edges = np.unique(np.append(at, 0))
+        through = np.zeros((len(self.columns), len(edges)), dtype=np.int64)
+        for k, column in enumerate(self.columns):
+            np.multiply(w, column, out=self._product)
+            np.cumsum(np.add.reduceat(self._product, edges)[:-1], out=through[k, 1:])
+        before = through[:, np.searchsorted(edges, at)]
+        counts = before[:, : len(p)] + (cut - cum_w[p]) * self.columns[:, p]
+        for j, (i, drawn) in enumerate(ties):
+            counts[:, i] = before[:, len(p) + j] + self.columns[:, drawn].sum(axis=1)
+        return counts
+
+    def _tie_draws(self, idx, start, end, m):
+        """Ranks of the first ``m`` draws, in ``idx`` order, from ranks [start, end)."""
+        if self._rank_of_row is None:
+            self._rank_of_row = np.empty(self.n, dtype=np.int64)
+            self._rank_of_row[self.order] = np.arange(self.n)
+        ranks = self._rank_of_row[idx]
+        return ranks[np.flatnonzero((ranks >= start) & (ranks < end))[:m]]
+
+
 def cumulative_uplift(
     scores: np.ndarray,
     treated: np.ndarray,
@@ -221,90 +320,62 @@ def cumulative_uplift(
 ) -> UpliftCurve:
     """Cumulative uplift over score-ranked slices of the population.
 
-    Items are ranked by descending score; at each fraction q the uplift is the
-    sold-rate difference between treated and untreated items inside the top-q
-    slice. The final point covers everything and therefore equals the overall
-    effect, which doubles as the curve's random-targeting reference line.
+    Items are ranked by descending score (ties in row order); at each fraction
+    q the uplift is the sold-rate difference between treated and untreated
+    items inside the top-q slice. The final point covers everything and
+    therefore equals the overall effect, which doubles as the curve's
+    random-targeting reference line. This is the counting core of
+    ``bootstrap_band`` with every row drawn exactly once.
     """
-    scores = np.asarray(scores, dtype=float)
-    treated = np.asarray(treated, dtype=bool)
-    sold = np.asarray(sold, dtype=bool)
-    if scores.ndim != 1 or scores.shape != treated.shape or scores.shape != sold.shape:
-        raise InputError("scores, treated, and sold must be aligned 1-D arrays")
-    if not np.all(np.isfinite(scores)):
-        raise InputError("scores must be finite")
-    if deciles < 1:
-        raise InputError("deciles must be >= 1")
-    n = len(scores)
-    if n == 0 or not treated.any() or treated.all():
-        raise InputError("cumulative_uplift needs items from both treatment groups")
-
-    order = np.argsort(-scores, kind="stable")
-    t_sorted = treated[order]
-    s_sorted = sold[order]
-    cum_t = np.cumsum(t_sorted)
-    cum_ts = np.cumsum(t_sorted & s_sorted)
-    cum_c = np.cumsum(~t_sorted)
-    cum_cs = np.cumsum(~t_sorted & s_sorted)
-
-    points: list[tuple[float, Optional[float]]] = []
-    for d in range(1, deciles + 1):
-        count = n * d // deciles
-        frac = d / deciles
-        if count == 0:
-            points.append((frac, None))
-            continue
-        n_t, n_c = int(cum_t[count - 1]), int(cum_c[count - 1])
-        if n_t == 0 or n_c == 0:
-            points.append((frac, None))
-            continue
-        value = _prop_diff(float(cum_ts[count - 1]), n_t, float(cum_cs[count - 1]), n_c)
-        points.append((frac, value))
-    ate = _prop_diff(float(cum_ts[-1]), int(cum_t[-1]), float(cum_cs[-1]), int(cum_c[-1]))
-    return UpliftCurve(points=tuple(points), random_reference=ate)
+    ranking = _Ranking(scores, treated, sold, deciles)
+    values = ranking.uplift(np.ones(ranking.n, dtype=np.int64)).tolist()
+    points = tuple(
+        (d / deciles, None if math.isnan(v) else v) for d, v in enumerate(values, start=1)
+    )
+    return UpliftCurve(points=points, random_reference=values[-1])
 
 
 def bootstrap_band(
-    curve_fn: Callable[[np.ndarray], UpliftCurve],
-    n_items: int,
+    scores: np.ndarray,
+    treated: np.ndarray,
+    sold: np.ndarray,
+    deciles: int,
     b_replicates: int,
     seed: int,
 ) -> tuple[Optional[tuple[float, float]], ...]:
-    """Per-point 5th/95th percentile band over item-level bootstrap resamples.
+    """Per-point 5th/95th percentile band of ``cumulative_uplift`` over resamples.
 
-    ``curve_fn`` maps an index array (a with-replacement resample of
-    ``range(n_items)``) to an UpliftCurve; the band spans its ``points``
-    values across ``b_replicates`` resamples. Points that were null in every
-    replicate get a null band. Resampling is keyed off the shared counter
-    generator, so the same seed always yields the same bands; with exactly two
-    replicates the band degenerates to their min/max.
+    Each of ``b_replicates`` item-level resamples (with replacement, keyed off
+    the shared counter generator, so a seed always yields the same bands)
+    gives one curve; the band spans its point values. Points that were null in
+    every replicate get a null band; with exactly two replicates the band
+    degenerates to their min/max. A replicate that draws no treated or no
+    untreated row raises ``InputError``.
+
+    The columns are ranked once. Each replicate is scored from its draw
+    multiplicities in that rank order, which gives the same counts as
+    re-sorting the resample, and only the last link of its generator chain
+    is mixed per replicate.
     """
     if b_replicates < 2:
         raise InputError("bootstrap needs at least 2 replicates")
-    if n_items < 1:
-        raise InputError("n_items must be >= 1")
-    rows = np.arange(n_items, dtype=np.uint64)
-    per_point: list[list[float]] = []
-    n_points = None
+    ranking = _Ranking(scores, treated, sold, deciles)
+    n = ranking.n
+    prefix = rng.stream_words(seed, np.arange(n, dtype=np.uint64), rng.BOOTSTRAP)
+    values = np.empty((b_replicates, deciles))
     for b in range(b_replicates):
-        u = rng.uniforms(seed, rows, rng.BOOTSTRAP, b)
-        idx = np.minimum((u * n_items).astype(np.int64), n_items - 1)
-        curve = curve_fn(idx)
-        if n_points is None:
-            n_points = len(curve.points)
-            per_point = [[] for _ in range(n_points)]
-        elif len(curve.points) != n_points:
-            raise ContractError("bootstrap replicates produced differing curve lengths")
-        for i, (_, value) in enumerate(curve.points):
-            if value is not None:
-                per_point[i].append(value)
+        u = rng.words_to_uniforms(rng.extend_words(prefix, b))
+        idx = np.minimum((u * n).astype(np.int64), n - 1)
+        w = np.bincount(idx, minlength=n)[ranking.order]
+        values[b] = ranking.uplift(w, idx)
     bands: list[Optional[tuple[float, float]]] = []
-    for values in per_point:
-        if not values:
+    for column in values.T:
+        column = column[~np.isnan(column)]
+        if not column.size:
             bands.append(None)
             continue
-        lo = float(np.percentile(values, 5.0, method="lower"))
-        hi = float(np.percentile(values, 95.0, method="higher"))
+        lo = float(np.percentile(column, 5.0, method="lower"))
+        hi = float(np.percentile(column, 95.0, method="higher"))
         bands.append((lo, hi))
     return tuple(bands)
 

@@ -143,7 +143,9 @@ def _standardise_constants(X: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np
     # Weighted moments so that integer weights and sample duplication coincide.
     wsum = w.sum()
     mean = (w @ X) / wsum
-    var = (w @ (X - mean) ** 2) / wsum
+    sq_dev = X - mean
+    np.square(sq_dev, out=sq_dev)
+    var = (w @ sq_dev) / wsum
     scale = np.sqrt(var)
     # A constant column standardises to exactly 0. Under non-uniform weights
     # its moments round to a mean off the value and a scale near 1e-15, which
@@ -168,7 +170,8 @@ def train(data: Dataset, config: LearnerConfig) -> Model:
     """Fit the configured learner; deterministic for identical inputs."""
     X, y, w = data.features, data.labels, data.weights
     mean, scale = _standardise_constants(X, w)
-    Xs = (X - mean) / scale
+    Xs = X - mean
+    Xs /= scale
     w_norm = w / w.sum()
 
     if config.kind == KIND_LOGISTIC:

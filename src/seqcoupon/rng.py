@@ -57,13 +57,26 @@ def _mix(z: np.ndarray) -> np.ndarray:
 def stream_words(seed: int, keys: np.ndarray | int, *tags: int) -> np.ndarray:
     """One 64-bit word per key for the substream addressed by (seed, key, *tags)."""
     h = _mix(np.uint64(seed & 0xFFFFFFFFFFFFFFFF))
-    z = _mix(h ^ np.asarray(keys, dtype=np.uint64))
+    return extend_words(_mix(h ^ np.asarray(keys, dtype=np.uint64)), *tags)
+
+
+def extend_words(words: np.ndarray, *tags: int) -> np.ndarray:
+    """Address further tags below already-mixed words.
+
+    ``extend_words(stream_words(s, k, *a), *b) == stream_words(s, k, *a, *b)``,
+    so a caller drawing many sibling substreams mixes their shared prefix once.
+    """
+    z = words
     for t in tags:
         z = _mix(z ^ np.uint64(t & 0xFFFFFFFFFFFFFFFF))
     return z
 
 
+def words_to_uniforms(words: np.ndarray) -> np.ndarray:
+    """Uniform [0, 1) draws from the top 53 bits of each word."""
+    return (words >> np.uint64(11)).astype(np.float64) * _U53_INV
+
+
 def uniforms(seed: int, keys: np.ndarray | int, *tags: int) -> np.ndarray:
     """Uniform [0, 1) draws, one per key, for the addressed substream."""
-    words = stream_words(seed, keys, *tags)
-    return (words >> np.uint64(11)).astype(np.float64) * _U53_INV
+    return words_to_uniforms(stream_words(seed, keys, *tags))

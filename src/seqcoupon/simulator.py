@@ -11,6 +11,7 @@ package can therefore be checked against exact propensities.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
@@ -195,7 +196,7 @@ def generate_catalog(config: SimConfig) -> list[ItemRecord]:
 
 
 def generate_catalog_arrays(config: SimConfig) -> "CatalogArrays":
-    """``generate_catalog`` drawn straight into columns, keys and feature matrix.
+    """``generate_catalog`` drawn straight into columns and the feature matrix.
 
     ``generate_catalog_arrays(config).to_items() == generate_catalog(config)``.
     """
@@ -207,7 +208,8 @@ class CatalogArrays:
     """A catalog as columns, one per ``ItemRecord`` field, plus keys and features.
 
     Row i of every column describes the same item; ``matrix`` holds its raw
-    item features and ``keys`` its ``rng.item_key``.
+    item features and ``keys`` its ``rng.item_key``. The keys are hashed on
+    first use, so a catalog that only trains, plans or evaluates hashes none.
     """
 
     ids: tuple[str, ...]
@@ -221,13 +223,17 @@ class CatalogArrays:
     ltv: np.ndarray  # int64 yen
     key_ts: np.ndarray
     status: tuple[str, ...]
-    keys: np.ndarray
     matrix: np.ndarray  # n x N_ITEM_FEATURES, raw item features
+
+    @functools.cached_property
+    def keys(self) -> np.ndarray:
+        """``rng.item_key`` of each id, hashed on first use and then kept."""
+        return rng.item_keys(self.ids)
 
     @classmethod
     def from_columns(cls, ids, seller_ids, price, condition, age_days, likes, demand,
                      season, ltv, key_ts, status) -> "CatalogArrays":
-        """Validate the columns as ``ItemRecord`` would, then hash keys and featurise."""
+        """Validate the columns as ``ItemRecord`` would, then featurise."""
         ids, seller_ids, status = tuple(ids), tuple(seller_ids), tuple(status)
         price = np.asarray(price, dtype=np.int64)
         condition = np.asarray(condition, dtype=np.int64)
@@ -257,7 +263,6 @@ class CatalogArrays:
             ids=ids, seller_ids=seller_ids, price=price, condition=condition,
             age_days=age_days, likes=likes, demand=demand, season=season, ltv=ltv,
             key_ts=key_ts, status=status,
-            keys=rng.item_keys(ids),
             matrix=feature_matrix(price, condition, age_days, likes, demand, season),
         )
 
@@ -291,18 +296,24 @@ class CatalogArrays:
         )
 
     def take(self, rows: np.ndarray) -> "CatalogArrays":
-        """The catalog restricted to ``rows``, in that order; nothing is recomputed."""
+        """The catalog restricted to ``rows``, in that order; nothing is recomputed.
+
+        Keys already hashed are carried over; otherwise they stay unhashed.
+        """
         index = rows.tolist()
         ids, seller_ids, status = (
             tuple(c[i] for i in index) for c in (self.ids, self.seller_ids, self.status)
         )
-        return CatalogArrays(
+        taken = CatalogArrays(
             ids=ids, seller_ids=seller_ids, price=self.price[rows],
             condition=self.condition[rows], age_days=self.age_days[rows],
             likes=self.likes[rows], demand=self.demand[rows], season=self.season[rows],
             ltv=self.ltv[rows], key_ts=self.key_ts[rows], status=status,
-            keys=self.keys[rows], matrix=self.matrix[rows],
+            matrix=self.matrix[rows],
         )
+        if "keys" in self.__dict__:
+            taken.__dict__["keys"] = self.keys[rows]
+        return taken
 
     def rows_of(self, ids: Sequence[str]) -> np.ndarray:
         """The catalog row of each id, in the order given; an unknown id raises."""

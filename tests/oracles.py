@@ -3,16 +3,20 @@
 Everything here is written directly from first principles (plain loops,
 no vectorization, no reuse of package internals beyond data types) so that
 agreement with the package is meaningful. The exceptions at the end are
-earlier implementations kept as they were: the per-record CSV writers and
-the boosted-stump fit that re-buckets every feature in every round. The
-package's faster paths must reproduce their bytes and bits.
+earlier implementations kept as they were: the per-record CSV writers, the
+boosted-stump fit that re-buckets every feature in every round, and the
+uplift curve and bootstrap band that re-sort every resample. The package's
+faster paths must reproduce their bytes and bits.
 """
 
 import math
 
 import numpy as np
 
+from seqcoupon import rng
 from seqcoupon.domain import coupon_cost
+from seqcoupon.errors import ContractError, InputError
+from seqcoupon.evaluation import UpliftCurve
 from seqcoupon.learner import LEAF_CLIP, N_SPLIT_CANDIDATES, PROB_CLAMP, Stump
 
 
@@ -217,3 +221,73 @@ def fit_boosted_per_round(Xs, y, w_norm, config):
         F, loss = F_new, loss_new
         stumps.append(Stump(feature=f, threshold=threshold, left_value=vl, right_value=vr))
     return base, tuple(stumps)
+
+
+def cumulative_uplift_sorting(scores, treated, sold, deciles=10):
+    """The cumulative uplift curve as first written: one stable sort per call."""
+    scores = np.asarray(scores, dtype=float)
+    treated = np.asarray(treated, dtype=bool)
+    sold = np.asarray(sold, dtype=bool)
+    n = len(scores)
+    if n == 0 or not treated.any() or treated.all():
+        raise InputError("cumulative_uplift needs items from both treatment groups")
+
+    order = np.argsort(-scores, kind="stable")
+    t_sorted = treated[order]
+    s_sorted = sold[order]
+    cum_t = np.cumsum(t_sorted)
+    cum_ts = np.cumsum(t_sorted & s_sorted)
+    cum_c = np.cumsum(~t_sorted)
+    cum_cs = np.cumsum(~t_sorted & s_sorted)
+
+    points = []
+    for d in range(1, deciles + 1):
+        count = n * d // deciles
+        frac = d / deciles
+        if count == 0:
+            points.append((frac, None))
+            continue
+        n_t, n_c = int(cum_t[count - 1]), int(cum_c[count - 1])
+        if n_t == 0 or n_c == 0:
+            points.append((frac, None))
+            continue
+        value = float(cum_ts[count - 1]) / n_t - float(cum_cs[count - 1]) / n_c
+        points.append((frac, value))
+    ate = float(cum_ts[-1]) / int(cum_t[-1]) - float(cum_cs[-1]) / int(cum_c[-1])
+    return UpliftCurve(points=tuple(points), random_reference=ate)
+
+
+def bootstrap_band_resorting(curve_fn, n_items, b_replicates, seed):
+    """The bootstrap band as first written: ``curve_fn`` re-sorts every resample.
+
+    ``curve_fn`` maps an index array (a with-replacement resample of
+    ``range(n_items)``) to an UpliftCurve; the band spans its point values.
+    """
+    if b_replicates < 2:
+        raise InputError("bootstrap needs at least 2 replicates")
+    if n_items < 1:
+        raise InputError("n_items must be >= 1")
+    rows = np.arange(n_items, dtype=np.uint64)
+    per_point = []
+    n_points = None
+    for b in range(b_replicates):
+        u = rng.uniforms(seed, rows, rng.BOOTSTRAP, b)
+        idx = np.minimum((u * n_items).astype(np.int64), n_items - 1)
+        curve = curve_fn(idx)
+        if n_points is None:
+            n_points = len(curve.points)
+            per_point = [[] for _ in range(n_points)]
+        elif len(curve.points) != n_points:
+            raise ContractError("bootstrap replicates produced differing curve lengths")
+        for i, (_, value) in enumerate(curve.points):
+            if value is not None:
+                per_point[i].append(value)
+    bands = []
+    for values in per_point:
+        if not values:
+            bands.append(None)
+            continue
+        lo = float(np.percentile(values, 5.0, method="lower"))
+        hi = float(np.percentile(values, 95.0, method="higher"))
+        bands.append((lo, hi))
+    return tuple(bands)

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from seqcoupon import fileio
+from seqcoupon import fileio, rng
 from seqcoupon.cli import main
 from seqcoupon.domain import SCHEMA_ROUND2, CouponConfig, ItemRecord, OutcomeRecord
 from seqcoupon.simulator import SimConfig, generate_catalog
@@ -199,6 +199,20 @@ def test_pipeline_builds_no_per_row_records(tmp_path, monkeypatch):
     assert built == []
 
 
+def test_reading_commands_hash_no_item_keys(tmp_path, monkeypatch):
+    """train, allocate and evaluate read the catalog without hashing its keys."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(sim_config_text(tmp_path / "sim", tmp_path / "model", n_items=300))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "sim"),
+                 "--quiet"]) == 0
+    hashed = []
+    real_keys = rng.item_keys
+    monkeypatch.setattr(rng, "item_keys", lambda ids: hashed.append(len(ids)) or real_keys(ids))
+    for command, out in (("train", "model"), ("allocate", "alloc"), ("evaluate", "eval")):
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / out), "--quiet"]) == 0
+    assert hashed == []
+
+
 class TestDeterminism:
     def test_simulate_rerun_is_byte_identical(self, ws, capsys):
         names = ["catalog.csv", "round1_log.csv", "round2_log.csv", fileio.MANIFEST_NAME]
@@ -326,6 +340,26 @@ class TestExitCodes:
         ))
         code = main(["evaluate", "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"])
         assert code == 6
+
+    def test_evaluate_with_a_single_holdout_row_exits_2(self, ws, tmp_path, capsys):
+        """A bootstrap replicate that misses the only holdout row cannot score lift."""
+        records = fileio.read_outcomes(f"{ws['sim']}/round1_log.csv").to_records()
+        holdout = [r for r in records if r.coupon.is_none]
+        kept = [r for r in records if not r.coupon.is_none] + holdout[:1]
+        filtered = tmp_path / "round1_log.csv"
+        fileio.write_outcomes(kept, str(filtered))
+        cfg = tmp_path / "f.cfg"
+        cfg.write_text(config_text(
+            catalog=f"{ws['sim']}/catalog.csv",
+            r1=filtered,
+            r2=f"{ws['sim']}/round2_log.csv",
+            model=ws["model"],
+        ))
+        out = tmp_path / "o"
+        code = main(["evaluate", "--config", str(cfg), "--out", str(out), "--quiet"])
+        assert code == 2
+        assert "needs items from both treatment groups" in capsys.readouterr().err
+        assert not (out / "uplift_curve.csv").exists()
 
     def test_internal_error_exits_1(self, tmp_path, monkeypatch, capsys):
         cfg = tmp_path / "r.cfg"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from seqcoupon.domain import CouponConfig, OutcomeRecord
-from seqcoupon.errors import ContractError, InputError
+from seqcoupon.errors import InputError
 from seqcoupon.decision import PolicyConstraint
 from seqcoupon.evaluation import (
     BucketRow,
@@ -21,6 +21,8 @@ from seqcoupon.evaluation import (
 )
 from seqcoupon import rng
 from seqcoupon.simulator import CatalogArrays, SimConfig
+
+from oracles import bootstrap_band_resorting, cumulative_uplift_sorting
 
 
 TEN_PCT = CouponConfig(10, 72.0, 1000)
@@ -173,30 +175,33 @@ class TestCumulativeUplift:
             cumulative_uplift(scores, treated, np.zeros(10, dtype=bool), deciles=0)
 
 
-def synthetic_curve_fn(n, seed=6, effect=0.1):
+def synthetic_log(n, seed=6, effect=0.1):
     gen = np.random.default_rng(seed)
     scores = gen.normal(size=n)
     treated = gen.uniform(size=n) < 0.5
     sold = gen.uniform(size=n) < np.where(treated, 0.25 + effect, 0.25)
+    return scores, treated, sold
+
+
+def resorting_band(scores, treated, sold, deciles, b_replicates, seed):
+    """The band as first written: every replicate re-sorts its resample."""
 
     def curve_fn(idx):
-        return cumulative_uplift(scores[idx], treated[idx], sold[idx])
+        return cumulative_uplift_sorting(scores[idx], treated[idx], sold[idx], deciles)
 
-    full = cumulative_uplift(scores, treated, sold)
-    return curve_fn, full
+    return bootstrap_band_resorting(curve_fn, len(scores), b_replicates, seed)
 
 
 class TestBootstrapBand:
     def test_two_replicates_degenerate_to_min_max(self):
-        curve_fn, _ = synthetic_curve_fn(500)
-        bands = bootstrap_band(curve_fn, 500, 2, seed=11)
+        scores, treated, sold = synthetic_log(500)
+        bands = bootstrap_band(scores, treated, sold, 10, 2, seed=11)
         values = []
         for b in range(2):
-            from seqcoupon import rng
-
             u = rng.uniforms(11, np.arange(500, dtype=np.uint64), rng.BOOTSTRAP, b)
             idx = np.minimum((u * 500).astype(np.int64), 499)
-            values.append([v for _, v in curve_fn(idx).points])
+            curve = cumulative_uplift(scores[idx], treated[idx], sold[idx])
+            values.append([v for _, v in curve.points])
         for i, band in enumerate(bands):
             assert band == (
                 min(values[0][i], values[1][i]),
@@ -204,17 +209,14 @@ class TestBootstrapBand:
             )
 
     def test_deterministic_per_seed(self):
-        curve_fn, _ = synthetic_curve_fn(400)
-        assert bootstrap_band(curve_fn, 400, 20, seed=5) == bootstrap_band(
-            curve_fn, 400, 20, seed=5
-        )
-        assert bootstrap_band(curve_fn, 400, 20, seed=5) != bootstrap_band(
-            curve_fn, 400, 20, seed=6
-        )
+        log = synthetic_log(400)
+        assert bootstrap_band(*log, 10, 20, seed=5) == bootstrap_band(*log, 10, 20, seed=5)
+        assert bootstrap_band(*log, 10, 20, seed=5) != bootstrap_band(*log, 10, 20, seed=6)
 
     def test_bands_cover_the_point_estimate(self):
-        curve_fn, full = synthetic_curve_fn(5000)
-        bands = bootstrap_band(curve_fn, 5000, 100, seed=13)
+        log = synthetic_log(5000)
+        full = cumulative_uplift(*log)
+        bands = bootstrap_band(*log, 10, 100, seed=13)
         covered = 0
         for (_, value), band in zip(full.points, bands):
             assert band is not None
@@ -225,34 +227,83 @@ class TestBootstrapBand:
 
     def test_band_width_shrinks_like_root_n(self):
         n = 2000
-        curve_fn_small, _ = synthetic_curve_fn(n, seed=9)
-        curve_fn_large, _ = synthetic_curve_fn(4 * n, seed=9)
-        bands_small = bootstrap_band(curve_fn_small, n, 60, seed=2)
-        bands_large = bootstrap_band(curve_fn_large, 4 * n, 60, seed=2)
+        bands_small = bootstrap_band(*synthetic_log(n, seed=9), 10, 60, seed=2)
+        bands_large = bootstrap_band(*synthetic_log(4 * n, seed=9), 10, 60, seed=2)
         width_small = np.mean([hi - lo for lo, hi in bands_small])
         width_large = np.mean([hi - lo for lo, hi in bands_large])
         assert 0.35 < width_large / width_small < 0.65
 
     def test_validation(self):
-        curve_fn, _ = synthetic_curve_fn(50)
+        scores, treated, sold = synthetic_log(50)
         with pytest.raises(InputError):
-            bootstrap_band(curve_fn, 50, 1, seed=0)
+            bootstrap_band(scores, treated, sold, 10, 1, seed=0)
+        empty = np.empty(0)
         with pytest.raises(InputError):
-            bootstrap_band(curve_fn, 0, 5, seed=0)
+            bootstrap_band(empty, empty.astype(bool), empty.astype(bool), 10, 5, seed=0)
+        with pytest.raises(InputError):
+            bootstrap_band(scores, treated[:-1], sold, 10, 5, seed=0)
+        with pytest.raises(InputError):
+            bootstrap_band(scores, treated, sold, 0, 5, seed=0)
+        bad = scores.copy()
+        bad[3] = np.nan
+        with pytest.raises(InputError):
+            bootstrap_band(bad, treated, sold, 10, 5, seed=0)
 
-    def test_inconsistent_replicates_refused(self):
-        calls = {"n": 0}
+    def test_replicate_without_a_holdout_row_refused(self):
+        scores, _, sold = synthetic_log(50)
+        treated = np.ones(50, dtype=bool)
+        treated[7] = False
+        with pytest.raises(InputError, match="both treatment groups"):
+            bootstrap_band(scores, treated, sold, 10, 20, seed=0)
 
-        def shifty(idx):
-            calls["n"] += 1
-            deciles = 10 if calls["n"] == 1 else 5
-            gen = np.random.default_rng(0)
-            scores = gen.normal(size=len(idx))
-            treated = np.arange(len(idx)) % 2 == 0
-            return cumulative_uplift(scores, treated, np.zeros(len(idx), dtype=bool), deciles)
 
-        with pytest.raises(ContractError):
-            bootstrap_band(shifty, 100, 3, seed=1)
+def tied_log(n=600, seed=3):
+    """Scores rounded to one decimal, so most tie groups mix both groups and outcomes."""
+    scores, treated, sold = synthetic_log(n, seed=seed)
+    return np.round(scores, 1), treated, sold
+
+
+def slice_lacking_a_group():
+    scores = np.array([9.0, 8.0, 7.0] + [float(-i) for i in range(17)])
+    treated = np.array([True, True, True] + [i % 2 == 0 for i in range(17)])
+    sold = np.arange(20) % 3 == 0
+    return scores, treated, sold
+
+
+class TestBootstrapMatchesResorting:
+    """The sort-once band equals the per-replicate re-sorting band bit for bit."""
+
+    @pytest.mark.parametrize(
+        "log, deciles, b_replicates",
+        [
+            pytest.param(synthetic_log(3000), 10, 40, id="continuous"),
+            pytest.param(tied_log(), 10, 60, id="tied"),
+            pytest.param(synthetic_log(40, seed=1), 50, 30, id="fewer-rows-than-deciles"),
+            pytest.param(slice_lacking_a_group(), 10, 30, id="slice-lacking-a-group"),
+            pytest.param(synthetic_log(300, seed=4), 10, 2, id="two-replicates"),
+        ],
+    )
+    def test_band_is_bitwise_equal(self, log, deciles, b_replicates):
+        for seed in (0, 1, 2):
+            assert bootstrap_band(*log, deciles, b_replicates, seed) == resorting_band(
+                *log, deciles, b_replicates, seed
+            )
+
+    def test_inputs_reach_the_edge_cases(self):
+        assert None in resorting_band(*synthetic_log(40, seed=1), 50, 30, 0)
+        assert cumulative_uplift(*slice_lacking_a_group()).points[0][1] is None
+        scores, treated, sold = tied_log()
+        _, group = np.unique(scores, return_inverse=True)
+        mixed = [
+            g for g in range(group.max() + 1)
+            if treated[group == g].any() and not treated[group == g].all()
+            and sold[group == g].any() and not sold[group == g].all()
+        ]
+        assert len(mixed) > 10
+
+    @pytest.mark.parametrize("log", [synthetic_log(2000), tied_log(), slice_lacking_a_group()])
+    def test_point_curve_is_bitwise_equal(self, log):
+        assert cumulative_uplift(*log, 10) == cumulative_uplift_sorting(*log, 10)
 
 
 class TestUpliftCurveValidation:

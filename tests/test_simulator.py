@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from seqcoupon import rng
 from seqcoupon.domain import CouponConfig, ItemRecord, item_feature_matrix
 from seqcoupon.errors import InputError
 from seqcoupon.simulator import (
@@ -256,6 +257,22 @@ class TestCatalogArrays:
         assert [shuffled.ids[i] for i in rows] == ids
         np.testing.assert_array_equal(cat.rows_of(cat.ids), np.arange(40))
         assert len(cat.rows_of([])) == 0
+
+    def test_keys_are_hashed_on_first_use_and_taken_as_they_are(self, monkeypatch):
+        hashed = []
+        real_keys = rng.item_keys
+        monkeypatch.setattr(rng, "item_keys",
+                            lambda ids: hashed.append(len(ids)) or real_keys(ids))
+        cat = generate_catalog_arrays(SimConfig(n_items=40, rng_seed=5))
+        rows = np.arange(39, -1, -3)
+        unhashed = cat.take(rows)
+        assert hashed == []
+        np.testing.assert_array_equal(cat.keys, real_keys(cat.ids))
+        assert cat.keys is cat.keys and hashed == [40]
+        np.testing.assert_array_equal(cat.take(rows).keys, cat.keys[rows])
+        assert hashed == [40]
+        np.testing.assert_array_equal(unhashed.keys, cat.keys[rows])
+        assert hashed == [40, len(rows)]
 
     @pytest.mark.parametrize("n", [0, 1, 40])
     def test_rows_of_refuses_an_unknown_id(self, n):

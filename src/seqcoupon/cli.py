@@ -229,19 +229,21 @@ def cmd_evaluate(args: argparse.Namespace) -> None:
     run.say(f"wrote {CURVE_FILE} and {BUCKETS_FILE} in {run.out}")
 
 
-def cmd_compare(args: argparse.Namespace) -> None:
-    run = _Run(args, "compare", seed_from=lambda cfg: cfg.evaluation.train_seed)
+def _train_compare_pair(run: _Run):
+    """Fit the pair ``compare`` rolls out, on an in-memory training trial.
+
+    The training catalog, its logs and the ground truth are locals here, so
+    they are freed when the pair is returned, before any rollout starts.
+    """
     cfg = run.config
-    run.start()
     train_sim = replace(
         cfg.simulator,
         n_items=cfg.evaluation.train_n_items,
         rng_seed=cfg.evaluation.train_seed,
     )
     cat = generate_catalog_arrays(train_sim)
-    gt = GroundTruth(train_sim)
     log1, _, log2 = run_rct(
-        gt,
+        GroundTruth(train_sim),
         cat,
         cfg.round1_set,
         cfg.round2_set,
@@ -250,7 +252,7 @@ def cmd_compare(args: argparse.Namespace) -> None:
         seed=train_sim.rng_seed,
     )
     run.say(f"trained on {len(cat)} items ({len(log2)} survivors)")
-    pair = fit_predictor_pair(
+    return fit_predictor_pair(
         cat,
         log1,
         log2,
@@ -261,6 +263,13 @@ def cmd_compare(args: argparse.Namespace) -> None:
         epsilon=cfg.ipw_epsilon,
         variant=cfg.ipw_variant,
     )
+
+
+def cmd_compare(args: argparse.Namespace) -> None:
+    run = _Run(args, "compare", seed_from=lambda cfg: cfg.evaluation.train_seed)
+    cfg = run.config
+    run.start()
+    pair = _train_compare_pair(run)
     seeds = (run.seed,) if args.seed is not None else cfg.evaluation.seeds
     report = compare_strategies(
         cfg.simulator,

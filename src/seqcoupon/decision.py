@@ -134,45 +134,75 @@ def _check_widths(p1: np.ndarray, p2: np.ndarray, round1_set: CouponSet, round2_
 
 def _roi(lift: np.ndarray, ltv: np.ndarray, cost: np.ndarray) -> np.ndarray:
     """Elementwise ``roi`` from a lift, with the same zero-cost sentinels."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        r = lift * ltv
+        r /= cost
     free = cost == 0.0
-    return np.where(
-        free, np.where(lift > 0.0, np.inf, 0.0), lift * ltv / np.where(free, 1.0, cost)
-    )
+    if free.any():
+        r[free] = np.where(lift[free] > 0.0, np.inf, 0.0)
+    return r
+
+
+def _combined(p1, p2, cost1, cost2):
+    """(p_combined, expected_cost) over broadcast arrays, equal bit for bit to
+    ``combine_propensity`` and ``combine_cost`` elementwise.
+
+    ``(1 - p1) * p2`` must already have the full broadcast shape: the cost is
+    built in place on it."""
+    cost = (1.0 - p1) * p2
+    pc = p1 + cost
+    with np.errstate(invalid="ignore", divide="ignore"):
+        cost *= cost2
+        cost += p1 * cost1
+        cost /= pc
+        cost[pc == 0.0] = 0.0
+        if pc.min(initial=1.0) < sys.float_info.min:
+            subnormal = (pc > 0.0) & (pc < sys.float_info.min)
+            w = p1 / pc
+            cost = np.where(subnormal, w * cost1 + (1.0 - w) * cost2, cost)
+    return pc, cost
 
 
 def _economics(p1, p2, p_baseline, cost1, cost2, ltv):
     """(p_combined, expected_cost, lift, roi) over broadcast arrays, equal bit for
     bit to ``combine_propensity``, ``combine_cost`` and ``roi`` elementwise."""
-    pc = p1 + (1.0 - p1) * p2
-    with np.errstate(invalid="ignore", divide="ignore"):
-        cost = np.where(pc == 0.0, 0.0, (p1 * cost1 + (1.0 - p1) * p2 * cost2) / pc)
-        if pc.min(initial=1.0) < sys.float_info.min:
-            subnormal = (pc > 0.0) & (pc < sys.float_info.min)
-            w = p1 / pc
-            cost = np.where(subnormal, w * cost1 + (1.0 - w) * cost2, cost)
+    pc, cost = _combined(p1, p2, cost1, cost2)
     lift = pc - p_baseline
     return pc, cost, lift, _roi(lift, ltv, cost)
 
 
-def _cascade(value: np.ndarray, cost: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Per row, the masked argmax of value; ties go to the lower cost, then the lower index."""
-    v = np.where(mask, value, -np.inf)
-    tie = v == v.max(axis=1)[:, None]
-    c = np.where(tie, cost, np.inf)
-    tie &= c == c.min(axis=1)[:, None]
-    return tie.argmax(axis=1)
+def _cascade(value: np.ndarray, cost: np.ndarray, mask) -> np.ndarray:
+    """Per column of (arms, n) grids, the masked argmax of value; ties go to the
+    lower cost, then the lower arm. ``value`` is overwritten."""
+    np.copyto(value, -np.inf, where=~mask)
+    tie = value == value.max(axis=0)
+    tied_cost = value  # the values are spent: reuse their grid
+    tied_cost.fill(np.inf)
+    np.copyto(tied_cost, cost, where=tie)
+    tie &= tied_cost == tied_cost.min(axis=0)
+    choice = np.zeros(value.shape[1], dtype=np.intp)
+    for a in range(len(value) - 1, -1, -1):  # the lowest tied arm is written last
+        np.copyto(choice, a, where=tie[a])
+    return choice
 
 
-def _pick(rois: np.ndarray, lift: np.ndarray, cost: np.ndarray, candidates: np.ndarray,
+def _pick(rois: np.ndarray, lift: np.ndarray, cost: np.ndarray, candidates,
           threshold: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per row: (the highest-ROI candidate whose lift clears ``threshold``, else
-    the highest-lift candidate; whether any candidate cleared it)."""
+    """Per column of (arms, n) grids: (the highest-ROI candidate arm whose lift
+    clears ``threshold``, else the highest-lift candidate; whether any
+    candidate cleared it). ``candidates`` broadcasts against the grids;
+    ``rois`` and ``lift`` are overwritten."""
     feasible = candidates & (lift >= threshold)
-    any_feasible = feasible.any(axis=1)
+    any_feasible = feasible.any(axis=0)
     choice = np.where(
         any_feasible, _cascade(rois, cost, feasible), _cascade(lift, cost, candidates)
     )
     return choice, any_feasible
+
+
+def _arm_costs(prices: np.ndarray, coupon_set: CouponSet) -> np.ndarray:
+    """``coupon_costs`` as an arm-major (arms, n) float grid."""
+    return coupon_costs(prices, coupon_set).T.astype(float, order="C")
 
 
 def allocate_batch(
@@ -192,33 +222,35 @@ def allocate_batch(
     (j, k) index. An item with no cell clearing the lift threshold gets its
     maximum-lift cell flagged infeasible. ``constraint.ltv_override``, when
     set, replaces ``ltvs``.
+
+    ``p1``/``p2`` hold one row per item; the economics and the argmax run on
+    arm-major (j, k, item) grids, so every inner loop runs over the items.
     """
     _check_widths(p1, p2, round1_set, round2_set)
     n, M = p1.shape
     K = p2.shape[1]
-    _, cost, lift, r = _economics(
-        p1[:, :, None],
-        p2[:, None, :],
-        p_baseline[:, None, None],
-        coupon_costs(prices, round1_set).astype(float)[:, :, None],
-        coupon_costs(prices, round2_set).astype(float)[:, None, :],
-        _resolve_ltvs(ltvs, constraint)[:, None, None],
+    pc, cost = _combined(
+        np.ascontiguousarray(p1.T)[:, None, :],
+        np.ascontiguousarray(p2.T)[None, :, :],
+        _arm_costs(prices, round1_set)[:, None, :],
+        _arm_costs(prices, round2_set)[None, :, :],
     )
-    candidates = np.ones((n, M * K), dtype=bool)
-    candidates[:, 0] = False  # the (none, none) baseline never competes
+    lift = np.subtract(pc, p_baseline, out=pc)  # p_combined is not needed again
+    r = _roi(lift, _resolve_ltvs(ltvs, constraint), cost)
+    candidates = np.ones((M * K, 1), dtype=bool)
+    candidates[0] = False  # the (none, none) baseline never competes
     flat, feasible = _pick(
-        r.reshape(n, M * K), lift.reshape(n, M * K), cost.reshape(n, M * K),
+        r.reshape(M * K, n), lift.reshape(M * K, n), cost.reshape(M * K, n),
         candidates, constraint.lift_threshold,
     )
     return flat // K, flat % K, feasible
 
 
 def _best_round_arm(probs: np.ndarray, costs: np.ndarray, ltvs: np.ndarray, threshold: float):
-    """Greedy single-round pick over (n, arms) grids: max per-round ROI subject
-    to the lift over the round's no-coupon arm."""
-    lift = probs - probs[:, [0]]
-    candidates = np.ones(lift.shape, dtype=bool)
-    return _pick(_roi(lift, ltvs[:, None], costs), lift, costs, candidates, threshold)[0]
+    """Greedy single-round pick over arm-major (arms, n) grids: max per-round
+    ROI subject to the lift over the round's no-coupon arm."""
+    lift = probs - probs[0]
+    return _pick(_roi(lift, ltvs, costs), lift, costs, np.True_, threshold)[0]
 
 
 def allocate_independent_batch(
@@ -235,18 +267,19 @@ def allocate_independent_batch(
 
     Each round's arm maximises that round's lift-to-cost ratio on its own; the
     flag refers to the pair's combined lift, as for ``allocate_batch``.
-    ``constraint.ltv_override``, when set, replaces ``ltvs``.
+    ``constraint.ltv_override``, when set, replaces ``ltvs``. Each round's
+    pick runs on arm-major (arms, item) grids.
     """
     _check_widths(p1, p2, round1_set, round2_set)
     ltvs = _resolve_ltvs(ltvs, constraint)
     threshold = constraint.lift_threshold
-    cost1 = coupon_costs(prices, round1_set).astype(float)
-    cost2 = coupon_costs(prices, round2_set).astype(float)
-    j = _best_round_arm(p1, cost1, ltvs, threshold)
-    k = _best_round_arm(p2, cost2, ltvs, threshold)
+    cost1 = _arm_costs(prices, round1_set)
+    cost2 = _arm_costs(prices, round2_set)
+    j = _best_round_arm(np.ascontiguousarray(p1.T), cost1, ltvs, threshold)
+    k = _best_round_arm(np.ascontiguousarray(p2.T), cost2, ltvs, threshold)
     rows = np.arange(len(j))
     _, _, lift, _ = _economics(
-        p1[rows, j], p2[rows, k], p_baseline, cost1[rows, j], cost2[rows, k], ltvs
+        p1[rows, j], p2[rows, k], p_baseline, cost1[j, rows], cost2[k, rows], ltvs
     )
     return j, k, lift >= threshold
 

@@ -464,12 +464,14 @@ def feature_matrix(price, condition, age_days, likes, demand, season) -> np.ndar
     ``log``, ``sin`` and ``cos`` go through ``math`` one value at a time: the
     SIMD kernels behind ``np.log``/``np.sin`` may differ from libm in the last
     bit, and every sale draw and artifact downstream depends on these values.
+    Prices repeat, so ``log`` runs once per distinct price.
     """
     price = np.asarray(price, dtype=float)
     n = len(price)
     angle = (2.0 * math.pi * np.asarray(season, dtype=float)).tolist()
     out = np.empty((n, N_ITEM_FEATURES))
-    out[:, 0] = np.fromiter(map(math.log, price.tolist()), float, n)
+    distinct, inverse = np.unique(price, return_inverse=True)
+    out[:, 0] = np.fromiter(map(math.log, distinct.tolist()), float, len(distinct))[inverse]
     out[:, 1] = condition
     out[:, 2] = age_days
     out[:, 3] = likes

@@ -413,13 +413,14 @@ def compare_strategies(
     """Roll out random / per-round / sequential allocation on common seeds.
 
     For each seed one catalog is drawn straight into columns
-    (``generate_catalog_arrays``: no per-item records, keys hashed once).
-    Predictions come from those columns, and four
-    columnar rollouts share that one catalog and its sale substreams: a
-    no-coupon holdout plus the three strategies, each given as arm-index
-    arrays. Realized ROI is incremental sales over the holdout times the
-    catalog's mean seller LTV, divided by realized coupon spend (``inf`` when
-    a strategy spends nothing).
+    (``generate_catalog_arrays``: no per-item records). Item ids and their
+    keys depend on ``n_items`` alone, so they are built and hashed once per
+    call and every later seed's catalog reuses them. Predictions come from
+    the catalog's columns, and one ``rollout_arms`` pass rolls out four
+    plans on that catalog under shared sale draws: a no-coupon holdout plus
+    the three strategies, each given as arm-index arrays. Realized ROI is
+    incremental sales over the holdout times the catalog's mean seller LTV,
+    divided by realized coupon spend (``inf`` when a strategy spends nothing).
     Plans below the lift threshold attach no coupons under both model-driven
     strategies. The random strategy draws arms uniformly unless explicit
     probabilities are given.
@@ -446,10 +447,12 @@ def compare_strategies(
     ltv_sum = 0.0
     n_total = 0
 
+    cat = None
     for seed in seeds:
         cfg = dataclasses.replace(config, rng_seed=seed)
         gt = GroundTruth(cfg)
-        cat = generate_catalog_arrays(cfg)
+        # Ids and keys depend on n_items alone: each seed takes the last one's.
+        cat = generate_catalog_arrays(cfg, same_ids_as=cat)
         n = len(cat)
         mean_ltv = float(cat.ltv.mean())
 
@@ -468,20 +471,18 @@ def compare_strategies(
             STRATEGY_INDEPENDENT: (j_ind, k_ind, feas_ind),
             STRATEGY_SEQUENTIAL: (j_seq, k_seq, feas_seq),
         }
-
         no_coupon = np.zeros(n, dtype=np.int64)
-        holdout_totals = rollout_arms(
-            gt, cat, r1_set, r2_set, no_coupon, no_coupon, attach_delay_h, seed
+        # An inactive plan attaches no coupon in either round.
+        plans = [(no_coupon, no_coupon)] + [
+            (np.where(active, j, 0), np.where(active, k, 0))
+            for j, k, active in (choices[key] for key in STRATEGY_ORDER)
+        ]
+        holdout_totals, *strategy_totals = rollout_arms(
+            gt, cat, r1_set, r2_set, plans, attach_delay_h, seed
         )
         holdout_sales_total += holdout_totals.sales_count
 
-        for key in STRATEGY_ORDER:
-            j, k, active = choices[key]
-            # An inactive plan attaches no coupon in either round.
-            totals = rollout_arms(
-                gt, cat, r1_set, r2_set,
-                np.where(active, j, 0), np.where(active, k, 0), attach_delay_h, seed,
-            )
+        for key, totals in zip(STRATEGY_ORDER, strategy_totals):
             per_seed[key].append(
                 _metrics(totals, holdout_totals.sales_count, n, mean_ltv)
             )

@@ -357,14 +357,21 @@ def _fit_boosted(Xs, y, w_norm, config) -> tuple[float, tuple[Stump, ...]]:
     return base, tuple(stumps)
 
 
+def _check_width(model: Model, shape: tuple) -> None:
+    if len(shape) != 2 or shape[1] != model.n_features:
+        raise SchemaMismatchError(
+            f"model expects {model.n_features} features, got matrix of shape {shape}"
+        )
+
+
 def decision_scores(model: Model, X: np.ndarray) -> np.ndarray:
     """Raw additive scores (logits) for a matrix of raw-scale features."""
     X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != model.n_features:
-        raise SchemaMismatchError(
-            f"model expects {model.n_features} features, got matrix of shape {X.shape}"
-        )
-    Xs = (X - model.feature_mean) / model.feature_scale
+    _check_width(model, X.shape)
+    return _standardised_scores(model, (X - model.feature_mean) / model.feature_scale)
+
+
+def _standardised_scores(model: Model, Xs: np.ndarray) -> np.ndarray:
     if model.kind == KIND_LOGISTIC:
         return Xs @ model.coef + model.intercept
     z = np.full(len(Xs), model.intercept)
@@ -376,6 +383,18 @@ def decision_scores(model: Model, X: np.ndarray) -> np.ndarray:
 def predict_matrix(model: Model, X: np.ndarray) -> np.ndarray:
     """Clamped sale probabilities for a matrix of raw-scale features."""
     return _clamped(_sigmoid(decision_scores(model, X)))
+
+
+def predict_standardised(model: Model, Xs: np.ndarray) -> np.ndarray:
+    """``predict_matrix`` of the rows whose standardised features are ``Xs``.
+
+    ``Xs`` holds ``(X - model.feature_mean) / model.feature_scale``, so a caller
+    scoring many matrices that share columns standardises those columns once.
+    The result equals ``predict_matrix(model, X)`` bit for bit when ``Xs`` is
+    C-contiguous, as a fresh quotient would be.
+    """
+    _check_width(model, np.shape(Xs))
+    return _clamped(_sigmoid(_standardised_scores(model, Xs)))
 
 
 def weighted_log_loss(model: Model, data: Dataset) -> float:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -124,11 +124,19 @@ class GroundTruth:
         attach_delay_h: np.ndarray,
     ) -> np.ndarray:
         """Vectorised true propensity; discount 0 gives the untreated propensity."""
-        logit = self.base_logit(round) + item_matrix @ self._w
+        return self._treated(
+            self.base_logit(round) + item_matrix @ self._w,
+            discount_pct,
+            self.responsiveness(likes),
+            attach_delay_h,
+        )
+
+    def _treated(self, logit, discount_pct, responsiveness, attach_delay_h) -> np.ndarray:
+        """``propensity_arrays`` from the untreated logit and the responsiveness."""
         shift = (
             self.config.effect_scale
             * np.asarray(discount_pct, dtype=float)
-            * self.responsiveness(likes)
+            * responsiveness
             * self.delay_multiplier(attach_delay_h)
         )
         p = _sigmoid(logit + shift)
@@ -145,10 +153,12 @@ def _sigmoid(x):
     return out
 
 
-def _draw_catalog(config: SimConfig) -> dict:
+def _draw_catalog(config: SimConfig, same_ids_as: Optional["CatalogArrays"] = None) -> dict:
     """The catalog's columns, keyed by ``CatalogArrays`` field; deterministic per seed.
 
     Draws no keys and builds no features: both catalog generators start here.
+    The ids, seller ids and status depend on ``n_items`` alone; they are taken
+    from ``same_ids_as`` when given.
     """
     n = config.n_items
     gen = np.random.default_rng([config.rng_seed, 0xCA7A])
@@ -162,9 +172,15 @@ def _draw_catalog(config: SimConfig) -> dict:
     season = gen.uniform(0.0, 1.0, n)
     ltv = np.maximum(1, np.rint(gen.lognormal(ltv_mu, ltv_sigma, n))).astype(np.int64)
     key_ts = _KEY_ACTION_EPOCH_H + gen.uniform(0.0, 8760.0, n)
+    if same_ids_as is None:
+        ids = tuple(f"it{i:07d}" for i in range(n))
+        seller_ids = tuple(f"sl{i:07d}" for i in range(n))
+        status = ("unsold",) * n
+    else:
+        ids, seller_ids, status = same_ids_as.ids, same_ids_as.seller_ids, same_ids_as.status
     return dict(
-        ids=tuple(f"it{i:07d}" for i in range(n)),
-        seller_ids=tuple(f"sl{i:07d}" for i in range(n)),
+        ids=ids,
+        seller_ids=seller_ids,
         price=price,
         condition=condition,
         age_days=age_days,
@@ -173,7 +189,7 @@ def _draw_catalog(config: SimConfig) -> dict:
         season=season,
         ltv=ltv,
         key_ts=key_ts,
-        status=("unsold",) * n,
+        status=status,
     )
 
 
@@ -195,12 +211,27 @@ def generate_catalog(config: SimConfig) -> list[ItemRecord]:
     return _item_records(**_draw_catalog(config))
 
 
-def generate_catalog_arrays(config: SimConfig) -> "CatalogArrays":
+def generate_catalog_arrays(
+    config: SimConfig, same_ids_as: Optional["CatalogArrays"] = None
+) -> "CatalogArrays":
     """``generate_catalog`` drawn straight into columns and the feature matrix.
 
     ``generate_catalog_arrays(config).to_items() == generate_catalog(config)``.
+    ``same_ids_as``, a catalog this function drew at the same ``n_items`` under
+    any seed, lends its id, seller-id and status tuples and any keys it has
+    hashed: those depend on ``n_items`` alone, so a caller drawing many seeds
+    builds and hashes them once.
     """
-    return CatalogArrays.from_columns(**_draw_catalog(config))
+    if same_ids_as is None:
+        return CatalogArrays.from_columns(**_draw_catalog(config))
+    if len(same_ids_as) != config.n_items:
+        raise InputError(
+            f"same_ids_as has {len(same_ids_as)} items, config.n_items is {config.n_items}"
+        )
+    cat = CatalogArrays.from_columns(**_draw_catalog(config, same_ids_as))
+    if "keys" in same_ids_as.__dict__:
+        cat.__dict__["keys"] = same_ids_as.keys
+    return cat
 
 
 @dataclass(frozen=True)
@@ -368,38 +399,41 @@ def _coupon_columns(coupons: Iterable[CouponConfig]) -> tuple[np.ndarray, ...]:
     )
 
 
-def _simulate_round(
-    gt: GroundTruth,
-    cat: CatalogArrays,
-    idx: np.ndarray,
-    discount_pct: np.ndarray,
-    validity_hours: np.ndarray,
-    attach_delay_h: np.ndarray,
-    round: int,
-    seed: int,
-    sale_tag: int,
-    ptime_tag: int,
-):
-    """Bernoulli sale draws plus purchase timing with validity truncation.
+class _RoundDraws:
+    """The part of both rounds that no coupon plan changes, over every catalog row.
 
-    ``discount_pct``, ``validity_hours`` and ``attach_delay_h`` align with the
-    catalog rows ``idx``. Returns (sold, purchase_delay_h) for those rows;
-    purchase_delay_h is NaN where unsold.
+    Per round and row: the sale uniform, the untreated logit and the purchase
+    delay a sale would have; per row, the coupon responsiveness. A plan then
+    adds only its discount shift and its validity truncation, so plans rolled
+    out on one seed share these common random numbers and compute them once.
     """
-    keys = cat.keys[idx]
-    p = gt.propensity_arrays(cat.matrix[idx], cat.likes[idx], discount_pct, round, attach_delay_h)
-    sold = rng.uniforms(seed, keys, sale_tag) < p
 
-    u_t = rng.uniforms(seed, keys, ptime_tag)
-    lam = purchase_rate(gt.config, cat.price[idx])
-    t = -np.log1p(-u_t) / lam
+    def __init__(self, gt: GroundTruth, cat: "CatalogArrays", seed: int):
+        self.gt = gt
+        words = rng.stream_words(seed, cat.keys)
+        base = cat.matrix @ gt._w
+        rate = purchase_rate(gt.config, cat.price)
+        self.responsiveness = gt.responsiveness(cat.likes)
+        self._columns = {}
+        for round, sale_tag, ptime_tag in (
+            (1, rng.SALE_R1, rng.PURCHASE_R1), (2, rng.SALE_R2, rng.PURCHASE_R2)
+        ):
+            u_sale = rng.words_to_uniforms(rng.extend_words(words, sale_tag))
+            u_t = rng.words_to_uniforms(rng.extend_words(words, ptime_tag))
+            self._columns[round] = (u_sale, gt.base_logit(round) + base, -np.log1p(-u_t) / rate)
 
-    # A coupon sale drawn past the validity window is recorded as unsold.
-    real = discount_pct > 0
-    truncated = sold & real & (t > validity_hours)
-    sold = sold & ~truncated
-    t = np.where(sold, t, np.nan)
-    return sold, t
+    def round(self, round: int, rows, discount_pct, validity_hours, attach_delay_h):
+        """(sold, purchase_delay_h) of the catalog rows ``rows`` in ``round``.
+
+        ``rows`` is an index array or a slice; the other arguments align with
+        it or broadcast. A coupon sale drawn past the validity window is
+        recorded as unsold; ``purchase_delay_h`` is the drawn delay, sold or not.
+        """
+        u_sale, logit, t = (c[rows] for c in self._columns[round])
+        p = self.gt._treated(logit, discount_pct, self.responsiveness[rows], attach_delay_h)
+        sold = u_sale < p
+        truncated = sold & (discount_pct > 0) & (t > validity_hours)
+        return sold & ~truncated, t
 
 
 def _simulate_rounds(
@@ -417,19 +451,14 @@ def _simulate_rounds(
     Round 2 runs on the round-1 survivors only, attached once the round-1
     coupon's validity has run out (never before the round-2 floor). Returns
     (sold1, t1, surv_idx, delay2, sold2, t2); the round-2 arrays align with
-    ``surv_idx``.
+    ``surv_idx`` and purchase delays are NaN where unsold.
     """
-    sold1, t1 = _simulate_round(
-        gt, cat, np.arange(len(cat)), disc1, validity1, delay1, 1, seed,
-        rng.SALE_R1, rng.PURCHASE_R1,
-    )
+    draws = _RoundDraws(gt, cat, seed)
+    sold1, t1 = draws.round(1, slice(None), disc1, validity1, delay1)
     surv_idx = np.flatnonzero(~sold1)
     delay2 = round2_attach_delay(delay1[surv_idx], validity1[surv_idx])
-    sold2, t2 = _simulate_round(
-        gt, cat, surv_idx, disc2[surv_idx], validity2[surv_idx], delay2, 2, seed,
-        rng.SALE_R2, rng.PURCHASE_R2,
-    )
-    return sold1, t1, surv_idx, delay2, sold2, t2
+    sold2, t2 = draws.round(2, surv_idx, disc2[surv_idx], validity2[surv_idx], delay2)
+    return sold1, np.where(sold1, t1, np.nan), surv_idx, delay2, sold2, np.where(sold2, t2, np.nan)
 
 
 def _id_rank(cat: CatalogArrays) -> np.ndarray:
@@ -563,36 +592,51 @@ def rollout_arms(
     cat: CatalogArrays,
     round1_set: CouponSet,
     round2_set: CouponSet,
-    arm1: np.ndarray,
-    arm2: np.ndarray,
+    plans: Sequence[tuple[np.ndarray, np.ndarray]],
     attach_delay_h: float,
     seed: int,
-) -> RolloutTotals:
-    """Simulate both rounds under per-row arm indices and tally exact totals.
+) -> list[RolloutTotals]:
+    """Simulate both rounds under each plan's per-row arm indices; exact totals per plan.
 
-    ``arm1``/``arm2`` hold one menu index per catalog row, arm 0 being the
-    no-coupon arm; round-1 coupons attach ``attach_delay_h`` hours after the
-    key action. The draws are those of ``rollout_policy`` under the equivalent
-    per-item policy, so the totals equal its totals, summed here over integer
-    columns instead of per-item records.
+    Each plan is an (arm1, arm2) pair holding one menu index per catalog row,
+    arm 0 being the no-coupon arm; round-1 coupons attach ``attach_delay_h``
+    hours after the key action. Every plan is checked before any is rolled out.
+    The plans share one seed's common random numbers: the sale uniforms of
+    both rounds, the untreated logits, the responsiveness, the purchase delays
+    and the coupon-cost grids are computed once, and each plan adds only its
+    discount shift and validity truncation. A plan's totals equal those of
+    ``rollout_policy`` under the equivalent per-item policy, summed here over
+    integer columns instead of per-item records.
     """
     if attach_delay_h < 0:
         raise InputError("attach_delay_h must be >= 0")
     n = len(cat)
-    arm1 = _check_arms(arm1, n, round1_set, "arm1")
-    arm2 = _check_arms(arm2, n, round2_set, "arm2")
+    plans = [
+        (_check_arms(arm1, n, round1_set, "arm1"), _check_arms(arm2, n, round2_set, "arm2"))
+        for arm1, arm2 in plans
+    ]
+    draws = _RoundDraws(gt, cat, seed)
     disc1, validity1, _ = _coupon_columns(round1_set)
     disc2, validity2, _ = _coupon_columns(round2_set)
-    sold1, _, surv_idx, _, sold2, _ = _simulate_rounds(
-        gt, cat, disc1[arm1], validity1[arm1], np.full(n, float(attach_delay_h)),
-        disc2[arm2], validity2[arm2], seed,
-    )
-    rows = np.arange(n)
-    cost1 = coupon_costs(cat.price, round1_set)[rows, arm1]
-    cost2 = coupon_costs(cat.price, round2_set)[rows, arm2]
-    sold2_rows = surv_idx[sold2]
-    return RolloutTotals(
-        sales_count=int(sold1.sum()) + len(sold2_rows),
-        coupon_cost_yen=int(cost1[sold1].sum() + cost2[sold2_rows].sum()),
-        gmv_yen=int(cat.price[sold1].sum() + cat.price[sold2_rows].sum()),
-    )
+    cost1 = coupon_costs(cat.price, round1_set)
+    cost2 = coupon_costs(cat.price, round2_set)
+    delay1 = float(attach_delay_h)
+    totals = []
+    for arm1, arm2 in plans:
+        sold1, _ = draws.round(1, slice(None), disc1[arm1], validity1[arm1], delay1)
+        surv_idx = np.flatnonzero(~sold1)
+        arm2_surv = arm2[surv_idx]
+        delay2 = round2_attach_delay(delay1, validity1[arm1[surv_idx]])
+        sold2, _ = draws.round(
+            2, surv_idx, disc2[arm2_surv], validity2[arm2_surv], delay2
+        )
+        sold1_rows, sold2_rows = np.flatnonzero(sold1), surv_idx[sold2]
+        totals.append(RolloutTotals(
+            sales_count=len(sold1_rows) + len(sold2_rows),
+            coupon_cost_yen=int(
+                cost1[sold1_rows, arm1[sold1_rows]].sum()
+                + cost2[sold2_rows, arm2[sold2_rows]].sum()
+            ),
+            gmv_yen=int(cat.price[sold1_rows].sum() + cat.price[sold2_rows].sum()),
+        ))
+    return totals

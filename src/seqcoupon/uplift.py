@@ -16,6 +16,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .domain import (
+    N_COUPON_FEATURES,
+    N_ITEM_FEATURES,
     ROUND1_FEATURE_NAMES,
     ROUND2_FEATURE_NAMES,
     SCHEMA_ROUND1,
@@ -28,6 +30,7 @@ from .domain import (
     _as_log,
     _check_column,
     _coupon,
+    _coupon_features,
     _id_rows,
     encode_round1_batch,
     encode_round2_batch,
@@ -41,7 +44,15 @@ from .errors import (
     MissingHoldoutError,
     SchemaMismatchError,
 )
-from .learner import Dataset, LearnerConfig, Model, predict_matrix, train
+from .learner import (
+    Dataset,
+    LearnerConfig,
+    Model,
+    _check_width,
+    predict_matrix,
+    predict_standardised,
+    train,
+)
 from .simulator import CatalogArrays, _as_catalog
 
 IPW_EPSILON_DEFAULT = 1e-3
@@ -154,20 +165,48 @@ def fit_first_round(
     return train(round1_training_dataset(items, round1_log), config)
 
 
+def _arm_probabilities(model: Model, item_matrix, slot, coupon_set: CouponSet, last):
+    """Probabilities of ``model`` under each arm of ``coupon_set``: (n, arms).
+
+    Each arm's design matrix is the round's encoding: the item features, the
+    ``slot`` column (attach delay or elapsed age), the coupon's coordinates and
+    the last column ``last(coupon)``. The item and slot columns are
+    standardised once into one C-contiguous buffer; per arm only the coupon
+    and last columns are rewritten before scoring. Every entry equals
+    ``predict_matrix`` on that arm's encoded matrix, bit for bit.
+    """
+    width = N_ITEM_FEATURES + 1 + N_COUPON_FEATURES + 1
+    n = item_matrix.shape[0]
+    _check_width(model, (n, width))
+    mean, scale = model.feature_mean, model.feature_scale
+    items, coupon = slice(0, N_ITEM_FEATURES), slice(N_ITEM_FEATURES + 1, width - 1)
+    Xs = np.empty((n, width))
+    Xs[:, items] = (item_matrix - mean[items]) / scale[items]
+    Xs[:, N_ITEM_FEATURES] = (slot - mean[N_ITEM_FEATURES]) / scale[N_ITEM_FEATURES]
+    probs = np.empty((n, len(coupon_set)))
+    for a, arm in enumerate(coupon_set):
+        Xs[:, coupon] = (np.array(_coupon_features(arm)) - mean[coupon]) / scale[coupon]
+        Xs[:, -1] = (last(arm) - mean[-1]) / scale[-1]
+        probs[:, a] = predict_standardised(model, Xs)
+    return probs
+
+
 def round1_arm_probabilities(
     first: Model,
     item_matrix: np.ndarray,
     round1_set: CouponSet,
     attach_delay_h,
 ) -> np.ndarray:
-    """Matrix of first-round propensities, one column per arm of the menu."""
+    """Matrix of first-round propensities, one column per arm of the menu.
+
+    Equal to ``predict_matrix`` on each arm's ``encode_round1_batch`` matrix;
+    the item and delay columns are standardised once for all arms.
+    """
     delays = np.broadcast_to(np.asarray(attach_delay_h, dtype=float),
                              (item_matrix.shape[0],))
-    cols = [
-        predict_matrix(first, encode_round1_batch(item_matrix, coupon, delays))
-        for coupon in round1_set
-    ]
-    return np.column_stack(cols)
+    return _arm_probabilities(
+        first, item_matrix, delays, round1_set, lambda arm: arm.discount_pct * delays
+    )
 
 
 def ipw_weights(
@@ -299,7 +338,10 @@ def predict_arrays(
     """Columnar predictions from an item-feature matrix and an ``age_days`` column.
 
     Returns (p1 matrix, mean_p1, p2 matrix, p_baseline), one row per matrix row.
-    A negative attach delay is refused: the models never saw one.
+    A negative attach delay is refused: the models never saw one. Each round
+    standardises its item and delay (or age) columns once; per arm only the
+    coupon columns and the last column are rewritten before scoring, which
+    gives the bits of scoring each arm's encoded matrix with ``predict_matrix``.
     """
     if attach_delay_h < 0:
         raise ContractError("attach_delay_h must be >= 0")
@@ -307,14 +349,8 @@ def predict_arrays(
                                   attach_delay_h)
     mean_p1 = p1.mean(axis=1)
     elapsed_age_h = np.asarray(age_days, dtype=float) * 24.0
-    p2 = np.column_stack(
-        [
-            predict_matrix(
-                pair.second,
-                encode_round2_batch(item_matrix, coupon, elapsed_age_h, mean_p1),
-            )
-            for coupon in pair.round2_set
-        ]
+    p2 = _arm_probabilities(
+        pair.second, item_matrix, elapsed_age_h, pair.round2_set, lambda arm: mean_p1
     )
     p_baseline = p1[:, 0] + (1.0 - p1[:, 0]) * p2[:, 0]
     return p1, mean_p1, p2, p_baseline

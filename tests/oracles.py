@@ -4,20 +4,49 @@ Everything here is written directly from first principles (plain loops,
 no vectorization, no reuse of package internals beyond data types) so that
 agreement with the package is meaningful. The exceptions at the end are
 earlier implementations kept as they were: the per-record CSV writers, the
-boosted-stump fit that re-buckets every feature in every round, and the
-uplift curve and bootstrap band that re-sort every resample. The package's
-faster paths must reproduce their bytes and bits.
+boosted-stump fit that re-buckets every feature in every round, the uplift
+curve and bootstrap band that re-sort every resample, the row-major
+allocators, the one-plan-per-call rollout and the per-arm prediction. The
+package's faster paths must reproduce their bytes and bits.
 """
 
+from __future__ import annotations
+
+import dataclasses
 import math
+import sys
 
 import numpy as np
 
 from seqcoupon import rng
-from seqcoupon.domain import coupon_cost
+from seqcoupon.domain import (
+    coupon_cost,
+    coupon_costs,
+    encode_round1_batch,
+    encode_round2_batch,
+)
 from seqcoupon.errors import ContractError, InputError
-from seqcoupon.evaluation import UpliftCurve
-from seqcoupon.learner import LEAF_CLIP, N_SPLIT_CANDIDATES, PROB_CLAMP, Stump
+from seqcoupon.decision import DEFAULT_ATTACH_DELAY_H
+from seqcoupon.evaluation import (
+    STRATEGY_INDEPENDENT,
+    STRATEGY_ORDER,
+    STRATEGY_RANDOM,
+    STRATEGY_SEQUENTIAL,
+    ComparisonReport,
+    StrategyMetrics,
+    UpliftCurve,
+    _metrics,
+)
+from seqcoupon.learner import LEAF_CLIP, N_SPLIT_CANDIDATES, PROB_CLAMP, Stump, predict_matrix
+from seqcoupon.simulator import (
+    GroundTruth,
+    RolloutTotals,
+    arm_draw,
+    generate_catalog_arrays,
+    purchase_rate,
+    round2_attach_delay,
+    validate_probs,
+)
 
 
 def brute_force_allocate(preds, price_yen, ltv, round1_set, round2_set, threshold):
@@ -291,3 +320,433 @@ def bootstrap_band_resorting(curve_fn, n_items, b_replicates, seed):
         hi = float(np.percentile(values, 95.0, method="higher"))
         bands.append((lo, hi))
     return tuple(bands)
+
+
+# ---------------------------------------------------------------------------
+# The row-major allocators, kept as they were: (item, j, k) grids and a
+# per-row argmax.
+
+def _resolve_ltvs(ltvs: np.ndarray, constraint: PolicyConstraint) -> np.ndarray:
+    """Per-item LTVs as floats, or the constraint's override for every item."""
+    if constraint.ltv_override is not None:
+        return np.full(len(ltvs), float(constraint.ltv_override))
+    return np.asarray(ltvs, dtype=float)
+
+
+def _check_widths(p1: np.ndarray, p2: np.ndarray, round1_set: CouponSet, round2_set: CouponSet):
+    if p1.shape[1] != len(round1_set) or p2.shape[1] != len(round2_set):
+        raise InputError("predictions do not match the coupon menus")
+
+
+def _roi(lift: np.ndarray, ltv: np.ndarray, cost: np.ndarray) -> np.ndarray:
+    """Elementwise ``roi`` from a lift, with the same zero-cost sentinels."""
+    free = cost == 0.0
+    return np.where(
+        free, np.where(lift > 0.0, np.inf, 0.0), lift * ltv / np.where(free, 1.0, cost)
+    )
+
+
+def _economics(p1, p2, p_baseline, cost1, cost2, ltv):
+    """(p_combined, expected_cost, lift, roi) over broadcast arrays, equal bit for
+    bit to ``combine_propensity``, ``combine_cost`` and ``roi`` elementwise."""
+    pc = p1 + (1.0 - p1) * p2
+    with np.errstate(invalid="ignore", divide="ignore"):
+        cost = np.where(pc == 0.0, 0.0, (p1 * cost1 + (1.0 - p1) * p2 * cost2) / pc)
+        if pc.min(initial=1.0) < sys.float_info.min:
+            subnormal = (pc > 0.0) & (pc < sys.float_info.min)
+            w = p1 / pc
+            cost = np.where(subnormal, w * cost1 + (1.0 - w) * cost2, cost)
+    lift = pc - p_baseline
+    return pc, cost, lift, _roi(lift, ltv, cost)
+
+
+def _cascade(value: np.ndarray, cost: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Per row, the masked argmax of value; ties go to the lower cost, then the lower index."""
+    v = np.where(mask, value, -np.inf)
+    tie = v == v.max(axis=1)[:, None]
+    c = np.where(tie, cost, np.inf)
+    tie &= c == c.min(axis=1)[:, None]
+    return tie.argmax(axis=1)
+
+
+def _pick(rois: np.ndarray, lift: np.ndarray, cost: np.ndarray, candidates: np.ndarray,
+          threshold: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per row: (the highest-ROI candidate whose lift clears ``threshold``, else
+    the highest-lift candidate; whether any candidate cleared it)."""
+    feasible = candidates & (lift >= threshold)
+    any_feasible = feasible.any(axis=1)
+    choice = np.where(
+        any_feasible, _cascade(rois, cost, feasible), _cascade(lift, cost, candidates)
+    )
+    return choice, any_feasible
+
+
+def allocate_batch_row_major(
+    p1: np.ndarray,
+    p2: np.ndarray,
+    p_baseline: np.ndarray,
+    prices: np.ndarray,
+    ltvs: np.ndarray,
+    round1_set: CouponSet,
+    round2_set: CouponSet,
+    constraint: PolicyConstraint,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(j, k, feasible) per item: the feasible pair with the highest ROI.
+
+    Every cell except (none, none), the baseline the lift is measured against,
+    is scored. Ties fall to the lower expected cost, then the lower flattened
+    (j, k) index. An item with no cell clearing the lift threshold gets its
+    maximum-lift cell flagged infeasible. ``constraint.ltv_override``, when
+    set, replaces ``ltvs``.
+    """
+    _check_widths(p1, p2, round1_set, round2_set)
+    n, M = p1.shape
+    K = p2.shape[1]
+    _, cost, lift, r = _economics(
+        p1[:, :, None],
+        p2[:, None, :],
+        p_baseline[:, None, None],
+        coupon_costs(prices, round1_set).astype(float)[:, :, None],
+        coupon_costs(prices, round2_set).astype(float)[:, None, :],
+        _resolve_ltvs(ltvs, constraint)[:, None, None],
+    )
+    candidates = np.ones((n, M * K), dtype=bool)
+    candidates[:, 0] = False  # the (none, none) baseline never competes
+    flat, feasible = _pick(
+        r.reshape(n, M * K), lift.reshape(n, M * K), cost.reshape(n, M * K),
+        candidates, constraint.lift_threshold,
+    )
+    return flat // K, flat % K, feasible
+
+
+def _best_round_arm(probs: np.ndarray, costs: np.ndarray, ltvs: np.ndarray, threshold: float):
+    """Greedy single-round pick over (n, arms) grids: max per-round ROI subject
+    to the lift over the round's no-coupon arm."""
+    lift = probs - probs[:, [0]]
+    candidates = np.ones(lift.shape, dtype=bool)
+    return _pick(_roi(lift, ltvs[:, None], costs), lift, costs, candidates, threshold)[0]
+
+
+def allocate_independent_batch_row_major(
+    p1: np.ndarray,
+    p2: np.ndarray,
+    p_baseline: np.ndarray,
+    prices: np.ndarray,
+    ltvs: np.ndarray,
+    round1_set: CouponSet,
+    round2_set: CouponSet,
+    constraint: PolicyConstraint,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(j, k, feasible) per item under the per-round greedy baseline.
+
+    Each round's arm maximises that round's lift-to-cost ratio on its own; the
+    flag refers to the pair's combined lift, as for ``allocate_batch``.
+    ``constraint.ltv_override``, when set, replaces ``ltvs``.
+    """
+    _check_widths(p1, p2, round1_set, round2_set)
+    ltvs = _resolve_ltvs(ltvs, constraint)
+    threshold = constraint.lift_threshold
+    cost1 = coupon_costs(prices, round1_set).astype(float)
+    cost2 = coupon_costs(prices, round2_set).astype(float)
+    j = _best_round_arm(p1, cost1, ltvs, threshold)
+    k = _best_round_arm(p2, cost2, ltvs, threshold)
+    rows = np.arange(len(j))
+    _, _, lift, _ = _economics(
+        p1[rows, j], p2[rows, k], p_baseline, cost1[rows, j], cost2[rows, k], ltvs
+    )
+    return j, k, lift >= threshold
+
+
+# ---------------------------------------------------------------------------
+# The rollout as it was: one call per plan, every draw and the base logit
+# recomputed per call, round 2 drawn on the survivors only.
+
+def _coupon_columns(coupons: Iterable[CouponConfig]) -> tuple[np.ndarray, ...]:
+    """(discount_pct, validity_hours, cap_yen) columns, one entry per coupon."""
+    coupons = list(coupons)
+    return (
+        np.array([c.discount_pct for c in coupons], dtype=np.int64),
+        np.array([c.validity_hours for c in coupons], dtype=float),
+        np.array([c.cap_yen for c in coupons], dtype=np.int64),
+    )
+
+
+def _simulate_round(
+    gt: GroundTruth,
+    cat: CatalogArrays,
+    idx: np.ndarray,
+    discount_pct: np.ndarray,
+    validity_hours: np.ndarray,
+    attach_delay_h: np.ndarray,
+    round: int,
+    seed: int,
+    sale_tag: int,
+    ptime_tag: int,
+):
+    """Bernoulli sale draws plus purchase timing with validity truncation.
+
+    ``discount_pct``, ``validity_hours`` and ``attach_delay_h`` align with the
+    catalog rows ``idx``. Returns (sold, purchase_delay_h) for those rows;
+    purchase_delay_h is NaN where unsold.
+    """
+    keys = cat.keys[idx]
+    p = gt.propensity_arrays(cat.matrix[idx], cat.likes[idx], discount_pct, round, attach_delay_h)
+    sold = rng.uniforms(seed, keys, sale_tag) < p
+
+    u_t = rng.uniforms(seed, keys, ptime_tag)
+    lam = purchase_rate(gt.config, cat.price[idx])
+    t = -np.log1p(-u_t) / lam
+
+    # A coupon sale drawn past the validity window is recorded as unsold.
+    real = discount_pct > 0
+    truncated = sold & real & (t > validity_hours)
+    sold = sold & ~truncated
+    t = np.where(sold, t, np.nan)
+    return sold, t
+
+
+def _simulate_rounds(
+    gt: GroundTruth,
+    cat: CatalogArrays,
+    disc1: np.ndarray,
+    validity1: np.ndarray,
+    delay1: np.ndarray,
+    disc2: np.ndarray,
+    validity2: np.ndarray,
+    seed: int,
+):
+    """Both rounds over the whole catalog; every input has one entry per row.
+
+    Round 2 runs on the round-1 survivors only, attached once the round-1
+    coupon's validity has run out (never before the round-2 floor). Returns
+    (sold1, t1, surv_idx, delay2, sold2, t2); the round-2 arrays align with
+    ``surv_idx``.
+    """
+    sold1, t1 = _simulate_round(
+        gt, cat, np.arange(len(cat)), disc1, validity1, delay1, 1, seed,
+        rng.SALE_R1, rng.PURCHASE_R1,
+    )
+    surv_idx = np.flatnonzero(~sold1)
+    delay2 = round2_attach_delay(delay1[surv_idx], validity1[surv_idx])
+    sold2, t2 = _simulate_round(
+        gt, cat, surv_idx, disc2[surv_idx], validity2[surv_idx], delay2, 2, seed,
+        rng.SALE_R2, rng.PURCHASE_R2,
+    )
+    return sold1, t1, surv_idx, delay2, sold2, t2
+
+
+def _check_arms(arms, n: int, coupon_set: CouponSet, label: str) -> np.ndarray:
+    arms = np.asarray(arms)
+    if arms.shape != (n,) or not np.issubdtype(arms.dtype, np.integer):
+        raise InputError(f"{label}: need one integer arm index per catalog row ({n})")
+    if n and (arms.min() < 0 or arms.max() >= len(coupon_set)):
+        raise InputError(f"{label}: arm indices must lie in [0, {len(coupon_set)})")
+    return arms
+
+
+def rollout_arms_per_plan(
+    gt: GroundTruth,
+    cat: CatalogArrays,
+    round1_set: CouponSet,
+    round2_set: CouponSet,
+    arm1: np.ndarray,
+    arm2: np.ndarray,
+    attach_delay_h: float,
+    seed: int,
+) -> RolloutTotals:
+    """Simulate both rounds under per-row arm indices and tally exact totals.
+
+    ``arm1``/``arm2`` hold one menu index per catalog row, arm 0 being the
+    no-coupon arm; round-1 coupons attach ``attach_delay_h`` hours after the
+    key action. The draws are those of ``rollout_policy`` under the equivalent
+    per-item policy, so the totals equal its totals, summed here over integer
+    columns instead of per-item records.
+    """
+    if attach_delay_h < 0:
+        raise InputError("attach_delay_h must be >= 0")
+    n = len(cat)
+    arm1 = _check_arms(arm1, n, round1_set, "arm1")
+    arm2 = _check_arms(arm2, n, round2_set, "arm2")
+    disc1, validity1, _ = _coupon_columns(round1_set)
+    disc2, validity2, _ = _coupon_columns(round2_set)
+    sold1, _, surv_idx, _, sold2, _ = _simulate_rounds(
+        gt, cat, disc1[arm1], validity1[arm1], np.full(n, float(attach_delay_h)),
+        disc2[arm2], validity2[arm2], seed,
+    )
+    rows = np.arange(n)
+    cost1 = coupon_costs(cat.price, round1_set)[rows, arm1]
+    cost2 = coupon_costs(cat.price, round2_set)[rows, arm2]
+    sold2_rows = surv_idx[sold2]
+    return RolloutTotals(
+        sales_count=int(sold1.sum()) + len(sold2_rows),
+        coupon_cost_yen=int(cost1[sold1].sum() + cost2[sold2_rows].sum()),
+        gmv_yen=int(cat.price[sold1].sum() + cat.price[sold2_rows].sum()),
+    )
+
+
+# ---------------------------------------------------------------------------
+# Prediction as it was: one encoded and standardised matrix per arm.
+
+def round1_arm_probabilities_per_arm(
+    first: Model,
+    item_matrix: np.ndarray,
+    round1_set: CouponSet,
+    attach_delay_h,
+) -> np.ndarray:
+    """Matrix of first-round propensities, one column per arm of the menu."""
+    delays = np.broadcast_to(np.asarray(attach_delay_h, dtype=float),
+                             (item_matrix.shape[0],))
+    cols = [
+        predict_matrix(first, encode_round1_batch(item_matrix, coupon, delays))
+        for coupon in round1_set
+    ]
+    return np.column_stack(cols)
+
+
+def predict_arrays_per_arm(
+    pair: PredictorPair,
+    item_matrix: np.ndarray,
+    age_days: np.ndarray,
+    attach_delay_h: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Columnar predictions from an item-feature matrix and an ``age_days`` column.
+
+    Returns (p1 matrix, mean_p1, p2 matrix, p_baseline), one row per matrix row.
+    A negative attach delay is refused: the models never saw one.
+    """
+    if attach_delay_h < 0:
+        raise ContractError("attach_delay_h must be >= 0")
+    p1 = round1_arm_probabilities_per_arm(pair.first, item_matrix, pair.round1_set,
+                                  attach_delay_h)
+    mean_p1 = p1.mean(axis=1)
+    elapsed_age_h = np.asarray(age_days, dtype=float) * 24.0
+    p2 = np.column_stack(
+        [
+            predict_matrix(
+                pair.second,
+                encode_round2_batch(item_matrix, coupon, elapsed_age_h, mean_p1),
+            )
+            for coupon in pair.round2_set
+        ]
+    )
+    p_baseline = p1[:, 0] + (1.0 - p1[:, 0]) * p2[:, 0]
+    return p1, mean_p1, p2, p_baseline
+
+
+# ---------------------------------------------------------------------------
+# The strategy comparison as it was: a fresh catalog, ids and keys per seed,
+# and the three kept paths above.
+
+def compare_strategies_per_strategy(
+    config: SimConfig,
+    pair: PredictorPair,
+    constraint: PolicyConstraint,
+    seeds: Sequence[int],
+    attach_delay_h: float = DEFAULT_ATTACH_DELAY_H,
+    random_round1_probs: Optional[Sequence[float]] = None,
+    random_round2_probs: Optional[Sequence[float]] = None,
+) -> ComparisonReport:
+    """Roll out random / per-round / sequential allocation on common seeds.
+
+    For each seed one catalog is drawn straight into columns
+    (``generate_catalog_arrays``: no per-item records, keys hashed once).
+    Predictions come from those columns, and four
+    columnar rollouts share that one catalog and its sale substreams: a
+    no-coupon holdout plus the three strategies, each given as arm-index
+    arrays. Realized ROI is incremental sales over the holdout times the
+    catalog's mean seller LTV, divided by realized coupon spend (``inf`` when
+    a strategy spends nothing).
+    Plans below the lift threshold attach no coupons under both model-driven
+    strategies. The random strategy draws arms uniformly unless explicit
+    probabilities are given.
+    """
+    if not seeds:
+        raise InputError("compare_strategies needs at least one seed")
+    if config.n_items < 1:
+        raise InputError("config.n_items must be >= 1 for a strategy comparison")
+    if attach_delay_h < 0:
+        raise InputError("attach_delay_h must be >= 0")
+    r1_set, r2_set = pair.round1_set, pair.round2_set
+    p_rand1 = list(random_round1_probs) if random_round1_probs is not None else None
+    p_rand2 = list(random_round2_probs) if random_round2_probs is not None else None
+    if p_rand1 is not None:
+        validate_probs(p_rand1, len(r1_set), "random_round1_probs")
+    if p_rand2 is not None:
+        validate_probs(p_rand2, len(r2_set), "random_round2_probs")
+    uniform1 = [1.0 / len(r1_set)] * len(r1_set)
+    uniform2 = [1.0 / len(r2_set)] * len(r2_set)
+
+    per_seed: dict[str, list[StrategyMetrics]] = {key: [] for key in STRATEGY_ORDER}
+    totals_acc: dict[str, list[int]] = {key: [0, 0, 0] for key in STRATEGY_ORDER}
+    holdout_sales_total = 0
+    ltv_sum = 0.0
+    n_total = 0
+
+    for seed in seeds:
+        cfg = dataclasses.replace(config, rng_seed=seed)
+        gt = GroundTruth(cfg)
+        cat = generate_catalog_arrays(cfg)
+        n = len(cat)
+        mean_ltv = float(cat.ltv.mean())
+
+        p1, _, p2, p_baseline = predict_arrays_per_arm(pair, cat.matrix, cat.age_days, attach_delay_h)
+        j_seq, k_seq, feas_seq = allocate_batch_row_major(
+            p1, p2, p_baseline, cat.price, cat.ltv, r1_set, r2_set, constraint
+        )
+        j_ind, k_ind, feas_ind = allocate_independent_batch_row_major(
+            p1, p2, p_baseline, cat.price, cat.ltv, r1_set, r2_set, constraint
+        )
+        j_rand = arm_draw(rng.uniforms(seed, cat.keys, rng.ARM_R1), p_rand1 or uniform1)
+        k_rand = arm_draw(rng.uniforms(seed, cat.keys, rng.ARM_R2), p_rand2 or uniform2)
+
+        choices = {
+            STRATEGY_RANDOM: (j_rand, k_rand, np.ones(n, dtype=bool)),
+            STRATEGY_INDEPENDENT: (j_ind, k_ind, feas_ind),
+            STRATEGY_SEQUENTIAL: (j_seq, k_seq, feas_seq),
+        }
+
+        no_coupon = np.zeros(n, dtype=np.int64)
+        holdout_totals = rollout_arms_per_plan(
+            gt, cat, r1_set, r2_set, no_coupon, no_coupon, attach_delay_h, seed
+        )
+        holdout_sales_total += holdout_totals.sales_count
+
+        for key in STRATEGY_ORDER:
+            j, k, active = choices[key]
+            # An inactive plan attaches no coupon in either round.
+            totals = rollout_arms_per_plan(
+                gt, cat, r1_set, r2_set,
+                np.where(active, j, 0), np.where(active, k, 0), attach_delay_h, seed,
+            )
+            per_seed[key].append(
+                _metrics(totals, holdout_totals.sales_count, n, mean_ltv)
+            )
+            acc = totals_acc[key]
+            acc[0] += totals.sales_count
+            acc[1] += totals.coupon_cost_yen
+            acc[2] += totals.gmv_yen
+        ltv_sum += float(cat.ltv.sum())
+        n_total += n
+
+    overall_mean_ltv = ltv_sum / n_total
+    aggregate = {
+        key: _metrics(
+            RolloutTotals(
+                sales_count=totals_acc[key][0],
+                coupon_cost_yen=totals_acc[key][1],
+                gmv_yen=totals_acc[key][2],
+            ),
+            holdout_sales_total,
+            n_total,
+            overall_mean_ltv,
+        )
+        for key in STRATEGY_ORDER
+    }
+    return ComparisonReport(
+        strategies=aggregate,
+        per_seed={key: tuple(values) for key, values in per_seed.items()},
+        holdout_sales_rate=holdout_sales_total / n_total,
+        seeds=tuple(int(s) for s in seeds),
+        lift_threshold=constraint.lift_threshold,
+        n_items_per_seed=config.n_items,
+    )

@@ -1,11 +1,12 @@
 import hashlib
 import json
 import shutil
+import weakref
 from types import SimpleNamespace
 
 import pytest
 
-from seqcoupon import fileio, rng
+from seqcoupon import cli, fileio, rng
 from seqcoupon.cli import main
 from seqcoupon.domain import SCHEMA_ROUND2, CouponConfig, ItemRecord, OutcomeRecord
 from seqcoupon.simulator import SimConfig, generate_catalog
@@ -226,6 +227,28 @@ class TestDeterminism:
         before = sha(path)
         assert main(["compare", "--config", ws["cfg"], "--out", ws["cmp"], "--quiet"]) == 0
         assert sha(path) == before
+
+    def test_compare_frees_the_training_trial_before_rolling_out(
+        self, ws, tmp_path, monkeypatch
+    ):
+        trained, alive_at_rollout = [], []
+        real_generate, real_compare = cli.generate_catalog_arrays, cli.compare_strategies
+
+        def generate(config, *args, **kwargs):
+            cat = real_generate(config, *args, **kwargs)
+            trained.append(weakref.ref(cat))
+            return cat
+
+        def compare(*args, **kwargs):
+            alive_at_rollout.extend(ref() is not None for ref in trained)
+            return real_compare(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "generate_catalog_arrays", generate)
+        monkeypatch.setattr(cli, "compare_strategies", compare)
+        out = tmp_path / "cmp"
+        assert main(["compare", "--config", ws["cfg"], "--out", str(out), "--quiet"]) == 0
+        assert alive_at_rollout == [False]
+        assert sha(str(out / "comparison.txt")) == sha(f"{ws['cmp']}/comparison.txt")
 
     def test_seed_override_changes_the_world(self, ws, tmp_path):
         out = tmp_path / "seed99"

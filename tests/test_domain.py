@@ -409,3 +409,17 @@ class TestEncoding:
             angle = 2.0 * math.pi * season[i]
             assert matrix[i, 0] == math.log(int(price[i]))
             assert matrix[i, 5] == math.sin(angle) and matrix[i, 6] == math.cos(angle)
+
+    def test_log_price_once_per_distinct_price_is_per_item_libm(self):
+        # Repeated prices, unsorted, including the ones np.log's SIMD kernel rounds
+        # differently: logging each distinct price once and scattering it back
+        # must give the per-item libm column bit for bit.
+        gen = np.random.default_rng(3)
+        price = gen.choice(np.array([9170, 19143, 3000, 1, 299, 250_000]), 500)
+        n = len(price)
+        matrix = feature_matrix(
+            price, np.ones(n), np.zeros(n), np.zeros(n), np.zeros(n), gen.uniform(0, 1, n)
+        )
+        assert len(np.unique(price)) < n
+        expected = [math.log(p) for p in price.tolist()]
+        assert matrix[:, 0].view(np.int64).tolist() == np.array(expected).view(np.int64).tolist()

@@ -413,9 +413,11 @@ class TestCompareStrategies:
         monkeypatch.setattr(rng, "item_keys", counting_keys)
         monkeypatch.setattr(CatalogArrays, "from_columns", classmethod(counting_from_columns))
         compare_strategies(
-            SimConfig(n_items=500, rng_seed=0), trained_pair, PolicyConstraint(), seeds=[4]
+            SimConfig(n_items=500, rng_seed=0), trained_pair, PolicyConstraint(),
+            seeds=[4, 5, 6],
         )
-        assert builds == [500]
+        # Ids do not depend on the seed: later seeds reuse the first one's keys.
+        assert builds == [500, 500, 500]
         assert len(hashed) == 500 and len(set(hashed)) == 500
 
     def test_report_requires_all_strategies(self, light_report):

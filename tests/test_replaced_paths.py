@@ -1,0 +1,213 @@
+"""The per-seed fast paths against the implementations they replaced.
+
+``oracles.py`` keeps the row-major allocators, the one-plan-per-call rollout,
+the per-arm prediction and the strategy comparison built on them as they
+were. Every test here compares the package with them bit for bit, over at
+least ten seeds.
+"""
+
+import numpy as np
+import pytest
+
+from seqcoupon.decision import PolicyConstraint, allocate_batch, allocate_independent_batch
+from seqcoupon.domain import CouponConfig, CouponSet
+from seqcoupon.errors import InputError
+from seqcoupon.evaluation import compare_strategies
+from seqcoupon.learner import LearnerConfig
+from seqcoupon.simulator import GroundTruth, SimConfig, generate_catalog_arrays, rollout_arms
+from seqcoupon.uplift import fit_predictor_pair, predict_arrays, round1_arm_probabilities
+
+import oracles
+
+SEEDS = range(10)
+TINY = 5e-324  # the smallest subnormal double
+
+
+def same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    if got.dtype.kind == "f":
+        got, want = got.view(np.int64), want.view(np.int64)
+    assert np.array_equal(got, want)
+
+
+def random_menu(gen, purpose, validity_h):
+    """No-coupon arm plus 1-5 coupons; caps repeat so cells can cost the same."""
+    arms = {CouponConfig.none()}
+    while len(arms) < gen.integers(2, 7):
+        arms.add(CouponConfig(int(gen.integers(1, 40)), float(validity_h),
+                              int(gen.choice([0, 500, 1000, 1000, 3000]))))
+    none = CouponConfig.none()
+    return CouponSet(arms=(none,) + tuple(sorted(arms - {none}, key=repr)), purpose=purpose)
+
+
+def same_allocations(p1, p2, p_baseline, prices, ltvs, menu1, menu2, constraint):
+    for new, old in ((allocate_batch, oracles.allocate_batch_row_major),
+                     (allocate_independent_batch, oracles.allocate_independent_batch_row_major)):
+        got = new(p1, p2, p_baseline, prices, ltvs, menu1, menu2, constraint)
+        want = old(p1, p2, p_baseline, prices, ltvs, menu1, menu2, constraint)
+        for g, w in zip(got, want):
+            same_bits(g, w)
+
+
+class TestArmMajorAllocators:
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_tied_rois_and_costs(self, seed):
+        gen = np.random.default_rng(seed)
+        menu1, menu2 = random_menu(gen, "round1", 72.0), random_menu(gen, "round2", 48.0)
+        n = int(gen.integers(100, 400))
+        # Few probability levels and prices past every cap: many cells tie on
+        # ROI, and among those many tie on cost too.
+        levels = np.array([0.05, 0.2, 0.2, 0.5, 0.9])
+        p1 = gen.choice(levels, (n, len(menu1)))
+        p2 = gen.choice(levels, (n, len(menu2)))
+        p_baseline = gen.choice(levels, n) * 0.5
+        prices = gen.choice(np.array([50, 20_000, 60_000, 60_000]), n)
+        ltvs = gen.choice(np.array([1_000, 50_000]), n)
+        _, cost, _, roi = (g.reshape(n, -1)[:, 1:] for g in oracles._economics(
+            p1[:, :, None], p2[:, None, :], p_baseline[:, None, None],
+            oracles.coupon_costs(prices, menu1).astype(float)[:, :, None],
+            oracles.coupon_costs(prices, menu2).astype(float)[:, None, :],
+            ltvs.astype(float)[:, None, None],
+        ))
+        top_cost = np.where(roi == roi.max(axis=1)[:, None], cost, np.inf)
+        assert (np.sum(top_cost == top_cost.min(axis=1)[:, None], axis=1) > 1).any()
+        for threshold in (0.0, 0.01, 0.3):
+            for override in (None, 25_000.0):
+                same_allocations(p1, p2, p_baseline, prices, ltvs, menu1, menu2,
+                                 PolicyConstraint(threshold, override))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_subnormal_and_zero_probabilities(self, seed):
+        gen = np.random.default_rng(100 + seed)
+        menu1, menu2 = random_menu(gen, "round1", 72.0), random_menu(gen, "round2", 48.0)
+        n = int(gen.integers(1, 200))
+        values = np.array([0.0, 0.0, TINY, 7 * TINY, 19 * TINY, 1e-310, 0.3, 0.8])
+        p1 = gen.choice(values, (n, len(menu1)))
+        p2 = gen.choice(values, (n, len(menu2)))
+        p_baseline = gen.choice(values[:3], n)
+        prices = gen.integers(1, 80_000, n)
+        ltvs = gen.integers(1, 300_000, n)
+        # A lift over a subnormal cost overflows to an infinite ROI in both.
+        with np.errstate(over="ignore"):
+            for override in (None, 7.5):
+                same_allocations(p1, p2, p_baseline, prices, ltvs, menu1, menu2,
+                                 PolicyConstraint(0.0, override))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_one_item(self, seed):
+        gen = np.random.default_rng(200 + seed)
+        menu1, menu2 = random_menu(gen, "round1", 72.0), random_menu(gen, "round2", 48.0)
+        same_allocations(
+            gen.uniform(0, 1, (1, len(menu1))), gen.uniform(0, 1, (1, len(menu2))),
+            gen.uniform(0, 1, 1), gen.integers(1, 50_000, 1), gen.integers(1, 99_999, 1),
+            menu1, menu2, PolicyConstraint(float(gen.uniform(0, 0.2))),
+        )
+
+
+def random_plans(gen, n, menu1, menu2, count):
+    plans = [(np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64))]
+    plans.append((np.full(n, len(menu1) - 1), np.full(n, len(menu2) - 1)))
+    for _ in range(count):
+        active = gen.uniform(size=n) < gen.uniform()
+        plans.append((np.where(active, gen.integers(0, len(menu1), n), 0),
+                      np.where(active, gen.integers(0, len(menu2), n), 0)))
+    return plans
+
+
+class TestOneRolloutPass:
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_every_plan_matches_its_own_rollout(self, seed):
+        gen = np.random.default_rng(300 + seed)
+        n = int(gen.integers(1, 3000)) if seed else 1
+        config = SimConfig(n_items=n, rng_seed=seed)
+        gt, cat = GroundTruth(config), generate_catalog_arrays(config)
+        menu1, menu2 = random_menu(gen, "round1", 72.0), random_menu(gen, "round2", 48.0)
+        delay = float(gen.choice([0.0, 2.0, 30.0, 60.0]))
+        plans = random_plans(gen, n, menu1, menu2, 3)
+        got = rollout_arms(gt, cat, menu1, menu2, plans, delay, seed)
+        want = [oracles.rollout_arms_per_plan(gt, cat, menu1, menu2, a1, a2, delay, seed)
+                for a1, a2 in plans]
+        assert got == want
+
+    def test_no_plans(self, round1_menu, round2_menu):
+        config = SimConfig(n_items=5, rng_seed=1)
+        cat = generate_catalog_arrays(config)
+        assert rollout_arms(GroundTruth(config), cat, round1_menu, round2_menu, [], 2.0, 1) == []
+
+    @pytest.mark.parametrize("plan", range(3))
+    @pytest.mark.parametrize("bad", ["short", "float", "negative", "past_menu", "2-d"])
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_every_arm_refusal_in_any_plan(self, round1_menu, round2_menu,
+                                           plan, bad, which):
+        config = SimConfig(n_items=10, rng_seed=2)
+        gt, cat = GroundTruth(config), generate_catalog_arrays(config)
+        ok = np.zeros(10, dtype=np.int64)
+        wrong = {
+            "short": ok[:9],
+            "float": ok.astype(float),
+            "negative": np.full(10, -1),
+            "past_menu": np.full(10, len(round1_menu)),
+            "2-d": ok.reshape(2, 5),
+        }[bad]
+        plans = [(ok, ok)] * 3
+        plans[plan] = (wrong, ok) if which == 0 else (ok, wrong)
+        with pytest.raises(InputError) as got:
+            rollout_arms(gt, cat, round1_menu, round2_menu, plans, 2.0, 3)
+        with pytest.raises(InputError) as want:
+            oracles.rollout_arms_per_plan(gt, cat, round1_menu, round2_menu, *plans[plan], 2.0, 3)
+        assert str(got.value) == str(want.value)
+
+
+@pytest.fixture(scope="module")
+def pairs(small_world, round1_menu, round2_menu, trained_pair):
+    """The shared pair (boosted second model) plus an all-logistic and a
+    boosted-first pair."""
+    def fit(first, second):
+        return fit_predictor_pair(
+            small_world["items"], small_world["log1"], small_world["log2"],
+            round1_menu, round2_menu, config_first=first, config_second=second,
+        )
+
+    logistic = LearnerConfig(kind="logistic", learning_rate=1.0, epochs=300)
+    boosted = LearnerConfig(kind="boosted_stumps", learning_rate=0.4, max_stumps=20)
+    return [trained_pair, fit(logistic, logistic), fit(boosted, logistic)]
+
+
+class TestStandardiseOncePrediction:
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_predictions_match_per_arm_encoding(self, pairs, seed):
+        gen = np.random.default_rng(400 + seed)
+        n = int(gen.integers(1, 3000)) if seed else 1
+        cat = generate_catalog_arrays(SimConfig(n_items=n, rng_seed=seed))
+        delay = float(gen.choice([0.0, 2.0, 30.0]))
+        for pair in pairs:
+            got = predict_arrays(pair, cat.matrix, cat.age_days, delay)
+            want = oracles.predict_arrays_per_arm(pair, cat.matrix, cat.age_days, delay)
+            for g, w in zip(got, want):
+                same_bits(g, w)
+            delays = gen.uniform(0, 36, n)
+            same_bits(
+                round1_arm_probabilities(pair.first, cat.matrix, pair.round1_set, delays),
+                oracles.round1_arm_probabilities_per_arm(
+                    pair.first, cat.matrix, pair.round1_set, delays
+                ),
+            )
+
+
+class TestComparisonPerSeed:
+    @pytest.mark.parametrize("n_items", [1, 700])
+    def test_report_matches_per_strategy_rollouts(self, pairs, round1_menu, round2_menu,
+                                                  n_items):
+        config = SimConfig(n_items=n_items, rng_seed=0)
+        skewed1, skewed2 = [0.1, 0.2, 0.3, 0.4], [0.7, 0.0, 0.0, 0.3]
+        for pair, constraint, probs in (
+            (pairs[0], PolicyConstraint(), (None, None)),
+            (pairs[1], PolicyConstraint(0.03, ltv_override=40_000.0), (skewed1, skewed2)),
+            (pairs[2], PolicyConstraint(0.0), (skewed1, None)),
+        ):
+            got = compare_strategies(config, pair, constraint, SEEDS, 2.0, *probs)
+            want = oracles.compare_strategies_per_strategy(
+                config, pair, constraint, SEEDS, 2.0, *probs
+            )
+            assert got == want

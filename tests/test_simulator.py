@@ -274,6 +274,27 @@ class TestCatalogArrays:
         np.testing.assert_array_equal(unhashed.keys, cat.keys[rows])
         assert hashed == [40, len(rows)]
 
+    @pytest.mark.parametrize("hashed", [False, True])
+    def test_same_ids_as_lends_ids_and_keys_to_another_seed(self, hashed, monkeypatch):
+        lender = generate_catalog_arrays(SimConfig(n_items=40, rng_seed=5))
+        if hashed:
+            lender.keys
+        fresh = generate_catalog_arrays(SimConfig(n_items=40, rng_seed=6))
+        fresh.keys
+        calls = []
+        real_keys = rng.item_keys
+        monkeypatch.setattr(rng, "item_keys", lambda ids: calls.append(1) or real_keys(ids))
+        drawn = generate_catalog_arrays(SimConfig(n_items=40, rng_seed=6), same_ids_as=lender)
+        assert drawn.ids is lender.ids and drawn.seller_ids is lender.seller_ids
+        assert drawn.to_items() == fresh.to_items()
+        np.testing.assert_array_equal(drawn.matrix, fresh.matrix)
+        np.testing.assert_array_equal(drawn.keys, fresh.keys)
+        # Keys the lender had hashed are shared; otherwise the catalog hashes its own.
+        assert len(calls) == (0 if hashed else 1)
+        assert (drawn.keys is lender.__dict__.get("keys")) == hashed
+        with pytest.raises(InputError, match="same_ids_as has 40 items"):
+            generate_catalog_arrays(SimConfig(n_items=39, rng_seed=6), same_ids_as=lender)
+
     @pytest.mark.parametrize("n", [0, 1, 40])
     def test_rows_of_refuses_an_unknown_id(self, n):
         cat = generate_catalog_arrays(SimConfig(n_items=n, rng_seed=5))
@@ -437,16 +458,18 @@ class TestRolloutArms:
         records, expected = rollout_policy(small_world["gt"], items, policy, 3)
         assert expected.coupon_cost_yen > 0 and any(r.round == 2 and r.sold for r in records)
         cat = CatalogArrays.from_items(items)
-        got = rollout_arms(small_world["gt"], cat, round1_menu, round2_menu, arm1, arm2, delay, 3)
-        assert got == expected
+        got = rollout_arms(
+            small_world["gt"], cat, round1_menu, round2_menu, [(arm1, arm2)], delay, 3
+        )
+        assert got == [expected]
 
     def test_empty_catalog(self, round1_menu, round2_menu):
         gt = GroundTruth(SimConfig(n_items=0))
         none = np.zeros(0, dtype=np.int64)
         cat = CatalogArrays.from_items([])
-        assert rollout_arms(gt, cat, round1_menu, round2_menu, none, none, 2.0, 1) == (
+        assert rollout_arms(gt, cat, round1_menu, round2_menu, [(none, none)], 2.0, 1) == [
             RolloutTotals(0, 0, 0)
-        )
+        ]
 
     def test_input_validation(self, small_world, round1_menu, round2_menu):
         cat = CatalogArrays.from_items(small_world["items"][:10])
@@ -460,4 +483,4 @@ class TestRolloutArms:
             (ok.astype(float), ok, 2.0),
         ):
             with pytest.raises(InputError):
-                rollout_arms(gt, cat, round1_menu, round2_menu, arm1, arm2, delay, 3)
+                rollout_arms(gt, cat, round1_menu, round2_menu, [(arm1, arm2)], delay, 3)

@@ -42,7 +42,13 @@ from .errors import (
 from .evaluation import UpliftCurve, bootstrap_band, compare_strategies, cumulative_uplift, delay_analysis
 from .learner import Model, grid_search
 from .simulator import CatalogArrays, GroundTruth, generate_catalog_arrays, run_rct
-from .uplift import fit_predictor_pair, predict_arrays, round1_arm_probabilities, round1_training_dataset
+from .uplift import (
+    check_round,
+    fit_predictor_pair,
+    predict_arrays,
+    round1_arm_probabilities,
+    round1_training_dataset,
+)
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -205,6 +211,7 @@ def cmd_evaluate(args: argparse.Namespace) -> None:
     log1 = fileio.read_outcomes(cfg.io.round1_log)
     if not len(log1):
         raise InputError(f"{cfg.io.round1_log}: log is empty; nothing to evaluate")
+    check_round(log1, 1)
     treated = log1.discount_pct != 0
     if treated.all():
         raise MissingHoldoutError(

@@ -6,9 +6,11 @@ conditions on the sale happening in either round; ROI relates the propensity
 lift over the never-coupon baseline to that cost. The allocator enumerates
 every (j, k) cell, filters by a minimum-lift constraint, and returns the
 highest-ROI cell with deterministic tie-breaking. A per-round-greedy variant
-serves as the comparison baseline. Both run on whole catalogs of arrays;
-``allocate`` and ``allocate_independent`` are one-row views of them, and the
-scalar ``combine_*``/``roi`` are the reference their array economics equal.
+serves as the comparison baseline. Both run on whole catalogs of arrays, and
+``materialize_plans`` prices their choices into one columnar ``PlanTable``;
+``allocate`` and ``allocate_independent`` are one-row views that return an
+``AllocationPlan``, and the scalar ``combine_*``/``roi`` are the reference
+their array economics equal.
 """
 
 from __future__ import annotations
@@ -16,11 +18,12 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .domain import CouponConfig, CouponSet, ItemRecord, coupon_costs
+from .domain import CouponConfig, CouponSet, ItemRecord, _check_column, coupon_costs
 from .errors import InputError
 from .uplift import ItemPredictions
 
@@ -61,17 +64,90 @@ class AllocationPlan:
     feasible: bool
 
     def __post_init__(self):
-        for name in ("p_round1", "p_round2", "p_combined", "p_baseline"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise InputError(f"{name} must lie in [0, 1], got {v}")
-        expected = self.p_round1 + (1.0 - self.p_round1) * self.p_round2
-        if abs(self.p_combined - expected) > 1e-12:
-            raise InputError("p_combined inconsistent with the two per-round propensities")
-        if abs(self.lift - (self.p_combined - self.p_baseline)) > 1e-12:
-            raise InputError("lift inconsistent with p_combined - p_baseline")
-        if self.expected_cost < 0:
-            raise InputError("expected_cost must be >= 0")
+        _check_plan_economics(
+            *(np.array([getattr(self, name)], dtype=float) for name in _ECONOMICS)
+        )
+
+
+_ECONOMICS = ("p_round1", "p_round2", "p_combined", "p_baseline", "lift", "expected_cost")
+
+
+def _check_plan_economics(p_round1, p_round2, p_combined, p_baseline, lift, expected_cost):
+    """``AllocationPlan``'s consistency checks, on columns with one entry per plan."""
+    for name, v in zip(_ECONOMICS, (p_round1, p_round2, p_combined, p_baseline)):
+        _check_column(~((0.0 <= v) & (v <= 1.0)), v, f"{name} must lie in [0, 1], got {{}}")
+    expected = p_round1 + (1.0 - p_round1) * p_round2
+    _check_column(np.abs(p_combined - expected) > 1e-12, p_combined,
+                  "p_combined inconsistent with the two per-round propensities")
+    _check_column(np.abs(lift - (p_combined - p_baseline)) > 1e-12, lift,
+                  "lift inconsistent with p_combined - p_baseline")
+    _check_column(expected_cost < 0, expected_cost, "expected_cost must be >= 0")
+
+
+# Each ``PlanTable`` column but the ids: the ``AllocationPlan`` attribute it holds, its dtype.
+_PLAN_COLUMNS = {
+    "j_index": ("j_index", np.int64),
+    "k_index": ("k_index", np.int64),
+    "j_discount_pct": ("round1_coupon.discount_pct", np.int64),
+    "j_validity_h": ("round1_coupon.validity_hours", float),
+    "j_cap": ("round1_coupon.cap_yen", np.int64),
+    "k_discount_pct": ("round2_coupon.discount_pct", np.int64),
+    "k_validity_h": ("round2_coupon.validity_hours", float),
+    "k_cap": ("round2_coupon.cap_yen", np.int64),
+    "attach_delay_h": ("attach_delay_h", float),
+    **{name: (name, float) for name in (*_ECONOMICS, "roi")},
+    "feasible": ("feasible", bool),
+}
+
+
+@dataclass(frozen=True)
+class PlanTable:
+    """Allocation plans as columns: row i of every column is one ``AllocationPlan``.
+
+    The ``j_*``/``k_*`` columns describe the round-1 and round-2 coupons as
+    ``plans.csv`` does, beside the arms' menu positions. Construction runs
+    ``AllocationPlan``'s checks on whole columns.
+    """
+
+    item_ids: tuple[str, ...]
+    j_index: np.ndarray
+    k_index: np.ndarray
+    j_discount_pct: np.ndarray
+    j_validity_h: np.ndarray
+    j_cap: np.ndarray
+    k_discount_pct: np.ndarray
+    k_validity_h: np.ndarray
+    k_cap: np.ndarray
+    attach_delay_h: np.ndarray
+    p_round1: np.ndarray
+    p_round2: np.ndarray
+    p_combined: np.ndarray
+    p_baseline: np.ndarray
+    lift: np.ndarray
+    expected_cost: np.ndarray
+    roi: np.ndarray
+    feasible: np.ndarray
+
+    def __post_init__(self):
+        if any(getattr(self, name).shape != (len(self),) for name in _PLAN_COLUMNS):
+            raise InputError(f"every plan column needs one entry per id ({len(self)})")
+        _check_plan_economics(*(getattr(self, name) for name in _ECONOMICS))
+
+    def __len__(self) -> int:
+        return len(self.item_ids)
+
+    @classmethod
+    def from_plans(cls, plans: Sequence[AllocationPlan]) -> "PlanTable":
+        return cls(
+            item_ids=tuple(p.item_id for p in plans),
+            **{name: np.array(list(map(attrgetter(attr), plans)), dtype=dtype)
+               for name, (attr, dtype) in _PLAN_COLUMNS.items()},
+        )
+
+
+def _as_plan_table(plans) -> PlanTable:
+    """A ``PlanTable`` as is, or a sequence of ``AllocationPlan``s converted to one."""
+    return plans if isinstance(plans, PlanTable) else PlanTable.from_plans(plans)
 
 
 def combine_propensity(p1: float, p2: float) -> float:
@@ -284,6 +360,15 @@ def allocate_independent_batch(
     return j, k, lift >= threshold
 
 
+def _coupon_columns(prefix: str, coupon_set: CouponSet, arms: np.ndarray) -> dict:
+    """The ``PlanTable`` coupon columns (``j_*`` or ``k_*``) of the chosen menu arms."""
+    return {
+        f"{prefix}_discount_pct": np.array([c.discount_pct for c in coupon_set], np.int64)[arms],
+        f"{prefix}_validity_h": np.array([c.validity_hours for c in coupon_set], float)[arms],
+        f"{prefix}_cap": np.array([c.cap_yen for c in coupon_set], np.int64)[arms],
+    }
+
+
 def materialize_plans(
     item_ids: Sequence[str],
     j: np.ndarray,
@@ -298,8 +383,8 @@ def materialize_plans(
     round2_set: CouponSet,
     constraint: PolicyConstraint,
     attach_delay_h: float = DEFAULT_ATTACH_DELAY_H,
-) -> list[AllocationPlan]:
-    """Expand batch arm choices into full per-item plan rows, pricing the
+) -> PlanTable:
+    """Expand batch arm choices into a table of full plan rows, pricing the
     chosen cells with the same array economics as the allocators."""
     rows = np.arange(len(item_ids))
     p_round1, p_round2 = p1[rows, j], p2[rows, k]
@@ -311,44 +396,35 @@ def materialize_plans(
         coupon_costs(prices, round2_set)[rows, k].astype(float),
         _resolve_ltvs(ltvs, constraint),
     )
-    columns = zip(
-        item_ids, j.tolist(), k.tolist(), p_round1.tolist(), p_round2.tolist(),
-        pc.tolist(), p_baseline.tolist(), lift.tolist(), cost.tolist(), r.tolist(),
-        feasible.tolist(),
+    return PlanTable(
+        item_ids=tuple(item_ids), j_index=j, k_index=k,
+        **_coupon_columns("j", round1_set, j), **_coupon_columns("k", round2_set, k),
+        attach_delay_h=np.full(len(rows), float(attach_delay_h)),
+        p_round1=p_round1, p_round2=p_round2, p_combined=pc, p_baseline=p_baseline,
+        lift=lift, expected_cost=cost, roi=r, feasible=feasible,
     )
-    return [
-        AllocationPlan(
-            item_id=item_id,
-            j_index=jj,
-            k_index=kk,
-            round1_coupon=round1_set[jj],
-            round2_coupon=round2_set[kk],
-            attach_delay_h=attach_delay_h,
-            p_round1=a,
-            p_round2=b,
-            p_combined=c,
-            p_baseline=base,
-            lift=up,
-            expected_cost=spend,
-            roi=value,
-            feasible=ok,
-        )
-        for item_id, jj, kk, a, b, c, base, up, spend, value, ok in columns
-    ]
 
 
 def _one_row(allocator, preds, item, round1_set, round2_set, constraint, attach_delay_h):
-    """Run a batch allocator on one item and return its materialised plan."""
+    """Run a batch allocator on one item and return its plan: the one place an
+    ``AllocationPlan`` is built from a ``PlanTable`` row."""
     p1, p2 = np.array([preds.p1]), np.array([preds.p2])
     p_baseline = np.array([preds.p_baseline])
     prices, ltvs = np.array([item.price_yen]), np.array([item.seller_ltv_yen])
     j, k, feasible = allocator(
         p1, p2, p_baseline, prices, ltvs, round1_set, round2_set, constraint
     )
-    return materialize_plans(
+    table = materialize_plans(
         [item.item_id], j, k, feasible, p1, p2, p_baseline, prices, ltvs,
         round1_set, round2_set, constraint, attach_delay_h,
-    )[0]
+    )
+    j0, k0 = int(j[0]), int(k[0])
+    return AllocationPlan(
+        item_id=item.item_id, j_index=j0, k_index=k0,
+        round1_coupon=round1_set[j0], round2_coupon=round2_set[k0],
+        attach_delay_h=float(attach_delay_h), feasible=bool(feasible[0]),
+        **{name: float(getattr(table, name)[0]) for name in (*_ECONOMICS, "roi")},
+    )
 
 
 def allocate(

@@ -291,8 +291,11 @@ class _Ranking:
                 for i in straddled
             ]
         # Whole-row sums are needed only before the ranks in ``at``: sum each
-        # column times ``w`` over the segments between them.
-        edges = np.unique(np.append(at, 0))
+        # column times ``w`` over the segments between them. The edges are
+        # ``np.unique``'s, found by hand: without ``return_*`` flags it imports
+        # ``numpy.ma`` on first use.
+        edges = np.sort(np.append(at, 0))
+        edges = edges[np.append(True, edges[1:] != edges[:-1])]
         through = np.zeros((len(self.columns), len(edges)), dtype=np.int64)
         for k, column in enumerate(self.columns):
             np.multiply(w, column, out=self._product)

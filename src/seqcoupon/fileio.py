@@ -12,12 +12,14 @@ import csv
 import hashlib
 import json
 import os
+import warnings
+from itertools import repeat
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import __version__
-from .decision import AllocationPlan
+from .decision import AllocationPlan, PlanTable, _as_plan_table
 from .domain import CouponConfig, CouponSet, ItemRecord, OutcomeLog, OutcomeRecord, _as_log
 from .errors import InputError, ManifestMismatchError
 from .evaluation import BucketRow, ComparisonReport, DelayTables, StrategyMetrics, UpliftCurve
@@ -96,12 +98,16 @@ def _read_rows(path: str, expected_header: str) -> list[tuple[int, list[str]]]:
     return rows
 
 
-def _split_columns(path: str, header: str) -> Optional[list[list[str]]]:
-    """The cells of each column, or None where only the row parser can tell.
+def _parse_columns(path: str, header: str, dtype: np.dtype) -> Optional[np.ndarray]:
+    """The table as one structured array, or None where only the row parser can tell.
 
     Splitting the text on newlines and commas gives ``csv.reader``'s cells
     when it holds no quote, carriage return or NUL, the header matches and
-    every non-blank row has the header's width.
+    every non-blank row has the header's width. ``np.loadtxt`` then parses
+    every row in one call. It refuses some cells that ``int``/``float``
+    accept (``1_0``, non-ASCII digits, integers past int64) but accepts none
+    that they refuse, so any error or warning leaves the file to the row
+    parser, which accepts those cells and names the line of a bad one.
     """
     with open(path, newline="") as fh:
         text = fh.read()
@@ -109,63 +115,64 @@ def _split_columns(path: str, header: str) -> Optional[list[list[str]]]:
         return None
     lines = text.split("\n")
     width = header.count(",") + 1
-    body = [line for line in lines[1:] if line]
-    if lines[0] != header or any(line.count(",") != width - 1 for line in body):
+    body = list(filter(None, lines[1:]))
+    if lines[0] != header or not set(map(str.count, body, repeat(","))) <= {width - 1}:
         return None
-    cells = ",".join(body).split(",") if body else []
-    return [cells[c::width] for c in range(width)]
+    if not body:
+        return np.empty(0, dtype)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return np.loadtxt(body, dtype=dtype, delimiter=",", comments=None,
+                              quotechar=None, ndmin=1)
+    except (ValueError, OverflowError, Warning):
+        return None
 
 
-def _read_table(path: str, header: str, from_cells, parse_row) -> dict:
+def _read_table(path: str, header: str, dtype: np.dtype, columns_of, parse_row) -> dict:
     """A table's typed columns, keyed by the ``from_columns`` argument names.
 
-    ``from_cells`` converts whole columns of cells with ``int``/``float`` and
-    raises ValueError (or OverflowError) on any bad cell; the row parser then
+    ``dtype`` names the fields after those arguments; ``columns_of`` turns
+    the parsed structured array into the columns and raises ValueError (or
+    OverflowError) where a cell needs the row parser. The row parser then
     re-reads the file, and ``parse_row`` names the first bad cell's line.
     """
-    columns = _split_columns(path, header)
-    if columns is not None:
+    table = _parse_columns(path, header, dtype)
+    if table is not None:
         try:
-            return from_cells(columns)
+            return columns_of(table)
         except (ValueError, OverflowError):
             pass
     rows = [parse_row(row, path, line) for line, row in _read_rows(path, header)]
     if not rows:
-        return from_cells([[]] * (header.count(",") + 1))
+        return columns_of(np.empty(0, dtype))
     return {name: [row[name] for row in rows] for name in rows[0]}
 
 
-def _ints(cells: Sequence[str]) -> np.ndarray:
-    return np.fromiter(map(int, cells), np.int64, len(cells))
-
-
-def _floats(cells: Sequence[str]) -> np.ndarray:
-    return np.fromiter(map(float, cells), float, len(cells))
-
-
-def _int_text(column: np.ndarray) -> list[str]:
-    return list(map(str, column.tolist()))
-
-
-def _float_text(column: np.ndarray) -> list[str]:
-    """``fmt`` of every value of a column that holds no null."""
-    return list(map(FLOAT_CELL.__mod__, column.tolist()))
+def _field(table: np.ndarray, name: str):
+    """One field of a structured array: a list of cells for text, else a contiguous copy."""
+    column = table[name]
+    return column.tolist() if column.dtype == object else np.ascontiguousarray(column)
 
 
 WRITE_BLOCK_ROWS = 8192
+TEXT_CELL, INT_CELL = "%s", "%d"
 
 
-def _write_table(path: str, header: str, n_rows: int, cells) -> None:
-    """Write the header and ``n_rows`` rows; ``cells(block)`` gives every
-    column's cells for a slice of rows.
+def _write_table(path: str, header: str, cell_formats: Sequence[str], n_rows: int,
+                 columns) -> None:
+    """Write the header and ``n_rows`` rows; ``columns(block)`` gives every
+    column's values for a slice of rows, as sequences of Python values.
 
-    Rows are formatted one block at a time, so that only one block's cells
-    are alive at once rather than every cell of the table.
+    Each row is formatted by one ``%`` of the joined ``cell_formats`` on its
+    values. Rows are formatted one block at a time, so that only one block's
+    cells are alive at once rather than every cell of the table.
     """
+    row_format = ",".join(cell_formats)
     with open(path, "w", newline="\n") as fh:
         fh.write(header + "\n")
         for lo in range(0, n_rows, WRITE_BLOCK_ROWS):
-            rows = map(",".join, zip(*cells(slice(lo, lo + WRITE_BLOCK_ROWS))))
+            rows = map(row_format.__mod__, zip(*columns(slice(lo, lo + WRITE_BLOCK_ROWS))))
             fh.write("\n".join(rows) + "\n")
 
 
@@ -175,27 +182,27 @@ def _write_table(path: str, header: str, n_rows: int, cells) -> None:
 
 def write_catalog(items: Sequence[ItemRecord] | CatalogArrays, path: str) -> None:
     cat = _as_catalog(items)
-    _write_table(path, CATALOG_HEADER, len(cat), lambda rows: [
-        cat.ids[rows],
-        cat.seller_ids[rows],
-        _int_text(cat.price[rows]),
-        _int_text(cat.condition[rows]),
-        _float_text(cat.age_days[rows]),
-        _int_text(cat.likes[rows]),
-        _float_text(cat.demand[rows]),
-        _float_text(cat.season[rows]),
-        _int_text(cat.ltv[rows]),
-        _float_text(cat.key_ts[rows]),
-    ])
-
-
-def _catalog_cells(columns: list[list[str]]) -> dict:
-    ids, seller_ids, price, condition, age_days, likes, demand, season, ltv, key_ts = columns
-    return dict(
-        ids=ids, seller_ids=seller_ids, price=_ints(price), condition=_ints(condition),
-        age_days=_floats(age_days), likes=_ints(likes), demand=_floats(demand),
-        season=_floats(season), ltv=_ints(ltv), key_ts=_floats(key_ts),
+    numeric = (cat.price, cat.condition, cat.age_days, cat.likes, cat.demand, cat.season,
+               cat.ltv, cat.key_ts)
+    _write_table(
+        path, CATALOG_HEADER,
+        (TEXT_CELL, TEXT_CELL, INT_CELL, INT_CELL, FLOAT_CELL, INT_CELL, FLOAT_CELL,
+         FLOAT_CELL, INT_CELL, FLOAT_CELL),
+        len(cat),
+        lambda rows: [cat.ids[rows], cat.seller_ids[rows],
+                      *(column[rows].tolist() for column in numeric)],
     )
+
+
+CATALOG_DTYPE = np.dtype([
+    ("ids", object), ("seller_ids", object), ("price", np.int64), ("condition", np.int64),
+    ("age_days", float), ("likes", np.int64), ("demand", float), ("season", float),
+    ("ltv", np.int64), ("key_ts", float),
+])
+
+
+def _catalog_columns(table: np.ndarray) -> dict:
+    return {name: _field(table, name) for name in CATALOG_DTYPE.names}
 
 
 def _catalog_row(row: list[str], path: str, line: int) -> dict:
@@ -215,7 +222,7 @@ def _catalog_row(row: list[str], path: str, line: int) -> dict:
 
 def read_catalog(path: str) -> CatalogArrays:
     """The catalog CSV as columns; every item is unsold."""
-    columns = _read_table(path, CATALOG_HEADER, _catalog_cells, _catalog_row)
+    columns = _read_table(path, CATALOG_HEADER, CATALOG_DTYPE, _catalog_columns, _catalog_row)
     return CatalogArrays.from_columns(**columns, status=("unsold",) * len(columns["ids"]))
 
 
@@ -226,50 +233,68 @@ def read_catalog(path: str) -> CatalogArrays:
 def write_outcomes(records: Sequence[OutcomeRecord] | OutcomeLog, path: str) -> None:
     log = _as_log(records)
 
-    def cells(rows):
+    def columns(rows):
         sold = log.sold[rows]
         flags = sold.tolist()
 
-        def sale_cells(column, text):
-            """``text`` of the sold rows' values; unsold rows' cells stay empty."""
-            sold_cells = iter(text(column[rows][sold]))
+        def sale_cells(column, cell_format):
+            """The sold rows' values as text; unsold rows' cells stay empty."""
+            sold_cells = map(cell_format.__mod__, column[rows][sold].tolist())
             return [next(sold_cells) if s else "" for s in flags]
 
         return [
             log.item_ids[rows],
-            _int_text(log.round[rows]),
-            _int_text(log.discount_pct[rows]),
-            _float_text(log.validity_hours[rows]),
-            _int_text(log.cap_yen[rows]),
-            _float_text(log.attach_delay_h[rows]),
-            ["1" if s else "0" for s in flags],
-            sale_cells(log.purchase_delay_h, _float_text),
-            sale_cells(log.sale_price_yen, _int_text),
-            sale_cells(log.coupon_cost_yen, _int_text),
+            *(column[rows].tolist() for column in (
+                log.round, log.discount_pct, log.validity_hours, log.cap_yen, log.attach_delay_h,
+            )),
+            flags,
+            sale_cells(log.purchase_delay_h, FLOAT_CELL),
+            sale_cells(log.sale_price_yen, INT_CELL),
+            sale_cells(log.coupon_cost_yen, INT_CELL),
         ]
 
-    _write_table(path, OUTCOME_HEADER, len(log), cells)
+    _write_table(
+        path, OUTCOME_HEADER,
+        (TEXT_CELL, INT_CELL, INT_CELL, FLOAT_CELL, INT_CELL, FLOAT_CELL, INT_CELL,
+         TEXT_CELL, TEXT_CELL, TEXT_CELL),
+        len(log), columns,
+    )
 
 
-def _outcome_cells(columns: list[list[str]]) -> dict:
-    ids, round_, disc, validity, cap, attach, sold, purchase, price, cost = columns
-    disc = _ints(disc)
-    coupon = disc.tolist()
-    if not set(sold) <= {"0", "1"}:
+# The sold flag and the sale cells, empty on unsold rows, stay text until checked.
+OUTCOME_DTYPE = np.dtype([
+    ("item_ids", object), ("round", np.int64), ("discount_pct", np.int64),
+    ("validity_hours", float), ("cap_yen", np.int64), ("attach_delay_h", float),
+    ("sold", object), ("purchase_delay_h", object), ("sale_price_yen", object),
+    ("coupon_cost_yen", object),
+])
+
+
+def _sale_values(cells: np.ndarray, parse) -> np.ndarray:
+    """NaN where a cell is empty, else ``parse`` of the cell, as floats."""
+    out = np.full(len(cells), np.nan)
+    filled = cells != ""
+    out[filled] = np.array(list(map(parse, cells[filled])), dtype=float)
+    return out
+
+
+def _outcome_columns(table: np.ndarray) -> dict:
+    sold = table["sold"]
+    if not set(sold.tolist()) <= {"0", "1"}:
         raise ValueError("column 'sold' must be 0 or 1")
-    nan = float("nan")
+    none = table["discount_pct"] == 0
     return dict(
-        item_ids=ids,
-        round=_ints(round_),
-        discount_pct=disc,
+        item_ids=_field(table, "item_ids"),
+        round=_field(table, "round"),
+        discount_pct=_field(table, "discount_pct"),
         # A no-coupon row's validity and cap cells are not read.
-        validity_hours=[float(v) if d else 0.0 for d, v in zip(coupon, validity)],
-        cap_yen=[int(c) if d else 0 for d, c in zip(coupon, cap)],
-        attach_delay_h=_floats(attach),
-        sold=[s == "1" for s in sold],
-        purchase_delay_h=[float(c) if c else nan for c in purchase],
-        sale_price_yen=[int(c) if c else nan for c in price],
-        coupon_cost_yen=[int(c) if c else nan for c in cost],
+        validity_hours=np.where(none, 0.0, table["validity_hours"]),
+        cap_yen=np.where(none, 0, table["cap_yen"]),
+        attach_delay_h=_field(table, "attach_delay_h"),
+        sold=sold == "1",
+        purchase_delay_h=_sale_values(table["purchase_delay_h"], float),
+        sale_price_yen=_sale_values(table["sale_price_yen"], int),
+        coupon_cost_yen=_sale_values(table["coupon_cost_yen"], int),
     )
 
 
@@ -301,7 +326,7 @@ def _outcome_row(row: list[str], path: str, line: int) -> dict:
 
 def read_outcomes(path: str) -> OutcomeLog:
     return OutcomeLog.from_columns(
-        **_read_table(path, OUTCOME_HEADER, _outcome_cells, _outcome_row)
+        **_read_table(path, OUTCOME_HEADER, OUTCOME_DTYPE, _outcome_columns, _outcome_row)
     )
 
 
@@ -309,33 +334,19 @@ def read_outcomes(path: str) -> OutcomeLog:
 # allocation plans
 
 
-def write_plans(plans: Sequence[AllocationPlan], path: str) -> None:
-    lines = [PLAN_HEADER]
-    for p in plans:
-        j, k = p.round1_coupon, p.round2_coupon
-        lines.append(
-            ",".join(
-                [
-                    p.item_id,
-                    str(j.discount_pct),
-                    fmt(j.validity_hours),
-                    str(j.cap_yen),
-                    str(k.discount_pct),
-                    fmt(k.validity_hours),
-                    str(k.cap_yen),
-                    fmt(p.attach_delay_h),
-                    fmt(p.p_round1),
-                    fmt(p.p_round2),
-                    fmt(p.p_combined),
-                    fmt(p.p_baseline),
-                    fmt(p.lift),
-                    fmt(p.expected_cost),
-                    fmt(p.roi),
-                    "1" if p.feasible else "0",
-                ]
-            )
-        )
-    _write_text(path, "\n".join(lines) + "\n")
+def write_plans(plans: Sequence[AllocationPlan] | PlanTable, path: str) -> None:
+    t = _as_plan_table(plans)
+    numeric = (
+        t.j_discount_pct, t.j_validity_h, t.j_cap, t.k_discount_pct, t.k_validity_h, t.k_cap,
+        t.attach_delay_h, t.p_round1, t.p_round2, t.p_combined, t.p_baseline, t.lift,
+        t.expected_cost, t.roi, t.feasible,
+    )
+    _write_table(
+        path, PLAN_HEADER,
+        (TEXT_CELL, *(INT_CELL, FLOAT_CELL, INT_CELL) * 2, *(FLOAT_CELL,) * 8, INT_CELL),
+        len(t),
+        lambda rows: [t.item_ids[rows], *(column[rows].tolist() for column in numeric)],
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -138,6 +138,7 @@ def round1_training_dataset(
     cat, log = _as_catalog(items), _as_log(round1_log)
     if not len(log):
         raise DegenerateDataError("round-1 log is empty")
+    check_round(log, 1)
     arms = _rows_by_arm(log)
     if not any(coupon.is_none for coupon, _ in arms):
         raise MissingHoldoutError(
@@ -256,6 +257,12 @@ def _ipw(first, item_matrix, round1_log, rows, round1_set, epsilon, variant):
     return 1.0 / np.clip(1.0 - p1, epsilon, 1.0), mean_p1
 
 
+def check_round(log: OutcomeLog, round_no: int) -> None:
+    """Refuse a log holding a record of a round other than ``round_no``."""
+    _check_column(log.round != round_no, log.round,
+                  f"round-{round_no} log contains a record from another round")
+
+
 def _survivor_frames(
     cat: CatalogArrays, round1_log: OutcomeLog, round2_log: OutcomeLog
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -264,8 +271,7 @@ def _survivor_frames(
     Every round-2 record must be a round-2 row of a catalog item whose
     round-1 record is unsold.
     """
-    _check_column(round2_log.round != 2, round2_log.round,
-                  "round-2 log contains a record from another round")
+    check_round(round2_log, 2)
     cat_rows = cat.rows_of(round2_log.item_ids)
     r1_rows, survivor = _id_rows(round1_log.item_ids, round2_log.item_ids)
     survivor[survivor] = ~round1_log.sold[r1_rows[survivor]]

@@ -3,11 +3,11 @@
 Everything here is written directly from first principles (plain loops,
 no vectorization, no reuse of package internals beyond data types) so that
 agreement with the package is meaningful. The exceptions at the end are
-earlier implementations kept as they were: the per-record CSV writers, the
-boosted-stump fit that re-buckets every feature in every round, the uplift
-curve and bootstrap band that re-sort every resample, the row-major
-allocators, the one-plan-per-call rollout and the per-arm prediction. The
-package's faster paths must reproduce their bytes and bits.
+earlier implementations kept as they were: the per-record and per-plan CSV
+writers, the boosted-stump fit that re-buckets every feature in every round,
+the uplift curve and bootstrap band that re-sort every resample, the
+row-major allocators, the one-plan-per-call rollout and the per-arm
+prediction. The package's faster paths must reproduce their bytes and bits.
 """
 
 from __future__ import annotations
@@ -175,6 +175,24 @@ def write_outcomes_per_record(records, path):
             "1" if r.sold else "0", _fmt(r.purchase_delay_h),
             "" if r.sale_price_yen is None else str(r.sale_price_yen),
             "" if r.coupon_cost_yen is None else str(r.coupon_cost_yen),
+        ]))
+    with open(path, "w", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def write_plans_per_plan(plans, path):
+    """The plan writer as it was: one formatted line per ``AllocationPlan``."""
+    lines = ["item_id,j_discount_pct,j_validity_h,j_cap,k_discount_pct,k_validity_h,k_cap,"
+             "attach_delay_h,p_round1,p_round2,p_combined,p_baseline,lift,expected_cost,"
+             "roi,feasible"]
+    for p in plans:
+        j, k = p.round1_coupon, p.round2_coupon
+        lines.append(",".join([
+            p.item_id, str(j.discount_pct), _fmt(j.validity_hours), str(j.cap_yen),
+            str(k.discount_pct), _fmt(k.validity_hours), str(k.cap_yen),
+            _fmt(p.attach_delay_h), _fmt(p.p_round1), _fmt(p.p_round2), _fmt(p.p_combined),
+            _fmt(p.p_baseline), _fmt(p.lift), _fmt(p.expected_cost), _fmt(p.roi),
+            "1" if p.feasible else "0",
         ]))
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -8,6 +8,7 @@ import pytest
 
 from seqcoupon import cli, fileio, rng
 from seqcoupon.cli import main
+from seqcoupon.decision import AllocationPlan
 from seqcoupon.domain import SCHEMA_ROUND2, CouponConfig, ItemRecord, OutcomeRecord
 from seqcoupon.simulator import SimConfig, generate_catalog
 from seqcoupon.uplift import predict_batch
@@ -186,9 +187,10 @@ class TestPipeline:
 
 
 def test_pipeline_builds_no_per_row_records(tmp_path, monkeypatch):
-    """The five commands run on columns: no ItemRecord or OutcomeRecord is built."""
+    """The five commands run on columns: no ItemRecord, OutcomeRecord or
+    AllocationPlan is built."""
     built = []
-    for cls in (ItemRecord, OutcomeRecord):
+    for cls in (ItemRecord, OutcomeRecord, AllocationPlan):
         check = cls.__post_init__
         monkeypatch.setattr(cls, "__post_init__",
                             lambda self, check=check: built.append(self) or check(self))
@@ -395,6 +397,34 @@ class TestExitCodes:
         code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "s"), "--quiet"])
         assert code == 1
         assert "ValueError" in capsys.readouterr().err
+
+
+class TestRoundTwoLogAsRoundOne:
+    """A round-2 file configured as the round-1 log is refused before any work."""
+
+    @pytest.mark.parametrize("command,artifacts", [
+        ("train", (cli.GRID_TABLE_FILE, fileio.PAIR_FILE)),
+        ("evaluate", (cli.CURVE_FILE, cli.BUCKETS_FILE)),
+    ])
+    def test_exits_2(self, ws, tmp_path, capsys, monkeypatch, command, artifacts):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the log should have been refused first")
+
+        monkeypatch.setattr(cli, "grid_search", no_work)
+        monkeypatch.setattr(cli, "round1_arm_probabilities", no_work)
+        swapped = tmp_path / "round1_log.csv"
+        shutil.copyfile(f"{ws['sim']}/round2_log.csv", swapped)
+        cfg = tmp_path / "swapped.cfg"
+        cfg.write_text(config_text(
+            catalog=f"{ws['sim']}/catalog.csv",
+            r1=swapped,
+            r2=f"{ws['sim']}/round2_log.csv",
+            model=ws["model"],
+        ))
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+        assert "round-1 log contains a record from another round" in capsys.readouterr().err
+        assert not any((out / name).exists() for name in artifacts)
 
 
 class TestDuplicateIds:

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from seqcoupon.domain import CouponConfig, CouponSet, coupon_cost
 from seqcoupon.errors import InputError
 from seqcoupon.decision import (
     AllocationPlan,
+    PlanTable,
     PolicyConstraint,
     allocate,
     allocate_batch,
@@ -242,9 +245,29 @@ class TestAllocateIndependent:
         assert divergent > 0
 
 
-def assert_rows_equal_scalar(rows, p1, p2, p_baseline, prices, ltvs, r1, r2, constraint):
+def plan_rows(table):
+    """A ``PlanTable``'s rows as namespaces of plain Python values, one per plan."""
+    names = [f.name for f in dataclasses.fields(table)]
+    columns = [list(c) if isinstance(c, tuple) else c.tolist()
+               for c in (getattr(table, name) for name in names)]
+    names[names.index("item_ids")] = "item_id"  # AllocationPlan's name
+    return [SimpleNamespace(**dict(zip(names, values))) for values in zip(*columns)]
+
+
+def plans_of(table, round1_set, round2_set):
+    """One ``AllocationPlan`` per ``PlanTable`` row, its coupons taken from the menus."""
+    coupon_columns = {f"{r}_{c}" for r in "jk" for c in ("discount_pct", "validity_h", "cap")}
+    return [
+        AllocationPlan(round1_coupon=round1_set[row["j_index"]],
+                       round2_coupon=round2_set[row["k_index"]],
+                       **{name: v for name, v in row.items() if name not in coupon_columns})
+        for row in map(vars, plan_rows(table))
+    ]
+
+
+def assert_rows_equal_scalar(table, p1, p2, p_baseline, prices, ltvs, r1, r2, constraint):
     """Each plan's economics equal the scalar algebra on its chosen cell, bit for bit."""
-    for i, plan in enumerate(rows):
+    for i, plan in enumerate(plan_rows(table)):
         a, b = float(p1[i, plan.j_index]), float(p2[i, plan.k_index])
         price, pb = int(prices[i]), float(p_baseline[i])
         ltv = constraint.ltv_override if constraint.ltv_override is not None else float(ltvs[i])
@@ -308,7 +331,7 @@ class TestBatchAllocators:
             ids, j, k, feasible, p1, p2, p_baseline, prices, ltvs,
             round1_menu, round2_menu, constraint,
         )
-        assert [(r.item_id, r.j_index, r.k_index, r.feasible) for r in rows] == list(
+        assert [(r.item_id, r.j_index, r.k_index, r.feasible) for r in plan_rows(rows)] == list(
             zip(ids, j.tolist(), k.tolist(), feasible.tolist())
         )
         assert_rows_equal_scalar(
@@ -331,7 +354,7 @@ class TestBatchAllocators:
             [f"it-{i}" for i in range(len(prices))], j, k, feasible, p1, p2, p_baseline,
             prices, ltvs, round1_menu, round2, constraint,
         )
-        assert any(r.roi == math.inf for r in rows)
+        assert any(r.roi == math.inf for r in plan_rows(rows))
         assert_rows_equal_scalar(
             rows, p1, p2, p_baseline, prices, ltvs, round1_menu, round2, constraint
         )
@@ -347,7 +370,7 @@ class TestBatchAllocators:
             ["it-0"], np.array([3]), np.array([1]), np.array([True]), p1, p2,
             np.array([0.0]), prices, ltvs, round1_menu, round2_menu, PolicyConstraint(),
         )
-        assert rows[0].expected_cost == combine_cost(19 * tiny, 18 * tiny, 3000, 1000)
+        assert plan_rows(rows)[0].expected_cost == combine_cost(19 * tiny, 18 * tiny, 3000, 1000)
         assert_rows_equal_scalar(
             rows, p1, p2, np.array([0.0]), prices, ltvs, round1_menu, round2_menu,
             PolicyConstraint(),
@@ -362,24 +385,28 @@ class TestBatchAllocators:
                               PolicyConstraint())
 
 
+def valid_plan(round1_menu, round2_menu) -> dict:
+    return dict(
+        item_id="it-1",
+        j_index=1,
+        k_index=1,
+        round1_coupon=round1_menu[1],
+        round2_coupon=round2_menu[1],
+        attach_delay_h=2.0,
+        p_round1=0.3,
+        p_round2=0.5,
+        p_combined=combine_propensity(0.3, 0.5),
+        p_baseline=0.4,
+        lift=combine_propensity(0.3, 0.5) - 0.4,
+        expected_cost=100.0,
+        roi=1.0,
+        feasible=True,
+    )
+
+
 class TestPlanAndConstraintValidation:
     def test_inconsistent_plan_rejected(self, round1_menu, round2_menu):
-        base = dict(
-            item_id="it-1",
-            j_index=1,
-            k_index=1,
-            round1_coupon=round1_menu[1],
-            round2_coupon=round2_menu[1],
-            attach_delay_h=2.0,
-            p_round1=0.3,
-            p_round2=0.5,
-            p_combined=combine_propensity(0.3, 0.5),
-            p_baseline=0.4,
-            lift=combine_propensity(0.3, 0.5) - 0.4,
-            expected_cost=100.0,
-            roi=1.0,
-            feasible=True,
-        )
+        base = valid_plan(round1_menu, round2_menu)
         AllocationPlan(**base)
         with pytest.raises(InputError):
             AllocationPlan(**{**base, "p_combined": 0.9, "lift": 0.5})
@@ -396,3 +423,52 @@ class TestPlanAndConstraintValidation:
         with pytest.raises(InputError):
             PolicyConstraint(ltv_override=0.0)
         assert PolicyConstraint(lift_threshold=0.0).lift_threshold == 0.0
+
+
+class TestPlanTable:
+    @pytest.fixture
+    def table(self, round1_menu, round2_menu):
+        return PlanTable.from_plans([AllocationPlan(**valid_plan(round1_menu, round2_menu))] * 2)
+
+    @pytest.mark.parametrize("change", [
+        {"p_combined": 0.9, "lift": 0.5},
+        {"lift": 0.0},
+        {"expected_cost": -5.0},
+        {"p_round2": 1.5},
+        {"p_baseline": math.nan},
+    ])
+    def test_column_checks_give_the_plan_messages(self, table, round1_menu, round2_menu, change):
+        with pytest.raises(InputError) as plan_error:
+            AllocationPlan(**{**valid_plan(round1_menu, round2_menu), **change})
+        # The second row is bad; the table names the same fault as the plan.
+        bad = {name: np.array([getattr(table, name)[0], value]) for name, value in change.items()}
+        with pytest.raises(InputError) as table_error:
+            dataclasses.replace(table, **bad)
+        assert str(table_error.value) == str(plan_error.value)
+
+    def test_columns_must_align(self, table):
+        assert len(table) == 2
+        with pytest.raises(InputError, match=r"one entry per id \(2\)"):
+            dataclasses.replace(table, roi=np.ones(3))
+
+    def test_from_plans_gives_the_materialized_columns(self, round1_menu, round2_menu):
+        gen = np.random.default_rng(4)
+        n = 50
+        p1, p2 = gen.uniform(0.05, 0.9, (n, 4)), gen.uniform(0.05, 0.9, (n, 4))
+        p_baseline = gen.uniform(0.05, 0.9, n)
+        prices, ltvs = gen.integers(300, 60000, n), gen.integers(1000, 300000, n)
+        constraint = PolicyConstraint(lift_threshold=0.05)
+        j, k, feasible = allocate_batch(
+            p1, p2, p_baseline, prices, ltvs, round1_menu, round2_menu, constraint
+        )
+        table = materialize_plans(
+            [f"it-{i}" for i in range(n)], j, k, feasible, p1, p2, p_baseline, prices, ltvs,
+            round1_menu, round2_menu, constraint, 3.5,
+        )
+        rebuilt = PlanTable.from_plans(plans_of(table, round1_menu, round2_menu))
+        for f in dataclasses.fields(table):
+            mine, theirs = getattr(rebuilt, f.name), getattr(table, f.name)
+            if isinstance(mine, tuple):
+                assert mine == theirs
+            else:
+                assert (mine.dtype, mine.tobytes()) == (theirs.dtype, theirs.tobytes()), f.name

@@ -1,7 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
+
+import seqcoupon
 
 from seqcoupon.domain import CouponConfig, OutcomeRecord
 from seqcoupon.errors import InputError
@@ -304,6 +310,27 @@ class TestBootstrapMatchesResorting:
     @pytest.mark.parametrize("log", [synthetic_log(2000), tied_log(), slice_lacking_a_group()])
     def test_point_curve_is_bitwise_equal(self, log):
         assert cumulative_uplift(*log, 10) == cumulative_uplift_sorting(*log, 10)
+
+
+def test_scoring_a_curve_does_not_import_numpy_ma():
+    """``np.unique`` without ``return_*`` flags imports ``numpy.ma`` (15-18 ms);
+    a fresh process that scores a curve and its band must not pay that."""
+    script = textwrap.dedent("""
+        import sys
+        import numpy as np
+        from seqcoupon.evaluation import bootstrap_band, cumulative_uplift
+        gen = np.random.default_rng(0)
+        scores = np.round(gen.uniform(size=500), 1)
+        treated, sold = gen.uniform(size=500) < 0.7, gen.uniform(size=500) < 0.4
+        cumulative_uplift(scores, treated, sold, 10)
+        bootstrap_band(scores, treated, sold, 10, 20, 3)
+        print("numpy.ma" in sys.modules)
+    """)
+    src = os.path.dirname(os.path.dirname(seqcoupon.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == ["False"]
 
 
 class TestUpliftCurveValidation:

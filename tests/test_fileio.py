@@ -3,12 +3,21 @@ import json
 import math
 import os
 import re
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqcoupon import fileio
-from seqcoupon.decision import AllocationPlan
+from seqcoupon.decision import (
+    AllocationPlan,
+    PolicyConstraint,
+    allocate_batch,
+    materialize_plans,
+)
 from seqcoupon.domain import CouponConfig
 from seqcoupon.errors import InputError, ManifestMismatchError
 from seqcoupon.evaluation import (
@@ -49,6 +58,7 @@ from seqcoupon.simulator import CatalogArrays
 from seqcoupon.uplift import predict_batch
 
 import oracles
+from test_decision import plans_of
 from test_learner import synthetic_dataset
 
 
@@ -209,7 +219,7 @@ class TestColumnParse:
     def test_fallback_gives_the_same_bits(self, files, monkeypatch, name):
         read = read_catalog if name == "catalog" else read_outcomes
         fast = read(files[name])
-        monkeypatch.setattr(fileio, "_split_columns", lambda path, header: None)
+        monkeypatch.setattr(fileio, "_parse_columns", lambda path, header, dtype: None)
         rows = read(files[name])
         assert len(fast) > 1000
         assert column_bytes(fast) == column_bytes(rows)
@@ -285,6 +295,81 @@ class TestColumnParse:
         assert all(len(getattr(table, f.name)) == 0 for f in dataclasses.fields(table))
 
 
+# Rows that parse cleanly: no-coupon and coupon rows, sold and unsold.
+PARSE_CATALOG = [
+    "it-1,s-1,1200,3,10.5,4,0.8,0.25,50000,1.5",
+    "it-2,s-2,4800,5,0,0,1.25,0.75,9000,20",
+    "it-3,s-1,300,1,2.75,12,0.5,0,120000,0.125",
+]
+PARSE_LOG = [
+    "it-1,1,0,0,0,2,0,,,",
+    "it-2,1,0,0,0,1.5,1,3.25,5000,0",
+    "it-3,1,10,72,1000,2,0,,,",
+    "it-4,1,10,72,1000,0.5,1,12,3000,300",
+]
+# Cells that int()/float() and np.loadtxt may read differently, plus garbage.
+PARSE_CELLS = (
+    " 5 ", "\t7 ", "+5", "-0", "05", "1_0", "\u0661\u0662", "9223372036854775808", "1e400",
+    "nan", "inf", "0x10", "5.", "", "n/a",
+)
+CATALOG_NUMERIC = range(2, 10)
+LOG_NUMERIC = (1, 2, 3, 4, 5, 7, 8, 9)
+
+
+def read_or_error(read, path):
+    """What ``read`` makes of a file: its columns as bytes, or its exception."""
+    try:
+        return column_bytes(read(path))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestParseEquivalence:
+    """The one-call parse returns the row parser's columns or raises its error."""
+
+    @staticmethod
+    def substituted(rows, substitutions):
+        cells = [row.split(",") for row in rows]
+        for row, column, cell in substitutions:
+            cells[row % len(cells)][column] = cell
+        return [",".join(row) for row in cells]
+
+    @given(
+        catalog=st.lists(st.tuples(st.integers(0, 2), st.sampled_from(CATALOG_NUMERIC),
+                                   st.sampled_from(PARSE_CELLS)), max_size=3),
+        log=st.lists(st.tuples(st.integers(0, 3), st.sampled_from(LOG_NUMERIC),
+                               st.sampled_from(PARSE_CELLS)), max_size=3),
+        no_coupon_cells=st.tuples(st.sampled_from(PARSE_CELLS), st.sampled_from(PARSE_CELLS)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_row_parser(self, catalog, log, no_coupon_cells):
+        log_rows = self.substituted(PARSE_LOG, log)
+        # Validity and cap of the first, no-coupon row are never read.
+        first = log_rows[0].split(",")
+        first[3:5] = no_coupon_cells
+        log_rows[0] = ",".join(first)
+        with tempfile.TemporaryDirectory() as root:
+            for name, header, rows, read in (
+                ("catalog", CATALOG_HEADER, self.substituted(PARSE_CATALOG, catalog),
+                 read_catalog),
+                ("log", OUTCOME_HEADER, log_rows, read_outcomes),
+            ):
+                path = os.path.join(root, f"{name}.csv")
+                with open(path, "w", newline="\n") as fh:
+                    fh.write("\n".join([header, *rows]) + "\n")
+                fast = read_or_error(read, path)
+                with mock.patch.object(fileio, "_parse_columns", return_value=None):
+                    assert fast == read_or_error(read, path)
+
+    def test_canonical_files_parse_in_one_call(self, tmp_path, monkeypatch, small_world):
+        paths = (str(tmp_path / "catalog.csv"), str(tmp_path / "log.csv"))
+        write_catalog(small_world["items"][:300], paths[0])
+        write_outcomes(small_world["log1"], paths[1])
+        monkeypatch.setattr(fileio, "_read_rows", None)  # the row parser is never reached
+        assert len(read_catalog(paths[0])) == 300
+        assert len(read_outcomes(paths[1])) == len(small_world["log1"])
+
+
 class TestPlanWriter:
     def test_rows_and_inf_sentinel(self, tmp_path):
         free_lift = 0.5 - 0.4
@@ -313,6 +398,32 @@ class TestPlanWriter:
         assert cells[1] == "0" and cells[4] == "5"
         assert cells[14] == "inf"
         assert cells[15] == "1"
+
+    def test_table_writer_matches_the_per_plan_writer(self, tmp_path, round1_menu, round2_menu):
+        # More rows than one write block, with free (ROI +inf) and infeasible plans.
+        gen = np.random.default_rng(6)
+        n = fileio.WRITE_BLOCK_ROWS + 300
+        p1, p2 = gen.uniform(0.0, 0.9, (n, 4)), gen.uniform(0.0, 0.9, (n, 4))
+        p_baseline = gen.uniform(0.05, 0.9, n)
+        prices, ltvs = gen.integers(300, 60000, n), gen.integers(1000, 300000, n)
+        constraint = PolicyConstraint(lift_threshold=0.2)
+        j, k, feasible = allocate_batch(
+            p1, p2, p_baseline, prices, ltvs, round1_menu, round2_menu, constraint
+        )
+        j[:10], k[:10] = 0, 0  # the free (none, none) cell
+        table = materialize_plans(
+            [f"it{i:07d}" for i in range(n)], j, k, feasible, p1, p2, p_baseline, prices, ltvs,
+            round1_menu, round2_menu, constraint,
+        )
+        assert not table.feasible.all() and np.isinf(table.roi).any()
+        plans = plans_of(table, round1_menu, round2_menu)
+        paths = [str(tmp_path / f"{name}.csv") for name in ("table", "plans", "per_plan")]
+        write_plans(table, paths[0])
+        write_plans(plans, paths[1])
+        oracles.write_plans_per_plan(plans, paths[2])
+        texts = [open(path, "rb").read() for path in paths]
+        assert texts[0] == texts[1] == texts[2]
+        assert texts[0].count(b"\n") == n + 1
 
     def test_empty_plan_list(self, tmp_path):
         path = str(tmp_path / "plans.csv")

@@ -1,15 +1,22 @@
 """The benchmark's tracer rebinds package entry points by name.
 
 ``perfbench/tracer.py`` wraps each ``(module, attribute)`` of its ``SPANS``
-table with ``getattr``; a deleted or renamed entry point would crash every
-traced benchmark run. The table is read here, never edited.
+table with ``getattr``, binds every call's arguments by name, and counts rows
+with ``len()`` of what a call returns or was given. A deleted or renamed entry
+point, a renamed parameter or a return value without a length would crash
+every traced benchmark run. The tracer is read here, never edited.
 """
 
+import ast
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from seqcoupon.decision import PolicyConstraint, allocate_batch, materialize_plans
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -21,9 +28,70 @@ def _spans():
     return tracer.SPANS
 
 
-@pytest.mark.parametrize("span,module,attr", [s[:3] for s in _spans()])
-def test_every_traced_entry_point_resolves(span, module, attr):
+def _entry_point(module, attr):
     owner = importlib.import_module(module)
     for name in attr.split("."):
         owner = getattr(owner, name)
-    assert callable(owner), f"{span}: {module}.{attr} is not callable"
+    return owner
+
+
+def _argument_reads():
+    """(span, argument name) for every ``a["name"]`` in ``tracer._count``.
+
+    ``_count`` is one if/elif chain; each branch tests ``span == "..."`` or
+    ``span in (...)`` and reads the bound arguments ``a`` of those spans.
+    """
+    tree = ast.parse(TRACER.read_text())
+    count = next(node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "_count")
+    branch = next(node for node in count.body if isinstance(node, ast.If))
+    reads = []
+    while branch is not None:
+        spans = [c.value for c in ast.walk(branch.test) if isinstance(c, ast.Constant)]
+        names = {
+            node.slice.value
+            for statement in branch.body for node in ast.walk(statement)
+            if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+            and node.value.id == "a"
+        }
+        reads += [(span, name) for span in spans for name in sorted(names)]
+        orelse = branch.orelse
+        branch = orelse[0] if len(orelse) == 1 and isinstance(orelse[0], ast.If) else None
+    return reads
+
+
+SPANS = _spans()
+READS = _argument_reads()
+
+
+@pytest.mark.parametrize("span,module,attr", [s[:3] for s in SPANS])
+def test_every_traced_entry_point_resolves(span, module, attr):
+    assert callable(_entry_point(module, attr)), f"{span}: {module}.{attr} is not callable"
+
+
+def test_the_argument_reads_are_found():
+    assert {name for _, name in READS} == {
+        "path", "plans", "items", "records", "data", "X", "b_replicates", "in_dir", "out_dir",
+    }
+
+
+@pytest.mark.parametrize("span,name", READS)
+def test_every_argument_the_tracer_reads_is_a_parameter(span, name):
+    (module, attr), = [s[1:3] for s in SPANS if s[0] == span]
+    parameters = inspect.signature(_entry_point(module, attr)).parameters
+    assert name in parameters, f"{span}: {module}.{attr} has no parameter {name!r}"
+
+
+def test_materialized_plans_count_their_rows(round1_menu, round2_menu):
+    gen = np.random.default_rng(2)
+    n = 7
+    p1, p2 = gen.uniform(0.05, 0.9, (n, 4)), gen.uniform(0.05, 0.9, (n, 4))
+    p_baseline = gen.uniform(0.05, 0.9, n)
+    prices, ltvs = gen.integers(300, 60000, n), gen.integers(1000, 300000, n)
+    constraint = PolicyConstraint()
+    j, k, feasible = allocate_batch(
+        p1, p2, p_baseline, prices, ltvs, round1_menu, round2_menu, constraint
+    )
+    plans = materialize_plans([f"it-{i}" for i in range(n)], j, k, feasible, p1, p2,
+                              p_baseline, prices, ltvs, round1_menu, round2_menu, constraint)
+    assert len(plans) == n

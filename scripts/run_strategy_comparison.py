@@ -14,8 +14,37 @@ from seqcoupon.config import RunConfig
 from seqcoupon.decision import PolicyConstraint
 from seqcoupon.evaluation import compare_strategies
 from seqcoupon.learner import LearnerConfig
-from seqcoupon.simulator import GroundTruth, SimConfig, generate_catalog_arrays, run_rct
+from seqcoupon.simulator import (
+    GroundTruth,
+    SimConfig,
+    catalog_ids,
+    generate_catalog_arrays,
+    run_rct,
+)
 from seqcoupon.uplift import fit_predictor_pair
+
+
+def train(args, menus):
+    """Fit the pair on a training RCT; also lend its ids to the rollouts.
+
+    The ids, seller ids and keys of the first ``--eval-items`` rows are all
+    that outlive the training trial, and only when there are that many.
+    """
+    train_sim = SimConfig(n_items=args.train_items, rng_seed=args.train_seed)
+    items = generate_catalog_arrays(train_sim)
+    uniform = [1.0 / len(menus.round1_set)] * len(menus.round1_set)
+    log1, _, log2 = run_rct(
+        GroundTruth(train_sim), items, menus.round1_set, menus.round2_set,
+        uniform, uniform, seed=args.train_seed,
+    )
+    print(f"training RCT: {len(items)} items, {len(log2)} survivors")
+
+    pair = fit_predictor_pair(
+        items, log1, log2, menus.round1_set, menus.round2_set,
+        config_first=LearnerConfig(kind="logistic", learning_rate=1.0, epochs=args.epochs),
+    )
+    ids = catalog_ids(items, args.eval_items) if args.eval_items <= len(items) else None
+    return pair, ids
 
 
 def main() -> None:
@@ -32,25 +61,13 @@ def main() -> None:
     parser.add_argument("--out", default=None, help="optional path for the text report")
     args = parser.parse_args()
 
-    menus = RunConfig()
-    train_sim = SimConfig(n_items=args.train_items, rng_seed=args.train_seed)
-    items = generate_catalog_arrays(train_sim)
-    uniform = [1.0 / len(menus.round1_set)] * len(menus.round1_set)
-    log1, _, log2 = run_rct(
-        GroundTruth(train_sim), items, menus.round1_set, menus.round2_set,
-        uniform, uniform, seed=args.train_seed,
-    )
-    print(f"training RCT: {len(items)} items, {len(log2)} survivors")
-
-    pair = fit_predictor_pair(
-        items, log1, log2, menus.round1_set, menus.round2_set,
-        config_first=LearnerConfig(kind="logistic", learning_rate=1.0, epochs=args.epochs),
-    )
+    pair, ids = train(args, RunConfig())
     report = compare_strategies(
         SimConfig(n_items=args.eval_items, rng_seed=0),
         pair,
         PolicyConstraint(lift_threshold=args.lift_threshold),
         tuple(args.seeds),
+        same_ids_as=ids,
     )
     print(fileio.render_comparison_report(report), end="")
     if args.out:

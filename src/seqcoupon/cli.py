@@ -41,8 +41,16 @@ from .errors import (
 )
 from .evaluation import UpliftCurve, bootstrap_band, compare_strategies, cumulative_uplift, delay_analysis
 from .learner import Model, grid_search
-from .simulator import CatalogArrays, GroundTruth, generate_catalog_arrays, run_rct
+from .simulator import (
+    CatalogArrays,
+    CatalogIds,
+    GroundTruth,
+    catalog_ids,
+    generate_catalog_arrays,
+    run_rct,
+)
 from .uplift import (
+    PredictorPair,
     check_round,
     fit_predictor_pair,
     predict_arrays,
@@ -236,11 +244,14 @@ def cmd_evaluate(args: argparse.Namespace) -> None:
     run.say(f"wrote {CURVE_FILE} and {BUCKETS_FILE} in {run.out}")
 
 
-def _train_compare_pair(run: _Run):
+def _train_compare_pair(run: _Run) -> tuple[PredictorPair, Optional[CatalogIds]]:
     """Fit the pair ``compare`` rolls out, on an in-memory training trial.
 
-    The training catalog, its logs and the ground truth are locals here, so
-    they are freed when the pair is returned, before any rollout starts.
+    Also returns the training catalog's ``catalog_ids`` for the rollout
+    catalogs, whose ids and keys are a prefix of its own, or None when they
+    have more items. The lender is cut to the rollout size and holds no
+    numeric column. The training catalog, its logs and the ground truth are
+    locals here, so they are freed on return, before any rollout starts.
     """
     cfg = run.config
     train_sim = replace(
@@ -259,7 +270,7 @@ def _train_compare_pair(run: _Run):
         seed=train_sim.rng_seed,
     )
     run.say(f"trained on {len(cat)} items ({len(log2)} survivors)")
-    return fit_predictor_pair(
+    pair = fit_predictor_pair(
         cat,
         log1,
         log2,
@@ -270,13 +281,15 @@ def _train_compare_pair(run: _Run):
         epsilon=cfg.ipw_epsilon,
         variant=cfg.ipw_variant,
     )
+    n_rollout = cfg.simulator.n_items
+    return pair, catalog_ids(cat, n_rollout) if n_rollout <= len(cat) else None
 
 
 def cmd_compare(args: argparse.Namespace) -> None:
     run = _Run(args, "compare", seed_from=lambda cfg: cfg.evaluation.train_seed)
     cfg = run.config
     run.start()
-    pair = _train_compare_pair(run)
+    pair, ids = _train_compare_pair(run)
     seeds = (run.seed,) if args.seed is not None else cfg.evaluation.seeds
     report = compare_strategies(
         cfg.simulator,
@@ -284,6 +297,7 @@ def cmd_compare(args: argparse.Namespace) -> None:
         cfg.constraint(),
         seeds,
         attach_delay_h=cfg.attach_delay_h,
+        same_ids_as=ids,
     )
     fileio.write_comparison_report(report, run.path(REPORT_FILE))
     run.say(f"compared {len(seeds)} seeds -> {run.path(REPORT_FILE)}")

@@ -26,6 +26,8 @@ from .decision import (
 from .domain import OutcomeLog, OutcomeRecord, _as_log
 from .errors import InputError
 from .simulator import (
+    CatalogArrays,
+    CatalogIds,
     GroundTruth,
     RolloutTotals,
     SimConfig,
@@ -412,13 +414,17 @@ def compare_strategies(
     attach_delay_h: float = DEFAULT_ATTACH_DELAY_H,
     random_round1_probs: Optional[Sequence[float]] = None,
     random_round2_probs: Optional[Sequence[float]] = None,
+    same_ids_as: Optional[CatalogArrays | CatalogIds] = None,
 ) -> ComparisonReport:
     """Roll out random / per-round / sequential allocation on common seeds.
 
     For each seed one catalog is drawn straight into columns
     (``generate_catalog_arrays``: no per-item records). Item ids and their
-    keys depend on ``n_items`` alone, so they are built and hashed once per
-    call and every later seed's catalog reuses them. Predictions come from
+    keys depend on the row number alone, so they are built and hashed once
+    per call and every later seed's catalog reuses them. ``same_ids_as``, a
+    simulated catalog of at least ``config.n_items`` rows or its
+    ``catalog_ids`` (such as the training catalog's), lends them to the
+    first seed too, and then nothing is built or hashed. Predictions come from
     the catalog's columns, and one ``rollout_arms`` pass rolls out four
     plans on that catalog under shared sale draws: a no-coupon holdout plus
     the three strategies, each given as arm-index arrays. Realized ROI is
@@ -450,11 +456,11 @@ def compare_strategies(
     ltv_sum = 0.0
     n_total = 0
 
-    cat = None
+    cat = same_ids_as
     for seed in seeds:
         cfg = dataclasses.replace(config, rng_seed=seed)
         gt = GroundTruth(cfg)
-        # Ids and keys depend on n_items alone: each seed takes the last one's.
+        # Ids and keys depend on the row number alone: each seed takes the last one's.
         cat = generate_catalog_arrays(cfg, same_ids_as=cat)
         n = len(cat)
         mean_ltv = float(cat.ltv.mean())

@@ -75,6 +75,26 @@ def _parse_int(cell: str, path: str, line: int, column: str) -> int:
         raise InputError(f"{path}:{line}: column {column!r} is not an integer: {cell!r}") from None
 
 
+# Yen amounts are integers below 2**53, the largest a float column holds exactly.
+YEN_BOUND = 2**53
+
+
+def _parse_yen(cell: str, path: str, line: int, column: str) -> int:
+    value = _parse_int(cell, path, line, column)
+    if not -YEN_BOUND < value < YEN_BOUND:
+        raise InputError(
+            f"{path}:{line}: column {column!r} is out of range, |yen| must be below 2**53: "
+            f"{cell!r}"
+        )
+    return value
+
+
+def _check_yen(*columns: np.ndarray) -> None:
+    """Leave the table to the row parser where a yen amount reaches 2**53 either way."""
+    if any(((c >= YEN_BOUND) | (c <= -YEN_BOUND)).any() for c in columns):
+        raise ValueError("a yen amount is out of range")
+
+
 def _read_rows(path: str, expected_header: str) -> list[tuple[int, list[str]]]:
     """The row parser: every non-blank row after the header, with its line number."""
     with open(path, newline="") as fh:
@@ -202,6 +222,7 @@ CATALOG_DTYPE = np.dtype([
 
 
 def _catalog_columns(table: np.ndarray) -> dict:
+    _check_yen(table["price"], table["ltv"])
     return {name: _field(table, name) for name in CATALOG_DTYPE.names}
 
 
@@ -209,13 +230,13 @@ def _catalog_row(row: list[str], path: str, line: int) -> dict:
     return dict(
         ids=row[0],
         seller_ids=row[1],
-        price=_parse_int(row[2], path, line, "price_yen"),
+        price=_parse_yen(row[2], path, line, "price_yen"),
         condition=_parse_int(row[3], path, line, "condition"),
         age_days=_parse_float(row[4], path, line, "age_days"),
         likes=_parse_int(row[5], path, line, "likes"),
         demand=_parse_float(row[6], path, line, "demand_index"),
         season=_parse_float(row[7], path, line, "season_phase"),
-        ltv=_parse_int(row[8], path, line, "seller_ltv_yen"),
+        ltv=_parse_yen(row[8], path, line, "seller_ltv_yen"),
         key_ts=_parse_float(row[9], path, line, "key_action_ts"),
     )
 
@@ -283,18 +304,22 @@ def _outcome_columns(table: np.ndarray) -> dict:
     if not set(sold.tolist()) <= {"0", "1"}:
         raise ValueError("column 'sold' must be 0 or 1")
     none = table["discount_pct"] == 0
+    # A no-coupon row's validity and cap cells are not read.
+    cap = np.where(none, 0, table["cap_yen"])
+    price = _sale_values(table["sale_price_yen"], int)
+    cost = _sale_values(table["coupon_cost_yen"], int)
+    _check_yen(cap, price, cost)
     return dict(
         item_ids=_field(table, "item_ids"),
         round=_field(table, "round"),
         discount_pct=_field(table, "discount_pct"),
-        # A no-coupon row's validity and cap cells are not read.
         validity_hours=np.where(none, 0.0, table["validity_hours"]),
-        cap_yen=np.where(none, 0, table["cap_yen"]),
+        cap_yen=cap,
         attach_delay_h=_field(table, "attach_delay_h"),
         sold=sold == "1",
         purchase_delay_h=_sale_values(table["purchase_delay_h"], float),
-        sale_price_yen=_sale_values(table["sale_price_yen"], int),
-        coupon_cost_yen=_sale_values(table["coupon_cost_yen"], int),
+        sale_price_yen=price,
+        coupon_cost_yen=cost,
     )
 
 
@@ -305,7 +330,7 @@ def _outcome_row(row: list[str], path: str, line: int) -> dict:
         item_ids=row[0],
         discount_pct=disc,
         validity_hours=_parse_float(row[3], path, line, "validity_hours") if disc else 0.0,
-        cap_yen=_parse_int(row[4], path, line, "cap_yen") if disc else 0,
+        cap_yen=_parse_yen(row[4], path, line, "cap_yen") if disc else 0,
     )
     if row[6] not in ("0", "1"):
         raise InputError(f"{path}:{line}: column 'sold' must be 0 or 1, got {row[6]!r}")
@@ -316,9 +341,9 @@ def _outcome_row(row: list[str], path: str, line: int) -> dict:
         purchase_delay_h=(
             nan if row[7] == "" else _parse_float(row[7], path, line, "purchase_delay_h")
         ),
-        sale_price_yen=nan if row[8] == "" else _parse_int(row[8], path, line, "sale_price_yen"),
+        sale_price_yen=nan if row[8] == "" else _parse_yen(row[8], path, line, "sale_price_yen"),
         coupon_cost_yen=(
-            nan if row[9] == "" else _parse_int(row[9], path, line, "coupon_cost_yen")
+            nan if row[9] == "" else _parse_yen(row[9], path, line, "coupon_cost_yen")
         ),
     )
     return out

@@ -11,6 +11,7 @@ uniforms come from the top 53 bits.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
@@ -37,11 +38,16 @@ def item_key(item_id: str) -> int:
     return int.from_bytes(digest, "little")
 
 
+_blake2s_8 = functools.partial(hashlib.blake2s, digest_size=8)
+
+
 def item_keys(item_ids) -> np.ndarray:
-    """``item_key`` for many ids: the digests are joined and read as one buffer."""
-    digests = b"".join(
-        hashlib.blake2s(i.encode("utf-8"), digest_size=8).digest() for i in item_ids
-    )
+    """``item_key`` for many ids: the digests are joined and read as one buffer.
+
+    Encoding, hashing and digesting run through ``map`` over C callables, so
+    no Python frame runs per id.
+    """
+    digests = b"".join(map(hashlib.blake2s.digest, map(_blake2s_8, map(str.encode, item_ids))))
     return np.frombuffer(digests, dtype="<u8").astype(np.uint64)
 
 

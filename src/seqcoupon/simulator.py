@@ -153,12 +153,43 @@ def _sigmoid(x):
     return out
 
 
-def _draw_catalog(config: SimConfig, same_ids_as: Optional["CatalogArrays"] = None) -> dict:
+# Ids are built this many at a time, so the digit buffer and its text stay
+# small beside the ids themselves.
+_ID_BLOCK = 4096
+
+
+def _serial_ids(prefix: str, numbers: range) -> tuple[str, ...]:
+    """``tuple(f"{prefix}{i:07d}" for i in numbers)`` for a step-1 range of i >= 0.
+
+    Each id is one fixed-width row of a ``uint8`` buffer: the prefix, the
+    zero-padded digits and a newline. A block of rows is decoded and split
+    at once, so no Python frame runs per id. Numbers from 10**7 on take 8
+    digits (and so on), so a block never spans two digit widths.
+    """
+    head = np.frombuffer(prefix.encode("ascii"), dtype=np.uint8)
+    ids: list[str] = []
+    lo, stop = numbers.start, numbers.stop
+    while lo < stop:
+        width = max(7, len(str(lo)))
+        hi = min(stop, lo + _ID_BLOCK, 10**width)
+        rest = np.arange(lo, hi, dtype=np.int64)
+        rows = np.empty((hi - lo, len(head) + width + 1), dtype=np.uint8)
+        rows[:, : len(head)] = head
+        for col in range(len(head) + width - 1, len(head) - 1, -1):
+            rest, digit = np.divmod(rest, 10)
+            rows[:, col] = digit + ord("0")
+        rows[:, -1] = ord("\n")
+        ids += str(rows.reshape(-1)[:-1], "ascii").split("\n")
+        lo = hi
+    return tuple(ids)
+
+
+def _draw_catalog(config: SimConfig, lent: Optional["CatalogIds"] = None) -> dict:
     """The catalog's columns, keyed by ``CatalogArrays`` field; deterministic per seed.
 
     Draws no keys and builds no features: both catalog generators start here.
-    The ids, seller ids and status depend on ``n_items`` alone; they are taken
-    from ``same_ids_as`` when given.
+    The ids, seller ids and status depend on the row number alone; they are
+    taken from ``lent``, which has ``n_items`` rows, when given.
     """
     n = config.n_items
     gen = np.random.default_rng([config.rng_seed, 0xCA7A])
@@ -172,12 +203,11 @@ def _draw_catalog(config: SimConfig, same_ids_as: Optional["CatalogArrays"] = No
     season = gen.uniform(0.0, 1.0, n)
     ltv = np.maximum(1, np.rint(gen.lognormal(ltv_mu, ltv_sigma, n))).astype(np.int64)
     key_ts = _KEY_ACTION_EPOCH_H + gen.uniform(0.0, 8760.0, n)
-    if same_ids_as is None:
-        ids = tuple(f"it{i:07d}" for i in range(n))
-        seller_ids = tuple(f"sl{i:07d}" for i in range(n))
+    if lent is None:
+        ids, seller_ids = _serial_ids("it", range(n)), _serial_ids("sl", range(n))
         status = ("unsold",) * n
     else:
-        ids, seller_ids, status = same_ids_as.ids, same_ids_as.seller_ids, same_ids_as.status
+        ids, seller_ids, status = lent.ids, lent.seller_ids, lent.status
     return dict(
         ids=ids,
         seller_ids=seller_ids,
@@ -212,26 +242,61 @@ def generate_catalog(config: SimConfig) -> list[ItemRecord]:
 
 
 def generate_catalog_arrays(
-    config: SimConfig, same_ids_as: Optional["CatalogArrays"] = None
+    config: SimConfig, same_ids_as: Optional["CatalogArrays | CatalogIds"] = None
 ) -> "CatalogArrays":
     """``generate_catalog`` drawn straight into columns and the feature matrix.
 
     ``generate_catalog_arrays(config).to_items() == generate_catalog(config)``.
-    ``same_ids_as``, a catalog this function drew at the same ``n_items`` under
-    any seed, lends its id, seller-id and status tuples and any keys it has
-    hashed: those depend on ``n_items`` alone, so a caller drawing many seeds
-    builds and hashes them once.
+    ``same_ids_as``, a catalog this function drew under any seed with at least
+    ``n_items`` rows (or its ``catalog_ids``), lends the id, seller-id and
+    status tuples and any keys it has hashed of its first ``n_items`` rows.
+    Those depend on the row number alone, so a caller drawing many catalogs
+    builds and hashes them once. A lender of exactly ``n_items`` rows lends
+    its own objects.
     """
     if same_ids_as is None:
         return CatalogArrays.from_columns(**_draw_catalog(config))
-    if len(same_ids_as) != config.n_items:
+    if len(same_ids_as) < config.n_items:
         raise InputError(
             f"same_ids_as has {len(same_ids_as)} items, config.n_items is {config.n_items}"
         )
-    cat = CatalogArrays.from_columns(**_draw_catalog(config, same_ids_as))
-    if "keys" in same_ids_as.__dict__:
-        cat.__dict__["keys"] = same_ids_as.keys
+    lent = catalog_ids(same_ids_as, config.n_items)
+    cat = CatalogArrays.from_columns(**_draw_catalog(config, lent))
+    if lent.keys is not None:
+        cat.__dict__["keys"] = lent.keys
     return cat
+
+
+class CatalogIds:
+    """The columns of a simulated catalog that depend on the row number alone.
+
+    The id, seller-id and status tuples, plus the ``rng.item_keys`` of the
+    ids where they were hashed (else None). It holds no numeric column, so it
+    can lend ids to later catalogs after the one it came from is freed. A
+    plain class: building a dataclass (about 0.6 ms) would add to every
+    command's start-up.
+    """
+
+    def __init__(self, ids: tuple[str, ...], seller_ids: tuple[str, ...],
+                 status: tuple[str, ...], keys: Optional[np.ndarray] = None):
+        self.ids, self.seller_ids, self.status, self.keys = ids, seller_ids, status, keys
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+
+def catalog_ids(source: "CatalogArrays | CatalogIds", n: int) -> CatalogIds:
+    """The ids, seller ids, status and hashed keys of the first ``n`` rows of ``source``.
+
+    ``n`` is at most ``len(source)``. At full length the tuples and keys are
+    ``source``'s own objects; a shorter prefix is copied, so the rows past
+    ``n`` are freed with ``source``.
+    """
+    # A CatalogArrays holds "keys" in its __dict__ only once they are hashed.
+    keys = source.__dict__.get("keys")
+    if keys is not None and n < len(keys):
+        keys = keys[:n].copy()
+    return CatalogIds(source.ids[:n], source.seller_ids[:n], source.status[:n], keys)
 
 
 @dataclass(frozen=True)
@@ -333,7 +398,7 @@ class CatalogArrays:
         """
         index = rows.tolist()
         ids, seller_ids, status = (
-            tuple(c[i] for i in index) for c in (self.ids, self.seller_ids, self.status)
+            tuple(map(c.__getitem__, index)) for c in (self.ids, self.seller_ids, self.status)
         )
         taken = CatalogArrays(
             ids=ids, seller_ids=seller_ids, price=self.price[rows],
@@ -480,7 +545,7 @@ def _round_log(cat, rank, rows, round, disc, validity, cap, delay, sold, t) -> O
     rows, disc, cap, sold = rows[order], disc[order], cap[order], sold[order]
     price = cat.price[rows]
     return OutcomeLog.from_columns(
-        item_ids=[cat.ids[i] for i in rows.tolist()],
+        item_ids=tuple(map(cat.ids.__getitem__, rows.tolist())),
         round=np.full(len(rows), round),
         discount_pct=disc,
         validity_hours=validity[order],

@@ -6,8 +6,9 @@ agreement with the package is meaningful. The exceptions at the end are
 earlier implementations kept as they were: the per-record and per-plan CSV
 writers, the boosted-stump fit that re-buckets every feature in every round,
 the uplift curve and bootstrap band that re-sort every resample, the
-row-major allocators, the one-plan-per-call rollout and the per-arm
-prediction. The package's faster paths must reproduce their bytes and bits.
+row-major allocators, the one-plan-per-call rollout, the per-arm
+prediction and the one-f-string-per-item id builder. The package's faster
+paths must reproduce their bytes and bits.
 """
 
 from __future__ import annotations
@@ -768,3 +769,8 @@ def compare_strategies_per_strategy(
         lift_threshold=constraint.lift_threshold,
         n_items_per_seed=config.n_items,
     )
+
+
+def serial_ids_per_item(prefix, numbers):
+    """The simulator's item and seller ids, one f-string per number."""
+    return tuple(f"{prefix}{i:07d}" for i in numbers)

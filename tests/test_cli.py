@@ -252,6 +252,27 @@ class TestDeterminism:
         assert alive_at_rollout == [False]
         assert sha(str(out / "comparison.txt")) == sha(f"{ws['cmp']}/comparison.txt")
 
+    def test_compare_hashes_only_the_training_ids(self, ws, tmp_path, monkeypatch):
+        hashed = []
+        real_keys = rng.item_keys
+        monkeypatch.setattr(rng, "item_keys", lambda ids: hashed.append(len(ids)) or real_keys(ids))
+        out = tmp_path / "cmp"
+        assert main(["compare", "--config", ws["cfg"], "--out", str(out), "--quiet"]) == 0
+        # 1,200 training items; the 800-item rollout catalogs of all three
+        # seeds take their ids and keys from the training catalog.
+        assert hashed == [1200]
+        assert sha(str(out / "comparison.txt")) == sha(f"{ws['cmp']}/comparison.txt")
+
+    def test_compare_with_more_rollout_than_training_items(self, ws, tmp_path, monkeypatch):
+        hashed = []
+        real_keys = rng.item_keys
+        monkeypatch.setattr(rng, "item_keys", lambda ids: hashed.append(len(ids)) or real_keys(ids))
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text(sim_config_text(ws["sim"], ws["model"], n_items=1300))
+        assert main(["compare", "--config", str(cfg), "--out", str(tmp_path / "c"),
+                     "--quiet"]) == 0
+        assert hashed == [1200, 1300]
+
     def test_seed_override_changes_the_world(self, ws, tmp_path):
         out = tmp_path / "seed99"
         code = main(["simulate", "--config", ws["cfg"], "--out", str(out),
@@ -287,6 +308,26 @@ class TestExitCodes:
         code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("name,column", [("catalog.csv", 2), ("round1_log.csv", 8)])
+    def test_yen_past_int64_exits_2(self, ws, tmp_path, capsys, name, column):
+        """A price of 2**63 yen in the catalog or on a sold log row is named by line."""
+        sim = tmp_path / "sim"
+        shutil.copytree(ws["sim"], sim)
+        lines = (sim / name).read_text().splitlines()
+        # An unsold row's sale cells are empty and must stay so: take a sold one.
+        i = next(i for i, line in enumerate(lines[1:], start=1)
+                 if name == "catalog.csv" or line.split(",")[6] == "1")
+        cells = lines[i].split(",")
+        cells[column] = str(2**63)
+        lines[i] = ",".join(cells)
+        (sim / name).write_text("\n".join(lines) + "\n")
+        cfg = tmp_path / "y.cfg"
+        cfg.write_text(sim_config_text(sim, tmp_path / "m"))
+        code = main(["train", "--config", str(cfg), "--out", str(tmp_path / "m"), "--quiet"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{sim / name}:{i + 1}: column" in err and "below 2**53" in err
 
     def test_missing_config_exits_3(self, tmp_path):
         code = main(["simulate", "--config", str(tmp_path / "absent.cfg"),

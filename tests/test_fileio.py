@@ -361,6 +361,39 @@ class TestParseEquivalence:
                 with mock.patch.object(fileio, "_parse_columns", return_value=None):
                     assert fast == read_or_error(read, path)
 
+    # (table, row, column, header name): every yen cell the readers parse.
+    YEN_CELLS = [
+        ("catalog", 1, 2, "price_yen"), ("catalog", 1, 8, "seller_ltv_yen"),
+        ("log", 3, 4, "cap_yen"), ("log", 3, 8, "sale_price_yen"),
+        ("log", 3, 9, "coupon_cost_yen"),
+    ]
+
+    @pytest.mark.parametrize("cell", [str(2**53), str(2**63), str(-2**53), str(-2**63 - 1)])
+    @pytest.mark.parametrize("name,row,column,header", YEN_CELLS)
+    def test_yen_past_2_53_names_its_line(self, tmp_path, name, row, column, header, cell):
+        path = str(tmp_path / f"{name}.csv")
+        rows, table_header, read = (
+            (PARSE_CATALOG, CATALOG_HEADER, read_catalog) if name == "catalog"
+            else (PARSE_LOG, OUTCOME_HEADER, read_outcomes)
+        )
+        with open(path, "w", newline="\n") as fh:
+            fh.write("\n".join([table_header, *self.substituted(rows, [(row, column, cell)])]))
+        message = (f"{path}:{row + 2}: column {header!r} is out of range, "
+                   f"|yen| must be below 2**53: {cell!r}")
+        with pytest.raises(InputError, match=re.escape(message)):
+            read(path)
+        with mock.patch.object(fileio, "_parse_columns", return_value=None):
+            with pytest.raises(InputError, match=re.escape(message)):
+                read(path)
+
+    def test_yen_just_below_2_53_is_read(self, tmp_path):
+        path = str(tmp_path / "catalog.csv")
+        rows = self.substituted(PARSE_CATALOG, [(0, 2, str(2**53 - 1)), (2, 8, str(2**53 - 1))])
+        with open(path, "w", newline="\n") as fh:
+            fh.write("\n".join([CATALOG_HEADER, *rows]) + "\n")
+        cat = read_catalog(path)
+        assert cat.price[0] == 2**53 - 1 and cat.ltv[2] == 2**53 - 1
+
     def test_canonical_files_parse_in_one_call(self, tmp_path, monkeypatch, small_world):
         paths = (str(tmp_path / "catalog.csv"), str(tmp_path / "log.csv"))
         write_catalog(small_world["items"][:300], paths[0])

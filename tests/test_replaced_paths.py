@@ -1,9 +1,9 @@
 """The per-seed fast paths against the implementations they replaced.
 
 ``oracles.py`` keeps the row-major allocators, the one-plan-per-call rollout,
-the per-arm prediction and the strategy comparison built on them as they
-were. Every test here compares the package with them bit for bit, over at
-least ten seeds.
+the per-arm prediction, the strategy comparison built on them and the
+per-item id builder as they were. Every test here compares the package with
+them bit for bit, over at least ten seeds where the output has a seed.
 """
 
 import numpy as np
@@ -14,7 +14,14 @@ from seqcoupon.domain import CouponConfig, CouponSet
 from seqcoupon.errors import InputError
 from seqcoupon.evaluation import compare_strategies
 from seqcoupon.learner import LearnerConfig
-from seqcoupon.simulator import GroundTruth, SimConfig, generate_catalog_arrays, rollout_arms
+from seqcoupon.simulator import (
+    GroundTruth,
+    SimConfig,
+    _serial_ids,
+    generate_catalog,
+    generate_catalog_arrays,
+    rollout_arms,
+)
 from seqcoupon.uplift import fit_predictor_pair, predict_arrays, round1_arm_probabilities
 
 import oracles
@@ -48,6 +55,32 @@ def same_allocations(p1, p2, p_baseline, prices, ltvs, menu1, menu2, constraint)
         want = old(p1, p2, p_baseline, prices, ltvs, menu1, menu2, constraint)
         for g, w in zip(got, want):
             same_bits(g, w)
+
+
+class TestSerialIds:
+    @pytest.mark.parametrize("n", [0, 1, 10, 4000, 4096, 4097, 9000])
+    @pytest.mark.parametrize("prefix", ["it", "sl"])
+    def test_match_the_per_item_builder(self, prefix, n):
+        assert _serial_ids(prefix, range(n)) == oracles.serial_ids_per_item(prefix, range(n))
+
+    @pytest.mark.parametrize("start,stop", [
+        (9_999_995, 10_000_006),  # 7 digits widen to 8
+        (10_000_000, 10_000_003),
+        (99_999_998, 100_000_002),  # 8 digits widen to 9
+        (9_999_999, 10_000_000),
+        (9_995_000, 10_005_000),  # blocks of ids on both sides of the widening
+    ])
+    def test_digit_width_boundaries(self, start, stop):
+        numbers = range(start, stop)
+        assert _serial_ids("it", numbers) == oracles.serial_ids_per_item("it", numbers)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_both_catalog_paths_carry_them(self, seed):
+        config = SimConfig(n_items=30 + seed, rng_seed=seed)
+        numbers = range(config.n_items)
+        for items in (generate_catalog(config), generate_catalog_arrays(config).to_items()):
+            assert tuple(it.item_id for it in items) == oracles.serial_ids_per_item("it", numbers)
+            assert tuple(it.seller_id for it in items) == oracles.serial_ids_per_item("sl", numbers)
 
 
 class TestArmMajorAllocators:

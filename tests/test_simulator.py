@@ -16,6 +16,7 @@ from seqcoupon.simulator import (
     RolloutTotals,
     SimConfig,
     arm_draw,
+    catalog_ids,
     generate_catalog,
     generate_catalog_arrays,
     purchase_rate,
@@ -292,8 +293,48 @@ class TestCatalogArrays:
         # Keys the lender had hashed are shared; otherwise the catalog hashes its own.
         assert len(calls) == (0 if hashed else 1)
         assert (drawn.keys is lender.__dict__.get("keys")) == hashed
-        with pytest.raises(InputError, match="same_ids_as has 40 items"):
-            generate_catalog_arrays(SimConfig(n_items=39, rng_seed=6), same_ids_as=lender)
+        # A longer lender lends its first n_items rows; a shorter one is refused.
+        calls.clear()
+        shorter = generate_catalog_arrays(SimConfig(n_items=39, rng_seed=6), same_ids_as=lender)
+        fresh39 = generate_catalog_arrays(SimConfig(n_items=39, rng_seed=6))
+        assert shorter.to_items() == fresh39.to_items()
+        assert shorter.ids == lender.ids[:39] and shorter.status == lender.status[:39]
+        np.testing.assert_array_equal(shorter.keys, fresh.keys[:39])
+        assert len(calls) == (0 if hashed else 1)
+        with pytest.raises(InputError, match="same_ids_as has 40 items, config.n_items is 41"):
+            generate_catalog_arrays(SimConfig(n_items=41, rng_seed=6), same_ids_as=lender)
+
+    @pytest.mark.parametrize("n", [0, 1, 25, 40])
+    @pytest.mark.parametrize("by_ids", [False, True])
+    def test_a_longer_hashed_lender_lends_its_first_rows(self, n, by_ids, monkeypatch):
+        lender = generate_catalog_arrays(SimConfig(n_items=40, rng_seed=5))
+        lender.keys
+        if by_ids:
+            lender = catalog_ids(lender, 40)
+        fresh = generate_catalog_arrays(SimConfig(n_items=n, rng_seed=6))
+        calls = []
+        real_keys = rng.item_keys
+        monkeypatch.setattr(rng, "item_keys", lambda ids: calls.append(len(ids)) or real_keys(ids))
+        drawn = generate_catalog_arrays(SimConfig(n_items=n, rng_seed=6), same_ids_as=lender)
+        assert drawn.to_items() == fresh.to_items()
+        np.testing.assert_array_equal(drawn.matrix, fresh.matrix)
+        assert calls == []
+        np.testing.assert_array_equal(drawn.keys, real_keys(fresh.ids))
+        assert drawn.keys.dtype == np.uint64 and calls == []
+
+    def test_catalog_ids_keeps_no_row_past_the_prefix(self):
+        cat = generate_catalog_arrays(SimConfig(n_items=40, rng_seed=5))
+        unhashed = catalog_ids(cat, 25)
+        assert unhashed.keys is None and len(unhashed) == 25
+        cat.keys
+        whole, head = catalog_ids(cat, 40), catalog_ids(cat, 25)
+        assert whole.ids is cat.ids and whole.seller_ids is cat.seller_ids
+        assert whole.status is cat.status and whole.keys is cat.keys
+        assert head.ids == cat.ids[:25] and head.seller_ids == cat.seller_ids[:25]
+        np.testing.assert_array_equal(head.keys, cat.keys[:25])
+        # A copy, not a view that would keep all 40 keys alive.
+        assert head.keys.base is None
+        assert catalog_ids(head, 10).ids == cat.ids[:10]
 
     @pytest.mark.parametrize("n", [0, 1, 40])
     def test_rows_of_refuses_an_unknown_id(self, n):

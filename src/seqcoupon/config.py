@@ -110,6 +110,15 @@ class RunConfig:
     evaluation: EvaluationSection = field(default_factory=EvaluationSection)
     io: IoSection = field(default_factory=IoSection)
 
+    def __post_init__(self):
+        self.constraint()  # refuses a bad lift_threshold or ltv_override
+        if self.attach_delay_h < 0:
+            raise InputError(f"attach_delay_h must be >= 0, got {self.attach_delay_h!r}")
+        if self.ipw_variant not in ("mean", "applied"):
+            raise InputError(
+                f"ipw_variant must be 'mean' or 'applied', got {self.ipw_variant!r}"
+            )
+
     def constraint(self) -> PolicyConstraint:
         return PolicyConstraint(
             lift_threshold=self.lift_threshold, ltv_override=self.ltv_override
@@ -131,13 +140,6 @@ def _default_set(arms, purpose: str) -> CouponSet:
 
 def _parse_scalar(raw: str, target_type, where: str):
     raw = raw.strip()
-    if target_type is bool:
-        low = raw.lower()
-        if low in ("1", "true", "yes", "on"):
-            return True
-        if low in ("0", "false", "no", "off"):
-            return False
-        raise InputError(f"{where}: expected a boolean, got {raw!r}")
     try:
         return target_type(raw)
     except ValueError:
@@ -151,20 +153,34 @@ def _parse_tuple(raw: str, target_type, where: str) -> tuple:
     return tuple(_parse_scalar(p, target_type, where) for p in parts)
 
 
-def _section(parser: configparser.ConfigParser, name: str) -> dict[str, str]:
-    if not parser.has_section(name):
-        return {}
-    return dict(parser.items(name))
+def _parse_keys(raw: dict[str, str], section: str, path: str, types: dict) -> dict:
+    """The cells of one section, each parsed by its entry in ``types``.
+
+    A ``(type, n)`` entry is a comma list of ``n`` values, or of any number
+    when ``n`` is None. A key missing from ``types`` is an error.
+    """
+    unknown = sorted(set(raw) - set(types))
+    if unknown:
+        raise InputError(f"{path}: [{section}] unknown key {unknown[0]!r}")
+    out = {}
+    for name, cell in raw.items():
+        where = f"{path}: [{section}] {name}"
+        if isinstance(types[name], tuple):
+            target_type, n = types[name]
+            out[name] = _parse_tuple(cell, target_type, where)
+            if n is not None and len(out[name]) != n:
+                raise InputError(f"{where}: expected {n} numbers, got {cell!r}")
+        else:
+            out[name] = _parse_scalar(cell, types[name], where)
+    return out
 
 
-def _take(raw: dict[str, str], key: str) -> Optional[str]:
-    return raw.pop(key, None)
-
-
-def _reject_leftovers(raw: dict[str, str], section: str, path: str) -> None:
-    if raw:
-        key = sorted(raw)[0]
-        raise InputError(f"{path}: [{section}] unknown key {key!r}")
+def _build(cls, kwargs: dict, section: str, path: str):
+    """``cls(**kwargs)``, naming the file and section in a refusal."""
+    try:
+        return cls(**kwargs)
+    except InputError as exc:
+        raise InputError(f"{path}: [{section}] {exc}") from None
 
 
 _SIM_TYPES = {
@@ -172,41 +188,21 @@ _SIM_TYPES = {
     "rng_seed": int,
     "base_logit_r1": float,
     "base_logit_r2": float,
+    "feature_weights": (float, None),
     "effect_scale": float,
     "delay_knee_h": float,
     "delay_floor": float,
     "purchase_time_rate": float,
+    "ltv_lognormal_params": (float, 2),
+    "price_lognormal_params": (float, 2),
     "likes_rate": float,
     "max_age_days": int,
     "rct_max_delay_h": float,
 }
 
 
-def _parse_simulator_typed(raw: dict[str, str], path: str) -> SimConfig:
-    kwargs = {}
-    for name in list(raw):
-        cell = raw.pop(name)
-        where = f"{path}: [simulator] {name}"
-        if name == "feature_weights":
-            kwargs[name] = _parse_tuple(cell, float, where)
-        elif name in ("ltv_lognormal_params", "price_lognormal_params"):
-            pair = _parse_tuple(cell, float, where)
-            if len(pair) != 2:
-                raise InputError(f"{where}: expected two numbers, got {cell!r}")
-            kwargs[name] = pair
-        elif name in _SIM_TYPES:
-            kwargs[name] = _parse_scalar(cell, _SIM_TYPES[name], where)
-        else:
-            raise InputError(f"{path}: [simulator] unknown key {name!r}")
-    try:
-        return SimConfig(**kwargs)
-    except InputError as exc:
-        raise InputError(f"{path}: [simulator] {exc}") from None
-
-
 def _parse_coupon_set(raw: dict[str, str], section: str, purpose: str, path: str) -> CouponSet:
-    cell = _take(raw, "arms")
-    _reject_leftovers(raw, section, path)
+    cell = _parse_keys(raw, section, path, {"arms": str}).get("arms")
     if cell is None:
         raise InputError(f"{path}: [{section}] missing required key 'arms'")
     arms = [CouponConfig.none()]
@@ -233,10 +229,7 @@ def _parse_coupon_set(raw: dict[str, str], section: str, purpose: str, path: str
         )
     if len(arms) < 2:
         raise InputError(f"{path}: [{section}] needs at least one real coupon arm")
-    try:
-        return CouponSet(arms=tuple(arms), purpose=purpose)
-    except InputError as exc:
-        raise InputError(f"{path}: [{section}] {exc}") from None
+    return _build(CouponSet, dict(arms=tuple(arms), purpose=purpose), section, path)
 
 
 _LEARNER_TYPES = {
@@ -247,38 +240,21 @@ _LEARNER_TYPES = {
     "max_stumps": int,
     "rng_seed": int,
 }
-
-
-def _learner_point(raw: dict[str, str], section: str, path: str) -> LearnerConfig:
-    kwargs = {}
-    for name, typ in _LEARNER_TYPES.items():
-        cell = _take(raw, name)
-        if cell is not None:
-            kwargs[name] = _parse_scalar(cell, typ, f"{path}: [{section}] {name}")
-    try:
-        return LearnerConfig(**kwargs)
-    except InputError as exc:
-        raise InputError(f"{path}: [{section}] {exc}") from None
+# [learner] also takes k_folds and a grid_<key> comma list for each numeric key.
+_LEARNER_SECTION_TYPES = {
+    **_LEARNER_TYPES,
+    "k_folds": int,
+    **{f"grid_{key}": (typ, None) for key, typ in _LEARNER_TYPES.items() if key != "kind"},
+}
 
 
 def _parse_learner(raw: dict[str, str], path: str) -> LearnerSection:
-    k_folds_cell = _take(raw, "k_folds")
-    k_folds = (
-        _parse_scalar(k_folds_cell, int, f"{path}: [learner] k_folds")
-        if k_folds_cell is not None
-        else 5
-    )
-    grid_cells = {}
-    for name in list(raw):
-        if name.startswith("grid_"):
-            key = name[len("grid_") :]
-            if key not in _LEARNER_TYPES or key == "kind":
-                raise InputError(f"{path}: [learner] unknown key {name!r}")
-            grid_cells[key] = _parse_tuple(
-                raw.pop(name), _LEARNER_TYPES[key], f"{path}: [learner] {name}"
-            )
-    base = _learner_point(raw, "learner", path)
-    _reject_leftovers(raw, "learner", path)
+    cells = _parse_keys(raw, "learner", path, _LEARNER_SECTION_TYPES)
+    k_folds = cells.pop("k_folds", 5)
+    grid_cells = {
+        name[len("grid_") :]: cells.pop(name) for name in list(cells) if name.startswith("grid_")
+    }
+    base = _build(LearnerConfig, cells, "learner", path)
     if not grid_cells:
         return LearnerSection(base=base, grid=(base,), k_folds=k_folds)
     for key, values in grid_cells.items():
@@ -294,64 +270,29 @@ def _parse_learner(raw: dict[str, str], path: str) -> LearnerSection:
     return LearnerSection(base=base, grid=tuple(grid), k_folds=k_folds)
 
 
-def _parse_policy(raw: dict[str, str], path: str) -> dict:
-    out = {}
-    for name, typ in (
-        ("lift_threshold", float),
-        ("attach_delay_h", float),
-        ("ipw_epsilon", float),
-        ("ipw_variant", str),
-        ("ltv_override", float),
-    ):
-        cell = _take(raw, name)
-        if cell is not None:
-            out[name] = _parse_scalar(cell, typ, f"{path}: [policy] {name}")
-    _reject_leftovers(raw, "policy", path)
-    if out.get("attach_delay_h", 0.0) < 0:
-        raise InputError(
-            f"{path}: [policy] attach_delay_h must be >= 0, got {out['attach_delay_h']!r}"
-        )
-    if out.get("ipw_variant") not in (None, "mean", "applied"):
-        raise InputError(
-            f"{path}: [policy] ipw_variant must be 'mean' or 'applied', "
-            f"got {out['ipw_variant']!r}"
-        )
-    return out
-
-
-def _parse_evaluation(raw: dict[str, str], path: str) -> EvaluationSection:
-    kwargs = {}
-    for name, typ in (
-        ("deciles", int),
-        ("bootstrap_b", int),
-        ("bucket_h", float),
-        ("train_seed", int),
-        ("train_n_items", int),
-    ):
-        cell = _take(raw, name)
-        if cell is not None:
-            kwargs[name] = _parse_scalar(cell, typ, f"{path}: [evaluation] {name}")
-    cell = _take(raw, "seeds")
-    if cell is not None:
-        kwargs["seeds"] = _parse_tuple(cell, int, f"{path}: [evaluation] seeds")
-    _reject_leftovers(raw, "evaluation", path)
-    try:
-        return EvaluationSection(**kwargs)
-    except InputError as exc:
-        raise InputError(f"{path}: [evaluation] {exc}") from None
-
-
-def _parse_io(raw: dict[str, str], path: str) -> IoSection:
-    kwargs = {}
-    for name in ("catalog", "round1_log", "round2_log", "model_dir"):
-        cell = _take(raw, name)
-        if cell is not None:
-            kwargs[name] = cell.strip()
-    _reject_leftovers(raw, "io", path)
-    try:
-        return IoSection(**kwargs)
-    except InputError as exc:
-        raise InputError(f"{path}: [io] {exc}") from None
+_POLICY_TYPES = {
+    "lift_threshold": float,
+    "attach_delay_h": float,
+    "ipw_epsilon": float,
+    "ipw_variant": str,
+    "ltv_override": float,
+}
+_EVALUATION_TYPES = {
+    "deciles": int,
+    "bootstrap_b": int,
+    "bucket_h": float,
+    "seeds": (int, None),
+    "train_seed": int,
+    "train_n_items": int,
+}
+_IO_TYPES = dict.fromkeys(("catalog", "round1_log", "round2_log", "model_dir"), str)
+# Each RunConfig field built from one section: (section, class, key types).
+_DATACLASS_SECTIONS = {
+    "simulator": ("simulator", SimConfig, _SIM_TYPES),
+    "learner_second": ("learner.second", LearnerConfig, _LEARNER_TYPES),
+    "evaluation": ("evaluation", EvaluationSection, _EVALUATION_TYPES),
+    "io": ("io", IoSection, _IO_TYPES),
+}
 
 
 _KNOWN_SECTIONS = (
@@ -382,26 +323,19 @@ def load_config(path: str) -> RunConfig:
         if section not in _KNOWN_SECTIONS:
             raise InputError(f"{path}: unknown section [{section}]")
 
+    sections = {name: dict(parser.items(name)) for name in parser.sections()}
     kwargs: dict = {}
-    kwargs["simulator"] = _parse_simulator_typed(_section(parser, "simulator"), path)
-    if parser.has_section("coupons.round1"):
-        kwargs["round1_set"] = _parse_coupon_set(
-            _section(parser, "coupons.round1"), "coupons.round1", "round1", path
-        )
-    if parser.has_section("coupons.round2"):
-        kwargs["round2_set"] = _parse_coupon_set(
-            _section(parser, "coupons.round2"), "coupons.round2", "round2", path
-        )
-    if parser.has_section("learner"):
-        kwargs["learner"] = _parse_learner(_section(parser, "learner"), path)
-    if parser.has_section("learner.second"):
-        raw = _section(parser, "learner.second")
-        kwargs["learner_second"] = _learner_point(raw, "learner.second", path)
-        _reject_leftovers(raw, "learner.second", path)
-    kwargs.update(_parse_policy(_section(parser, "policy"), path))
-    kwargs["evaluation"] = _parse_evaluation(_section(parser, "evaluation"), path)
-    kwargs["io"] = _parse_io(_section(parser, "io"), path)
-    try:
-        return RunConfig(**kwargs)
-    except InputError as exc:
-        raise InputError(f"{path}: {exc}") from None
+    for field_name, (section, cls, types) in _DATACLASS_SECTIONS.items():
+        if section in sections:
+            cells = _parse_keys(sections[section], section, path, types)
+            kwargs[field_name] = _build(cls, cells, section, path)
+    for section, purpose in (("coupons.round1", "round1"), ("coupons.round2", "round2")):
+        if section in sections:
+            kwargs[f"{purpose}_set"] = _parse_coupon_set(
+                sections[section], section, purpose, path
+            )
+    if "learner" in sections:
+        kwargs["learner"] = _parse_learner(sections["learner"], path)
+    kwargs.update(_parse_keys(sections.get("policy", {}), "policy", path, _POLICY_TYPES))
+    # The other sections are built by now: RunConfig refuses only a [policy] value.
+    return _build(RunConfig, kwargs, "policy", path)

@@ -7,23 +7,22 @@ lift over the never-coupon baseline to that cost. The allocator enumerates
 every (j, k) cell, filters by a minimum-lift constraint, and returns the
 highest-ROI cell with deterministic tie-breaking. A per-round-greedy variant
 serves as the comparison baseline. Both run on whole catalogs of arrays, and
-``materialize_plans`` prices their choices into one columnar ``PlanTable``;
-``allocate`` and ``allocate_independent`` are one-row views that return an
-``AllocationPlan``, and the scalar ``combine_*``/``roi`` are the reference
-their array economics equal.
+``materialize_plans`` prices their choices into one columnar ``PlanTable``,
+which is what ``fileio.write_plans`` takes. ``allocate`` is the one-row view
+that returns an ``AllocationPlan``, and the scalar ``combine_*``/``roi`` are
+the reference the array economics equal.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from operator import attrgetter
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .domain import CouponConfig, CouponSet, ItemRecord, _check_column, coupon_costs
+from .domain import CouponConfig, CouponSet, ItemRecord, _check_column, coupon_columns, coupon_costs
 from .errors import InputError
 from .uplift import ItemPredictions
 
@@ -84,22 +83,6 @@ def _check_plan_economics(p_round1, p_round2, p_combined, p_baseline, lift, expe
     _check_column(expected_cost < 0, expected_cost, "expected_cost must be >= 0")
 
 
-# Each ``PlanTable`` column but the ids: the ``AllocationPlan`` attribute it holds, its dtype.
-_PLAN_COLUMNS = {
-    "j_index": ("j_index", np.int64),
-    "k_index": ("k_index", np.int64),
-    "j_discount_pct": ("round1_coupon.discount_pct", np.int64),
-    "j_validity_h": ("round1_coupon.validity_hours", float),
-    "j_cap": ("round1_coupon.cap_yen", np.int64),
-    "k_discount_pct": ("round2_coupon.discount_pct", np.int64),
-    "k_validity_h": ("round2_coupon.validity_hours", float),
-    "k_cap": ("round2_coupon.cap_yen", np.int64),
-    "attach_delay_h": ("attach_delay_h", float),
-    **{name: (name, float) for name in (*_ECONOMICS, "roi")},
-    "feasible": ("feasible", bool),
-}
-
-
 @dataclass(frozen=True)
 class PlanTable:
     """Allocation plans as columns: row i of every column is one ``AllocationPlan``.
@@ -129,25 +112,12 @@ class PlanTable:
     feasible: np.ndarray
 
     def __post_init__(self):
-        if any(getattr(self, name).shape != (len(self),) for name in _PLAN_COLUMNS):
+        if any(getattr(self, f.name).shape != (len(self),) for f in fields(self)[1:]):
             raise InputError(f"every plan column needs one entry per id ({len(self)})")
         _check_plan_economics(*(getattr(self, name) for name in _ECONOMICS))
 
     def __len__(self) -> int:
         return len(self.item_ids)
-
-    @classmethod
-    def from_plans(cls, plans: Sequence[AllocationPlan]) -> "PlanTable":
-        return cls(
-            item_ids=tuple(p.item_id for p in plans),
-            **{name: np.array(list(map(attrgetter(attr), plans)), dtype=dtype)
-               for name, (attr, dtype) in _PLAN_COLUMNS.items()},
-        )
-
-
-def _as_plan_table(plans) -> PlanTable:
-    """A ``PlanTable`` as is, or a sequence of ``AllocationPlan``s converted to one."""
-    return plans if isinstance(plans, PlanTable) else PlanTable.from_plans(plans)
 
 
 def combine_propensity(p1: float, p2: float) -> float:
@@ -360,15 +330,6 @@ def allocate_independent_batch(
     return j, k, lift >= threshold
 
 
-def _coupon_columns(prefix: str, coupon_set: CouponSet, arms: np.ndarray) -> dict:
-    """The ``PlanTable`` coupon columns (``j_*`` or ``k_*``) of the chosen menu arms."""
-    return {
-        f"{prefix}_discount_pct": np.array([c.discount_pct for c in coupon_set], np.int64)[arms],
-        f"{prefix}_validity_h": np.array([c.validity_hours for c in coupon_set], float)[arms],
-        f"{prefix}_cap": np.array([c.cap_yen for c in coupon_set], np.int64)[arms],
-    }
-
-
 def materialize_plans(
     item_ids: Sequence[str],
     j: np.ndarray,
@@ -396,22 +357,35 @@ def materialize_plans(
         coupon_costs(prices, round2_set)[rows, k].astype(float),
         _resolve_ltvs(ltvs, constraint),
     )
+    j_disc, j_validity, j_cap = (c[j] for c in coupon_columns(round1_set))
+    k_disc, k_validity, k_cap = (c[k] for c in coupon_columns(round2_set))
     return PlanTable(
         item_ids=tuple(item_ids), j_index=j, k_index=k,
-        **_coupon_columns("j", round1_set, j), **_coupon_columns("k", round2_set, k),
+        j_discount_pct=j_disc, j_validity_h=j_validity, j_cap=j_cap,
+        k_discount_pct=k_disc, k_validity_h=k_validity, k_cap=k_cap,
         attach_delay_h=np.full(len(rows), float(attach_delay_h)),
         p_round1=p_round1, p_round2=p_round2, p_combined=pc, p_baseline=p_baseline,
         lift=lift, expected_cost=cost, roi=r, feasible=feasible,
     )
 
 
-def _one_row(allocator, preds, item, round1_set, round2_set, constraint, attach_delay_h):
-    """Run a batch allocator on one item and return its plan: the one place an
-    ``AllocationPlan`` is built from a ``PlanTable`` row."""
+def allocate(
+    preds: ItemPredictions,
+    item: ItemRecord,
+    round1_set: CouponSet,
+    round2_set: CouponSet,
+    constraint: PolicyConstraint,
+    attach_delay_h: float = DEFAULT_ATTACH_DELAY_H,
+) -> AllocationPlan:
+    """``allocate_batch`` for one item: the feasible (j, k) plan with the highest ROI.
+
+    The plan is the one row of the ``PlanTable`` that ``materialize_plans``
+    prices for this item.
+    """
     p1, p2 = np.array([preds.p1]), np.array([preds.p2])
     p_baseline = np.array([preds.p_baseline])
     prices, ltvs = np.array([item.price_yen]), np.array([item.seller_ltv_yen])
-    j, k, feasible = allocator(
+    j, k, feasible = allocate_batch(
         p1, p2, p_baseline, prices, ltvs, round1_set, round2_set, constraint
     )
     table = materialize_plans(
@@ -424,34 +398,4 @@ def _one_row(allocator, preds, item, round1_set, round2_set, constraint, attach_
         round1_coupon=round1_set[j0], round2_coupon=round2_set[k0],
         attach_delay_h=float(attach_delay_h), feasible=bool(feasible[0]),
         **{name: float(getattr(table, name)[0]) for name in (*_ECONOMICS, "roi")},
-    )
-
-
-def allocate(
-    preds: ItemPredictions,
-    item: ItemRecord,
-    round1_set: CouponSet,
-    round2_set: CouponSet,
-    constraint: PolicyConstraint,
-    attach_delay_h: float = DEFAULT_ATTACH_DELAY_H,
-) -> AllocationPlan:
-    """``allocate_batch`` for one item: the feasible (j, k) plan with the highest ROI."""
-    return _one_row(
-        allocate_batch, preds, item, round1_set, round2_set, constraint, attach_delay_h
-    )
-
-
-def allocate_independent(
-    preds: ItemPredictions,
-    item: ItemRecord,
-    round1_set: CouponSet,
-    round2_set: CouponSet,
-    constraint: PolicyConstraint,
-    attach_delay_h: float = DEFAULT_ATTACH_DELAY_H,
-) -> AllocationPlan:
-    """``allocate_independent_batch`` for one item: the per-round greedy plan,
-    reported with the coupled economics of the resulting pair."""
-    return _one_row(
-        allocate_independent_batch, preds, item, round1_set, round2_set, constraint,
-        attach_delay_h,
     )

@@ -2,14 +2,17 @@
 feature-vector encoding.
 
 Everything here is immutable after construction and safe to share across
-workers. Currency is integer yen throughout; probabilities are floats.
+workers. Currency is integer yen throughout, below ``YEN_BOUND`` in magnitude;
+probabilities are floats. Every function that reads a log takes an
+``OutcomeLog``; ``OutcomeLog.from_records`` turns a list of ``OutcomeRecord``s
+into one, and iterating a log yields its records.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -49,6 +52,9 @@ ROUND2_FEATURE_NAMES = ITEM_FEATURE_NAMES + (
     "mean_p1",
 )
 N_COUPON_FEATURES = 4
+
+# Yen amounts are integers below 2**53, the largest a float column holds exactly.
+YEN_BOUND = 2**53
 
 
 @dataclass(frozen=True)
@@ -213,16 +219,24 @@ def coupon_cost_rows(prices, discount_pct, cap_yen) -> np.ndarray:
                       np.asarray(cap_yen, dtype=np.int64))
 
 
+def coupon_columns(coupons: Iterable[CouponConfig]) -> tuple[np.ndarray, ...]:
+    """(discount_pct, validity_hours, cap_yen) columns, one entry per coupon."""
+    coupons = list(coupons)
+    return (
+        np.array([c.discount_pct for c in coupons], dtype=np.int64),
+        np.array([c.validity_hours for c in coupons], dtype=float),
+        np.array([c.cap_yen for c in coupons], dtype=np.int64),
+    )
+
+
 def coupon_costs(prices: np.ndarray, coupon_set: CouponSet) -> np.ndarray:
     """``coupon_cost_rows`` over a menu: an (n, arms) int64 grid, one column per arm.
 
     Row i, column j is the cost of arm j of ``coupon_set`` on an item priced
     ``prices[i]``.
     """
-    prices = np.asarray(prices, dtype=np.int64)
-    disc = np.array([c.discount_pct for c in coupon_set], dtype=np.int64)
-    cap = np.array([c.cap_yen for c in coupon_set], dtype=np.int64)
-    return coupon_cost_rows(prices[:, None], disc[None, :], cap[None, :])
+    disc, _, cap = coupon_columns(coupon_set)
+    return coupon_cost_rows(np.asarray(prices, dtype=np.int64)[:, None], disc, cap)
 
 
 def _check_column(bad: np.ndarray, column, message: str) -> None:
@@ -230,6 +244,17 @@ def _check_column(bad: np.ndarray, column, message: str) -> None:
     if bad.any():
         value = column[int(np.argmax(bad))]
         raise InputError(message.format(value.item() if hasattr(value, "item") else value))
+
+
+def _check_yen(column, name: str, rows=True) -> np.ndarray:
+    """``column`` as an array, refusing a yen amount (or NaN) of ``rows`` outside
+    (-2**53, 2**53). Runs before any cast to int64, which would overflow or
+    wrap past 2**63."""
+    column = np.asarray(column)
+    inside = ((-YEN_BOUND < column) & (column < YEN_BOUND)).astype(bool, copy=False)
+    _check_column(rows & ~inside, column,
+                  f"{name} is out of range, |yen| must be below 2**53, got {{}}")
+    return column
 
 
 def _check_unique_ids(ids: Sequence[str], what: str) -> None:
@@ -302,7 +327,7 @@ class OutcomeLog:
         round = np.asarray(round, dtype=np.int64)
         disc = np.asarray(discount_pct, dtype=np.int64)
         validity = np.asarray(validity_hours, dtype=float)
-        cap = np.asarray(cap_yen, dtype=np.int64)
+        cap = np.asarray(_check_yen(cap_yen, "cap_yen"), dtype=np.int64)
         attach = np.asarray(attach_delay_h, dtype=float)
         sold = np.asarray(sold, dtype=bool)
         purchase = np.asarray(purchase_delay_h, dtype=float)
@@ -323,6 +348,8 @@ class OutcomeLog:
         _check_column((round != 1) & (round != 2), round, "round must be 1 or 2, got {}")
         _check_column(attach < 0, attach, "attach_delay_h must be >= 0")
         has_t, has_price, has_cost = ~np.isnan(purchase), ~np.isnan(price), ~np.isnan(cost)
+        _check_yen(price, "sale_price_yen", has_price)
+        _check_yen(cost, "coupon_cost_yen", has_cost)
         _check_column(sold & ~(has_t & has_price), sold,
                      "sold record requires purchase_delay_h and sale_price_yen")
         _check_column(sold & (purchase < 0), purchase, "purchase_delay_h must be >= 0")
@@ -370,10 +397,6 @@ class OutcomeLog:
                              for r in records],
         )
 
-    def to_records(self) -> list[OutcomeRecord]:
-        """One ``OutcomeRecord`` per row, in row order."""
-        return list(self)
-
     def __iter__(self):
         coupons: dict[tuple, CouponConfig] = {}
         for row in zip(self.item_ids, self.round.tolist(), self.discount_pct.tolist(),
@@ -395,11 +418,6 @@ class OutcomeLog:
         return len(self.item_ids)
 
 
-def _as_log(records) -> OutcomeLog:
-    """An ``OutcomeLog`` as is, or a sequence of ``OutcomeRecord``s converted to one."""
-    return records if isinstance(records, OutcomeLog) else OutcomeLog.from_records(records)
-
-
 def _coupon_features(coupon: CouponConfig) -> list[float]:
     # Discount enters both linearly and squared so arm-level response curves can
     # bend; validity log-scaled, cap in thousand-yen units; zeros for no-coupon.
@@ -413,6 +431,18 @@ def _coupon_features(coupon: CouponConfig) -> list[float]:
     ]
 
 
+def _encode_batch(width: int, item_matrix: np.ndarray, slot, coupon: CouponConfig,
+                  last) -> np.ndarray:
+    """The layout both rounds share: item features, one ``slot`` column, the
+    coupon's coordinates and a ``last`` column."""
+    out = np.empty((item_matrix.shape[0], width))
+    out[:, :N_ITEM_FEATURES] = item_matrix
+    out[:, N_ITEM_FEATURES] = slot
+    out[:, N_ITEM_FEATURES + 1 : -1] = _coupon_features(coupon)
+    out[:, -1] = last
+    return out
+
+
 def encode_round1_batch(
     item_matrix: np.ndarray, coupon: CouponConfig, attach_delay_h: np.ndarray
 ) -> np.ndarray:
@@ -422,15 +452,10 @@ def encode_round1_batch(
     discount-by-delay interaction (a coupon attached late may move the needle
     differently than the same coupon attached right after the key action).
     """
-    n = item_matrix.shape[0]
-    out = np.empty((n, len(ROUND1_FEATURE_NAMES)))
-    out[:, :N_ITEM_FEATURES] = item_matrix
-    out[:, N_ITEM_FEATURES] = attach_delay_h
-    out[:, N_ITEM_FEATURES + 1 : N_ITEM_FEATURES + 1 + N_COUPON_FEATURES] = _coupon_features(
-        coupon
+    return _encode_batch(
+        len(ROUND1_FEATURE_NAMES), item_matrix, attach_delay_h, coupon,
+        coupon.discount_pct * np.asarray(attach_delay_h, dtype=float),
     )
-    out[:, -1] = coupon.discount_pct * np.asarray(attach_delay_h, dtype=float)
-    return out
 
 
 def encode_round2_batch(
@@ -445,15 +470,7 @@ def encode_round2_batch(
     age in hours, plus a trailing coordinate for the mean first-round
     propensity over all arms.
     """
-    n = item_matrix.shape[0]
-    out = np.empty((n, len(ROUND2_FEATURE_NAMES)))
-    out[:, :N_ITEM_FEATURES] = item_matrix
-    out[:, N_ITEM_FEATURES] = elapsed_age_h
-    out[:, N_ITEM_FEATURES + 1 : N_ITEM_FEATURES + 1 + N_COUPON_FEATURES] = _coupon_features(
-        coupon
-    )
-    out[:, -1] = mean_p1
-    return out
+    return _encode_batch(len(ROUND2_FEATURE_NAMES), item_matrix, elapsed_age_h, coupon, mean_p1)
 
 
 def feature_matrix(price, condition, age_days, likes, demand, season) -> np.ndarray:

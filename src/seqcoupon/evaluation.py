@@ -23,7 +23,7 @@ from .decision import (
     allocate_batch,
     allocate_independent_batch,
 )
-from .domain import OutcomeLog, OutcomeRecord, _as_log
+from .domain import OutcomeLog
 from .errors import InputError
 from .simulator import (
     CatalogArrays,
@@ -151,7 +151,7 @@ def _bucket_edges(max_value: float, bucket_h: float) -> np.ndarray:
 
 
 def delay_analysis(
-    records: Sequence[OutcomeRecord] | OutcomeLog, bucket_h: float = DEFAULT_BUCKET_H
+    records: OutcomeLog, bucket_h: float = DEFAULT_BUCKET_H
 ) -> DelayTables:
     """Bucketed delay diagnostics over a log that includes a no-coupon holdout.
 
@@ -164,14 +164,13 @@ def delay_analysis(
     """
     if bucket_h <= 0:
         raise InputError("bucket_h must be > 0")
-    log = _as_log(records)
-    if not len(log):
+    if not len(records):
         raise InputError("delay_analysis needs a non-empty log")
-    treated = log.discount_pct != 0
-    sold = log.sold
-    attach = log.attach_delay_h
-    purchase = log.purchase_delay_h
-    price = log.sale_price_yen.astype(float)
+    treated = records.discount_pct != 0
+    sold = records.sold
+    attach = records.attach_delay_h
+    purchase = records.purchase_delay_h
+    price = records.sale_price_yen.astype(float)
 
     lift_rows = []
     for start in _bucket_edges(float(attach.max()), bucket_h):
@@ -194,7 +193,7 @@ def delay_analysis(
         in_bucket = has_sale & (purchase >= start) & (purchase < start + bucket_h)
         n_bucket = int(in_bucket.sum())
         str_rows.append(
-            BucketRow(float(start), n_bucket / len(log) if n_bucket else None, n_bucket)
+            BucketRow(float(start), n_bucket / len(records) if n_bucket else None, n_bucket)
         )
         aov_rows.append(
             BucketRow(

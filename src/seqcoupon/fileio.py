@@ -19,8 +19,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .decision import AllocationPlan, PlanTable, _as_plan_table
-from .domain import CouponConfig, CouponSet, ItemRecord, OutcomeLog, OutcomeRecord, _as_log
+from .decision import PlanTable
+from .domain import YEN_BOUND, CouponConfig, CouponSet, ItemRecord, OutcomeLog
 from .errors import InputError, ManifestMismatchError
 from .evaluation import BucketRow, ComparisonReport, DelayTables, StrategyMetrics, UpliftCurve
 from .learner import GridResult, LearnerConfig, Model, Stump
@@ -73,10 +73,6 @@ def _parse_int(cell: str, path: str, line: int, column: str) -> int:
         return int(cell)
     except ValueError:
         raise InputError(f"{path}:{line}: column {column!r} is not an integer: {cell!r}") from None
-
-
-# Yen amounts are integers below 2**53, the largest a float column holds exactly.
-YEN_BOUND = 2**53
 
 
 def _parse_yen(cell: str, path: str, line: int, column: str) -> int:
@@ -251,11 +247,9 @@ def read_catalog(path: str) -> CatalogArrays:
 # outcome logs
 
 
-def write_outcomes(records: Sequence[OutcomeRecord] | OutcomeLog, path: str) -> None:
-    log = _as_log(records)
-
+def write_outcomes(records: OutcomeLog, path: str) -> None:
     def columns(rows):
-        sold = log.sold[rows]
+        sold = records.sold[rows]
         flags = sold.tolist()
 
         def sale_cells(column, cell_format):
@@ -264,21 +258,22 @@ def write_outcomes(records: Sequence[OutcomeRecord] | OutcomeLog, path: str) -> 
             return [next(sold_cells) if s else "" for s in flags]
 
         return [
-            log.item_ids[rows],
+            records.item_ids[rows],
             *(column[rows].tolist() for column in (
-                log.round, log.discount_pct, log.validity_hours, log.cap_yen, log.attach_delay_h,
+                records.round, records.discount_pct, records.validity_hours, records.cap_yen,
+                records.attach_delay_h,
             )),
             flags,
-            sale_cells(log.purchase_delay_h, FLOAT_CELL),
-            sale_cells(log.sale_price_yen, INT_CELL),
-            sale_cells(log.coupon_cost_yen, INT_CELL),
+            sale_cells(records.purchase_delay_h, FLOAT_CELL),
+            sale_cells(records.sale_price_yen, INT_CELL),
+            sale_cells(records.coupon_cost_yen, INT_CELL),
         ]
 
     _write_table(
         path, OUTCOME_HEADER,
         (TEXT_CELL, INT_CELL, INT_CELL, FLOAT_CELL, INT_CELL, FLOAT_CELL, INT_CELL,
          TEXT_CELL, TEXT_CELL, TEXT_CELL),
-        len(log), columns,
+        len(records), columns,
     )
 
 
@@ -359,18 +354,18 @@ def read_outcomes(path: str) -> OutcomeLog:
 # allocation plans
 
 
-def write_plans(plans: Sequence[AllocationPlan] | PlanTable, path: str) -> None:
-    t = _as_plan_table(plans)
+def write_plans(plans: PlanTable, path: str) -> None:
     numeric = (
-        t.j_discount_pct, t.j_validity_h, t.j_cap, t.k_discount_pct, t.k_validity_h, t.k_cap,
-        t.attach_delay_h, t.p_round1, t.p_round2, t.p_combined, t.p_baseline, t.lift,
-        t.expected_cost, t.roi, t.feasible,
+        plans.j_discount_pct, plans.j_validity_h, plans.j_cap, plans.k_discount_pct,
+        plans.k_validity_h, plans.k_cap, plans.attach_delay_h, plans.p_round1, plans.p_round2,
+        plans.p_combined, plans.p_baseline, plans.lift, plans.expected_cost, plans.roi,
+        plans.feasible,
     )
     _write_table(
         path, PLAN_HEADER,
         (TEXT_CELL, *(INT_CELL, FLOAT_CELL, INT_CELL) * 2, *(FLOAT_CELL,) * 8, INT_CELL),
-        len(t),
-        lambda rows: [t.item_ids[rows], *(column[rows].tolist() for column in numeric)],
+        len(plans),
+        lambda rows: [plans.item_ids[rows], *(column[rows].tolist() for column in numeric)],
     )
 
 

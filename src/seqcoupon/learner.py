@@ -10,7 +10,7 @@ serving share constants, and both are bit-deterministic for identical inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np

@@ -12,9 +12,8 @@ package can therefore be checked against exact propensities.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -28,12 +27,15 @@ from .domain import (
     OutcomeRecord,
     _check_column,
     _check_unique_ids,
+    _check_yen,
     _id_rows,
+    coupon_columns,
     coupon_cost_rows,
     coupon_costs,
     feature_matrix,
 )
 from .errors import InputError
+from .learner import _sigmoid
 
 # Delay multiplier bottoms out here; round-2 attaches never happen earlier,
 # which keeps the true round-2 propensity independent of the round-1 arm.
@@ -143,16 +145,6 @@ class GroundTruth:
         return np.clip(p, 1e-15, 1.0 - 1e-15)
 
 
-def _sigmoid(x):
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 # Ids are built this many at a time, so the digit buffer and its text stay
 # small beside the ids themselves.
 _ID_BLOCK = 4096
@@ -223,30 +215,16 @@ def _draw_catalog(config: SimConfig, lent: Optional["CatalogIds"] = None) -> dic
     )
 
 
-def _item_records(ids, seller_ids, price, condition, age_days, likes, demand, season,
-                  ltv, key_ts, status) -> list[ItemRecord]:
-    """One validated ``ItemRecord`` per row of the catalog columns."""
-    return [
-        ItemRecord(*row)
-        for row in zip(
-            ids, seller_ids, price.tolist(), condition.tolist(), age_days.tolist(),
-            likes.tolist(), demand.tolist(), season.tolist(), ltv.tolist(),
-            key_ts.tolist(), status,
-        )
-    ]
-
-
 def generate_catalog(config: SimConfig) -> list[ItemRecord]:
-    """Draw a catalog from the declared distributions; deterministic per seed."""
-    return _item_records(**_draw_catalog(config))
+    """Draw a catalog from the declared distributions as records; deterministic per seed."""
+    return generate_catalog_arrays(config).to_items()
 
 
 def generate_catalog_arrays(
     config: SimConfig, same_ids_as: Optional["CatalogArrays | CatalogIds"] = None
 ) -> "CatalogArrays":
-    """``generate_catalog`` drawn straight into columns and the feature matrix.
+    """A catalog drawn straight into columns and the feature matrix.
 
-    ``generate_catalog_arrays(config).to_items() == generate_catalog(config)``.
     ``same_ids_as``, a catalog this function drew under any seed with at least
     ``n_items`` rows (or its ``catalog_ids``), lends the id, seller-id and
     status tuples and any keys it has hashed of its first ``n_items`` rows.
@@ -331,13 +309,13 @@ class CatalogArrays:
                      season, ltv, key_ts, status) -> "CatalogArrays":
         """Validate the columns as ``ItemRecord`` would, then featurise."""
         ids, seller_ids, status = tuple(ids), tuple(seller_ids), tuple(status)
-        price = np.asarray(price, dtype=np.int64)
+        price = np.asarray(_check_yen(price, "price_yen"), dtype=np.int64)
         condition = np.asarray(condition, dtype=np.int64)
         age_days = np.asarray(age_days, dtype=float)
         likes = np.asarray(likes, dtype=np.int64)
         demand = np.asarray(demand, dtype=float)
         season = np.asarray(season, dtype=float)
-        ltv = np.asarray(ltv, dtype=np.int64)
+        ltv = np.asarray(_check_yen(ltv, "seller_ltv_yen"), dtype=np.int64)
         key_ts = np.asarray(key_ts, dtype=float)
         columns = (seller_ids, price, condition, age_days, likes, demand, season,
                    ltv, key_ts, status)
@@ -353,7 +331,8 @@ class CatalogArrays:
                       "season_phase must be in [0, 1), got {}")
         bad_status = set(status) - {"unsold", "sold"}
         if bad_status:
-            raise InputError(f"status must be 'unsold' or 'sold', got {min(bad_status)!r}")
+            first = next(s for s in status if s in bad_status)
+            raise InputError(f"status must be 'unsold' or 'sold', got {first!r}")
         _check_unique_ids(ids, "catalog")
         return cls(
             ids=ids, seller_ids=seller_ids, price=price, condition=condition,
@@ -365,31 +344,34 @@ class CatalogArrays:
     @classmethod
     def from_items(cls, items: Sequence[ItemRecord]) -> "CatalogArrays":
         # Each column becomes an array before the next is gathered, so only one
-        # per-item list is alive at a time.
-        def column(field, dtype=None):
-            values = [getattr(it, field) for it in items]
-            return tuple(values) if dtype is None else np.array(values, dtype=dtype)
+        # per-item list is alive at a time. ``from_columns`` casts and checks them.
+        def column(field, kind=np.array):
+            return kind([getattr(it, field) for it in items])
 
         return cls.from_columns(
-            ids=column("item_id"),
-            seller_ids=column("seller_id"),
-            price=column("price_yen", np.int64),
-            condition=column("condition", np.int64),
-            age_days=column("age_days", float),
-            likes=column("likes", np.int64),
-            demand=column("demand_index", float),
-            season=column("season_phase", float),
-            ltv=column("seller_ltv_yen", np.int64),
-            key_ts=column("key_action_ts", float),
-            status=column("status"),
+            ids=column("item_id", tuple),
+            seller_ids=column("seller_id", tuple),
+            price=column("price_yen"),
+            condition=column("condition"),
+            age_days=column("age_days"),
+            likes=column("likes"),
+            demand=column("demand_index"),
+            season=column("season_phase"),
+            ltv=column("seller_ltv_yen"),
+            key_ts=column("key_action_ts"),
+            status=column("status", tuple),
         )
 
     def to_items(self) -> list[ItemRecord]:
-        """One ``ItemRecord`` per row, in row order."""
-        return _item_records(
-            self.ids, self.seller_ids, self.price, self.condition, self.age_days,
-            self.likes, self.demand, self.season, self.ltv, self.key_ts, self.status,
-        )
+        """One validated ``ItemRecord`` per row, in row order."""
+        return [
+            ItemRecord(*row)
+            for row in zip(
+                self.ids, self.seller_ids, self.price.tolist(), self.condition.tolist(),
+                self.age_days.tolist(), self.likes.tolist(), self.demand.tolist(),
+                self.season.tolist(), self.ltv.tolist(), self.key_ts.tolist(), self.status,
+            )
+        ]
 
     def take(self, rows: np.ndarray) -> "CatalogArrays":
         """The catalog restricted to ``rows``, in that order; nothing is recomputed.
@@ -452,16 +434,6 @@ def validate_probs(probs: Sequence[float], n_arms: int, label: str):
         raise InputError(f"{label}: probabilities must be >= 0")
     if abs(probs.sum() - 1.0) > 1e-9:
         raise InputError(f"{label}: probabilities must sum to 1, got {probs.sum()}")
-
-
-def _coupon_columns(coupons: Iterable[CouponConfig]) -> tuple[np.ndarray, ...]:
-    """(discount_pct, validity_hours, cap_yen) columns, one entry per coupon."""
-    coupons = list(coupons)
-    return (
-        np.array([c.discount_pct for c in coupons], dtype=np.int64),
-        np.array([c.validity_hours for c in coupons], dtype=float),
-        np.array([c.cap_yen for c in coupons], dtype=np.int64),
-    )
 
 
 class _RoundDraws:
@@ -596,8 +568,8 @@ def run_rct(
     arm1 = arm_draw(rng.uniforms(seed, cat.keys, rng.ARM_R1), round1_probs)
     arm2 = arm_draw(rng.uniforms(seed, cat.keys, rng.ARM_R2), round2_probs)
     delay1 = rng.uniforms(seed, cat.keys, rng.ATTACH_DELAY) * gt.config.rct_max_delay_h
-    coupons1 = [c[arm1] for c in _coupon_columns(round1_set)]
-    coupons2 = [c[arm2] for c in _coupon_columns(round2_set)]
+    coupons1 = [c[arm1] for c in coupon_columns(round1_set)]
+    coupons2 = [c[arm2] for c in coupon_columns(round2_set)]
     rounds = _simulate_rounds(
         gt, cat, coupons1[0], coupons1[1], delay1, coupons2[0], coupons2[1], seed
     )
@@ -627,8 +599,8 @@ def rollout_policy(
     cat = CatalogArrays.from_items(items)
 
     plans = [policy(it) for it in items]
-    coupons1 = _coupon_columns(p[0][0] for p in plans)
-    coupons2 = _coupon_columns(p[1] for p in plans)
+    coupons1 = coupon_columns(p[0][0] for p in plans)
+    coupons2 = coupon_columns(p[1] for p in plans)
     delay1 = np.array([p[0][1] for p in plans], dtype=float)
     if np.any(delay1 < 0):
         raise InputError("policy produced a negative attach delay")
@@ -636,7 +608,7 @@ def rollout_policy(
         gt, cat, coupons1[0], coupons1[1], delay1, coupons2[0], coupons2[1], seed
     )
     logs = _round_logs(cat, coupons1, delay1, coupons2, *rounds)
-    return logs[0].to_records() + logs[1].to_records(), RolloutTotals(
+    return [*logs[0], *logs[1]], RolloutTotals(
         sales_count=sum(int(log.sold.sum()) for log in logs),
         coupon_cost_yen=sum(int(log.coupon_cost_yen.sum()) for log in logs),
         gmv_yen=sum(int(log.sale_price_yen.sum()) for log in logs),
@@ -681,8 +653,8 @@ def rollout_arms(
         for arm1, arm2 in plans
     ]
     draws = _RoundDraws(gt, cat, seed)
-    disc1, validity1, _ = _coupon_columns(round1_set)
-    disc2, validity2, _ = _coupon_columns(round2_set)
+    disc1, validity1, _ = coupon_columns(round1_set)
+    disc2, validity2, _ = coupon_columns(round2_set)
     cost1 = coupon_costs(cat.price, round1_set)
     cost2 = coupon_costs(cat.price, round2_set)
     delay1 = float(attach_delay_h)

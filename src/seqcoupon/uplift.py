@@ -26,8 +26,6 @@ from .domain import (
     CouponSet,
     ItemRecord,
     OutcomeLog,
-    OutcomeRecord,
-    _as_log,
     _check_column,
     _coupon,
     _coupon_features,
@@ -128,18 +126,18 @@ def _rows_by_arm(
 
 def round1_training_dataset(
     items: Sequence[ItemRecord] | CatalogArrays,
-    round1_log: Sequence[OutcomeRecord] | OutcomeLog,
+    round1_log: OutcomeLog,
 ) -> Dataset:
     """Design matrix and labels for the first-round model, rows in log order.
 
     The log must span at least two coupon arms including the no-coupon arm;
     otherwise the per-arm effect is unidentifiable and training refuses.
     """
-    cat, log = _as_catalog(items), _as_log(round1_log)
-    if not len(log):
+    cat = _as_catalog(items)
+    if not len(round1_log):
         raise DegenerateDataError("round-1 log is empty")
-    check_round(log, 1)
-    arms = _rows_by_arm(log)
+    check_round(round1_log, 1)
+    arms = _rows_by_arm(round1_log)
     if not any(coupon.is_none for coupon, _ in arms):
         raise MissingHoldoutError(
             "round-1 log has no no-coupon records; effects are unidentifiable"
@@ -148,18 +146,18 @@ def round1_training_dataset(
         raise IdentifiabilityError(
             "round-1 log must cover >= 2 coupon arms including the no-coupon arm"
         )
-    rows = cat.rows_of(log.item_ids)
-    features = np.empty((len(log), len(ROUND1_FEATURE_NAMES)))
+    rows = cat.rows_of(round1_log.item_ids)
+    features = np.empty((len(round1_log), len(ROUND1_FEATURE_NAMES)))
     for coupon, idx in arms:
         features[idx] = encode_round1_batch(
-            cat.matrix[rows[idx]], coupon, log.attach_delay_h[idx]
+            cat.matrix[rows[idx]], coupon, round1_log.attach_delay_h[idx]
         )
-    return Dataset(features, log.sold, schema_id=SCHEMA_ROUND1)
+    return Dataset(features, round1_log.sold, schema_id=SCHEMA_ROUND1)
 
 
 def fit_first_round(
     items: Sequence[ItemRecord] | CatalogArrays,
-    round1_log: Sequence[OutcomeRecord] | OutcomeLog,
+    round1_log: OutcomeLog,
     config: LearnerConfig,
 ) -> Model:
     """Train the first-round propensity model on a randomized round-1 log."""
@@ -213,7 +211,7 @@ def round1_arm_probabilities(
 def ipw_weights(
     first: Model,
     items: Sequence[ItemRecord] | CatalogArrays,
-    round1_records: Sequence[OutcomeRecord] | OutcomeLog,
+    round1_records: OutcomeLog,
     round1_set: CouponSet,
     epsilon: float = IPW_EPSILON_DEFAULT,
     variant: str = IPW_VARIANT_MEAN,
@@ -224,12 +222,12 @@ def ipw_weights(
     all round-1 arms (default) or the propensity of the arm each survivor
     actually received.
     """
-    cat, log = _as_catalog(items), _as_log(round1_records)
-    if len(cat) != len(log):
+    cat = _as_catalog(items)
+    if len(cat) != len(round1_records):
         raise InputError("items and round-1 records must be aligned")
-    if cat.ids != log.item_ids:
+    if cat.ids != round1_records.item_ids:
         raise InputError("items and round-1 records must be aligned by item_id")
-    return _ipw(first, cat.matrix, log, None, round1_set, epsilon, variant)[0]
+    return _ipw(first, cat.matrix, round1_records, None, round1_set, epsilon, variant)[0]
 
 
 def _ipw(first, item_matrix, round1_log, rows, round1_set, epsilon, variant):
@@ -282,8 +280,8 @@ def _survivor_frames(
 
 def fit_second_round(
     items: Sequence[ItemRecord] | CatalogArrays,
-    round1_log: Sequence[OutcomeRecord] | OutcomeLog,
-    round2_log: Sequence[OutcomeRecord] | OutcomeLog,
+    round1_log: OutcomeLog,
+    round2_log: OutcomeLog,
     first: Model,
     round1_set: CouponSet,
     config: LearnerConfig,
@@ -291,27 +289,28 @@ def fit_second_round(
     variant: str = IPW_VARIANT_MEAN,
 ) -> Model:
     """Train the second-round model on survivors with inverse-propensity weights."""
-    cat, log1, log2 = _as_catalog(items), _as_log(round1_log), _as_log(round2_log)
-    if not len(log2):
+    cat = _as_catalog(items)
+    if not len(round2_log):
         raise DegenerateDataError("round-2 survivor log is empty")
-    cat_rows, r1_rows = _survivor_frames(cat, log1, log2)
+    cat_rows, r1_rows = _survivor_frames(cat, round1_log, round2_log)
     item_matrix = cat.matrix[cat_rows]
-    weights, mean_p1 = _ipw(first, item_matrix, log1, r1_rows, round1_set, epsilon, variant)
+    weights, mean_p1 = _ipw(first, item_matrix, round1_log, r1_rows, round1_set, epsilon,
+                            variant)
     elapsed_age_h = cat.age_days[cat_rows] * 24.0
 
-    features = np.empty((len(log2), len(ROUND2_FEATURE_NAMES)))
-    for coupon, idx in _rows_by_arm(log2):
+    features = np.empty((len(round2_log), len(ROUND2_FEATURE_NAMES)))
+    for coupon, idx in _rows_by_arm(round2_log):
         features[idx] = encode_round2_batch(
             item_matrix[idx], coupon, elapsed_age_h[idx], mean_p1[idx]
         )
-    data = Dataset(features, log2.sold, weights=weights, schema_id=SCHEMA_ROUND2)
+    data = Dataset(features, round2_log.sold, weights=weights, schema_id=SCHEMA_ROUND2)
     return train(data, config)
 
 
 def fit_predictor_pair(
     items: Sequence[ItemRecord] | CatalogArrays,
-    round1_log: Sequence[OutcomeRecord] | OutcomeLog,
-    round2_log: Sequence[OutcomeRecord] | OutcomeLog,
+    round1_log: OutcomeLog,
+    round2_log: OutcomeLog,
     round1_set: CouponSet,
     round2_set: CouponSet,
     config_first: LearnerConfig,
@@ -320,10 +319,10 @@ def fit_predictor_pair(
     variant: str = IPW_VARIANT_MEAN,
 ) -> PredictorPair:
     """Fit both rounds end to end from the two logs."""
-    cat, log1, log2 = _as_catalog(items), _as_log(round1_log), _as_log(round2_log)
-    first = fit_first_round(cat, log1, config_first)
+    cat = _as_catalog(items)
+    first = fit_first_round(cat, round1_log, config_first)
     second = fit_second_round(
-        cat, log1, log2, first, round1_set,
+        cat, round1_log, round2_log, first, round1_set,
         config_second or config_first, epsilon, variant,
     )
     return PredictorPair(

@@ -9,7 +9,7 @@ import pytest
 from seqcoupon import cli, fileio, rng
 from seqcoupon.cli import main
 from seqcoupon.decision import AllocationPlan
-from seqcoupon.domain import SCHEMA_ROUND2, CouponConfig, ItemRecord, OutcomeRecord
+from seqcoupon.domain import SCHEMA_ROUND2, CouponConfig, ItemRecord, OutcomeLog, OutcomeRecord
 from seqcoupon.simulator import SimConfig, generate_catalog
 from seqcoupon.uplift import predict_batch
 
@@ -294,8 +294,8 @@ def craft_single_arm_world(tmp_path, coupon):
                       attach_delay_h=2.0, sold=False)
         for it in items
     ]
-    fileio.write_outcomes(records, str(d / "round1_log.csv"))
-    fileio.write_outcomes([], str(d / "round2_log.csv"))
+    fileio.write_outcomes(OutcomeLog.from_records(records), str(d / "round1_log.csv"))
+    fileio.write_outcomes(OutcomeLog.from_records([]), str(d / "round2_log.csv"))
     cfg = tmp_path / "craft.cfg"
     cfg.write_text(sim_config_text(d, tmp_path / "m"))
     return str(cfg)
@@ -396,7 +396,7 @@ class TestExitCodes:
         kept = [r for r in fileio.read_outcomes(f"{ws['sim']}/round1_log.csv")
                 if not r.coupon.is_none]
         filtered = tmp_path / "round1_log.csv"
-        fileio.write_outcomes(kept, str(filtered))
+        fileio.write_outcomes(OutcomeLog.from_records(kept), str(filtered))
         cfg = tmp_path / "f.cfg"
         cfg.write_text(config_text(
             catalog=f"{ws['sim']}/catalog.csv",
@@ -409,11 +409,11 @@ class TestExitCodes:
 
     def test_evaluate_with_a_single_holdout_row_exits_2(self, ws, tmp_path, capsys):
         """A bootstrap replicate that misses the only holdout row cannot score lift."""
-        records = fileio.read_outcomes(f"{ws['sim']}/round1_log.csv").to_records()
+        records = list(fileio.read_outcomes(f"{ws['sim']}/round1_log.csv"))
         holdout = [r for r in records if r.coupon.is_none]
         kept = [r for r in records if not r.coupon.is_none] + holdout[:1]
         filtered = tmp_path / "round1_log.csv"
-        fileio.write_outcomes(kept, str(filtered))
+        fileio.write_outcomes(OutcomeLog.from_records(kept), str(filtered))
         cfg = tmp_path / "f.cfg"
         cfg.write_text(config_text(
             catalog=f"{ws['sim']}/catalog.csv",

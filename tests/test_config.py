@@ -178,6 +178,12 @@ class TestDiagnostics:
         with pytest.raises(InputError, match="'mean' or 'applied'"):
             load_config(path)
 
+    @pytest.mark.parametrize("cell", ["lift_threshold = 2", "ltv_override = -1"])
+    def test_bad_constraint_rejected_at_load(self, tmp_path, cell):
+        path = write_config(tmp_path, f"[policy]\n{cell}\n")
+        with pytest.raises(InputError, match=r"\[policy\] (lift_threshold|ltv_override) must"):
+            load_config(path)
+
     def test_negative_attach_delay_rejected(self, tmp_path):
         path = write_config(tmp_path, "[policy]\nattach_delay_h = -5\n")
         with pytest.raises(InputError, match=r"\[policy\] attach_delay_h must be >= 0"):

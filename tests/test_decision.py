@@ -15,7 +15,6 @@ from seqcoupon.decision import (
     PolicyConstraint,
     allocate,
     allocate_batch,
-    allocate_independent,
     allocate_independent_batch,
     combine_cost,
     combine_propensity,
@@ -212,6 +211,18 @@ class TestAllocate:
             allocate(preds, make_item(item_id="it-x"), round1_menu, round2_menu, PolicyConstraint())
 
 
+def independent_plan(preds, item, round1_set, round2_set, constraint):
+    """``allocate_independent_batch`` on one item, priced by ``materialize_plans``."""
+    p1, p2, p_baseline = np.array([preds.p1]), np.array([preds.p2]), np.array([preds.p_baseline])
+    prices, ltvs = np.array([item.price_yen]), np.array([item.seller_ltv_yen])
+    j, k, feasible = allocate_independent_batch(
+        p1, p2, p_baseline, prices, ltvs, round1_set, round2_set, constraint
+    )
+    table = materialize_plans([item.item_id], j, k, feasible, p1, p2, p_baseline, prices, ltvs,
+                              round1_set, round2_set, constraint)
+    return plan_rows(table)[0]
+
+
 class TestAllocateIndependent:
     def test_each_round_matches_greedy_oracle(self, round1_menu, round2_menu):
         gen = np.random.default_rng(31)
@@ -220,7 +231,7 @@ class TestAllocateIndependent:
             price = int(gen.integers(300, 60000))
             ltv = int(gen.integers(1000, 300000))
             item = make_item(item_id=f"it-{i}", price_yen=price, seller_ltv_yen=ltv)
-            plan = allocate_independent(
+            plan = independent_plan(
                 preds, item, round1_menu, round2_menu, PolicyConstraint(lift_threshold=0.05)
             )
             cost1 = [float(coupon_cost(c, price)) for c in round1_menu]
@@ -237,7 +248,7 @@ class TestAllocateIndependent:
             preds = random_preds(gen, f"it-{i}")
             item = make_item(item_id=f"it-{i}", price_yen=int(gen.integers(300, 60000)))
             joint = allocate(preds, item, round1_menu, round2_menu, PolicyConstraint())
-            greedy = allocate_independent(
+            greedy = independent_plan(
                 preds, item, round1_menu, round2_menu, PolicyConstraint()
             )
             if (joint.j_index, joint.k_index) != (greedy.j_index, greedy.k_index):
@@ -428,7 +439,13 @@ class TestPlanAndConstraintValidation:
 class TestPlanTable:
     @pytest.fixture
     def table(self, round1_menu, round2_menu):
-        return PlanTable.from_plans([AllocationPlan(**valid_plan(round1_menu, round2_menu))] * 2)
+        plan = valid_plan(round1_menu, round2_menu)
+        for r, coupon in (("j", plan.pop("round1_coupon")), ("k", plan.pop("round2_coupon"))):
+            plan.update({f"{r}_discount_pct": coupon.discount_pct,
+                         f"{r}_validity_h": coupon.validity_hours, f"{r}_cap": coupon.cap_yen})
+        item_id = plan.pop("item_id")
+        return PlanTable(item_ids=(item_id,) * 2,
+                         **{name: np.array([value] * 2) for name, value in plan.items()})
 
     @pytest.mark.parametrize("change", [
         {"p_combined": 0.9, "lift": 0.5},
@@ -451,7 +468,7 @@ class TestPlanTable:
         with pytest.raises(InputError, match=r"one entry per id \(2\)"):
             dataclasses.replace(table, roi=np.ones(3))
 
-    def test_from_plans_gives_the_materialized_columns(self, round1_menu, round2_menu):
+    def test_allocate_gives_the_rows_of_the_materialized_table(self, round1_menu, round2_menu):
         gen = np.random.default_rng(4)
         n = 50
         p1, p2 = gen.uniform(0.05, 0.9, (n, 4)), gen.uniform(0.05, 0.9, (n, 4))
@@ -465,10 +482,11 @@ class TestPlanTable:
             [f"it-{i}" for i in range(n)], j, k, feasible, p1, p2, p_baseline, prices, ltvs,
             round1_menu, round2_menu, constraint, 3.5,
         )
-        rebuilt = PlanTable.from_plans(plans_of(table, round1_menu, round2_menu))
-        for f in dataclasses.fields(table):
-            mine, theirs = getattr(rebuilt, f.name), getattr(table, f.name)
-            if isinstance(mine, tuple):
-                assert mine == theirs
-            else:
-                assert (mine.dtype, mine.tobytes()) == (theirs.dtype, theirs.tobytes()), f.name
+        one_row = [
+            allocate(preds_of(f"it-{i}", p1[i], p2[i], float(p_baseline[i])),
+                     make_item(item_id=f"it-{i}", price_yen=int(prices[i]),
+                               seller_ltv_yen=int(ltvs[i])),
+                     round1_menu, round2_menu, constraint, 3.5)
+            for i in range(n)
+        ]
+        assert one_row == plans_of(table, round1_menu, round2_menu)

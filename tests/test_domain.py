@@ -239,8 +239,7 @@ class TestOutcomeLog:
         log = OutcomeLog.from_records(records)
         assert len(log) == 10
         assert list(log) == records
-        assert log.to_records() == records
-        assert OutcomeLog.from_records(log.to_records()).to_records() == records
+        assert list(OutcomeLog.from_records(list(log))) == records
 
     def test_columns_of_unsold_rows(self):
         log = OutcomeLog.from_records(sample_records())
@@ -252,7 +251,7 @@ class TestOutcomeLog:
 
     def test_empty_log(self):
         log = OutcomeLog.from_records([])
-        assert len(log) == 0 and log.to_records() == []
+        assert len(log) == 0 and list(log) == []
 
     # (changes to row 4, a sold coupon row; None means the cell is missing)
     @pytest.mark.parametrize(
@@ -297,6 +296,25 @@ class TestOutcomeLog:
             columns[name][3] = math.nan if value is None else value
         with pytest.raises(InputError, match=f"^{re.escape(str(expected.value))}$"):
             OutcomeLog.from_columns(**columns)
+
+    @pytest.mark.parametrize("value", [2**53, 2**63, float(2**63), -(2**53)])
+    @pytest.mark.parametrize("name", ["cap_yen", "sale_price_yen", "coupon_cost_yen"])
+    def test_yen_past_2_53_is_refused_before_any_cast(self, name, value):
+        columns = log_columns(OutcomeLog.from_records(sample_records()))
+        columns[name] = columns[name].tolist()
+        columns[name][3] = value  # a sold coupon row
+        with pytest.raises(InputError, match=rf"^{name} is out of range, "
+                                             rf"\|yen\| must be below 2\*\*53, got "):
+            OutcomeLog.from_columns(**columns)
+
+    @pytest.mark.parametrize("name,cost", [("cap_yen", 310), ("sale_price_yen", 2000)])
+    def test_yen_just_below_2_53_is_taken(self, name, cost):
+        columns = log_columns(OutcomeLog.from_records(sample_records()))
+        columns[name] = columns[name].tolist()
+        columns[name][3] = 2**53 - 1  # a sold coupon row: 10% off, capped at 2000
+        columns["coupon_cost_yen"][3] = cost
+        log = OutcomeLog.from_columns(**columns)
+        assert getattr(log, name)[3] == 2**53 - 1 and log.coupon_cost_yen[3] == cost
 
     def test_no_coupon_validity_is_normalised(self):
         columns = log_columns(OutcomeLog.from_records(sample_records()))

@@ -9,7 +9,7 @@ import pytest
 
 import seqcoupon
 
-from seqcoupon.domain import CouponConfig, OutcomeRecord
+from seqcoupon.domain import CouponConfig, OutcomeLog, OutcomeRecord
 from seqcoupon.errors import InputError
 from seqcoupon.decision import PolicyConstraint
 from seqcoupon.evaluation import (
@@ -64,7 +64,7 @@ class TestDelayAnalysis:
         records = group("t", 40, 10, coupon=TEN_PCT, purchase=0.5) + group(
             "c", 40, 5, purchase=0.5
         )
-        tables = delay_analysis(records, bucket_h=2.0)
+        tables = delay_analysis(OutcomeLog.from_records(records), bucket_h=2.0)
         assert len(tables.str_by_purchase_delay) == 1
         row = tables.str_by_purchase_delay[0]
         assert row.bucket_start_h == 0.0
@@ -76,7 +76,7 @@ class TestDelayAnalysis:
         records = group("t", 100, 30, coupon=TEN_PCT, attach=1.0) + group(
             "c", 100, 10, attach=1.5
         )
-        tables = delay_analysis(records, bucket_h=2.0)
+        tables = delay_analysis(OutcomeLog.from_records(records), bucket_h=2.0)
         lift_row = tables.lift_by_attach_delay[0]
         assert lift_row.value == pytest.approx(0.30 - 0.10, abs=1e-12)
         assert lift_row.n == 200
@@ -88,7 +88,7 @@ class TestDelayAnalysis:
             + group("c", 30, 10, attach=1.0)
             + group("x", 10, 0, coupon=TEN_PCT, attach=3.0)
         )
-        tables = delay_analysis(records, bucket_h=2.0)
+        tables = delay_analysis(OutcomeLog.from_records(records), bucket_h=2.0)
         assert tables.lift_by_attach_delay[1].value is None
         assert tables.lift_by_attach_delay[1].n == 10
 
@@ -96,7 +96,7 @@ class TestDelayAnalysis:
         records = group("t", 20, 5, coupon=TEN_PCT, purchase=0.5) + group(
             "c", 20, 5, purchase=4.5
         )
-        tables = delay_analysis(records, bucket_h=2.0)
+        tables = delay_analysis(OutcomeLog.from_records(records), bucket_h=2.0)
         starts = [r.bucket_start_h for r in tables.str_by_purchase_delay]
         assert starts == [0.0, 2.0, 4.0]
         middle = tables.str_by_purchase_delay[1]
@@ -105,15 +105,17 @@ class TestDelayAnalysis:
 
     def test_no_sales_yields_single_null_purchase_bucket(self):
         records = group("t", 20, 0, coupon=TEN_PCT) + group("c", 20, 0)
-        tables = delay_analysis(records, bucket_h=2.0)
+        tables = delay_analysis(OutcomeLog.from_records(records), bucket_h=2.0)
         assert len(tables.str_by_purchase_delay) == 1
         assert tables.str_by_purchase_delay[0].value is None
 
     def test_input_validation(self):
         with pytest.raises(InputError):
-            delay_analysis([], bucket_h=2.0)
+            delay_analysis(OutcomeLog.from_records([]), bucket_h=2.0)
         with pytest.raises(InputError):
-            delay_analysis(group("t", 5, 1, coupon=TEN_PCT), bucket_h=0.0)
+            delay_analysis(
+                OutcomeLog.from_records(group("t", 5, 1, coupon=TEN_PCT)), bucket_h=0.0
+            )
 
 
 class TestCumulativeUplift:

@@ -13,12 +13,12 @@ from hypothesis import strategies as st
 
 from seqcoupon import fileio
 from seqcoupon.decision import (
-    AllocationPlan,
+    PlanTable,
     PolicyConstraint,
     allocate_batch,
     materialize_plans,
 )
-from seqcoupon.domain import CouponConfig
+from seqcoupon.domain import CouponConfig, OutcomeLog
 from seqcoupon.errors import InputError, ManifestMismatchError
 from seqcoupon.evaluation import (
     BucketRow,
@@ -164,10 +164,10 @@ class TestCatalogRoundTrip:
 class TestOutcomeRoundTrip:
     def test_round_trip(self, tmp_path, small_world):
         for name in ("log1", "log2"):
-            records = small_world[name].to_records()[:200]
+            records = list(small_world[name])[:200]
             path = str(tmp_path / f"{name}.csv")
-            write_outcomes(records, path)
-            back = read_outcomes(path).to_records()
+            write_outcomes(OutcomeLog.from_records(records), path)
+            back = list(read_outcomes(path))
             assert_records_close(
                 records,
                 back,
@@ -229,7 +229,7 @@ class TestColumnParse:
         log = small_world[name]
         columnar, per_record = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         write_outcomes(log, columnar)
-        oracles.write_outcomes_per_record(log.to_records(), per_record)
+        oracles.write_outcomes_per_record(list(log), per_record)
         assert open(columnar, "rb").read() == open(per_record, "rb").read()
 
     def test_catalog_writer_matches_the_per_record_writer(self, tmp_path, small_world):
@@ -404,26 +404,15 @@ class TestParseEquivalence:
 
 
 class TestPlanWriter:
-    def test_rows_and_inf_sentinel(self, tmp_path):
-        free_lift = 0.5 - 0.4
-        plan = AllocationPlan(
-            item_id="it-free",
-            j_index=0,
-            k_index=1,
-            round1_coupon=CouponConfig.none(),
-            round2_coupon=CouponConfig(5, 72.0, 1000),
-            attach_delay_h=2.0,
-            p_round1=0.5,
-            p_round2=0.0,
-            p_combined=0.5,
-            p_baseline=0.4,
-            lift=free_lift,
-            expected_cost=0.0,
-            roi=math.inf,
-            feasible=True,
+    def test_rows_and_inf_sentinel(self, tmp_path, round1_menu, round2_menu):
+        # No round-1 coupon and no round-2 sale: lift at no expected cost.
+        table = materialize_plans(
+            ["it-free"], np.array([0]), np.array([1]), np.array([True]), np.full((1, 4), 0.5),
+            np.zeros((1, 4)), np.array([0.4]), np.array([3000]), np.array([20000]),
+            round1_menu, round2_menu, PolicyConstraint(),
         )
         path = str(tmp_path / "plans.csv")
-        write_plans([plan], path)
+        write_plans(table, path)
         lines = open(path).read().splitlines()
         assert lines[0] == PLAN_HEADER
         cells = lines[1].split(",")
@@ -449,18 +438,17 @@ class TestPlanWriter:
             round1_menu, round2_menu, constraint,
         )
         assert not table.feasible.all() and np.isinf(table.roi).any()
-        plans = plans_of(table, round1_menu, round2_menu)
-        paths = [str(tmp_path / f"{name}.csv") for name in ("table", "plans", "per_plan")]
+        paths = [str(tmp_path / f"{name}.csv") for name in ("table", "per_plan")]
         write_plans(table, paths[0])
-        write_plans(plans, paths[1])
-        oracles.write_plans_per_plan(plans, paths[2])
+        oracles.write_plans_per_plan(plans_of(table, round1_menu, round2_menu), paths[1])
         texts = [open(path, "rb").read() for path in paths]
-        assert texts[0] == texts[1] == texts[2]
+        assert texts[0] == texts[1]
         assert texts[0].count(b"\n") == n + 1
 
     def test_empty_plan_list(self, tmp_path):
         path = str(tmp_path / "plans.csv")
-        write_plans([], path)
+        empty = {f.name: np.empty(0) for f in dataclasses.fields(PlanTable)[1:]}
+        write_plans(PlanTable(item_ids=(), **empty), path)
         assert open(path).read() == PLAN_HEADER + "\n"
 
 

@@ -229,8 +229,53 @@ class TestCatalogArrays:
         record = dataclasses.asdict(cat.to_items()[7])
         with pytest.raises(InputError) as expected:
             ItemRecord(**{**record, field: value})
-        with pytest.raises(InputError, match=re.escape(str(expected.value))):
+        with pytest.raises(InputError, match=f"^{re.escape(str(expected.value))}$"):
             CatalogArrays.from_columns(**columns)
+
+    @pytest.mark.parametrize(
+        "column,first,later",
+        [
+            ("price", 0, -1),
+            ("ltv", -3, 0),
+            ("condition", 9, 0),
+            ("age_days", -0.5, -9.0),
+            ("likes", -1, -7),
+            ("season", 2.0, 1.0),
+            ("status", "zzz", "aaa"),
+        ],
+    )
+    def test_the_first_bad_row_is_named(self, column, first, later):
+        cat = generate_catalog_arrays(SimConfig(n_items=20, rng_seed=5))
+
+        def message(bad_rows):
+            columns = {name: getattr(cat, name) for name in CATALOG_COLUMNS}
+            bad = list(columns[column]) if column == "status" else columns[column].copy()
+            for row, value in bad_rows.items():
+                bad[row] = value
+            columns[column] = bad
+            with pytest.raises(InputError) as error:
+                CatalogArrays.from_columns(**columns)
+            return str(error.value)
+
+        assert message({7: first, 12: later}) == message({7: first})
+
+    @pytest.mark.parametrize("value", [2**53 - 1, 2**53, 2**63, 2**70])
+    @pytest.mark.parametrize("column,field", [("price", "price_yen"), ("ltv", "seller_ltv_yen")])
+    def test_yen_past_2_53_is_refused_before_any_cast(self, column, field, value):
+        cat = generate_catalog_arrays(SimConfig(n_items=20, rng_seed=5))
+        columns = {name: getattr(cat, name) for name in CATALOG_COLUMNS}
+        columns[column] = columns[column].tolist()
+        columns[column][7] = value
+        items = cat.to_items()
+        items[7] = dataclasses.replace(items[7], **{field: value})
+        for build in (lambda: CatalogArrays.from_columns(**columns),
+                      lambda: CatalogArrays.from_items(items)):
+            if value < 2**53:
+                assert getattr(build(), column)[7] == value
+            else:
+                with pytest.raises(InputError, match=rf"^{field} is out of range, "
+                                                     rf"\|yen\| must be below 2\*\*53, got "):
+                    build()
 
     def test_column_lengths_must_agree(self):
         cat = generate_catalog_arrays(SimConfig(n_items=5, rng_seed=5))
@@ -434,7 +479,7 @@ class TestRunRct:
         )
         assert again[1] == small_world["survivors"]
         for got, want in ((again[0], small_world["log1"]), (again[2], small_world["log2"])):
-            assert got.to_records() == want.to_records()
+            assert list(got) == list(want)
 
     def test_coupon_sales_respect_validity(self, small_world):
         checked = 0

@@ -72,19 +72,19 @@ def three_items():
 class TestIpwWeights:
     def test_known_survival_inverts_exactly(self, three_items, round1_menu):
         first = flat_model(SCHEMA_ROUND1, math.log(0.2 / 0.8))  # p1 = 0.2 on all arms
-        records = [unsold(it.item_id) for it in three_items]
+        records = OutcomeLog.from_records([unsold(it.item_id) for it in three_items])
         w = ipw_weights(first, three_items, records, round1_menu)
         np.testing.assert_allclose(w, 1.25, rtol=1e-12)
 
     def test_near_zero_propensity_gives_unit_weight(self, three_items, round1_menu):
         first = flat_model(SCHEMA_ROUND1, -37.0)
-        records = [unsold(it.item_id) for it in three_items]
+        records = OutcomeLog.from_records([unsold(it.item_id) for it in three_items])
         w = ipw_weights(first, three_items, records, round1_menu)
         np.testing.assert_allclose(w, 1.0, rtol=0, atol=1e-5)
 
     def test_near_certain_sale_clipped_to_epsilon(self, three_items, round1_menu):
         first = flat_model(SCHEMA_ROUND1, 37.0)
-        records = [unsold(it.item_id) for it in three_items]
+        records = OutcomeLog.from_records([unsold(it.item_id) for it in three_items])
         w = ipw_weights(first, three_items, records, round1_menu, epsilon=1e-3)
         np.testing.assert_allclose(w, 1000.0, rtol=1e-12)
 
@@ -93,7 +93,7 @@ class TestIpwWeights:
         surv = small_world["survivors"][:500]
         index = {it.item_id: it for it in small_world["items"]}
         items = [index[i] for i in surv]
-        records = [by_id[i] for i in surv]
+        records = OutcomeLog.from_records([by_id[i] for i in surv])
         for variant in (IPW_VARIANT_MEAN, IPW_VARIANT_APPLIED):
             w = ipw_weights(
                 trained_pair.first, items, records, round1_menu,
@@ -103,14 +103,16 @@ class TestIpwWeights:
 
     def test_epsilon_one_disables_weighting(self, three_items, round1_menu):
         first = flat_model(SCHEMA_ROUND1, 2.0)
-        records = [unsold(it.item_id) for it in three_items]
+        records = OutcomeLog.from_records([unsold(it.item_id) for it in three_items])
         w = ipw_weights(first, three_items, records, round1_menu, epsilon=1.0)
         assert np.all(w == 1.0)
 
     def test_applied_variant_uses_the_received_arm(self, three_items, round1_menu):
         # With a flat model both variants agree; misalignment checks still apply.
         first = flat_model(SCHEMA_ROUND1, 0.0)
-        records = [unsold(it.item_id, coupon=round1_menu[1]) for it in three_items]
+        records = OutcomeLog.from_records(
+            [unsold(it.item_id, coupon=round1_menu[1]) for it in three_items]
+        )
         w_mean = ipw_weights(first, three_items, records, round1_menu, variant=IPW_VARIANT_MEAN)
         w_applied = ipw_weights(
             first, three_items, records, round1_menu, variant=IPW_VARIANT_APPLIED
@@ -120,7 +122,7 @@ class TestIpwWeights:
 
     def test_rejects_bad_epsilon_and_variant(self, three_items, round1_menu):
         first = flat_model(SCHEMA_ROUND1, 0.0)
-        records = [unsold(it.item_id) for it in three_items]
+        records = OutcomeLog.from_records([unsold(it.item_id) for it in three_items])
         with pytest.raises(InputError):
             ipw_weights(first, three_items, records, round1_menu, epsilon=0.0)
         with pytest.raises(InputError):
@@ -130,9 +132,9 @@ class TestIpwWeights:
         first = flat_model(SCHEMA_ROUND1, 0.0)
         records = [unsold(it.item_id) for it in reversed(three_items)]
         with pytest.raises(InputError):
-            ipw_weights(first, three_items, records, round1_menu)
+            ipw_weights(first, three_items, OutcomeLog.from_records(records), round1_menu)
         with pytest.raises(InputError):
-            ipw_weights(first, three_items, records[:2], round1_menu)
+            ipw_weights(first, three_items, OutcomeLog.from_records(records[:2]), round1_menu)
 
 
 class TestRowsByArm:
@@ -166,22 +168,24 @@ class TestRound1TrainingDataset:
         items, log1 = small_world["items"], small_world["log1"]
         cat = CatalogArrays.from_items(items)
         shuffled = cat.take(np.random.default_rng(1).permutation(len(cat)))
-        want = round1_training_dataset(items, log1.to_records())
+        want = round1_training_dataset(items, log1)
         for got in (round1_training_dataset(cat, log1), round1_training_dataset(shuffled, log1)):
             assert got.features.tobytes() == want.features.tobytes()
             assert np.array_equal(got.labels, want.labels)
 
     def test_empty_log_refused(self, small_world):
         with pytest.raises(DegenerateDataError):
-            round1_training_dataset(small_world["items"], [])
+            round1_training_dataset(small_world["items"], OutcomeLog.from_records([]))
 
     def test_missing_holdout_refused(self, small_world):
-        treated_only = [r for r in small_world["log1"] if not r.coupon.is_none]
+        treated_only = OutcomeLog.from_records(
+            [r for r in small_world["log1"] if not r.coupon.is_none]
+        )
         with pytest.raises(MissingHoldoutError):
             round1_training_dataset(small_world["items"], treated_only)
 
     def test_single_arm_refused(self, small_world):
-        none_only = [r for r in small_world["log1"] if r.coupon.is_none]
+        none_only = OutcomeLog.from_records([r for r in small_world["log1"] if r.coupon.is_none])
         with pytest.raises(IdentifiabilityError):
             round1_training_dataset(small_world["items"], none_only)
 
@@ -189,13 +193,13 @@ class TestRound1TrainingDataset:
         log = list(small_world["log1"])
         log[0] = unsold("no-such-item")
         with pytest.raises(InputError):
-            round1_training_dataset(small_world["items"], log)
+            round1_training_dataset(small_world["items"], OutcomeLog.from_records(log))
 
     def test_all_unsold_log_trains_a_flat_booster(self, small_world, round1_menu):
         items = small_world["items"][:60]
-        log = [
-            unsold(it.item_id, coupon=round1_menu[i % 2]) for i, it in enumerate(items)
-        ]
+        log = OutcomeLog.from_records(
+            [unsold(it.item_id, coupon=round1_menu[i % 2]) for i, it in enumerate(items)]
+        )
         model = fit_first_round(items, log, LearnerConfig(kind=KIND_BOOSTED, max_stumps=5))
         probs = round1_arm_probabilities(
             model,
@@ -212,18 +216,18 @@ class TestFitSecondRound:
     def test_empty_round2_log_refused(self, small_world, trained_pair, round1_menu):
         with pytest.raises(DegenerateDataError):
             fit_second_round(
-                small_world["items"], small_world["log1"], [],
+                small_world["items"], small_world["log1"], OutcomeLog.from_records([]),
                 trained_pair.first, round1_menu, LearnerConfig(),
             )
 
     def test_non_survivor_refused(self, small_world, trained_pair, round1_menu):
         sold_id = next(r.item_id for r in small_world["log1"] if r.sold)
-        bad = [
+        bad = OutcomeLog.from_records([
             OutcomeRecord(
                 item_id=sold_id, round=2, coupon=CouponConfig.none(),
                 attach_delay_h=48.0, sold=False,
             )
-        ]
+        ])
         with pytest.raises(InputError):
             fit_second_round(
                 small_world["items"], small_world["log1"], bad,
@@ -231,7 +235,7 @@ class TestFitSecondRound:
             )
 
     def test_wrong_round_refused(self, small_world, trained_pair, round1_menu):
-        bad = [unsold(small_world["survivors"][0])]
+        bad = OutcomeLog.from_records([unsold(small_world["survivors"][0])])
         with pytest.raises(InputError):
             fit_second_round(
                 small_world["items"], small_world["log1"], bad,

@@ -193,8 +193,7 @@ def cmd_allocate(args: argparse.Namespace) -> None:
     run.start()
     pair = _load_pair(run)
     catalog = _read_catalog(run)
-    unsold = ~_sold_rows(cfg, catalog) & (np.array(catalog.status) == "unsold")
-    rows = np.flatnonzero(unsold)
+    rows = np.flatnonzero(~_sold_rows(cfg, catalog))
     cat = catalog.take(rows[np.argsort(np.array(catalog.ids)[rows], kind="stable")])
     p1, _, p2, p_baseline = predict_arrays(pair, cat.matrix, cat.age_days, cfg.attach_delay_h)
     j, k, feasible = allocate_batch(

@@ -42,7 +42,7 @@ from .domain import CouponConfig, CouponSet
 from .errors import InputError
 from .learner import LearnerConfig
 from .simulator import SimConfig
-from .uplift import IPW_EPSILON_DEFAULT
+from .uplift import IPW_EPSILON_DEFAULT, check_ipw_epsilon
 
 
 @dataclass(frozen=True)
@@ -114,6 +114,7 @@ class RunConfig:
         self.constraint()  # refuses a bad lift_threshold or ltv_override
         if self.attach_delay_h < 0:
             raise InputError(f"attach_delay_h must be >= 0, got {self.attach_delay_h!r}")
+        check_ipw_epsilon(self.ipw_epsilon)
         if self.ipw_variant not in ("mean", "applied"):
             raise InputError(
                 f"ipw_variant must be 'mean' or 'applied', got {self.ipw_variant!r}"

@@ -136,7 +136,6 @@ class ItemRecord:
     season_phase: float
     seller_ltv_yen: int
     key_action_ts: float
-    status: str = "unsold"
 
     def __post_init__(self):
         if self.price_yen <= 0:
@@ -151,8 +150,6 @@ class ItemRecord:
             raise InputError("likes must be >= 0")
         if not 0 <= self.season_phase < 1:
             raise InputError(f"season_phase must be in [0, 1), got {self.season_phase}")
-        if self.status not in ("unsold", "sold"):
-            raise InputError(f"status must be 'unsold' or 'sold', got {self.status!r}")
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,6 @@ from .simulator import (
     arm_draw,
     generate_catalog_arrays,
     rollout_arms,
-    validate_probs,
 )
 from .uplift import PredictorPair, predict_arrays
 
@@ -405,14 +404,20 @@ def _metrics(
     )
 
 
+def _summed(totals: Sequence[RolloutTotals]) -> RolloutTotals:
+    return RolloutTotals(
+        sales_count=sum(t.sales_count for t in totals),
+        coupon_cost_yen=sum(t.coupon_cost_yen for t in totals),
+        gmv_yen=sum(t.gmv_yen for t in totals),
+    )
+
+
 def compare_strategies(
     config: SimConfig,
     pair: PredictorPair,
     constraint: PolicyConstraint,
     seeds: Sequence[int],
     attach_delay_h: float = DEFAULT_ATTACH_DELAY_H,
-    random_round1_probs: Optional[Sequence[float]] = None,
-    random_round2_probs: Optional[Sequence[float]] = None,
     same_ids_as: Optional[CatalogArrays | CatalogIds] = None,
 ) -> ComparisonReport:
     """Roll out random / per-round / sequential allocation on common seeds.
@@ -425,13 +430,13 @@ def compare_strategies(
     ``catalog_ids`` (such as the training catalog's), lends them to the
     first seed too, and then nothing is built or hashed. Predictions come from
     the catalog's columns, and one ``rollout_arms`` pass rolls out four
-    plans on that catalog under shared sale draws: a no-coupon holdout plus
-    the three strategies, each given as arm-index arrays. Realized ROI is
-    incremental sales over the holdout times the catalog's mean seller LTV,
-    divided by realized coupon spend (``inf`` when a strategy spends nothing).
-    Plans below the lift threshold attach no coupons under both model-driven
-    strategies. The random strategy draws arms uniformly unless explicit
-    probabilities are given.
+    plans on that catalog under shared sale draws: a no-coupon holdout, then
+    the random, independent and sequential strategies, each given as
+    arm-index arrays. Realized ROI is incremental sales over the holdout
+    times the catalog's mean seller LTV, divided by realized coupon spend
+    (``inf`` when a strategy spends nothing). Plans below the lift threshold
+    attach no coupons under both model-driven strategies. The random strategy
+    draws each round's arm uniformly, from the arm substreams of ``run_rct``.
     """
     if not seeds:
         raise InputError("compare_strategies needs at least one seed")
@@ -440,85 +445,56 @@ def compare_strategies(
     if attach_delay_h < 0:
         raise InputError("attach_delay_h must be >= 0")
     r1_set, r2_set = pair.round1_set, pair.round2_set
-    p_rand1 = list(random_round1_probs) if random_round1_probs is not None else None
-    p_rand2 = list(random_round2_probs) if random_round2_probs is not None else None
-    if p_rand1 is not None:
-        validate_probs(p_rand1, len(r1_set), "random_round1_probs")
-    if p_rand2 is not None:
-        validate_probs(p_rand2, len(r2_set), "random_round2_probs")
     uniform1 = [1.0 / len(r1_set)] * len(r1_set)
     uniform2 = [1.0 / len(r2_set)] * len(r2_set)
 
     per_seed: dict[str, list[StrategyMetrics]] = {key: [] for key in STRATEGY_ORDER}
-    totals_acc: dict[str, list[int]] = {key: [0, 0, 0] for key in STRATEGY_ORDER}
-    holdout_sales_total = 0
+    totals_per_seed: dict[str, list[RolloutTotals]] = {key: [] for key in STRATEGY_ORDER}
+    holdout_sales = 0
     ltv_sum = 0.0
     n_total = 0
 
     cat = same_ids_as
     for seed in seeds:
         cfg = dataclasses.replace(config, rng_seed=seed)
-        gt = GroundTruth(cfg)
         # Ids and keys depend on the row number alone: each seed takes the last one's.
         cat = generate_catalog_arrays(cfg, same_ids_as=cat)
         n = len(cat)
-        mean_ltv = float(cat.ltv.mean())
-
         p1, _, p2, p_baseline = predict_arrays(pair, cat.matrix, cat.age_days, attach_delay_h)
-        j_seq, k_seq, feas_seq = allocate_batch(
-            p1, p2, p_baseline, cat.price, cat.ltv, r1_set, r2_set, constraint
-        )
         j_ind, k_ind, feas_ind = allocate_independent_batch(
             p1, p2, p_baseline, cat.price, cat.ltv, r1_set, r2_set, constraint
         )
-        j_rand = arm_draw(rng.uniforms(seed, cat.keys, rng.ARM_R1), p_rand1 or uniform1)
-        k_rand = arm_draw(rng.uniforms(seed, cat.keys, rng.ARM_R2), p_rand2 or uniform2)
-
-        choices = {
-            STRATEGY_RANDOM: (j_rand, k_rand, np.ones(n, dtype=bool)),
-            STRATEGY_INDEPENDENT: (j_ind, k_ind, feas_ind),
-            STRATEGY_SEQUENTIAL: (j_seq, k_seq, feas_seq),
-        }
-        no_coupon = np.zeros(n, dtype=np.int64)
-        # An inactive plan attaches no coupon in either round.
-        plans = [(no_coupon, no_coupon)] + [
-            (np.where(active, j, 0), np.where(active, k, 0))
-            for j, k, active in (choices[key] for key in STRATEGY_ORDER)
-        ]
-        holdout_totals, *strategy_totals = rollout_arms(
-            gt, cat, r1_set, r2_set, plans, attach_delay_h, seed
+        j_seq, k_seq, feas_seq = allocate_batch(
+            p1, p2, p_baseline, cat.price, cat.ltv, r1_set, r2_set, constraint
         )
-        holdout_sales_total += holdout_totals.sales_count
-
-        for key, totals in zip(STRATEGY_ORDER, strategy_totals):
-            per_seed[key].append(
-                _metrics(totals, holdout_totals.sales_count, n, mean_ltv)
-            )
-            acc = totals_acc[key]
-            acc[0] += totals.sales_count
-            acc[1] += totals.coupon_cost_yen
-            acc[2] += totals.gmv_yen
+        no_coupon = np.zeros(n, dtype=np.int64)
+        # The holdout, then one plan per strategy in STRATEGY_ORDER. An
+        # infeasible plan attaches no coupon in either round.
+        plans = [
+            (no_coupon, no_coupon),
+            (arm_draw(rng.uniforms(seed, cat.keys, rng.ARM_R1), uniform1),
+             arm_draw(rng.uniforms(seed, cat.keys, rng.ARM_R2), uniform2)),
+            (np.where(feas_ind, j_ind, 0), np.where(feas_ind, k_ind, 0)),
+            (np.where(feas_seq, j_seq, 0), np.where(feas_seq, k_seq, 0)),
+        ]
+        holdout, *strategies = rollout_arms(
+            GroundTruth(cfg), cat, r1_set, r2_set, plans, attach_delay_h, seed
+        )
+        holdout_sales += holdout.sales_count
+        mean_ltv = float(cat.ltv.mean())
+        for key, totals in zip(STRATEGY_ORDER, strategies):
+            per_seed[key].append(_metrics(totals, holdout.sales_count, n, mean_ltv))
+            totals_per_seed[key].append(totals)
         ltv_sum += float(cat.ltv.sum())
         n_total += n
 
-    overall_mean_ltv = ltv_sum / n_total
-    aggregate = {
-        key: _metrics(
-            RolloutTotals(
-                sales_count=totals_acc[key][0],
-                coupon_cost_yen=totals_acc[key][1],
-                gmv_yen=totals_acc[key][2],
-            ),
-            holdout_sales_total,
-            n_total,
-            overall_mean_ltv,
-        )
-        for key in STRATEGY_ORDER
-    }
     return ComparisonReport(
-        strategies=aggregate,
+        strategies={
+            key: _metrics(_summed(totals_per_seed[key]), holdout_sales, n_total, ltv_sum / n_total)
+            for key in STRATEGY_ORDER
+        },
         per_seed={key: tuple(values) for key, values in per_seed.items()},
-        holdout_sales_rate=holdout_sales_total / n_total,
+        holdout_sales_rate=holdout_sales / n_total,
         seeds=tuple(int(s) for s in seeds),
         lift_threshold=constraint.lift_threshold,
         n_items_per_seed=config.n_items,

@@ -238,9 +238,9 @@ def _catalog_row(row: list[str], path: str, line: int) -> dict:
 
 
 def read_catalog(path: str) -> CatalogArrays:
-    """The catalog CSV as columns; every item is unsold."""
+    """The catalog CSV as columns."""
     columns = _read_table(path, CATALOG_HEADER, CATALOG_DTYPE, _catalog_columns, _catalog_row)
-    return CatalogArrays.from_columns(**columns, status=("unsold",) * len(columns["ids"]))
+    return CatalogArrays.from_columns(**columns)
 
 
 # ---------------------------------------------------------------------------

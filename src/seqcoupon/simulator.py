@@ -6,7 +6,8 @@ responsiveness factor and an attach-delay multiplier that decays after a knee.
 Buyer interest drops between rounds (lower round-2 base logit), purchase
 timing slows with price, and a coupon sale landing outside the coupon's
 validity window is recorded as unsold. Every downstream estimator in the
-package can therefore be checked against exact propensities.
+package can therefore be checked against exact propensities. The randomised
+trial and every rollout run one two-round core, ``_two_rounds``.
 """
 
 from __future__ import annotations
@@ -180,8 +181,8 @@ def _draw_catalog(config: SimConfig, lent: Optional["CatalogIds"] = None) -> dic
     """The catalog's columns, keyed by ``CatalogArrays`` field; deterministic per seed.
 
     Draws no keys and builds no features: both catalog generators start here.
-    The ids, seller ids and status depend on the row number alone; they are
-    taken from ``lent``, which has ``n_items`` rows, when given.
+    The ids and seller ids depend on the row number alone; they are taken from
+    ``lent``, which has ``n_items`` rows, when given.
     """
     n = config.n_items
     gen = np.random.default_rng([config.rng_seed, 0xCA7A])
@@ -197,9 +198,8 @@ def _draw_catalog(config: SimConfig, lent: Optional["CatalogIds"] = None) -> dic
     key_ts = _KEY_ACTION_EPOCH_H + gen.uniform(0.0, 8760.0, n)
     if lent is None:
         ids, seller_ids = _serial_ids("it", range(n)), _serial_ids("sl", range(n))
-        status = ("unsold",) * n
     else:
-        ids, seller_ids, status = lent.ids, lent.seller_ids, lent.status
+        ids, seller_ids = lent.ids, lent.seller_ids
     return dict(
         ids=ids,
         seller_ids=seller_ids,
@@ -211,7 +211,6 @@ def _draw_catalog(config: SimConfig, lent: Optional["CatalogIds"] = None) -> dic
         season=season,
         ltv=ltv,
         key_ts=key_ts,
-        status=status,
     )
 
 
@@ -226,8 +225,8 @@ def generate_catalog_arrays(
     """A catalog drawn straight into columns and the feature matrix.
 
     ``same_ids_as``, a catalog this function drew under any seed with at least
-    ``n_items`` rows (or its ``catalog_ids``), lends the id, seller-id and
-    status tuples and any keys it has hashed of its first ``n_items`` rows.
+    ``n_items`` rows (or its ``catalog_ids``), lends the id and seller-id
+    tuples and any keys it has hashed of its first ``n_items`` rows.
     Those depend on the row number alone, so a caller drawing many catalogs
     builds and hashes them once. A lender of exactly ``n_items`` rows lends
     its own objects.
@@ -248,23 +247,23 @@ def generate_catalog_arrays(
 class CatalogIds:
     """The columns of a simulated catalog that depend on the row number alone.
 
-    The id, seller-id and status tuples, plus the ``rng.item_keys`` of the
-    ids where they were hashed (else None). It holds no numeric column, so it
+    The id and seller-id tuples, plus the ``rng.item_keys`` of the ids where
+    they were hashed (else None). It holds no numeric column, so it
     can lend ids to later catalogs after the one it came from is freed. A
     plain class: building a dataclass (about 0.6 ms) would add to every
     command's start-up.
     """
 
     def __init__(self, ids: tuple[str, ...], seller_ids: tuple[str, ...],
-                 status: tuple[str, ...], keys: Optional[np.ndarray] = None):
-        self.ids, self.seller_ids, self.status, self.keys = ids, seller_ids, status, keys
+                 keys: Optional[np.ndarray] = None):
+        self.ids, self.seller_ids, self.keys = ids, seller_ids, keys
 
     def __len__(self) -> int:
         return len(self.ids)
 
 
 def catalog_ids(source: "CatalogArrays | CatalogIds", n: int) -> CatalogIds:
-    """The ids, seller ids, status and hashed keys of the first ``n`` rows of ``source``.
+    """The ids, seller ids and hashed keys of the first ``n`` rows of ``source``.
 
     ``n`` is at most ``len(source)``. At full length the tuples and keys are
     ``source``'s own objects; a shorter prefix is copied, so the rows past
@@ -274,7 +273,7 @@ def catalog_ids(source: "CatalogArrays | CatalogIds", n: int) -> CatalogIds:
     keys = source.__dict__.get("keys")
     if keys is not None and n < len(keys):
         keys = keys[:n].copy()
-    return CatalogIds(source.ids[:n], source.seller_ids[:n], source.status[:n], keys)
+    return CatalogIds(source.ids[:n], source.seller_ids[:n], keys)
 
 
 @dataclass(frozen=True)
@@ -296,7 +295,6 @@ class CatalogArrays:
     season: np.ndarray  # phase in [0, 1)
     ltv: np.ndarray  # int64 yen
     key_ts: np.ndarray
-    status: tuple[str, ...]
     matrix: np.ndarray  # n x N_ITEM_FEATURES, raw item features
 
     @functools.cached_property
@@ -306,9 +304,9 @@ class CatalogArrays:
 
     @classmethod
     def from_columns(cls, ids, seller_ids, price, condition, age_days, likes, demand,
-                     season, ltv, key_ts, status) -> "CatalogArrays":
+                     season, ltv, key_ts) -> "CatalogArrays":
         """Validate the columns as ``ItemRecord`` would, then featurise."""
-        ids, seller_ids, status = tuple(ids), tuple(seller_ids), tuple(status)
+        ids, seller_ids = tuple(ids), tuple(seller_ids)
         price = np.asarray(_check_yen(price, "price_yen"), dtype=np.int64)
         condition = np.asarray(condition, dtype=np.int64)
         age_days = np.asarray(age_days, dtype=float)
@@ -318,7 +316,7 @@ class CatalogArrays:
         ltv = np.asarray(_check_yen(ltv, "seller_ltv_yen"), dtype=np.int64)
         key_ts = np.asarray(key_ts, dtype=float)
         columns = (seller_ids, price, condition, age_days, likes, demand, season,
-                   ltv, key_ts, status)
+                   ltv, key_ts)
         if any(len(c) != len(ids) for c in columns):
             raise InputError(f"every catalog column needs one entry per id ({len(ids)})")
         _check_column(price <= 0, price, "price_yen must be > 0, got {}")
@@ -329,15 +327,11 @@ class CatalogArrays:
         _check_column(likes < 0, likes, "likes must be >= 0")
         _check_column(~((0 <= season) & (season < 1)), season,
                       "season_phase must be in [0, 1), got {}")
-        bad_status = set(status) - {"unsold", "sold"}
-        if bad_status:
-            first = next(s for s in status if s in bad_status)
-            raise InputError(f"status must be 'unsold' or 'sold', got {first!r}")
         _check_unique_ids(ids, "catalog")
         return cls(
             ids=ids, seller_ids=seller_ids, price=price, condition=condition,
             age_days=age_days, likes=likes, demand=demand, season=season, ltv=ltv,
-            key_ts=key_ts, status=status,
+            key_ts=key_ts,
             matrix=feature_matrix(price, condition, age_days, likes, demand, season),
         )
 
@@ -359,7 +353,6 @@ class CatalogArrays:
             season=column("season_phase"),
             ltv=column("seller_ltv_yen"),
             key_ts=column("key_action_ts"),
-            status=column("status", tuple),
         )
 
     def to_items(self) -> list[ItemRecord]:
@@ -369,7 +362,7 @@ class CatalogArrays:
             for row in zip(
                 self.ids, self.seller_ids, self.price.tolist(), self.condition.tolist(),
                 self.age_days.tolist(), self.likes.tolist(), self.demand.tolist(),
-                self.season.tolist(), self.ltv.tolist(), self.key_ts.tolist(), self.status,
+                self.season.tolist(), self.ltv.tolist(), self.key_ts.tolist(),
             )
         ]
 
@@ -379,15 +372,12 @@ class CatalogArrays:
         Keys already hashed are carried over; otherwise they stay unhashed.
         """
         index = rows.tolist()
-        ids, seller_ids, status = (
-            tuple(map(c.__getitem__, index)) for c in (self.ids, self.seller_ids, self.status)
-        )
+        ids, seller_ids = (tuple(map(c.__getitem__, index)) for c in (self.ids, self.seller_ids))
         taken = CatalogArrays(
             ids=ids, seller_ids=seller_ids, price=self.price[rows],
             condition=self.condition[rows], age_days=self.age_days[rows],
             likes=self.likes[rows], demand=self.demand[rows], season=self.season[rows],
-            ltv=self.ltv[rows], key_ts=self.key_ts[rows], status=status,
-            matrix=self.matrix[rows],
+            ltv=self.ltv[rows], key_ts=self.key_ts[rows], matrix=self.matrix[rows],
         )
         if "keys" in self.__dict__:
             taken.__dict__["keys"] = self.keys[rows]
@@ -473,29 +463,25 @@ class _RoundDraws:
         return sold & ~truncated, t
 
 
-def _simulate_rounds(
-    gt: GroundTruth,
-    cat: CatalogArrays,
-    disc1: np.ndarray,
-    validity1: np.ndarray,
-    delay1: np.ndarray,
-    disc2: np.ndarray,
-    validity2: np.ndarray,
-    seed: int,
-):
-    """Both rounds over the whole catalog; every input has one entry per row.
+def _two_rounds(draws: _RoundDraws, menu1, arm1, delay1, menu2, arm2):
+    """Round 1 over every catalog row, then round 2 over its survivors.
 
-    Round 2 runs on the round-1 survivors only, attached once the round-1
-    coupon's validity has run out (never before the round-2 floor). Returns
-    (sold1, t1, surv_idx, delay2, sold2, t2); the round-2 arrays align with
-    ``surv_idx`` and purchase delays are NaN where unsold.
+    ``menu*`` are a menu's ``coupon_columns`` (cap unread), ``arm*`` one menu
+    index per row and ``delay1`` one attach delay per row or one for all.
+    Round 2 attaches once the round-1 coupon's validity has run out (never
+    before the round-2 floor). Returns (sold1, t1, surv_idx, delay2, sold2,
+    t2): round-2 arrays align with ``surv_idx``; ``t`` is drawn, sold or not.
     """
-    draws = _RoundDraws(gt, cat, seed)
-    sold1, t1 = draws.round(1, slice(None), disc1, validity1, delay1)
+    (disc1, validity1, *_), (disc2, validity2, *_) = menu1, menu2
+    validity1 = validity1[arm1]
+    sold1, t1 = draws.round(1, slice(None), disc1[arm1], validity1, delay1)
     surv_idx = np.flatnonzero(~sold1)
-    delay2 = round2_attach_delay(delay1[surv_idx], validity1[surv_idx])
-    sold2, t2 = draws.round(2, surv_idx, disc2[surv_idx], validity2[surv_idx], delay2)
-    return sold1, np.where(sold1, t1, np.nan), surv_idx, delay2, sold2, np.where(sold2, t2, np.nan)
+    delay2 = round2_attach_delay(
+        np.broadcast_to(delay1, len(arm1))[surv_idx], validity1[surv_idx]
+    )
+    arm2 = arm2[surv_idx]
+    sold2, t2 = draws.round(2, surv_idx, disc2[arm2], validity2[arm2], delay2)
+    return sold1, t1, surv_idx, delay2, sold2, t2
 
 
 def _id_rank(cat: CatalogArrays) -> np.ndarray:
@@ -508,40 +494,43 @@ def _id_rank(cat: CatalogArrays) -> np.ndarray:
     return rank
 
 
-def _round_log(cat, rank, rows, round, disc, validity, cap, delay, sold, t) -> OutcomeLog:
+def _round_log(cat, rank, round, rows, menu, arm, delay, sold, t) -> OutcomeLog:
     """One round's log over the catalog ``rows``, sorted by item id.
 
-    Every other column aligns with ``rows``; ``t`` is NaN where unsold.
+    ``menu`` is a menu's (discount, validity, cap) columns; ``arm``, ``delay``,
+    ``sold`` and the drawn purchase delays ``t`` align with ``rows``.
     """
     order = np.argsort(rank[rows], kind="stable")
-    rows, disc, cap, sold = rows[order], disc[order], cap[order], sold[order]
+    rows, arm, sold = rows[order], arm[order], sold[order]
+    disc, validity, cap = (c[arm] for c in menu)
     price = cat.price[rows]
     return OutcomeLog.from_columns(
         item_ids=tuple(map(cat.ids.__getitem__, rows.tolist())),
         round=np.full(len(rows), round),
         discount_pct=disc,
-        validity_hours=validity[order],
+        validity_hours=validity,
         cap_yen=cap,
         attach_delay_h=delay[order],
         sold=sold,
-        purchase_delay_h=t[order],
+        purchase_delay_h=np.where(sold, t[order], np.nan),
         sale_price_yen=np.where(sold, price, np.nan),
         coupon_cost_yen=np.where(sold, coupon_cost_rows(price, disc, cap), np.nan),
     )
 
 
-def _round_logs(cat, coupons1, delay1, coupons2, sold1, t1, surv_idx, delay2, sold2, t2):
-    """The logs of both rounds, each sorted by item id.
+def _trial_logs(gt, cat, menu1, arm1, delay1, menu2, arm2, seed):
+    """Both rounds over the whole catalog as two logs, each sorted by item id.
 
-    ``coupons1``/``coupons2`` are (discount, validity, cap) columns and
-    ``delay1`` a column, one entry per catalog row; the rest is the result of
-    ``_simulate_rounds``.
+    As ``_two_rounds``, but ``delay1`` has one entry per row and the caps are read.
     """
+    sold1, t1, surv_idx, delay2, sold2, t2 = _two_rounds(
+        _RoundDraws(gt, cat, seed), menu1, arm1, delay1, menu2, arm2
+    )
     rank = _id_rank(cat)
-    log1 = _round_log(cat, rank, np.arange(len(cat)), 1, *coupons1, delay1, sold1, t1)
-    disc2, validity2, cap2 = (c[surv_idx] for c in coupons2)
-    log2 = _round_log(cat, rank, surv_idx, 2, disc2, validity2, cap2, delay2, sold2, t2)
-    return log1, log2
+    return (
+        _round_log(cat, rank, 1, np.arange(len(cat)), menu1, arm1, delay1, sold1, t1),
+        _round_log(cat, rank, 2, surv_idx, menu2, arm2[surv_idx], delay2, sold2, t2),
+    )
 
 
 def run_rct(
@@ -568,12 +557,10 @@ def run_rct(
     arm1 = arm_draw(rng.uniforms(seed, cat.keys, rng.ARM_R1), round1_probs)
     arm2 = arm_draw(rng.uniforms(seed, cat.keys, rng.ARM_R2), round2_probs)
     delay1 = rng.uniforms(seed, cat.keys, rng.ATTACH_DELAY) * gt.config.rct_max_delay_h
-    coupons1 = [c[arm1] for c in coupon_columns(round1_set)]
-    coupons2 = [c[arm2] for c in coupon_columns(round2_set)]
-    rounds = _simulate_rounds(
-        gt, cat, coupons1[0], coupons1[1], delay1, coupons2[0], coupons2[1], seed
+    round1_log, round2_log = _trial_logs(
+        gt, cat, coupon_columns(round1_set), arm1, delay1,
+        coupon_columns(round2_set), arm2, seed,
     )
-    round1_log, round2_log = _round_logs(cat, coupons1, delay1, coupons2, *rounds)
     return round1_log, list(round2_log.item_ids), round2_log
 
 
@@ -590,24 +577,24 @@ def rollout_policy(
 
     ``policy(item)`` returns ((round1 coupon, round1 attach delay), round2 coupon).
     Sale draws share substreams with run_rct, so different policies on the same
-    seed are compared under common random numbers. The rounds run on the same
-    core as ``rollout_arms``; this entry point also returns the records of
-    both rounds' logs, round 1 first.
+    seed are compared under common random numbers. The rounds run on the
+    ``_two_rounds`` core of ``run_rct`` and ``rollout_arms``: each row gets a
+    one-entry menu of its own coupons. This entry point also returns the
+    records of both rounds' logs, round 1 first.
     """
     if not items:
         return [], RolloutTotals(0, 0, 0)
     cat = CatalogArrays.from_items(items)
 
     plans = [policy(it) for it in items]
-    coupons1 = coupon_columns(p[0][0] for p in plans)
-    coupons2 = coupon_columns(p[1] for p in plans)
     delay1 = np.array([p[0][1] for p in plans], dtype=float)
     if np.any(delay1 < 0):
         raise InputError("policy produced a negative attach delay")
-    rounds = _simulate_rounds(
-        gt, cat, coupons1[0], coupons1[1], delay1, coupons2[0], coupons2[1], seed
+    own = np.arange(len(cat))
+    logs = _trial_logs(
+        gt, cat, coupon_columns(p[0][0] for p in plans), own, delay1,
+        coupon_columns(p[1] for p in plans), own, seed,
     )
-    logs = _round_logs(cat, coupons1, delay1, coupons2, *rounds)
     return [*logs[0], *logs[1]], RolloutTotals(
         sales_count=sum(int(log.sold.sum()) for log in logs),
         coupon_cost_yen=sum(int(log.coupon_cost_yen.sum()) for log in logs),
@@ -641,9 +628,9 @@ def rollout_arms(
     The plans share one seed's common random numbers: the sale uniforms of
     both rounds, the untreated logits, the responsiveness, the purchase delays
     and the coupon-cost grids are computed once, and each plan adds only its
-    discount shift and validity truncation. A plan's totals equal those of
-    ``rollout_policy`` under the equivalent per-item policy, summed here over
-    integer columns instead of per-item records.
+    discount shift and validity truncation. Each plan runs the ``_two_rounds``
+    core of ``run_rct`` and ``rollout_policy``, so its totals equal those of
+    ``rollout_policy`` under the equivalent per-item policy.
     """
     if attach_delay_h < 0:
         raise InputError("attach_delay_h must be >= 0")
@@ -653,19 +640,13 @@ def rollout_arms(
         for arm1, arm2 in plans
     ]
     draws = _RoundDraws(gt, cat, seed)
-    disc1, validity1, _ = coupon_columns(round1_set)
-    disc2, validity2, _ = coupon_columns(round2_set)
+    menu1, menu2 = coupon_columns(round1_set), coupon_columns(round2_set)
     cost1 = coupon_costs(cat.price, round1_set)
     cost2 = coupon_costs(cat.price, round2_set)
-    delay1 = float(attach_delay_h)
     totals = []
     for arm1, arm2 in plans:
-        sold1, _ = draws.round(1, slice(None), disc1[arm1], validity1[arm1], delay1)
-        surv_idx = np.flatnonzero(~sold1)
-        arm2_surv = arm2[surv_idx]
-        delay2 = round2_attach_delay(delay1, validity1[arm1[surv_idx]])
-        sold2, _ = draws.round(
-            2, surv_idx, disc2[arm2_surv], validity2[arm2_surv], delay2
+        sold1, _, surv_idx, _, sold2, _ = _two_rounds(
+            draws, menu1, arm1, float(attach_delay_h), menu2, arm2
         )
         sold1_rows, sold2_rows = np.flatnonzero(sold1), surv_idx[sold2]
         totals.append(RolloutTotals(

@@ -73,8 +73,13 @@ class PredictorPair:
             raise SchemaMismatchError(f"first model must use schema {SCHEMA_ROUND1!r}")
         if self.second.schema_id != SCHEMA_ROUND2:
             raise SchemaMismatchError(f"second model must use schema {SCHEMA_ROUND2!r}")
-        if not 0.0 < self.ipw_epsilon < 0.5:
-            raise InputError("ipw_epsilon must lie in (0, 0.5)")
+        check_ipw_epsilon(self.ipw_epsilon)
+
+
+def check_ipw_epsilon(epsilon: float) -> None:
+    """A pair's IPW clip floor lies in (0, 0.5); ``RunConfig`` checks it on load too."""
+    if not 0.0 < epsilon < 0.5:
+        raise InputError("ipw_epsilon must lie in (0, 0.5)")
 
 
 @dataclass(frozen=True)
@@ -372,22 +377,4 @@ def predict_batch(
         item_feature_matrix(items),
         np.array([it.age_days for it in items], dtype=float),
         attach_delay_h,
-    )
-
-
-def predict_item(
-    pair: PredictorPair, item: ItemRecord, attach_delay_h: float
-) -> ItemPredictions:
-    """Full per-arm prediction bundle for one item at one attach delay.
-
-    The no-coupon reference propensity composes the two rounds' no-coupon
-    probabilities through the same survival chain as any coupon plan.
-    """
-    p1, mean_p1, p2, p_baseline = predict_batch(pair, [item], attach_delay_h)
-    return ItemPredictions(
-        item_id=item.item_id,
-        p1=tuple(float(v) for v in p1[0]),
-        mean_p1=float(mean_p1[0]),
-        p2=tuple(float(v) for v in p2[0]),
-        p_baseline=float(p_baseline[0]),
     )

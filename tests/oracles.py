@@ -6,7 +6,8 @@ agreement with the package is meaningful. The exceptions at the end are
 earlier implementations kept as they were: the per-record and per-plan CSV
 writers, the boosted-stump fit that re-buckets every feature in every round,
 the uplift curve and bootstrap band that re-sort every resample, the
-row-major allocators, the one-plan-per-call rollout, the per-arm
+row-major allocators, the one-plan-per-call rollout, the trial's log
+builder over the per-round draws, the per-arm
 prediction and the one-f-string-per-item id builder. The package's faster
 paths must reproduce their bytes and bits.
 """
@@ -21,7 +22,9 @@ import numpy as np
 
 from seqcoupon import rng
 from seqcoupon.domain import (
+    OutcomeLog,
     coupon_cost,
+    coupon_cost_rows,
     coupon_costs,
     encode_round1_batch,
     encode_round2_batch,
@@ -46,7 +49,6 @@ from seqcoupon.simulator import (
     generate_catalog_arrays,
     purchase_rate,
     round2_attach_delay,
-    validate_probs,
 )
 
 
@@ -554,6 +556,66 @@ def _simulate_rounds(
     return sold1, t1, surv_idx, delay2, sold2, t2
 
 
+def _id_rank(cat: CatalogArrays) -> np.ndarray:
+    """Each catalog row's position in item-id order."""
+    ids = np.array(cat.ids)
+    if (ids[1:] > ids[:-1]).all():
+        return np.arange(len(ids))
+    rank = np.empty(len(ids), dtype=np.intp)
+    rank[np.argsort(ids)] = np.arange(len(ids))
+    return rank
+
+
+def _round_log(cat, rank, rows, round, disc, validity, cap, delay, sold, t) -> OutcomeLog:
+    """One round's log over the catalog ``rows``, sorted by item id.
+
+    Every other column aligns with ``rows``; ``t`` is NaN where unsold.
+    """
+    order = np.argsort(rank[rows], kind="stable")
+    rows, disc, cap, sold = rows[order], disc[order], cap[order], sold[order]
+    price = cat.price[rows]
+    return OutcomeLog.from_columns(
+        item_ids=tuple(map(cat.ids.__getitem__, rows.tolist())),
+        round=np.full(len(rows), round),
+        discount_pct=disc,
+        validity_hours=validity[order],
+        cap_yen=cap,
+        attach_delay_h=delay[order],
+        sold=sold,
+        purchase_delay_h=t[order],
+        sale_price_yen=np.where(sold, price, np.nan),
+        coupon_cost_yen=np.where(sold, coupon_cost_rows(price, disc, cap), np.nan),
+    )
+
+
+def _round_logs(cat, coupons1, delay1, coupons2, sold1, t1, surv_idx, delay2, sold2, t2):
+    """The logs of both rounds, each sorted by item id.
+
+    ``coupons1``/``coupons2`` are (discount, validity, cap) columns and
+    ``delay1`` a column, one entry per catalog row; the rest is the result of
+    ``_simulate_rounds``.
+    """
+    rank = _id_rank(cat)
+    log1 = _round_log(cat, rank, np.arange(len(cat)), 1, *coupons1, delay1, sold1, t1)
+    disc2, validity2, cap2 = (c[surv_idx] for c in coupons2)
+    log2 = _round_log(cat, rank, surv_idx, 2, disc2, validity2, cap2, delay2, sold2, t2)
+    return log1, log2
+
+
+def run_rct_logs(gt, cat, round1_set, round2_set, round1_probs, round2_probs, seed):
+    """The two logs of ``run_rct`` on a ``CatalogArrays``, built as they were:
+    per-row coupon columns into ``_simulate_rounds``, then ``_round_logs``."""
+    arm1 = arm_draw(rng.uniforms(seed, cat.keys, rng.ARM_R1), round1_probs)
+    arm2 = arm_draw(rng.uniforms(seed, cat.keys, rng.ARM_R2), round2_probs)
+    delay1 = rng.uniforms(seed, cat.keys, rng.ATTACH_DELAY) * gt.config.rct_max_delay_h
+    coupons1 = [c[arm1] for c in _coupon_columns(round1_set)]
+    coupons2 = [c[arm2] for c in _coupon_columns(round2_set)]
+    rounds = _simulate_rounds(
+        gt, cat, coupons1[0], coupons1[1], delay1, coupons2[0], coupons2[1], seed
+    )
+    return _round_logs(cat, coupons1, delay1, coupons2, *rounds)
+
+
 def _check_arms(arms, n: int, coupon_set: CouponSet, label: str) -> np.ndarray:
     arms = np.asarray(arms)
     if arms.shape != (n,) or not np.issubdtype(arms.dtype, np.integer):
@@ -662,8 +724,6 @@ def compare_strategies_per_strategy(
     constraint: PolicyConstraint,
     seeds: Sequence[int],
     attach_delay_h: float = DEFAULT_ATTACH_DELAY_H,
-    random_round1_probs: Optional[Sequence[float]] = None,
-    random_round2_probs: Optional[Sequence[float]] = None,
 ) -> ComparisonReport:
     """Roll out random / per-round / sequential allocation on common seeds.
 
@@ -676,8 +736,7 @@ def compare_strategies_per_strategy(
     catalog's mean seller LTV, divided by realized coupon spend (``inf`` when
     a strategy spends nothing).
     Plans below the lift threshold attach no coupons under both model-driven
-    strategies. The random strategy draws arms uniformly unless explicit
-    probabilities are given.
+    strategies. The random strategy draws arms uniformly.
     """
     if not seeds:
         raise InputError("compare_strategies needs at least one seed")
@@ -686,12 +745,6 @@ def compare_strategies_per_strategy(
     if attach_delay_h < 0:
         raise InputError("attach_delay_h must be >= 0")
     r1_set, r2_set = pair.round1_set, pair.round2_set
-    p_rand1 = list(random_round1_probs) if random_round1_probs is not None else None
-    p_rand2 = list(random_round2_probs) if random_round2_probs is not None else None
-    if p_rand1 is not None:
-        validate_probs(p_rand1, len(r1_set), "random_round1_probs")
-    if p_rand2 is not None:
-        validate_probs(p_rand2, len(r2_set), "random_round2_probs")
     uniform1 = [1.0 / len(r1_set)] * len(r1_set)
     uniform2 = [1.0 / len(r2_set)] * len(r2_set)
 
@@ -715,8 +768,8 @@ def compare_strategies_per_strategy(
         j_ind, k_ind, feas_ind = allocate_independent_batch_row_major(
             p1, p2, p_baseline, cat.price, cat.ltv, r1_set, r2_set, constraint
         )
-        j_rand = arm_draw(rng.uniforms(seed, cat.keys, rng.ARM_R1), p_rand1 or uniform1)
-        k_rand = arm_draw(rng.uniforms(seed, cat.keys, rng.ARM_R2), p_rand2 or uniform2)
+        j_rand = arm_draw(rng.uniforms(seed, cat.keys, rng.ARM_R1), uniform1)
+        k_rand = arm_draw(rng.uniforms(seed, cat.keys, rng.ARM_R2), uniform2)
 
         choices = {
             STRATEGY_RANDOM: (j_rand, k_rand, np.ones(n, dtype=bool)),

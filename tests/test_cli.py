@@ -309,6 +309,16 @@ class TestExitCodes:
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_bad_ipw_epsilon_exits_2_before_any_work(self, tmp_path, capsys, command):
+        cfg = tmp_path / "eps.cfg"
+        cfg.write_text(sim_config_text(tmp_path / "sim", tmp_path / "m")
+                       + "\n[policy]\nipw_epsilon = 0.7\n")
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+        assert "[policy] ipw_epsilon must lie in (0, 0.5)" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("name,column", [("catalog.csv", 2), ("round1_log.csv", 8)])
     def test_yen_past_int64_exits_2(self, ws, tmp_path, capsys, name, column):
         """A price of 2**63 yen in the catalog or on a sold log row is named by line."""

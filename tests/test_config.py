@@ -12,6 +12,7 @@ from seqcoupon.config import (
 from seqcoupon.domain import CouponConfig
 from seqcoupon.errors import InputError
 from seqcoupon.learner import LearnerConfig
+from seqcoupon.uplift import check_ipw_epsilon
 
 
 def write_config(tmp_path, text):
@@ -183,6 +184,15 @@ class TestDiagnostics:
         path = write_config(tmp_path, f"[policy]\n{cell}\n")
         with pytest.raises(InputError, match=r"\[policy\] (lift_threshold|ltv_override) must"):
             load_config(path)
+
+    @pytest.mark.parametrize("value", ["0", "0.5", "0.7", "5", "-0.001"])
+    def test_ipw_epsilon_outside_the_pair_range_rejected_at_load(self, tmp_path, value):
+        path = write_config(tmp_path, f"[policy]\nipw_epsilon = {value}\n")
+        with pytest.raises(InputError) as refused:
+            load_config(path)
+        with pytest.raises(InputError) as pair_refusal:
+            check_ipw_epsilon(float(value))
+        assert str(refused.value) == f"{path}: [policy] {pair_refusal.value}"
 
     def test_negative_attach_delay_rejected(self, tmp_path):
         path = write_config(tmp_path, "[policy]\nattach_delay_h = -5\n")

@@ -1,4 +1,3 @@
-import math
 import os
 import subprocess
 import sys
@@ -17,7 +16,6 @@ from seqcoupon.evaluation import (
     ComparisonReport,
     STRATEGY_INDEPENDENT,
     STRATEGY_ORDER,
-    STRATEGY_RANDOM,
     STRATEGY_SEQUENTIAL,
     UpliftCurve,
     bootstrap_band,
@@ -395,20 +393,6 @@ class TestCompareStrategies:
             seeds=[7],
         )
         assert again == light_report
-
-    def test_all_mass_on_none_matches_holdout(self, trained_pair):
-        report = compare_strategies(
-            SimConfig(n_items=1000, rng_seed=0),
-            trained_pair,
-            PolicyConstraint(lift_threshold=0.01),
-            seeds=[5],
-            random_round1_probs=[1.0, 0.0, 0.0, 0.0],
-            random_round2_probs=[1.0, 0.0, 0.0, 0.0],
-        )
-        m = report.strategies[STRATEGY_RANDOM]
-        assert m.total_coupon_cost == 0
-        assert m.lift_str == 0.0
-        assert m.roi_realized == math.inf
 
     def test_validation(self, trained_pair):
         with pytest.raises(InputError):

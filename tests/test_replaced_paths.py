@@ -1,10 +1,13 @@
 """The per-seed fast paths against the implementations they replaced.
 
 ``oracles.py`` keeps the row-major allocators, the one-plan-per-call rollout,
-the per-arm prediction, the strategy comparison built on them and the
-per-item id builder as they were. Every test here compares the package with
-them bit for bit, over at least ten seeds where the output has a seed.
+the trial's two log builders over the per-round draws, the per-arm
+prediction, the strategy comparison built on them and the per-item id
+builder as they were. Every test here compares the package with them bit
+for bit, over at least ten seeds where the output has a seed.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -15,12 +18,14 @@ from seqcoupon.errors import InputError
 from seqcoupon.evaluation import compare_strategies
 from seqcoupon.learner import LearnerConfig
 from seqcoupon.simulator import (
+    CatalogArrays,
     GroundTruth,
     SimConfig,
     _serial_ids,
     generate_catalog,
     generate_catalog_arrays,
     rollout_arms,
+    run_rct,
 )
 from seqcoupon.uplift import fit_predictor_pair, predict_arrays, round1_arm_probabilities
 
@@ -148,6 +153,39 @@ def random_plans(gen, n, menu1, menu2, count):
     return plans
 
 
+def same_log(got, want):
+    for field in dataclasses.fields(want):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(b, tuple):
+            assert a == b, field.name
+        else:
+            same_bits(a, b)
+
+
+class TestTrialLogs:
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_run_rct_matches_the_kept_log_builder(self, seed):
+        gen = np.random.default_rng(500 + seed)
+        n = int(gen.integers(1, 3000)) if seed else 0
+        config = SimConfig(n_items=n, rng_seed=seed)
+        gt = GroundTruth(config)
+        # Short round-1 windows put some round-2 attaches on the 48 h floor.
+        menu1 = random_menu(gen, "round1", float(gen.choice([6.0, 24.0, 72.0])))
+        menu2 = random_menu(gen, "round2", float(gen.choice([12.0, 48.0])))
+        probs1, probs2 = gen.dirichlet(np.ones(len(menu1))), gen.dirichlet(np.ones(len(menu2)))
+        items = generate_catalog(config)
+        # Shuffled records are out of id order, so both logs are sorted back into it.
+        shuffled = [items[i] for i in gen.permutation(n)]
+        for catalog in (generate_catalog_arrays(config), items, shuffled):
+            got1, survivors, got2 = run_rct(gt, catalog, menu1, menu2, probs1, probs2, seed)
+            cat = catalog if isinstance(catalog, CatalogArrays) else CatalogArrays.from_items(catalog)
+            want1, want2 = oracles.run_rct_logs(gt, cat, menu1, menu2, probs1, probs2, seed)
+            same_log(got1, want1)
+            same_log(got2, want2)
+            assert survivors == list(want2.item_ids)
+            assert list(got1.item_ids) == sorted(it.item_id for it in items)
+
+
 class TestOneRolloutPass:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_every_plan_matches_its_own_rollout(self, seed):
@@ -233,14 +271,11 @@ class TestComparisonPerSeed:
     def test_report_matches_per_strategy_rollouts(self, pairs, round1_menu, round2_menu,
                                                   n_items):
         config = SimConfig(n_items=n_items, rng_seed=0)
-        skewed1, skewed2 = [0.1, 0.2, 0.3, 0.4], [0.7, 0.0, 0.0, 0.3]
-        for pair, constraint, probs in (
-            (pairs[0], PolicyConstraint(), (None, None)),
-            (pairs[1], PolicyConstraint(0.03, ltv_override=40_000.0), (skewed1, skewed2)),
-            (pairs[2], PolicyConstraint(0.0), (skewed1, None)),
+        for pair, constraint in (
+            (pairs[0], PolicyConstraint()),
+            (pairs[1], PolicyConstraint(0.03, ltv_override=40_000.0)),
+            (pairs[2], PolicyConstraint(0.0)),
         ):
-            got = compare_strategies(config, pair, constraint, SEEDS, 2.0, *probs)
-            want = oracles.compare_strategies_per_strategy(
-                config, pair, constraint, SEEDS, 2.0, *probs
-            )
+            got = compare_strategies(config, pair, constraint, SEEDS, 2.0)
+            want = oracles.compare_strategies_per_strategy(config, pair, constraint, SEEDS, 2.0)
             assert got == want

@@ -217,13 +217,12 @@ class TestCatalogArrays:
             ("season", "season_phase", 1.0),
             ("season", "season_phase", -0.25),
             ("season", "season_phase", math.nan),
-            ("status", "status", "gone"),
         ],
     )
     def test_out_of_range_column_rejected(self, column, field, value):
         cat = generate_catalog_arrays(SimConfig(n_items=20, rng_seed=5))
         columns = {name: getattr(cat, name) for name in CATALOG_COLUMNS}
-        bad = list(columns[column]) if column == "status" else columns[column].copy()
+        bad = columns[column].copy()
         bad[7] = value
         columns[column] = bad
         record = dataclasses.asdict(cat.to_items()[7])
@@ -241,7 +240,6 @@ class TestCatalogArrays:
             ("age_days", -0.5, -9.0),
             ("likes", -1, -7),
             ("season", 2.0, 1.0),
-            ("status", "zzz", "aaa"),
         ],
     )
     def test_the_first_bad_row_is_named(self, column, first, later):
@@ -249,7 +247,7 @@ class TestCatalogArrays:
 
         def message(bad_rows):
             columns = {name: getattr(cat, name) for name in CATALOG_COLUMNS}
-            bad = list(columns[column]) if column == "status" else columns[column].copy()
+            bad = columns[column].copy()
             for row, value in bad_rows.items():
                 bad[row] = value
             columns[column] = bad
@@ -343,7 +341,7 @@ class TestCatalogArrays:
         shorter = generate_catalog_arrays(SimConfig(n_items=39, rng_seed=6), same_ids_as=lender)
         fresh39 = generate_catalog_arrays(SimConfig(n_items=39, rng_seed=6))
         assert shorter.to_items() == fresh39.to_items()
-        assert shorter.ids == lender.ids[:39] and shorter.status == lender.status[:39]
+        assert shorter.ids == lender.ids[:39]
         np.testing.assert_array_equal(shorter.keys, fresh.keys[:39])
         assert len(calls) == (0 if hashed else 1)
         with pytest.raises(InputError, match="same_ids_as has 40 items, config.n_items is 41"):
@@ -374,7 +372,7 @@ class TestCatalogArrays:
         cat.keys
         whole, head = catalog_ids(cat, 40), catalog_ids(cat, 25)
         assert whole.ids is cat.ids and whole.seller_ids is cat.seller_ids
-        assert whole.status is cat.status and whole.keys is cat.keys
+        assert whole.keys is cat.keys
         assert head.ids == cat.ids[:25] and head.seller_ids == cat.seller_ids[:25]
         np.testing.assert_array_equal(head.keys, cat.keys[:25])
         # A copy, not a view that would keep all 40 keys alive.

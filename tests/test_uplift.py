@@ -32,7 +32,6 @@ from seqcoupon.uplift import (
     fit_second_round,
     ipw_weights,
     predict_batch,
-    predict_item,
     round1_arm_probabilities,
     round1_training_dataset,
     _rows_by_arm,
@@ -243,15 +242,19 @@ class TestFitSecondRound:
             )
 
 
+def predict_one(pair, item, attach_delay_h):
+    """(p1 row, mean_p1, p2 row, p_baseline) of one item, from a one-row batch."""
+    return tuple(a[0] for a in predict_batch(pair, [item], attach_delay_h))
+
+
 class TestPredictions:
     def test_internal_consistency(self, trained_pair, fixture_item):
-        pred = predict_item(trained_pair, fixture_item, 2.0)
-        assert pred.item_id == fixture_item.item_id
-        assert len(pred.p1) == len(trained_pair.round1_set)
-        assert len(pred.p2) == len(trained_pair.round2_set)
-        assert pred.mean_p1 == pytest.approx(sum(pred.p1) / len(pred.p1), abs=1e-9)
-        expected_baseline = pred.p1[0] + (1.0 - pred.p1[0]) * pred.p2[0]
-        assert pred.p_baseline == pytest.approx(expected_baseline, abs=1e-15)
+        p1, mean_p1, p2, p_baseline = predict_one(trained_pair, fixture_item, 2.0)
+        assert p1.shape == (len(trained_pair.round1_set),)
+        assert p2.shape == (len(trained_pair.round2_set),)
+        assert mean_p1 == pytest.approx(sum(p1) / len(p1), abs=1e-9)
+        expected_baseline = p1[0] + (1.0 - p1[0]) * p2[0]
+        assert p_baseline == pytest.approx(expected_baseline, abs=1e-15)
 
     def test_clamped_range(self, trained_pair, small_world):
         p1, mean_p1, p2, p_baseline = predict_batch(
@@ -269,23 +272,20 @@ class TestPredictions:
             np.testing.assert_array_equal(a, b)
         p1, mean_p1, p2, p_baseline = once
         # One-row and many-row matrix products may differ in the last ulp, so the
-        # one-row path agrees to floating-point noise rather than bit-for-bit.
+        # one-row batch agrees to floating-point noise rather than bit-for-bit.
         for i, item in enumerate(items):
-            one = predict_item(trained_pair, item, 2.0)
-            assert one.item_id == item.item_id
-            np.testing.assert_allclose(one.p1, p1[i], rtol=1e-12)
-            np.testing.assert_allclose(one.p2, p2[i], rtol=1e-12)
-            assert one.mean_p1 == pytest.approx(mean_p1[i], rel=1e-12)
-            assert one.p_baseline == pytest.approx(p_baseline[i], rel=1e-12)
+            one_p1, one_mean_p1, one_p2, one_baseline = predict_one(trained_pair, item, 2.0)
+            np.testing.assert_allclose(one_p1, p1[i], rtol=1e-12)
+            np.testing.assert_allclose(one_p2, p2[i], rtol=1e-12)
+            assert one_mean_p1 == pytest.approx(mean_p1[i], rel=1e-12)
+            assert one_baseline == pytest.approx(p_baseline[i], rel=1e-12)
 
     def test_negative_delay_refused(self, trained_pair, fixture_item):
-        with pytest.raises(ContractError):
-            predict_item(trained_pair, fixture_item, -0.5)
         with pytest.raises(ContractError):
             predict_batch(trained_pair, [fixture_item], -0.5)
 
     def test_frozen_regression_bundle(self, trained_pair, fixture_item):
-        pred = predict_item(trained_pair, fixture_item, 2.0)
+        p1, _, p2, p_baseline = predict_one(trained_pair, fixture_item, 2.0)
         expected_p1 = (
             0.4272136395879707,
             0.4532796202286531,
@@ -298,9 +298,9 @@ class TestPredictions:
             0.2685561827639355,
             0.28610479727727894,
         )
-        np.testing.assert_allclose(pred.p1, expected_p1, rtol=1e-6)
-        np.testing.assert_allclose(pred.p2, expected_p2, rtol=1e-6)
-        assert pred.p_baseline == pytest.approx(0.581038958079473, rel=1e-6)
+        np.testing.assert_allclose(p1, expected_p1, rtol=1e-6)
+        np.testing.assert_allclose(p2, expected_p2, rtol=1e-6)
+        assert p_baseline == pytest.approx(0.581038958079473, rel=1e-6)
 
 
 class TestPairValidation:

@@ -22,7 +22,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .domain import CouponConfig, CouponSet, ItemRecord, _check_column, coupon_columns, coupon_costs
+from .domain import CouponConfig, CouponSet, ItemRecord, _check_column, coupon_columns
+from .domain import coupon_cost_rows, coupon_costs
 from .errors import InputError
 from .uplift import ItemPredictions
 
@@ -39,8 +40,8 @@ class PolicyConstraint:
     def __post_init__(self):
         if not 0.0 <= self.lift_threshold < 1.0:
             raise InputError("lift_threshold must lie in [0, 1)")
-        if self.ltv_override is not None and self.ltv_override <= 0:
-            raise InputError("ltv_override must be positive")
+        if self.ltv_override is not None and not 0 < self.ltv_override < math.inf:
+            raise InputError("ltv_override must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -190,11 +191,8 @@ def _roi(lift: np.ndarray, ltv: np.ndarray, cost: np.ndarray) -> np.ndarray:
 
 
 def _combined(p1, p2, cost1, cost2):
-    """(p_combined, expected_cost) over broadcast arrays, equal bit for bit to
-    ``combine_propensity`` and ``combine_cost`` elementwise.
-
-    ``(1 - p1) * p2`` must already have the full broadcast shape: the cost is
-    built in place on it."""
+    """(p_combined, expected_cost) over equal-length columns, equal bit for bit
+    to ``combine_propensity`` and ``combine_cost`` row by row."""
     cost = (1.0 - p1) * p2
     pc = p1 + cost
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -210,45 +208,41 @@ def _combined(p1, p2, cost1, cost2):
 
 
 def _economics(p1, p2, p_baseline, cost1, cost2, ltv):
-    """(p_combined, expected_cost, lift, roi) over broadcast arrays, equal bit for
-    bit to ``combine_propensity``, ``combine_cost`` and ``roi`` elementwise."""
+    """(p_combined, expected_cost, lift, roi) over equal-length columns, equal bit
+    for bit to ``combine_propensity``, ``combine_cost`` and ``roi`` row by row."""
     pc, cost = _combined(p1, p2, cost1, cost2)
     lift = pc - p_baseline
     return pc, cost, lift, _roi(lift, ltv, cost)
 
 
-def _cascade(value: np.ndarray, cost: np.ndarray, mask) -> np.ndarray:
-    """Per column of (arms, n) grids, the masked argmax of value; ties go to the
-    lower cost, then the lower arm. ``value`` is overwritten."""
-    np.copyto(value, -np.inf, where=~mask)
-    tie = value == value.max(axis=0)
-    tied_cost = value  # the values are spent: reuse their grid
-    tied_cost.fill(np.inf)
-    np.copyto(tied_cost, cost, where=tie)
-    tie &= tied_cost == tied_cost.min(axis=0)
-    choice = np.zeros(value.shape[1], dtype=np.intp)
-    for a in range(len(value) - 1, -1, -1):  # the lowest tied arm is written last
-        np.copyto(choice, a, where=tie[a])
-    return choice
+def _running_best(cells, n: int, threshold: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per row: (the index of the best cell, whether its lift clears ``threshold``).
+
+    ``cells`` yields ``(index, roi, lift, cost)`` columns in index order. A cell
+    clearing the threshold beats one that does not; among those that clear it
+    the higher ROI wins, among the rest the higher lift; ties go to the lower
+    cost, then the earlier cell. Only the best so far is kept."""
+    best = np.zeros(n, dtype=np.intp)
+    best_feasible = np.zeros(n, dtype=bool)
+    best_value = np.full(n, -np.inf)
+    best_cost = np.full(n, np.inf)
+    for index, r, lift, cost in cells:
+        feasible = lift >= threshold
+        value = np.where(feasible, r, lift)
+        wins = (value > best_value) | ((value == best_value) & (cost < best_cost))
+        # Between a cell and a best on different sides of the threshold, the feasible one wins.
+        wins = np.where(feasible == best_feasible, wins, feasible)
+        for column, new in ((best, index), (best_feasible, feasible),
+                            (best_value, value), (best_cost, cost)):
+            np.copyto(column, new, where=wins)
+    return best, best_feasible
 
 
-def _pick(rois: np.ndarray, lift: np.ndarray, cost: np.ndarray, candidates,
-          threshold: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per column of (arms, n) grids: (the highest-ROI candidate arm whose lift
-    clears ``threshold``, else the highest-lift candidate; whether any
-    candidate cleared it). ``candidates`` broadcasts against the grids;
-    ``rois`` and ``lift`` are overwritten."""
-    feasible = candidates & (lift >= threshold)
-    any_feasible = feasible.any(axis=0)
-    choice = np.where(
-        any_feasible, _cascade(rois, cost, feasible), _cascade(lift, cost, candidates)
-    )
-    return choice, any_feasible
-
-
-def _arm_costs(prices: np.ndarray, coupon_set: CouponSet) -> np.ndarray:
-    """``coupon_costs`` as an arm-major (arms, n) float grid."""
-    return coupon_costs(prices, coupon_set).T.astype(float, order="C")
+def _arm_costs(prices: np.ndarray, coupon_set: CouponSet):
+    """The columns of ``coupon_costs`` as floats, one arm at a time."""
+    prices = np.asarray(prices, dtype=np.int64)
+    for disc, _, cap in zip(*coupon_columns(coupon_set)):
+        yield coupon_cost_rows(prices, disc, cap).astype(float)
 
 
 def allocate_batch(
@@ -269,34 +263,34 @@ def allocate_batch(
     maximum-lift cell flagged infeasible. ``constraint.ltv_override``, when
     set, replaces ``ltvs``.
 
-    ``p1``/``p2`` hold one row per item; the economics and the argmax run on
-    arm-major (j, k, item) grids, so every inner loop runs over the items.
+    ``p1``/``p2`` hold one row per item. The cells are scored one at a time on
+    whole columns, keeping only the best so far: memory is O(n) for any menus.
     """
     _check_widths(p1, p2, round1_set, round2_set)
-    n, M = p1.shape
     K = p2.shape[1]
-    pc, cost = _combined(
-        np.ascontiguousarray(p1.T)[:, None, :],
-        np.ascontiguousarray(p2.T)[None, :, :],
-        _arm_costs(prices, round1_set)[:, None, :],
-        _arm_costs(prices, round2_set)[None, :, :],
-    )
-    lift = np.subtract(pc, p_baseline, out=pc)  # p_combined is not needed again
-    r = _roi(lift, _resolve_ltvs(ltvs, constraint), cost)
-    candidates = np.ones((M * K, 1), dtype=bool)
-    candidates[0] = False  # the (none, none) baseline never competes
-    flat, feasible = _pick(
-        r.reshape(M * K, n), lift.reshape(M * K, n), cost.reshape(M * K, n),
-        candidates, constraint.lift_threshold,
-    )
+    ltvs = _resolve_ltvs(ltvs, constraint)
+
+    def cells():
+        for j, (p_round1, cost1) in enumerate(zip(p1.T, _arm_costs(prices, round1_set))):
+            for k, (p_round2, cost2) in enumerate(zip(p2.T, _arm_costs(prices, round2_set))):
+                if j or k:  # the (none, none) baseline never competes
+                    pc, cost = _combined(p_round1, p_round2, cost1, cost2)
+                    lift = np.subtract(pc, p_baseline, out=pc)  # p_combined is not needed again
+                    yield j * K + k, _roi(lift, ltvs, cost), lift, cost
+
+    flat, feasible = _running_best(cells(), len(p1), constraint.lift_threshold)
     return flat // K, flat % K, feasible
 
 
-def _best_round_arm(probs: np.ndarray, costs: np.ndarray, ltvs: np.ndarray, threshold: float):
-    """Greedy single-round pick over arm-major (arms, n) grids: max per-round
-    ROI subject to the lift over the round's no-coupon arm."""
-    lift = probs - probs[0]
-    return _pick(_roi(lift, ltvs, costs), lift, costs, np.True_, threshold)[0]
+def _best_round_arm(probs, prices, coupon_set: CouponSet, ltvs, threshold: float):
+    """Greedy single-round pick: max per-round ROI subject to the lift over the
+    round's no-coupon arm."""
+    def cells():
+        for arm, (p, cost) in enumerate(zip(probs.T, _arm_costs(prices, coupon_set))):
+            lift = p - probs[:, 0]
+            yield arm, _roi(lift, ltvs, cost), lift, cost
+
+    return _running_best(cells(), len(probs), threshold)[0]
 
 
 def allocate_independent_batch(
@@ -314,18 +308,19 @@ def allocate_independent_batch(
     Each round's arm maximises that round's lift-to-cost ratio on its own; the
     flag refers to the pair's combined lift, as for ``allocate_batch``.
     ``constraint.ltv_override``, when set, replaces ``ltvs``. Each round's
-    pick runs on arm-major (arms, item) grids.
+    arms, the no-coupon arm included, go through the same one-at-a-time
+    running best as ``allocate_batch``'s cells.
     """
     _check_widths(p1, p2, round1_set, round2_set)
     ltvs = _resolve_ltvs(ltvs, constraint)
     threshold = constraint.lift_threshold
-    cost1 = _arm_costs(prices, round1_set)
-    cost2 = _arm_costs(prices, round2_set)
-    j = _best_round_arm(np.ascontiguousarray(p1.T), cost1, ltvs, threshold)
-    k = _best_round_arm(np.ascontiguousarray(p2.T), cost2, ltvs, threshold)
+    j = _best_round_arm(p1, prices, round1_set, ltvs, threshold)
+    k = _best_round_arm(p2, prices, round2_set, ltvs, threshold)
     rows = np.arange(len(j))
     _, _, lift, _ = _economics(
-        p1[rows, j], p2[rows, k], p_baseline, cost1[j, rows], cost2[k, rows], ltvs
+        p1[rows, j], p2[rows, k], p_baseline,
+        coupon_costs(prices, round1_set)[rows, j].astype(float),
+        coupon_costs(prices, round2_set)[rows, k].astype(float), ltvs,
     )
     return j, k, lift >= threshold
 

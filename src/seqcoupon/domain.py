@@ -144,12 +144,15 @@ class ItemRecord:
             raise InputError(f"seller_ltv_yen must be > 0, got {self.seller_ltv_yen}")
         if not 1 <= self.condition <= 5:
             raise InputError(f"condition must be in 1..5, got {self.condition}")
-        if self.age_days < 0:
-            raise InputError("age_days must be >= 0")
+        if not 0 <= self.age_days < math.inf:
+            raise InputError("age_days must be finite and >= 0")
         if self.likes < 0:
             raise InputError("likes must be >= 0")
         if not 0 <= self.season_phase < 1:
             raise InputError(f"season_phase must be in [0, 1), got {self.season_phase}")
+        for name in ("demand_index", "key_action_ts"):
+            if not math.isfinite(getattr(self, name)):
+                raise InputError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

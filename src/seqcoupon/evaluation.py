@@ -32,6 +32,7 @@ from .simulator import (
     RolloutTotals,
     SimConfig,
     arm_draw,
+    catalog_ids,
     generate_catalog_arrays,
     rollout_arms,
 )
@@ -412,6 +413,34 @@ def _summed(totals: Sequence[RolloutTotals]) -> RolloutTotals:
     )
 
 
+def _roll_out_seed(cfg: SimConfig, cat: CatalogArrays, pair: PredictorPair,
+                   constraint: PolicyConstraint, attach_delay_h: float) -> list[RolloutTotals]:
+    """The rollout totals of the holdout, then of each strategy in
+    ``STRATEGY_ORDER``, on one seed's catalog. Its plans die on return."""
+    r1_set, r2_set = pair.round1_set, pair.round2_set
+    p1, _, p2, p_baseline = predict_arrays(pair, cat.matrix, cat.age_days, attach_delay_h)
+    j_ind, k_ind, feas_ind = allocate_independent_batch(
+        p1, p2, p_baseline, cat.price, cat.ltv, r1_set, r2_set, constraint
+    )
+    j_seq, k_seq, feas_seq = allocate_batch(
+        p1, p2, p_baseline, cat.price, cat.ltv, r1_set, r2_set, constraint
+    )
+    no_coupon = np.zeros(len(cat), dtype=np.int64)
+    uniform1 = [1.0 / len(r1_set)] * len(r1_set)
+    uniform2 = [1.0 / len(r2_set)] * len(r2_set)
+    seed = cfg.rng_seed
+    # The holdout, then one plan per strategy in STRATEGY_ORDER. An
+    # infeasible plan attaches no coupon in either round.
+    plans = [
+        (no_coupon, no_coupon),
+        (arm_draw(rng.uniforms(seed, cat.keys, rng.ARM_R1), uniform1),
+         arm_draw(rng.uniforms(seed, cat.keys, rng.ARM_R2), uniform2)),
+        (np.where(feas_ind, j_ind, 0), np.where(feas_ind, k_ind, 0)),
+        (np.where(feas_seq, j_seq, 0), np.where(feas_seq, k_seq, 0)),
+    ]
+    return rollout_arms(GroundTruth(cfg), cat, r1_set, r2_set, plans, attach_delay_h, seed)
+
+
 def compare_strategies(
     config: SimConfig,
     pair: PredictorPair,
@@ -425,18 +454,19 @@ def compare_strategies(
     For each seed one catalog is drawn straight into columns
     (``generate_catalog_arrays``: no per-item records). Item ids and their
     keys depend on the row number alone, so they are built and hashed once
-    per call and every later seed's catalog reuses them. ``same_ids_as``, a
-    simulated catalog of at least ``config.n_items`` rows or its
-    ``catalog_ids`` (such as the training catalog's), lends them to the
-    first seed too, and then nothing is built or hashed. Predictions come from
-    the catalog's columns, and one ``rollout_arms`` pass rolls out four
-    plans on that catalog under shared sale draws: a no-coupon holdout, then
-    the random, independent and sequential strategies, each given as
-    arm-index arrays. Realized ROI is incremental sales over the holdout
-    times the catalog's mean seller LTV, divided by realized coupon spend
-    (``inf`` when a strategy spends nothing). Plans below the lift threshold
-    attach no coupons under both model-driven strategies. The random strategy
-    draws each round's arm uniformly, from the arm substreams of ``run_rct``.
+    per call: each seed lends the next its ``catalog_ids`` only, and is freed
+    before the next catalog is drawn. ``same_ids_as``, a simulated catalog of
+    at least ``config.n_items`` rows or its ``catalog_ids`` (such as the
+    training catalog's), lends them to the first seed too, and then nothing is
+    built or hashed. Predictions come from the catalog's columns, and one
+    ``rollout_arms`` pass rolls out four plans on that catalog under shared
+    sale draws: a no-coupon holdout, then the random, independent and
+    sequential strategies, each given as arm-index arrays. Realized ROI is
+    incremental sales over the holdout times the catalog's mean seller LTV,
+    divided by realized coupon spend (``inf`` when a strategy spends nothing).
+    Plans below the lift threshold attach no coupons under both model-driven
+    strategies. The random strategy draws each round's arm uniformly, from
+    the arm substreams of ``run_rct``.
     """
     if not seeds:
         raise InputError("compare_strategies needs at least one seed")
@@ -444,9 +474,6 @@ def compare_strategies(
         raise InputError("config.n_items must be >= 1 for a strategy comparison")
     if attach_delay_h < 0:
         raise InputError("attach_delay_h must be >= 0")
-    r1_set, r2_set = pair.round1_set, pair.round2_set
-    uniform1 = [1.0 / len(r1_set)] * len(r1_set)
-    uniform2 = [1.0 / len(r2_set)] * len(r2_set)
 
     per_seed: dict[str, list[StrategyMetrics]] = {key: [] for key in STRATEGY_ORDER}
     totals_per_seed: dict[str, list[RolloutTotals]] = {key: [] for key in STRATEGY_ORDER}
@@ -454,38 +481,19 @@ def compare_strategies(
     ltv_sum = 0.0
     n_total = 0
 
-    cat = same_ids_as
+    ids = same_ids_as
     for seed in seeds:
         cfg = dataclasses.replace(config, rng_seed=seed)
-        # Ids and keys depend on the row number alone: each seed takes the last one's.
-        cat = generate_catalog_arrays(cfg, same_ids_as=cat)
-        n = len(cat)
-        p1, _, p2, p_baseline = predict_arrays(pair, cat.matrix, cat.age_days, attach_delay_h)
-        j_ind, k_ind, feas_ind = allocate_independent_batch(
-            p1, p2, p_baseline, cat.price, cat.ltv, r1_set, r2_set, constraint
-        )
-        j_seq, k_seq, feas_seq = allocate_batch(
-            p1, p2, p_baseline, cat.price, cat.ltv, r1_set, r2_set, constraint
-        )
-        no_coupon = np.zeros(n, dtype=np.int64)
-        # The holdout, then one plan per strategy in STRATEGY_ORDER. An
-        # infeasible plan attaches no coupon in either round.
-        plans = [
-            (no_coupon, no_coupon),
-            (arm_draw(rng.uniforms(seed, cat.keys, rng.ARM_R1), uniform1),
-             arm_draw(rng.uniforms(seed, cat.keys, rng.ARM_R2), uniform2)),
-            (np.where(feas_ind, j_ind, 0), np.where(feas_ind, k_ind, 0)),
-            (np.where(feas_seq, j_seq, 0), np.where(feas_seq, k_seq, 0)),
-        ]
-        holdout, *strategies = rollout_arms(
-            GroundTruth(cfg), cat, r1_set, r2_set, plans, attach_delay_h, seed
-        )
+        cat = generate_catalog_arrays(cfg, same_ids_as=ids)
+        holdout, *strategies = _roll_out_seed(cfg, cat, pair, constraint, attach_delay_h)
+        n, mean_ltv = len(cat), float(cat.ltv.mean())
+        ltv_sum += float(cat.ltv.sum())
+        ids = catalog_ids(cat, n)  # the keys are hashed by now
+        del cat  # the next catalog is drawn without this one alive
         holdout_sales += holdout.sales_count
-        mean_ltv = float(cat.ltv.mean())
         for key, totals in zip(STRATEGY_ORDER, strategies):
             per_seed[key].append(_metrics(totals, holdout.sales_count, n, mean_ltv))
             totals_per_seed[key].append(totals)
-        ltv_sum += float(cat.ltv.sum())
         n_total += n
 
     return ComparisonReport(

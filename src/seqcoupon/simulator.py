@@ -323,10 +323,13 @@ class CatalogArrays:
         _check_column(ltv <= 0, ltv, "seller_ltv_yen must be > 0, got {}")
         _check_column(~((1 <= condition) & (condition <= 5)), condition,
                       "condition must be in 1..5, got {}")
-        _check_column(age_days < 0, age_days, "age_days must be >= 0")
+        _check_column(~((0 <= age_days) & (age_days < np.inf)), age_days,
+                      "age_days must be finite and >= 0")
         _check_column(likes < 0, likes, "likes must be >= 0")
         _check_column(~((0 <= season) & (season < 1)), season,
                       "season_phase must be in [0, 1), got {}")
+        for name, column in (("demand_index", demand), ("key_action_ts", key_ts)):
+            _check_column(~np.isfinite(column), column, f"{name} must be finite, got {{}}")
         _check_unique_ids(ids, "catalog")
         return cls(
             ids=ids, seller_ids=seller_ids, price=price, condition=condition,

@@ -339,6 +339,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"{sim / name}:{i + 1}: column" in err and "below 2**53" in err
 
+    @pytest.mark.parametrize("column,name", [(4, "age_days"), (6, "demand_index"),
+                                             (9, "key_action_ts")])
+    def test_nan_catalog_cell_exits_2(self, ws, tmp_path, capsys, column, name):
+        """A NaN float cell in the catalog is refused before it reaches the features."""
+        sim = tmp_path / "sim"
+        shutil.copytree(ws["sim"], sim)
+        lines = (sim / "catalog.csv").read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[column] = "nan"
+        lines[3] = ",".join(cells)
+        (sim / "catalog.csv").write_text("\n".join(lines) + "\n")
+        cfg = tmp_path / "n.cfg"
+        cfg.write_text(sim_config_text(sim, tmp_path / "m"))
+        code = main(["train", "--config", str(cfg), "--out", str(tmp_path / "m"), "--quiet"])
+        assert code == 2
+        assert f"{name} must be finite" in capsys.readouterr().err
+
     def test_missing_config_exits_3(self, tmp_path):
         code = main(["simulate", "--config", str(tmp_path / "absent.cfg"),
                      "--out", str(tmp_path / "o")])

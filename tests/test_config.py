@@ -179,7 +179,8 @@ class TestDiagnostics:
         with pytest.raises(InputError, match="'mean' or 'applied'"):
             load_config(path)
 
-    @pytest.mark.parametrize("cell", ["lift_threshold = 2", "ltv_override = -1"])
+    @pytest.mark.parametrize("cell", ["lift_threshold = 2", "ltv_override = -1",
+                                      "ltv_override = nan", "ltv_override = inf"])
     def test_bad_constraint_rejected_at_load(self, tmp_path, cell):
         path = write_config(tmp_path, f"[policy]\n{cell}\n")
         with pytest.raises(InputError, match=r"\[policy\] (lift_threshold|ltv_override) must"):

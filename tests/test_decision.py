@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -25,6 +26,7 @@ from seqcoupon.uplift import ItemPredictions
 
 import oracles
 from test_domain import make_item
+from test_replaced_paths import random_menu
 
 probability = st.floats(0.0, 1.0, allow_nan=False)
 
@@ -396,6 +398,27 @@ class TestBatchAllocators:
                               PolicyConstraint())
 
 
+class TestAllocatorMemory:
+    def test_peak_does_not_grow_with_the_menus(self):
+        """The (j, k) cells are scored one at a time: 36 cells need about the
+        memory of 4, where a grid over every cell needs about 9 times as much."""
+        n = 20_000
+        gen = np.random.default_rng(3)
+        p_baseline = gen.uniform(0.0, 0.3, n)
+        prices, ltvs = gen.integers(300, 60_000, n), gen.integers(1_000, 300_000, n)
+        peaks = {}
+        for size in (2, 6):
+            p1, p2 = gen.uniform(0.0, 0.6, (n, size)), gen.uniform(0.0, 0.6, (n, size))
+            menus = random_menu(gen, "round1", 72.0, size), random_menu(gen, "round2", 48.0, size)
+            tracemalloc.start()
+            try:
+                allocate_batch(p1, p2, p_baseline, prices, ltvs, *menus, PolicyConstraint())
+                peaks[size] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[6] < 1.5 * peaks[2], peaks
+
+
 def valid_plan(round1_menu, round2_menu) -> dict:
     return dict(
         item_id="it-1",
@@ -431,8 +454,9 @@ class TestPlanAndConstraintValidation:
             PolicyConstraint(lift_threshold=1.0)
         with pytest.raises(InputError):
             PolicyConstraint(lift_threshold=-0.1)
-        with pytest.raises(InputError):
-            PolicyConstraint(ltv_override=0.0)
+        for ltv in (0.0, math.nan, math.inf):
+            with pytest.raises(InputError, match="ltv_override must be positive and finite"):
+                PolicyConstraint(ltv_override=ltv)
         assert PolicyConstraint(lift_threshold=0.0).lift_threshold == 0.0
 
 

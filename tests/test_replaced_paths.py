@@ -43,10 +43,11 @@ def same_bits(got, want):
     assert np.array_equal(got, want)
 
 
-def random_menu(gen, purpose, validity_h):
-    """No-coupon arm plus 1-5 coupons; caps repeat so cells can cost the same."""
+def random_menu(gen, purpose, validity_h, size=None):
+    """No-coupon arm plus 1-5 coupons (``size`` arms in all, when given); caps
+    repeat so cells can cost the same."""
     arms = {CouponConfig.none()}
-    while len(arms) < gen.integers(2, 7):
+    while len(arms) < (size or gen.integers(2, 7)):
         arms.add(CouponConfig(int(gen.integers(1, 40)), float(validity_h),
                               int(gen.choice([0, 500, 1000, 1000, 3000]))))
     none = CouponConfig.none()
@@ -131,6 +132,42 @@ class TestArmMajorAllocators:
             for override in (None, 7.5):
                 same_allocations(p1, p2, p_baseline, prices, ltvs, menu1, menu2,
                                  PolicyConstraint(0.0, override))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_six_by_six_menus_where_no_row_clears_the_threshold(self, seed):
+        gen = np.random.default_rng(300 + seed)
+        menu1, menu2 = random_menu(gen, "round1", 72.0, 6), random_menu(gen, "round2", 48.0, 6)
+        n = int(gen.integers(1, 400))
+        # Combined lifts stay below 0.19 and per-round lifts below 0.1: every
+        # row falls back to its maximum-lift cell.
+        p1, p2 = gen.uniform(0.0, 0.1, (n, 6)), gen.uniform(0.0, 0.1, (n, 6))
+        p_baseline = gen.uniform(0.0, 0.1, n)
+        prices, ltvs = gen.integers(1, 80_000, n), gen.integers(1, 300_000, n)
+        for allocator in (allocate_batch, allocate_independent_batch):
+            assert not allocator(p1, p2, p_baseline, prices, ltvs, menu1, menu2,
+                                 PolicyConstraint(0.3))[2].any()
+        same_allocations(p1, p2, p_baseline, prices, ltvs, menu1, menu2, PolicyConstraint(0.3))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_every_candidate_ties_on_roi_and_cost(self, seed):
+        gen = np.random.default_rng(400 + seed)
+        menu1, menu2 = random_menu(gen, "round1", 72.0), random_menu(gen, "round2", 48.0)
+        n = int(gen.integers(1, 300))
+        # At one yen every coupon costs nothing, and each row's probabilities
+        # are the same in every arm: every cell has one ROI (0 or inf) and cost 0.
+        p1 = np.repeat(gen.choice([0.0, 0.2, 0.7], (n, 1)), len(menu1), axis=1)
+        p2 = np.repeat(gen.choice([0.0, 0.2, 0.7], (n, 1)), len(menu2), axis=1)
+        p_baseline = gen.choice([0.0, 0.2, 0.9], n)
+        prices, ltvs = np.ones(n, dtype=np.int64), gen.integers(1, 300_000, n)
+        for threshold in (0.0, 0.01, 0.5):
+            constraint = PolicyConstraint(threshold)
+            j, k, _ = allocate_batch(p1, p2, p_baseline, prices, ltvs, menu1, menu2, constraint)
+            assert (j == 0).all() and (k == 1).all()  # the first candidate cell
+            j, k, _ = allocate_independent_batch(
+                p1, p2, p_baseline, prices, ltvs, menu1, menu2, constraint
+            )
+            assert (j == 0).all() and (k == 0).all()
+            same_allocations(p1, p2, p_baseline, prices, ltvs, menu1, menu2, constraint)
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_one_item(self, seed):

@@ -217,6 +217,12 @@ class TestCatalogArrays:
             ("season", "season_phase", 1.0),
             ("season", "season_phase", -0.25),
             ("season", "season_phase", math.nan),
+            ("age_days", "age_days", math.nan),
+            ("age_days", "age_days", math.inf),
+            ("demand", "demand_index", math.nan),
+            ("demand", "demand_index", -math.inf),
+            ("key_ts", "key_action_ts", math.nan),
+            ("key_ts", "key_action_ts", math.inf),
         ],
     )
     def test_out_of_range_column_rejected(self, column, field, value):
@@ -240,6 +246,8 @@ class TestCatalogArrays:
             ("age_days", -0.5, -9.0),
             ("likes", -1, -7),
             ("season", 2.0, 1.0),
+            ("demand", math.inf, math.nan),
+            ("key_ts", math.nan, -math.inf),
         ],
     )
     def test_the_first_bad_row_is_named(self, column, first, later):

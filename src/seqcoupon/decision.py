@@ -22,8 +22,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .domain import CouponConfig, CouponSet, ItemRecord, _check_column, coupon_columns
-from .domain import coupon_cost_rows, coupon_costs
+from .domain import CatalogArrays, CouponConfig, CouponSet, ItemRecord, _check_column
+from .domain import coupon_columns, coupon_cost_rows
 from .errors import InputError
 from .uplift import ItemPredictions
 
@@ -239,7 +239,7 @@ def _running_best(cells, n: int, threshold: float) -> tuple[np.ndarray, np.ndarr
 
 
 def _arm_costs(prices: np.ndarray, coupon_set: CouponSet):
-    """The columns of ``coupon_costs`` as floats, one arm at a time."""
+    """Each arm's ``coupon_cost_rows`` on ``prices`` as floats, one arm at a time."""
     prices = np.asarray(prices, dtype=np.int64)
     for disc, _, cap in zip(*coupon_columns(coupon_set)):
         yield coupon_cost_rows(prices, disc, cap).astype(float)
@@ -319,10 +319,16 @@ def allocate_independent_batch(
     rows = np.arange(len(j))
     _, _, lift, _ = _economics(
         p1[rows, j], p2[rows, k], p_baseline,
-        coupon_costs(prices, round1_set)[rows, j].astype(float),
-        coupon_costs(prices, round2_set)[rows, k].astype(float), ltvs,
+        *_chosen_costs(prices, j, k, round1_set, round2_set), ltvs,
     )
     return j, k, lift >= threshold
+
+
+def _chosen_costs(prices, j, k, round1_set: CouponSet, round2_set: CouponSet):
+    """Per row, the costs of its chosen round-1 arm ``j`` and round-2 arm ``k``, as floats."""
+    (disc1, _, cap1), (disc2, _, cap2) = coupon_columns(round1_set), coupon_columns(round2_set)
+    return (coupon_cost_rows(prices, disc1[j], cap1[j]).astype(float),
+            coupon_cost_rows(prices, disc2[k], cap2[k]).astype(float))
 
 
 def materialize_plans(
@@ -345,11 +351,7 @@ def materialize_plans(
     rows = np.arange(len(item_ids))
     p_round1, p_round2 = p1[rows, j], p2[rows, k]
     pc, cost, lift, r = _economics(
-        p_round1,
-        p_round2,
-        p_baseline,
-        coupon_costs(prices, round1_set)[rows, j].astype(float),
-        coupon_costs(prices, round2_set)[rows, k].astype(float),
+        p_round1, p_round2, p_baseline, *_chosen_costs(prices, j, k, round1_set, round2_set),
         _resolve_ltvs(ltvs, constraint),
     )
     j_disc, j_validity, j_cap = (c[j] for c in coupon_columns(round1_set))
@@ -375,11 +377,12 @@ def allocate(
     """``allocate_batch`` for one item: the feasible (j, k) plan with the highest ROI.
 
     The plan is the one row of the ``PlanTable`` that ``materialize_plans``
-    prices for this item.
+    prices for this item. The item is checked as a one-row catalog.
     """
     p1, p2 = np.array([preds.p1]), np.array([preds.p2])
     p_baseline = np.array([preds.p_baseline])
-    prices, ltvs = np.array([item.price_yen]), np.array([item.seller_ltv_yen])
+    cat = CatalogArrays.from_items([item])
+    prices, ltvs = cat.price, cat.ltv
     j, k, feasible = allocate_batch(
         p1, p2, p_baseline, prices, ltvs, round1_set, round2_set, constraint
     )

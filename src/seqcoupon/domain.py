@@ -1,21 +1,25 @@
-"""Core record types and the columnar outcome log, coupon cost arithmetic, and
-feature-vector encoding.
+"""Core record types, the columnar catalog and outcome log, coupon cost
+arithmetic, and feature-vector encoding.
 
 Everything here is immutable after construction and safe to share across
 workers. Currency is integer yen throughout, below ``YEN_BOUND`` in magnitude;
-probabilities are floats. Every function that reads a log takes an
-``OutcomeLog``; ``OutcomeLog.from_records`` turns a list of ``OutcomeRecord``s
-into one, and iterating a log yields its records.
+probabilities are floats. Records are plain values. Each row type has one
+validator, the column class it enters: ``CatalogArrays.from_columns`` for
+items and ``OutcomeLog.from_columns`` for outcomes. ``from_items`` and
+``from_records`` feed records to them, and every computation takes a catalog
+or a log, so no record reaches one unchecked.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from . import rng
 from .errors import InputError
 
 # Schema identifiers for the two encoding layouts. Models remember which
@@ -124,7 +128,11 @@ class CouponSet:
 
 @dataclass(frozen=True)
 class ItemRecord:
-    """One listing with intrinsic and extrinsic features plus seller value."""
+    """One listing with intrinsic and extrinsic features plus seller value.
+
+    A plain value that checks nothing itself: ``CatalogArrays.from_items``
+    checks it where it enters a catalog, and every computation takes one.
+    """
 
     item_id: str
     seller_id: str
@@ -137,27 +145,14 @@ class ItemRecord:
     seller_ltv_yen: int
     key_action_ts: float
 
-    def __post_init__(self):
-        if self.price_yen <= 0:
-            raise InputError(f"price_yen must be > 0, got {self.price_yen}")
-        if self.seller_ltv_yen <= 0:
-            raise InputError(f"seller_ltv_yen must be > 0, got {self.seller_ltv_yen}")
-        if not 1 <= self.condition <= 5:
-            raise InputError(f"condition must be in 1..5, got {self.condition}")
-        if not 0 <= self.age_days < math.inf:
-            raise InputError("age_days must be finite and >= 0")
-        if self.likes < 0:
-            raise InputError("likes must be >= 0")
-        if not 0 <= self.season_phase < 1:
-            raise InputError(f"season_phase must be in [0, 1), got {self.season_phase}")
-        for name in ("demand_index", "key_action_ts"):
-            if not math.isfinite(getattr(self, name)):
-                raise InputError(f"{name} must be finite, got {getattr(self, name)}")
-
 
 @dataclass(frozen=True)
 class OutcomeRecord:
-    """One item-round observation from a promotion log."""
+    """One item-round observation from a promotion log.
+
+    A plain value that checks nothing itself: ``OutcomeLog.from_records``
+    checks it where it enters a log, and every computation takes one.
+    """
 
     item_id: str
     round: int
@@ -168,51 +163,13 @@ class OutcomeRecord:
     sale_price_yen: Optional[int] = None
     coupon_cost_yen: Optional[int] = None
 
-    def __post_init__(self):
-        if self.round not in (1, 2):
-            raise InputError(f"round must be 1 or 2, got {self.round}")
-        if self.attach_delay_h < 0:
-            raise InputError("attach_delay_h must be >= 0")
-        if self.sold:
-            if self.purchase_delay_h is None or self.sale_price_yen is None:
-                raise InputError("sold record requires purchase_delay_h and sale_price_yen")
-            if self.purchase_delay_h < 0:
-                raise InputError("purchase_delay_h must be >= 0")
-            # A sale attributed to a real coupon must land inside its validity window.
-            if not self.coupon.is_none and self.purchase_delay_h > self.coupon.validity_hours:
-                raise InputError(
-                    "coupon sale outside validity window: "
-                    f"{self.purchase_delay_h} > {self.coupon.validity_hours}"
-                )
-            expected_cost = coupon_cost(self.coupon, self.sale_price_yen)
-            if self.coupon_cost_yen != expected_cost:
-                raise InputError(
-                    f"coupon_cost_yen {self.coupon_cost_yen} != expected {expected_cost}"
-                )
-        else:
-            if self.purchase_delay_h is not None or self.sale_price_yen is not None:
-                raise InputError("unsold record must not carry sale fields")
-            if self.coupon_cost_yen is not None:
-                raise InputError("unsold record must not carry coupon_cost_yen")
-
-
-def coupon_cost(coupon: CouponConfig, price_yen: int) -> int:
-    """Redemption cost in yen of attaching ``coupon`` to an item at ``price_yen``.
-
-    Percentage of the price, floored to whole yen, saturated at the cap.
-    The no-coupon arm costs nothing.
-    """
-    if price_yen <= 0:
-        raise InputError(f"price_yen must be > 0, got {price_yen}")
-    if coupon.is_none:
-        return 0
-    return min((price_yen * coupon.discount_pct) // 100, coupon.cap_yen)
-
 
 def coupon_cost_rows(prices, discount_pct, cap_yen) -> np.ndarray:
-    """Vectorised ``coupon_cost`` for aligned (or broadcastable) int64 columns.
+    """Redemption cost in yen of a coupon on an item, over aligned (or
+    broadcastable) int64 columns.
 
-    The no-coupon arm (discount 0, cap 0) costs nothing.
+    The discount percentage of the price, floored to whole yen and saturated
+    at the cap. The no-coupon arm (discount 0, cap 0) costs nothing.
     """
     prices = np.asarray(prices, dtype=np.int64)
     return np.minimum(prices * np.asarray(discount_pct, dtype=np.int64) // 100,
@@ -227,16 +184,6 @@ def coupon_columns(coupons: Iterable[CouponConfig]) -> tuple[np.ndarray, ...]:
         np.array([c.validity_hours for c in coupons], dtype=float),
         np.array([c.cap_yen for c in coupons], dtype=np.int64),
     )
-
-
-def coupon_costs(prices: np.ndarray, coupon_set: CouponSet) -> np.ndarray:
-    """``coupon_cost_rows`` over a menu: an (n, arms) int64 grid, one column per arm.
-
-    Row i, column j is the cost of arm j of ``coupon_set`` on an item priced
-    ``prices[i]``.
-    """
-    disc, _, cap = coupon_columns(coupon_set)
-    return coupon_cost_rows(np.asarray(prices, dtype=np.int64)[:, None], disc, cap)
 
 
 def _check_column(bad: np.ndarray, column, message: str) -> None:
@@ -318,7 +265,8 @@ class OutcomeLog:
     def from_columns(cls, item_ids, round, discount_pct, validity_hours, cap_yen,
                      attach_delay_h, sold, purchase_delay_h, sale_price_yen,
                      coupon_cost_yen) -> "OutcomeLog":
-        """Validate the columns as ``CouponConfig`` and ``OutcomeRecord`` would.
+        """Validate the columns, one ``OutcomeRecord`` field each, the coupon
+        split as ``CouponConfig`` checks it.
 
         The last three columns are floats with NaN for a missing value (a
         record's None); yen amounts must be integers below 2**53.
@@ -418,6 +366,131 @@ class OutcomeLog:
         return len(self.item_ids)
 
 
+@dataclass(frozen=True)
+class CatalogArrays:
+    """A catalog as columns, one per ``ItemRecord`` field, plus keys and features.
+
+    Row i of every column describes the same item; ``matrix`` holds its raw
+    item features and ``keys`` its ``rng.item_key``. The keys are hashed on
+    first use, so a catalog that only trains, plans or evaluates hashes none.
+    """
+
+    ids: tuple[str, ...]
+    seller_ids: tuple[str, ...]
+    price: np.ndarray  # int64 yen
+    condition: np.ndarray  # int64, 1..5
+    age_days: np.ndarray
+    likes: np.ndarray  # int64
+    demand: np.ndarray
+    season: np.ndarray  # phase in [0, 1)
+    ltv: np.ndarray  # int64 yen
+    key_ts: np.ndarray
+    matrix: np.ndarray  # n x N_ITEM_FEATURES, raw item features
+
+    @functools.cached_property
+    def keys(self) -> np.ndarray:
+        """``rng.item_key`` of each id, hashed on first use and then kept."""
+        return rng.item_keys(self.ids)
+
+    @classmethod
+    def from_columns(cls, ids, seller_ids, price, condition, age_days, likes, demand,
+                     season, ltv, key_ts) -> "CatalogArrays":
+        """Validate the columns, one ``ItemRecord`` field each, then featurise."""
+        ids, seller_ids = tuple(ids), tuple(seller_ids)
+        price = np.asarray(_check_yen(price, "price_yen"), dtype=np.int64)
+        condition = np.asarray(condition, dtype=np.int64)
+        age_days = np.asarray(age_days, dtype=float)
+        likes = np.asarray(likes, dtype=np.int64)
+        demand = np.asarray(demand, dtype=float)
+        season = np.asarray(season, dtype=float)
+        ltv = np.asarray(_check_yen(ltv, "seller_ltv_yen"), dtype=np.int64)
+        key_ts = np.asarray(key_ts, dtype=float)
+        columns = (seller_ids, price, condition, age_days, likes, demand, season,
+                   ltv, key_ts)
+        if any(len(c) != len(ids) for c in columns):
+            raise InputError(f"every catalog column needs one entry per id ({len(ids)})")
+        _check_column(price <= 0, price, "price_yen must be > 0, got {}")
+        _check_column(ltv <= 0, ltv, "seller_ltv_yen must be > 0, got {}")
+        _check_column(~((1 <= condition) & (condition <= 5)), condition,
+                      "condition must be in 1..5, got {}")
+        _check_column(~((0 <= age_days) & (age_days < np.inf)), age_days,
+                      "age_days must be finite and >= 0")
+        _check_column(likes < 0, likes, "likes must be >= 0")
+        _check_column(~((0 <= season) & (season < 1)), season,
+                      "season_phase must be in [0, 1), got {}")
+        for name, column in (("demand_index", demand), ("key_action_ts", key_ts)):
+            _check_column(~np.isfinite(column), column, f"{name} must be finite, got {{}}")
+        _check_unique_ids(ids, "catalog")
+        return cls(
+            ids=ids, seller_ids=seller_ids, price=price, condition=condition,
+            age_days=age_days, likes=likes, demand=demand, season=season, ltv=ltv,
+            key_ts=key_ts,
+            matrix=feature_matrix(price, condition, age_days, likes, demand, season),
+        )
+
+    @classmethod
+    def from_items(cls, items: Sequence[ItemRecord]) -> "CatalogArrays":
+        # Each column becomes an array before the next is gathered, so only one
+        # per-item list is alive at a time. ``from_columns`` casts and checks them.
+        def column(field, kind=np.array):
+            return kind([getattr(it, field) for it in items])
+
+        return cls.from_columns(
+            ids=column("item_id", tuple),
+            seller_ids=column("seller_id", tuple),
+            price=column("price_yen"),
+            condition=column("condition"),
+            age_days=column("age_days"),
+            likes=column("likes"),
+            demand=column("demand_index"),
+            season=column("season_phase"),
+            ltv=column("seller_ltv_yen"),
+            key_ts=column("key_action_ts"),
+        )
+
+    def to_items(self) -> list[ItemRecord]:
+        """One ``ItemRecord`` per row, in row order."""
+        return [
+            ItemRecord(*row)
+            for row in zip(
+                self.ids, self.seller_ids, self.price.tolist(), self.condition.tolist(),
+                self.age_days.tolist(), self.likes.tolist(), self.demand.tolist(),
+                self.season.tolist(), self.ltv.tolist(), self.key_ts.tolist(),
+            )
+        ]
+
+    def take(self, rows: np.ndarray) -> "CatalogArrays":
+        """The catalog restricted to ``rows``, in that order; nothing is recomputed.
+
+        Keys already hashed are carried over; otherwise they stay unhashed.
+        """
+        index = rows.tolist()
+        ids, seller_ids = (tuple(map(c.__getitem__, index)) for c in (self.ids, self.seller_ids))
+        taken = CatalogArrays(
+            ids=ids, seller_ids=seller_ids, price=self.price[rows],
+            condition=self.condition[rows], age_days=self.age_days[rows],
+            likes=self.likes[rows], demand=self.demand[rows], season=self.season[rows],
+            ltv=self.ltv[rows], key_ts=self.key_ts[rows], matrix=self.matrix[rows],
+        )
+        if "keys" in self.__dict__:
+            taken.__dict__["keys"] = self.keys[rows]
+        return taken
+
+    def rows_of(self, ids: Sequence[str]) -> np.ndarray:
+        """The catalog row of each id, in the order given; an unknown id raises."""
+        rows, found = _id_rows(self.ids, ids)
+        _check_column(~found, tuple(ids), "log references unknown item {!r}")
+        return rows
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+
+def _as_catalog(items) -> CatalogArrays:
+    """A ``CatalogArrays`` as is, or a sequence of ``ItemRecord``s converted to one."""
+    return items if isinstance(items, CatalogArrays) else CatalogArrays.from_items(items)
+
+
 def _coupon_features(coupon: CouponConfig) -> list[float]:
     # Discount enters both linearly and squared so arm-level response curves can
     # bend; validity log-scaled, cap in thousand-yen units; zeros for no-coupon.
@@ -499,15 +572,6 @@ def feature_matrix(price, condition, age_days, likes, demand, season) -> np.ndar
 
 
 def item_feature_matrix(items: Sequence[ItemRecord]) -> np.ndarray:
-    """``feature_matrix`` over a list of records; rows follow the input order."""
-    def column(field):
-        return np.array([getattr(it, field) for it in items], dtype=float)
-
-    return feature_matrix(
-        column("price_yen"),
-        column("condition"),
-        column("age_days"),
-        column("likes"),
-        column("demand_index"),
-        column("season_phase"),
-    )
+    """The feature matrix of a list of records, rows in input order; the
+    records are checked as a catalog is."""
+    return CatalogArrays.from_items(items).matrix

@@ -20,11 +20,11 @@ import numpy as np
 
 from . import __version__
 from .decision import PlanTable
-from .domain import YEN_BOUND, CouponConfig, CouponSet, ItemRecord, OutcomeLog
+from .domain import YEN_BOUND, CatalogArrays, CouponConfig, CouponSet, ItemRecord, OutcomeLog
+from .domain import _as_catalog
 from .errors import InputError, ManifestMismatchError
 from .evaluation import BucketRow, ComparisonReport, DelayTables, StrategyMetrics, UpliftCurve
 from .learner import GridResult, LearnerConfig, Model, Stump
-from .simulator import CatalogArrays, _as_catalog
 from .uplift import PredictorPair
 
 FORMAT_VERSION = 1
@@ -425,6 +425,8 @@ def _load_json(path: str) -> dict:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise InputError(f"{path}: invalid JSON: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: not a text file: {exc}") from None
     if not isinstance(payload, dict):
         raise InputError(f"{path}: expected a JSON object")
     return payload
@@ -528,7 +530,9 @@ def load_pair(in_dir: str) -> PredictorPair:
             round2_set=_coupon_set_from(payload["round2_set"], "round2"),
             ipw_epsilon=float(payload["ipw_epsilon"]),
         )
-    except (KeyError, TypeError) as exc:
+    except InputError:
+        raise  # a model file's refusal names that file
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{path}: malformed pair artifact: {exc}") from None
 
 

@@ -12,8 +12,7 @@ trial and every rollout run one two-round core, ``_two_rounds``.
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -21,19 +20,15 @@ import numpy as np
 from . import rng
 from .domain import (
     N_ITEM_FEATURES,
+    CatalogArrays,
     CouponConfig,
     CouponSet,
     ItemRecord,
     OutcomeLog,
     OutcomeRecord,
-    _check_column,
-    _check_unique_ids,
-    _check_yen,
-    _id_rows,
+    _as_catalog,
     coupon_columns,
     coupon_cost_rows,
-    coupon_costs,
-    feature_matrix,
 )
 from .errors import InputError
 from .learner import _sigmoid
@@ -276,131 +271,6 @@ def catalog_ids(source: "CatalogArrays | CatalogIds", n: int) -> CatalogIds:
     return CatalogIds(source.ids[:n], source.seller_ids[:n], keys)
 
 
-@dataclass(frozen=True)
-class CatalogArrays:
-    """A catalog as columns, one per ``ItemRecord`` field, plus keys and features.
-
-    Row i of every column describes the same item; ``matrix`` holds its raw
-    item features and ``keys`` its ``rng.item_key``. The keys are hashed on
-    first use, so a catalog that only trains, plans or evaluates hashes none.
-    """
-
-    ids: tuple[str, ...]
-    seller_ids: tuple[str, ...]
-    price: np.ndarray  # int64 yen
-    condition: np.ndarray  # int64, 1..5
-    age_days: np.ndarray
-    likes: np.ndarray  # int64
-    demand: np.ndarray
-    season: np.ndarray  # phase in [0, 1)
-    ltv: np.ndarray  # int64 yen
-    key_ts: np.ndarray
-    matrix: np.ndarray  # n x N_ITEM_FEATURES, raw item features
-
-    @functools.cached_property
-    def keys(self) -> np.ndarray:
-        """``rng.item_key`` of each id, hashed on first use and then kept."""
-        return rng.item_keys(self.ids)
-
-    @classmethod
-    def from_columns(cls, ids, seller_ids, price, condition, age_days, likes, demand,
-                     season, ltv, key_ts) -> "CatalogArrays":
-        """Validate the columns as ``ItemRecord`` would, then featurise."""
-        ids, seller_ids = tuple(ids), tuple(seller_ids)
-        price = np.asarray(_check_yen(price, "price_yen"), dtype=np.int64)
-        condition = np.asarray(condition, dtype=np.int64)
-        age_days = np.asarray(age_days, dtype=float)
-        likes = np.asarray(likes, dtype=np.int64)
-        demand = np.asarray(demand, dtype=float)
-        season = np.asarray(season, dtype=float)
-        ltv = np.asarray(_check_yen(ltv, "seller_ltv_yen"), dtype=np.int64)
-        key_ts = np.asarray(key_ts, dtype=float)
-        columns = (seller_ids, price, condition, age_days, likes, demand, season,
-                   ltv, key_ts)
-        if any(len(c) != len(ids) for c in columns):
-            raise InputError(f"every catalog column needs one entry per id ({len(ids)})")
-        _check_column(price <= 0, price, "price_yen must be > 0, got {}")
-        _check_column(ltv <= 0, ltv, "seller_ltv_yen must be > 0, got {}")
-        _check_column(~((1 <= condition) & (condition <= 5)), condition,
-                      "condition must be in 1..5, got {}")
-        _check_column(~((0 <= age_days) & (age_days < np.inf)), age_days,
-                      "age_days must be finite and >= 0")
-        _check_column(likes < 0, likes, "likes must be >= 0")
-        _check_column(~((0 <= season) & (season < 1)), season,
-                      "season_phase must be in [0, 1), got {}")
-        for name, column in (("demand_index", demand), ("key_action_ts", key_ts)):
-            _check_column(~np.isfinite(column), column, f"{name} must be finite, got {{}}")
-        _check_unique_ids(ids, "catalog")
-        return cls(
-            ids=ids, seller_ids=seller_ids, price=price, condition=condition,
-            age_days=age_days, likes=likes, demand=demand, season=season, ltv=ltv,
-            key_ts=key_ts,
-            matrix=feature_matrix(price, condition, age_days, likes, demand, season),
-        )
-
-    @classmethod
-    def from_items(cls, items: Sequence[ItemRecord]) -> "CatalogArrays":
-        # Each column becomes an array before the next is gathered, so only one
-        # per-item list is alive at a time. ``from_columns`` casts and checks them.
-        def column(field, kind=np.array):
-            return kind([getattr(it, field) for it in items])
-
-        return cls.from_columns(
-            ids=column("item_id", tuple),
-            seller_ids=column("seller_id", tuple),
-            price=column("price_yen"),
-            condition=column("condition"),
-            age_days=column("age_days"),
-            likes=column("likes"),
-            demand=column("demand_index"),
-            season=column("season_phase"),
-            ltv=column("seller_ltv_yen"),
-            key_ts=column("key_action_ts"),
-        )
-
-    def to_items(self) -> list[ItemRecord]:
-        """One validated ``ItemRecord`` per row, in row order."""
-        return [
-            ItemRecord(*row)
-            for row in zip(
-                self.ids, self.seller_ids, self.price.tolist(), self.condition.tolist(),
-                self.age_days.tolist(), self.likes.tolist(), self.demand.tolist(),
-                self.season.tolist(), self.ltv.tolist(), self.key_ts.tolist(),
-            )
-        ]
-
-    def take(self, rows: np.ndarray) -> "CatalogArrays":
-        """The catalog restricted to ``rows``, in that order; nothing is recomputed.
-
-        Keys already hashed are carried over; otherwise they stay unhashed.
-        """
-        index = rows.tolist()
-        ids, seller_ids = (tuple(map(c.__getitem__, index)) for c in (self.ids, self.seller_ids))
-        taken = CatalogArrays(
-            ids=ids, seller_ids=seller_ids, price=self.price[rows],
-            condition=self.condition[rows], age_days=self.age_days[rows],
-            likes=self.likes[rows], demand=self.demand[rows], season=self.season[rows],
-            ltv=self.ltv[rows], key_ts=self.key_ts[rows], matrix=self.matrix[rows],
-        )
-        if "keys" in self.__dict__:
-            taken.__dict__["keys"] = self.keys[rows]
-        return taken
-
-    def rows_of(self, ids: Sequence[str]) -> np.ndarray:
-        """The catalog row of each id, in the order given; an unknown id raises."""
-        rows, found = _id_rows(self.ids, ids)
-        _check_column(~found, tuple(ids), "log references unknown item {!r}")
-        return rows
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-
-def _as_catalog(items) -> CatalogArrays:
-    """A ``CatalogArrays`` as is, or a sequence of ``ItemRecord``s converted to one."""
-    return items if isinstance(items, CatalogArrays) else CatalogArrays.from_items(items)
-
-
 def purchase_rate(config: SimConfig, price_yen) -> np.ndarray:
     """Exponential purchase-timing rate; pricier items take longer to sell."""
     price = np.asarray(price_yen, dtype=float)
@@ -629,9 +499,9 @@ def rollout_arms(
     arm 0 being the no-coupon arm; round-1 coupons attach ``attach_delay_h``
     hours after the key action. Every plan is checked before any is rolled out.
     The plans share one seed's common random numbers: the sale uniforms of
-    both rounds, the untreated logits, the responsiveness, the purchase delays
-    and the coupon-cost grids are computed once, and each plan adds only its
-    discount shift and validity truncation. Each plan runs the ``_two_rounds``
+    both rounds, the untreated logits, the responsiveness and the purchase
+    delays are computed once, and each plan adds only its discount shift and
+    validity truncation; coupon costs are computed for the sold rows alone. Each plan runs the ``_two_rounds``
     core of ``run_rct`` and ``rollout_policy``, so its totals equal those of
     ``rollout_policy`` under the equivalent per-item policy.
     """
@@ -644,20 +514,19 @@ def rollout_arms(
     ]
     draws = _RoundDraws(gt, cat, seed)
     menu1, menu2 = coupon_columns(round1_set), coupon_columns(round2_set)
-    cost1 = coupon_costs(cat.price, round1_set)
-    cost2 = coupon_costs(cat.price, round2_set)
+    (disc1, _, cap1), (disc2, _, cap2) = menu1, menu2
     totals = []
     for arm1, arm2 in plans:
         sold1, _, surv_idx, _, sold2, _ = _two_rounds(
             draws, menu1, arm1, float(attach_delay_h), menu2, arm2
         )
         sold1_rows, sold2_rows = np.flatnonzero(sold1), surv_idx[sold2]
+        a1, a2 = arm1[sold1_rows], arm2[sold2_rows]
+        price1, price2 = cat.price[sold1_rows], cat.price[sold2_rows]
         totals.append(RolloutTotals(
             sales_count=len(sold1_rows) + len(sold2_rows),
-            coupon_cost_yen=int(
-                cost1[sold1_rows, arm1[sold1_rows]].sum()
-                + cost2[sold2_rows, arm2[sold2_rows]].sum()
-            ),
-            gmv_yen=int(cat.price[sold1_rows].sum() + cat.price[sold2_rows].sum()),
+            coupon_cost_yen=int(coupon_cost_rows(price1, disc1[a1], cap1[a1]).sum()
+                                + coupon_cost_rows(price2, disc2[a2], cap2[a2]).sum()),
+            gmv_yen=int(price1.sum() + price2.sum()),
         ))
     return totals

@@ -22,17 +22,18 @@ from .domain import (
     ROUND2_FEATURE_NAMES,
     SCHEMA_ROUND1,
     SCHEMA_ROUND2,
+    CatalogArrays,
     CouponConfig,
     CouponSet,
     ItemRecord,
     OutcomeLog,
+    _as_catalog,
     _check_column,
     _coupon,
     _coupon_features,
     _id_rows,
     encode_round1_batch,
     encode_round2_batch,
-    item_feature_matrix,
 )
 from .errors import (
     ContractError,
@@ -51,7 +52,6 @@ from .learner import (
     predict_standardised,
     train,
 )
-from .simulator import CatalogArrays, _as_catalog
 
 IPW_EPSILON_DEFAULT = 1e-3
 IPW_VARIANT_MEAN = "mean"
@@ -371,10 +371,9 @@ def predict_batch(
     items: Sequence[ItemRecord],
     attach_delay_h: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``predict_arrays`` over a list of items: (p1 matrix, mean_p1, p2 matrix, p_baseline)."""
-    return predict_arrays(
-        pair,
-        item_feature_matrix(items),
-        np.array([it.age_days for it in items], dtype=float),
-        attach_delay_h,
-    )
+    """``predict_arrays`` over a list of items: (p1 matrix, mean_p1, p2 matrix, p_baseline).
+
+    The items are checked as a catalog is.
+    """
+    cat = CatalogArrays.from_items(items)
+    return predict_arrays(pair, cat.matrix, cat.age_days, attach_delay_h)

@@ -23,9 +23,8 @@ import numpy as np
 from seqcoupon import rng
 from seqcoupon.domain import (
     OutcomeLog,
-    coupon_cost,
+    coupon_columns,
     coupon_cost_rows,
-    coupon_costs,
     encode_round1_batch,
     encode_round2_batch,
 )
@@ -50,6 +49,30 @@ from seqcoupon.simulator import (
     purchase_rate,
     round2_attach_delay,
 )
+
+
+def coupon_cost(coupon, price_yen: int) -> int:
+    """Redemption cost in yen of attaching ``coupon`` to an item at ``price_yen``.
+
+    Percentage of the price, floored to whole yen, saturated at the cap.
+    The no-coupon arm costs nothing.
+    """
+    if price_yen <= 0:
+        raise InputError(f"price_yen must be > 0, got {price_yen}")
+    if coupon.is_none:
+        return 0
+    return min((price_yen * coupon.discount_pct) // 100, coupon.cap_yen)
+
+
+def coupon_costs(prices, coupon_set) -> np.ndarray:
+    """``coupon_cost_rows`` over a menu: an (n, arms) int64 grid, one column per arm.
+
+    Row i, column j is the cost of arm j of ``coupon_set`` on an item priced
+    ``prices[i]``. The row-major allocators and the one-plan rollout below
+    read costs from this grid.
+    """
+    disc, _, cap = coupon_columns(coupon_set)
+    return coupon_cost_rows(np.asarray(prices, dtype=np.int64)[:, None], disc, cap)
 
 
 def brute_force_allocate(preds, price_yen, ltv, round1_set, round2_set, threshold):

@@ -137,7 +137,7 @@ class TestPipeline:
         catalog = fileio.read_catalog(f"{ws['sim']}/catalog.csv")
         catalog = {it.item_id: it for it in catalog.to_items()}
         rows = [line.split(",") for line in read_lines(f"{ws['alloc']}/plans.csv")[1:]]
-        picked = rows[:15] + rows[::37]
+        picked = rows[:15] + rows[37::37]  # no row twice: predict_batch refuses a repeated id
         items = [catalog[row[0]] for row in picked]
         p1, _, p2, p_baseline = predict_batch(pair, items, 2.0)
         for i, row in enumerate(picked):
@@ -191,9 +191,9 @@ def test_pipeline_builds_no_per_row_records(tmp_path, monkeypatch):
     AllocationPlan is built."""
     built = []
     for cls in (ItemRecord, OutcomeRecord, AllocationPlan):
-        check = cls.__post_init__
-        monkeypatch.setattr(cls, "__post_init__",
-                            lambda self, check=check: built.append(self) or check(self))
+        init = cls.__init__
+        monkeypatch.setattr(cls, "__init__", lambda self, *args, init=init, **kwargs:
+                            built.append(type(self)) or init(self, *args, **kwargs))
     cfg = tmp_path / "run.cfg"
     cfg.write_text(sim_config_text(tmp_path / "sim", tmp_path / "model", n_items=300))
     for command, out in (("simulate", "sim"), ("train", "model"), ("allocate", "alloc"),
@@ -413,6 +413,26 @@ class TestExitCodes:
         cfg.write_text(sim_config_text(ws["sim"], tampered))
         code = main(["allocate", "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"])
         assert code == 5
+
+    @pytest.mark.parametrize("corrupt", ["epsilon_text", "two_entry_arm", "binary"])
+    def test_malformed_pair_exits_2_naming_the_file(self, ws, tmp_path, capsys, corrupt):
+        model = tmp_path / "model"
+        shutil.copytree(ws["model"], model)
+        pair = model / fileio.PAIR_FILE
+        payload = json.loads(pair.read_text())
+        if corrupt == "epsilon_text":
+            payload["ipw_epsilon"] = "abc"
+        elif corrupt == "two_entry_arm":
+            payload["round1_set"][1] = payload["round1_set"][1][:2]
+        pair.write_text(json.dumps(payload))
+        if corrupt == "binary":
+            pair.write_bytes(b"\xff\xfe\x00pair")
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(sim_config_text(ws["sim"], model))
+        out = tmp_path / "o"
+        assert main(["allocate", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+        assert str(pair) in capsys.readouterr().err
+        assert not (out / "plans.csv").exists()
 
     def test_no_holdout_training_log_exits_6(self, tmp_path):
         cfg = craft_single_arm_world(tmp_path, CouponConfig(10, 72.0, 1000))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from seqcoupon.domain import CouponConfig, CouponSet, coupon_cost
+from seqcoupon.domain import CouponConfig, CouponSet
 from seqcoupon.errors import InputError
 from seqcoupon.decision import (
     AllocationPlan,
@@ -25,6 +25,7 @@ from seqcoupon.decision import (
 from seqcoupon.uplift import ItemPredictions
 
 import oracles
+from oracles import coupon_cost
 from test_domain import make_item
 from test_replaced_paths import random_menu
 

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,16 +17,27 @@ from seqcoupon.domain import (
     OutcomeLog,
     OutcomeRecord,
     ROUND1_FEATURE_NAMES,
-    coupon_cost,
-    coupon_costs,
+    CatalogArrays,
     encode_round1_batch,
     encode_round2_batch,
     feature_matrix,
     item_feature_matrix,
 )
+from seqcoupon.decision import PolicyConstraint, allocate
 from seqcoupon.errors import InputError
+from seqcoupon.fileio import write_catalog
+from seqcoupon.learner import LearnerConfig
+from seqcoupon.simulator import rollout_policy, run_rct
+from seqcoupon.uplift import (
+    ItemPredictions,
+    fit_first_round,
+    ipw_weights,
+    predict_batch,
+    round1_training_dataset,
+)
 
 from conftest import load_golden
+from oracles import coupon_cost, coupon_costs
 
 
 def make_item(**overrides) -> ItemRecord:
@@ -43,6 +55,13 @@ def make_item(**overrides) -> ItemRecord:
     )
     base.update(overrides)
     return ItemRecord(**base)
+
+
+# The catalog column that holds each ItemRecord field.
+CATALOG_FIELDS = dict(zip(
+    (f.name for f in dataclasses.fields(ItemRecord)),
+    (f.name for f in dataclasses.fields(CatalogArrays) if f.name != "matrix"),
+))
 
 
 def encode_round1(item, coupon, attach_delay_h):
@@ -151,35 +170,38 @@ class TestCouponTypes:
 
 
 class TestItemAndOutcomeRecords:
+    """Records are plain values: a catalog or a log refuses an invalid one."""
+
     def test_item_requires_positive_price_and_ltv(self):
-        with pytest.raises(InputError):
-            make_item(price_yen=0)
-        with pytest.raises(InputError):
-            make_item(seller_ltv_yen=0)
+        for bad in (make_item(price_yen=0), make_item(seller_ltv_yen=0)):
+            with pytest.raises(InputError):
+                CatalogArrays.from_items([bad])
 
     def test_sold_outcome_requires_sale_fields(self):
+        record = OutcomeRecord(
+            item_id="it-1",
+            round=1,
+            coupon=CouponConfig.none(),
+            attach_delay_h=1.0,
+            sold=True,
+        )
         with pytest.raises(InputError):
-            OutcomeRecord(
-                item_id="it-1",
-                round=1,
-                coupon=CouponConfig.none(),
-                attach_delay_h=1.0,
-                sold=True,
-            )
+            OutcomeLog.from_records([record])
 
     def test_coupon_sale_must_fall_inside_validity(self):
         coupon = CouponConfig(10, 24.0, 1000)
+        record = OutcomeRecord(
+            item_id="it-1",
+            round=1,
+            coupon=coupon,
+            attach_delay_h=1.0,
+            sold=True,
+            purchase_delay_h=30.0,
+            sale_price_yen=3000,
+            coupon_cost_yen=300,
+        )
         with pytest.raises(InputError):
-            OutcomeRecord(
-                item_id="it-1",
-                round=1,
-                coupon=coupon,
-                attach_delay_h=1.0,
-                sold=True,
-                purchase_delay_h=30.0,
-                sale_price_yen=3000,
-                coupon_cost_yen=300,
-            )
+            OutcomeLog.from_records([record])
 
     def test_organic_sale_has_no_validity_bound(self):
         record = OutcomeRecord(
@@ -193,19 +215,21 @@ class TestItemAndOutcomeRecords:
             coupon_cost_yen=0,
         )
         assert record.sold
+        assert list(OutcomeLog.from_records([record])) == [record]
 
     def test_recorded_cost_must_match_the_arithmetic(self):
+        record = OutcomeRecord(
+            item_id="it-1",
+            round=1,
+            coupon=CouponConfig(10, 24.0, 1000),
+            attach_delay_h=1.0,
+            sold=True,
+            purchase_delay_h=2.0,
+            sale_price_yen=3000,
+            coupon_cost_yen=999,
+        )
         with pytest.raises(InputError):
-            OutcomeRecord(
-                item_id="it-1",
-                round=1,
-                coupon=CouponConfig(10, 24.0, 1000),
-                attach_delay_h=1.0,
-                sold=True,
-                purchase_delay_h=2.0,
-                sale_price_yen=3000,
-                coupon_cost_yen=999,
-            )
+            OutcomeLog.from_records([record])
 
 
 def sample_records() -> list[OutcomeRecord]:
@@ -276,6 +300,9 @@ class TestOutcomeLog:
         ],
     )
     def test_every_record_check_fires_with_the_same_message(self, change):
+        # A bad coupon is refused by ``CouponConfig``, a bad record where
+        # ``from_records`` takes it into a log; either way with the message
+        # ``from_columns`` gives for the same cells.
         records = sample_records()
         row = records[3]
         fields = dict(
@@ -287,10 +314,11 @@ class TestOutcomeLog:
         fields.update(change)
         coupon_fields = ("discount_pct", "validity_hours", "cap_yen")
         with pytest.raises(InputError) as expected:
-            OutcomeRecord(
+            record = OutcomeRecord(
                 coupon=CouponConfig(*(fields[f] for f in coupon_fields)),
                 **{k: v for k, v in fields.items() if k not in coupon_fields},
             )
+            OutcomeLog.from_records(records[:3] + [record] + records[4:])
         columns = log_columns(OutcomeLog.from_records(records))
         for name, value in change.items():
             columns[name][3] = math.nan if value is None else value
@@ -441,3 +469,71 @@ class TestEncoding:
         assert len(np.unique(price)) < n
         expected = [math.log(p) for p in price.tolist()]
         assert matrix[:, 0].view(np.int64).tolist() == np.array(expected).view(np.int64).tolist()
+
+
+# Each public entry point that takes records, called on records that hold one
+# invalid record; ``ctx`` carries the small world, the trained pair and the menus.
+RECORD_ENTRY_POINTS = {
+    "run_rct": lambda ctx, items: run_rct(
+        ctx.gt, items, ctx.menu1, ctx.menu2, [0.25] * 4, [0.25] * 4, seed=3),
+    "fit_first_round": lambda ctx, items: fit_first_round(
+        items, ctx.log1, LearnerConfig(epochs=5)),
+    "round1_training_dataset": lambda ctx, items: round1_training_dataset(items, ctx.log1),
+    "ipw_weights": lambda ctx, items: ipw_weights(ctx.pair.first, items, ctx.log1, ctx.menu1),
+    "write_catalog": lambda ctx, items: write_catalog(items, ctx.path),
+    "item_feature_matrix": lambda ctx, items: item_feature_matrix(items),
+    "predict_batch": lambda ctx, items: predict_batch(ctx.pair, items, 2.0),
+    "allocate": lambda ctx, items: allocate(
+        ItemPredictions(items[0].item_id, (0.2, 0.3, 0.4, 0.5), 0.35, (0.1, 0.2, 0.3, 0.4), 0.3),
+        *items, ctx.menu1, ctx.menu2, PolicyConstraint()),
+    "rollout_policy": lambda ctx, items: rollout_policy(
+        ctx.gt, items, lambda it: ((CouponConfig.none(), 2.0), CouponConfig.none()), 3),
+}
+# One invalid item: a cell out of range, or (for several items) a repeated id.
+ITEM_DEFECTS = {
+    "condition": (7, {"condition": 0}),
+    "season_phase": (7, {"season_phase": 1.0}),
+    "price_yen": (7, {"price_yen": 0}),
+    "repeated_id": (7, {"item_id": "it0000002"}),
+}
+
+
+class TestOneValidatorPerRowType:
+    """Every entry point that takes records refuses an invalid one with the
+    message of the column class it enters."""
+
+    @pytest.fixture()
+    def ctx(self, small_world, trained_pair, round1_menu, round2_menu, tmp_path):
+        return SimpleNamespace(
+            gt=small_world["gt"], log1=small_world["log1"], pair=trained_pair,
+            menu1=round1_menu, menu2=round2_menu, path=str(tmp_path / "catalog.csv"),
+        )
+
+    @pytest.mark.parametrize("defect", sorted(ITEM_DEFECTS))
+    @pytest.mark.parametrize("entry", sorted(RECORD_ENTRY_POINTS))
+    def test_an_invalid_item_gets_the_catalog_message(self, ctx, small_world, entry, defect):
+        row, change = ITEM_DEFECTS[defect]
+        items = list(small_world["items"])
+        items[row] = dataclasses.replace(items[row], **change)
+        if entry == "allocate":
+            if defect == "repeated_id":
+                return  # one item cannot repeat an id
+            items, row = items[row:row + 1], 0
+        cat = CatalogArrays.from_items(small_world["items"][:len(items)])
+        columns = {name: list(getattr(cat, name)) for name in CATALOG_FIELDS.values()}
+        for field, value in change.items():
+            columns[CATALOG_FIELDS[field]][row] = value
+        with pytest.raises(InputError) as expected:
+            CatalogArrays.from_columns(**columns)
+        with pytest.raises(InputError, match=f"^{re.escape(str(expected.value))}$"):
+            RECORD_ENTRY_POINTS[entry](ctx, items)
+
+    def test_an_invalid_outcome_gets_the_log_message(self):
+        records = sample_records()
+        records[3] = dataclasses.replace(records[3], coupon_cost_yen=records[3].coupon_cost_yen + 1)
+        columns = log_columns(OutcomeLog.from_records(sample_records()))
+        columns["coupon_cost_yen"][3] += 1
+        with pytest.raises(InputError) as expected:
+            OutcomeLog.from_columns(**columns)
+        with pytest.raises(InputError, match=f"^{re.escape(str(expected.value))}$"):
+            OutcomeLog.from_records(records)

@@ -231,9 +231,11 @@ class TestCatalogArrays:
         bad = columns[column].copy()
         bad[7] = value
         columns[column] = bad
-        record = dataclasses.asdict(cat.to_items()[7])
+        # The record is built as given and refused where it enters a catalog.
+        items = cat.to_items()
+        items[7] = dataclasses.replace(items[7], **{field: value})
         with pytest.raises(InputError) as expected:
-            ItemRecord(**{**record, field: value})
+            CatalogArrays.from_items(items)
         with pytest.raises(InputError, match=f"^{re.escape(str(expected.value))}$"):
             CatalogArrays.from_columns(**columns)
 

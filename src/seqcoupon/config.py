@@ -9,7 +9,7 @@ Grammar (INI as understood by :mod:`configparser`, ``#``/``;`` comments):
     [coupons.round2]   coupon arms. The no-coupon control arm is always present
                        as arm 0 and must not be listed (a 0% arm is an error).
     [learner]        — first-round learner: kind, learning_rate, l2, epochs,
-                       max_stumps, rng_seed, k_folds; optional ``grid_<key>``
+                       max_stumps, k_folds; optional ``grid_<key>``
                        comma lists expand to a cartesian candidate grid.
                        For logistic fits ``epochs`` caps the Newton steps
                        (a fit stops earlier once converged) and
@@ -239,7 +239,6 @@ _LEARNER_TYPES = {
     "l2": float,
     "epochs": int,
     "max_stumps": int,
-    "rng_seed": int,
 }
 # [learner] also takes k_folds and a grid_<key> comma list for each numeric key.
 _LEARNER_SECTION_TYPES = {

@@ -44,7 +44,7 @@ PLAN_HEADER = (
 )
 CURVE_HEADER = "fraction,uplift,lo,hi"
 BUCKET_HEADER = "bucket_start_h,metric,value,n"
-GRID_HEADER = "kind,learning_rate,l2,epochs,max_stumps,rng_seed,mean_loss,fold_losses,prior_folds"
+GRID_HEADER = "kind,learning_rate,l2,epochs,max_stumps,mean_loss,fold_losses,prior_folds"
 MANIFEST_NAME = "manifest.json"
 FLOAT_CELL = "%.12g"
 
@@ -459,7 +459,6 @@ def save_model(model: Model, path: str) -> None:
             "l2": model.config.l2,
             "epochs": model.config.epochs,
             "max_stumps": model.config.max_stumps,
-            "rng_seed": model.config.rng_seed,
         },
     }
     _dump_json(payload, path)
@@ -487,7 +486,6 @@ def load_model(path: str) -> Model:
                 l2=cfg["l2"],
                 epochs=cfg["epochs"],
                 max_stumps=cfg["max_stumps"],
-                rng_seed=cfg["rng_seed"],
             ),
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -552,7 +550,6 @@ def write_grid_table(results: Sequence[GridResult], path: str) -> None:
                     fmt(c.l2),
                     str(c.epochs),
                     str(c.max_stumps),
-                    str(c.rng_seed),
                     fmt(r.mean_loss),
                     ";".join(fmt(v) for v in r.fold_losses),
                     ";".join(str(int(v)) for v in r.prior_folds),

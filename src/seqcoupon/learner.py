@@ -70,7 +70,6 @@ class LearnerConfig:
     l2: float = 0.0
     epochs: int = 300
     max_stumps: int = 400
-    rng_seed: int = 0
 
     def __post_init__(self):
         if self.kind not in (KIND_LOGISTIC, KIND_BOOSTED):

@@ -213,6 +213,13 @@ class TestDiagnostics:
         with pytest.raises(InputError, match="unknown key 'grid_kind'"):
             load_config(path)
 
+    @pytest.mark.parametrize("key", ["rng_seed", "grid_rng_seed"])
+    def test_removed_learner_rng_seed_rejected(self, tmp_path, key):
+        # No fit read it (grid-search folds come from the run seed), so it is gone.
+        path = write_config(tmp_path, f"[learner]\n{key} = 3\n")
+        with pytest.raises(InputError, match=rf"\[learner\] unknown key '{key}'"):
+            load_config(path)
+
     def test_grid_in_second_learner_rejected(self, tmp_path):
         path = write_config(tmp_path, "[learner.second]\ngrid_epochs = 5, 10\n")
         with pytest.raises(InputError, match=r"\[learner.second\] unknown key"):

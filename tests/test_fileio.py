@@ -528,6 +528,23 @@ class TestModelArtifacts:
         ):
             assert np.array_equal(got, want)
 
+    def test_a_model_written_with_the_old_rng_seed_key_loads(self, tmp_path):
+        # Artifacts written before the unread [learner] rng_seed knob was
+        # removed carry it in their config; it is ignored on load.
+        data, probe = synthetic_dataset(n=60)
+        model = train(data, LearnerConfig(epochs=5))
+        path = str(tmp_path / "m.json")
+        save_model(model, path)
+        payload = json.load(open(path))
+        assert "rng_seed" not in payload["config"]
+        payload["config"]["rng_seed"] = 7
+        json.dump(payload, open(path, "w"))
+        back = load_model(path)
+        assert back.config == model.config
+        from seqcoupon.learner import predict_matrix
+
+        assert np.array_equal(predict_matrix(back, probe), predict_matrix(model, probe))
+
     def test_unsupported_format_version(self, tmp_path):
         data, _ = synthetic_dataset(n=60)
         model = train(data, LearnerConfig(epochs=5))
@@ -575,8 +592,8 @@ class TestGridTable:
         write_grid_table(results, path)
         lines = open(path).read().splitlines()
         assert lines[0] == GRID_HEADER
-        assert lines[1] == "logistic,0.5,0,100,400,0,0.5,0.4;0.6,"
-        assert lines[2] == "boosted_stumps,0.5,0,300,7,0,0.25,0.2;0.3,1"
+        assert lines[1] == "logistic,0.5,0,100,400,0.5,0.4;0.6,"
+        assert lines[2] == "boosted_stumps,0.5,0,300,7,0.25,0.2;0.3,1"
 
 
 class TestComparisonReportRendering:

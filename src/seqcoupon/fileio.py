@@ -25,7 +25,7 @@ from .domain import _as_catalog
 from .errors import InputError, ManifestMismatchError
 from .evaluation import BucketRow, ComparisonReport, DelayTables, StrategyMetrics, UpliftCurve
 from .learner import GridResult, LearnerConfig, Model, Stump
-from .uplift import PredictorPair
+from .uplift import PredictorPair, check_ipw_epsilon
 
 FORMAT_VERSION = 1
 
@@ -518,20 +518,19 @@ def load_pair(in_dir: str) -> PredictorPair:
     path = os.path.join(in_dir, PAIR_FILE)
     payload = _load_json(path)
     _require_version(payload, path)
+    # pair.json is read whole before the model files, whose refusals name them.
     try:
-        first = load_model(os.path.join(in_dir, payload["first_model"]))
-        second = load_model(os.path.join(in_dir, payload["second_model"]))
-        return PredictorPair(
-            first=first,
-            second=second,
-            round1_set=_coupon_set_from(payload["round1_set"], "round1"),
-            round2_set=_coupon_set_from(payload["round2_set"], "round2"),
-            ipw_epsilon=float(payload["ipw_epsilon"]),
-        )
-    except InputError:
-        raise  # a model file's refusal names that file
+        model_paths = [os.path.join(in_dir, payload[name])
+                       for name in ("first_model", "second_model")]
+        round1_set = _coupon_set_from(payload["round1_set"], "round1")
+        round2_set = _coupon_set_from(payload["round2_set"], "round2")
+        epsilon = float(payload["ipw_epsilon"])
+        check_ipw_epsilon(epsilon)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{path}: malformed pair artifact: {exc}") from None
+    first, second = map(load_model, model_paths)
+    return PredictorPair(first=first, second=second, round1_set=round1_set,
+                         round2_set=round2_set, ipw_epsilon=epsilon)
 
 
 # ---------------------------------------------------------------------------

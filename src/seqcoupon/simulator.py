@@ -501,9 +501,10 @@ def rollout_arms(
     The plans share one seed's common random numbers: the sale uniforms of
     both rounds, the untreated logits, the responsiveness and the purchase
     delays are computed once, and each plan adds only its discount shift and
-    validity truncation; coupon costs are computed for the sold rows alone. Each plan runs the ``_two_rounds``
-    core of ``run_rct`` and ``rollout_policy``, so its totals equal those of
-    ``rollout_policy`` under the equivalent per-item policy.
+    validity truncation. Coupon costs are computed for the sold rows alone.
+    Each plan runs the ``_two_rounds`` core of ``run_rct`` and
+    ``rollout_policy``, so its totals equal those of ``rollout_policy`` under
+    the equivalent per-item policy.
     """
     if attach_delay_h < 0:
         raise InputError("attach_delay_h must be >= 0")

@@ -414,7 +414,9 @@ class TestExitCodes:
         code = main(["allocate", "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"])
         assert code == 5
 
-    @pytest.mark.parametrize("corrupt", ["epsilon_text", "two_entry_arm", "binary"])
+    @pytest.mark.parametrize(
+        "corrupt", ["epsilon_text", "epsilon_range", "two_entry_arm", "bad_discount", "binary"]
+    )
     def test_malformed_pair_exits_2_naming_the_file(self, ws, tmp_path, capsys, corrupt):
         model = tmp_path / "model"
         shutil.copytree(ws["model"], model)
@@ -422,8 +424,12 @@ class TestExitCodes:
         payload = json.loads(pair.read_text())
         if corrupt == "epsilon_text":
             payload["ipw_epsilon"] = "abc"
+        elif corrupt == "epsilon_range":
+            payload["ipw_epsilon"] = 0.7
         elif corrupt == "two_entry_arm":
             payload["round1_set"][1] = payload["round1_set"][1][:2]
+        elif corrupt == "bad_discount":
+            payload["round1_set"][1][0] = 150
         pair.write_text(json.dumps(payload))
         if corrupt == "binary":
             pair.write_bytes(b"\xff\xfe\x00pair")

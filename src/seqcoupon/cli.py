@@ -45,6 +45,7 @@ from .simulator import (
     CatalogArrays,
     CatalogIds,
     GroundTruth,
+    SimConfig,
     catalog_ids,
     generate_catalog_arrays,
     run_rct,
@@ -102,8 +103,23 @@ class _Run:
             print(message)
 
 
-def _uniform(n_arms: int) -> list[float]:
-    return [1.0 / n_arms] * n_arms
+def _uniform_trial(cfg: RunConfig, sim: SimConfig):
+    """(catalog, round-1 log, round-2 log): a catalog drawn from ``sim`` and a
+    two-round trial on it that draws every arm of each menu with equal odds."""
+    cat = generate_catalog_arrays(sim)
+    r1, r2 = cfg.round1_set, cfg.round2_set
+    log1, _, log2 = run_rct(GroundTruth(sim), cat, r1, r2, [1.0 / len(r1)] * len(r1),
+                            [1.0 / len(r2)] * len(r2), seed=sim.rng_seed)
+    return cat, log1, log2
+
+
+def _fit_pair(cfg: RunConfig, cat: CatalogArrays, log1, log2, config_first) -> PredictorPair:
+    """The predictor pair on a trial, ``config_first`` fitting the first round
+    and the rest as ``cfg`` sets it."""
+    return fit_predictor_pair(
+        cat, log1, log2, cfg.round1_set, cfg.round2_set, config_first=config_first,
+        config_second=cfg.second_learner(), epsilon=cfg.ipw_epsilon, variant=cfg.ipw_variant,
+    )
 
 
 def _load_pair(run: _Run):
@@ -119,17 +135,7 @@ def cmd_simulate(args: argparse.Namespace) -> None:
     cfg = run.config
     sim = replace(cfg.simulator, rng_seed=run.seed)
     run.start()
-    cat = generate_catalog_arrays(sim)
-    gt = GroundTruth(sim)
-    log1, _, log2 = run_rct(
-        gt,
-        cat,
-        cfg.round1_set,
-        cfg.round2_set,
-        _uniform(len(cfg.round1_set)),
-        _uniform(len(cfg.round2_set)),
-        seed=sim.rng_seed,
-    )
+    cat, log1, log2 = _uniform_trial(cfg, sim)
     fileio.write_catalog(cat, run.path(CATALOG_FILE))
     fileio.write_outcomes(log1, run.path(ROUND1_LOG_FILE))
     fileio.write_outcomes(log2, run.path(ROUND2_LOG_FILE))
@@ -153,17 +159,7 @@ def cmd_train(args: argparse.Namespace) -> None:
         f"grid search over {len(results)} configs; best mean loss "
         f"{min(r.mean_loss for r in results):.6f}"
     )
-    pair = fit_predictor_pair(
-        cat,
-        log1,
-        log2,
-        cfg.round1_set,
-        cfg.round2_set,
-        config_first=best,
-        config_second=cfg.second_learner(),
-        epsilon=cfg.ipw_epsilon,
-        variant=cfg.ipw_variant,
-    )
+    pair = _fit_pair(cfg, cat, log1, log2, best)
     fileio.save_pair(pair, run.out)
     run.say(
         f"first-round model: {_fit_summary(pair.first)}; "
@@ -258,28 +254,9 @@ def _train_compare_pair(run: _Run) -> tuple[PredictorPair, Optional[CatalogIds]]
         n_items=cfg.evaluation.train_n_items,
         rng_seed=cfg.evaluation.train_seed,
     )
-    cat = generate_catalog_arrays(train_sim)
-    log1, _, log2 = run_rct(
-        GroundTruth(train_sim),
-        cat,
-        cfg.round1_set,
-        cfg.round2_set,
-        _uniform(len(cfg.round1_set)),
-        _uniform(len(cfg.round2_set)),
-        seed=train_sim.rng_seed,
-    )
+    cat, log1, log2 = _uniform_trial(cfg, train_sim)
     run.say(f"trained on {len(cat)} items ({len(log2)} survivors)")
-    pair = fit_predictor_pair(
-        cat,
-        log1,
-        log2,
-        cfg.round1_set,
-        cfg.round2_set,
-        config_first=cfg.learner.base,
-        config_second=cfg.second_learner(),
-        epsilon=cfg.ipw_epsilon,
-        variant=cfg.ipw_variant,
-    )
+    pair = _fit_pair(cfg, cat, log1, log2, cfg.learner.base)
     n_rollout = cfg.simulator.n_items
     return pair, catalog_ids(cat, n_rollout) if n_rollout <= len(cat) else None
 

@@ -46,7 +46,11 @@ class PolicyConstraint:
 
 @dataclass(frozen=True)
 class AllocationPlan:
-    """A chosen (round-1 arm, round-2 arm) pair with its predicted economics."""
+    """A chosen (round-1 arm, round-2 arm) pair with its predicted economics.
+
+    A plain value that checks nothing itself: ``PlanTable`` checks plan rows,
+    and ``allocate`` builds each plan from one row of a checked table.
+    """
 
     item_id: str
     j_index: int
@@ -63,25 +67,8 @@ class AllocationPlan:
     roi: float
     feasible: bool
 
-    def __post_init__(self):
-        _check_plan_economics(
-            *(np.array([getattr(self, name)], dtype=float) for name in _ECONOMICS)
-        )
-
 
 _ECONOMICS = ("p_round1", "p_round2", "p_combined", "p_baseline", "lift", "expected_cost")
-
-
-def _check_plan_economics(p_round1, p_round2, p_combined, p_baseline, lift, expected_cost):
-    """``AllocationPlan``'s consistency checks, on columns with one entry per plan."""
-    for name, v in zip(_ECONOMICS, (p_round1, p_round2, p_combined, p_baseline)):
-        _check_column(~((0.0 <= v) & (v <= 1.0)), v, f"{name} must lie in [0, 1], got {{}}")
-    expected = p_round1 + (1.0 - p_round1) * p_round2
-    _check_column(np.abs(p_combined - expected) > 1e-12, p_combined,
-                  "p_combined inconsistent with the two per-round propensities")
-    _check_column(np.abs(lift - (p_combined - p_baseline)) > 1e-12, lift,
-                  "lift inconsistent with p_combined - p_baseline")
-    _check_column(expected_cost < 0, expected_cost, "expected_cost must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -89,8 +76,9 @@ class PlanTable:
     """Allocation plans as columns: row i of every column is one ``AllocationPlan``.
 
     The ``j_*``/``k_*`` columns describe the round-1 and round-2 coupons as
-    ``plans.csv`` does, beside the arms' menu positions. Construction runs
-    ``AllocationPlan``'s checks on whole columns.
+    ``plans.csv`` does, beside the arms' menu positions. Construction checks
+    that every plan's economics are consistent; it is the one validator of
+    plan rows, and ``allocate`` takes its plan from a table.
     """
 
     item_ids: tuple[str, ...]
@@ -115,7 +103,15 @@ class PlanTable:
     def __post_init__(self):
         if any(getattr(self, f.name).shape != (len(self),) for f in fields(self)[1:]):
             raise InputError(f"every plan column needs one entry per id ({len(self)})")
-        _check_plan_economics(*(getattr(self, name) for name in _ECONOMICS))
+        for name in _ECONOMICS[:4]:
+            v = getattr(self, name)
+            _check_column(~((0.0 <= v) & (v <= 1.0)), v, f"{name} must lie in [0, 1], got {{}}")
+        expected = self.p_round1 + (1.0 - self.p_round1) * self.p_round2
+        _check_column(np.abs(self.p_combined - expected) > 1e-12, self.p_combined,
+                      "p_combined inconsistent with the two per-round propensities")
+        _check_column(np.abs(self.lift - (self.p_combined - self.p_baseline)) > 1e-12, self.lift,
+                      "lift inconsistent with p_combined - p_baseline")
+        _check_column(self.expected_cost < 0, self.expected_cost, "expected_cost must be >= 0")
 
     def __len__(self) -> int:
         return len(self.item_ids)

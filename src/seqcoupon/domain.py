@@ -66,7 +66,7 @@ class CouponConfig:
     """One treatment arm: a percentage discount with a validity window and cost cap.
 
     ``discount_pct == 0`` denotes the no-coupon arm; its cap must be 0 and its
-    validity is meaningless (normalised to 0 so equality behaves).
+    validity is meaningless (normalised to 0 so equality behaves). ``_check_coupons`` checks it.
     """
 
     discount_pct: int
@@ -74,17 +74,9 @@ class CouponConfig:
     cap_yen: int
 
     def __post_init__(self):
-        if not 0 <= self.discount_pct < 100:
-            raise InputError(f"discount_pct must be in [0, 100), got {self.discount_pct}")
-        if self.cap_yen < 0:
-            raise InputError(f"cap_yen must be >= 0, got {self.cap_yen}")
-        if self.discount_pct == 0:
-            if self.cap_yen != 0:
-                raise InputError("no-coupon arm must have cap_yen = 0")
-            object.__setattr__(self, "validity_hours", 0.0)
-        else:
-            if self.validity_hours <= 0:
-                raise InputError(f"validity_hours must be > 0, got {self.validity_hours}")
+        checked = _check_coupons([self.discount_pct], [self.validity_hours], [self.cap_yen])
+        for name, column in zip(("discount_pct", "validity_hours", "cap_yen"), checked):
+            object.__setattr__(self, name, column[0].item())
 
     @property
     def is_none(self) -> bool:
@@ -204,6 +196,44 @@ def _check_yen(column, name: str, rows=True) -> np.ndarray:
     return column
 
 
+def _check_integral(column, name: str, rows=True) -> np.ndarray:
+    """``column`` as an array, refusing a value of ``rows`` that is not a whole number
+    (NaN and infinities included) or lies outside int64, as ints past int64 do when
+    numpy holds them as floats. Runs before any cast to int64, which truncates 4.5 to 4."""
+    column = np.asarray(column)
+    if column.dtype.kind not in "iu":
+        _check_column(rows & (np.floor(column) != column), column,
+                      f"{name} must be an integer, got {{}}")
+        inside = (-(2**63) <= column) & (column < 2**63)
+        _check_column(rows & ~inside, column, f"{name} is out of range, got {{}}")
+    return column
+
+
+def _int64(column, name: str) -> np.ndarray:
+    """``column`` as int64, once ``_check_integral`` has passed every row."""
+    return np.asarray(_check_integral(column, name), dtype=np.int64)
+
+
+def _check_coupons(discount_pct, validity_hours, cap_yen) -> tuple[np.ndarray, ...]:
+    """The coupon rule on aligned columns, ``CouponConfig``'s on one row and a log's
+    on all: (discount_pct, validity_hours, cap_yen) as int64, float and int64 columns.
+
+    A discount is a whole percentage in [0, 100) and a cap whole yen in [0, 2**53);
+    a no-coupon row (discount 0) has cap 0 and gets validity 0, any other row a
+    positive validity.
+    """
+    disc = _int64(discount_pct, "discount_pct")
+    cap = _int64(_check_yen(cap_yen, "cap_yen"), "cap_yen")
+    validity = np.asarray(validity_hours, dtype=float)
+    _check_column(~((0 <= disc) & (disc < 100)), disc, "discount_pct must be in [0, 100), got {}")
+    _check_column(cap < 0, cap, "cap_yen must be >= 0, got {}")
+    none = disc == 0
+    _check_column(none & (cap != 0), cap, "no-coupon arm must have cap_yen = 0")
+    validity = np.where(none, 0.0, validity)
+    _check_column(~none & (validity <= 0), validity, "validity_hours must be > 0, got {}")
+    return disc, validity, cap
+
+
 def _check_unique_ids(ids: Sequence[str], what: str) -> None:
     """Refuse a repeated id, naming the first row whose id was seen before."""
     if len(set(ids)) == len(ids):
@@ -234,12 +264,6 @@ def _id_rows(own: Sequence[str], ids: Sequence[str]) -> tuple[np.ndarray, np.nda
     return rows, have[rows] == want
 
 
-def _coupon(discount_pct: int, validity_hours: float, cap_yen: int) -> CouponConfig:
-    if discount_pct == 0:
-        return CouponConfig.none()
-    return CouponConfig(discount_pct, validity_hours, cap_yen)
-
-
 @dataclass(frozen=True)
 class OutcomeLog:
     """A promotion log as columns: row i of every column is one ``OutcomeRecord``.
@@ -266,38 +290,29 @@ class OutcomeLog:
                      attach_delay_h, sold, purchase_delay_h, sale_price_yen,
                      coupon_cost_yen) -> "OutcomeLog":
         """Validate the columns, one ``OutcomeRecord`` field each, the coupon
-        split as ``CouponConfig`` checks it.
+        split into three that ``_check_coupons`` checks.
 
         The last three columns are floats with NaN for a missing value (a
         record's None); yen amounts must be integers below 2**53.
         """
         item_ids = tuple(item_ids)
-        round = np.asarray(round, dtype=np.int64)
-        disc = np.asarray(discount_pct, dtype=np.int64)
-        validity = np.asarray(validity_hours, dtype=float)
-        cap = np.asarray(_check_yen(cap_yen, "cap_yen"), dtype=np.int64)
-        attach = np.asarray(attach_delay_h, dtype=float)
-        sold = np.asarray(sold, dtype=bool)
-        purchase = np.asarray(purchase_delay_h, dtype=float)
-        price = np.asarray(sale_price_yen, dtype=float)
-        cost = np.asarray(coupon_cost_yen, dtype=float)
-        columns = (round, disc, validity, cap, attach, sold, purchase, price, cost)
+        columns = [np.asarray(c) for c in (round, discount_pct, validity_hours, cap_yen,
+                                           attach_delay_h, sold, purchase_delay_h,
+                                           sale_price_yen, coupon_cost_yen)]
         if any(c.shape != (len(item_ids),) for c in columns):
             raise InputError(f"every log column needs one entry per id ({len(item_ids)})")
-
-        _check_column(~((0 <= disc) & (disc < 100)), disc,
-                     "discount_pct must be in [0, 100), got {}")
-        _check_column(cap < 0, cap, "cap_yen must be >= 0, got {}")
-        none = disc == 0
-        _check_column(none & (cap != 0), cap, "no-coupon arm must have cap_yen = 0")
-        validity = np.where(none, 0.0, validity)
-        _check_column(~none & (validity <= 0), validity, "validity_hours must be > 0, got {}")
+        round, disc, validity, cap, attach, sold, purchase, price, cost = columns
+        disc, validity, cap = _check_coupons(disc, validity, cap)
+        none, round, sold = disc == 0, _int64(round, "round"), sold.astype(bool, copy=False)
+        attach, purchase, price, cost = (c.astype(float, copy=False)
+                                         for c in (attach, purchase, price, cost))
 
         _check_column((round != 1) & (round != 2), round, "round must be 1 or 2, got {}")
         _check_column(attach < 0, attach, "attach_delay_h must be >= 0")
         has_t, has_price, has_cost = ~np.isnan(purchase), ~np.isnan(price), ~np.isnan(cost)
-        _check_yen(price, "sale_price_yen", has_price)
-        _check_yen(cost, "coupon_cost_yen", has_cost)
+        for column, name, present in ((price, "sale_price_yen", has_price),
+                                      (cost, "coupon_cost_yen", has_cost)):
+            _check_integral(_check_yen(column, name, present), name, sold & present)
         _check_column(sold & ~(has_t & has_price), sold,
                      "sold record requires purchase_delay_h and sale_price_yen")
         _check_column(sold & (purchase < 0), purchase, "purchase_delay_h must be >= 0")
@@ -355,7 +370,7 @@ class OutcomeLog:
             item_id, round_, disc, validity, cap, attach, sold, t, price, cost = row
             key = (disc, validity, cap)
             if key not in coupons:
-                coupons[key] = _coupon(*key)
+                coupons[key] = CouponConfig(*key)
             yield OutcomeRecord(
                 item_id=item_id, round=round_, coupon=coupons[key], attach_delay_h=attach,
                 sold=sold, purchase_delay_h=t if sold else None,
@@ -397,13 +412,13 @@ class CatalogArrays:
                      season, ltv, key_ts) -> "CatalogArrays":
         """Validate the columns, one ``ItemRecord`` field each, then featurise."""
         ids, seller_ids = tuple(ids), tuple(seller_ids)
-        price = np.asarray(_check_yen(price, "price_yen"), dtype=np.int64)
-        condition = np.asarray(condition, dtype=np.int64)
+        price = _int64(_check_yen(price, "price_yen"), "price_yen")
+        condition = _int64(condition, "condition")
         age_days = np.asarray(age_days, dtype=float)
-        likes = np.asarray(likes, dtype=np.int64)
+        likes = _int64(likes, "likes")
         demand = np.asarray(demand, dtype=float)
         season = np.asarray(season, dtype=float)
-        ltv = np.asarray(_check_yen(ltv, "seller_ltv_yen"), dtype=np.int64)
+        ltv = _int64(_check_yen(ltv, "seller_ltv_yen"), "seller_ltv_yen")
         key_ts = np.asarray(key_ts, dtype=float)
         columns = (seller_ids, price, condition, age_days, likes, demand, season,
                    ltv, key_ts)
@@ -491,27 +506,37 @@ def _as_catalog(items) -> CatalogArrays:
     return items if isinstance(items, CatalogArrays) else CatalogArrays.from_items(items)
 
 
-def _coupon_features(coupon: CouponConfig) -> list[float]:
-    # Discount enters both linearly and squared so arm-level response curves can
-    # bend; validity log-scaled, cap in thousand-yen units; zeros for no-coupon.
-    if coupon.is_none:
-        return [0.0, 0.0, 0.0, 0.0]
-    return [
-        float(coupon.discount_pct),
-        float(coupon.discount_pct) ** 2,
-        math.log1p(coupon.validity_hours),
-        coupon.cap_yen / 1000.0,
-    ]
+def coupon_coordinates(out: np.ndarray, discount_pct, validity_hours, cap_yen) -> np.ndarray:
+    """Write the coupon coordinates of both encodings into ``out`` (..., 4), one
+    row per entry of the coupon columns (or one for scalars), and return it.
+
+    Discount linear and squared (so arm-level response curves can bend), validity
+    log-scaled (by ``math``, once per distinct value, as ``feature_matrix`` logs
+    prices), cap in thousand yen; the no-coupon arm, all three 0, gets zeros.
+    """
+    out[..., 0] = discount_pct
+    np.square(out[..., 0], out=out[..., 1])
+    distinct, inverse = np.unique(np.asarray(validity_hours, dtype=float), return_inverse=True)
+    out[..., 2] = np.fromiter(map(math.log1p, distinct.tolist()), float, len(distinct))[inverse]
+    out[..., 3] = np.asarray(cap_yen, dtype=float) / 1000.0
+    return out
 
 
-def _encode_batch(width: int, item_matrix: np.ndarray, slot, coupon: CouponConfig,
-                  last) -> np.ndarray:
-    """The layout both rounds share: item features, one ``slot`` column, the
-    coupon's coordinates and a ``last`` column."""
-    out = np.empty((item_matrix.shape[0], width))
-    out[:, :N_ITEM_FEATURES] = item_matrix
+def encode_rows(item_matrix: np.ndarray, slot, discount_pct, validity_hours, cap_yen, last,
+                rows: Optional[np.ndarray] = None) -> np.ndarray:
+    """Rows of the layout both rounds share: item features, one ``slot`` column
+    (attach delay or elapsed age), the coupon coordinates and a ``last`` column.
+
+    Row i holds the item in row ``rows[i]`` of ``item_matrix`` (row i when
+    ``rows`` is None), gathered a column at a time so no second item matrix is
+    built. Every other entry is a column with one value per row, or a scalar.
+    """
+    n = item_matrix.shape[0] if rows is None else len(rows)
+    out = np.empty((n, N_ITEM_FEATURES + N_COUPON_FEATURES + 2))
+    for c in range(N_ITEM_FEATURES):
+        out[:, c] = item_matrix[:, c] if rows is None else item_matrix[rows, c]
     out[:, N_ITEM_FEATURES] = slot
-    out[:, N_ITEM_FEATURES + 1 : -1] = _coupon_features(coupon)
+    coupon_coordinates(out[:, N_ITEM_FEATURES + 1 : -1], discount_pct, validity_hours, cap_yen)
     out[:, -1] = last
     return out
 
@@ -525,10 +550,9 @@ def encode_round1_batch(
     discount-by-delay interaction (a coupon attached late may move the needle
     differently than the same coupon attached right after the key action).
     """
-    return _encode_batch(
-        len(ROUND1_FEATURE_NAMES), item_matrix, attach_delay_h, coupon,
-        coupon.discount_pct * np.asarray(attach_delay_h, dtype=float),
-    )
+    delays = np.asarray(attach_delay_h, dtype=float)
+    return encode_rows(item_matrix, delays, coupon.discount_pct, coupon.validity_hours,
+                       coupon.cap_yen, coupon.discount_pct * delays)
 
 
 def encode_round2_batch(
@@ -543,7 +567,8 @@ def encode_round2_batch(
     age in hours, plus a trailing coordinate for the mean first-round
     propensity over all arms.
     """
-    return _encode_batch(len(ROUND2_FEATURE_NAMES), item_matrix, elapsed_age_h, coupon, mean_p1)
+    return encode_rows(item_matrix, elapsed_age_h, coupon.discount_pct, coupon.validity_hours,
+                       coupon.cap_yen, mean_p1)
 
 
 def feature_matrix(price, condition, age_days, likes, demand, season) -> np.ndarray:

@@ -404,15 +404,7 @@ def _coupon_set_payload(cs: CouponSet) -> list[list[float]]:
 
 
 def _coupon_set_from(payload, purpose: str) -> CouponSet:
-    arms = []
-    for disc, validity, cap in payload:
-        if disc == 0:
-            arms.append(CouponConfig.none())
-        else:
-            arms.append(
-                CouponConfig(discount_pct=int(disc), validity_hours=float(validity), cap_yen=int(cap))
-            )
-    return CouponSet(arms=tuple(arms), purpose=purpose)
+    return CouponSet(arms=tuple(CouponConfig(*arm) for arm in payload), purpose=purpose)
 
 
 def _dump_json(payload: dict, path: str) -> None:

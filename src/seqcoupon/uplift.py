@@ -18,22 +18,18 @@ import numpy as np
 from .domain import (
     N_COUPON_FEATURES,
     N_ITEM_FEATURES,
-    ROUND1_FEATURE_NAMES,
-    ROUND2_FEATURE_NAMES,
     SCHEMA_ROUND1,
     SCHEMA_ROUND2,
     CatalogArrays,
-    CouponConfig,
     CouponSet,
     ItemRecord,
     OutcomeLog,
     _as_catalog,
     _check_column,
-    _coupon,
-    _coupon_features,
     _id_rows,
-    encode_round1_batch,
-    encode_round2_batch,
+    coupon_columns,
+    coupon_coordinates,
+    encode_rows,
 )
 from .errors import (
     ContractError,
@@ -105,30 +101,6 @@ class ItemPredictions:
             raise InputError("mean_p1 must equal the arithmetic mean of p1")
 
 
-def _rows_by_arm(
-    log: OutcomeLog, rows: Optional[np.ndarray] = None
-) -> list[tuple[CouponConfig, np.ndarray]]:
-    """Positions in ``log`` (or in its sub-log ``rows``) grouped by coupon arm.
-
-    One stable ``lexsort`` over the three coupon columns: positions ascend
-    within each arm, and arms come in (discount, validity, cap) order.
-    """
-    columns = [log.discount_pct, log.validity_hours, log.cap_yen]
-    if rows is not None:
-        columns = [c[rows] for c in columns]
-    order = np.lexsort(columns[::-1])
-    disc, validity, cap = (c[order] for c in columns)
-    new_arm = np.zeros(len(order), dtype=bool)
-    new_arm[:1] = True
-    for c in (disc, validity, cap):
-        new_arm[1:] |= c[1:] != c[:-1]
-    starts = np.flatnonzero(new_arm)
-    return [
-        (_coupon(int(disc[i]), float(validity[i]), int(cap[i])), idx)
-        for i, idx in zip(starts.tolist(), np.split(order, starts[1:]))
-    ]
-
-
 def round1_training_dataset(
     items: Sequence[ItemRecord] | CatalogArrays,
     round1_log: OutcomeLog,
@@ -142,21 +114,18 @@ def round1_training_dataset(
     if not len(round1_log):
         raise DegenerateDataError("round-1 log is empty")
     check_round(round1_log, 1)
-    arms = _rows_by_arm(round1_log)
-    if not any(coupon.is_none for coupon, _ in arms):
+    disc, delays = round1_log.discount_pct, round1_log.attach_delay_h
+    if not (disc == 0).any():
         raise MissingHoldoutError(
             "round-1 log has no no-coupon records; effects are unidentifiable"
         )
-    if len(arms) < 2:
+    if (disc == 0).all():
         raise IdentifiabilityError(
             "round-1 log must cover >= 2 coupon arms including the no-coupon arm"
         )
-    rows = cat.rows_of(round1_log.item_ids)
-    features = np.empty((len(round1_log), len(ROUND1_FEATURE_NAMES)))
-    for coupon, idx in arms:
-        features[idx] = encode_round1_batch(
-            cat.matrix[rows[idx]], coupon, round1_log.attach_delay_h[idx]
-        )
+    features = encode_rows(cat.matrix, delays, disc, round1_log.validity_hours,
+                           round1_log.cap_yen, disc * delays,
+                           rows=cat.rows_of(round1_log.item_ids))
     return Dataset(features, round1_log.sold, schema_id=SCHEMA_ROUND1)
 
 
@@ -188,8 +157,10 @@ def _arm_probabilities(model: Model, item_matrix, slot, coupon_set: CouponSet, l
     Xs[:, items] = (item_matrix - mean[items]) / scale[items]
     Xs[:, N_ITEM_FEATURES] = (slot - mean[N_ITEM_FEATURES]) / scale[N_ITEM_FEATURES]
     probs = np.empty((n, len(coupon_set)))
+    coordinates = coupon_coordinates(np.empty((len(coupon_set), N_COUPON_FEATURES)),
+                                     *coupon_columns(coupon_set))
     for a, arm in enumerate(coupon_set):
-        Xs[:, coupon] = (np.array(_coupon_features(arm)) - mean[coupon]) / scale[coupon]
+        Xs[:, coupon] = (coordinates[a] - mean[coupon]) / scale[coupon]
         Xs[:, -1] = (last(arm) - mean[-1]) / scale[-1]
         probs[:, a] = predict_standardised(model, Xs)
     return probs
@@ -235,28 +206,25 @@ def ipw_weights(
     return _ipw(first, cat.matrix, round1_records, None, round1_set, epsilon, variant)[0]
 
 
-def _ipw(first, item_matrix, round1_log, rows, round1_set, epsilon, variant):
+def _ipw(first, item_matrix, log1, rows, round1_set, epsilon, variant):
     """(``ipw_weights``, mean round-1 propensity) for the round-1 rows ``rows``.
 
-    ``rows`` selects rows of ``round1_log`` (None: all of them) and
+    ``rows`` selects rows of the round-1 log ``log1`` (None: all of them) and
     ``item_matrix`` holds their items' features, one row each.
     """
     if not 0.0 < epsilon <= 1.0:
         raise InputError("epsilon must lie in (0, 1]")
     if variant not in (IPW_VARIANT_MEAN, IPW_VARIANT_APPLIED):
         raise InputError(f"unknown IPW variant {variant!r}")
-    delays = round1_log.attach_delay_h
-    if rows is not None:
-        delays = delays[rows]
+    disc, validity, cap, delays = (c if rows is None else c[rows] for c in (
+        log1.discount_pct, log1.validity_hours, log1.cap_yen, log1.attach_delay_h))
     mean_p1 = np.mean(round1_arm_probabilities(first, item_matrix, round1_set, delays), axis=1)
     if variant == IPW_VARIANT_MEAN:
         p1 = mean_p1
     else:
-        p1 = np.empty(len(delays))
-        for coupon, idx in _rows_by_arm(round1_log, rows):
-            p1[idx] = predict_matrix(
-                first, encode_round1_batch(item_matrix[idx], coupon, delays[idx])
-            )
+        p1 = predict_matrix(
+            first, encode_rows(item_matrix, delays, disc, validity, cap, disc * delays)
+        )
     return 1.0 / np.clip(1.0 - p1, epsilon, 1.0), mean_p1
 
 
@@ -301,13 +269,9 @@ def fit_second_round(
     item_matrix = cat.matrix[cat_rows]
     weights, mean_p1 = _ipw(first, item_matrix, round1_log, r1_rows, round1_set, epsilon,
                             variant)
-    elapsed_age_h = cat.age_days[cat_rows] * 24.0
-
-    features = np.empty((len(round2_log), len(ROUND2_FEATURE_NAMES)))
-    for coupon, idx in _rows_by_arm(round2_log):
-        features[idx] = encode_round2_batch(
-            item_matrix[idx], coupon, elapsed_age_h[idx], mean_p1[idx]
-        )
+    features = encode_rows(item_matrix, cat.age_days[cat_rows] * 24.0,
+                           round2_log.discount_pct, round2_log.validity_hours,
+                           round2_log.cap_yen, mean_p1)
     data = Dataset(features, round2_log.sold, weights=weights, schema_id=SCHEMA_ROUND2)
     return train(data, config)
 

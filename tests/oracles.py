@@ -7,9 +7,10 @@ earlier implementations kept as they were: the per-record and per-plan CSV
 writers, the boosted-stump fit that re-buckets every feature in every round,
 the uplift curve and bootstrap band that re-sort every resample, the
 row-major allocators, the one-plan-per-call rollout, the trial's log
-builder over the per-round draws, the per-arm
-prediction and the one-f-string-per-item id builder. The package's faster
-paths must reproduce their bytes and bits.
+builder over the per-round draws, the per-arm prediction, the training
+features and IPW weights built arm by arm by a one-coupon encoder, and the
+one-f-string-per-item id builder. The package's faster paths must reproduce
+their bytes and bits.
 """
 
 from __future__ import annotations
@@ -22,11 +23,11 @@ import numpy as np
 
 from seqcoupon import rng
 from seqcoupon.domain import (
+    N_ITEM_FEATURES,
+    CouponConfig,
     OutcomeLog,
     coupon_columns,
     coupon_cost_rows,
-    encode_round1_batch,
-    encode_round2_batch,
 )
 from seqcoupon.errors import ContractError, InputError
 from seqcoupon.decision import DEFAULT_ATTACH_DELAY_H
@@ -689,6 +690,37 @@ def rollout_arms_per_plan(
 
 
 # ---------------------------------------------------------------------------
+# The one-coupon encoder as it was, which the per-arm prediction and training
+# builders below use.
+
+def coupon_features(coupon) -> list[float]:
+    """One coupon's four coordinates, zeros for the no-coupon arm."""
+    if coupon.is_none:
+        return [0.0, 0.0, 0.0, 0.0]
+    return [
+        float(coupon.discount_pct),
+        float(coupon.discount_pct) ** 2,
+        math.log1p(coupon.validity_hours),
+        coupon.cap_yen / 1000.0,
+    ]
+
+
+def encode_per_coupon(item_matrix, slot, coupon, last) -> np.ndarray:
+    """Item features, one ``slot`` column, ``coupon``'s coordinates and a ``last`` column."""
+    out = np.empty((item_matrix.shape[0], N_ITEM_FEATURES + 6))
+    out[:, :N_ITEM_FEATURES] = item_matrix
+    out[:, N_ITEM_FEATURES] = slot
+    out[:, N_ITEM_FEATURES + 1 : -1] = coupon_features(coupon)
+    out[:, -1] = last
+    return out
+
+
+def encode_round1_per_coupon(item_matrix, coupon, attach_delay_h) -> np.ndarray:
+    delays = np.asarray(attach_delay_h, dtype=float)
+    return encode_per_coupon(item_matrix, delays, coupon, coupon.discount_pct * delays)
+
+
+# ---------------------------------------------------------------------------
 # Prediction as it was: one encoded and standardised matrix per arm.
 
 def round1_arm_probabilities_per_arm(
@@ -701,7 +733,7 @@ def round1_arm_probabilities_per_arm(
     delays = np.broadcast_to(np.asarray(attach_delay_h, dtype=float),
                              (item_matrix.shape[0],))
     cols = [
-        predict_matrix(first, encode_round1_batch(item_matrix, coupon, delays))
+        predict_matrix(first, encode_round1_per_coupon(item_matrix, coupon, delays))
         for coupon in round1_set
     ]
     return np.column_stack(cols)
@@ -728,13 +760,87 @@ def predict_arrays_per_arm(
         [
             predict_matrix(
                 pair.second,
-                encode_round2_batch(item_matrix, coupon, elapsed_age_h, mean_p1),
+                encode_per_coupon(item_matrix, elapsed_age_h, coupon, mean_p1),
             )
             for coupon in pair.round2_set
         ]
     )
     p_baseline = p1[:, 0] + (1.0 - p1[:, 0]) * p2[:, 0]
     return p1, mean_p1, p2, p_baseline
+
+
+# ---------------------------------------------------------------------------
+# Training features as they were: the log regrouped by coupon arm, and each
+# arm's rows encoded by the one-coupon encoder.
+
+def rows_by_arm(log: OutcomeLog, rows=None):
+    """Positions in ``log`` (or in its sub-log ``rows``) grouped by coupon arm.
+
+    One stable ``lexsort`` over the three coupon columns: positions ascend
+    within each arm, and arms come in (discount, validity, cap) order.
+    """
+    columns = [log.discount_pct, log.validity_hours, log.cap_yen]
+    if rows is not None:
+        columns = [c[rows] for c in columns]
+    order = np.lexsort(columns[::-1])
+    disc, validity, cap = (c[order] for c in columns)
+    new_arm = np.zeros(len(order), dtype=bool)
+    new_arm[:1] = True
+    for c in (disc, validity, cap):
+        new_arm[1:] |= c[1:] != c[:-1]
+    starts = np.flatnonzero(new_arm)
+    return [
+        (CouponConfig(int(disc[i]), float(validity[i]), int(cap[i])), idx)
+        for i, idx in zip(starts.tolist(), np.split(order, starts[1:]))
+    ]
+
+
+def round1_features_per_arm(cat, round1_log) -> np.ndarray:
+    """The first-round design matrix, rows in log order, encoded arm by arm."""
+    rows = cat.rows_of(round1_log.item_ids)
+    features = np.empty((len(round1_log), N_ITEM_FEATURES + 6))
+    for coupon, idx in rows_by_arm(round1_log):
+        features[idx] = encode_round1_per_coupon(
+            cat.matrix[rows[idx]], coupon, round1_log.attach_delay_h[idx]
+        )
+    return features
+
+
+def ipw_per_arm(first, item_matrix, round1_log, rows, round1_set, epsilon, variant):
+    """(IPW weights, mean round-1 propensity) of the round-1 rows ``rows`` (None:
+    all), the ``applied`` variant scoring each arm's rows on their own."""
+    delays = round1_log.attach_delay_h
+    if rows is not None:
+        delays = delays[rows]
+    mean_p1 = np.mean(round1_arm_probabilities_per_arm(first, item_matrix, round1_set, delays),
+                      axis=1)
+    if variant == "mean":
+        p1 = mean_p1
+    else:
+        p1 = np.empty(len(delays))
+        for coupon, idx in rows_by_arm(round1_log, rows):
+            p1[idx] = predict_matrix(
+                first, encode_round1_per_coupon(item_matrix[idx], coupon, delays[idx])
+            )
+    return 1.0 / np.clip(1.0 - p1, epsilon, 1.0), mean_p1
+
+
+def round2_features_per_arm(cat, round1_log, round2_log, first, round1_set, epsilon, variant):
+    """(second-round design matrix, IPW weights), rows in round-2 log order,
+    encoded arm by arm."""
+    cat_rows = cat.rows_of(round2_log.item_ids)
+    r1_position = {item_id: i for i, item_id in enumerate(round1_log.item_ids)}
+    r1_rows = np.array([r1_position[i] for i in round2_log.item_ids], dtype=np.intp)
+    item_matrix = cat.matrix[cat_rows]
+    weights, mean_p1 = ipw_per_arm(first, item_matrix, round1_log, r1_rows, round1_set,
+                                   epsilon, variant)
+    elapsed_age_h = cat.age_days[cat_rows] * 24.0
+    features = np.empty((len(round2_log), N_ITEM_FEATURES + 6))
+    for coupon, idx in rows_by_arm(round2_log):
+        features[idx] = encode_per_coupon(
+            item_matrix[idx], elapsed_age_h[idx], coupon, mean_p1[idx]
+        )
+    return features, weights
 
 
 # ---------------------------------------------------------------------------

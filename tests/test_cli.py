@@ -415,7 +415,8 @@ class TestExitCodes:
         assert code == 5
 
     @pytest.mark.parametrize(
-        "corrupt", ["epsilon_text", "epsilon_range", "two_entry_arm", "bad_discount", "binary"]
+        "corrupt", ["epsilon_text", "epsilon_range", "two_entry_arm", "bad_discount",
+                    "fractional_discount", "binary"]
     )
     def test_malformed_pair_exits_2_naming_the_file(self, ws, tmp_path, capsys, corrupt):
         model = tmp_path / "model"
@@ -430,6 +431,8 @@ class TestExitCodes:
             payload["round1_set"][1] = payload["round1_set"][1][:2]
         elif corrupt == "bad_discount":
             payload["round1_set"][1][0] = 150
+        elif corrupt == "fractional_discount":
+            payload["round1_set"][1][0] += 0.5
         pair.write_text(json.dumps(payload))
         if corrupt == "binary":
             pair.write_bytes(b"\xff\xfe\x00pair")

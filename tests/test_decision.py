@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 from types import SimpleNamespace
 
@@ -439,16 +440,24 @@ def valid_plan(round1_menu, round2_menu) -> dict:
     )
 
 
+def plan_table(plan: dict, n: int = 1) -> PlanTable:
+    """A ``PlanTable`` of ``n`` rows, each the plan ``plan`` describes."""
+    plan = dict(plan)
+    for r, coupon in (("j", plan.pop("round1_coupon")), ("k", plan.pop("round2_coupon"))):
+        plan.update({f"{r}_discount_pct": coupon.discount_pct,
+                     f"{r}_validity_h": coupon.validity_hours, f"{r}_cap": coupon.cap_yen})
+    item_id = plan.pop("item_id")
+    return PlanTable(item_ids=(item_id,) * n,
+                     **{name: np.array([value] * n) for name, value in plan.items()})
+
+
 class TestPlanAndConstraintValidation:
     def test_inconsistent_plan_rejected(self, round1_menu, round2_menu):
         base = valid_plan(round1_menu, round2_menu)
-        AllocationPlan(**base)
-        with pytest.raises(InputError):
-            AllocationPlan(**{**base, "p_combined": 0.9, "lift": 0.5})
-        with pytest.raises(InputError):
-            AllocationPlan(**{**base, "lift": 0.0})
-        with pytest.raises(InputError):
-            AllocationPlan(**{**base, "expected_cost": -5.0})
+        plan_table(base)
+        for change in ({"p_combined": 0.9, "lift": 0.5}, {"lift": 0.0}, {"expected_cost": -5.0}):
+            with pytest.raises(InputError):
+                plan_table({**base, **change})
 
     def test_constraint_validation(self):
         with pytest.raises(InputError):
@@ -464,29 +473,24 @@ class TestPlanAndConstraintValidation:
 class TestPlanTable:
     @pytest.fixture
     def table(self, round1_menu, round2_menu):
-        plan = valid_plan(round1_menu, round2_menu)
-        for r, coupon in (("j", plan.pop("round1_coupon")), ("k", plan.pop("round2_coupon"))):
-            plan.update({f"{r}_discount_pct": coupon.discount_pct,
-                         f"{r}_validity_h": coupon.validity_hours, f"{r}_cap": coupon.cap_yen})
-        item_id = plan.pop("item_id")
-        return PlanTable(item_ids=(item_id,) * 2,
-                         **{name: np.array([value] * 2) for name, value in plan.items()})
+        return plan_table(valid_plan(round1_menu, round2_menu), 2)
 
-    @pytest.mark.parametrize("change", [
-        {"p_combined": 0.9, "lift": 0.5},
-        {"lift": 0.0},
-        {"expected_cost": -5.0},
-        {"p_round2": 1.5},
-        {"p_baseline": math.nan},
+    @pytest.mark.parametrize("change,message", [
+        ({"p_combined": 0.9, "lift": 0.5},
+         "p_combined inconsistent with the two per-round propensities"),
+        ({"lift": 0.0}, "lift inconsistent with p_combined - p_baseline"),
+        ({"expected_cost": -5.0}, "expected_cost must be >= 0"),
+        ({"p_round2": 1.5}, "p_round2 must lie in [0, 1], got 1.5"),
+        ({"p_baseline": math.nan}, "p_baseline must lie in [0, 1], got nan"),
     ])
-    def test_column_checks_give_the_plan_messages(self, table, round1_menu, round2_menu, change):
-        with pytest.raises(InputError) as plan_error:
-            AllocationPlan(**{**valid_plan(round1_menu, round2_menu), **change})
-        # The second row is bad; the table names the same fault as the plan.
+    def test_column_checks_give_the_plan_messages(self, table, round1_menu, round2_menu,
+                                                   change, message):
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            plan_table({**valid_plan(round1_menu, round2_menu), **change})
+        # The second row is bad; the table names the same fault as the one-row table.
         bad = {name: np.array([getattr(table, name)[0], value]) for name, value in change.items()}
-        with pytest.raises(InputError) as table_error:
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
             dataclasses.replace(table, **bad)
-        assert str(table_error.value) == str(plan_error.value)
 
     def test_columns_must_align(self, table):
         assert len(table) == 2

@@ -145,6 +145,20 @@ class TestCouponTypes:
         with pytest.raises(InputError):
             CouponConfig(10, 0.0, 1000)
 
+    @pytest.mark.parametrize("fields,message", [
+        ((10.5, 72.0, 1000.7), "discount_pct must be an integer, got 10.5"),
+        ((10, 72.0, 1000.7), "cap_yen must be an integer, got 1000.7"),
+        ((10, 72.0, 2**53), "cap_yen is out of range, |yen| must be below 2**53, got "),
+    ])
+    def test_discount_and_cap_are_whole_before_any_cast(self, fields, message):
+        with pytest.raises(InputError, match=f"^{re.escape(message)}"):
+            CouponConfig(*fields)
+
+    def test_fields_are_normalised_to_their_types(self):
+        coupon = CouponConfig(10.0, 72, 1000.0)
+        assert coupon == CouponConfig(10, 72.0, 1000)
+        assert tuple(map(type, dataclasses.astuple(coupon))) == (int, float, int)
+
     def test_set_requires_leading_none_arm(self):
         with pytest.raises(InputError):
             CouponSet(
@@ -343,6 +357,18 @@ class TestOutcomeLog:
         columns["coupon_cost_yen"][3] = cost
         log = OutcomeLog.from_columns(**columns)
         assert getattr(log, name)[3] == 2**53 - 1 and log.coupon_cost_yen[3] == cost
+
+    @pytest.mark.parametrize("name,value", [
+        ("round", 1.5), ("discount_pct", 10.5), ("cap_yen", 1000.5),
+        ("sale_price_yen", 3000.5), ("coupon_cost_yen", 300.5),
+    ])
+    def test_non_integral_value_refused_before_any_cast(self, name, value):
+        columns = log_columns(OutcomeLog.from_records(sample_records()))
+        columns[name] = columns[name].astype(float)
+        columns[name][3] = value  # a sold coupon row
+        message = f"{name} must be an integer, got {value}"
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            OutcomeLog.from_columns(**columns)
 
     def test_no_coupon_validity_is_normalised(self):
         columns = log_columns(OutcomeLog.from_records(sample_records()))

@@ -10,7 +10,8 @@ A change that declares new numerics re-pins the file with
 
     PYTHONPATH=src python tests/test_golden_cli.py
 
-and says so in CHANGES.md.
+which prints each (variant, file) whose digest moved before it rewrites the
+file, and says so in CHANGES.md.
 """
 
 import hashlib
@@ -94,6 +95,8 @@ def test_cli_outputs_match_pinned_digests(variant, tmp_path, monkeypatch):
 if __name__ == "__main__":
     import tempfile
 
+    with open(DIGESTS) as fh:
+        before = json.load(fh)
     pinned = {}
     start = os.getcwd()
     for variant in VARIANTS:
@@ -101,6 +104,10 @@ if __name__ == "__main__":
             os.chdir(root)
             pinned[variant] = run_pipeline(variant)
             os.chdir(start)
+        old = before.get(variant, {})
+        for name in sorted(old.keys() | pinned[variant].keys()):
+            if old.get(name) != pinned[variant].get(name):
+                print(f"moved: {variant} {name}")
     with open(DIGESTS, "w", newline="\n") as fh:
         json.dump(pinned, fh, indent=1, sort_keys=True)
         fh.write("\n")

@@ -2,9 +2,12 @@
 
 ``oracles.py`` keeps the row-major allocators, the one-plan-per-call rollout,
 the trial's two log builders over the per-round draws, the per-arm
-prediction, the strategy comparison built on them and the per-item id
-builder as they were. Every test here compares the package with them bit
-for bit, over at least ten seeds where the output has a seed.
+prediction, the per-arm training features and IPW weights, the strategy
+comparison built on them and the per-item id builder as they were. Every test
+here compares the package with them bit for bit, over at least ten seeds
+where the output has a seed; only the ``applied`` IPW weights, whose
+matrix-vector product the package takes over all survivors at once, agree
+to a relative 1e-12.
 """
 
 import dataclasses
@@ -27,7 +30,14 @@ from seqcoupon.simulator import (
     rollout_arms,
     run_rct,
 )
-from seqcoupon.uplift import fit_predictor_pair, predict_arrays, round1_arm_probabilities
+from seqcoupon import uplift
+from seqcoupon.uplift import (
+    fit_predictor_pair,
+    fit_second_round,
+    predict_arrays,
+    round1_arm_probabilities,
+    round1_training_dataset,
+)
 
 import oracles
 
@@ -316,3 +326,54 @@ class TestComparisonPerSeed:
             got = compare_strategies(config, pair, constraint, SEEDS, 2.0)
             want = oracles.compare_strategies_per_strategy(config, pair, constraint, SEEDS, 2.0)
             assert got == want
+
+
+def arms_apart_in_one_field(purpose, validity_h):
+    """Three coupons that share a discount: two differ only in validity, two only in cap."""
+    return CouponSet(arms=(
+        CouponConfig.none(),
+        CouponConfig(10, validity_h, 2000),
+        CouponConfig(10, validity_h / 2, 2000),
+        CouponConfig(10, validity_h, 1000),
+    ), purpose=purpose)
+
+
+@pytest.fixture(scope="module")
+def trials(small_world, round1_menu):
+    """(catalog, round-1 log, round-2 log, round-1 menu): the shared trial, and
+    one whose arms differ only in validity or only in cap."""
+    menu1, menu2 = arms_apart_in_one_field("round1", 72.0), arms_apart_in_one_field("round2", 48.0)
+    cat = CatalogArrays.from_items(small_world["items"])
+    log1, _, log2 = run_rct(small_world["gt"], cat, menu1, menu2, [0.25] * 4, [0.25] * 4, seed=5)
+    return {"shared": (cat, small_world["log1"], small_world["log2"], round1_menu),
+            "one_field_apart": (cat, log1, log2, menu1)}
+
+
+class TestColumnarTrainingEncoder:
+    """Each log encoded in one call against the arm-by-arm builders."""
+
+    @pytest.mark.parametrize("trial", ["shared", "one_field_apart"])
+    def test_round1_features(self, trials, trial):
+        cat, log1, _, _ = trials[trial]
+        same_bits(round1_training_dataset(cat, log1).features,
+                  oracles.round1_features_per_arm(cat, log1))
+
+    @pytest.mark.parametrize("variant", ["mean", "applied"])
+    @pytest.mark.parametrize("pair", [0, 2])  # a logistic and a boosted first model
+    @pytest.mark.parametrize("trial", ["shared", "one_field_apart"])
+    def test_round2_features_and_weights(self, trials, pairs, monkeypatch, trial, pair,
+                                         variant):
+        cat, log1, log2, menu1 = trials[trial]
+        first, epsilon = pairs[pair].first, uplift.IPW_EPSILON_DEFAULT
+        datasets = []  # the design fit_second_round hands to train
+        monkeypatch.setattr(uplift, "train", lambda data, config: datasets.append(data))
+        fit_second_round(cat, log1, log2, first, menu1, LearnerConfig(), epsilon, variant)
+        (got,) = datasets
+        features, weights = oracles.round2_features_per_arm(
+            cat, log1, log2, first, menu1, epsilon, variant
+        )
+        same_bits(got.features, features)
+        if variant == "mean":
+            same_bits(got.weights, weights)
+        else:
+            np.testing.assert_allclose(got.weights, weights, rtol=1e-12, atol=0)

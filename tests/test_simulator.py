@@ -285,6 +285,39 @@ class TestCatalogArrays:
                                                      rf"\|yen\| must be below 2\*\*53, got "):
                     build()
 
+    @pytest.mark.parametrize(
+        "column,field,value,message",
+        [
+            ("price", "price_yen", 3000.9, "price_yen must be an integer, got 3000.9"),
+            ("condition", "condition", 4.5, "condition must be an integer, got 4.5"),
+            ("likes", "likes", 2.7, "likes must be an integer, got 2.7"),
+            ("likes", "likes", math.nan, "likes must be an integer, got nan"),
+            ("ltv", "seller_ltv_yen", 5000.5, "seller_ltv_yen must be an integer, got 5000.5"),
+            ("condition", "condition", 2.0**63, f"condition is out of range, got {2.0**63}"),
+        ],
+    )
+    def test_non_integral_value_refused_before_any_cast(self, column, field, value, message):
+        cat = generate_catalog_arrays(SimConfig(n_items=20, rng_seed=5))
+        columns = {name: getattr(cat, name) for name in CATALOG_COLUMNS}
+        columns[column] = columns[column].astype(float)
+        columns[column][7] = value
+        items = cat.to_items()
+        items[7] = dataclasses.replace(items[7], **{field: value})
+        for build in (lambda: CatalogArrays.from_columns(**columns),
+                      lambda: CatalogArrays.from_items(items)):
+            with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+                build()
+
+    def test_whole_floats_are_taken_as_integers(self):
+        cat = generate_catalog_arrays(SimConfig(n_items=20, rng_seed=5))
+        columns = {name: getattr(cat, name) for name in CATALOG_COLUMNS}
+        for name in ("price", "condition", "likes", "ltv"):
+            columns[name] = columns[name].astype(float)
+        again = CatalogArrays.from_columns(**columns)
+        for name in ("price", "condition", "likes", "ltv"):
+            assert getattr(again, name).dtype == np.int64
+            assert np.array_equal(getattr(again, name), getattr(cat, name))
+
     def test_column_lengths_must_agree(self):
         cat = generate_catalog_arrays(SimConfig(n_items=5, rng_seed=5))
         columns = {name: getattr(cat, name) for name in CATALOG_COLUMNS}

@@ -34,7 +34,6 @@ from seqcoupon.uplift import (
     predict_batch,
     round1_arm_probabilities,
     round1_training_dataset,
-    _rows_by_arm,
 )
 
 from test_domain import make_item
@@ -134,26 +133,6 @@ class TestIpwWeights:
             ipw_weights(first, three_items, OutcomeLog.from_records(records), round1_menu)
         with pytest.raises(InputError):
             ipw_weights(first, three_items, OutcomeLog.from_records(records[:2]), round1_menu)
-
-
-class TestRowsByArm:
-    def test_arms_differing_in_any_coupon_field_are_apart(self):
-        arms = [
-            CouponConfig.none(),
-            CouponConfig(10, 72.0, 2000),
-            CouponConfig(10, 48.0, 2000),
-            CouponConfig(10, 72.0, 1000),
-        ]
-        pattern = [1, 0, 2, 3, 1, 2, 0, 3, 1]
-        log = OutcomeLog.from_records(
-            [unsold(f"it{i}", coupon=arms[a]) for i, a in enumerate(pattern)]
-        )
-        got = {coupon: idx.tolist() for coupon, idx in _rows_by_arm(log)}
-        assert got == {arms[a]: [i for i, p in enumerate(pattern) if p == a] for a in range(4)}
-        # With a row subset, positions index the subset: rows 8, 2, 5, 0 hold arms 1, 2, 2, 1.
-        got = {coupon: idx.tolist() for coupon, idx in _rows_by_arm(log, np.array([8, 2, 5, 0]))}
-        assert got == {arms[1]: [0, 3], arms[2]: [1, 2]}
-        assert _rows_by_arm(OutcomeLog.from_records([])) == []
 
 
 class TestRound1TrainingDataset:

@@ -190,7 +190,7 @@ def cmd_allocate(args: argparse.Namespace) -> None:
     pair = _load_pair(run)
     catalog = _read_catalog(run)
     rows = np.flatnonzero(~_sold_rows(cfg, catalog))
-    cat = catalog.take(rows[np.argsort(np.array(catalog.ids)[rows], kind="stable")])
+    cat = catalog.take(rows[np.argsort(catalog.ids[rows], kind="stable")])
     p1, _, p2, p_baseline = predict_arrays(pair, cat.matrix, cat.age_days, cfg.attach_delay_h)
     j, k, feasible = allocate_batch(
         p1, p2, p_baseline, cat.price, cat.ltv,

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import configparser
 import itertools
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -142,11 +143,12 @@ def _default_set(arms, purpose: str) -> CouponSet:
 def _parse_scalar(raw: str, target_type, where: str):
     raw = raw.strip()
     try:
-        return target_type(raw)
+        value = target_type(raw)
     except ValueError:
-        raise InputError(
-            f"{where}: expected {target_type.__name__}, got {raw!r}"
-        ) from None
+        raise InputError(f"{where}: expected {target_type.__name__}, got {raw!r}") from None
+    if target_type is float and not math.isfinite(value):
+        raise InputError(f"{where}: expected a finite number, got {raw!r}")
+    return value
 
 
 def _parse_tuple(raw: str, target_type, where: str) -> tuple:

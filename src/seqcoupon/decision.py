@@ -18,12 +18,12 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, fields
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .domain import CatalogArrays, CouponConfig, CouponSet, ItemRecord, _check_column
-from .domain import coupon_columns, coupon_cost_rows
+from .domain import _id_column, coupon_columns, coupon_cost_rows
 from .errors import InputError
 from .uplift import ItemPredictions
 
@@ -81,7 +81,7 @@ class PlanTable:
     plan rows, and ``allocate`` takes its plan from a table.
     """
 
-    item_ids: tuple[str, ...]
+    item_ids: np.ndarray  # S, UTF-8
     j_index: np.ndarray
     k_index: np.ndarray
     j_discount_pct: np.ndarray
@@ -328,7 +328,7 @@ def _chosen_costs(prices, j, k, round1_set: CouponSet, round2_set: CouponSet):
 
 
 def materialize_plans(
-    item_ids: Sequence[str],
+    item_ids,
     j: np.ndarray,
     k: np.ndarray,
     feasible: np.ndarray,
@@ -342,8 +342,8 @@ def materialize_plans(
     constraint: PolicyConstraint,
     attach_delay_h: float = DEFAULT_ATTACH_DELAY_H,
 ) -> PlanTable:
-    """Expand batch arm choices into a table of full plan rows, pricing the
-    chosen cells with the same array economics as the allocators."""
+    """Expand batch arm choices into a table of full plan rows (``item_ids``: ``S`` or
+    ``str``s), pricing the chosen cells with the same array economics as the allocators."""
     rows = np.arange(len(item_ids))
     p_round1, p_round2 = p1[rows, j], p2[rows, k]
     pc, cost, lift, r = _economics(
@@ -353,7 +353,7 @@ def materialize_plans(
     j_disc, j_validity, j_cap = (c[j] for c in coupon_columns(round1_set))
     k_disc, k_validity, k_cap = (c[k] for c in coupon_columns(round2_set))
     return PlanTable(
-        item_ids=tuple(item_ids), j_index=j, k_index=k,
+        item_ids=_id_column(item_ids, "item_id"), j_index=j, k_index=k,
         j_discount_pct=j_disc, j_validity_h=j_validity, j_cap=j_cap,
         k_discount_pct=k_disc, k_validity_h=k_validity, k_cap=k_cap,
         attach_delay_h=np.full(len(rows), float(attach_delay_h)),

@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -179,10 +180,11 @@ def coupon_columns(coupons: Iterable[CouponConfig]) -> tuple[np.ndarray, ...]:
 
 
 def _check_column(bad: np.ndarray, column, message: str) -> None:
-    """Raise ``InputError(message.format(first bad value))`` if any row is bad."""
+    """Raise ``InputError(message.format(first bad value))`` if any row is bad (ids as str)."""
     if bad.any():
         value = column[int(np.argmax(bad))]
-        raise InputError(message.format(value.item() if hasattr(value, "item") else value))
+        value = value.item() if hasattr(value, "item") else value
+        raise InputError(message.format(value.decode() if isinstance(value, bytes) else value))
 
 
 def _check_yen(column, name: str, rows=True) -> np.ndarray:
@@ -234,34 +236,44 @@ def _check_coupons(discount_pct, validity_hours, cap_yen) -> tuple[np.ndarray, .
     return disc, validity, cap
 
 
-def _check_unique_ids(ids: Sequence[str], what: str) -> None:
-    """Refuse a repeated id, naming the first row whose id was seen before."""
-    if len(set(ids)) == len(ids):
+def _id_column(ids, name: str) -> np.ndarray:
+    """Ids as one ``S`` array of their UTF-8 bytes: an ``S`` array as is, ``str``s encoded
+    one at a time. ``S`` drops trailing NULs, so a ``str`` holding NUL is refused."""
+    if isinstance(ids, np.ndarray) and ids.dtype.kind == "S":
+        return ids
+    nul = np.fromiter(map(str.__contains__, ids, repeat("\0")), bool, len(ids))
+    _check_column(nul, ids, f"{name} must not contain NUL, got {{!r}}")
+    width = max(map(len, map(str.encode, ids)), default=1)
+    return np.fromiter(map(str.encode, ids), f"S{width}", len(ids))
+
+
+def _check_unique_ids(ids: np.ndarray, what: str) -> None:
+    """Refuse a repeated id, naming the first row whose id was seen before. A column
+    in ascending order (UTF-8 byte order is ``str`` order), as simulated catalogs, logs
+    and the files written from them are, passes without a sort."""
+    if (ids[1:] > ids[:-1]).all():
         return
-    seen = set()
-    for item_id in ids:
-        if item_id in seen:
-            raise InputError(f"{what} repeats item id {item_id!r}")
-        seen.add(item_id)
+    order = np.argsort(ids, kind="stable")
+    repeats = order[1:][ids[order[1:]] == ids[order[:-1]]]
+    if len(repeats):
+        raise InputError(f"{what} repeats item id {ids[repeats.min()].decode()!r}")
 
 
-def _id_rows(own: Sequence[str], ids: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """For each of ``ids``, a row of ``own`` holding that id, and whether one does.
+def _id_rows(own: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each ``S`` id of ``ids``, a row of ``own`` holding that id, and whether one does.
 
     ``own`` must not repeat an id. One sort of ``own`` (skipped when it is
-    already sorted) and one ``searchsorted`` join the whole sequence.
+    already sorted) and one ``searchsorted`` join the whole column.
     """
-    own, ids = tuple(own), tuple(ids)
-    if ids == own:
+    if len(ids) == len(own) and (ids == own).all():
         return np.arange(len(ids)), np.ones(len(ids), dtype=bool)
-    if not ids or not own:
+    if not len(ids) or not len(own):
         return np.zeros(len(ids), dtype=np.intp), np.zeros(len(ids), dtype=bool)
-    have, want = np.array(own), np.array(ids)
-    order = None if (have[1:] > have[:-1]).all() else np.argsort(have, kind="stable")
-    rows = np.minimum(np.searchsorted(have, want, sorter=order), len(have) - 1)
+    order = None if (own[1:] > own[:-1]).all() else np.argsort(own, kind="stable")
+    rows = np.minimum(np.searchsorted(own, ids, sorter=order), len(own) - 1)
     if order is not None:
         rows = order[rows]
-    return rows, have[rows] == want
+    return rows, own[rows] == ids
 
 
 @dataclass(frozen=True)
@@ -271,10 +283,10 @@ class OutcomeLog:
     The coupon is split into ``discount_pct``/``validity_hours``/``cap_yen``
     (validity and cap are 0 on no-coupon rows). ``purchase_delay_h`` is NaN
     and ``sale_price_yen``/``coupon_cost_yen`` are 0 where the item did not
-    sell. Iterating yields ``OutcomeRecord``s built on demand.
+    sell. Ids are UTF-8 bytes (``S``). Iterating yields ``OutcomeRecord``s built on demand.
     """
 
-    item_ids: tuple[str, ...]
+    item_ids: np.ndarray  # S, UTF-8
     round: np.ndarray  # int64, 1 or 2
     discount_pct: np.ndarray  # int64
     validity_hours: np.ndarray
@@ -295,7 +307,7 @@ class OutcomeLog:
         The last three columns are floats with NaN for a missing value (a
         record's None); yen amounts must be integers below 2**53.
         """
-        item_ids = tuple(item_ids)
+        item_ids = _id_column(item_ids, "item_id")
         columns = [np.asarray(c) for c in (round, discount_pct, validity_hours, cap_yen,
                                            attach_delay_h, sold, purchase_delay_h,
                                            sale_price_yen, coupon_cost_yen)]
@@ -362,9 +374,9 @@ class OutcomeLog:
 
     def __iter__(self):
         coupons: dict[tuple, CouponConfig] = {}
-        for row in zip(self.item_ids, self.round.tolist(), self.discount_pct.tolist(),
-                       self.validity_hours.tolist(), self.cap_yen.tolist(),
-                       self.attach_delay_h.tolist(), self.sold.tolist(),
+        for row in zip(map(bytes.decode, self.item_ids), self.round.tolist(),
+                       self.discount_pct.tolist(), self.validity_hours.tolist(),
+                       self.cap_yen.tolist(), self.attach_delay_h.tolist(), self.sold.tolist(),
                        self.purchase_delay_h.tolist(), self.sale_price_yen.tolist(),
                        self.coupon_cost_yen.tolist()):
             item_id, round_, disc, validity, cap, attach, sold, t, price, cost = row
@@ -388,10 +400,11 @@ class CatalogArrays:
     Row i of every column describes the same item; ``matrix`` holds its raw
     item features and ``keys`` its ``rng.item_key``. The keys are hashed on
     first use, so a catalog that only trains, plans or evaluates hashes none.
+    The ids and seller ids are UTF-8 bytes (``S``); records carry them as ``str``.
     """
 
-    ids: tuple[str, ...]
-    seller_ids: tuple[str, ...]
+    ids: np.ndarray  # S, UTF-8
+    seller_ids: np.ndarray  # S, UTF-8
     price: np.ndarray  # int64 yen
     condition: np.ndarray  # int64, 1..5
     age_days: np.ndarray
@@ -411,7 +424,7 @@ class CatalogArrays:
     def from_columns(cls, ids, seller_ids, price, condition, age_days, likes, demand,
                      season, ltv, key_ts) -> "CatalogArrays":
         """Validate the columns, one ``ItemRecord`` field each, then featurise."""
-        ids, seller_ids = tuple(ids), tuple(seller_ids)
+        ids, seller_ids = _id_column(ids, "item_id"), _id_column(seller_ids, "seller_id")
         price = _int64(_check_yen(price, "price_yen"), "price_yen")
         condition = _int64(condition, "condition")
         age_days = np.asarray(age_days, dtype=float)
@@ -451,8 +464,8 @@ class CatalogArrays:
             return kind([getattr(it, field) for it in items])
 
         return cls.from_columns(
-            ids=column("item_id", tuple),
-            seller_ids=column("seller_id", tuple),
+            ids=column("item_id", list),
+            seller_ids=column("seller_id", list),
             price=column("price_yen"),
             condition=column("condition"),
             age_days=column("age_days"),
@@ -468,9 +481,10 @@ class CatalogArrays:
         return [
             ItemRecord(*row)
             for row in zip(
-                self.ids, self.seller_ids, self.price.tolist(), self.condition.tolist(),
-                self.age_days.tolist(), self.likes.tolist(), self.demand.tolist(),
-                self.season.tolist(), self.ltv.tolist(), self.key_ts.tolist(),
+                map(bytes.decode, self.ids), map(bytes.decode, self.seller_ids),
+                self.price.tolist(), self.condition.tolist(), self.age_days.tolist(),
+                self.likes.tolist(), self.demand.tolist(), self.season.tolist(),
+                self.ltv.tolist(), self.key_ts.tolist(),
             )
         ]
 
@@ -479,10 +493,8 @@ class CatalogArrays:
 
         Keys already hashed are carried over; otherwise they stay unhashed.
         """
-        index = rows.tolist()
-        ids, seller_ids = (tuple(map(c.__getitem__, index)) for c in (self.ids, self.seller_ids))
         taken = CatalogArrays(
-            ids=ids, seller_ids=seller_ids, price=self.price[rows],
+            ids=self.ids[rows], seller_ids=self.seller_ids[rows], price=self.price[rows],
             condition=self.condition[rows], age_days=self.age_days[rows],
             likes=self.likes[rows], demand=self.demand[rows], season=self.season[rows],
             ltv=self.ltv[rows], key_ts=self.key_ts[rows], matrix=self.matrix[rows],
@@ -491,10 +503,10 @@ class CatalogArrays:
             taken.__dict__["keys"] = self.keys[rows]
         return taken
 
-    def rows_of(self, ids: Sequence[str]) -> np.ndarray:
-        """The catalog row of each id, in the order given; an unknown id raises."""
+    def rows_of(self, ids: np.ndarray) -> np.ndarray:
+        """The catalog row of each ``S`` id, in the order given; an unknown id raises."""
         rows, found = _id_rows(self.ids, ids)
-        _check_column(~found, tuple(ids), "log references unknown item {!r}")
+        _check_column(~found, ids, "log references unknown item {!r}")
         return rows
 
     def __len__(self) -> int:

@@ -45,7 +45,6 @@ STRATEGY_ORDER = (STRATEGY_RANDOM, STRATEGY_INDEPENDENT, STRATEGY_SEQUENTIAL)
 
 DEFAULT_BUCKET_H = 2.0
 DEFAULT_DECILES = 10
-DEFAULT_BOOTSTRAP_B = 200
 
 
 # ---------------------------------------------------------------------------

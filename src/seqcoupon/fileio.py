@@ -178,11 +178,12 @@ TEXT_CELL, INT_CELL = "%s", "%d"
 def _write_table(path: str, header: str, cell_formats: Sequence[str], n_rows: int,
                  columns) -> None:
     """Write the header and ``n_rows`` rows; ``columns(block)`` gives every
-    column's values for a slice of rows, as sequences of Python values.
+    column's values for a slice of rows, as iterables of Python values.
 
     Each row is formatted by one ``%`` of the joined ``cell_formats`` on its
     values. Rows are formatted one block at a time, so that only one block's
-    cells are alive at once rather than every cell of the table.
+    cells are alive at once rather than every cell of the table; an id
+    column is decoded as a ``map``, so only its row's id is alive.
     """
     row_format = ",".join(cell_formats)
     with open(path, "w", newline="\n") as fh:
@@ -205,7 +206,7 @@ def write_catalog(items: Sequence[ItemRecord] | CatalogArrays, path: str) -> Non
         (TEXT_CELL, TEXT_CELL, INT_CELL, INT_CELL, FLOAT_CELL, INT_CELL, FLOAT_CELL,
          FLOAT_CELL, INT_CELL, FLOAT_CELL),
         len(cat),
-        lambda rows: [cat.ids[rows], cat.seller_ids[rows],
+        lambda rows: [map(bytes.decode, cat.ids[rows]), map(bytes.decode, cat.seller_ids[rows]),
                       *(column[rows].tolist() for column in numeric)],
     )
 
@@ -258,7 +259,7 @@ def write_outcomes(records: OutcomeLog, path: str) -> None:
             return [next(sold_cells) if s else "" for s in flags]
 
         return [
-            records.item_ids[rows],
+            map(bytes.decode, records.item_ids[rows]),
             *(column[rows].tolist() for column in (
                 records.round, records.discount_pct, records.validity_hours, records.cap_yen,
                 records.attach_delay_h,
@@ -299,7 +300,7 @@ def _outcome_columns(table: np.ndarray) -> dict:
     if not set(sold.tolist()) <= {"0", "1"}:
         raise ValueError("column 'sold' must be 0 or 1")
     none = table["discount_pct"] == 0
-    # A no-coupon row's validity and cap cells are not read.
+    # A no-coupon row's cap cell is not read; ``_check_coupons`` zeroes its validity.
     cap = np.where(none, 0, table["cap_yen"])
     price = _sale_values(table["sale_price_yen"], int)
     cost = _sale_values(table["coupon_cost_yen"], int)
@@ -308,7 +309,7 @@ def _outcome_columns(table: np.ndarray) -> dict:
         item_ids=_field(table, "item_ids"),
         round=_field(table, "round"),
         discount_pct=_field(table, "discount_pct"),
-        validity_hours=np.where(none, 0.0, table["validity_hours"]),
+        validity_hours=_field(table, "validity_hours"),
         cap_yen=cap,
         attach_delay_h=_field(table, "attach_delay_h"),
         sold=sold == "1",
@@ -365,7 +366,8 @@ def write_plans(plans: PlanTable, path: str) -> None:
         path, PLAN_HEADER,
         (TEXT_CELL, *(INT_CELL, FLOAT_CELL, INT_CELL) * 2, *(FLOAT_CELL,) * 8, INT_CELL),
         len(plans),
-        lambda rows: [plans.item_ids[rows], *(column[rows].tolist() for column in numeric)],
+        lambda rows: [map(bytes.decode, plans.item_ids[rows]),
+                      *(column[rows].tolist() for column in numeric)],
     )
 
 

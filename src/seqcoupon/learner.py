@@ -110,6 +110,8 @@ class Model:
     grad_norm: Optional[float] = None
 
     def __post_init__(self):
+        if self.kind not in (KIND_LOGISTIC, KIND_BOOSTED):
+            raise InputError(f"unknown model kind {self.kind!r}")
         mean = np.asarray(self.feature_mean, dtype=float)
         scale = np.asarray(self.feature_scale, dtype=float)
         object.__setattr__(self, "feature_mean", mean)

@@ -41,13 +41,12 @@ def item_key(item_id: str) -> int:
 _blake2s_8 = functools.partial(hashlib.blake2s, digest_size=8)
 
 
-def item_keys(item_ids) -> np.ndarray:
-    """``item_key`` for many ids: the digests are joined and read as one buffer.
-
-    Encoding, hashing and digesting run through ``map`` over C callables, so
+def item_keys(item_ids: np.ndarray) -> np.ndarray:
+    """``item_key`` for an ``S`` array of UTF-8 ids: the digests are joined and read
+    as one buffer. Hashing and digesting run through ``map`` over C callables, so
     no Python frame runs per id.
     """
-    digests = b"".join(map(hashlib.blake2s.digest, map(_blake2s_8, map(str.encode, item_ids))))
+    digests = b"".join(map(hashlib.blake2s.digest, map(_blake2s_8, item_ids)))
     return np.frombuffer(digests, dtype="<u8").astype(np.uint64)
 
 

@@ -141,35 +141,27 @@ class GroundTruth:
         return np.clip(p, 1e-15, 1.0 - 1e-15)
 
 
-# Ids are built this many at a time, so the digit buffer and its text stay
-# small beside the ids themselves.
-_ID_BLOCK = 4096
+def _serial_ids(prefix: str, numbers: range) -> np.ndarray:
+    """``f"{prefix}{i:07d}"`` for a step-1 range of i >= 0, as an ``S`` array of UTF-8.
 
-
-def _serial_ids(prefix: str, numbers: range) -> tuple[str, ...]:
-    """``tuple(f"{prefix}{i:07d}" for i in numbers)`` for a step-1 range of i >= 0.
-
-    Each id is one fixed-width row of a ``uint8`` buffer: the prefix, the
-    zero-padded digits and a newline. A block of rows is decoded and split
-    at once, so no Python frame runs per id. Numbers from 10**7 on take 8
-    digits (and so on), so a block never spans two digit widths.
+    Each id is one row of a zeroed ``uint8`` buffer, the prefix then the
+    zero-padded digits, viewed as ``S`` rows, so no Python object is built per
+    id. Numbers from 10**7 on take 8 digits (and so on); a shorter id ends in
+    the NUL padding that ``S`` drops.
     """
-    head = np.frombuffer(prefix.encode("ascii"), dtype=np.uint8)
-    ids: list[str] = []
-    lo, stop = numbers.start, numbers.stop
-    while lo < stop:
+    head = np.frombuffer(prefix.encode(), dtype=np.uint8)
+    start, lo, stop = numbers.start, numbers.start, numbers.stop
+    rows = np.zeros((stop - lo, len(head) + max(7, len(str(stop - 1)))), dtype=np.uint8)
+    rows[:, : len(head)] = head
+    while lo < stop:  # one pass per digit width
         width = max(7, len(str(lo)))
-        hi = min(stop, lo + _ID_BLOCK, 10**width)
+        hi = min(stop, 10**width)
         rest = np.arange(lo, hi, dtype=np.int64)
-        rows = np.empty((hi - lo, len(head) + width + 1), dtype=np.uint8)
-        rows[:, : len(head)] = head
         for col in range(len(head) + width - 1, len(head) - 1, -1):
             rest, digit = np.divmod(rest, 10)
-            rows[:, col] = digit + ord("0")
-        rows[:, -1] = ord("\n")
-        ids += str(rows.reshape(-1)[:-1], "ascii").split("\n")
+            rows[lo - start : hi - start, col] = digit + ord("0")
         lo = hi
-    return tuple(ids)
+    return rows.view(f"S{rows.shape[1]}").reshape(-1)
 
 
 def _draw_catalog(config: SimConfig, lent: Optional["CatalogIds"] = None) -> dict:
@@ -221,7 +213,7 @@ def generate_catalog_arrays(
 
     ``same_ids_as``, a catalog this function drew under any seed with at least
     ``n_items`` rows (or its ``catalog_ids``), lends the id and seller-id
-    tuples and any keys it has hashed of its first ``n_items`` rows.
+    columns and any keys it has hashed of its first ``n_items`` rows.
     Those depend on the row number alone, so a caller drawing many catalogs
     builds and hashes them once. A lender of exactly ``n_items`` rows lends
     its own objects.
@@ -242,14 +234,14 @@ def generate_catalog_arrays(
 class CatalogIds:
     """The columns of a simulated catalog that depend on the row number alone.
 
-    The id and seller-id tuples, plus the ``rng.item_keys`` of the ids where
-    they were hashed (else None). It holds no numeric column, so it
+    The id and seller-id ``S`` columns, plus the ``rng.item_keys`` of the ids
+    where they were hashed (else None). It holds no numeric column, so it
     can lend ids to later catalogs after the one it came from is freed. A
     plain class: building a dataclass (about 0.6 ms) would add to every
     command's start-up.
     """
 
-    def __init__(self, ids: tuple[str, ...], seller_ids: tuple[str, ...],
+    def __init__(self, ids: np.ndarray, seller_ids: np.ndarray,
                  keys: Optional[np.ndarray] = None):
         self.ids, self.seller_ids, self.keys = ids, seller_ids, keys
 
@@ -260,15 +252,15 @@ class CatalogIds:
 def catalog_ids(source: "CatalogArrays | CatalogIds", n: int) -> CatalogIds:
     """The ids, seller ids and hashed keys of the first ``n`` rows of ``source``.
 
-    ``n`` is at most ``len(source)``. At full length the tuples and keys are
-    ``source``'s own objects; a shorter prefix is copied, so the rows past
+    ``n`` is at most ``len(source)``. At full length the columns and keys are
+    ``source``'s own arrays; a shorter prefix is copied, so the rows past
     ``n`` are freed with ``source``.
     """
     # A CatalogArrays holds "keys" in its __dict__ only once they are hashed.
-    keys = source.__dict__.get("keys")
-    if keys is not None and n < len(keys):
-        keys = keys[:n].copy()
-    return CatalogIds(source.ids[:n], source.seller_ids[:n], keys)
+    columns = (source.ids, source.seller_ids, source.__dict__.get("keys"))
+    if n < len(source):
+        columns = (None if c is None else c[:n].copy() for c in columns)
+    return CatalogIds(*columns)
 
 
 def purchase_rate(config: SimConfig, price_yen) -> np.ndarray:
@@ -358,8 +350,8 @@ def _two_rounds(draws: _RoundDraws, menu1, arm1, delay1, menu2, arm2):
 
 
 def _id_rank(cat: CatalogArrays) -> np.ndarray:
-    """Each catalog row's position in item-id order."""
-    ids = np.array(cat.ids)
+    """Each catalog row's position in item-id order (UTF-8 byte order is ``str`` order)."""
+    ids = cat.ids
     if (ids[1:] > ids[:-1]).all():
         return np.arange(len(ids))
     rank = np.empty(len(ids), dtype=np.intp)
@@ -378,7 +370,7 @@ def _round_log(cat, rank, round, rows, menu, arm, delay, sold, t) -> OutcomeLog:
     disc, validity, cap = (c[arm] for c in menu)
     price = cat.price[rows]
     return OutcomeLog.from_columns(
-        item_ids=tuple(map(cat.ids.__getitem__, rows.tolist())),
+        item_ids=cat.ids[rows],
         round=np.full(len(rows), round),
         discount_pct=disc,
         validity_hours=validity,
@@ -434,7 +426,7 @@ def run_rct(
         gt, cat, coupon_columns(round1_set), arm1, delay1,
         coupon_columns(round2_set), arm2, seed,
     )
-    return round1_log, list(round2_log.item_ids), round2_log
+    return round1_log, list(map(bytes.decode, round2_log.item_ids)), round2_log
 
 
 PolicyFn = Callable[[ItemRecord], tuple[tuple[CouponConfig, float], CouponConfig]]

@@ -201,7 +201,7 @@ def ipw_weights(
     cat = _as_catalog(items)
     if len(cat) != len(round1_records):
         raise InputError("items and round-1 records must be aligned")
-    if cat.ids != round1_records.item_ids:
+    if (cat.ids != round1_records.item_ids).any():
         raise InputError("items and round-1 records must be aligned by item_id")
     return _ipw(first, cat.matrix, round1_records, None, round1_set, epsilon, variant)[0]
 

@@ -581,12 +581,10 @@ def _simulate_rounds(
 
 
 def _id_rank(cat: CatalogArrays) -> np.ndarray:
-    """Each catalog row's position in item-id order."""
-    ids = np.array(cat.ids)
-    if (ids[1:] > ids[:-1]).all():
-        return np.arange(len(ids))
+    """Each catalog row's position in item-id order, the ids sorted as ``str``s."""
+    ids = id_strs(cat.ids)
     rank = np.empty(len(ids), dtype=np.intp)
-    rank[np.argsort(ids)] = np.arange(len(ids))
+    rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
     return rank
 
 
@@ -599,7 +597,7 @@ def _round_log(cat, rank, rows, round, disc, validity, cap, delay, sold, t) -> O
     rows, disc, cap, sold = rows[order], disc[order], cap[order], sold[order]
     price = cat.price[rows]
     return OutcomeLog.from_columns(
-        item_ids=tuple(map(cat.ids.__getitem__, rows.tolist())),
+        item_ids=list(map(id_strs(cat.ids).__getitem__, rows.tolist())),
         round=np.full(len(rows), round),
         discount_pct=disc,
         validity_hours=validity[order],
@@ -956,3 +954,8 @@ def compare_strategies_per_strategy(
 def serial_ids_per_item(prefix, numbers):
     """The simulator's item and seller ids, one f-string per number."""
     return tuple(f"{prefix}{i:07d}" for i in numbers)
+
+
+def id_strs(column):
+    """An ``S`` id column's ids, each decoded from UTF-8 on its own."""
+    return [value.decode("utf-8") for value in column.tolist()]

@@ -1,11 +1,16 @@
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
+import textwrap
 import weakref
 from types import SimpleNamespace
 
 import pytest
 
+import seqcoupon
 from seqcoupon import cli, fileio, rng
 from seqcoupon.cli import main
 from seqcoupon.decision import AllocationPlan
@@ -95,7 +100,7 @@ class TestPipeline:
         log2 = fileio.read_outcomes(f"{ws['sim']}/round2_log.csv")
         assert len(catalog) == 800
         assert len(log1) == 800
-        all_ids = set(catalog.ids)
+        all_ids = {it.item_id for it in catalog.to_items()}
         sold1 = {r.item_id for r in log1 if r.sold}
         assert {r.item_id for r in log2} == all_ids - sold1
 
@@ -127,7 +132,7 @@ class TestPipeline:
         sold = set()
         for name in ("round1_log.csv", "round2_log.csv"):
             sold |= {r.item_id for r in fileio.read_outcomes(f"{ws['sim']}/{name}") if r.sold}
-        expected = sorted(set(catalog.ids) - sold)
+        expected = sorted({it.item_id for it in catalog.to_items()} - sold)
         lines = read_lines(f"{ws['alloc']}/plans.csv")
         assert lines[0] == fileio.PLAN_HEADER
         assert [line.split(",")[0] for line in lines[1:]] == expected
@@ -200,6 +205,31 @@ def test_pipeline_builds_no_per_row_records(tmp_path, monkeypatch):
                          ("evaluate", "eval"), ("compare", "cmp")):
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / out), "--quiet"]) == 0
     assert built == []
+
+
+def test_commands_import_no_numpy_module_but_random(tmp_path):
+    """Every command runs on the numpy modules that ``import seqcoupon.cli`` loads,
+    plus ``numpy.random``: a lazily loaded submodule (``numpy.strings``,
+    ``numpy.char``, ``numpy.ma``, ...) costs every process its import time."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(sim_config_text(tmp_path / "sim", tmp_path / "model", n_items=300)
+                   .replace("train_n_items = 1200", "train_n_items = 400"))
+    script = textwrap.dedent(f"""
+        import os, sys
+        import seqcoupon.cli as cli
+        before = set(sys.modules)
+        for command, out in (("simulate", "sim"), ("train", "model"), ("allocate", "alloc"),
+                             ("evaluate", "eval"), ("compare", "cmp")):
+            out = os.path.join({str(tmp_path)!r}, out)
+            assert cli.main([command, "--config", {str(cfg)!r}, "--out", out, "--quiet"]) == 0
+        print(*sorted(m for m in set(sys.modules) - before if m.startswith("numpy")))
+    """)
+    src = os.path.dirname(os.path.dirname(seqcoupon.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    loaded = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                            text=True, check=True).stdout.split()
+    assert "numpy.random" in loaded
+    assert [m for m in loaded if m.split(".")[:2] != ["numpy", "random"]] == []
 
 
 def test_reading_commands_hash_no_item_keys(tmp_path, monkeypatch):
@@ -442,6 +472,26 @@ class TestExitCodes:
         assert main(["allocate", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
         assert str(pair) in capsys.readouterr().err
         assert not (out / "plans.csv").exists()
+
+    @pytest.mark.parametrize("command", ["allocate", "evaluate"])
+    @pytest.mark.parametrize("kind", ["x", None, []])
+    def test_unknown_model_kind_exits_2_naming_the_file(self, ws, tmp_path, capsys, command,
+                                                          kind):
+        """An unknown kind was read as a stump model with no stumps, scoring every
+        row as the sigmoid of the intercept."""
+        model = tmp_path / "model"
+        shutil.copytree(ws["model"], model)
+        artifact = model / fileio.FIRST_MODEL_FILE
+        payload = json.loads(artifact.read_text())
+        payload["kind"] = kind
+        artifact.write_text(json.dumps(payload))
+        cfg = tmp_path / "k.cfg"
+        cfg.write_text(sim_config_text(ws["sim"], model))
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+        assert (f"{artifact}: malformed model artifact: unknown model kind {kind!r}"
+                in capsys.readouterr().err)
+        assert sorted(p.name for p in out.iterdir()) == [fileio.MANIFEST_NAME]
 
     def test_no_holdout_training_log_exits_6(self, tmp_path):
         cfg = craft_single_arm_world(tmp_path, CouponConfig(10, 72.0, 1000))

@@ -1,8 +1,13 @@
+import re
 import textwrap
 
 import pytest
 
+from seqcoupon import cli
 from seqcoupon.config import (
+    _DATACLASS_SECTIONS,
+    _LEARNER_SECTION_TYPES,
+    _POLICY_TYPES,
     EvaluationSection,
     IoSection,
     LearnerSection,
@@ -179,11 +184,14 @@ class TestDiagnostics:
         with pytest.raises(InputError, match="'mean' or 'applied'"):
             load_config(path)
 
-    @pytest.mark.parametrize("cell", ["lift_threshold = 2", "ltv_override = -1",
-                                      "ltv_override = nan", "ltv_override = inf"])
-    def test_bad_constraint_rejected_at_load(self, tmp_path, cell):
+    @pytest.mark.parametrize("cell,message", [
+        ("lift_threshold = 2", "lift_threshold must"), ("ltv_override = -1", "ltv_override must"),
+        ("ltv_override = nan", "ltv_override: expected a finite number, got 'nan'"),
+        ("ltv_override = inf", "ltv_override: expected a finite number, got 'inf'"),
+    ])
+    def test_bad_constraint_rejected_at_load(self, tmp_path, cell, message):
         path = write_config(tmp_path, f"[policy]\n{cell}\n")
-        with pytest.raises(InputError, match=r"\[policy\] (lift_threshold|ltv_override) must"):
+        with pytest.raises(InputError, match=re.escape(f"[policy] {message}")):
             load_config(path)
 
     @pytest.mark.parametrize("value", ["0", "0.5", "0.7", "5", "-0.001"])
@@ -249,6 +257,37 @@ class TestDiagnostics:
         path.write_bytes(b"\xff\xfe\x00\x01binary")
         with pytest.raises(InputError, match="not a text file"):
             load_config(str(path))
+
+
+# Every float key of the type tables by section: scalars, comma lists and the grid lists.
+FLOAT_KEYS = [
+    (section, key)
+    for section, types in (
+        *((section, types) for section, _, types in _DATACLASS_SECTIONS.values()),
+        ("learner", _LEARNER_SECTION_TYPES), ("policy", _POLICY_TYPES),
+    )
+    for key, typ in types.items() if (typ[0] if isinstance(typ, tuple) else typ) is float
+]
+
+
+class TestNonFiniteFloats:
+    def test_the_tables_have_float_keys_in_every_numeric_section(self):
+        assert {section for section, _ in FLOAT_KEYS} == {
+            "simulator", "learner", "learner.second", "policy", "evaluation"}
+        assert ("simulator", "feature_weights") in FLOAT_KEYS
+        assert ("learner", "grid_l2") in FLOAT_KEYS
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("section,key", FLOAT_KEYS + [("coupons.round1", "arms")])
+    def test_exits_2_naming_the_key(self, tmp_path, capsys, section, key, value):
+        cell = f"10:{value}:1000" if key == "arms" else value
+        path = write_config(tmp_path, f"[{section}]\n{key} = {cell}\n")
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", path, "--out", str(out), "--quiet"]) == 2
+        named = f"arm {cell!r}" if key == "arms" else key
+        assert capsys.readouterr().err == (
+            f"error: {path}: [{section}] {named}: expected a finite number, got {value!r}\n")
+        assert not out.exists()
 
 
 class TestTolerantLists:

@@ -263,7 +263,7 @@ class TestAllocateIndependent:
 def plan_rows(table):
     """A ``PlanTable``'s rows as namespaces of plain Python values, one per plan."""
     names = [f.name for f in dataclasses.fields(table)]
-    columns = [list(c) if isinstance(c, tuple) else c.tolist()
+    columns = [oracles.id_strs(c) if c.dtype.kind == "S" else c.tolist()
                for c in (getattr(table, name) for name in names)]
     names[names.index("item_ids")] = "item_id"  # AllocationPlan's name
     return [SimpleNamespace(**dict(zip(names, values))) for values in zip(*columns)]

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seqcoupon import rng
 from seqcoupon.config import RunConfig
 from seqcoupon.domain import (
     CouponConfig,
@@ -190,6 +191,31 @@ class TestItemAndOutcomeRecords:
         for bad in (make_item(price_yen=0), make_item(seller_ltv_yen=0)):
             with pytest.raises(InputError):
                 CatalogArrays.from_items([bad])
+
+    @pytest.mark.parametrize("bad", ["it-1\0", "\0", "i\0t"])
+    @pytest.mark.parametrize("field", ["item_id", "seller_id"])
+    def test_an_id_holding_nul_is_refused(self, field, bad):
+        """``S`` columns drop trailing NULs, so such an id would come back changed."""
+        items = [make_item(item_id="it-0"), make_item(**{"item_id": "it-2", field: bad})]
+        columns = {name: [getattr(it, f) for it in items] for f, name in CATALOG_FIELDS.items()}
+        message = f"{field} must not contain NUL, got {bad!r}"
+        for build in (lambda: CatalogArrays.from_columns(**columns),
+                      lambda: CatalogArrays.from_items(items)):
+            with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+                build()
+        if field == "item_id":
+            record = OutcomeRecord(item_id=bad, round=1, coupon=CouponConfig.none(),
+                                   attach_delay_h=1.0, sold=False)
+            with pytest.raises(InputError, match="item_id must not contain NUL"):
+                OutcomeLog.from_records([record])
+
+    def test_ids_are_utf8_byte_columns(self):
+        ids = ["é1", "日本-2", "it-3", ""]
+        cat = CatalogArrays.from_items([make_item(item_id=i, seller_id=i * 2) for i in ids])
+        assert cat.ids.dtype.kind == "S" and cat.ids.tolist() == [i.encode() for i in ids]
+        assert [it.item_id for it in cat.to_items()] == ids
+        assert cat.keys.tolist() == [rng.item_key(i) for i in ids]
+        np.testing.assert_array_equal(cat.rows_of(cat.ids[::-1]), [3, 2, 1, 0])
 
     def test_sold_outcome_requires_sale_fields(self):
         record = OutcomeRecord(
@@ -548,8 +574,8 @@ class TestOneValidatorPerRowType:
         items[row] = dataclasses.replace(items[row], **change)
         if entry == "allocate":
             items, row = items[row:row + 1], 0
-        cat = CatalogArrays.from_items(small_world["items"][:len(items)])
-        columns = {name: list(getattr(cat, name)) for name in CATALOG_FIELDS.values()}
+        columns = {name: [getattr(it, field) for it in small_world["items"][:len(items)]]
+                   for field, name in CATALOG_FIELDS.items()}
         for field, value in change.items():
             columns[CATALOG_FIELDS[field]][row] = value
         with pytest.raises(InputError) as expected:

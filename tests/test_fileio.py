@@ -4,6 +4,7 @@ import math
 import os
 import re
 import tempfile
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqcoupon import fileio
+from seqcoupon import fileio, rng
 from seqcoupon.decision import (
     PlanTable,
     PolicyConstraint,
@@ -54,7 +55,7 @@ from seqcoupon.fileio import (
     write_plans,
 )
 from seqcoupon.learner import GridResult, LearnerConfig, train
-from seqcoupon.simulator import CatalogArrays
+from seqcoupon.simulator import CatalogArrays, GroundTruth, SimConfig, generate_catalog, run_rct
 from seqcoupon.uplift import predict_batch
 
 import oracles
@@ -159,6 +160,49 @@ class TestCatalogRoundTrip:
             fh.write("\n".join(text) + "\n")
         with pytest.raises(InputError, match=r":3: .*price_yen"):
             read_catalog(path)
+
+
+class TestNonAsciiIds:
+    """Ids are UTF-8 bytes in memory and text in files, whatever their script."""
+
+    @pytest.fixture
+    def world(self, round1_menu, round2_menu):
+        config = SimConfig(n_items=60, rng_seed=3)
+        heads = ("é", "日本-", "it", "ø", "Zz", "商品")
+        # Out of id order, so the trial has to sort its logs.
+        items = [dataclasses.replace(it, item_id=f"{heads[i % 6]}{i}", seller_id=f"売り手{i % 7}")
+                 for i, it in enumerate(generate_catalog(config))]
+        log1, survivors, log2 = run_rct(GroundTruth(config), items, round1_menu, round2_menu,
+                                        [0.25] * 4, [0.25] * 4, seed=3)
+        return SimpleNamespace(items=items, log1=log1, survivors=survivors, log2=log2)
+
+    def test_catalog_round_trips_with_the_keys_of_its_str_ids(self, tmp_path, world):
+        path, per_record = str(tmp_path / "catalog.csv"), str(tmp_path / "per_record.csv")
+        write_catalog(world.items, path)
+        oracles.write_catalog_per_record(world.items, per_record)
+        assert open(path, "rb").read() == open(per_record, "rb").read()
+        cat, again = read_catalog(path), str(tmp_path / "again.csv")
+        assert [(it.item_id, it.seller_id) for it in cat.to_items()] == [
+            (it.item_id, it.seller_id) for it in world.items]
+        write_catalog(cat, again)
+        assert open(again, "rb").read() == open(path, "rb").read()
+        assert cat.keys.tolist() == [rng.item_key(it.item_id) for it in world.items]
+        with mock.patch.object(fileio, "_parse_columns", return_value=None):
+            assert column_bytes(read_catalog(path)) == column_bytes(cat)
+
+    def test_logs_sort_as_str_sorts_and_round_trip(self, tmp_path, world):
+        ids = [it.item_id for it in world.items]
+        assert [r.item_id for r in world.log1] == sorted(ids)
+        assert world.survivors == [r.item_id for r in world.log2] == sorted(world.survivors)
+        for log in (world.log1, world.log2):
+            path, per_record = str(tmp_path / "log.csv"), str(tmp_path / "per_record.csv")
+            write_outcomes(log, path)
+            oracles.write_outcomes_per_record(list(log), per_record)
+            assert open(path, "rb").read() == open(per_record, "rb").read()
+            back = read_outcomes(path)
+            assert [r.item_id for r in back] == [r.item_id for r in log]
+            write_outcomes(back, per_record)
+            assert open(path, "rb").read() == open(per_record, "rb").read()
 
 
 class TestOutcomeRoundTrip:

@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -329,7 +331,7 @@ class TestCatalogArrays:
     def test_repeated_id_is_named(self):
         cat = generate_catalog_arrays(SimConfig(n_items=6, rng_seed=5))
         columns = {name: getattr(cat, name) for name in CATALOG_COLUMNS}
-        columns["ids"] = cat.ids[:4] + (cat.ids[1], cat.ids[0])
+        columns["ids"] = cat.ids[[0, 1, 2, 3, 1, 0]]
         with pytest.raises(InputError, match="catalog repeats item id 'it0000001'"):
             CatalogArrays.from_columns(**columns)
 
@@ -384,7 +386,7 @@ class TestCatalogArrays:
         shorter = generate_catalog_arrays(SimConfig(n_items=39, rng_seed=6), same_ids_as=lender)
         fresh39 = generate_catalog_arrays(SimConfig(n_items=39, rng_seed=6))
         assert shorter.to_items() == fresh39.to_items()
-        assert shorter.ids == lender.ids[:39]
+        np.testing.assert_array_equal(shorter.ids, lender.ids[:39])
         np.testing.assert_array_equal(shorter.keys, fresh.keys[:39])
         assert len(calls) == (0 if hashed else 1)
         with pytest.raises(InputError, match="same_ids_as has 40 items, config.n_items is 41"):
@@ -416,18 +418,19 @@ class TestCatalogArrays:
         whole, head = catalog_ids(cat, 40), catalog_ids(cat, 25)
         assert whole.ids is cat.ids and whole.seller_ids is cat.seller_ids
         assert whole.keys is cat.keys
-        assert head.ids == cat.ids[:25] and head.seller_ids == cat.seller_ids[:25]
+        np.testing.assert_array_equal(head.ids, cat.ids[:25])
+        np.testing.assert_array_equal(head.seller_ids, cat.seller_ids[:25])
         np.testing.assert_array_equal(head.keys, cat.keys[:25])
-        # A copy, not a view that would keep all 40 keys alive.
-        assert head.keys.base is None
-        assert catalog_ids(head, 10).ids == cat.ids[:10]
+        # Copies, not views that would keep all 40 rows alive.
+        assert head.keys.base is None and head.ids.base is None and head.seller_ids.base is None
+        np.testing.assert_array_equal(catalog_ids(head, 10).ids, cat.ids[:10])
 
     @pytest.mark.parametrize("n", [0, 1, 40])
     def test_rows_of_refuses_an_unknown_id(self, n):
         cat = generate_catalog_arrays(SimConfig(n_items=n, rng_seed=5))
         for missing in ("it9999999", "a", "zz"):
             with pytest.raises(InputError, match=f"unknown item '{missing}'"):
-                cat.rows_of(list(cat.ids[:1]) + [missing])
+                cat.rows_of(np.array(cat.ids[:1].tolist() + [missing.encode()]))
 
 
 class TestHelpers:
@@ -460,6 +463,32 @@ class TestHelpers:
 
 
 class TestRunRct:
+    def test_id_columns_hold_few_bytes_per_id(self, round1_menu, round2_menu):
+        """A 20k-item trial's ids, seller ids and log ids are bytes in ``S`` columns.
+
+        A ``str`` id and its pointer in a tuple take about 66 bytes; the
+        traced memory still held once only the four columns are left is the
+        measure.
+        """
+        config = SimConfig(n_items=20_000, rng_seed=5)
+
+        def trial():
+            cat = generate_catalog_arrays(config)
+            log1, _, log2 = run_rct(GroundTruth(config), cat, round1_menu, round2_menu,
+                                    [0.25] * 4, [0.25] * 4, seed=5)
+            return cat.ids, cat.seller_ids, log1.item_ids, log2.item_ids
+
+        trial()  # allocations a first call keeps (imports, caches) are not counted
+        gc.collect()
+        tracemalloc.start()
+        try:
+            columns = trial()
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held / sum(map(len, columns)) < 24
+
     def test_empty_catalog(self, round1_menu, round2_menu):
         gt = GroundTruth(SimConfig(n_items=0))
         log1, survivors, log2 = run_rct(

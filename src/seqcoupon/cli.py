@@ -293,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("train", cmd_train, "grid-search and fit the two propensity models"),
         ("allocate", cmd_allocate, "plan coupon pairs for unsold catalog items"),
         ("evaluate", cmd_evaluate, "ranking curve and delay diagnostics"),
-        ("compare", cmd_compare, "train then roll out the three strategies"),
+        ("compare", cmd_compare, "train then roll out every compared strategy"),
     )
     for name, func, help_text in commands:
         p = sub.add_parser(name, help=help_text)

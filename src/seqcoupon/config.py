@@ -113,7 +113,7 @@ class RunConfig:
 
     def __post_init__(self):
         self.constraint()  # refuses a bad lift_threshold or ltv_override
-        if self.attach_delay_h < 0:
+        if not self.attach_delay_h >= 0:
             raise InputError(f"attach_delay_h must be >= 0, got {self.attach_delay_h!r}")
         check_ipw_epsilon(self.ipw_epsilon)
         if self.ipw_variant not in ("mean", "applied"):

@@ -1,5 +1,6 @@
 """Measurement harness: lift metrics, delay diagnostics, uplift curves with
-bootstrap bands, and the three-strategy realized-ROI comparison.
+bootstrap bands, and the realized-ROI comparison of the strategies in
+``STRATEGIES``.
 
 Everything here is pure: reports are deterministic functions of their inputs,
 bootstrap resamples key off the shared counter-based generator, and per-seed
@@ -12,7 +13,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -37,11 +38,6 @@ from .simulator import (
     rollout_arms,
 )
 from .uplift import PredictorPair, predict_arrays
-
-STRATEGY_RANDOM = "random"
-STRATEGY_INDEPENDENT = "independent"
-STRATEGY_SEQUENTIAL = "sequential"
-STRATEGY_ORDER = (STRATEGY_RANDOM, STRATEGY_INDEPENDENT, STRATEGY_SEQUENTIAL)
 
 DEFAULT_BUCKET_H = 2.0
 DEFAULT_DECILES = 10
@@ -109,11 +105,12 @@ class StrategyMetrics:
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """Realized outcomes of the three allocation strategies on shared seeds.
+    """Realized outcomes of the allocation strategies on shared seeds.
 
     ``strategies`` aggregates over all seeds; ``per_seed`` keeps one
-    StrategyMetrics per seed in ``seeds`` order. All strategies within a seed
-    run on the identical catalog and share sale-draw substreams.
+    StrategyMetrics per seed in ``seeds`` order. Both hold exactly the names
+    of ``STRATEGIES``, in its order. All strategies within a seed run on the
+    identical catalog and share sale-draw substreams.
     """
 
     strategies: dict[str, StrategyMetrics]
@@ -124,10 +121,12 @@ class ComparisonReport:
     n_items_per_seed: int
 
     def __post_init__(self):
-        for key in STRATEGY_ORDER:
-            if key not in self.strategies or key not in self.per_seed:
-                raise InputError(f"report is missing strategy {key!r}")
-            if len(self.per_seed[key]) != len(self.seeds):
+        names = list(STRATEGIES)
+        for got in (list(self.strategies), list(self.per_seed)):
+            if got != names:
+                raise InputError(f"report strategies must be {names} in order, got {got}")
+        for key, values in self.per_seed.items():
+            if len(values) != len(self.seeds):
                 raise InputError(f"per-seed metrics for {key!r} do not match seeds")
 
 
@@ -161,7 +160,7 @@ def delay_analysis(
     - average order value among the sales of each post-attach bucket.
     Empty buckets are emitted with a null value rather than dropped.
     """
-    if bucket_h <= 0:
+    if not bucket_h > 0:
         raise InputError("bucket_h must be > 0")
     if not len(records):
         raise InputError("delay_analysis needs a non-empty log")
@@ -404,40 +403,31 @@ def _metrics(
     )
 
 
-def _summed(totals: Sequence[RolloutTotals]) -> RolloutTotals:
-    return RolloutTotals(
-        sales_count=sum(t.sales_count for t in totals),
-        coupon_cost_yen=sum(t.coupon_cost_yen for t in totals),
-        gmv_yen=sum(t.gmv_yen for t in totals),
-    )
+def _random_plan(seed, cat, preds, pair, constraint):
+    """Each round's arm drawn uniformly, from the arm substreams of ``run_rct``."""
+    n1, n2 = len(pair.round1_set), len(pair.round2_set)
+    return (arm_draw(rng.uniforms(seed, cat.keys, rng.ARM_R1), [1.0 / n1] * n1),
+            arm_draw(rng.uniforms(seed, cat.keys, rng.ARM_R2), [1.0 / n2] * n2))
 
 
-def _roll_out_seed(cfg: SimConfig, cat: CatalogArrays, pair: PredictorPair,
-                   constraint: PolicyConstraint, attach_delay_h: float) -> list[RolloutTotals]:
-    """The rollout totals of the holdout, then of each strategy in
-    ``STRATEGY_ORDER``, on one seed's catalog. Its plans die on return."""
-    r1_set, r2_set = pair.round1_set, pair.round2_set
-    p1, _, p2, p_baseline = predict_arrays(pair, cat.matrix, cat.age_days, attach_delay_h)
-    j_ind, k_ind, feas_ind = allocate_independent_batch(
-        p1, p2, p_baseline, cat.price, cat.ltv, r1_set, r2_set, constraint
+def _allocated(allocator, seed, cat, preds, pair, constraint):
+    """The allocator's arm pairs; an infeasible row attaches no coupon in either round."""
+    p1, _, p2, p_baseline = preds
+    j, k, feasible = allocator(
+        p1, p2, p_baseline, cat.price, cat.ltv, pair.round1_set, pair.round2_set, constraint
     )
-    j_seq, k_seq, feas_seq = allocate_batch(
-        p1, p2, p_baseline, cat.price, cat.ltv, r1_set, r2_set, constraint
-    )
-    no_coupon = np.zeros(len(cat), dtype=np.int64)
-    uniform1 = [1.0 / len(r1_set)] * len(r1_set)
-    uniform2 = [1.0 / len(r2_set)] * len(r2_set)
-    seed = cfg.rng_seed
-    # The holdout, then one plan per strategy in STRATEGY_ORDER. An
-    # infeasible plan attaches no coupon in either round.
-    plans = [
-        (no_coupon, no_coupon),
-        (arm_draw(rng.uniforms(seed, cat.keys, rng.ARM_R1), uniform1),
-         arm_draw(rng.uniforms(seed, cat.keys, rng.ARM_R2), uniform2)),
-        (np.where(feas_ind, j_ind, 0), np.where(feas_ind, k_ind, 0)),
-        (np.where(feas_seq, j_seq, 0), np.where(feas_seq, k_seq, 0)),
-    ]
-    return rollout_arms(GroundTruth(cfg), cat, r1_set, r2_set, plans, attach_delay_h, seed)
+    return np.where(feasible, j, 0), np.where(feasible, k, 0)
+
+
+# The compared strategies, in report order. A plan rule maps (seed, catalog,
+# ``predict_arrays`` output, pair, constraint) to per-row (arm1, arm2) menu
+# indices, arm 0 being no coupon. The lambdas look their allocator up at call
+# time, so a wrapper installed on the module attribute sees every call.
+STRATEGIES: dict[str, Callable[..., tuple[np.ndarray, np.ndarray]]] = {
+    "random": _random_plan,
+    "independent": lambda *args: _allocated(allocate_independent_batch, *args),
+    "sequential": lambda *args: _allocated(allocate_batch, *args),
+}
 
 
 def compare_strategies(
@@ -448,7 +438,7 @@ def compare_strategies(
     attach_delay_h: float = DEFAULT_ATTACH_DELAY_H,
     same_ids_as: Optional[CatalogArrays | CatalogIds] = None,
 ) -> ComparisonReport:
-    """Roll out random / per-round / sequential allocation on common seeds.
+    """Roll out every strategy in ``STRATEGIES`` on common seeds.
 
     For each seed one catalog is drawn straight into columns
     (``generate_catalog_arrays``: no per-item records). Item ids and their
@@ -457,50 +447,50 @@ def compare_strategies(
     before the next catalog is drawn. ``same_ids_as``, a simulated catalog of
     at least ``config.n_items`` rows or its ``catalog_ids`` (such as the
     training catalog's), lends them to the first seed too, and then nothing is
-    built or hashed. Predictions come from the catalog's columns, and one
-    ``rollout_arms`` pass rolls out four plans on that catalog under shared
-    sale draws: a no-coupon holdout, then the random, independent and
-    sequential strategies, each given as arm-index arrays. Realized ROI is
-    incremental sales over the holdout times the catalog's mean seller LTV,
-    divided by realized coupon spend (``inf`` when a strategy spends nothing).
-    Plans below the lift threshold attach no coupons under both model-driven
-    strategies. The random strategy draws each round's arm uniformly, from
-    the arm substreams of ``run_rct``.
+    built or hashed. Predictions come from the catalog's columns, each plan
+    rule turns them into arm-index arrays, and one ``rollout_arms`` pass rolls
+    out a no-coupon holdout and then every rule's plan on that catalog under
+    shared sale draws. Realized ROI is incremental sales over the holdout
+    times the catalog's mean seller LTV, divided by realized coupon spend
+    (``inf`` when a strategy spends nothing).
     """
     if not seeds:
         raise InputError("compare_strategies needs at least one seed")
     if config.n_items < 1:
         raise InputError("config.n_items must be >= 1 for a strategy comparison")
-    if attach_delay_h < 0:
+    if not attach_delay_h >= 0:
         raise InputError("attach_delay_h must be >= 0")
 
-    per_seed: dict[str, list[StrategyMetrics]] = {key: [] for key in STRATEGY_ORDER}
-    totals_per_seed: dict[str, list[RolloutTotals]] = {key: [] for key in STRATEGY_ORDER}
-    holdout_sales = 0
+    rows = []  # per seed: items, mean LTV, holdout sales, totals per strategy
     ltv_sum = 0.0
-    n_total = 0
-
     ids = same_ids_as
     for seed in seeds:
         cfg = dataclasses.replace(config, rng_seed=seed)
         cat = generate_catalog_arrays(cfg, same_ids_as=ids)
-        holdout, *strategies = _roll_out_seed(cfg, cat, pair, constraint, attach_delay_h)
-        n, mean_ltv = len(cat), float(cat.ltv.mean())
+        preds = predict_arrays(pair, cat.matrix, cat.age_days, attach_delay_h)
+        no_coupon = np.zeros(len(cat), dtype=np.int64)
+        plans = [(no_coupon, no_coupon)]
+        plans += [rule(seed, cat, preds, pair, constraint) for rule in STRATEGIES.values()]
+        holdout, *totals = rollout_arms(
+            GroundTruth(cfg), cat, pair.round1_set, pair.round2_set, plans, attach_delay_h, seed
+        )
+        rows.append((len(cat), float(cat.ltv.mean()), holdout.sales_count, totals))
         ltv_sum += float(cat.ltv.sum())
-        ids = catalog_ids(cat, n)  # the keys are hashed by now
-        del cat  # the next catalog is drawn without this one alive
-        holdout_sales += holdout.sales_count
-        for key, totals in zip(STRATEGY_ORDER, strategies):
-            per_seed[key].append(_metrics(totals, holdout.sales_count, n, mean_ltv))
-            totals_per_seed[key].append(totals)
-        n_total += n
+        ids = catalog_ids(cat, len(cat))  # the keys are hashed by now
+        del cat, preds, no_coupon, plans  # the next catalog is drawn without these alive
 
+    n_total = sum(row[0] for row in rows)
+    holdout_sales = sum(row[2] for row in rows)
+    strategies, per_seed = {}, {}
+    for i, name in enumerate(STRATEGIES):
+        seed_totals = [totals[i] for *_, totals in rows]
+        per_seed[name] = tuple(_metrics(t, sales, n, ltv)
+                               for t, (n, ltv, sales, _) in zip(seed_totals, rows))
+        summed = RolloutTotals(*map(sum, zip(*map(dataclasses.astuple, seed_totals))))
+        strategies[name] = _metrics(summed, holdout_sales, n_total, ltv_sum / n_total)
     return ComparisonReport(
-        strategies={
-            key: _metrics(_summed(totals_per_seed[key]), holdout_sales, n_total, ltv_sum / n_total)
-            for key in STRATEGY_ORDER
-        },
-        per_seed={key: tuple(values) for key, values in per_seed.items()},
+        strategies=strategies,
+        per_seed=per_seed,
         holdout_sales_rate=holdout_sales / n_total,
         seeds=tuple(int(s) for s in seeds),
         lift_threshold=constraint.lift_threshold,

@@ -482,6 +482,15 @@ def load_model(path: str) -> Model:
                 max_stumps=cfg["max_stumps"],
             ),
         )
+        mean, scale = model.feature_mean, model.feature_scale
+        if mean.ndim != 1 or scale.shape != mean.shape:
+            raise ValueError("feature_mean and feature_scale must be lists of equal length")
+        if not (np.isfinite(mean).all() and np.isfinite(scale).all() and (scale > 0).all()):
+            raise ValueError("feature_mean must be finite and feature_scale finite and > 0")
+        if not np.isfinite([model.intercept, *([] if model.coef is None else model.coef)]).all():
+            raise ValueError("the intercept and coefficients must be finite")
+        if not all(0 <= s.feature < len(mean) for s in model.stumps):
+            raise ValueError(f"stump features must lie in [0, {len(mean)})")
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{path}: malformed model artifact: {exc}") from None
     return model
@@ -575,16 +584,12 @@ def render_comparison_report(report: ComparisonReport) -> str:
         f"lift_threshold: {fmt(report.lift_threshold)}",
         f"holdout_sales_rate: {fmt(report.holdout_sales_rate)}",
     ]
-    for name in ("random", "independent", "sequential"):
-        lines.extend(_metrics_lines(name, report.strategies[name]))
-    lines.append("[per_seed roi_realized]")
-    for name in ("random", "independent", "sequential"):
-        row = ",".join(fmt(m.roi_realized) for m in report.per_seed[name])
-        lines.append(f"{name}: {row}")
-    lines.append("[per_seed lift_str]")
-    for name in ("random", "independent", "sequential"):
-        row = ",".join(fmt(m.lift_str) for m in report.per_seed[name])
-        lines.append(f"{name}: {row}")
+    for name, metrics in report.strategies.items():
+        lines.extend(_metrics_lines(name, metrics))
+    for field in ("roi_realized", "lift_str"):
+        lines.append(f"[per_seed {field}]")
+        for name, per_seed in report.per_seed.items():
+            lines.append(f"{name}: {','.join(fmt(getattr(m, field)) for m in per_seed)}")
     return "\n".join(lines) + "\n"
 
 

@@ -74,9 +74,9 @@ class LearnerConfig:
     def __post_init__(self):
         if self.kind not in (KIND_LOGISTIC, KIND_BOOSTED):
             raise InputError(f"unknown learner kind {self.kind!r}")
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:
             raise InputError("learning_rate must be > 0")
-        if self.l2 < 0:
+        if not self.l2 >= 0:
             raise InputError("l2 must be >= 0")
         if self.epochs < 1:
             raise InputError("epochs must be >= 1")

@@ -42,12 +42,13 @@ _blake2s_8 = functools.partial(hashlib.blake2s, digest_size=8)
 
 
 def item_keys(item_ids: np.ndarray) -> np.ndarray:
-    """``item_key`` for an ``S`` array of UTF-8 ids: the digests are joined and read
-    as one buffer. Hashing and digesting run through ``map`` over C callables, so
-    no Python frame runs per id.
+    """``item_key`` for an ``S`` array (or list) of UTF-8 ids: each digest is
+    written straight into one ``S8`` buffer, which is read as little-endian
+    words. Hashing and digesting run through ``map`` over C callables, so no
+    Python frame runs per id and no list of digests is built.
     """
-    digests = b"".join(map(hashlib.blake2s.digest, map(_blake2s_8, item_ids)))
-    return np.frombuffer(digests, dtype="<u8").astype(np.uint64)
+    digests = map(hashlib.blake2s.digest, map(_blake2s_8, item_ids))
+    return np.fromiter(digests, "S8", len(item_ids)).view("<u8").astype(np.uint64, copy=False)
 
 
 def _mix(z: np.ndarray) -> np.ndarray:

@@ -69,13 +69,13 @@ class SimConfig:
             raise InputError(
                 f"feature_weights needs {N_ITEM_FEATURES} entries, got {len(self.feature_weights)}"
             )
-        if self.effect_scale <= 0:
+        if not self.effect_scale > 0:
             raise InputError("effect_scale must be > 0")
         if not 0 < self.delay_floor <= 1:
             raise InputError("delay_floor must be in (0, 1]")
         if not 0 < self.delay_knee_h < DELAY_FLOOR_AT_H:
             raise InputError(f"delay_knee_h must be in (0, {DELAY_FLOOR_AT_H})")
-        if self.purchase_time_rate <= 0:
+        if not self.purchase_time_rate > 0:
             raise InputError("purchase_time_rate must be > 0")
 
 
@@ -453,7 +453,7 @@ def rollout_policy(
 
     plans = [policy(it) for it in items]
     delay1 = np.array([p[0][1] for p in plans], dtype=float)
-    if np.any(delay1 < 0):
+    if not np.all(delay1 >= 0):
         raise InputError("policy produced a negative attach delay")
     own = np.arange(len(cat))
     logs = _trial_logs(
@@ -498,7 +498,7 @@ def rollout_arms(
     ``rollout_policy``, so its totals equal those of ``rollout_policy`` under
     the equivalent per-item policy.
     """
-    if attach_delay_h < 0:
+    if not attach_delay_h >= 0:
         raise InputError("attach_delay_h must be >= 0")
     n = len(cat)
     plans = [

@@ -317,7 +317,7 @@ def predict_arrays(
     coupon columns and the last column are rewritten before scoring, which
     gives the bits of scoring each arm's encoded matrix with ``predict_matrix``.
     """
-    if attach_delay_h < 0:
+    if not attach_delay_h >= 0:
         raise ContractError("attach_delay_h must be >= 0")
     p1 = round1_arm_probabilities(pair.first, item_matrix, pair.round1_set,
                                   attach_delay_h)

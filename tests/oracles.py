@@ -32,10 +32,7 @@ from seqcoupon.domain import (
 from seqcoupon.errors import ContractError, InputError
 from seqcoupon.decision import DEFAULT_ATTACH_DELAY_H
 from seqcoupon.evaluation import (
-    STRATEGY_INDEPENDENT,
-    STRATEGY_ORDER,
-    STRATEGY_RANDOM,
-    STRATEGY_SEQUENTIAL,
+    STRATEGIES,
     ComparisonReport,
     StrategyMetrics,
     UpliftCurve,
@@ -875,8 +872,8 @@ def compare_strategies_per_strategy(
     uniform1 = [1.0 / len(r1_set)] * len(r1_set)
     uniform2 = [1.0 / len(r2_set)] * len(r2_set)
 
-    per_seed: dict[str, list[StrategyMetrics]] = {key: [] for key in STRATEGY_ORDER}
-    totals_acc: dict[str, list[int]] = {key: [0, 0, 0] for key in STRATEGY_ORDER}
+    per_seed: dict[str, list[StrategyMetrics]] = {key: [] for key in STRATEGIES}
+    totals_acc: dict[str, list[int]] = {key: [0, 0, 0] for key in STRATEGIES}
     holdout_sales_total = 0
     ltv_sum = 0.0
     n_total = 0
@@ -898,11 +895,12 @@ def compare_strategies_per_strategy(
         j_rand = arm_draw(rng.uniforms(seed, cat.keys, rng.ARM_R1), uniform1)
         k_rand = arm_draw(rng.uniforms(seed, cat.keys, rng.ARM_R2), uniform2)
 
-        choices = {
-            STRATEGY_RANDOM: (j_rand, k_rand, np.ones(n, dtype=bool)),
-            STRATEGY_INDEPENDENT: (j_ind, k_ind, feas_ind),
-            STRATEGY_SEQUENTIAL: (j_seq, k_seq, feas_seq),
-        }
+        # The random, independent and sequential strategies, in table order.
+        choices = dict(zip(STRATEGIES, (
+            (j_rand, k_rand, np.ones(n, dtype=bool)),
+            (j_ind, k_ind, feas_ind),
+            (j_seq, k_seq, feas_seq),
+        ), strict=True))
 
         no_coupon = np.zeros(n, dtype=np.int64)
         holdout_totals = rollout_arms_per_plan(
@@ -910,7 +908,7 @@ def compare_strategies_per_strategy(
         )
         holdout_sales_total += holdout_totals.sales_count
 
-        for key in STRATEGY_ORDER:
+        for key in STRATEGIES:
             j, k, active = choices[key]
             # An inactive plan attaches no coupon in either round.
             totals = rollout_arms_per_plan(
@@ -939,7 +937,7 @@ def compare_strategies_per_strategy(
             n_total,
             overall_mean_ltv,
         )
-        for key in STRATEGY_ORDER
+        for key in STRATEGIES
     }
     return ComparisonReport(
         strategies=aggregate,

@@ -493,6 +493,39 @@ class TestExitCodes:
                 in capsys.readouterr().err)
         assert sorted(p.name for p in out.iterdir()) == [fileio.MANIFEST_NAME]
 
+    @pytest.mark.parametrize("artifact,field,edit", [
+        (fileio.FIRST_MODEL_FILE, "feature_scale", lambda v: None),
+        (fileio.FIRST_MODEL_FILE, "feature_scale", lambda v: []),
+        (fileio.FIRST_MODEL_FILE, "feature_scale", lambda v: v[:1]),
+        (fileio.FIRST_MODEL_FILE, "feature_scale", lambda v: [-1.0] * len(v)),
+        (fileio.FIRST_MODEL_FILE, "feature_scale", lambda v: [0.0] * len(v)),
+        (fileio.FIRST_MODEL_FILE, "feature_scale", lambda v: [float("nan")] * len(v)),
+        (fileio.SECOND_MODEL_FILE, "feature_mean", lambda v: [[x] for x in v]),
+        (fileio.FIRST_MODEL_FILE, "feature_mean", lambda v: [float("inf")] + v[1:]),
+        (fileio.FIRST_MODEL_FILE, "intercept", lambda v: float("nan")),
+        (fileio.FIRST_MODEL_FILE, "coef", lambda v: v[:-1] + [float("-inf")]),
+        (fileio.SECOND_MODEL_FILE, "stumps", lambda v: [[99, *v[0][1:]], *v[1:]]),
+        (fileio.SECOND_MODEL_FILE, "stumps", lambda v: [[-1, *v[0][1:]], *v[1:]]),
+    ], ids=["scale_null", "scale_empty", "scale_one_entry", "scale_negative", "scale_zero",
+            "scale_nan", "mean_2d", "mean_inf", "intercept_nan", "coef_inf",
+            "stump_feature_99", "stump_feature_negative"])
+    def test_malformed_model_field_exits_2_naming_the_file(self, ws, tmp_path, capsys,
+                                                            artifact, field, edit):
+        """These edits raised an IndexError or a broadcast error (exit 1), were
+        refused as a probability that names no file, or planned on (exit 0)."""
+        model = tmp_path / "model"
+        shutil.copytree(ws["model"], model)
+        path = model / artifact
+        payload = json.loads(path.read_text())
+        payload[field] = edit(payload[field])
+        path.write_text(json.dumps(payload))
+        cfg = tmp_path / "m.cfg"
+        cfg.write_text(sim_config_text(ws["sim"], model))
+        out = tmp_path / "o"
+        assert main(["allocate", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+        assert f"{path}: malformed model artifact: " in capsys.readouterr().err
+        assert not (out / "plans.csv").exists()
+
     def test_no_holdout_training_log_exits_6(self, tmp_path):
         cfg = craft_single_arm_world(tmp_path, CouponConfig(10, 72.0, 1000))
         code = main(["train", "--config", cfg, "--out", str(tmp_path / "m"), "--quiet"])

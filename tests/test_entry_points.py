@@ -1,9 +1,9 @@
-"""Code outside the package that imports it: the benchmark worker and the scripts.
+"""Code outside the package that imports it: the benchmark worker and the script.
 
 ``perfbench/worker.py`` imports package names inside its functions, so a
 deleted or renamed name breaks its ``--prep`` step or its quality scoring
-only when a benchmark runs. The scripts are run end to end at tiny sizes.
-Neither the worker nor the scripts are edited here.
+only when a benchmark runs. The script is run end to end at a tiny size.
+Neither the worker nor the script is edited here.
 """
 
 import ast
@@ -48,14 +48,6 @@ def test_every_name_the_worker_imports_resolves(module, name):
 def _run_script(name, monkeypatch, *args):
     monkeypatch.setattr(sys, "argv", [name, *args])
     runpy.run_path(str(ROOT / "scripts" / name), run_name="__main__")
-
-
-def test_strategy_comparison_script_writes_its_report(tmp_path, monkeypatch, capsys):
-    out = tmp_path / "comparison.txt"
-    _run_script("run_strategy_comparison.py", monkeypatch, "--train-items", "1200",
-                "--eval-items", "400", "--seeds", "1", "--epochs", "50", "--out", str(out))
-    assert out.read_text().startswith("strategy comparison\n")
-    assert f"wrote {out}" in capsys.readouterr().out
 
 
 def test_delay_diagnostics_script_writes_its_buckets(tmp_path, monkeypatch, capsys):

@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -8,23 +10,31 @@ import pytest
 
 import seqcoupon
 
+from seqcoupon import evaluation, fileio, rng
+from seqcoupon.config import RunConfig
 from seqcoupon.domain import CouponConfig, OutcomeLog, OutcomeRecord
-from seqcoupon.errors import InputError
-from seqcoupon.decision import PolicyConstraint
+from seqcoupon.errors import ContractError, InputError
+from seqcoupon.decision import DEFAULT_ATTACH_DELAY_H, PolicyConstraint
 from seqcoupon.evaluation import (
     BucketRow,
     ComparisonReport,
-    STRATEGY_INDEPENDENT,
-    STRATEGY_ORDER,
-    STRATEGY_SEQUENTIAL,
+    STRATEGIES,
     UpliftCurve,
     bootstrap_band,
     compare_strategies,
     cumulative_uplift,
     delay_analysis,
 )
-from seqcoupon import rng
-from seqcoupon.simulator import CatalogArrays, SimConfig
+from seqcoupon.simulator import (
+    CatalogArrays,
+    GroundTruth,
+    SimConfig,
+    generate_catalog_arrays,
+    rollout_arms,
+    rollout_policy,
+)
+from seqcoupon.learner import LearnerConfig
+from seqcoupon.uplift import predict_arrays
 
 from oracles import bootstrap_band_resorting, cumulative_uplift_sorting
 
@@ -369,15 +379,15 @@ def light_report(trained_pair):
 
 class TestCompareStrategies:
     def test_report_shape(self, light_report):
-        assert set(light_report.strategies) == set(STRATEGY_ORDER)
-        for key in STRATEGY_ORDER:
+        assert list(light_report.strategies) == list(STRATEGIES)
+        for key in STRATEGIES:
             assert len(light_report.per_seed[key]) == 1
         assert light_report.seeds == (7,)
         assert light_report.n_items_per_seed == 2000
         assert 0.0 < light_report.holdout_sales_rate < 1.0
 
     def test_metrics_internally_consistent(self, light_report):
-        for key in STRATEGY_ORDER:
+        for key in STRATEGIES:
             m = light_report.strategies[key]
             assert 0.0 <= m.sales_rate <= 1.0
             assert m.total_coupon_cost >= 0 and m.gmv >= 0
@@ -433,14 +443,78 @@ class TestCompareStrategies:
         assert builds == [500, 500, 500]
         assert len(hashed) == 500 and len(set(hashed)) == 500
 
-    def test_report_requires_all_strategies(self, light_report):
-        broken = {k: v for k, v in light_report.strategies.items() if k != STRATEGY_SEQUENTIAL}
-        with pytest.raises(InputError):
+    @pytest.mark.parametrize("order", [slice(None, -1), slice(None, None, -1)])
+    def test_report_requires_the_table_names_in_order(self, light_report, order):
+        names = list(STRATEGIES)[order]
+        with pytest.raises(InputError, match="report strategies must be"):
             ComparisonReport(
-                strategies=broken,
+                strategies={name: light_report.strategies[name] for name in names},
                 per_seed=light_report.per_seed,
                 holdout_sales_rate=light_report.holdout_sales_rate,
                 seeds=light_report.seeds,
                 lift_threshold=light_report.lift_threshold,
                 n_items_per_seed=light_report.n_items_per_seed,
             )
+
+    def test_a_registered_strategy_is_rolled_out_and_reported(self, trained_pair, monkeypatch):
+        def cheapest(seed, cat, preds, pair, constraint):
+            ones = np.ones(len(cat), dtype=np.int64)
+            return ones, ones
+
+        monkeypatch.setitem(evaluation.STRATEGIES, "cheapest", cheapest)
+        config, seeds = SimConfig(n_items=600, rng_seed=0), (3, 4)
+        report = compare_strategies(config, trained_pair, PolicyConstraint(), seeds)
+        assert list(report.strategies) == ["random", "independent", "sequential", "cheapest"]
+        assert list(report.per_seed) == list(report.strategies)
+        text = fileio.render_comparison_report(report)
+        assert "[cheapest]\n" in text and text.count("\ncheapest: ") == 2
+        for seed, metrics in zip(seeds, report.per_seed["cheapest"]):
+            cfg = dataclasses.replace(config, rng_seed=seed)
+            cat = generate_catalog_arrays(cfg)
+            ones = np.ones(len(cat), dtype=np.int64)
+            [totals] = rollout_arms(
+                GroundTruth(cfg), cat, trained_pair.round1_set, trained_pair.round2_set,
+                [(ones, ones)], DEFAULT_ATTACH_DELAY_H, seed,
+            )
+            assert metrics.sales_rate == totals.sales_count / len(cat)
+            assert metrics.total_coupon_cost == totals.coupon_cost_yen > 0
+            assert metrics.gmv == totals.gmv_yen
+
+
+def _tiny_catalog(world):
+    return CatalogArrays.from_items(world["items"][:50])
+
+
+@pytest.mark.parametrize("value", [-1.0, math.nan])
+@pytest.mark.parametrize("call,error,message", [
+    (lambda v, pair, world: compare_strategies(
+        SimConfig(n_items=50), pair, PolicyConstraint(), [1], attach_delay_h=v),
+     InputError, "attach_delay_h must be >= 0"),
+    (lambda v, pair, world: delay_analysis(world["log1"], v), InputError, "bucket_h must be > 0"),
+    (lambda v, pair, world: rollout_arms(
+        world["gt"], _tiny_catalog(world), pair.round1_set, pair.round2_set, [], v, 1),
+     InputError, "attach_delay_h must be >= 0"),
+    (lambda v, pair, world: rollout_policy(
+        world["gt"], world["items"][:5],
+        lambda item: ((CouponConfig.none(), v), CouponConfig.none()), 1),
+     InputError, "policy produced a negative attach delay"),
+    (lambda v, pair, world: predict_arrays(
+        pair, _tiny_catalog(world).matrix, _tiny_catalog(world).age_days, v),
+     ContractError, "attach_delay_h must be >= 0"),
+    (lambda v, pair, world: LearnerConfig(learning_rate=v), InputError,
+     "learning_rate must be > 0"),
+    (lambda v, pair, world: LearnerConfig(l2=v), InputError, "l2 must be >= 0"),
+    (lambda v, pair, world: SimConfig(effect_scale=v), InputError, "effect_scale must be > 0"),
+    (lambda v, pair, world: SimConfig(purchase_time_rate=v), InputError,
+     "purchase_time_rate must be > 0"),
+    (lambda v, pair, world: RunConfig(attach_delay_h=v), InputError,
+     "attach_delay_h must be >= 0, got "),
+], ids=["compare_strategies", "delay_analysis", "rollout_arms", "rollout_policy",
+        "predict_arrays", "learning_rate", "l2", "effect_scale", "purchase_time_rate",
+        "RunConfig.attach_delay_h"])
+def test_nan_is_refused_as_a_negative_value_is(
+        trained_pair, small_world, call, error, message, value):
+    with pytest.raises(error) as info:
+        call(value, trained_pair, small_world)
+    assert type(info.value) is error
+    assert str(info.value) == message + (repr(value) if message.endswith("got ") else "")

@@ -80,12 +80,15 @@ REPORT_FILE = "comparison.txt"
 class _Run:
     """Shared per-invocation state: parsed config, output dir, effective seed."""
 
-    def __init__(self, args: argparse.Namespace, command: str, seed_from):
+    def __init__(self, args: argparse.Namespace):
         self.config: RunConfig = load_config(args.config)
-        self.command = command
+        self.command: str = args.command
         self.quiet: bool = args.quiet
         self.out: str = args.out
-        self.seed: int = args.seed if args.seed is not None else seed_from(self.config)
+        self.seed_given: bool = args.seed is not None
+        default = (self.config.evaluation.train_seed if self.command == "compare"
+                   else self.config.simulator.rng_seed)
+        self.seed: int = args.seed if self.seed_given else default
         self.config_path: str = args.config
 
     def start(self) -> None:
@@ -122,20 +125,9 @@ def _fit_pair(cfg: RunConfig, cat: CatalogArrays, log1, log2, config_first) -> P
     )
 
 
-def _load_pair(run: _Run):
-    return fileio.load_pair(run.config.io.model_dir)
-
-
-def _read_catalog(run: _Run) -> CatalogArrays:
-    return fileio.read_catalog(run.config.io.catalog)
-
-
-def cmd_simulate(args: argparse.Namespace) -> None:
-    run = _Run(args, "simulate", seed_from=lambda cfg: cfg.simulator.rng_seed)
+def cmd_simulate(run: _Run) -> None:
     cfg = run.config
-    sim = replace(cfg.simulator, rng_seed=run.seed)
-    run.start()
-    cat, log1, log2 = _uniform_trial(cfg, sim)
+    cat, log1, log2 = _uniform_trial(cfg, replace(cfg.simulator, rng_seed=run.seed))
     fileio.write_catalog(cat, run.path(CATALOG_FILE))
     fileio.write_outcomes(log1, run.path(ROUND1_LOG_FILE))
     fileio.write_outcomes(log2, run.path(ROUND2_LOG_FILE))
@@ -145,11 +137,9 @@ def cmd_simulate(args: argparse.Namespace) -> None:
     )
 
 
-def cmd_train(args: argparse.Namespace) -> None:
-    run = _Run(args, "train", seed_from=lambda cfg: cfg.simulator.rng_seed)
+def cmd_train(run: _Run) -> None:
     cfg = run.config
-    run.start()
-    cat = _read_catalog(run)
+    cat = fileio.read_catalog(cfg.io.catalog)
     log1 = fileio.read_outcomes(cfg.io.round1_log)
     log2 = fileio.read_outcomes(cfg.io.round2_log)
     data = round1_training_dataset(cat, log1)
@@ -183,12 +173,10 @@ def _sold_rows(cfg: RunConfig, cat: CatalogArrays) -> np.ndarray:
     return sold
 
 
-def cmd_allocate(args: argparse.Namespace) -> None:
-    run = _Run(args, "allocate", seed_from=lambda cfg: cfg.simulator.rng_seed)
+def cmd_allocate(run: _Run) -> None:
     cfg = run.config
-    run.start()
-    pair = _load_pair(run)
-    catalog = _read_catalog(run)
+    pair = fileio.load_pair(cfg.io.model_dir)
+    catalog = fileio.read_catalog(cfg.io.catalog)
     rows = np.flatnonzero(~_sold_rows(cfg, catalog))
     cat = catalog.take(rows[np.argsort(catalog.ids[rows], kind="stable")])
     p1, _, p2, p_baseline = predict_arrays(pair, cat.matrix, cat.age_days, cfg.attach_delay_h)
@@ -205,12 +193,10 @@ def cmd_allocate(args: argparse.Namespace) -> None:
     run.say(f"planned {len(plans)} unsold items -> {run.path(PLANS_FILE)}")
 
 
-def cmd_evaluate(args: argparse.Namespace) -> None:
-    run = _Run(args, "evaluate", seed_from=lambda cfg: cfg.simulator.rng_seed)
+def cmd_evaluate(run: _Run) -> None:
     cfg = run.config
-    run.start()
-    pair = _load_pair(run)
-    cat = _read_catalog(run)
+    pair = fileio.load_pair(cfg.io.model_dir)
+    cat = fileio.read_catalog(cfg.io.catalog)
     log1 = fileio.read_outcomes(cfg.io.round1_log)
     if not len(log1):
         raise InputError(f"{cfg.io.round1_log}: log is empty; nothing to evaluate")
@@ -261,12 +247,10 @@ def _train_compare_pair(run: _Run) -> tuple[PredictorPair, Optional[CatalogIds]]
     return pair, catalog_ids(cat, n_rollout) if n_rollout <= len(cat) else None
 
 
-def cmd_compare(args: argparse.Namespace) -> None:
-    run = _Run(args, "compare", seed_from=lambda cfg: cfg.evaluation.train_seed)
+def cmd_compare(run: _Run) -> None:
     cfg = run.config
-    run.start()
     pair, ids = _train_compare_pair(run)
-    seeds = (run.seed,) if args.seed is not None else cfg.evaluation.seeds
+    seeds = (run.seed,) if run.seed_given else cfg.evaluation.seeds
     report = compare_strategies(
         cfg.simulator,
         pair,
@@ -308,7 +292,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        args.func(args)
+        run = _Run(args)
+        run.start()
+        args.func(run)
     except MissingHoldoutError as exc:
         return _fail(EXIT_HOLDOUT, exc)
     except SchemaMismatchError as exc:

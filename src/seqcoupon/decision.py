@@ -132,7 +132,7 @@ def combine_cost(p1: float, p2: float, cost_j: float, cost_k: float) -> float:
     """
     if not 0.0 <= p1 <= 1.0 or not 0.0 <= p2 <= 1.0:
         raise InputError("probabilities must lie in [0, 1]")
-    if cost_j < 0 or cost_k < 0:
+    if not (cost_j >= 0 and cost_k >= 0):
         raise InputError("costs must be >= 0")
     p_combined = p1 + (1.0 - p1) * p2
     if p_combined == 0.0:
@@ -153,9 +153,9 @@ def roi(p_combined: float, p_baseline: float, ltv: float, expected_cost: float) 
     """
     if not 0.0 <= p_combined <= 1.0 or not 0.0 <= p_baseline <= 1.0:
         raise InputError("probabilities must lie in [0, 1]")
-    if ltv <= 0:
+    if not ltv > 0:
         raise InputError("ltv must be positive")
-    if expected_cost < 0:
+    if not expected_cost >= 0:
         raise InputError("expected_cost must be >= 0")
     lift = p_combined - p_baseline
     if expected_cost == 0.0:

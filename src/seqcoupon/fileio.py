@@ -4,17 +4,30 @@ Every writer is deterministic — fixed headers, floats at 12 significant
 digits, JSON with sorted keys and no timestamps — so re-running a command
 reproduces files byte for byte. Model artifacts serialize parameters with
 full repr precision and therefore round-trip predictions exactly.
+
+The catalog, outcome-log and plan tables are each stated once, as a column
+spec (``CATALOG_COLUMNS``, ``OUTCOME_COLUMNS``, ``PLAN_COLUMNS``). A column
+has a header name, a cell kind and the ``from_columns`` argument (or table
+attribute) it holds. The kinds are ``text`` (quoted where ``csv`` would quote
+it), ``int``, ``yen`` (an integer below 2**53 in magnitude), ``float``
+(written at 12 significant digits) and ``flag`` (0 or 1). Two outcome-log
+rules ride along: a ``sale`` cell is empty on an unsold row and reads as
+NaN, and a ``coupon`` cell is not read on a discount-0 row. The header, the
+``np.loadtxt`` fields of the one-call parse, the row parser it falls back to
+and the writer's cell formats all follow from the spec, so one
+``_read_table`` and one ``_write_table`` serve every table.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import json
 import os
 import warnings
 from itertools import repeat
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -29,24 +42,57 @@ from .uplift import PredictorPair, check_ipw_epsilon
 
 FORMAT_VERSION = 1
 
-CATALOG_HEADER = (
-    "item_id,seller_id,price_yen,condition,age_days,likes,"
-    "demand_index,season_phase,seller_ltv_yen,key_action_ts"
+
+class Column(NamedTuple):
+    """One CSV column; ``arg`` names what it holds where the header name does not."""
+
+    header: str
+    kind: str
+    rule: str = ""
+    arg: str = ""
+
+    @property
+    def name(self) -> str:
+        return self.arg or self.header
+
+
+CATALOG_COLUMNS = (
+    Column("item_id", "text", arg="ids"), Column("seller_id", "text", arg="seller_ids"),
+    Column("price_yen", "yen", arg="price"), Column("condition", "int"),
+    Column("age_days", "float"), Column("likes", "int"),
+    Column("demand_index", "float", arg="demand"),
+    Column("season_phase", "float", arg="season"), Column("seller_ltv_yen", "yen", arg="ltv"),
+    Column("key_action_ts", "float", arg="key_ts"),
 )
-OUTCOME_HEADER = (
-    "item_id,round,discount_pct,validity_hours,cap_yen,attach_delay_h,"
-    "sold,purchase_delay_h,sale_price_yen,coupon_cost_yen"
+OUTCOME_COLUMNS = (
+    Column("item_id", "text", arg="item_ids"), Column("round", "int"),
+    Column("discount_pct", "int"), Column("validity_hours", "float", "coupon"),
+    Column("cap_yen", "yen", "coupon"), Column("attach_delay_h", "float"),
+    Column("sold", "flag"), Column("purchase_delay_h", "float", "sale"),
+    Column("sale_price_yen", "yen", "sale"), Column("coupon_cost_yen", "yen", "sale"),
 )
-PLAN_HEADER = (
-    "item_id,j_discount_pct,j_validity_h,j_cap,k_discount_pct,k_validity_h,k_cap,"
-    "attach_delay_h,p_round1,p_round2,p_combined,p_baseline,lift,expected_cost,"
-    "roi,feasible"
+PLAN_COLUMNS = (
+    Column("item_id", "text", arg="item_ids"), Column("j_discount_pct", "int"),
+    Column("j_validity_h", "float"), Column("j_cap", "yen"), Column("k_discount_pct", "int"),
+    Column("k_validity_h", "float"), Column("k_cap", "yen"), Column("attach_delay_h", "float"),
+    Column("p_round1", "float"), Column("p_round2", "float"), Column("p_combined", "float"),
+    Column("p_baseline", "float"), Column("lift", "float"), Column("expected_cost", "float"),
+    Column("roi", "float"), Column("feasible", "flag"),
 )
+
+
+def _header(columns: Sequence[Column]) -> str:
+    return ",".join(c.header for c in columns)
+
+
+CATALOG_HEADER, OUTCOME_HEADER, PLAN_HEADER = map(
+    _header, (CATALOG_COLUMNS, OUTCOME_COLUMNS, PLAN_COLUMNS))
 CURVE_HEADER = "fraction,uplift,lo,hi"
 BUCKET_HEADER = "bucket_start_h,metric,value,n"
 GRID_HEADER = "kind,learning_rate,l2,epochs,max_stumps,mean_loss,fold_losses,prior_folds"
 MANIFEST_NAME = "manifest.json"
 FLOAT_CELL = "%.12g"
+CELL_FORMATS = {"text": "%s", "int": "%d", "yen": "%d", "float": FLOAT_CELL, "flag": "%d"}
 
 
 def fmt(value: Optional[float]) -> str:
@@ -61,34 +107,34 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _parse_float(cell: str, path: str, line: int, column: str) -> float:
+def _parse_cell(cell: str, column: Column, path: str, line: int):
+    """One cell as the row parser reads it; a bad cell raises InputError naming its line."""
+    where, kind = f"{path}:{line}: column {column.header!r}", column.kind
+    if kind == "text":
+        return cell
+    if column.rule == "sale" and cell == "":
+        return np.nan
+    if kind == "flag":
+        if cell not in ("0", "1"):
+            raise InputError(f"{where} must be 0 or 1, got {cell!r}")
+        return cell == "1"
     try:
-        return float(cell)
+        value = float(cell) if kind == "float" else int(cell)
     except ValueError:
-        raise InputError(f"{path}:{line}: column {column!r} is not a number: {cell!r}") from None
-
-
-def _parse_int(cell: str, path: str, line: int, column: str) -> int:
-    try:
-        return int(cell)
-    except ValueError:
-        raise InputError(f"{path}:{line}: column {column!r} is not an integer: {cell!r}") from None
-
-
-def _parse_yen(cell: str, path: str, line: int, column: str) -> int:
-    value = _parse_int(cell, path, line, column)
-    if not -YEN_BOUND < value < YEN_BOUND:
         raise InputError(
-            f"{path}:{line}: column {column!r} is out of range, |yen| must be below 2**53: "
-            f"{cell!r}"
-        )
+            f"{where} is not {'a number' if kind == 'float' else 'an integer'}: {cell!r}"
+        ) from None
+    if kind == "yen" and not -YEN_BOUND < value < YEN_BOUND:
+        raise InputError(f"{where} is out of range, |yen| must be below 2**53: {cell!r}")
     return value
 
 
-def _check_yen(*columns: np.ndarray) -> None:
-    """Leave the table to the row parser where a yen amount reaches 2**53 either way."""
-    if any(((c >= YEN_BOUND) | (c <= -YEN_BOUND)).any() for c in columns):
-        raise ValueError("a yen amount is out of range")
+def _parse_row(row: list[str], columns: Sequence[Column], path: str, line: int) -> dict:
+    values = {}
+    for cell, column in zip(row, columns):
+        unread = column.rule == "coupon" and values["discount_pct"] == 0
+        values[column.name] = 0 if unread else _parse_cell(cell, column, path, line)
+    return values
 
 
 def _read_rows(path: str, expected_header: str) -> list[tuple[int, list[str]]]:
@@ -104,8 +150,10 @@ def _read_rows(path: str, expected_header: str) -> list[tuple[int, list[str]]]:
                 f"{path}:1: unexpected header {','.join(header)!r}; "
                 f"expected {expected_header!r}"
             )
-        rows = []
-        for line, row in enumerate(reader, start=2):
+        # A record's line is the file line it starts on; a quoted cell may span lines.
+        rows, end = [], 1
+        for row in reader:
+            line, end = end + 1, reader.line_num
             if not row:
                 continue
             if len(row) != len(header):
@@ -145,230 +193,115 @@ def _parse_columns(path: str, header: str, dtype: np.dtype) -> Optional[np.ndarr
         return None
 
 
-def _read_table(path: str, header: str, dtype: np.dtype, columns_of, parse_row) -> dict:
+def _columns_of(table: np.ndarray, columns: Sequence[Column]) -> dict:
+    """The one-call parse as typed columns; ValueError (or OverflowError) where a
+    cell needs the row parser, which reads it or names its line."""
+    out = {}
+    for c in columns:
+        cells = table[c.name]
+        if c.kind == "text":
+            value = cells.tolist()
+        elif c.kind == "flag":
+            if not set(cells.tolist()) <= {"0", "1"}:
+                raise ValueError(f"column {c.header!r} must be 0 or 1")
+            value = cells == "1"
+        elif c.rule == "sale":
+            value, filled = np.full(len(cells), np.nan), cells != ""
+            parse = float if c.kind == "float" else int
+            value[filled] = np.array(list(map(parse, cells[filled])), dtype=float)
+        elif c.rule == "coupon":
+            value = np.where(out["discount_pct"] == 0, 0, cells)
+        else:
+            value = np.ascontiguousarray(cells)
+        if c.kind == "yen" and ((value >= YEN_BOUND) | (value <= -YEN_BOUND)).any():
+            raise ValueError(f"column {c.header!r} is out of range")
+        out[c.name] = value
+    return out
+
+
+def _read_table(path: str, columns: Sequence[Column]) -> dict:
     """A table's typed columns, keyed by the ``from_columns`` argument names.
 
-    ``dtype`` names the fields after those arguments; ``columns_of`` turns
-    the parsed structured array into the columns and raises ValueError (or
-    OverflowError) where a cell needs the row parser. The row parser then
-    re-reads the file, and ``parse_row`` names the first bad cell's line.
+    ``np.loadtxt`` parses the file in one call, holding text, flags and sale
+    cells (empty where unsold) as text until checked. Where it or ``_columns_of``
+    cannot take a cell, the row parser re-reads the file and names the line
+    of the first bad cell.
     """
+    header = _header(columns)
+    dtype = np.dtype([(c.name, object if c.kind in ("text", "flag") or c.rule == "sale"
+                       else float if c.kind == "float" else np.int64) for c in columns])
     table = _parse_columns(path, header, dtype)
     if table is not None:
         try:
-            return columns_of(table)
+            return _columns_of(table, columns)
         except (ValueError, OverflowError):
             pass
-    rows = [parse_row(row, path, line) for line, row in _read_rows(path, header)]
-    if not rows:
-        return columns_of(np.empty(0, dtype))
-    return {name: [row[name] for row in rows] for name in rows[0]}
-
-
-def _field(table: np.ndarray, name: str):
-    """One field of a structured array: a list of cells for text, else a contiguous copy."""
-    column = table[name]
-    return column.tolist() if column.dtype == object else np.ascontiguousarray(column)
+    rows = [_parse_row(row, columns, path, line) for line, row in _read_rows(path, header)]
+    return {c.name: [row[c.name] for row in rows] for c in columns}
 
 
 WRITE_BLOCK_ROWS = 8192
-TEXT_CELL, INT_CELL = "%s", "%d"
 
 
-def _write_table(path: str, header: str, cell_formats: Sequence[str], n_rows: int,
-                 columns) -> None:
-    """Write the header and ``n_rows`` rows; ``columns(block)`` gives every
-    column's values for a slice of rows, as iterables of Python values.
+def _quote(cell: str) -> str:
+    """``cell`` as ``csv.QUOTE_MINIMAL`` writes it: quoted where it holds a comma,
+    quote, CR or LF, with its quotes doubled."""
+    if any(map(cell.__contains__, ',"\r\n')):
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
 
-    Each row is formatted by one ``%`` of the joined ``cell_formats`` on its
+
+def _cells(values: np.ndarray, column: Column, sold: Optional[np.ndarray]):
+    """One block of one column as the values its cell format takes."""
+    if column.kind == "text":
+        cells = map(bytes.decode, values)
+        # One scan of the block's bytes spares canonical ids a per-row check.
+        block = values.tobytes()
+        return map(_quote, cells) if any(map(block.__contains__, b',"\r\n')) else cells
+    if column.rule == "sale":
+        cell = CELL_FORMATS[column.kind]
+        return [cell % v if s else "" for v, s in zip(values.tolist(), sold.tolist())]
+    return values.tolist()
+
+
+def _write_table(path: str, columns: Sequence[Column], table, sold=None) -> None:
+    """Write the header and every row of ``table``, taking each column from the
+    attribute it names; ``sold`` marks the rows whose sale cells are filled.
+
+    Each row is formatted by one ``%`` of the joined cell formats on its
     values. Rows are formatted one block at a time, so that only one block's
     cells are alive at once rather than every cell of the table; an id
     column is decoded as a ``map``, so only its row's id is alive.
     """
-    row_format = ",".join(cell_formats)
+    row_format = ",".join("%s" if c.rule == "sale" else CELL_FORMATS[c.kind] for c in columns)
     with open(path, "w", newline="\n") as fh:
-        fh.write(header + "\n")
-        for lo in range(0, n_rows, WRITE_BLOCK_ROWS):
-            rows = map(row_format.__mod__, zip(*columns(slice(lo, lo + WRITE_BLOCK_ROWS))))
-            fh.write("\n".join(rows) + "\n")
-
-
-# ---------------------------------------------------------------------------
-# catalog
+        fh.write(_header(columns) + "\n")
+        for lo in range(0, len(table), WRITE_BLOCK_ROWS):
+            rows = slice(lo, lo + WRITE_BLOCK_ROWS)
+            block = [_cells(getattr(table, c.name)[rows], c, None if sold is None else sold[rows])
+                     for c in columns]
+            fh.write("\n".join(map(row_format.__mod__, zip(*block))) + "\n")
 
 
 def write_catalog(items: Sequence[ItemRecord] | CatalogArrays, path: str) -> None:
-    cat = _as_catalog(items)
-    numeric = (cat.price, cat.condition, cat.age_days, cat.likes, cat.demand, cat.season,
-               cat.ltv, cat.key_ts)
-    _write_table(
-        path, CATALOG_HEADER,
-        (TEXT_CELL, TEXT_CELL, INT_CELL, INT_CELL, FLOAT_CELL, INT_CELL, FLOAT_CELL,
-         FLOAT_CELL, INT_CELL, FLOAT_CELL),
-        len(cat),
-        lambda rows: [map(bytes.decode, cat.ids[rows]), map(bytes.decode, cat.seller_ids[rows]),
-                      *(column[rows].tolist() for column in numeric)],
-    )
-
-
-CATALOG_DTYPE = np.dtype([
-    ("ids", object), ("seller_ids", object), ("price", np.int64), ("condition", np.int64),
-    ("age_days", float), ("likes", np.int64), ("demand", float), ("season", float),
-    ("ltv", np.int64), ("key_ts", float),
-])
-
-
-def _catalog_columns(table: np.ndarray) -> dict:
-    _check_yen(table["price"], table["ltv"])
-    return {name: _field(table, name) for name in CATALOG_DTYPE.names}
-
-
-def _catalog_row(row: list[str], path: str, line: int) -> dict:
-    return dict(
-        ids=row[0],
-        seller_ids=row[1],
-        price=_parse_yen(row[2], path, line, "price_yen"),
-        condition=_parse_int(row[3], path, line, "condition"),
-        age_days=_parse_float(row[4], path, line, "age_days"),
-        likes=_parse_int(row[5], path, line, "likes"),
-        demand=_parse_float(row[6], path, line, "demand_index"),
-        season=_parse_float(row[7], path, line, "season_phase"),
-        ltv=_parse_yen(row[8], path, line, "seller_ltv_yen"),
-        key_ts=_parse_float(row[9], path, line, "key_action_ts"),
-    )
+    _write_table(path, CATALOG_COLUMNS, _as_catalog(items))
 
 
 def read_catalog(path: str) -> CatalogArrays:
     """The catalog CSV as columns."""
-    columns = _read_table(path, CATALOG_HEADER, CATALOG_DTYPE, _catalog_columns, _catalog_row)
-    return CatalogArrays.from_columns(**columns)
-
-
-# ---------------------------------------------------------------------------
-# outcome logs
+    return CatalogArrays.from_columns(**_read_table(path, CATALOG_COLUMNS))
 
 
 def write_outcomes(records: OutcomeLog, path: str) -> None:
-    def columns(rows):
-        sold = records.sold[rows]
-        flags = sold.tolist()
-
-        def sale_cells(column, cell_format):
-            """The sold rows' values as text; unsold rows' cells stay empty."""
-            sold_cells = map(cell_format.__mod__, column[rows][sold].tolist())
-            return [next(sold_cells) if s else "" for s in flags]
-
-        return [
-            map(bytes.decode, records.item_ids[rows]),
-            *(column[rows].tolist() for column in (
-                records.round, records.discount_pct, records.validity_hours, records.cap_yen,
-                records.attach_delay_h,
-            )),
-            flags,
-            sale_cells(records.purchase_delay_h, FLOAT_CELL),
-            sale_cells(records.sale_price_yen, INT_CELL),
-            sale_cells(records.coupon_cost_yen, INT_CELL),
-        ]
-
-    _write_table(
-        path, OUTCOME_HEADER,
-        (TEXT_CELL, INT_CELL, INT_CELL, FLOAT_CELL, INT_CELL, FLOAT_CELL, INT_CELL,
-         TEXT_CELL, TEXT_CELL, TEXT_CELL),
-        len(records), columns,
-    )
-
-
-# The sold flag and the sale cells, empty on unsold rows, stay text until checked.
-OUTCOME_DTYPE = np.dtype([
-    ("item_ids", object), ("round", np.int64), ("discount_pct", np.int64),
-    ("validity_hours", float), ("cap_yen", np.int64), ("attach_delay_h", float),
-    ("sold", object), ("purchase_delay_h", object), ("sale_price_yen", object),
-    ("coupon_cost_yen", object),
-])
-
-
-def _sale_values(cells: np.ndarray, parse) -> np.ndarray:
-    """NaN where a cell is empty, else ``parse`` of the cell, as floats."""
-    out = np.full(len(cells), np.nan)
-    filled = cells != ""
-    out[filled] = np.array(list(map(parse, cells[filled])), dtype=float)
-    return out
-
-
-def _outcome_columns(table: np.ndarray) -> dict:
-    sold = table["sold"]
-    if not set(sold.tolist()) <= {"0", "1"}:
-        raise ValueError("column 'sold' must be 0 or 1")
-    none = table["discount_pct"] == 0
-    # A no-coupon row's cap cell is not read; ``_check_coupons`` zeroes its validity.
-    cap = np.where(none, 0, table["cap_yen"])
-    price = _sale_values(table["sale_price_yen"], int)
-    cost = _sale_values(table["coupon_cost_yen"], int)
-    _check_yen(cap, price, cost)
-    return dict(
-        item_ids=_field(table, "item_ids"),
-        round=_field(table, "round"),
-        discount_pct=_field(table, "discount_pct"),
-        validity_hours=_field(table, "validity_hours"),
-        cap_yen=cap,
-        attach_delay_h=_field(table, "attach_delay_h"),
-        sold=sold == "1",
-        purchase_delay_h=_sale_values(table["purchase_delay_h"], float),
-        sale_price_yen=price,
-        coupon_cost_yen=cost,
-    )
-
-
-def _outcome_row(row: list[str], path: str, line: int) -> dict:
-    nan = float("nan")
-    disc = _parse_int(row[2], path, line, "discount_pct")
-    out = dict(
-        item_ids=row[0],
-        discount_pct=disc,
-        validity_hours=_parse_float(row[3], path, line, "validity_hours") if disc else 0.0,
-        cap_yen=_parse_yen(row[4], path, line, "cap_yen") if disc else 0,
-    )
-    if row[6] not in ("0", "1"):
-        raise InputError(f"{path}:{line}: column 'sold' must be 0 or 1, got {row[6]!r}")
-    out.update(
-        round=_parse_int(row[1], path, line, "round"),
-        attach_delay_h=_parse_float(row[5], path, line, "attach_delay_h"),
-        sold=row[6] == "1",
-        purchase_delay_h=(
-            nan if row[7] == "" else _parse_float(row[7], path, line, "purchase_delay_h")
-        ),
-        sale_price_yen=nan if row[8] == "" else _parse_yen(row[8], path, line, "sale_price_yen"),
-        coupon_cost_yen=(
-            nan if row[9] == "" else _parse_yen(row[9], path, line, "coupon_cost_yen")
-        ),
-    )
-    return out
+    _write_table(path, OUTCOME_COLUMNS, records, sold=records.sold)
 
 
 def read_outcomes(path: str) -> OutcomeLog:
-    return OutcomeLog.from_columns(
-        **_read_table(path, OUTCOME_HEADER, OUTCOME_DTYPE, _outcome_columns, _outcome_row)
-    )
-
-
-# ---------------------------------------------------------------------------
-# allocation plans
+    return OutcomeLog.from_columns(**_read_table(path, OUTCOME_COLUMNS))
 
 
 def write_plans(plans: PlanTable, path: str) -> None:
-    numeric = (
-        plans.j_discount_pct, plans.j_validity_h, plans.j_cap, plans.k_discount_pct,
-        plans.k_validity_h, plans.k_cap, plans.attach_delay_h, plans.p_round1, plans.p_round2,
-        plans.p_combined, plans.p_baseline, plans.lift, plans.expected_cost, plans.roi,
-        plans.feasible,
-    )
-    _write_table(
-        path, PLAN_HEADER,
-        (TEXT_CELL, *(INT_CELL, FLOAT_CELL, INT_CELL) * 2, *(FLOAT_CELL,) * 8, INT_CELL),
-        len(plans),
-        lambda rows: [map(bytes.decode, plans.item_ids[rows]),
-                      *(column[rows].tolist() for column in numeric)],
-    )
+    _write_table(path, PLAN_COLUMNS, plans)
 
 
 # ---------------------------------------------------------------------------
@@ -447,13 +380,7 @@ def save_model(model: Model, path: str) -> None:
             [s.feature, float(s.threshold), float(s.left_value), float(s.right_value)]
             for s in model.stumps
         ],
-        "config": {
-            "kind": model.config.kind,
-            "learning_rate": model.config.learning_rate,
-            "l2": model.config.l2,
-            "epochs": model.config.epochs,
-            "max_stumps": model.config.max_stumps,
-        },
+        "config": dataclasses.asdict(model.config),
     }
     _dump_json(payload, path)
 
@@ -474,13 +401,9 @@ def load_model(path: str) -> Model:
                 Stump(int(f), float(t), float(lv), float(rv))
                 for f, t, lv, rv in payload["stumps"]
             ),
-            config=LearnerConfig(
-                kind=cfg["kind"],
-                learning_rate=cfg["learning_rate"],
-                l2=cfg["l2"],
-                epochs=cfg["epochs"],
-                max_stumps=cfg["max_stumps"],
-            ),
+            # Keys of no ``LearnerConfig`` field (an old ``rng_seed``) are ignored.
+            config=LearnerConfig(**{f.name: cfg[f.name]
+                                    for f in dataclasses.fields(LearnerConfig)}),
         )
         mean, scale = model.feature_mean, model.feature_scale
         if mean.ndim != 1 or scale.shape != mean.shape:
@@ -491,6 +414,9 @@ def load_model(path: str) -> Model:
             raise ValueError("the intercept and coefficients must be finite")
         if not all(0 <= s.feature < len(mean) for s in model.stumps):
             raise ValueError(f"stump features must lie in [0, {len(mean)})")
+        leaves = [(s.threshold, s.left_value, s.right_value) for s in model.stumps]
+        if not np.isfinite(leaves).all():
+            raise ValueError("stump thresholds and leaf values must be finite")
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{path}: malformed model artifact: {exc}") from None
     return model

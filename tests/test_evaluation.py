@@ -14,7 +14,7 @@ from seqcoupon import evaluation, fileio, rng
 from seqcoupon.config import RunConfig
 from seqcoupon.domain import CouponConfig, OutcomeLog, OutcomeRecord
 from seqcoupon.errors import ContractError, InputError
-from seqcoupon.decision import DEFAULT_ATTACH_DELAY_H, PolicyConstraint
+from seqcoupon.decision import DEFAULT_ATTACH_DELAY_H, PolicyConstraint, combine_cost, roi
 from seqcoupon.evaluation import (
     BucketRow,
     ComparisonReport,
@@ -509,9 +509,17 @@ def _tiny_catalog(world):
      "purchase_time_rate must be > 0"),
     (lambda v, pair, world: RunConfig(attach_delay_h=v), InputError,
      "attach_delay_h must be >= 0, got "),
+    (lambda v, pair, world: roi(0.5, 0.4, v, 100.0), InputError, "ltv must be positive"),
+    (lambda v, pair, world: roi(0.5, 0.4, 20000.0, v), InputError,
+     "expected_cost must be >= 0"),
+    (lambda v, pair, world: combine_cost(0.5, 0.5, v, 100.0), InputError,
+     "costs must be >= 0"),
+    (lambda v, pair, world: combine_cost(0.5, 0.5, 100.0, v), InputError,
+     "costs must be >= 0"),
 ], ids=["compare_strategies", "delay_analysis", "rollout_arms", "rollout_policy",
         "predict_arrays", "learning_rate", "l2", "effect_scale", "purchase_time_rate",
-        "RunConfig.attach_delay_h"])
+        "RunConfig.attach_delay_h", "roi.ltv", "roi.expected_cost", "combine_cost.cost_j",
+        "combine_cost.cost_k"])
 def test_nan_is_refused_as_a_negative_value_is(
         trained_pair, small_world, call, error, message, value):
     with pytest.raises(error) as info:

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import math
@@ -203,6 +204,82 @@ class TestNonAsciiIds:
             assert [r.item_id for r in back] == [r.item_id for r in log]
             write_outcomes(back, per_record)
             assert open(path, "rb").read() == open(per_record, "rb").read()
+
+
+class TestQuotedIds:
+    """An id holding a comma, quote, CR or LF is written quoted, as ``csv`` writes it,
+    so the reader that unquotes it reads it back."""
+
+    IDS = ('it,"x"', 'q"', "a\nb", "c\rd", "plain", "e,")
+
+    @pytest.fixture
+    def world(self, round1_menu, round2_menu):
+        config = SimConfig(n_items=30, rng_seed=5)
+        items = [dataclasses.replace(it, item_id=f"{self.IDS[i % 6]}{i}", seller_id=f"s,{i % 4}")
+                 for i, it in enumerate(generate_catalog(config))]
+        log1, _, log2 = run_rct(GroundTruth(config), items, round1_menu, round2_menu,
+                                [0.25] * 4, [0.25] * 4, seed=5)
+        return SimpleNamespace(items=items, log1=log1, log2=log2)
+
+    @staticmethod
+    def csv_cells(path):
+        with open(path, newline="") as fh:
+            return list(csv.reader(fh))[1:]
+
+    def test_catalog_round_trips(self, tmp_path, world):
+        path, again = str(tmp_path / "catalog.csv"), str(tmp_path / "again.csv")
+        write_catalog(world.items, path)
+        assert [row[:2] for row in self.csv_cells(path)] == [
+            [it.item_id, it.seller_id] for it in world.items]
+        cat = read_catalog(path)
+        assert [(it.item_id, it.seller_id) for it in cat.to_items()] == [
+            (it.item_id, it.seller_id) for it in world.items]
+        write_catalog(cat, again)
+        assert open(again, "rb").read() == open(path, "rb").read()
+
+    def test_logs_round_trip(self, tmp_path, world):
+        for log in (world.log1, world.log2):
+            path, again = str(tmp_path / "log.csv"), str(tmp_path / "again.csv")
+            write_outcomes(log, path)
+            back = read_outcomes(path)
+            assert back.item_ids.tolist() == log.item_ids.tolist()
+            write_outcomes(back, again)
+            assert open(again, "rb").read() == open(path, "rb").read()
+
+    def test_plan_ids_read_back(self, tmp_path, world, round1_menu, round2_menu):
+        ids = [it.item_id for it in world.items]
+        n = len(ids)
+        table = materialize_plans(
+            ids, np.zeros(n, dtype=int), np.ones(n, dtype=int), np.ones(n, dtype=bool),
+            np.full((n, 4), 0.5), np.full((n, 4), 0.25), np.full(n, 0.4), np.full(n, 3000),
+            np.full(n, 20000), round1_menu, round2_menu, PolicyConstraint(),
+        )
+        path = str(tmp_path / "plans.csv")
+        write_plans(table, path)
+        rows = self.csv_cells(path)
+        assert [row[0] for row in rows] == ids and {len(row) for row in rows} == {16}
+
+    def test_only_cells_that_need_it_are_quoted(self, tmp_path, world):
+        path = str(tmp_path / "catalog.csv")
+        write_catalog(world.items[:6], path)
+        text = open(path, newline="").read()
+        assert text.split("\n")[1].startswith('"it,""x""0","s,0",')
+        assert "\nplain4,s,0" not in text and '\nplain4,"s,0",' in text
+
+    def test_a_bad_cell_after_a_multi_line_id_names_its_file_line(self, tmp_path, world):
+        path = str(tmp_path / "catalog.csv")
+        ids = ("a\nb", "p1", "p2")
+        write_catalog([dataclasses.replace(it, item_id=i) for it, i in zip(world.items, ids)],
+                      path)
+        lines = open(path, newline="").read().split("\n")
+        parts = lines[4].split(",")
+        parts[-1] = "soon"
+        lines[4] = ",".join(parts)
+        with open(path, "w", newline="") as fh:
+            fh.write("\n".join(lines))
+        with pytest.raises(InputError, match=re.escape(
+                f"{path}:5: column 'key_action_ts' is not a number: 'soon'")):
+            read_catalog(path)
 
 
 class TestOutcomeRoundTrip:

@@ -41,15 +41,7 @@ from .errors import (
 )
 from .evaluation import UpliftCurve, bootstrap_band, compare_strategies, cumulative_uplift, delay_analysis
 from .learner import Model, grid_search
-from .simulator import (
-    CatalogArrays,
-    CatalogIds,
-    GroundTruth,
-    SimConfig,
-    catalog_ids,
-    generate_catalog_arrays,
-    run_rct,
-)
+from .simulator import CatalogArrays, GroundTruth, SimConfig, generate_catalog_arrays, run_rct
 from .uplift import (
     PredictorPair,
     check_round,
@@ -86,6 +78,8 @@ class _Run:
         self.quiet: bool = args.quiet
         self.out: str = args.out
         self.seed_given: bool = args.seed is not None
+        if self.seed_given and args.seed < 0:
+            raise InputError(f"--seed must be >= 0, got {args.seed}")
         default = (self.config.evaluation.train_seed if self.command == "compare"
                    else self.config.simulator.rng_seed)
         self.seed: int = args.seed if self.seed_given else default
@@ -225,14 +219,11 @@ def cmd_evaluate(run: _Run) -> None:
     run.say(f"wrote {CURVE_FILE} and {BUCKETS_FILE} in {run.out}")
 
 
-def _train_compare_pair(run: _Run) -> tuple[PredictorPair, Optional[CatalogIds]]:
+def _train_compare_pair(run: _Run) -> PredictorPair:
     """Fit the pair ``compare`` rolls out, on an in-memory training trial.
 
-    Also returns the training catalog's ``catalog_ids`` for the rollout
-    catalogs, whose ids and keys are a prefix of its own, or None when they
-    have more items. The lender is cut to the rollout size and holds no
-    numeric column. The training catalog, its logs and the ground truth are
-    locals here, so they are freed on return, before any rollout starts.
+    The training catalog, its logs and the ground truth are locals here, so
+    they are freed on return, before any rollout starts.
     """
     cfg = run.config
     train_sim = replace(
@@ -242,22 +233,15 @@ def _train_compare_pair(run: _Run) -> tuple[PredictorPair, Optional[CatalogIds]]
     )
     cat, log1, log2 = _uniform_trial(cfg, train_sim)
     run.say(f"trained on {len(cat)} items ({len(log2)} survivors)")
-    pair = _fit_pair(cfg, cat, log1, log2, cfg.learner.base)
-    n_rollout = cfg.simulator.n_items
-    return pair, catalog_ids(cat, n_rollout) if n_rollout <= len(cat) else None
+    return _fit_pair(cfg, cat, log1, log2, cfg.learner.base)
 
 
 def cmd_compare(run: _Run) -> None:
     cfg = run.config
-    pair, ids = _train_compare_pair(run)
+    pair = _train_compare_pair(run)
     seeds = (run.seed,) if run.seed_given else cfg.evaluation.seeds
     report = compare_strategies(
-        cfg.simulator,
-        pair,
-        cfg.constraint(),
-        seeds,
-        attach_delay_h=cfg.attach_delay_h,
-        same_ids_as=ids,
+        cfg.simulator, pair, cfg.constraint(), seeds, attach_delay_h=cfg.attach_delay_h
     )
     fileio.write_comparison_report(report, run.path(REPORT_FILE))
     run.say(f"compared {len(seeds)} seeds -> {run.path(REPORT_FILE)}")

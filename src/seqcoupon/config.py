@@ -35,6 +35,7 @@ from __future__ import annotations
 import configparser
 import itertools
 import math
+import typing
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -67,6 +68,12 @@ class EvaluationSection:
     def __post_init__(self):
         if not self.seeds:
             raise InputError("seeds must be non-empty")
+        if min(self.seeds) < 0:
+            raise InputError("seeds must be >= 0")
+        if self.train_seed < 0:
+            raise InputError("train_seed must be >= 0")
+        if self.bootstrap_b < 2:
+            raise InputError("bootstrap_b must be >= 2")
         if self.train_n_items <= 0:
             raise InputError("train_n_items must be > 0")
 
@@ -186,22 +193,23 @@ def _build(cls, kwargs: dict, section: str, path: str):
         raise InputError(f"{path}: [{section}] {exc}") from None
 
 
-_SIM_TYPES = {
-    "n_items": int,
-    "rng_seed": int,
-    "base_logit_r1": float,
-    "base_logit_r2": float,
-    "feature_weights": (float, None),
-    "effect_scale": float,
-    "delay_knee_h": float,
-    "delay_floor": float,
-    "purchase_time_rate": float,
-    "ltv_lognormal_params": (float, 2),
-    "price_lognormal_params": (float, 2),
-    "likes_rate": float,
-    "max_age_days": int,
-    "rct_max_delay_h": float,
-}
+def _key_types(cls) -> dict:
+    """The ``_parse_keys`` types of the fields of ``cls`` that a config key sets.
+
+    A field typed ``int``, ``float`` or ``str`` (or ``Optional`` of one) reads
+    as that type; ``tuple[T, ...]`` of numbers reads as ``(T, None)`` and a
+    tuple of n numbers as ``(T, n)``. Fields of any other type are left out.
+    """
+    types = {}
+    for name, hint in typing.get_type_hints(cls).items():
+        args = typing.get_args(hint)
+        if typing.get_origin(hint) is typing.Union:  # Optional[T]
+            hint = args[0]
+        elif typing.get_origin(hint) is tuple and args[0] in (int, float):
+            hint = (args[0], None if args[-1] is Ellipsis else len(args))
+        if hint in (int, float, str) or isinstance(hint, tuple):
+            types[name] = hint
+    return types
 
 
 def _parse_coupon_set(raw: dict[str, str], section: str, purpose: str, path: str) -> CouponSet:
@@ -235,59 +243,44 @@ def _parse_coupon_set(raw: dict[str, str], section: str, purpose: str, path: str
     return _build(CouponSet, dict(arms=tuple(arms), purpose=purpose), section, path)
 
 
-_LEARNER_TYPES = {
-    "kind": str,
-    "learning_rate": float,
-    "l2": float,
-    "epochs": int,
-    "max_stumps": int,
-}
+_LEARNER_TYPES = _key_types(LearnerConfig)
 # [learner] also takes k_folds and a grid_<key> comma list for each numeric key.
 _LEARNER_SECTION_TYPES = {
     **_LEARNER_TYPES,
-    "k_folds": int,
+    **_key_types(LearnerSection),
     **{f"grid_{key}": (typ, None) for key, typ in _LEARNER_TYPES.items() if key != "kind"},
 }
 
 
 def _parse_learner(raw: dict[str, str], path: str) -> LearnerSection:
     cells = _parse_keys(raw, "learner", path, _LEARNER_SECTION_TYPES)
-    k_folds = cells.pop("k_folds", 5)
+    k_folds = {"k_folds": cells.pop("k_folds")} if "k_folds" in cells else {}
     grid_cells = {
         name[len("grid_") :]: cells.pop(name) for name in list(cells) if name.startswith("grid_")
     }
     base = _build(LearnerConfig, cells, "learner", path)
-    if not grid_cells:
-        return LearnerSection(base=base, grid=(base,), k_folds=k_folds)
+    # LearnerConfig checks each field alone, so a grid whose every value passes
+    # on its own is valid at every point.
     for key, values in grid_cells.items():
         if not values:
             raise InputError(f"{path}: [learner] grid_{key} must list at least one value")
+        for value in values:
+            try:
+                replace(base, **{key: value})
+            except InputError as exc:
+                raise InputError(
+                    f"{path}: [learner] grid_{key}: grid point value {value!r}: {exc}"
+                ) from None
     keys = sorted(grid_cells)
-    grid = []
-    for combo in itertools.product(*(grid_cells[k] for k in keys)):
-        try:
-            grid.append(replace(base, **dict(zip(keys, combo))))
-        except InputError as exc:
-            raise InputError(f"{path}: [learner] grid point {combo!r}: {exc}") from None
-    return LearnerSection(base=base, grid=tuple(grid), k_folds=k_folds)
+    grid = [replace(base, **dict(zip(keys, combo)))
+            for combo in itertools.product(*(grid_cells[k] for k in keys))]
+    return LearnerSection(base=base, grid=tuple(grid), **k_folds)
 
 
-_POLICY_TYPES = {
-    "lift_threshold": float,
-    "attach_delay_h": float,
-    "ipw_epsilon": float,
-    "ipw_variant": str,
-    "ltv_override": float,
-}
-_EVALUATION_TYPES = {
-    "deciles": int,
-    "bootstrap_b": int,
-    "bucket_h": float,
-    "seeds": (int, None),
-    "train_seed": int,
-    "train_n_items": int,
-}
-_IO_TYPES = dict.fromkeys(("catalog", "round1_log", "round2_log", "model_dir"), str)
+_SIM_TYPES = _key_types(SimConfig)
+_POLICY_TYPES = _key_types(RunConfig)  # its scalar fields
+_EVALUATION_TYPES = _key_types(EvaluationSection)
+_IO_TYPES = _key_types(IoSection)
 # Each RunConfig field built from one section: (section, class, key types).
 _DATACLASS_SECTIONS = {
     "simulator": ("simulator", SimConfig, _SIM_TYPES),
@@ -295,18 +288,10 @@ _DATACLASS_SECTIONS = {
     "evaluation": ("evaluation", EvaluationSection, _EVALUATION_TYPES),
     "io": ("io", IoSection, _IO_TYPES),
 }
-
-
-_KNOWN_SECTIONS = (
-    "simulator",
-    "coupons.round1",
-    "coupons.round2",
-    "learner",
-    "learner.second",
-    "policy",
-    "evaluation",
-    "io",
-)
+_KNOWN_SECTIONS = {
+    "coupons.round1", "coupons.round2", "learner", "policy",
+    *(section for section, _, _ in _DATACLASS_SECTIONS.values()),
+}
 
 
 def load_config(path: str) -> RunConfig:

@@ -399,7 +399,8 @@ class CatalogArrays:
 
     Row i of every column describes the same item; ``matrix`` holds its raw
     item features and ``keys`` its ``rng.item_key``. The keys are hashed on
-    first use, so a catalog that only trains, plans or evaluates hashes none.
+    first use (a simulated catalog comes with them), so a catalog read to
+    train, plan or evaluate hashes none.
     The ids and seller ids are UTF-8 bytes (``S``); records carry them as ``str``.
     """
 

@@ -27,13 +27,10 @@ from .decision import (
 from .domain import OutcomeLog
 from .errors import InputError
 from .simulator import (
-    CatalogArrays,
-    CatalogIds,
     GroundTruth,
     RolloutTotals,
     SimConfig,
     arm_draw,
-    catalog_ids,
     generate_catalog_arrays,
     rollout_arms,
 )
@@ -436,18 +433,13 @@ def compare_strategies(
     constraint: PolicyConstraint,
     seeds: Sequence[int],
     attach_delay_h: float = DEFAULT_ATTACH_DELAY_H,
-    same_ids_as: Optional[CatalogArrays | CatalogIds] = None,
 ) -> ComparisonReport:
     """Roll out every strategy in ``STRATEGIES`` on common seeds.
 
     For each seed one catalog is drawn straight into columns
-    (``generate_catalog_arrays``: no per-item records). Item ids and their
-    keys depend on the row number alone, so they are built and hashed once
-    per call: each seed lends the next its ``catalog_ids`` only, and is freed
-    before the next catalog is drawn. ``same_ids_as``, a simulated catalog of
-    at least ``config.n_items`` rows or its ``catalog_ids`` (such as the
-    training catalog's), lends them to the first seed too, and then nothing is
-    built or hashed. Predictions come from the catalog's columns, each plan
+    (``generate_catalog_arrays``: no per-item records, and the ids and keys
+    of the last catalog drawn are reused), and it is freed before the next
+    is drawn. Predictions come from the catalog's columns, each plan
     rule turns them into arm-index arrays, and one ``rollout_arms`` pass rolls
     out a no-coupon holdout and then every rule's plan on that catalog under
     shared sale draws. Realized ROI is incremental sales over the holdout
@@ -463,10 +455,9 @@ def compare_strategies(
 
     rows = []  # per seed: items, mean LTV, holdout sales, totals per strategy
     ltv_sum = 0.0
-    ids = same_ids_as
     for seed in seeds:
         cfg = dataclasses.replace(config, rng_seed=seed)
-        cat = generate_catalog_arrays(cfg, same_ids_as=ids)
+        cat = generate_catalog_arrays(cfg)
         preds = predict_arrays(pair, cat.matrix, cat.age_days, attach_delay_h)
         no_coupon = np.zeros(len(cat), dtype=np.int64)
         plans = [(no_coupon, no_coupon)]
@@ -476,7 +467,6 @@ def compare_strategies(
         )
         rows.append((len(cat), float(cat.ltv.mean()), holdout.sales_count, totals))
         ltv_sum += float(cat.ltv.sum())
-        ids = catalog_ids(cat, len(cat))  # the keys are hashed by now
         del cat, preds, no_coupon, plans  # the next catalog is drawn without these alive
 
     n_total = sum(row[0] for row in rows)

@@ -89,7 +89,8 @@ CATALOG_HEADER, OUTCOME_HEADER, PLAN_HEADER = map(
     _header, (CATALOG_COLUMNS, OUTCOME_COLUMNS, PLAN_COLUMNS))
 CURVE_HEADER = "fraction,uplift,lo,hi"
 BUCKET_HEADER = "bucket_start_h,metric,value,n"
-GRID_HEADER = "kind,learning_rate,l2,epochs,max_stumps,mean_loss,fold_losses,prior_folds"
+_GRID_FIELDS = tuple(f.name for f in dataclasses.fields(LearnerConfig))
+GRID_HEADER = ",".join((*_GRID_FIELDS, "mean_loss", "fold_losses", "prior_folds"))
 MANIFEST_NAME = "manifest.json"
 FLOAT_CELL = "%.12g"
 CELL_FORMATS = {"text": "%s", "int": "%d", "yen": "%d", "float": FLOAT_CELL, "flag": "%d"}
@@ -467,23 +468,16 @@ def load_pair(in_dir: str) -> PredictorPair:
 
 
 def write_grid_table(results: Sequence[GridResult], path: str) -> None:
+    """One row per grid point: its ``LearnerConfig`` fields, then the losses."""
     lines = [GRID_HEADER]
     for r in results:
-        c = r.config
-        lines.append(
-            ",".join(
-                [
-                    c.kind,
-                    fmt(c.learning_rate),
-                    fmt(c.l2),
-                    str(c.epochs),
-                    str(c.max_stumps),
-                    fmt(r.mean_loss),
-                    ";".join(fmt(v) for v in r.fold_losses),
-                    ";".join(str(int(v)) for v in r.prior_folds),
-                ]
-            )
-        )
+        config = (getattr(r.config, name) for name in _GRID_FIELDS)
+        lines.append(",".join([
+            *(fmt(v) if isinstance(v, float) else str(v) for v in config),
+            fmt(r.mean_loss),
+            ";".join(fmt(v) for v in r.fold_losses),
+            ";".join(str(int(v)) for v in r.prior_folds),
+        ]))
     _write_text(path, "\n".join(lines) + "\n")
 
 

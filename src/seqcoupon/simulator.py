@@ -13,7 +13,7 @@ trial and every rollout run one two-round core, ``_two_rounds``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -61,8 +61,12 @@ class SimConfig:
     rct_max_delay_h: float = 36.0
 
     def __post_init__(self):
-        if self.n_items < 0:
-            raise InputError("n_items must be >= 0")
+        for name in ("n_items", "rng_seed", "likes_rate", "max_age_days", "rct_max_delay_h"):
+            if not getattr(self, name) >= 0:
+                raise InputError(f"{name} must be >= 0")
+        for name in ("price_lognormal_params", "ltv_lognormal_params"):
+            if not getattr(self, name)[1] >= 0:
+                raise InputError(f"{name} sigma must be >= 0")
         if self.base_logit_r2 >= self.base_logit_r1:
             raise InputError("base_logit_r2 must be < base_logit_r1 (interest decays)")
         if len(self.feature_weights) != N_ITEM_FEATURES:
@@ -164,41 +168,28 @@ def _serial_ids(prefix: str, numbers: range) -> np.ndarray:
     return rows.view(f"S{rows.shape[1]}").reshape(-1)
 
 
-def _draw_catalog(config: SimConfig, lent: Optional["CatalogIds"] = None) -> dict:
-    """The catalog's columns, keyed by ``CatalogArrays`` field; deterministic per seed.
+# The id, seller-id and key columns of the last catalog drawn; see ``_serial_columns``.
+_kept: tuple = ()
 
-    Draws no keys and builds no features: both catalog generators start here.
-    The ids and seller ids depend on the row number alone; they are taken from
-    ``lent``, which has ``n_items`` rows, when given.
+
+def _serial_columns(n: int) -> tuple:
+    """The id, seller-id and ``rng.item_keys`` columns of an ``n``-row simulated catalog.
+
+    They depend on the row number alone, so those of the last catalog drawn
+    are kept. A catalog of the same size gets the same arrays, and a smaller
+    one a copy of their prefix, so the longer columns are freed with their
+    catalog; only a larger one builds and hashes new columns. The arrays are
+    read-only, since every catalog of their size shares them.
     """
-    n = config.n_items
-    gen = np.random.default_rng([config.rng_seed, 0xCA7A])
-    price_mu, price_sigma = config.price_lognormal_params
-    ltv_mu, ltv_sigma = config.ltv_lognormal_params
-    price = np.maximum(1, np.rint(gen.lognormal(price_mu, price_sigma, n))).astype(np.int64)
-    condition = gen.integers(1, 6, n)
-    age_days = gen.integers(0, config.max_age_days + 1, n).astype(float)
-    likes = gen.poisson(config.likes_rate, n)
-    demand = gen.normal(0.0, 1.0, n)
-    season = gen.uniform(0.0, 1.0, n)
-    ltv = np.maximum(1, np.rint(gen.lognormal(ltv_mu, ltv_sigma, n))).astype(np.int64)
-    key_ts = _KEY_ACTION_EPOCH_H + gen.uniform(0.0, 8760.0, n)
-    if lent is None:
-        ids, seller_ids = _serial_ids("it", range(n)), _serial_ids("sl", range(n))
-    else:
-        ids, seller_ids = lent.ids, lent.seller_ids
-    return dict(
-        ids=ids,
-        seller_ids=seller_ids,
-        price=price,
-        condition=condition,
-        age_days=age_days,
-        likes=likes,
-        demand=demand,
-        season=season,
-        ltv=ltv,
-        key_ts=key_ts,
-    )
+    global _kept
+    if not _kept or len(_kept[0]) < n:
+        ids = _serial_ids("it", range(n))
+        _kept = (ids, _serial_ids("sl", range(n)), rng.item_keys(ids))
+    elif len(_kept[0]) > n:
+        _kept = tuple(column[:n].copy() for column in _kept)
+    for column in _kept:
+        column.flags.writeable = False
+    return _kept
 
 
 def generate_catalog(config: SimConfig) -> list[ItemRecord]:
@@ -206,61 +197,31 @@ def generate_catalog(config: SimConfig) -> list[ItemRecord]:
     return generate_catalog_arrays(config).to_items()
 
 
-def generate_catalog_arrays(
-    config: SimConfig, same_ids_as: Optional["CatalogArrays | CatalogIds"] = None
-) -> "CatalogArrays":
-    """A catalog drawn straight into columns and the feature matrix.
+def generate_catalog_arrays(config: SimConfig) -> CatalogArrays:
+    """A catalog drawn straight into columns and the feature matrix; deterministic per seed.
 
-    ``same_ids_as``, a catalog this function drew under any seed with at least
-    ``n_items`` rows (or its ``catalog_ids``), lends the id and seller-id
-    columns and any keys it has hashed of its first ``n_items`` rows.
-    Those depend on the row number alone, so a caller drawing many catalogs
-    builds and hashes them once. A lender of exactly ``n_items`` rows lends
-    its own objects.
+    The ids, seller ids and keys come from ``_serial_columns``, so a caller
+    drawing many catalogs builds and hashes them once; the keys are set.
     """
-    if same_ids_as is None:
-        return CatalogArrays.from_columns(**_draw_catalog(config))
-    if len(same_ids_as) < config.n_items:
-        raise InputError(
-            f"same_ids_as has {len(same_ids_as)} items, config.n_items is {config.n_items}"
-        )
-    lent = catalog_ids(same_ids_as, config.n_items)
-    cat = CatalogArrays.from_columns(**_draw_catalog(config, lent))
-    if lent.keys is not None:
-        cat.__dict__["keys"] = lent.keys
+    n = config.n_items
+    ids, seller_ids, keys = _serial_columns(n)
+    gen = np.random.default_rng([config.rng_seed, 0xCA7A])
+    price_mu, price_sigma = config.price_lognormal_params
+    ltv_mu, ltv_sigma = config.ltv_lognormal_params
+    cat = CatalogArrays.from_columns(
+        ids=ids,
+        seller_ids=seller_ids,
+        price=np.maximum(1, np.rint(gen.lognormal(price_mu, price_sigma, n))).astype(np.int64),
+        condition=gen.integers(1, 6, n),
+        age_days=gen.integers(0, config.max_age_days + 1, n).astype(float),
+        likes=gen.poisson(config.likes_rate, n),
+        demand=gen.normal(0.0, 1.0, n),
+        season=gen.uniform(0.0, 1.0, n),
+        ltv=np.maximum(1, np.rint(gen.lognormal(ltv_mu, ltv_sigma, n))).astype(np.int64),
+        key_ts=_KEY_ACTION_EPOCH_H + gen.uniform(0.0, 8760.0, n),
+    )
+    cat.__dict__["keys"] = keys  # fills the cached property
     return cat
-
-
-class CatalogIds:
-    """The columns of a simulated catalog that depend on the row number alone.
-
-    The id and seller-id ``S`` columns, plus the ``rng.item_keys`` of the ids
-    where they were hashed (else None). It holds no numeric column, so it
-    can lend ids to later catalogs after the one it came from is freed. A
-    plain class: building a dataclass (about 0.6 ms) would add to every
-    command's start-up.
-    """
-
-    def __init__(self, ids: np.ndarray, seller_ids: np.ndarray,
-                 keys: Optional[np.ndarray] = None):
-        self.ids, self.seller_ids, self.keys = ids, seller_ids, keys
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-
-def catalog_ids(source: "CatalogArrays | CatalogIds", n: int) -> CatalogIds:
-    """The ids, seller ids and hashed keys of the first ``n`` rows of ``source``.
-
-    ``n`` is at most ``len(source)``. At full length the columns and keys are
-    ``source``'s own arrays; a shorter prefix is copied, so the rows past
-    ``n`` are freed with ``source``.
-    """
-    # A CatalogArrays holds "keys" in its __dict__ only once they are hashed.
-    columns = (source.ids, source.seller_ids, source.__dict__.get("keys"))
-    if n < len(source):
-        columns = (None if c is None else c[:n].copy() for c in columns)
-    return CatalogIds(*columns)
 
 
 def purchase_rate(config: SimConfig, price_yen) -> np.ndarray:

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from seqcoupon import simulator
 from seqcoupon.domain import CouponConfig, CouponSet, ItemRecord
 from seqcoupon.learner import LearnerConfig
 from seqcoupon.simulator import GroundTruth, SimConfig, generate_catalog, run_rct
@@ -75,3 +76,9 @@ def trained_pair(small_world, round1_menu, round2_menu):
         config_first=LearnerConfig(kind="logistic", learning_rate=1.0, epochs=300),
         config_second=LearnerConfig(kind="boosted_stumps", learning_rate=0.4, max_stumps=20),
     )
+
+
+@pytest.fixture
+def cleared_serial_columns(monkeypatch):
+    """No kept id, seller-id or key columns, so the next catalog drawn builds and hashes its own."""
+    monkeypatch.setattr(simulator, "_kept", ())

@@ -419,6 +419,7 @@ class TestCompareStrategies:
                 attach_delay_h=-1.0,
             )
 
+    @pytest.mark.usefixtures("cleared_serial_columns")
     def test_one_catalog_build_per_seed(self, trained_pair, monkeypatch):
         builds, hashed = [], []
         real_keys = rng.item_keys

@@ -3,11 +3,12 @@ import gc
 import math
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
-from seqcoupon import rng
+from seqcoupon import rng, simulator
 from seqcoupon.domain import CouponConfig, ItemRecord, item_feature_matrix
 from seqcoupon.errors import InputError
 from seqcoupon.simulator import (
@@ -18,7 +19,6 @@ from seqcoupon.simulator import (
     RolloutTotals,
     SimConfig,
     arm_draw,
-    catalog_ids,
     generate_catalog,
     generate_catalog_arrays,
     purchase_rate,
@@ -77,6 +77,20 @@ class TestSimConfig:
     def test_weight_vector_length_checked(self):
         with pytest.raises(InputError):
             SimConfig(feature_weights=(1.0, 2.0))
+
+    @pytest.mark.parametrize("field,value", [
+        ("rng_seed", -1), ("likes_rate", -1.0), ("likes_rate", math.nan),
+        ("max_age_days", -1), ("rct_max_delay_h", -1.0), ("rct_max_delay_h", math.nan),
+    ])
+    def test_refuses_a_negative_seed_or_sampling_parameter(self, field, value):
+        with pytest.raises(InputError, match=f"^{field} must be >= 0$"):
+            SimConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["price_lognormal_params", "ltv_lognormal_params"])
+    def test_refuses_a_negative_lognormal_sigma(self, field):
+        with pytest.raises(InputError, match=f"^{field} sigma must be >= 0$"):
+            SimConfig(**{field: (8.0, -0.1)})
+        assert getattr(SimConfig(**{field: (8.0, 0.0)}), field) == (8.0, 0.0)
 
 
 class TestGroundTruth:
@@ -348,11 +362,13 @@ class TestCatalogArrays:
         assert len(cat.rows_of([])) == 0
 
     def test_keys_are_hashed_on_first_use_and_taken_as_they_are(self, monkeypatch):
+        drawn = generate_catalog_arrays(SimConfig(n_items=40, rng_seed=5))
+        columns = {name: getattr(drawn, name) for name in CATALOG_COLUMNS}
         hashed = []
         real_keys = rng.item_keys
         monkeypatch.setattr(rng, "item_keys",
                             lambda ids: hashed.append(len(ids)) or real_keys(ids))
-        cat = generate_catalog_arrays(SimConfig(n_items=40, rng_seed=5))
+        cat = CatalogArrays.from_columns(**columns)
         rows = np.arange(39, -1, -3)
         unhashed = cat.take(rows)
         assert hashed == []
@@ -363,67 +379,64 @@ class TestCatalogArrays:
         np.testing.assert_array_equal(unhashed.keys, cat.keys[rows])
         assert hashed == [40, len(rows)]
 
-    @pytest.mark.parametrize("hashed", [False, True])
-    def test_same_ids_as_lends_ids_and_keys_to_another_seed(self, hashed, monkeypatch):
-        lender = generate_catalog_arrays(SimConfig(n_items=40, rng_seed=5))
-        if hashed:
-            lender.keys
-        fresh = generate_catalog_arrays(SimConfig(n_items=40, rng_seed=6))
-        fresh.keys
-        calls = []
-        real_keys = rng.item_keys
-        monkeypatch.setattr(rng, "item_keys", lambda ids: calls.append(1) or real_keys(ids))
-        drawn = generate_catalog_arrays(SimConfig(n_items=40, rng_seed=6), same_ids_as=lender)
-        assert drawn.ids is lender.ids and drawn.seller_ids is lender.seller_ids
-        assert drawn.to_items() == fresh.to_items()
-        np.testing.assert_array_equal(drawn.matrix, fresh.matrix)
-        np.testing.assert_array_equal(drawn.keys, fresh.keys)
-        # Keys the lender had hashed are shared; otherwise the catalog hashes its own.
-        assert len(calls) == (0 if hashed else 1)
-        assert (drawn.keys is lender.__dict__.get("keys")) == hashed
-        # A longer lender lends its first n_items rows; a shorter one is refused.
-        calls.clear()
-        shorter = generate_catalog_arrays(SimConfig(n_items=39, rng_seed=6), same_ids_as=lender)
-        fresh39 = generate_catalog_arrays(SimConfig(n_items=39, rng_seed=6))
-        assert shorter.to_items() == fresh39.to_items()
-        np.testing.assert_array_equal(shorter.ids, lender.ids[:39])
-        np.testing.assert_array_equal(shorter.keys, fresh.keys[:39])
-        assert len(calls) == (0 if hashed else 1)
-        with pytest.raises(InputError, match="same_ids_as has 40 items, config.n_items is 41"):
-            generate_catalog_arrays(SimConfig(n_items=41, rng_seed=6), same_ids_as=lender)
-
-    @pytest.mark.parametrize("n", [0, 1, 25, 40])
-    @pytest.mark.parametrize("by_ids", [False, True])
-    def test_a_longer_hashed_lender_lends_its_first_rows(self, n, by_ids, monkeypatch):
-        lender = generate_catalog_arrays(SimConfig(n_items=40, rng_seed=5))
-        lender.keys
-        if by_ids:
-            lender = catalog_ids(lender, 40)
-        fresh = generate_catalog_arrays(SimConfig(n_items=n, rng_seed=6))
+    @pytest.mark.usefixtures("cleared_serial_columns")
+    def test_a_drawn_catalog_has_its_keys_set(self, monkeypatch):
         calls = []
         real_keys = rng.item_keys
         monkeypatch.setattr(rng, "item_keys", lambda ids: calls.append(len(ids)) or real_keys(ids))
-        drawn = generate_catalog_arrays(SimConfig(n_items=n, rng_seed=6), same_ids_as=lender)
-        assert drawn.to_items() == fresh.to_items()
-        np.testing.assert_array_equal(drawn.matrix, fresh.matrix)
-        assert calls == []
-        np.testing.assert_array_equal(drawn.keys, real_keys(fresh.ids))
-        assert drawn.keys.dtype == np.uint64 and calls == []
-
-    def test_catalog_ids_keeps_no_row_past_the_prefix(self):
         cat = generate_catalog_arrays(SimConfig(n_items=40, rng_seed=5))
-        unhashed = catalog_ids(cat, 25)
-        assert unhashed.keys is None and len(unhashed) == 25
-        cat.keys
-        whole, head = catalog_ids(cat, 40), catalog_ids(cat, 25)
-        assert whole.ids is cat.ids and whole.seller_ids is cat.seller_ids
-        assert whole.keys is cat.keys
-        np.testing.assert_array_equal(head.ids, cat.ids[:25])
-        np.testing.assert_array_equal(head.seller_ids, cat.seller_ids[:25])
-        np.testing.assert_array_equal(head.keys, cat.keys[:25])
-        # Copies, not views that would keep all 40 rows alive.
-        assert head.keys.base is None and head.ids.base is None and head.seller_ids.base is None
-        np.testing.assert_array_equal(catalog_ids(head, 10).ids, cat.ids[:10])
+        assert calls == [40] and "keys" in cat.__dict__
+        np.testing.assert_array_equal(cat.keys, real_keys(cat.ids))
+        assert cat.keys.dtype == np.uint64
+
+    def test_a_catalog_of_the_same_size_shares_ids_and_keys(self, monkeypatch):
+        earlier = generate_catalog_arrays(SimConfig(n_items=40, rng_seed=5))
+        calls = []
+        real_keys = rng.item_keys
+        monkeypatch.setattr(rng, "item_keys", lambda ids: calls.append(1) or real_keys(ids))
+        drawn = generate_catalog_arrays(SimConfig(n_items=40, rng_seed=6))
+        assert calls == []
+        assert drawn.ids is earlier.ids and drawn.seller_ids is earlier.seller_ids
+        assert drawn.keys is earlier.keys
+        # Shared by every catalog of this size, so no catalog may write into them.
+        for column in (drawn.ids, drawn.seller_ids, drawn.keys):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = column[1]
+
+    @pytest.mark.parametrize("n", [0, 1, 25, 39])
+    def test_a_shorter_catalog_copies_the_first_rows(self, n, monkeypatch):
+        longer = generate_catalog_arrays(SimConfig(n_items=40, rng_seed=5))
+        calls = []
+        real_keys = rng.item_keys
+        monkeypatch.setattr(rng, "item_keys", lambda ids: calls.append(len(ids)) or real_keys(ids))
+        drawn = generate_catalog_arrays(SimConfig(n_items=n, rng_seed=6))
+        assert calls == []
+        for name in ("ids", "seller_ids", "keys"):
+            np.testing.assert_array_equal(getattr(drawn, name), getattr(longer, name)[:n])
+
+    def test_the_kept_columns_hold_no_row_past_the_last_catalog(self):
+        longer = generate_catalog_arrays(SimConfig(n_items=40, rng_seed=5))
+        refs = [weakref.ref(getattr(longer, name)) for name in ("ids", "seller_ids", "keys")]
+        generate_catalog_arrays(SimConfig(n_items=25, rng_seed=5))
+        del longer
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None, None]
+
+    @pytest.mark.parametrize("before", [30, 20, 45], ids=["equal", "shorter", "longer"])
+    @pytest.mark.usefixtures("cleared_serial_columns")
+    def test_a_draw_after_another_equals_a_cold_draw(self, before):
+        config = SimConfig(n_items=30, rng_seed=6)
+        cold = generate_catalog_arrays(config)
+        simulator._kept = ()
+        generate_catalog_arrays(SimConfig(n_items=before, rng_seed=5))
+        drawn = generate_catalog_arrays(config)
+        for name in CATALOG_COLUMNS + ("keys", "matrix"):
+            a, b = getattr(drawn, name), getattr(cold, name)
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
+        if before > 30:  # copies, not views that would keep all 45 rows alive
+            assert drawn.ids.base is None and drawn.seller_ids.base is None
+            assert drawn.keys.base is None
 
     @pytest.mark.parametrize("n", [0, 1, 40])
     def test_rows_of_refuses_an_unknown_id(self, n):

@@ -13,7 +13,7 @@ import os
 from seqcoupon import fileio
 from seqcoupon.config import RunConfig
 from seqcoupon.evaluation import delay_analysis
-from seqcoupon.simulator import GroundTruth, SimConfig, generate_catalog_arrays, run_rct
+from seqcoupon.simulator import GroundTruth, SimConfig, generate_catalog, run_rct
 
 
 def show(label: str, rows, bucket_h: float, limit: int = 8) -> None:
@@ -33,7 +33,7 @@ def main() -> None:
 
     menus = RunConfig()
     sim = SimConfig(n_items=args.items, rng_seed=args.seed)
-    items = generate_catalog_arrays(sim)
+    items = generate_catalog(sim)
     uniform = [1.0 / len(menus.round1_set)] * len(menus.round1_set)
     log1, _, _ = run_rct(
         GroundTruth(sim), items, menus.round1_set, menus.round2_set,

@@ -41,7 +41,7 @@ from .errors import (
 )
 from .evaluation import UpliftCurve, bootstrap_band, compare_strategies, cumulative_uplift, delay_analysis
 from .learner import Model, grid_search
-from .simulator import CatalogArrays, GroundTruth, SimConfig, generate_catalog_arrays, run_rct
+from .simulator import CatalogArrays, GroundTruth, SimConfig, generate_catalog, run_rct
 from .uplift import (
     PredictorPair,
     check_round,
@@ -103,7 +103,7 @@ class _Run:
 def _uniform_trial(cfg: RunConfig, sim: SimConfig):
     """(catalog, round-1 log, round-2 log): a catalog drawn from ``sim`` and a
     two-round trial on it that draws every arm of each menu with equal odds."""
-    cat = generate_catalog_arrays(sim)
+    cat = generate_catalog(sim)
     r1, r2 = cfg.round1_set, cfg.round2_set
     log1, _, log2 = run_rct(GroundTruth(sim), cat, r1, r2, [1.0 / len(r1)] * len(r1),
                             [1.0 / len(r2)] * len(r2), seed=sim.rng_seed)
@@ -172,7 +172,7 @@ def cmd_allocate(run: _Run) -> None:
     pair = fileio.load_pair(cfg.io.model_dir)
     catalog = fileio.read_catalog(cfg.io.catalog)
     rows = np.flatnonzero(~_sold_rows(cfg, catalog))
-    cat = catalog.take(rows[np.argsort(catalog.ids[rows], kind="stable")])
+    cat = catalog[rows[np.argsort(catalog.ids[rows], kind="stable")]]
     p1, _, p2, p_baseline = predict_arrays(pair, cat.matrix, cat.age_days, cfg.attach_delay_h)
     j, k, feasible = allocate_batch(
         p1, p2, p_baseline, cat.price, cat.ltv,

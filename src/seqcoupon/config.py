@@ -55,6 +55,10 @@ class LearnerSection:
     grid: tuple[LearnerConfig, ...]
     k_folds: int = 5
 
+    def __post_init__(self):
+        if self.k_folds < 2:
+            raise InputError("k_folds must be >= 2")
+
 
 @dataclass(frozen=True)
 class EvaluationSection:
@@ -72,8 +76,12 @@ class EvaluationSection:
             raise InputError("seeds must be >= 0")
         if self.train_seed < 0:
             raise InputError("train_seed must be >= 0")
+        if self.deciles < 1:
+            raise InputError("deciles must be >= 1")
         if self.bootstrap_b < 2:
             raise InputError("bootstrap_b must be >= 2")
+        if not self.bucket_h > 0:
+            raise InputError("bucket_h must be > 0")
         if self.train_n_items <= 0:
             raise InputError("train_n_items must be > 0")
 
@@ -274,7 +282,7 @@ def _parse_learner(raw: dict[str, str], path: str) -> LearnerSection:
     keys = sorted(grid_cells)
     grid = [replace(base, **dict(zip(keys, combo)))
             for combo in itertools.product(*(grid_cells[k] for k in keys))]
-    return LearnerSection(base=base, grid=tuple(grid), **k_folds)
+    return _build(LearnerSection, dict(base=base, grid=tuple(grid), **k_folds), "learner", path)
 
 
 _SIM_TYPES = _key_types(SimConfig)

@@ -3,11 +3,13 @@ arithmetic, and feature-vector encoding.
 
 Everything here is immutable after construction and safe to share across
 workers. Currency is integer yen throughout, below ``YEN_BOUND`` in magnitude;
-probabilities are floats. Records are plain values. Each row type has one
+probabilities are floats. The catalog is a ``CatalogArrays`` and a log an
+``OutcomeLog``: columns whose rows are ``ItemRecord``s and ``OutcomeRecord``s,
+built on demand by iteration. Records are plain values. Each row type has one
 validator, the column class it enters: ``CatalogArrays.from_columns`` for
 items and ``OutcomeLog.from_columns`` for outcomes. ``from_items`` and
-``from_records`` feed records to them, and every computation takes a catalog
-or a log, so no record reaches one unchecked.
+``from_records`` feed hand-built records to them, and every computation takes
+a catalog or a log, so no record reaches one unchecked.
 """
 
 from __future__ import annotations
@@ -121,7 +123,8 @@ class CouponSet:
 
 @dataclass(frozen=True)
 class ItemRecord:
-    """One listing with intrinsic and extrinsic features plus seller value.
+    """One listing with intrinsic and extrinsic features plus seller value: one
+    row of a ``CatalogArrays``.
 
     A plain value that checks nothing itself: ``CatalogArrays.from_items``
     checks it where it enters a catalog, and every computation takes one.
@@ -402,6 +405,7 @@ class CatalogArrays:
     first use (a simulated catalog comes with them), so a catalog read to
     train, plan or evaluate hashes none.
     The ids and seller ids are UTF-8 bytes (``S``); records carry them as ``str``.
+    Iterating yields ``ItemRecord``s built on demand, and an int index one row's.
     """
 
     ids: np.ndarray  # S, UTF-8
@@ -477,23 +481,21 @@ class CatalogArrays:
             key_ts=column("key_action_ts"),
         )
 
-    def to_items(self) -> list[ItemRecord]:
-        """One ``ItemRecord`` per row, in row order."""
-        return [
-            ItemRecord(*row)
-            for row in zip(
-                map(bytes.decode, self.ids), map(bytes.decode, self.seller_ids),
-                self.price.tolist(), self.condition.tolist(), self.age_days.tolist(),
-                self.likes.tolist(), self.demand.tolist(), self.season.tolist(),
-                self.ltv.tolist(), self.key_ts.tolist(),
-            )
-        ]
+    def __iter__(self):
+        """One ``ItemRecord`` per row, in row order, each built on demand."""
+        return map(ItemRecord, map(bytes.decode, self.ids), map(bytes.decode, self.seller_ids),
+                   self.price.tolist(), self.condition.tolist(), self.age_days.tolist(),
+                   self.likes.tolist(), self.demand.tolist(), self.season.tolist(),
+                   self.ltv.tolist(), self.key_ts.tolist())
 
-    def take(self, rows: np.ndarray) -> "CatalogArrays":
-        """The catalog restricted to ``rows``, in that order; nothing is recomputed.
-
-        Keys already hashed are carried over; otherwise they stay unhashed.
+    def __getitem__(self, rows):
+        """Row ``rows`` as an ``ItemRecord`` for an int; otherwise the catalog
+        restricted to ``rows`` (a slice or an index array), in that order, with
+        nothing recomputed. Keys already hashed are carried over; otherwise
+        they stay unhashed.
         """
+        if isinstance(rows, (int, np.integer)):
+            return next(iter(self[[rows]]))
         taken = CatalogArrays(
             ids=self.ids[rows], seller_ids=self.seller_ids[rows], price=self.price[rows],
             condition=self.condition[rows], age_days=self.age_days[rows],
@@ -512,11 +514,6 @@ class CatalogArrays:
 
     def __len__(self) -> int:
         return len(self.ids)
-
-
-def _as_catalog(items) -> CatalogArrays:
-    """A ``CatalogArrays`` as is, or a sequence of ``ItemRecord``s converted to one."""
-    return items if isinstance(items, CatalogArrays) else CatalogArrays.from_items(items)
 
 
 def coupon_coordinates(out: np.ndarray, discount_pct, validity_hours, cap_yen) -> np.ndarray:
@@ -609,7 +606,6 @@ def feature_matrix(price, condition, age_days, likes, demand, season) -> np.ndar
     return out
 
 
-def item_feature_matrix(items: Sequence[ItemRecord]) -> np.ndarray:
-    """The feature matrix of a list of records, rows in input order; the
-    records are checked as a catalog is."""
-    return CatalogArrays.from_items(items).matrix
+def item_feature_matrix(items: CatalogArrays) -> np.ndarray:
+    """The raw item-feature matrix of a catalog, one row per item."""
+    return items.matrix

@@ -31,7 +31,7 @@ from .simulator import (
     RolloutTotals,
     SimConfig,
     arm_draw,
-    generate_catalog_arrays,
+    generate_catalog,
     rollout_arms,
 )
 from .uplift import PredictorPair, predict_arrays
@@ -437,7 +437,7 @@ def compare_strategies(
     """Roll out every strategy in ``STRATEGIES`` on common seeds.
 
     For each seed one catalog is drawn straight into columns
-    (``generate_catalog_arrays``: no per-item records, and the ids and keys
+    (``generate_catalog``: no per-item records, and the ids and keys
     of the last catalog drawn are reused), and it is freed before the next
     is drawn. Predictions come from the catalog's columns, each plan
     rule turns them into arm-index arrays, and one ``rollout_arms`` pass rolls
@@ -457,7 +457,7 @@ def compare_strategies(
     ltv_sum = 0.0
     for seed in seeds:
         cfg = dataclasses.replace(config, rng_seed=seed)
-        cat = generate_catalog_arrays(cfg)
+        cat = generate_catalog(cfg)
         preds = predict_arrays(pair, cat.matrix, cat.age_days, attach_delay_h)
         no_coupon = np.zeros(len(cat), dtype=np.int64)
         plans = [(no_coupon, no_coupon)]

@@ -33,8 +33,7 @@ import numpy as np
 
 from . import __version__
 from .decision import PlanTable
-from .domain import YEN_BOUND, CatalogArrays, CouponConfig, CouponSet, ItemRecord, OutcomeLog
-from .domain import _as_catalog
+from .domain import YEN_BOUND, CatalogArrays, CouponConfig, CouponSet, OutcomeLog
 from .errors import InputError, ManifestMismatchError
 from .evaluation import BucketRow, ComparisonReport, DelayTables, StrategyMetrics, UpliftCurve
 from .learner import GridResult, LearnerConfig, Model, Stump
@@ -284,8 +283,8 @@ def _write_table(path: str, columns: Sequence[Column], table, sold=None) -> None
             fh.write("\n".join(map(row_format.__mod__, zip(*block))) + "\n")
 
 
-def write_catalog(items: Sequence[ItemRecord] | CatalogArrays, path: str) -> None:
-    _write_table(path, CATALOG_COLUMNS, _as_catalog(items))
+def write_catalog(items: CatalogArrays, path: str) -> None:
+    _write_table(path, CATALOG_COLUMNS, items)
 
 
 def read_catalog(path: str) -> CatalogArrays:

@@ -26,7 +26,6 @@ from .domain import (
     ItemRecord,
     OutcomeLog,
     OutcomeRecord,
-    _as_catalog,
     coupon_columns,
     coupon_cost_rows,
 )
@@ -192,12 +191,7 @@ def _serial_columns(n: int) -> tuple:
     return _kept
 
 
-def generate_catalog(config: SimConfig) -> list[ItemRecord]:
-    """Draw a catalog from the declared distributions as records; deterministic per seed."""
-    return generate_catalog_arrays(config).to_items()
-
-
-def generate_catalog_arrays(config: SimConfig) -> CatalogArrays:
+def generate_catalog(config: SimConfig) -> CatalogArrays:
     """A catalog drawn straight into columns and the feature matrix; deterministic per seed.
 
     The ids, seller ids and keys come from ``_serial_columns``, so a caller
@@ -361,7 +355,7 @@ def _trial_logs(gt, cat, menu1, arm1, delay1, menu2, arm2, seed):
 
 def run_rct(
     gt: GroundTruth,
-    items,
+    items: CatalogArrays,
     round1_set: CouponSet,
     round2_set: CouponSet,
     round1_probs: Sequence[float],
@@ -370,21 +364,20 @@ def run_rct(
 ) -> tuple[OutcomeLog, list[str], OutcomeLog]:
     """Randomised two-round trial: independent arm draws per round with holdout.
 
-    ``items`` is a ``CatalogArrays`` or a sequence of ``ItemRecord``s. Returns
-    (round1_log, survivor item ids, round2_log), each sorted by item_id.
-    Survivors are exactly the items unsold after round 1.
+    ``items`` is the catalog, a ``CatalogArrays`` whose rows are the
+    ``ItemRecord``s. Returns (round1_log, survivor item ids, round2_log), each
+    sorted by item_id. Survivors are exactly the items unsold after round 1.
     """
     validate_probs(round1_probs, len(round1_set), "round1_probs")
     validate_probs(round2_probs, len(round2_set), "round2_probs")
-    cat = _as_catalog(items)
 
     # Draws are per item key, so drawing round-2 arms for every row and using
     # only the survivors' reproduces a survivor-only draw.
-    arm1 = arm_draw(rng.uniforms(seed, cat.keys, rng.ARM_R1), round1_probs)
-    arm2 = arm_draw(rng.uniforms(seed, cat.keys, rng.ARM_R2), round2_probs)
-    delay1 = rng.uniforms(seed, cat.keys, rng.ATTACH_DELAY) * gt.config.rct_max_delay_h
+    arm1 = arm_draw(rng.uniforms(seed, items.keys, rng.ARM_R1), round1_probs)
+    arm2 = arm_draw(rng.uniforms(seed, items.keys, rng.ARM_R2), round2_probs)
+    delay1 = rng.uniforms(seed, items.keys, rng.ATTACH_DELAY) * gt.config.rct_max_delay_h
     round1_log, round2_log = _trial_logs(
-        gt, cat, coupon_columns(round1_set), arm1, delay1,
+        gt, items, coupon_columns(round1_set), arm1, delay1,
         coupon_columns(round2_set), arm2, seed,
     )
     return round1_log, list(map(bytes.decode, round2_log.item_ids)), round2_log
@@ -395,30 +388,30 @@ PolicyFn = Callable[[ItemRecord], tuple[tuple[CouponConfig, float], CouponConfig
 
 def rollout_policy(
     gt: GroundTruth,
-    items: Sequence[ItemRecord],
+    items: CatalogArrays,
     policy: PolicyFn,
     seed: int,
 ) -> tuple[list[OutcomeRecord], RolloutTotals]:
     """Simulate both rounds under a per-item policy and tally exact totals.
 
-    ``policy(item)`` returns ((round1 coupon, round1 attach delay), round2 coupon).
-    Sale draws share substreams with run_rct, so different policies on the same
-    seed are compared under common random numbers. The rounds run on the
-    ``_two_rounds`` core of ``run_rct`` and ``rollout_arms``: each row gets a
-    one-entry menu of its own coupons. This entry point also returns the
-    records of both rounds' logs, round 1 first.
+    ``items`` is the catalog, a ``CatalogArrays``; ``policy`` is called on each
+    of its rows, an ``ItemRecord``, and returns ((round1 coupon, round1 attach
+    delay), round2 coupon). Sale draws share substreams with run_rct, so
+    different policies on the same seed are compared under common random
+    numbers. The rounds run on the ``_two_rounds`` core of ``run_rct`` and
+    ``rollout_arms``: each row gets a one-entry menu of its own coupons. This
+    entry point also returns the records of both rounds' logs, round 1 first.
     """
     if not items:
         return [], RolloutTotals(0, 0, 0)
-    cat = CatalogArrays.from_items(items)
 
     plans = [policy(it) for it in items]
     delay1 = np.array([p[0][1] for p in plans], dtype=float)
     if not np.all(delay1 >= 0):
         raise InputError("policy produced a negative attach delay")
-    own = np.arange(len(cat))
+    own = np.arange(len(items))
     logs = _trial_logs(
-        gt, cat, coupon_columns(p[0][0] for p in plans), own, delay1,
+        gt, items, coupon_columns(p[0][0] for p in plans), own, delay1,
         coupon_columns(p[1] for p in plans), own, seed,
     )
     return [*logs[0], *logs[1]], RolloutTotals(

@@ -11,7 +11,7 @@ also consumes that mean first-round propensity as an input feature.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -22,9 +22,7 @@ from .domain import (
     SCHEMA_ROUND2,
     CatalogArrays,
     CouponSet,
-    ItemRecord,
     OutcomeLog,
-    _as_catalog,
     _check_column,
     _id_rows,
     coupon_columns,
@@ -102,7 +100,7 @@ class ItemPredictions:
 
 
 def round1_training_dataset(
-    items: Sequence[ItemRecord] | CatalogArrays,
+    cat: CatalogArrays,
     round1_log: OutcomeLog,
 ) -> Dataset:
     """Design matrix and labels for the first-round model, rows in log order.
@@ -110,7 +108,6 @@ def round1_training_dataset(
     The log must span at least two coupon arms including the no-coupon arm;
     otherwise the per-arm effect is unidentifiable and training refuses.
     """
-    cat = _as_catalog(items)
     if not len(round1_log):
         raise DegenerateDataError("round-1 log is empty")
     check_round(round1_log, 1)
@@ -130,12 +127,12 @@ def round1_training_dataset(
 
 
 def fit_first_round(
-    items: Sequence[ItemRecord] | CatalogArrays,
+    cat: CatalogArrays,
     round1_log: OutcomeLog,
     config: LearnerConfig,
 ) -> Model:
     """Train the first-round propensity model on a randomized round-1 log."""
-    return train(round1_training_dataset(items, round1_log), config)
+    return train(round1_training_dataset(cat, round1_log), config)
 
 
 def _arm_probabilities(model: Model, item_matrix, slot, coupon_set: CouponSet, last):
@@ -186,7 +183,7 @@ def round1_arm_probabilities(
 
 def ipw_weights(
     first: Model,
-    items: Sequence[ItemRecord] | CatalogArrays,
+    cat: CatalogArrays,
     round1_records: OutcomeLog,
     round1_set: CouponSet,
     epsilon: float = IPW_EPSILON_DEFAULT,
@@ -198,7 +195,6 @@ def ipw_weights(
     all round-1 arms (default) or the propensity of the arm each survivor
     actually received.
     """
-    cat = _as_catalog(items)
     if len(cat) != len(round1_records):
         raise InputError("items and round-1 records must be aligned")
     if (cat.ids != round1_records.item_ids).any():
@@ -252,7 +248,7 @@ def _survivor_frames(
 
 
 def fit_second_round(
-    items: Sequence[ItemRecord] | CatalogArrays,
+    cat: CatalogArrays,
     round1_log: OutcomeLog,
     round2_log: OutcomeLog,
     first: Model,
@@ -262,7 +258,6 @@ def fit_second_round(
     variant: str = IPW_VARIANT_MEAN,
 ) -> Model:
     """Train the second-round model on survivors with inverse-propensity weights."""
-    cat = _as_catalog(items)
     if not len(round2_log):
         raise DegenerateDataError("round-2 survivor log is empty")
     cat_rows, r1_rows = _survivor_frames(cat, round1_log, round2_log)
@@ -277,7 +272,7 @@ def fit_second_round(
 
 
 def fit_predictor_pair(
-    items: Sequence[ItemRecord] | CatalogArrays,
+    cat: CatalogArrays,
     round1_log: OutcomeLog,
     round2_log: OutcomeLog,
     round1_set: CouponSet,
@@ -288,7 +283,6 @@ def fit_predictor_pair(
     variant: str = IPW_VARIANT_MEAN,
 ) -> PredictorPair:
     """Fit both rounds end to end from the two logs."""
-    cat = _as_catalog(items)
     first = fit_first_round(cat, round1_log, config_first)
     second = fit_second_round(
         cat, round1_log, round2_log, first, round1_set,
@@ -332,12 +326,10 @@ def predict_arrays(
 
 def predict_batch(
     pair: PredictorPair,
-    items: Sequence[ItemRecord],
+    cat: CatalogArrays,
     attach_delay_h: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``predict_arrays`` over a list of items: (p1 matrix, mean_p1, p2 matrix, p_baseline).
-
-    The items are checked as a catalog is.
+    """``predict_arrays`` over a catalog, a ``CatalogArrays`` whose rows are the
+    ``ItemRecord``s: (p1 matrix, mean_p1, p2 matrix, p_baseline), one row per item.
     """
-    cat = CatalogArrays.from_items(items)
     return predict_arrays(pair, cat.matrix, cat.age_days, attach_delay_h)

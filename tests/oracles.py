@@ -43,7 +43,7 @@ from seqcoupon.simulator import (
     GroundTruth,
     RolloutTotals,
     arm_draw,
-    generate_catalog_arrays,
+    generate_catalog,
     purchase_rate,
     round2_attach_delay,
 )
@@ -852,7 +852,7 @@ def compare_strategies_per_strategy(
     """Roll out random / per-round / sequential allocation on common seeds.
 
     For each seed one catalog is drawn straight into columns
-    (``generate_catalog_arrays``: no per-item records, keys hashed once).
+    (``generate_catalog``: no per-item records, keys hashed once).
     Predictions come from those columns, and four
     columnar rollouts share that one catalog and its sale substreams: a
     no-coupon holdout plus the three strategies, each given as arm-index
@@ -881,7 +881,7 @@ def compare_strategies_per_strategy(
     for seed in seeds:
         cfg = dataclasses.replace(config, rng_seed=seed)
         gt = GroundTruth(cfg)
-        cat = generate_catalog_arrays(cfg)
+        cat = generate_catalog(cfg)
         n = len(cat)
         mean_ltv = float(cat.ltv.mean())
 

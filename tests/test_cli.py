@@ -14,7 +14,14 @@ import seqcoupon
 from seqcoupon import cli, fileio, rng
 from seqcoupon.cli import main
 from seqcoupon.decision import AllocationPlan
-from seqcoupon.domain import SCHEMA_ROUND2, CouponConfig, ItemRecord, OutcomeLog, OutcomeRecord
+from seqcoupon.domain import (
+    SCHEMA_ROUND2,
+    CatalogArrays,
+    CouponConfig,
+    ItemRecord,
+    OutcomeLog,
+    OutcomeRecord,
+)
 from seqcoupon.simulator import SimConfig, generate_catalog
 from seqcoupon.uplift import predict_batch
 
@@ -100,7 +107,7 @@ class TestPipeline:
         log2 = fileio.read_outcomes(f"{ws['sim']}/round2_log.csv")
         assert len(catalog) == 800
         assert len(log1) == 800
-        all_ids = {it.item_id for it in catalog.to_items()}
+        all_ids = {it.item_id for it in catalog}
         sold1 = {r.item_id for r in log1 if r.sold}
         assert {r.item_id for r in log2} == all_ids - sold1
 
@@ -132,7 +139,7 @@ class TestPipeline:
         sold = set()
         for name in ("round1_log.csv", "round2_log.csv"):
             sold |= {r.item_id for r in fileio.read_outcomes(f"{ws['sim']}/{name}") if r.sold}
-        expected = sorted({it.item_id for it in catalog.to_items()} - sold)
+        expected = sorted({it.item_id for it in catalog} - sold)
         lines = read_lines(f"{ws['alloc']}/plans.csv")
         assert lines[0] == fileio.PLAN_HEADER
         assert [line.split(",")[0] for line in lines[1:]] == expected
@@ -140,10 +147,10 @@ class TestPipeline:
     def test_plan_rows_match_brute_force(self, ws):
         pair = fileio.load_pair(ws["model"])
         catalog = fileio.read_catalog(f"{ws['sim']}/catalog.csv")
-        catalog = {it.item_id: it for it in catalog.to_items()}
+        catalog = {it.item_id: it for it in catalog}
         rows = [line.split(",") for line in read_lines(f"{ws['alloc']}/plans.csv")[1:]]
-        picked = rows[:15] + rows[37::37]  # no row twice: predict_batch refuses a repeated id
-        items = [catalog[row[0]] for row in picked]
+        picked = rows[:15] + rows[37::37]  # no row twice: a catalog refuses a repeated id
+        items = CatalogArrays.from_items([catalog[row[0]] for row in picked])
         p1, _, p2, p_baseline = predict_batch(pair, items, 2.0)
         for i, row in enumerate(picked):
             preds = SimpleNamespace(
@@ -264,7 +271,7 @@ class TestDeterminism:
         self, ws, tmp_path, monkeypatch
     ):
         trained, alive_at_rollout = [], []
-        real_generate, real_compare = cli.generate_catalog_arrays, cli.compare_strategies
+        real_generate, real_compare = cli.generate_catalog, cli.compare_strategies
 
         def generate(config, *args, **kwargs):
             cat = real_generate(config, *args, **kwargs)
@@ -275,7 +282,7 @@ class TestDeterminism:
             alive_at_rollout.extend(ref() is not None for ref in trained)
             return real_compare(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "generate_catalog_arrays", generate)
+        monkeypatch.setattr(cli, "generate_catalog", generate)
         monkeypatch.setattr(cli, "compare_strategies", compare)
         out = tmp_path / "cmp"
         assert main(["compare", "--config", ws["cfg"], "--out", str(out), "--quiet"]) == 0

@@ -101,6 +101,25 @@ def test_a_mutated_key_runs_or_exits_2_naming_it(tmp_path, capsys, world, sectio
         assert key in err, err
 
 
+@pytest.mark.parametrize("section,key,cell,message", [
+    ("learner", "k_folds", "1", "k_folds must be >= 2"),
+    ("learner", "k_folds", "0", "k_folds must be >= 2"),
+    ("evaluation", "deciles", "0", "deciles must be >= 1"),
+    ("evaluation", "bucket_h", "0", "bucket_h must be > 0"),
+    ("evaluation", "bucket_h", "-1", "bucket_h must be > 0"),
+])
+def test_a_key_only_a_later_command_reads_is_refused_at_load(tmp_path, capsys, world, section,
+                                                               key, cell, message):
+    sections = {name: dict(keys) for name, keys in BASE.items()}
+    sections[section][key] = cell
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(render({**sections, "io": world}))
+    code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {cfg}: [{section}] {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "train", "compare", "evaluate"])
 def test_a_negative_seed_override_exits_2_naming_it(tmp_path, capsys, world, command):
     cfg = tmp_path / "run.cfg"

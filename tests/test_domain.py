@@ -26,16 +26,7 @@ from seqcoupon.domain import (
 )
 from seqcoupon.decision import PolicyConstraint, allocate
 from seqcoupon.errors import InputError
-from seqcoupon.fileio import write_catalog
-from seqcoupon.learner import LearnerConfig
-from seqcoupon.simulator import rollout_policy, run_rct
-from seqcoupon.uplift import (
-    ItemPredictions,
-    fit_first_round,
-    ipw_weights,
-    predict_batch,
-    round1_training_dataset,
-)
+from seqcoupon.uplift import ItemPredictions
 
 from conftest import load_golden
 from oracles import coupon_cost, coupon_costs
@@ -68,14 +59,14 @@ CATALOG_FIELDS = dict(zip(
 def encode_round1(item, coupon, attach_delay_h):
     """One item's first-round feature row, through the batch encoder."""
     delays = np.array([attach_delay_h])
-    return encode_round1_batch(item_feature_matrix([item]), coupon, delays)[0]
+    return encode_round1_batch(CatalogArrays.from_items([item]).matrix, coupon, delays)[0]
 
 
 def encode_round2(item, coupon, mean_p1):
     """One item's second-round feature row, through the batch encoder."""
     elapsed_age_h = np.array([item.age_days * 24.0])
     return encode_round2_batch(
-        item_feature_matrix([item]), coupon, elapsed_age_h, np.array([mean_p1])
+        CatalogArrays.from_items([item]).matrix, coupon, elapsed_age_h, np.array([mean_p1])
     )[0]
 
 
@@ -213,7 +204,7 @@ class TestItemAndOutcomeRecords:
         ids = ["é1", "日本-2", "it-3", ""]
         cat = CatalogArrays.from_items([make_item(item_id=i, seller_id=i * 2) for i in ids])
         assert cat.ids.dtype.kind == "S" and cat.ids.tolist() == [i.encode() for i in ids]
-        assert [it.item_id for it in cat.to_items()] == ids
+        assert [it.item_id for it in cat] == ids
         assert cat.keys.tolist() == [rng.item_key(i) for i in ids]
         np.testing.assert_array_equal(cat.rows_of(cat.ids[::-1]), [3, 2, 1, 0])
 
@@ -489,7 +480,7 @@ class TestEncoding:
 
     def test_item_features_layout(self):
         item = make_item(price_yen=3000, season_phase=0.0)
-        values = item_feature_matrix([item])[0]
+        values = item_feature_matrix(CatalogArrays.from_items([item]))[0]
         assert values[0] == math.log(3000)
         assert values[5] == 0.0 and values[6] == 1.0
         assert len(values) == N_ITEM_FEATURES
@@ -524,22 +515,13 @@ class TestEncoding:
 
 
 # Each public entry point that takes records, called on records that hold one
-# invalid record; ``ctx`` carries the small world, the trained pair and the menus.
+# invalid record; ``ctx`` carries the menus. Every other entry point takes a
+# ``CatalogArrays``, which these records enter through ``from_items``.
 RECORD_ENTRY_POINTS = {
-    "run_rct": lambda ctx, items: run_rct(
-        ctx.gt, items, ctx.menu1, ctx.menu2, [0.25] * 4, [0.25] * 4, seed=3),
-    "fit_first_round": lambda ctx, items: fit_first_round(
-        items, ctx.log1, LearnerConfig(epochs=5)),
-    "round1_training_dataset": lambda ctx, items: round1_training_dataset(items, ctx.log1),
-    "ipw_weights": lambda ctx, items: ipw_weights(ctx.pair.first, items, ctx.log1, ctx.menu1),
-    "write_catalog": lambda ctx, items: write_catalog(items, ctx.path),
-    "item_feature_matrix": lambda ctx, items: item_feature_matrix(items),
-    "predict_batch": lambda ctx, items: predict_batch(ctx.pair, items, 2.0),
+    "from_items": lambda ctx, items: CatalogArrays.from_items(items),
     "allocate": lambda ctx, items: allocate(
         ItemPredictions(items[0].item_id, (0.2, 0.3, 0.4, 0.5), 0.35, (0.1, 0.2, 0.3, 0.4), 0.3),
         *items, ctx.menu1, ctx.menu2, PolicyConstraint()),
-    "rollout_policy": lambda ctx, items: rollout_policy(
-        ctx.gt, items, lambda it: ((CouponConfig.none(), 2.0), CouponConfig.none()), 3),
 }
 # One invalid item: a cell out of range, or (for several items) a repeated id.
 ITEM_DEFECTS = {
@@ -558,11 +540,8 @@ class TestOneValidatorPerRowType:
     ``TestOutcomeLog.test_every_record_check_fires_with_the_same_message``."""
 
     @pytest.fixture()
-    def ctx(self, small_world, trained_pair, round1_menu, round2_menu, tmp_path):
-        return SimpleNamespace(
-            gt=small_world["gt"], log1=small_world["log1"], pair=trained_pair,
-            menu1=round1_menu, menu2=round2_menu, path=str(tmp_path / "catalog.csv"),
-        )
+    def ctx(self, round1_menu, round2_menu):
+        return SimpleNamespace(menu1=round1_menu, menu2=round2_menu)
 
     @pytest.mark.parametrize("entry,defect", [
         (entry, defect) for entry in sorted(RECORD_ENTRY_POINTS) for defect in sorted(ITEM_DEFECTS)

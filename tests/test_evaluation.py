@@ -29,7 +29,7 @@ from seqcoupon.simulator import (
     CatalogArrays,
     GroundTruth,
     SimConfig,
-    generate_catalog_arrays,
+    generate_catalog,
     rollout_arms,
     rollout_policy,
 )
@@ -471,7 +471,7 @@ class TestCompareStrategies:
         assert "[cheapest]\n" in text and text.count("\ncheapest: ") == 2
         for seed, metrics in zip(seeds, report.per_seed["cheapest"]):
             cfg = dataclasses.replace(config, rng_seed=seed)
-            cat = generate_catalog_arrays(cfg)
+            cat = generate_catalog(cfg)
             ones = np.ones(len(cat), dtype=np.int64)
             [totals] = rollout_arms(
                 GroundTruth(cfg), cat, trained_pair.round1_set, trained_pair.round2_set,

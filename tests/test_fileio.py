@@ -113,7 +113,7 @@ class TestCatalogRoundTrip:
         write_catalog(items, path)
         with open(path) as fh:
             assert fh.readline().rstrip("\n") == CATALOG_HEADER
-        back = read_catalog(path).to_items()
+        back = list(read_catalog(path))
         assert_records_close(
             items,
             back,
@@ -132,7 +132,7 @@ class TestCatalogRoundTrip:
 
     def test_empty_catalog_writes_header_only(self, tmp_path):
         path = str(tmp_path / "empty.csv")
-        write_catalog([], path)
+        write_catalog(CatalogArrays.from_items([]), path)
         with open(path) as fh:
             assert fh.read() == CATALOG_HEADER + "\n"
         assert len(read_catalog(path)) == 0
@@ -171,8 +171,9 @@ class TestNonAsciiIds:
         config = SimConfig(n_items=60, rng_seed=3)
         heads = ("é", "日本-", "it", "ø", "Zz", "商品")
         # Out of id order, so the trial has to sort its logs.
-        items = [dataclasses.replace(it, item_id=f"{heads[i % 6]}{i}", seller_id=f"売り手{i % 7}")
-                 for i, it in enumerate(generate_catalog(config))]
+        items = CatalogArrays.from_items([
+            dataclasses.replace(it, item_id=f"{heads[i % 6]}{i}", seller_id=f"売り手{i % 7}")
+            for i, it in enumerate(generate_catalog(config))])
         log1, survivors, log2 = run_rct(GroundTruth(config), items, round1_menu, round2_menu,
                                         [0.25] * 4, [0.25] * 4, seed=3)
         return SimpleNamespace(items=items, log1=log1, survivors=survivors, log2=log2)
@@ -183,7 +184,7 @@ class TestNonAsciiIds:
         oracles.write_catalog_per_record(world.items, per_record)
         assert open(path, "rb").read() == open(per_record, "rb").read()
         cat, again = read_catalog(path), str(tmp_path / "again.csv")
-        assert [(it.item_id, it.seller_id) for it in cat.to_items()] == [
+        assert [(it.item_id, it.seller_id) for it in cat] == [
             (it.item_id, it.seller_id) for it in world.items]
         write_catalog(cat, again)
         assert open(again, "rb").read() == open(path, "rb").read()
@@ -215,8 +216,9 @@ class TestQuotedIds:
     @pytest.fixture
     def world(self, round1_menu, round2_menu):
         config = SimConfig(n_items=30, rng_seed=5)
-        items = [dataclasses.replace(it, item_id=f"{self.IDS[i % 6]}{i}", seller_id=f"s,{i % 4}")
-                 for i, it in enumerate(generate_catalog(config))]
+        items = CatalogArrays.from_items([
+            dataclasses.replace(it, item_id=f"{self.IDS[i % 6]}{i}", seller_id=f"s,{i % 4}")
+            for i, it in enumerate(generate_catalog(config))])
         log1, _, log2 = run_rct(GroundTruth(config), items, round1_menu, round2_menu,
                                 [0.25] * 4, [0.25] * 4, seed=5)
         return SimpleNamespace(items=items, log1=log1, log2=log2)
@@ -232,7 +234,7 @@ class TestQuotedIds:
         assert [row[:2] for row in self.csv_cells(path)] == [
             [it.item_id, it.seller_id] for it in world.items]
         cat = read_catalog(path)
-        assert [(it.item_id, it.seller_id) for it in cat.to_items()] == [
+        assert [(it.item_id, it.seller_id) for it in cat] == [
             (it.item_id, it.seller_id) for it in world.items]
         write_catalog(cat, again)
         assert open(again, "rb").read() == open(path, "rb").read()
@@ -269,8 +271,8 @@ class TestQuotedIds:
     def test_a_bad_cell_after_a_multi_line_id_names_its_file_line(self, tmp_path, world):
         path = str(tmp_path / "catalog.csv")
         ids = ("a\nb", "p1", "p2")
-        write_catalog([dataclasses.replace(it, item_id=i) for it, i in zip(world.items, ids)],
-                      path)
+        write_catalog(CatalogArrays.from_items(
+            [dataclasses.replace(it, item_id=i) for it, i in zip(world.items, ids)]), path)
         lines = open(path, newline="").read().split("\n")
         parts = lines[4].split(",")
         parts[-1] = "soon"
@@ -355,7 +357,7 @@ class TestColumnParse:
 
     def test_catalog_writer_matches_the_per_record_writer(self, tmp_path, small_world):
         columnar, per_record = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
-        write_catalog(CatalogArrays.from_items(small_world["items"]), columnar)
+        write_catalog(small_world["items"], columnar)
         oracles.write_catalog_per_record(small_world["items"], per_record)
         assert open(columnar, "rb").read() == open(per_record, "rb").read()
 

@@ -1,31 +1,44 @@
-"""The benchmark's tracer rebinds package entry points by name.
+"""The benchmark's tracer and worker call package entry points by name.
 
 ``perfbench/tracer.py`` wraps each ``(module, attribute)`` of its ``SPANS``
 table with ``getattr``, binds every call's arguments by name, and counts rows
 with ``len()`` of what a call returns or was given. A deleted or renamed entry
 point, a renamed parameter or a return value without a length would crash
-every traced benchmark run. The tracer is read here, never edited.
+every traced benchmark run. ``perfbench/worker.py`` fits the ``rollout``
+workload's pair in ``prep`` and scores predictors in ``quality``, outside the
+timed region, through the catalog API; a signature change there would crash
+the traced runs too. Both files are read here, never edited.
 """
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import math
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from seqcoupon import fileio
+from seqcoupon.config import load_config
 from seqcoupon.decision import PolicyConstraint, allocate_batch, materialize_plans
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
+WORKER = ROOT / "perfbench" / "worker.py"
+
+
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _spans():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    return tracer.SPANS
+    return _load("perfbench_tracer", TRACER).SPANS
 
 
 def _entry_point(module, attr):
@@ -95,3 +108,30 @@ def test_materialized_plans_count_their_rows(round1_menu, round2_menu):
     plans = materialize_plans([f"it-{i}" for i in range(n)], j, k, feasible, p1, p2,
                               p_baseline, prices, ltvs, round1_menu, round2_menu, constraint)
     assert len(plans) == n
+
+
+@pytest.fixture(scope="module")
+def prepped(tmp_path_factory):
+    """The worker, a tiny spec on the shipped config and the pair ``prep`` fitted."""
+    worker = _load("perfbench_worker", WORKER)
+    spec = {
+        "src": str(ROOT / "src"), "config": str(ROOT / "configs" / "default.cfg"),
+        "pair_dir": str(tmp_path_factory.mktemp("bench") / "pair"),
+        "train_items": 3000, "train_seed": 1, "holdout_items": 2000, "holdout_seed": 2,
+    }
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sys, "path", list(sys.path))  # prep puts the source tree first
+        worker.prep(spec)
+    return worker, spec, fileio.load_pair(spec["pair_dir"])
+
+
+@pytest.mark.parametrize("workload", ["pipeline", "rollout"])
+def test_the_worker_prep_and_quality_steps_run(prepped, workload):
+    worker, spec, pair = prepped
+    scores = worker.quality(pair, load_config(spec["config"]), {**spec, "workload": workload})
+    expected = {"p1_mae", "p2_mae", "learner.first_loss"}
+    if workload == "pipeline":
+        expected |= {"seq_roi_realized", "seq_roi_edge"}
+    assert set(scores) == expected
+    assert all(math.isfinite(value) for value in scores.values())
+    assert 0 < scores["p1_mae"] < 0.5 and 0 < scores["p2_mae"] < 0.5

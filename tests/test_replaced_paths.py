@@ -26,7 +26,6 @@ from seqcoupon.simulator import (
     SimConfig,
     _serial_ids,
     generate_catalog,
-    generate_catalog_arrays,
     rollout_arms,
     run_rct,
 )
@@ -95,11 +94,14 @@ class TestSerialIds:
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_both_catalog_paths_carry_them(self, seed):
+        """A drawn catalog's id columns and the records it yields."""
         config = SimConfig(n_items=30 + seed, rng_seed=seed)
         numbers = range(config.n_items)
-        for items in (generate_catalog(config), generate_catalog_arrays(config).to_items()):
-            assert tuple(it.item_id for it in items) == oracles.serial_ids_per_item("it", numbers)
-            assert tuple(it.seller_id for it in items) == oracles.serial_ids_per_item("sl", numbers)
+        cat = generate_catalog(config)
+        for ids, seller_ids in ((oracles.id_strs(cat.ids), oracles.id_strs(cat.seller_ids)),
+                                zip(*((it.item_id, it.seller_id) for it in cat))):
+            assert tuple(ids) == oracles.serial_ids_per_item("it", numbers)
+            assert tuple(seller_ids) == oracles.serial_ids_per_item("sl", numbers)
 
 
 class TestArmMajorAllocators:
@@ -224,11 +226,11 @@ class TestTrialLogs:
         menu2 = random_menu(gen, "round2", float(gen.choice([12.0, 48.0])))
         probs1, probs2 = gen.dirichlet(np.ones(len(menu1))), gen.dirichlet(np.ones(len(menu2)))
         items = generate_catalog(config)
-        # Shuffled records are out of id order, so both logs are sorted back into it.
-        shuffled = [items[i] for i in gen.permutation(n)]
-        for catalog in (generate_catalog_arrays(config), items, shuffled):
-            got1, survivors, got2 = run_rct(gt, catalog, menu1, menu2, probs1, probs2, seed)
-            cat = catalog if isinstance(catalog, CatalogArrays) else CatalogArrays.from_items(catalog)
+        # Rebuilt from records, the keys are hashed on use; shuffled records are
+        # out of id order, so both logs are sorted back into it.
+        shuffled = CatalogArrays.from_items(list(items[gen.permutation(n)]))
+        for cat in (items, CatalogArrays.from_items(list(items)), shuffled):
+            got1, survivors, got2 = run_rct(gt, cat, menu1, menu2, probs1, probs2, seed)
             want1, want2 = oracles.run_rct_logs(gt, cat, menu1, menu2, probs1, probs2, seed)
             same_log(got1, want1)
             same_log(got2, want2)
@@ -242,7 +244,7 @@ class TestOneRolloutPass:
         gen = np.random.default_rng(300 + seed)
         n = int(gen.integers(1, 3000)) if seed else 1
         config = SimConfig(n_items=n, rng_seed=seed)
-        gt, cat = GroundTruth(config), generate_catalog_arrays(config)
+        gt, cat = GroundTruth(config), generate_catalog(config)
         menu1, menu2 = random_menu(gen, "round1", 72.0), random_menu(gen, "round2", 48.0)
         delay = float(gen.choice([0.0, 2.0, 30.0, 60.0]))
         plans = random_plans(gen, n, menu1, menu2, 3)
@@ -253,7 +255,7 @@ class TestOneRolloutPass:
 
     def test_no_plans(self, round1_menu, round2_menu):
         config = SimConfig(n_items=5, rng_seed=1)
-        cat = generate_catalog_arrays(config)
+        cat = generate_catalog(config)
         assert rollout_arms(GroundTruth(config), cat, round1_menu, round2_menu, [], 2.0, 1) == []
 
     @pytest.mark.parametrize("plan", range(3))
@@ -262,7 +264,7 @@ class TestOneRolloutPass:
     def test_every_arm_refusal_in_any_plan(self, round1_menu, round2_menu,
                                            plan, bad, which):
         config = SimConfig(n_items=10, rng_seed=2)
-        gt, cat = GroundTruth(config), generate_catalog_arrays(config)
+        gt, cat = GroundTruth(config), generate_catalog(config)
         ok = np.zeros(10, dtype=np.int64)
         wrong = {
             "short": ok[:9],
@@ -300,7 +302,7 @@ class TestStandardiseOncePrediction:
     def test_predictions_match_per_arm_encoding(self, pairs, seed):
         gen = np.random.default_rng(400 + seed)
         n = int(gen.integers(1, 3000)) if seed else 1
-        cat = generate_catalog_arrays(SimConfig(n_items=n, rng_seed=seed))
+        cat = generate_catalog(SimConfig(n_items=n, rng_seed=seed))
         delay = float(gen.choice([0.0, 2.0, 30.0]))
         for pair in pairs:
             got = predict_arrays(pair, cat.matrix, cat.age_days, delay)
@@ -346,7 +348,7 @@ def trials(small_world, round1_menu):
     """(catalog, round-1 log, round-2 log, round-1 menu): the shared trial, and
     one whose arms differ only in validity or only in cap."""
     menu1, menu2 = arms_apart_in_one_field("round1", 72.0), arms_apart_in_one_field("round2", 48.0)
-    cat = CatalogArrays.from_items(small_world["items"])
+    cat = small_world["items"]
     log1, _, log2 = run_rct(small_world["gt"], cat, menu1, menu2, [0.25] * 4, [0.25] * 4, seed=5)
     return {"shared": (cat, small_world["log1"], small_world["log2"], round1_menu),
             "one_field_apart": (cat, log1, log2, menu1)}

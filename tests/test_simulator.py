@@ -20,7 +20,6 @@ from seqcoupon.simulator import (
     SimConfig,
     arm_draw,
     generate_catalog,
-    generate_catalog_arrays,
     purchase_rate,
     rollout_arms,
     rollout_policy,
@@ -43,7 +42,7 @@ def true_propensity(gt, item, coupon, round, attach_delay_h) -> float:
     """The exact propensity of one (item, coupon, round, delay): a one-row
     ``GroundTruth.propensity_arrays``."""
     return float(gt.propensity_arrays(
-        item_feature_matrix([item]),
+        item_feature_matrix(CatalogArrays.from_items([item])),
         np.array([item.likes]),
         np.array([float(coupon.discount_pct)]),
         round,
@@ -158,14 +157,15 @@ class TestGroundTruth:
 
 class TestGenerateCatalog:
     def test_zero_items(self):
-        assert generate_catalog(SimConfig(n_items=0)) == []
+        cat = generate_catalog(SimConfig(n_items=0))
+        assert len(cat) == 0 and list(cat) == []
 
     def test_same_seed_identical(self):
         a = generate_catalog(SimConfig(n_items=50, rng_seed=9))
         b = generate_catalog(SimConfig(n_items=50, rng_seed=9))
-        assert a == b
+        assert list(a) == list(b)
         c = generate_catalog(SimConfig(n_items=50, rng_seed=10))
-        assert a != c
+        assert list(a) != list(c)
 
     def test_price_distribution_location(self):
         config = SimConfig(n_items=1000, rng_seed=42)
@@ -195,14 +195,22 @@ class TestCatalogArrays:
     @pytest.mark.parametrize("seed,n", [(1, 300), (9, 50), (42, 1), (3, 0)])
     def test_arrays_are_the_records(self, seed, n):
         config = SimConfig(n_items=n, rng_seed=seed)
-        cat = generate_catalog_arrays(config)
+        cat = generate_catalog(config)
         assert len(cat) == n and cat.matrix.shape == (n, 7)
-        assert cat.to_items() == generate_catalog(config)
+        records = list(cat)
+        assert len(records) == n and [cat[i] for i in range(n)] == records
+        for column, field in zip(CATALOG_COLUMNS, dataclasses.fields(ItemRecord)):
+            values = getattr(cat, column).tolist()
+            if column in ("ids", "seller_ids"):
+                values = [v.decode() for v in values]
+            got = [getattr(it, field.name) for it in records]
+            assert got == values, field.name
+            assert all(type(g) is type(v) for g, v in zip(got, values)), field.name
 
     def test_from_items_columns_match_generated(self):
         config = SimConfig(n_items=500, rng_seed=8)
-        drawn = generate_catalog_arrays(config)
-        gathered = CatalogArrays.from_items(generate_catalog(config))
+        drawn = generate_catalog(config)
+        gathered = CatalogArrays.from_items(list(drawn))
         for name in CATALOG_COLUMNS + ("keys", "matrix"):
             a, b = getattr(drawn, name), getattr(gathered, name)
             if isinstance(a, tuple):
@@ -212,7 +220,7 @@ class TestCatalogArrays:
                 assert a.tobytes() == b.tobytes(), name
 
     def test_matrix_is_libm_on_a_generated_catalog(self):
-        cat = generate_catalog_arrays(SimConfig(n_items=20_000, rng_seed=2))
+        cat = generate_catalog(SimConfig(n_items=20_000, rng_seed=2))
         angle = [2.0 * math.pi * s for s in cat.season.tolist()]
         for col, expected in (
             (0, [math.log(p) for p in cat.price.tolist()]),
@@ -242,13 +250,13 @@ class TestCatalogArrays:
         ],
     )
     def test_out_of_range_column_rejected(self, column, field, value):
-        cat = generate_catalog_arrays(SimConfig(n_items=20, rng_seed=5))
+        cat = generate_catalog(SimConfig(n_items=20, rng_seed=5))
         columns = {name: getattr(cat, name) for name in CATALOG_COLUMNS}
         bad = columns[column].copy()
         bad[7] = value
         columns[column] = bad
         # The record is built as given and refused where it enters a catalog.
-        items = cat.to_items()
+        items = list(cat)
         items[7] = dataclasses.replace(items[7], **{field: value})
         with pytest.raises(InputError) as expected:
             CatalogArrays.from_items(items)
@@ -269,7 +277,7 @@ class TestCatalogArrays:
         ],
     )
     def test_the_first_bad_row_is_named(self, column, first, later):
-        cat = generate_catalog_arrays(SimConfig(n_items=20, rng_seed=5))
+        cat = generate_catalog(SimConfig(n_items=20, rng_seed=5))
 
         def message(bad_rows):
             columns = {name: getattr(cat, name) for name in CATALOG_COLUMNS}
@@ -286,11 +294,11 @@ class TestCatalogArrays:
     @pytest.mark.parametrize("value", [2**53 - 1, 2**53, 2**63, 2**70])
     @pytest.mark.parametrize("column,field", [("price", "price_yen"), ("ltv", "seller_ltv_yen")])
     def test_yen_past_2_53_is_refused_before_any_cast(self, column, field, value):
-        cat = generate_catalog_arrays(SimConfig(n_items=20, rng_seed=5))
+        cat = generate_catalog(SimConfig(n_items=20, rng_seed=5))
         columns = {name: getattr(cat, name) for name in CATALOG_COLUMNS}
         columns[column] = columns[column].tolist()
         columns[column][7] = value
-        items = cat.to_items()
+        items = list(cat)
         items[7] = dataclasses.replace(items[7], **{field: value})
         for build in (lambda: CatalogArrays.from_columns(**columns),
                       lambda: CatalogArrays.from_items(items)):
@@ -313,11 +321,11 @@ class TestCatalogArrays:
         ],
     )
     def test_non_integral_value_refused_before_any_cast(self, column, field, value, message):
-        cat = generate_catalog_arrays(SimConfig(n_items=20, rng_seed=5))
+        cat = generate_catalog(SimConfig(n_items=20, rng_seed=5))
         columns = {name: getattr(cat, name) for name in CATALOG_COLUMNS}
         columns[column] = columns[column].astype(float)
         columns[column][7] = value
-        items = cat.to_items()
+        items = list(cat)
         items[7] = dataclasses.replace(items[7], **{field: value})
         for build in (lambda: CatalogArrays.from_columns(**columns),
                       lambda: CatalogArrays.from_items(items)):
@@ -325,7 +333,7 @@ class TestCatalogArrays:
                 build()
 
     def test_whole_floats_are_taken_as_integers(self):
-        cat = generate_catalog_arrays(SimConfig(n_items=20, rng_seed=5))
+        cat = generate_catalog(SimConfig(n_items=20, rng_seed=5))
         columns = {name: getattr(cat, name) for name in CATALOG_COLUMNS}
         for name in ("price", "condition", "likes", "ltv"):
             columns[name] = columns[name].astype(float)
@@ -335,7 +343,7 @@ class TestCatalogArrays:
             assert np.array_equal(getattr(again, name), getattr(cat, name))
 
     def test_column_lengths_must_agree(self):
-        cat = generate_catalog_arrays(SimConfig(n_items=5, rng_seed=5))
+        cat = generate_catalog(SimConfig(n_items=5, rng_seed=5))
         columns = {name: getattr(cat, name) for name in CATALOG_COLUMNS}
         columns["likes"] = columns["likes"][:4]
         with pytest.raises(InputError):
@@ -343,17 +351,17 @@ class TestCatalogArrays:
 
 
     def test_repeated_id_is_named(self):
-        cat = generate_catalog_arrays(SimConfig(n_items=6, rng_seed=5))
+        cat = generate_catalog(SimConfig(n_items=6, rng_seed=5))
         columns = {name: getattr(cat, name) for name in CATALOG_COLUMNS}
         columns["ids"] = cat.ids[[0, 1, 2, 3, 1, 0]]
         with pytest.raises(InputError, match="catalog repeats item id 'it0000001'"):
             CatalogArrays.from_columns(**columns)
 
     def test_rows_of_joins_any_order(self):
-        cat = generate_catalog_arrays(SimConfig(n_items=40, rng_seed=5))
+        cat = generate_catalog(SimConfig(n_items=40, rng_seed=5))
         order = np.random.default_rng(4).permutation(40)
-        shuffled = cat.take(order)
-        assert shuffled.to_items() == [cat.to_items()[i] for i in order]
+        shuffled = cat[order]
+        assert list(shuffled) == [cat[i] for i in order]
         ids = [cat.ids[i] for i in (7, 3, 39, 0, 7)]
         np.testing.assert_array_equal(cat.rows_of(ids), [7, 3, 39, 0, 7])
         rows = shuffled.rows_of(ids)
@@ -361,8 +369,19 @@ class TestCatalogArrays:
         np.testing.assert_array_equal(cat.rows_of(cat.ids), np.arange(40))
         assert len(cat.rows_of([])) == 0
 
+    def test_an_int_is_one_record_and_a_slice_a_catalog(self):
+        cat = generate_catalog(SimConfig(n_items=40, rng_seed=5))
+        records = list(cat)
+        assert cat[3] == records[3] and cat[np.int64(39)] == records[39]
+        assert cat[-1] == records[-1]
+        with pytest.raises(IndexError):
+            cat[40]
+        part = cat[5:9]
+        assert isinstance(part, CatalogArrays) and list(part) == records[5:9]
+        np.testing.assert_array_equal(part.keys, cat.keys[5:9])
+
     def test_keys_are_hashed_on_first_use_and_taken_as_they_are(self, monkeypatch):
-        drawn = generate_catalog_arrays(SimConfig(n_items=40, rng_seed=5))
+        drawn = generate_catalog(SimConfig(n_items=40, rng_seed=5))
         columns = {name: getattr(drawn, name) for name in CATALOG_COLUMNS}
         hashed = []
         real_keys = rng.item_keys
@@ -370,11 +389,11 @@ class TestCatalogArrays:
                             lambda ids: hashed.append(len(ids)) or real_keys(ids))
         cat = CatalogArrays.from_columns(**columns)
         rows = np.arange(39, -1, -3)
-        unhashed = cat.take(rows)
+        unhashed = cat[rows]
         assert hashed == []
         np.testing.assert_array_equal(cat.keys, real_keys(cat.ids))
         assert cat.keys is cat.keys and hashed == [40]
-        np.testing.assert_array_equal(cat.take(rows).keys, cat.keys[rows])
+        np.testing.assert_array_equal(cat[rows].keys, cat.keys[rows])
         assert hashed == [40]
         np.testing.assert_array_equal(unhashed.keys, cat.keys[rows])
         assert hashed == [40, len(rows)]
@@ -384,17 +403,17 @@ class TestCatalogArrays:
         calls = []
         real_keys = rng.item_keys
         monkeypatch.setattr(rng, "item_keys", lambda ids: calls.append(len(ids)) or real_keys(ids))
-        cat = generate_catalog_arrays(SimConfig(n_items=40, rng_seed=5))
+        cat = generate_catalog(SimConfig(n_items=40, rng_seed=5))
         assert calls == [40] and "keys" in cat.__dict__
         np.testing.assert_array_equal(cat.keys, real_keys(cat.ids))
         assert cat.keys.dtype == np.uint64
 
     def test_a_catalog_of_the_same_size_shares_ids_and_keys(self, monkeypatch):
-        earlier = generate_catalog_arrays(SimConfig(n_items=40, rng_seed=5))
+        earlier = generate_catalog(SimConfig(n_items=40, rng_seed=5))
         calls = []
         real_keys = rng.item_keys
         monkeypatch.setattr(rng, "item_keys", lambda ids: calls.append(1) or real_keys(ids))
-        drawn = generate_catalog_arrays(SimConfig(n_items=40, rng_seed=6))
+        drawn = generate_catalog(SimConfig(n_items=40, rng_seed=6))
         assert calls == []
         assert drawn.ids is earlier.ids and drawn.seller_ids is earlier.seller_ids
         assert drawn.keys is earlier.keys
@@ -405,19 +424,19 @@ class TestCatalogArrays:
 
     @pytest.mark.parametrize("n", [0, 1, 25, 39])
     def test_a_shorter_catalog_copies_the_first_rows(self, n, monkeypatch):
-        longer = generate_catalog_arrays(SimConfig(n_items=40, rng_seed=5))
+        longer = generate_catalog(SimConfig(n_items=40, rng_seed=5))
         calls = []
         real_keys = rng.item_keys
         monkeypatch.setattr(rng, "item_keys", lambda ids: calls.append(len(ids)) or real_keys(ids))
-        drawn = generate_catalog_arrays(SimConfig(n_items=n, rng_seed=6))
+        drawn = generate_catalog(SimConfig(n_items=n, rng_seed=6))
         assert calls == []
         for name in ("ids", "seller_ids", "keys"):
             np.testing.assert_array_equal(getattr(drawn, name), getattr(longer, name)[:n])
 
     def test_the_kept_columns_hold_no_row_past_the_last_catalog(self):
-        longer = generate_catalog_arrays(SimConfig(n_items=40, rng_seed=5))
+        longer = generate_catalog(SimConfig(n_items=40, rng_seed=5))
         refs = [weakref.ref(getattr(longer, name)) for name in ("ids", "seller_ids", "keys")]
-        generate_catalog_arrays(SimConfig(n_items=25, rng_seed=5))
+        generate_catalog(SimConfig(n_items=25, rng_seed=5))
         del longer
         gc.collect()
         assert [ref() for ref in refs] == [None, None, None]
@@ -426,10 +445,10 @@ class TestCatalogArrays:
     @pytest.mark.usefixtures("cleared_serial_columns")
     def test_a_draw_after_another_equals_a_cold_draw(self, before):
         config = SimConfig(n_items=30, rng_seed=6)
-        cold = generate_catalog_arrays(config)
+        cold = generate_catalog(config)
         simulator._kept = ()
-        generate_catalog_arrays(SimConfig(n_items=before, rng_seed=5))
-        drawn = generate_catalog_arrays(config)
+        generate_catalog(SimConfig(n_items=before, rng_seed=5))
+        drawn = generate_catalog(config)
         for name in CATALOG_COLUMNS + ("keys", "matrix"):
             a, b = getattr(drawn, name), getattr(cold, name)
             assert a.dtype == b.dtype and a.shape == b.shape, name
@@ -440,7 +459,7 @@ class TestCatalogArrays:
 
     @pytest.mark.parametrize("n", [0, 1, 40])
     def test_rows_of_refuses_an_unknown_id(self, n):
-        cat = generate_catalog_arrays(SimConfig(n_items=n, rng_seed=5))
+        cat = generate_catalog(SimConfig(n_items=n, rng_seed=5))
         for missing in ("it9999999", "a", "zz"):
             with pytest.raises(InputError, match=f"unknown item '{missing}'"):
                 cat.rows_of(np.array(cat.ids[:1].tolist() + [missing.encode()]))
@@ -486,7 +505,7 @@ class TestRunRct:
         config = SimConfig(n_items=20_000, rng_seed=5)
 
         def trial():
-            cat = generate_catalog_arrays(config)
+            cat = generate_catalog(config)
             log1, _, log2 = run_rct(GroundTruth(config), cat, round1_menu, round2_menu,
                                     [0.25] * 4, [0.25] * 4, seed=5)
             return cat.ids, cat.seller_ids, log1.item_ids, log2.item_ids
@@ -502,10 +521,20 @@ class TestRunRct:
             tracemalloc.stop()
         assert held / sum(map(len, columns)) < 24
 
+    @pytest.mark.usefixtures("cleared_serial_columns")
+    def test_a_drawn_catalog_is_hashed_once(self, round1_menu, round2_menu, monkeypatch):
+        calls = []
+        real_keys = rng.item_keys
+        monkeypatch.setattr(rng, "item_keys", lambda ids: calls.append(len(ids)) or real_keys(ids))
+        config = SimConfig(n_items=20_000)
+        run_rct(GroundTruth(config), generate_catalog(config), round1_menu, round2_menu,
+                [0.25] * 4, [0.25] * 4, seed=1)
+        assert calls == [20_000]
+
     def test_empty_catalog(self, round1_menu, round2_menu):
         gt = GroundTruth(SimConfig(n_items=0))
         log1, survivors, log2 = run_rct(
-            gt, [], round1_menu, round2_menu, [1, 0, 0, 0], [1, 0, 0, 0], 1
+            gt, generate_catalog(gt.config), round1_menu, round2_menu, [1, 0, 0, 0], [1, 0, 0, 0], 1
         )
         assert (len(log1), survivors, len(log2)) == (0, [], 0)
 
@@ -579,7 +608,7 @@ class TestRunRct:
 class TestRolloutPolicy:
     def test_empty(self):
         gt = GroundTruth(SimConfig(n_items=0))
-        records, totals = rollout_policy(gt, [], lambda it: ((CouponConfig.none(), 0.0), CouponConfig.none()), 1)
+        records, totals = rollout_policy(gt, generate_catalog(gt.config), lambda it: ((CouponConfig.none(), 0.0), CouponConfig.none()), 1)
         assert records == [] and totals == RolloutTotals(0, 0, 0)
 
     def test_never_coupon_costs_nothing(self, small_world):
@@ -626,9 +655,8 @@ class TestRolloutArms:
 
         records, expected = rollout_policy(small_world["gt"], items, policy, 3)
         assert expected.coupon_cost_yen > 0 and any(r.round == 2 and r.sold for r in records)
-        cat = CatalogArrays.from_items(items)
         got = rollout_arms(
-            small_world["gt"], cat, round1_menu, round2_menu, [(arm1, arm2)], delay, 3
+            small_world["gt"], items, round1_menu, round2_menu, [(arm1, arm2)], delay, 3
         )
         assert got == [expected]
 
@@ -641,7 +669,7 @@ class TestRolloutArms:
         ]
 
     def test_input_validation(self, small_world, round1_menu, round2_menu):
-        cat = CatalogArrays.from_items(small_world["items"][:10])
+        cat = small_world["items"][:10]
         gt = small_world["gt"]
         ok = np.zeros(10, dtype=np.int64)
         for arm1, arm2, delay in (

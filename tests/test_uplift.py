@@ -64,7 +64,8 @@ def unsold(item_id: str, coupon=None, delay: float = 2.0) -> OutcomeRecord:
 
 @pytest.fixture()
 def three_items():
-    return [make_item(item_id=f"ipw-{i}", likes=i, price_yen=2000 + 500 * i) for i in range(3)]
+    return CatalogArrays.from_items(
+        [make_item(item_id=f"ipw-{i}", likes=i, price_yen=2000 + 500 * i) for i in range(3)])
 
 
 class TestIpwWeights:
@@ -90,7 +91,7 @@ class TestIpwWeights:
         by_id = {r.item_id: r for r in small_world["log1"]}
         surv = small_world["survivors"][:500]
         index = {it.item_id: it for it in small_world["items"]}
-        items = [index[i] for i in surv]
+        items = CatalogArrays.from_items([index[i] for i in surv])
         records = OutcomeLog.from_records([by_id[i] for i in surv])
         for variant in (IPW_VARIANT_MEAN, IPW_VARIANT_APPLIED):
             w = ipw_weights(
@@ -143,11 +144,12 @@ class TestRound1TrainingDataset:
         assert np.array_equal(data.labels, [r.sold for r in small_world["log1"]])
 
     def test_records_columns_and_row_order_give_the_same_bits(self, small_world):
-        items, log1 = small_world["items"], small_world["log1"]
-        cat = CatalogArrays.from_items(items)
-        shuffled = cat.take(np.random.default_rng(1).permutation(len(cat)))
-        want = round1_training_dataset(items, log1)
-        for got in (round1_training_dataset(cat, log1), round1_training_dataset(shuffled, log1)):
+        cat, log1 = small_world["items"], small_world["log1"]
+        records = CatalogArrays.from_items(list(cat))
+        shuffled = cat[np.random.default_rng(1).permutation(len(cat))]
+        want = round1_training_dataset(cat, log1)
+        for got in (round1_training_dataset(records, log1),
+                    round1_training_dataset(shuffled, log1)):
             assert got.features.tobytes() == want.features.tobytes()
             assert np.array_equal(got.labels, want.labels)
 
@@ -223,7 +225,7 @@ class TestFitSecondRound:
 
 def predict_one(pair, item, attach_delay_h):
     """(p1 row, mean_p1, p2 row, p_baseline) of one item, from a one-row batch."""
-    return tuple(a[0] for a in predict_batch(pair, [item], attach_delay_h))
+    return tuple(a[0] for a in predict_batch(pair, CatalogArrays.from_items([item]), attach_delay_h))
 
 
 class TestPredictions:
@@ -261,7 +263,7 @@ class TestPredictions:
 
     def test_negative_delay_refused(self, trained_pair, fixture_item):
         with pytest.raises(ContractError):
-            predict_batch(trained_pair, [fixture_item], -0.5)
+            predict_batch(trained_pair, CatalogArrays.from_items([fixture_item]), -0.5)
 
     def test_frozen_regression_bundle(self, trained_pair, fixture_item):
         p1, _, p2, p_baseline = predict_one(trained_pair, fixture_item, 2.0)

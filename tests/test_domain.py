@@ -26,7 +26,16 @@ from seqcoupon.domain import (
 )
 from seqcoupon.decision import PolicyConstraint, allocate
 from seqcoupon.errors import InputError
-from seqcoupon.uplift import ItemPredictions
+from seqcoupon.fileio import write_catalog
+from seqcoupon.learner import LearnerConfig
+from seqcoupon.simulator import rollout_policy, run_rct
+from seqcoupon.uplift import (
+    ItemPredictions,
+    fit_first_round,
+    ipw_weights,
+    predict_batch,
+    round1_training_dataset,
+)
 
 from conftest import load_golden
 from oracles import coupon_cost, coupon_costs
@@ -514,14 +523,31 @@ class TestEncoding:
         assert matrix[:, 0].view(np.int64).tolist() == np.array(expected).view(np.int64).tolist()
 
 
-# Each public entry point that takes records, called on records that hold one
-# invalid record; ``ctx`` carries the menus. Every other entry point takes a
-# ``CatalogArrays``, which these records enter through ``from_items``.
+# Each public entry point that takes a catalog, reached from records that hold
+# one invalid record the one way records reach it: through
+# ``CatalogArrays.from_items``. ``allocate`` takes one record and validates it
+# itself. ``ctx`` carries the small world, the trained pair and the menus.
+def _from(items):
+    return CatalogArrays.from_items(items)
+
+
 RECORD_ENTRY_POINTS = {
-    "from_items": lambda ctx, items: CatalogArrays.from_items(items),
+    "run_rct": lambda ctx, items: run_rct(
+        ctx.gt, _from(items), ctx.menu1, ctx.menu2, [0.25] * 4, [0.25] * 4, seed=3),
+    "fit_first_round": lambda ctx, items: fit_first_round(
+        _from(items), ctx.log1, LearnerConfig(epochs=5)),
+    "round1_training_dataset": lambda ctx, items: round1_training_dataset(
+        _from(items), ctx.log1),
+    "ipw_weights": lambda ctx, items: ipw_weights(
+        ctx.pair.first, _from(items), ctx.log1, ctx.menu1),
+    "write_catalog": lambda ctx, items: write_catalog(_from(items), ctx.path),
+    "item_feature_matrix": lambda ctx, items: item_feature_matrix(_from(items)),
+    "predict_batch": lambda ctx, items: predict_batch(ctx.pair, _from(items), 2.0),
     "allocate": lambda ctx, items: allocate(
         ItemPredictions(items[0].item_id, (0.2, 0.3, 0.4, 0.5), 0.35, (0.1, 0.2, 0.3, 0.4), 0.3),
         *items, ctx.menu1, ctx.menu2, PolicyConstraint()),
+    "rollout_policy": lambda ctx, items: rollout_policy(
+        ctx.gt, _from(items), lambda it: ((CouponConfig.none(), 2.0), CouponConfig.none()), 3),
 }
 # One invalid item: a cell out of range, or (for several items) a repeated id.
 ITEM_DEFECTS = {
@@ -533,15 +559,18 @@ ITEM_DEFECTS = {
 
 
 class TestOneValidatorPerRowType:
-    """Every entry point that takes item records refuses an invalid one with
+    """Every entry point reached from item records refuses an invalid one with
     the message of ``CatalogArrays.from_columns``. The one entry point for
     outcome records, ``OutcomeLog.from_records``, is held to
     ``OutcomeLog.from_columns``'s messages by
     ``TestOutcomeLog.test_every_record_check_fires_with_the_same_message``."""
 
     @pytest.fixture()
-    def ctx(self, round1_menu, round2_menu):
-        return SimpleNamespace(menu1=round1_menu, menu2=round2_menu)
+    def ctx(self, small_world, trained_pair, round1_menu, round2_menu, tmp_path):
+        return SimpleNamespace(
+            gt=small_world["gt"], log1=small_world["log1"], pair=trained_pair,
+            menu1=round1_menu, menu2=round2_menu, path=str(tmp_path / "catalog.csv"),
+        )
 
     @pytest.mark.parametrize("entry,defect", [
         (entry, defect) for entry in sorted(RECORD_ENTRY_POINTS) for defect in sorted(ITEM_DEFECTS)

@@ -129,13 +129,16 @@ class Model:
 
 
 def _sigmoid(z):
+    """``1 / (1 + e)`` where ``z >= 0`` and ``e / (1 + e)`` elsewhere, ``e = exp(-|z|)``.
+
+    ``exp`` only sees ``-|z|``, so it never overflows, and no row is gathered
+    or scattered by sign: ``maximum(e, z >= 0)`` is 1 or ``e``, since ``e <= 1``.
+    """
     z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.abs(z)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    return np.maximum(e, z >= 0) / (1.0 + e)
 
 
 def _standardise_constants(X: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from seqcoupon import learner
 from seqcoupon.errors import DegenerateDataError, InputError, SchemaMismatchError
@@ -75,6 +77,26 @@ class TestDatasetValidation:
     def test_rejects_one_dimensional_features(self):
         with pytest.raises(InputError):
             Dataset(np.zeros(3), np.array([True, False, True]))
+
+
+class TestSigmoid:
+    """The branch-free sigmoid gives the bits of the masked form it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False), max_size=50))
+    @example([0.0, -0.0])
+    @example([math.inf, -math.inf])
+    @example([745.0, -745.0])
+    @example([-710.0, -730.5, -744.9])  # subnormal results
+    def test_equals_the_masked_form_bit_for_bit(self, values):
+        z = np.array(values, dtype=float)
+        got, want = learner._sigmoid(z), oracles._sigmoid(z)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_subnormal_examples_are_subnormal(self):
+        p = learner._sigmoid(np.array([-710.0, -730.5, -744.9]))
+        assert np.all((0.0 < p) & (p < np.finfo(float).tiny))
 
 
 class TestLearnerConfigValidation:

@@ -516,6 +516,15 @@ class CatalogArrays:
         return len(self.ids)
 
 
+def check_catalog(cat) -> None:
+    """Refuse anything but a ``CatalogArrays`` where an entry point takes a catalog."""
+    if not isinstance(cat, CatalogArrays):
+        raise InputError(
+            f"a catalog must be a CatalogArrays, got {type(cat).__name__}; "
+            "build one from item records with CatalogArrays.from_items"
+        )
+
+
 def coupon_coordinates(out: np.ndarray, discount_pct, validity_hours, cap_yen) -> np.ndarray:
     """Write the coupon coordinates of both encodings into ``out`` (..., 4), one
     row per entry of the coupon columns (or one for scalars), and return it.
@@ -608,4 +617,5 @@ def feature_matrix(price, condition, age_days, likes, demand, season) -> np.ndar
 
 def item_feature_matrix(items: CatalogArrays) -> np.ndarray:
     """The raw item-feature matrix of a catalog, one row per item."""
+    check_catalog(items)
     return items.matrix

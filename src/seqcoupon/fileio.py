@@ -33,7 +33,7 @@ import numpy as np
 
 from . import __version__
 from .decision import PlanTable
-from .domain import YEN_BOUND, CatalogArrays, CouponConfig, CouponSet, OutcomeLog
+from .domain import YEN_BOUND, CatalogArrays, CouponConfig, CouponSet, OutcomeLog, check_catalog
 from .errors import InputError, ManifestMismatchError
 from .evaluation import BucketRow, ComparisonReport, DelayTables, StrategyMetrics, UpliftCurve
 from .learner import GridResult, LearnerConfig, Model, Stump
@@ -284,6 +284,7 @@ def _write_table(path: str, columns: Sequence[Column], table, sold=None) -> None
 
 
 def write_catalog(items: CatalogArrays, path: str) -> None:
+    check_catalog(items)
     _write_table(path, CATALOG_COLUMNS, items)
 
 

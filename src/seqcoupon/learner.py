@@ -133,23 +133,33 @@ def _sigmoid(z):
 
     ``exp`` only sees ``-|z|``, so it never overflows, and no row is gathered
     or scattered by sign: ``maximum(e, z >= 0)`` is 1 or ``e``, since ``e <= 1``.
+    Two arrays the size of ``z`` are made, and the result is one of them.
     """
     z = np.asarray(z, dtype=float)
     e = np.abs(z)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    return np.maximum(e, z >= 0) / (1.0 + e)
+    denominator = e + 1.0
+    np.maximum(e, z >= 0, out=e)
+    e /= denominator
+    return e
 
 
 def _standardise_constants(X: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    d = X.shape[1]
     if not X.size:
-        return np.zeros(X.shape[1]), np.ones(X.shape[1])
+        return np.zeros(d), np.ones(d)
     # Weighted moments so that integer weights and sample duplication coincide.
+    # The variance is summed one column at a time through one O(n) deviation
+    # column; an n x d ``(X - mean)**2`` would double the fit's peak memory.
     wsum = w.sum()
     mean = (w @ X) / wsum
-    sq_dev = X - mean
-    np.square(sq_dev, out=sq_dev)
-    var = (w @ sq_dev) / wsum
+    var = np.empty(d)
+    dev = np.empty(len(X))
+    for f in range(d):
+        np.subtract(X[:, f], mean[f], out=dev)
+        np.square(dev, out=dev)
+        var[f] = (w @ dev) / wsum
     scale = np.sqrt(var)
     # A constant column standardises to exactly 0. Under non-uniform weights
     # its moments round to a mean off the value and a scale near 1e-15, which
@@ -170,17 +180,24 @@ def _loss(p: np.ndarray, y: np.ndarray, w_norm: np.ndarray) -> float:
     return float(w_norm @ ll)
 
 
-def train(data: Dataset, config: LearnerConfig) -> Model:
-    """Fit the configured learner; deterministic for identical inputs."""
+def train(data: Dataset, config: LearnerConfig, *, in_place: bool = False) -> Model:
+    """Fit the configured learner; deterministic for identical inputs.
+
+    The fit runs on the standardised feature matrix alone. By default that is
+    a copy, and ``data`` is never written to, not even when the fit raises.
+    With ``in_place`` the caller hands ``data`` over: its features are
+    standardised where they lie, so no second n x d matrix is made, and hold
+    the standardised values afterwards. A refusal comes before any write.
+    """
     X, y, w = data.features, data.labels, data.weights
+    if config.kind == KIND_LOGISTIC and not (y.any() and (~y).any()):
+        raise DegenerateDataError("logistic training needs both classes present")
     mean, scale = _standardise_constants(X, w)
-    Xs = X - mean
+    Xs = np.subtract(X, mean, out=X if in_place else None)
     Xs /= scale
     w_norm = w / w.sum()
 
     if config.kind == KIND_LOGISTIC:
-        if not (y.any() and (~y).any()):
-            raise DegenerateDataError("logistic training needs both classes present")
         coef, intercept, iterations, grad_norm = _fit_logistic(Xs, y, w_norm, config)
         return Model(
             kind=KIND_LOGISTIC,
@@ -222,8 +239,14 @@ def _fit_logistic(Xs, y, w_norm, config) -> tuple[np.ndarray, float, int, float]
     yf = y.astype(float)
     steps, prev_norm = 0, np.inf
     while True:
-        p = _sigmoid(Xs @ coef + intercept)
-        resid = w_norm * (p - yf)
+        # Each O(n) column is computed in place where the bits allow, so a
+        # step holds a few columns beside Xs: the logits become p, and the
+        # residual's buffer becomes the Hessian weights once the gradient is in.
+        p = Xs @ coef
+        p += intercept
+        p = _sigmoid(p)
+        resid = p - yf
+        resid *= w_norm
         grad = np.append(Xs.T @ resid + config.l2 * coef, resid.sum())
         grad_norm = float(np.sqrt(grad @ grad))
         if steps == config.epochs or grad_norm < GRAD_TOL or not grad_norm < prev_norm:
@@ -231,7 +254,8 @@ def _fit_logistic(Xs, y, w_norm, config) -> tuple[np.ndarray, float, int, float]
         prev_norm = grad_norm
         # Hessian with the intercept as its last row and column. Xs is never
         # copied whole: weighted copies are made per block of rows.
-        h = w_norm * p * (1.0 - p)
+        h = np.multiply(w_norm, p, out=resid)
+        h *= 1.0 - p
         hess = np.empty((d + 1, d + 1))
         hess[:d, :d] = config.l2 * np.eye(d)
         for lo in range(0, len(h), block):
@@ -459,7 +483,8 @@ def grid_search(
                 data.weights[val_idx], data.schema_id,
             )
             try:
-                model = train(d_train, config)
+                # d_train is this fold's own copy; a refusal leaves it unwritten.
+                model = train(d_train, config, in_place=True)
             except DegenerateDataError:
                 model = fit_prior_model(d_train)
                 prior_flags.append(fi)

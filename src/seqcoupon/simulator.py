@@ -26,6 +26,7 @@ from .domain import (
     ItemRecord,
     OutcomeLog,
     OutcomeRecord,
+    check_catalog,
     coupon_columns,
     coupon_cost_rows,
 )
@@ -368,6 +369,7 @@ def run_rct(
     ``ItemRecord``s. Returns (round1_log, survivor item ids, round2_log), each
     sorted by item_id. Survivors are exactly the items unsold after round 1.
     """
+    check_catalog(items)
     validate_probs(round1_probs, len(round1_set), "round1_probs")
     validate_probs(round2_probs, len(round2_set), "round2_probs")
 
@@ -402,6 +404,7 @@ def rollout_policy(
     ``rollout_arms``: each row gets a one-entry menu of its own coupons. This
     entry point also returns the records of both rounds' logs, round 1 first.
     """
+    check_catalog(items)
     if not items:
         return [], RolloutTotals(0, 0, 0)
 
@@ -452,6 +455,7 @@ def rollout_arms(
     ``rollout_policy``, so its totals equal those of ``rollout_policy`` under
     the equivalent per-item policy.
     """
+    check_catalog(cat)
     if not attach_delay_h >= 0:
         raise InputError("attach_delay_h must be >= 0")
     n = len(cat)

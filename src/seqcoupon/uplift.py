@@ -25,6 +25,7 @@ from .domain import (
     OutcomeLog,
     _check_column,
     _id_rows,
+    check_catalog,
     coupon_columns,
     coupon_coordinates,
     encode_rows,
@@ -48,6 +49,9 @@ from .learner import (
 )
 
 IPW_EPSILON_DEFAULT = 1e-3
+# Per-arm scoring standardises this many rows at a time into one buffer
+# (416 KiB at the 13 design columns), so its memory does not grow with n.
+SCORE_BLOCK_ROWS = 4096
 IPW_VARIANT_MEAN = "mean"
 IPW_VARIANT_APPLIED = "applied"
 
@@ -108,6 +112,7 @@ def round1_training_dataset(
     The log must span at least two coupon arms including the no-coupon arm;
     otherwise the per-arm effect is unidentifiable and training refuses.
     """
+    check_catalog(cat)
     if not len(round1_log):
         raise DegenerateDataError("round-1 log is empty")
     check_round(round1_log, 1)
@@ -131,8 +136,12 @@ def fit_first_round(
     round1_log: OutcomeLog,
     config: LearnerConfig,
 ) -> Model:
-    """Train the first-round propensity model on a randomized round-1 log."""
-    return train(round1_training_dataset(cat, round1_log), config)
+    """Train the first-round propensity model on a randomized round-1 log.
+
+    The design matrix is built here and nowhere else referenced, so ``train``
+    standardises it in place: the fit holds one n x d matrix, not two.
+    """
+    return train(round1_training_dataset(cat, round1_log), config, in_place=True)
 
 
 def _arm_probabilities(model: Model, item_matrix, slot, coupon_set: CouponSet, last):
@@ -140,26 +149,39 @@ def _arm_probabilities(model: Model, item_matrix, slot, coupon_set: CouponSet, l
 
     Each arm's design matrix is the round's encoding: the item features, the
     ``slot`` column (attach delay or elapsed age), the coupon's coordinates and
-    the last column ``last(coupon)``. The item and slot columns are
-    standardised once into one C-contiguous buffer; per arm only the coupon
-    and last columns are rewritten before scoring. Every entry equals
-    ``predict_matrix`` on that arm's encoded matrix, bit for bit.
+    the last column ``last(coupon, rows)`` of the rows ``rows`` (a slice). The
+    rows are scored in blocks of ``SCORE_BLOCK_ROWS`` through one reused
+    C-contiguous buffer: a block's item and slot columns are standardised once,
+    and per arm only the coupon and last columns are rewritten. Every entry
+    equals ``predict_matrix`` on that arm's encoded matrix, bit for bit: the
+    matrix-vector product rounds a row alike in any block that starts at a
+    multiple of the block size, except a block of one row, which numpy scores
+    by a dot product. So a lone last row is scored with the block before it.
     """
     width = N_ITEM_FEATURES + 1 + N_COUPON_FEATURES + 1
     n = item_matrix.shape[0]
     _check_width(model, (n, width))
     mean, scale = model.feature_mean, model.feature_scale
     items, coupon = slice(0, N_ITEM_FEATURES), slice(N_ITEM_FEATURES + 1, width - 1)
-    Xs = np.empty((n, width))
-    Xs[:, items] = (item_matrix - mean[items]) / scale[items]
-    Xs[:, N_ITEM_FEATURES] = (slot - mean[N_ITEM_FEATURES]) / scale[N_ITEM_FEATURES]
-    probs = np.empty((n, len(coupon_set)))
     coordinates = coupon_coordinates(np.empty((len(coupon_set), N_COUPON_FEATURES)),
                                      *coupon_columns(coupon_set))
-    for a, arm in enumerate(coupon_set):
-        Xs[:, coupon] = (coordinates[a] - mean[coupon]) / scale[coupon]
-        Xs[:, -1] = (last(arm) - mean[-1]) / scale[-1]
-        probs[:, a] = predict_standardised(model, Xs)
+    coordinates -= mean[coupon]
+    coordinates /= scale[coupon]
+    probs = np.empty((n, len(coupon_set)))
+    edges = [*range(0, n, SCORE_BLOCK_ROWS), n]
+    if len(edges) > 2 and n - edges[-2] == 1:
+        del edges[-2]
+    buffer = np.empty((min(n, SCORE_BLOCK_ROWS + 1), width))
+    for lo, hi in zip(edges, edges[1:]):
+        rows = slice(lo, hi)
+        Xs = buffer[:hi - lo]
+        np.subtract(item_matrix[rows], mean[items], out=Xs[:, items])
+        Xs[:, items] /= scale[items]
+        Xs[:, N_ITEM_FEATURES] = (slot[rows] - mean[N_ITEM_FEATURES]) / scale[N_ITEM_FEATURES]
+        for a, arm in enumerate(coupon_set):
+            Xs[:, coupon] = coordinates[a]
+            Xs[:, -1] = (last(arm, rows) - mean[-1]) / scale[-1]
+            probs[rows, a] = predict_standardised(model, Xs)
     return probs
 
 
@@ -177,7 +199,8 @@ def round1_arm_probabilities(
     delays = np.broadcast_to(np.asarray(attach_delay_h, dtype=float),
                              (item_matrix.shape[0],))
     return _arm_probabilities(
-        first, item_matrix, delays, round1_set, lambda arm: arm.discount_pct * delays
+        first, item_matrix, delays, round1_set,
+        lambda arm, rows: arm.discount_pct * delays[rows],
     )
 
 
@@ -195,6 +218,7 @@ def ipw_weights(
     all round-1 arms (default) or the propensity of the arm each survivor
     actually received.
     """
+    check_catalog(cat)
     if len(cat) != len(round1_records):
         raise InputError("items and round-1 records must be aligned")
     if (cat.ids != round1_records.item_ids).any():
@@ -257,7 +281,11 @@ def fit_second_round(
     epsilon: float = IPW_EPSILON_DEFAULT,
     variant: str = IPW_VARIANT_MEAN,
 ) -> Model:
-    """Train the second-round model on survivors with inverse-propensity weights."""
+    """Train the second-round model on survivors with inverse-propensity weights.
+
+    As in ``fit_first_round``, ``train`` standardises the design in place.
+    """
+    check_catalog(cat)
     if not len(round2_log):
         raise DegenerateDataError("round-2 survivor log is empty")
     cat_rows, r1_rows = _survivor_frames(cat, round1_log, round2_log)
@@ -268,7 +296,7 @@ def fit_second_round(
                            round2_log.discount_pct, round2_log.validity_hours,
                            round2_log.cap_yen, mean_p1)
     data = Dataset(features, round2_log.sold, weights=weights, schema_id=SCHEMA_ROUND2)
-    return train(data, config)
+    return train(data, config, in_place=True)
 
 
 def fit_predictor_pair(
@@ -283,6 +311,7 @@ def fit_predictor_pair(
     variant: str = IPW_VARIANT_MEAN,
 ) -> PredictorPair:
     """Fit both rounds end to end from the two logs."""
+    check_catalog(cat)
     first = fit_first_round(cat, round1_log, config_first)
     second = fit_second_round(
         cat, round1_log, round2_log, first, round1_set,
@@ -318,7 +347,8 @@ def predict_arrays(
     mean_p1 = p1.mean(axis=1)
     elapsed_age_h = np.asarray(age_days, dtype=float) * 24.0
     p2 = _arm_probabilities(
-        pair.second, item_matrix, elapsed_age_h, pair.round2_set, lambda arm: mean_p1
+        pair.second, item_matrix, elapsed_age_h, pair.round2_set,
+        lambda arm, rows: mean_p1[rows],
     )
     p_baseline = p1[:, 0] + (1.0 - p1[:, 0]) * p2[:, 0]
     return p1, mean_p1, p2, p_baseline
@@ -332,4 +362,5 @@ def predict_batch(
     """``predict_arrays`` over a catalog, a ``CatalogArrays`` whose rows are the
     ``ItemRecord``s: (p1 matrix, mean_p1, p2 matrix, p_baseline), one row per item.
     """
+    check_catalog(cat)
     return predict_arrays(pair, cat.matrix, cat.age_days, attach_delay_h)

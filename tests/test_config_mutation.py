@@ -2,7 +2,10 @@
 
 Each case runs through ``cli.main`` on a command that reads the key, at tiny
 sizes. A refusal must be exit 2 with the key in its message; an exit 1 (an
-internal error with a traceback) fails the case.
+internal error with a traceback) fails the case. A cell of the wrong type
+(``x``) for every key, and a list of the wrong length for every tuple key and
+for the coupon ``arms``, must be refused: exit 2 naming the file, the section
+and the key.
 """
 
 import pytest
@@ -25,6 +28,8 @@ COMMANDS = {
     "learner.second": "train",
     "policy": "compare",
     "evaluation": "evaluate",
+    "coupons.round1": "simulate",
+    "coupons.round2": "simulate",
     ("evaluation", "seeds"): "compare",
     ("evaluation", "train_seed"): "compare",
     ("evaluation", "train_n_items"): "compare",
@@ -46,6 +51,23 @@ def tuple_cell(section, key):
     return ", ".join(map(str, values[:-1] + [-1]))
 
 
+def short_cell(section, key):
+    """A list one entry short of the key's length: the default list without
+    its last entry; an empty list where any length is allowed."""
+    return ", ".join(map(str, getattr(DEFAULTS.get(section), key, ())[:-1]))
+
+
+def refused_cases():
+    for section, types in tables():
+        for key, typ in types.items():
+            yield section, key, "x"
+            if isinstance(typ, tuple):
+                yield section, key, short_cell(section, key)
+    for section in ("coupons.round1", "coupons.round2"):
+        yield section, "arms", "x"
+        yield section, "arms", "5:72"  # an arm missing its cap
+
+
 def cases():
     for section, types in tables():
         for key, typ in types.items():
@@ -54,9 +76,11 @@ def cases():
             elif typ in (int, float):
                 yield section, key, "-1"
                 yield section, key, "0"
+    yield from refused_cases()
 
 
 CASES = list(cases())
+REFUSED = set(refused_cases())
 
 
 def render(sections):
@@ -81,10 +105,23 @@ def world(tmp_path_factory):
 
 def test_the_walk_covers_every_numeric_section():
     assert {section for section, _, _ in CASES} == {
-        "simulator", "learner", "learner.second", "policy", "evaluation"}
+        "simulator", "learner", "learner.second", "policy", "evaluation",
+        "coupons.round1", "coupons.round2"}
     assert ("simulator", "price_lognormal_params", "8.1, -1") in CASES
     assert ("evaluation", "seeds", "-1") in CASES
     assert ("learner", "grid_epochs", "-1") in CASES
+
+
+def test_every_key_gets_a_wrong_type_and_every_list_a_wrong_length():
+    for section, types in tables():
+        assert {key for s, key, cell in REFUSED if s == section and cell == "x"} == set(types)
+    lengths = {(s, key): cell for s, key, cell in REFUSED if cell != "x"}
+    assert lengths[("simulator", "feature_weights")].count(",") == 5  # 6 of 7 weights
+    assert lengths[("simulator", "price_lognormal_params")] == "8.1"
+    assert lengths[("simulator", "ltv_lognormal_params")] == "9.2"
+    assert lengths[("evaluation", "seeds")] == ""
+    assert lengths[("coupons.round1", "arms")] == lengths[("coupons.round2", "arms")] == "5:72"
+    assert len(CASES) == len(set(CASES))
 
 
 @pytest.mark.parametrize("section,key,cell", CASES)
@@ -97,8 +134,11 @@ def test_a_mutated_key_runs_or_exits_2_naming_it(tmp_path, capsys, world, sectio
     code = main([command, "--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"])
     err = capsys.readouterr().err
     assert code != 1, err
+    named = f"arm {cell!r}" if key == "arms" else key  # an arm is named by its cell
     if code == 2:
-        assert key in err, err
+        assert named in err, err
+    if (section, key, cell) in REFUSED:
+        assert code == 2 and err.startswith(f"error: {cfg}: [{section}] "), err
 
 
 @pytest.mark.parametrize("section,key,cell,message", [

@@ -28,10 +28,12 @@ from seqcoupon.decision import PolicyConstraint, allocate
 from seqcoupon.errors import InputError
 from seqcoupon.fileio import write_catalog
 from seqcoupon.learner import LearnerConfig
-from seqcoupon.simulator import rollout_policy, run_rct
+from seqcoupon.simulator import rollout_arms, rollout_policy, run_rct
 from seqcoupon.uplift import (
     ItemPredictions,
     fit_first_round,
+    fit_predictor_pair,
+    fit_second_round,
     ipw_weights,
     predict_batch,
     round1_training_dataset,
@@ -549,6 +551,26 @@ RECORD_ENTRY_POINTS = {
     "rollout_policy": lambda ctx, items: rollout_policy(
         ctx.gt, _from(items), lambda it: ((CouponConfig.none(), 2.0), CouponConfig.none()), 3),
 }
+# Each public entry point that takes a catalog, called with ``cat`` as the
+# catalog and every other argument valid.
+CATALOG_ENTRY_POINTS = {
+    "run_rct": lambda ctx, cat: run_rct(
+        ctx.gt, cat, ctx.menu1, ctx.menu2, [0.25] * 4, [0.25] * 4, seed=3),
+    "rollout_policy": lambda ctx, cat: rollout_policy(
+        ctx.gt, cat, lambda it: ((CouponConfig.none(), 2.0), CouponConfig.none()), 3),
+    "rollout_arms": lambda ctx, cat: rollout_arms(
+        ctx.gt, cat, ctx.menu1, ctx.menu2, [], 2.0, 3),
+    "write_catalog": lambda ctx, cat: write_catalog(cat, ctx.path),
+    "round1_training_dataset": lambda ctx, cat: round1_training_dataset(cat, ctx.log1),
+    "fit_first_round": lambda ctx, cat: fit_first_round(cat, ctx.log1, LearnerConfig(epochs=5)),
+    "fit_second_round": lambda ctx, cat: fit_second_round(
+        cat, ctx.log1, ctx.log2, ctx.pair.first, ctx.menu1, LearnerConfig(epochs=5)),
+    "fit_predictor_pair": lambda ctx, cat: fit_predictor_pair(
+        cat, ctx.log1, ctx.log2, ctx.menu1, ctx.menu2, LearnerConfig(epochs=5)),
+    "ipw_weights": lambda ctx, cat: ipw_weights(ctx.pair.first, cat, ctx.log1, ctx.menu1),
+    "predict_batch": lambda ctx, cat: predict_batch(ctx.pair, cat, 2.0),
+    "item_feature_matrix": lambda ctx, cat: item_feature_matrix(cat),
+}
 # One invalid item: a cell out of range, or (for several items) a repeated id.
 ITEM_DEFECTS = {
     "condition": (7, {"condition": 0}),
@@ -568,7 +590,8 @@ class TestOneValidatorPerRowType:
     @pytest.fixture()
     def ctx(self, small_world, trained_pair, round1_menu, round2_menu, tmp_path):
         return SimpleNamespace(
-            gt=small_world["gt"], log1=small_world["log1"], pair=trained_pair,
+            gt=small_world["gt"], log1=small_world["log1"], log2=small_world["log2"],
+            pair=trained_pair,
             menu1=round1_menu, menu2=round2_menu, path=str(tmp_path / "catalog.csv"),
         )
 
@@ -590,3 +613,9 @@ class TestOneValidatorPerRowType:
             CatalogArrays.from_columns(**columns)
         with pytest.raises(InputError, match=f"^{re.escape(str(expected.value))}$"):
             RECORD_ENTRY_POINTS[entry](ctx, items)
+
+    @pytest.mark.parametrize("entry", sorted(CATALOG_ENTRY_POINTS))
+    def test_a_list_of_records_is_refused_naming_from_items(self, ctx, small_world, entry):
+        records = list(small_world["items"])
+        with pytest.raises(InputError, match=r"got list; .*CatalogArrays\.from_items"):
+            CATALOG_ENTRY_POINTS[entry](ctx, records)

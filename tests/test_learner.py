@@ -318,6 +318,39 @@ class TestDeterminismAndWeights:
         )
 
 
+class TestTrainWritesOnlyWhenHandedTheData:
+    CONFIGS = (LearnerConfig(learning_rate=1.0, epochs=50),
+               LearnerConfig(kind=KIND_BOOSTED, max_stumps=10))
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=["logistic", "boosted"])
+    def test_a_copying_fit_leaves_the_features_unchanged(self, config):
+        data, _ = synthetic_dataset()
+        before = data.features.copy()
+        train(data, config)
+        assert np.array_equal(data.features.view(np.int64), before.view(np.int64))
+
+    @pytest.mark.parametrize("in_place", [False, True])
+    def test_a_refused_fit_writes_nothing(self, in_place):
+        data = Dataset(np.random.default_rng(1).normal(size=(50, 3)), np.ones(50, dtype=bool))
+        before = data.features.copy()
+        with pytest.raises(DegenerateDataError):
+            train(data, LearnerConfig(), in_place=in_place)
+        assert np.array_equal(data.features.view(np.int64), before.view(np.int64))
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=["logistic", "boosted"])
+    def test_in_place_fits_the_same_model_on_the_standardised_features(self, config):
+        data, _ = synthetic_dataset()
+        raw = data.features.copy()
+        want = train(data, config)
+        got = train(data, config, in_place=True)
+        assert (got.intercept, got.stumps) == (want.intercept, want.stumps)
+        for field in ("coef", "feature_mean", "feature_scale")[config.kind == KIND_BOOSTED:]:
+            a, b = getattr(got, field), getattr(want, field)
+            assert np.array_equal(a.view(np.int64), b.view(np.int64)), field
+        standardised = (raw - want.feature_mean) / want.feature_scale
+        assert np.array_equal(data.features.view(np.int64), standardised.view(np.int64))
+
+
 class TestBoosted:
     def test_training_loss_non_increasing_in_ensemble_size(self):
         data, _ = synthetic_dataset(seed=3, n=300)
@@ -432,8 +465,8 @@ class TestGridSearch:
         diverging = LearnerConfig(learning_rate=1.0, l2=1e6, epochs=100)
         fit = learner.train
 
-        def train_diverging_to_nan(d, config):
-            model = fit(d, config)
+        def train_diverging_to_nan(d, config, **kwargs):
+            model = fit(d, config, **kwargs)
             if config == diverging:
                 return replace(model, coef=np.full(model.n_features, np.nan))
             return model
@@ -456,6 +489,20 @@ class TestGridSearch:
         data = Dataset(np.arange(n, dtype=float)[:, None], labels)
         _, table = grid_search(data, [LearnerConfig(epochs=5)], k_folds=k_folds, seed=seed)
         assert table[0].prior_folds == (0,)
+
+    def test_caller_features_unchanged_with_a_prior_fold(self):
+        n, k_folds, seed = 40, 2, 0
+        folds = np.array_split(np.random.default_rng(seed).permutation(n), k_folds)
+        gen = np.random.default_rng(7)
+        labels = np.ones(n, dtype=bool)
+        labels[folds[0]] = gen.uniform(size=len(folds[0])) < 0.5  # fold 1's training half
+        data = Dataset(gen.normal(size=(n, 3)), labels)
+        before = data.features.copy()
+        _, table = grid_search(data, [LearnerConfig(epochs=5),
+                                      LearnerConfig(kind=KIND_BOOSTED, max_stumps=5)],
+                               k_folds=k_folds, seed=seed)
+        assert table[0].prior_folds == (0,)  # fold 0 trains on one class and falls back
+        assert np.array_equal(data.features.view(np.int64), before.view(np.int64))
 
     def test_validation_errors(self):
         data, _ = synthetic_dataset(n=30)

@@ -297,25 +297,33 @@ def pairs(small_world, round1_menu, round2_menu, trained_pair):
     return [trained_pair, fit(logistic, logistic), fit(boosted, logistic)]
 
 
+# Row counts around the edges of uplift.SCORE_BLOCK_ROWS, the scoring block.
+BLOCK_EDGES = (0, 1, 4095, 4096, 4097, 10000)
+
+
 class TestStandardiseOncePrediction:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_predictions_match_per_arm_encoding(self, pairs, seed):
+        """On a random size, and on one of ``BLOCK_EDGES`` per seed (seeds 0-5
+        cover them all)."""
         gen = np.random.default_rng(400 + seed)
         n = int(gen.integers(1, 3000)) if seed else 1
-        cat = generate_catalog(SimConfig(n_items=n, rng_seed=seed))
-        delay = float(gen.choice([0.0, 2.0, 30.0]))
-        for pair in pairs:
-            got = predict_arrays(pair, cat.matrix, cat.age_days, delay)
-            want = oracles.predict_arrays_per_arm(pair, cat.matrix, cat.age_days, delay)
-            for g, w in zip(got, want):
-                same_bits(g, w)
-            delays = gen.uniform(0, 36, n)
-            same_bits(
-                round1_arm_probabilities(pair.first, cat.matrix, pair.round1_set, delays),
-                oracles.round1_arm_probabilities_per_arm(
-                    pair.first, cat.matrix, pair.round1_set, delays
-                ),
-            )
+        edge = BLOCK_EDGES[seed % len(BLOCK_EDGES)]
+        for cat in (generate_catalog(SimConfig(n_items=n, rng_seed=seed)),
+                    generate_catalog(SimConfig(n_items=max(edge, 1), rng_seed=seed))[:edge]):
+            delay = float(gen.choice([0.0, 2.0, 30.0]))
+            for pair in pairs:
+                got = predict_arrays(pair, cat.matrix, cat.age_days, delay)
+                want = oracles.predict_arrays_per_arm(pair, cat.matrix, cat.age_days, delay)
+                for g, w in zip(got, want):
+                    same_bits(g, w)
+                delays = gen.uniform(0, 36, len(cat))
+                same_bits(
+                    round1_arm_probabilities(pair.first, cat.matrix, pair.round1_set, delays),
+                    oracles.round1_arm_probabilities_per_arm(
+                        pair.first, cat.matrix, pair.round1_set, delays
+                    ),
+                )
 
 
 class TestComparisonPerSeed:
@@ -371,7 +379,8 @@ class TestColumnarTrainingEncoder:
         cat, log1, log2, menu1 = trials[trial]
         first, epsilon = pairs[pair].first, uplift.IPW_EPSILON_DEFAULT
         datasets = []  # the design fit_second_round hands to train
-        monkeypatch.setattr(uplift, "train", lambda data, config: datasets.append(data))
+        monkeypatch.setattr(uplift, "train",
+                            lambda data, config, *, in_place=False: datasets.append(data))
         fit_second_round(cat, log1, log2, first, menu1, LearnerConfig(), epsilon, variant)
         (got,) = datasets
         features, weights = oracles.round2_features_per_arm(

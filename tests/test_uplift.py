@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,9 +22,10 @@ from seqcoupon.errors import (
     SchemaMismatchError,
 )
 from seqcoupon.learner import KIND_BOOSTED, KIND_LOGISTIC, LearnerConfig, Model, PROB_CLAMP
-from seqcoupon.simulator import CatalogArrays
+from seqcoupon.simulator import CatalogArrays, GroundTruth, SimConfig, generate_catalog, run_rct
 from seqcoupon.uplift import (
     IPW_EPSILON_DEFAULT,
+    SCORE_BLOCK_ROWS,
     IPW_VARIANT_APPLIED,
     IPW_VARIANT_MEAN,
     ItemPredictions,
@@ -282,6 +284,46 @@ class TestPredictions:
         np.testing.assert_allclose(p1, expected_p1, rtol=1e-6)
         np.testing.assert_allclose(p2, expected_p2, rtol=1e-6)
         assert p_baseline == pytest.approx(0.581038958079473, rel=1e-6)
+
+
+def traced_peak(call):
+    """(result of ``call()``, its tracemalloc peak above the memory live before it)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestTrainingMemory:
+    def test_the_first_fit_holds_one_design_matrix(self, round1_menu, round2_menu):
+        """The fit standardises the design matrix it builds in place, so its
+        peak above its inputs is that matrix plus O(n) columns. Standardising a
+        copy beside an n x d squared-deviation temporary needed three."""
+        n = 20_000
+        sim = SimConfig(n_items=n, rng_seed=5)
+        cat = generate_catalog(sim)
+        log1, _, _ = run_rct(GroundTruth(sim), cat, round1_menu, round2_menu,
+                             [0.25] * 4, [0.25] * 4, seed=5)
+        config = LearnerConfig(learning_rate=1.0, epochs=50)
+        _, peak = traced_peak(lambda: fit_first_round(cat, log1, config))
+        assert peak < 2 * n * len(ROUND1_FEATURE_NAMES) * 8, peak
+
+    def test_arm_scoring_peak_does_not_grow_with_n(self, trained_pair):
+        """Beyond its (n, arms) output, scoring holds one block of rows."""
+        block_bytes = SCORE_BLOCK_ROWS * len(ROUND1_FEATURE_NAMES) * 8
+        extra = {}
+        for blocks in (2, 8):
+            n = blocks * SCORE_BLOCK_ROWS
+            cat = generate_catalog(SimConfig(n_items=n, rng_seed=blocks))
+            delays = np.random.default_rng(blocks).uniform(0, 36, n)
+            probs, peak = traced_peak(lambda: round1_arm_probabilities(
+                trained_pair.first, cat.matrix, trained_pair.round1_set, delays))
+            extra[blocks] = peak - probs.nbytes
+        assert extra[8] < 3 * block_bytes, extra
+        assert extra[8] < 1.1 * extra[2], extra
 
 
 class TestPairValidation:

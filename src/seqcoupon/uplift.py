@@ -311,7 +311,6 @@ def fit_predictor_pair(
     variant: str = IPW_VARIANT_MEAN,
 ) -> PredictorPair:
     """Fit both rounds end to end from the two logs."""
-    check_catalog(cat)
     first = fit_first_round(cat, round1_log, config_first)
     second = fit_second_round(
         cat, round1_log, round2_log, first, round1_set,

@@ -25,11 +25,11 @@ from seqcoupon.learner import KIND_BOOSTED, KIND_LOGISTIC, LearnerConfig, Model,
 from seqcoupon.simulator import CatalogArrays, GroundTruth, SimConfig, generate_catalog, run_rct
 from seqcoupon.uplift import (
     IPW_EPSILON_DEFAULT,
-    SCORE_BLOCK_ROWS,
     IPW_VARIANT_APPLIED,
     IPW_VARIANT_MEAN,
     ItemPredictions,
     PredictorPair,
+    SCORE_BLOCK_ROWS,
     fit_first_round,
     fit_second_round,
     ipw_weights,

@@ -186,14 +186,18 @@ def _roi(lift: np.ndarray, ltv: np.ndarray, cost: np.ndarray) -> np.ndarray:
     return r
 
 
-def _combined(p1, p2, cost1, cost2):
+def _combined(p1, p2, cost1, cost2, round1=None):
     """(p_combined, expected_cost) over equal-length columns, equal bit for bit
-    to ``combine_propensity`` and ``combine_cost`` row by row."""
-    cost = (1.0 - p1) * p2
+    to ``combine_propensity`` and ``combine_cost`` row by row.
+
+    ``round1`` is ``_round1_terms(p1, cost1)``, for a caller pairing one
+    round-1 arm with many round-2 arms; it is computed here when not given."""
+    not_sold1, spent1 = _round1_terms(p1, cost1) if round1 is None else round1
+    cost = not_sold1 * p2
     pc = p1 + cost
     with np.errstate(invalid="ignore", divide="ignore"):
         cost *= cost2
-        cost += p1 * cost1
+        cost += spent1
         cost /= pc
         cost[pc == 0.0] = 0.0
         if pc.min(initial=1.0) < sys.float_info.min:
@@ -201,6 +205,11 @@ def _combined(p1, p2, cost1, cost2):
             w = p1 / pc
             cost = np.where(subnormal, w * cost1 + (1.0 - w) * cost2, cost)
     return pc, cost
+
+
+def _round1_terms(p1, cost1):
+    """(1 - p1, p1 * cost1): the round-1 factors of ``_combined``."""
+    return 1.0 - p1, p1 * cost1
 
 
 def _economics(p1, p2, p_baseline, cost1, cost2, ltv):
@@ -260,17 +269,22 @@ def allocate_batch(
     set, replaces ``ltvs``.
 
     ``p1``/``p2`` hold one row per item. The cells are scored one at a time on
-    whole columns, keeping only the best so far: memory is O(n) for any menus.
+    whole columns, keeping only the best so far. Each round-2 arm's costs
+    (one column per arm, kept throughout) and each round-1 arm's
+    ``_round1_terms`` are computed once, not once per cell; beyond those,
+    memory is O(n) for any menus.
     """
     _check_widths(p1, p2, round1_set, round2_set)
     K = p2.shape[1]
     ltvs = _resolve_ltvs(ltvs, constraint)
+    costs2 = list(_arm_costs(prices, round2_set))
 
     def cells():
         for j, (p_round1, cost1) in enumerate(zip(p1.T, _arm_costs(prices, round1_set))):
-            for k, (p_round2, cost2) in enumerate(zip(p2.T, _arm_costs(prices, round2_set))):
+            round1 = _round1_terms(p_round1, cost1)
+            for k, (p_round2, cost2) in enumerate(zip(p2.T, costs2)):
                 if j or k:  # the (none, none) baseline never competes
-                    pc, cost = _combined(p_round1, p_round2, cost1, cost2)
+                    pc, cost = _combined(p_round1, p_round2, cost1, cost2, round1)
                     lift = np.subtract(pc, p_baseline, out=pc)  # p_combined is not needed again
                     yield j * K + k, _roi(lift, ltvs, cost), lift, cost
 

@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import rng
 from .errors import DegenerateDataError, InputError, SchemaMismatchError
 
 PROB_CLAMP = 1e-6
@@ -454,10 +455,22 @@ class GridResult:
     prior_folds: tuple[int, ...]  # folds scored with the fallback prior model
 
 
+def fold_order(n: int, seed: int) -> np.ndarray:
+    """The CV shuffle of rows 0..n-1: a stable argsort of one ``rng.FOLDS``
+    uniform per row, keyed by the row number. ``grid_search`` splits it into
+    ``k`` near-equal consecutive folds."""
+    return np.argsort(rng.uniforms(seed, np.arange(n, dtype=np.uint64), rng.FOLDS),
+                      kind="stable")
+
+
 def grid_search(
     data: Dataset, grid: Sequence[LearnerConfig], k_folds: int, seed: int
 ) -> tuple[LearnerConfig, list[GridResult]]:
-    """K-fold cross-validated mean log-loss per config; first strict minimum wins."""
+    """K-fold cross-validated mean log-loss per config; first strict minimum wins.
+
+    The folds are ``fold_order(n, seed)`` cut into ``k_folds`` consecutive
+    near-equal parts, so they depend on the row count and the seed alone.
+    """
     if not grid:
         raise InputError("grid must be non-empty")
     if k_folds < 2:
@@ -465,8 +478,7 @@ def grid_search(
     n = len(data)
     if n < k_folds:
         raise InputError(f"need at least {k_folds} samples for {k_folds}-fold CV")
-    perm = np.random.default_rng(seed).permutation(n)
-    folds = np.array_split(perm, k_folds)
+    folds = np.array_split(fold_order(n, seed), k_folds)
 
     table: list[GridResult] = []
     for config in grid:

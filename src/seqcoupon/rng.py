@@ -1,9 +1,13 @@
 """Splittable counter-based randomness.
 
-Every stochastic decision in the simulator draws from a substream addressed by
-(master seed, item key, round, purpose). Streams are independent of iteration
-order and of which other items participate, so per-item simulation can run in
-any order or in parallel and still reproduce bit-identically.
+Every stochastic draw in the package comes from a substream addressed by
+(master seed, key, purpose): a catalog attribute, a trial's arm, sale and
+purchase-time draws, a bootstrap replicate or a cross-validation fold. A
+catalog row's key is ``item_key`` of its id; a bootstrap row's or a CV row's
+is its row number. Streams are independent of iteration order and of which
+other items participate, so per-item simulation can run in any order or in
+parallel and still reproduce bit-identically, and the first m rows of an
+M-row catalog are the m-row catalog.
 
 The generator is the SplitMix64 finaliser chained over the address components;
 uniforms come from the top 53 bits.
@@ -11,7 +15,6 @@ uniforms come from the top 53 bits.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 
 import numpy as np
@@ -21,7 +24,10 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _U53_INV = float(2.0**-53)
 
-# Purpose tags; values are part of the reproducibility contract.
+# Purpose tags; values are part of the reproducibility contract. Tags 1-7
+# address a trial's or a rollout's draws and 9-17 a catalog's attributes, each
+# below (seed, item key); 8 addresses a bootstrap replicate and 18 the CV fold
+# order, below (seed, row number).
 ARM_R1 = 1
 SALE_R1 = 2
 ATTACH_DELAY = 3
@@ -30,6 +36,16 @@ ARM_R2 = 5
 SALE_R2 = 6
 PURCHASE_R2 = 7
 BOOTSTRAP = 8
+CATALOG_PRICE = 9  # the radius of the (price, LTV) Box-Muller pair
+CATALOG_CONDITION = 10
+CATALOG_AGE = 11
+CATALOG_LIKES = 12
+CATALOG_DEMAND = 13  # the radius of demand's Box-Muller pair
+CATALOG_SEASON = 14
+CATALOG_LTV = 15  # the angle of the (price, LTV) pair
+CATALOG_KEY_TS = 16
+CATALOG_DEMAND_ANGLE = 17
+FOLDS = 18
 
 
 def item_key(item_id: str) -> int:
@@ -38,26 +54,35 @@ def item_key(item_id: str) -> int:
     return int.from_bytes(digest, "little")
 
 
-_blake2s_8 = functools.partial(hashlib.blake2s, digest_size=8)
+_BLAKE2S_8 = hashlib.blake2s(digest_size=8)
 
 
 def item_keys(item_ids: np.ndarray) -> np.ndarray:
-    """``item_key`` for an ``S`` array (or list) of UTF-8 ids: each digest is
-    written straight into one ``S8`` buffer, which is read as little-endian
-    words. Hashing and digesting run through ``map`` over C callables, so no
-    Python frame runs per id and no list of digests is built.
+    """``item_key`` for an ``S`` array (or list) of UTF-8 ids.
+
+    Each id is hashed by a ``copy`` of one empty 8-byte blake2s state, which
+    skips the parameter set-up of a fresh hash object, from the ``bytes`` that
+    ``tolist`` gives (iterating the array would box one ``np.bytes_`` per id).
+    The digests are joined and read as little-endian words.
     """
-    digests = map(hashlib.blake2s.digest, map(_blake2s_8, item_ids))
-    return np.fromiter(digests, "S8", len(item_ids)).view("<u8").astype(np.uint64, copy=False)
+    copy, digests = _BLAKE2S_8.copy, []
+    for item_id in np.asarray(item_ids, dtype="S").tolist():
+        h = copy()
+        h.update(item_id)
+        digests.append(h.digest())
+    return np.frombuffer(b"".join(digests), "<u8").astype(np.uint64)
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
     # uint64 wrap-around is the point; silence numpy's scalar overflow warning
     with np.errstate(over="ignore"):
-        z = z + _GOLDEN
-        z = (z ^ (z >> np.uint64(30))) * _MIX1
-        z = (z ^ (z >> np.uint64(27))) * _MIX2
-        return z ^ (z >> np.uint64(31))
+        z = z + _GOLDEN  # a new value, so the rest may run in place
+        z ^= z >> np.uint64(30)
+        z *= _MIX1
+        z ^= z >> np.uint64(27)
+        z *= _MIX2
+        z ^= z >> np.uint64(31)
+        return z
 
 
 def stream_words(seed: int, keys: np.ndarray | int, *tags: int) -> np.ndarray:

@@ -12,6 +12,7 @@ trial and every rollout run one two-round core, ``_two_rounds``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -39,6 +40,9 @@ DELAY_FLOOR_AT_H = 48.0
 ROUND2_MIN_DELAY_H = 48.0
 
 _KEY_ACTION_EPOCH_H = 473_000.0  # arbitrary base for key-action timestamps
+# The Poisson likes table spans about 24 sqrt(rate) + 200 entries; a mean above
+# a million likes is refused rather than tabled.
+MAX_LIKES_RATE = 1e6
 
 
 @dataclass(frozen=True)
@@ -67,6 +71,8 @@ class SimConfig:
         for name in ("price_lognormal_params", "ltv_lognormal_params"):
             if not getattr(self, name)[1] >= 0:
                 raise InputError(f"{name} sigma must be >= 0")
+        if not self.likes_rate <= MAX_LIKES_RATE:
+            raise InputError(f"likes_rate must be <= {MAX_LIKES_RATE:.0f}")
         if self.base_logit_r2 >= self.base_logit_r1:
             raise InputError("base_logit_r2 must be < base_logit_r1 (interest decays)")
         if len(self.feature_weights) != N_ITEM_FEATURES:
@@ -192,28 +198,102 @@ def _serial_columns(n: int) -> tuple:
     return _kept
 
 
+def _box_muller(u_radius: np.ndarray, u_angle: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Two independent standard normal columns from two uniform [0, 1) columns.
+
+    ``r cos(2 pi v)`` and ``r sin(2 pi v)`` with ``r = sqrt(-2 log(1 - u))``,
+    finite since ``u < 1``. The cosine and sine come from ``t = tan(pi v)`` as
+    ``(1 - t**2) / (1 + t**2)`` and ``2t / (1 + t**2)``: over 10**6 angles
+    they lie within 2**-52 of ``np.cos`` and ``np.sin``, and one ``np.tan``
+    takes a fraction of the time of those two.
+    Both inputs are consumed as scratch space.
+    """
+    r = np.log1p(np.negative(u_radius, out=u_radius), out=u_radius)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    t = np.tan(np.multiply(u_angle, math.pi, out=u_angle), out=u_angle)
+    t_squared = t * t
+    r /= t_squared + 1.0
+    z_cos = np.subtract(1.0, t_squared, out=t_squared)
+    z_cos *= r
+    z_sin = np.multiply(t, 2.0, out=t)
+    z_sin *= r
+    return z_cos, z_sin
+
+
+def _poisson_cdf(rate: float) -> tuple[int, np.ndarray]:
+    """(lo, cdf): the Poisson(``rate``) CDF at lo, lo + 1, ..., its last entry 1.
+
+    The table spans ``rate +- (12 sqrt(rate) + 100)``; the mass outside it is
+    below 2**-100 on either side, far below the 2**-53 step of a uniform draw.
+    It is built in log space from ``p(k) / p(k - 1) = rate / k``: log p(k) -
+    log p(lo) is a running sum of ``log(rate / k)``, shifted by its maximum so
+    that no term overflows, and the CDF is normalised by its last partial sum.
+    That is within 4e-13 of the exact CDF, relative, up to ``MAX_LIKES_RATE``,
+    where ``k log(rate) - lgamma(k + 1)`` loses 2e-9 to cancellation.
+    """
+    if rate == 0.0:
+        return 0, np.ones(1)
+    half = 12.0 * math.sqrt(rate) + 100.0
+    lo = max(0, math.floor(rate - half))
+    log_pmf = np.zeros(math.ceil(rate + half) + 1 - lo)
+    np.cumsum(np.log(rate / np.arange(lo + 1.0, lo + len(log_pmf))), out=log_pmf[1:])
+    cdf = np.cumsum(np.exp(log_pmf - log_pmf.max()))
+    cdf /= cdf[-1]
+    return lo, cdf
+
+
+def _lognormal_yen(z: np.ndarray, params: tuple[float, float]) -> np.ndarray:
+    """``max(1, rint(exp(mu + sigma z)))`` in place on ``z``, still as floats:
+    ``from_columns`` refuses an amount past the yen range before it casts."""
+    mu, sigma = params
+    z *= sigma
+    z += mu
+    with np.errstate(over="ignore"):  # an infinite amount is refused by name
+        np.exp(z, out=z)
+    return np.maximum(1.0, np.rint(z, out=z), out=z)
+
+
 def generate_catalog(config: SimConfig) -> CatalogArrays:
     """A catalog drawn straight into columns and the feature matrix; deterministic per seed.
 
     The ids, seller ids and keys come from ``_serial_columns``, so a caller
-    drawing many catalogs builds and hashes them once; the keys are set.
+    drawing many catalogs builds and hashes them once; the keys are set. Each
+    attribute of a row is drawn from its own ``rng`` substream, addressed by
+    (``rng_seed``, the row's item key, the attribute's ``CATALOG_*`` tag)
+    below one prefix mixed once per catalog. A row's draws therefore depend on
+    its id alone: the first m rows of an M-row catalog are the m-row catalog.
+
+    Condition is ``1 + floor(5u)`` and age ``floor((max_age_days + 1) u)``;
+    price and LTV are lognormal through the two halves of one Box-Muller pair,
+    and demand through a pair of its own; likes invert an exact Poisson CDF
+    (``_poisson_cdf``); season is ``u`` and the key-action time falls
+    uniformly within a year of a fixed epoch.
     """
     n = config.n_items
     ids, seller_ids, keys = _serial_columns(n)
-    gen = np.random.default_rng([config.rng_seed, 0xCA7A])
-    price_mu, price_sigma = config.price_lognormal_params
-    ltv_mu, ltv_sigma = config.ltv_lognormal_params
+    prefix = rng.stream_words(config.rng_seed, keys)
+
+    def uniform(tag: int) -> np.ndarray:
+        return rng.words_to_uniforms(rng.extend_words(prefix, tag))
+
+    z_price, z_ltv = _box_muller(uniform(rng.CATALOG_PRICE), uniform(rng.CATALOG_LTV))
+    z_demand, _ = _box_muller(uniform(rng.CATALOG_DEMAND), uniform(rng.CATALOG_DEMAND_ANGLE))
+    lo, cdf = _poisson_cdf(config.likes_rate)
+    key_ts = uniform(rng.CATALOG_KEY_TS)
+    key_ts *= 8760.0
+    key_ts += _KEY_ACTION_EPOCH_H
     cat = CatalogArrays.from_columns(
         ids=ids,
         seller_ids=seller_ids,
-        price=np.maximum(1, np.rint(gen.lognormal(price_mu, price_sigma, n))).astype(np.int64),
-        condition=gen.integers(1, 6, n),
-        age_days=gen.integers(0, config.max_age_days + 1, n).astype(float),
-        likes=gen.poisson(config.likes_rate, n),
-        demand=gen.normal(0.0, 1.0, n),
-        season=gen.uniform(0.0, 1.0, n),
-        ltv=np.maximum(1, np.rint(gen.lognormal(ltv_mu, ltv_sigma, n))).astype(np.int64),
-        key_ts=_KEY_ACTION_EPOCH_H + gen.uniform(0.0, 8760.0, n),
+        price=_lognormal_yen(z_price, config.price_lognormal_params),
+        condition=(5.0 * uniform(rng.CATALOG_CONDITION)).astype(np.int64) + 1,
+        age_days=np.floor((config.max_age_days + 1.0) * uniform(rng.CATALOG_AGE)),
+        likes=lo + np.searchsorted(cdf, uniform(rng.CATALOG_LIKES), side="right"),
+        demand=z_demand,
+        season=uniform(rng.CATALOG_SEASON),
+        ltv=_lognormal_yen(z_ltv, config.ltv_lognormal_params),
+        key_ts=key_ts,
     )
     cat.__dict__["keys"] = keys  # fills the cached property
     return cat

@@ -160,6 +160,19 @@ def test_a_key_only_a_later_command_reads_is_refused_at_load(tmp_path, capsys, w
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("cell", ["1000001", "2e6"])
+def test_a_likes_rate_past_the_poisson_table_exits_2(tmp_path, capsys, world, cell):
+    sections = {name: dict(keys) for name, keys in BASE.items()}
+    sections["simulator"]["likes_rate"] = cell
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(render({**sections, "io": world}))
+    code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: {cfg}: [simulator] likes_rate must be <= 1000000\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "train", "compare", "evaluate"])
 def test_a_negative_seed_override_exits_2_naming_it(tmp_path, capsys, world, command):
     cfg = tmp_path / "run.cfg"

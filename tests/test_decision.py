@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from seqcoupon import decision
 from seqcoupon.domain import CouponConfig, CouponSet
 from seqcoupon.errors import InputError
 from seqcoupon.decision import (
@@ -307,6 +308,16 @@ class TestBatchAllocators:
 
     def scalar_preds(self, i, p1, p2, p_baseline):
         return preds_of(f"it-{i}", tuple(p1[i]), tuple(p2[i]), float(p_baseline[i]))
+
+    def test_each_arm_is_costed_once(self, batch_problem, round1_menu, round2_menu,
+                                     monkeypatch):
+        """One ``coupon_cost_rows`` call per arm of either menu, not one per cell."""
+        calls = []
+        real = decision.coupon_cost_rows
+        monkeypatch.setattr(decision, "coupon_cost_rows",
+                            lambda *args: calls.append(1) or real(*args))
+        allocate_batch(*batch_problem, round1_menu, round2_menu, PolicyConstraint())
+        assert len(calls) == len(round1_menu) + len(round2_menu) == 8
 
     def test_joint_batch_matches_scalar(self, batch_problem, round1_menu, round2_menu):
         p1, p2, p_baseline, prices, ltvs = batch_problem

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from seqcoupon import learner
+from seqcoupon import learner, rng
 from seqcoupon.errors import DegenerateDataError, InputError, SchemaMismatchError
 from seqcoupon.learner import (
     Dataset,
@@ -16,6 +16,7 @@ from seqcoupon.learner import (
     Model,
     PROB_CLAMP,
     decision_scores,
+    fold_order,
     grid_search,
     predict_matrix,
     train,
@@ -434,6 +435,26 @@ class TestSchemaGuards:
             )
 
 
+class TestFoldOrder:
+    def test_a_deterministic_permutation_per_seed(self):
+        perm = fold_order(500, 3)
+        assert perm.dtype == np.intp
+        assert np.array_equal(np.sort(perm), np.arange(500))
+        assert np.array_equal(fold_order(500, 3), perm)
+        assert not np.array_equal(fold_order(500, 4), perm)
+        assert fold_order(0, 3).shape == (0,)
+
+    def test_rows_keep_their_relative_order_as_more_are_added(self):
+        """Each row's sort key depends on its row number alone."""
+        long, short = fold_order(400, 9), fold_order(40, 9)
+        assert np.array_equal(long[long < 40], short)
+
+    def test_the_order_sorts_one_folds_uniform_per_row(self):
+        u = rng.uniforms(5, np.arange(60, dtype=np.uint64), rng.FOLDS)
+        perm = fold_order(60, 5)
+        assert (np.diff(u[perm]) > 0).all()
+
+
 class TestGridSearch:
     def test_singleton_grid_returns_it(self):
         data, _ = synthetic_dataset(n=100)
@@ -481,8 +502,7 @@ class TestGridSearch:
     def test_single_class_training_fold_flagged(self):
         # Engineer labels so one fold's training complement is single-class.
         n, k_folds, seed = 4, 2, 0
-        perm = np.random.default_rng(seed).permutation(n)
-        folds = np.array_split(perm, k_folds)
+        folds = np.array_split(fold_order(n, seed), k_folds)
         labels = np.zeros(n, dtype=bool)
         labels[folds[0]] = [True, False]  # fold 1 trains on this mixed half
         labels[folds[1]] = [True, True]  # fold 0 trains on this single-class half
@@ -492,7 +512,7 @@ class TestGridSearch:
 
     def test_caller_features_unchanged_with_a_prior_fold(self):
         n, k_folds, seed = 40, 2, 0
-        folds = np.array_split(np.random.default_rng(seed).permutation(n), k_folds)
+        folds = np.array_split(fold_order(n, seed), k_folds)
         gen = np.random.default_rng(7)
         labels = np.ones(n, dtype=bool)
         labels[folds[0]] = gen.uniform(size=len(folds[0])) < 0.5  # fold 1's training half
@@ -503,6 +523,21 @@ class TestGridSearch:
                                k_folds=k_folds, seed=seed)
         assert table[0].prior_folds == (0,)  # fold 0 trains on one class and falls back
         assert np.array_equal(data.features.view(np.int64), before.view(np.int64))
+
+    def test_folds_are_the_seeds_fold_order(self):
+        """Each fold's loss is a fit on the rows outside ``fold_order``'s cut."""
+        data, _ = synthetic_dataset(n=90)
+        config = LearnerConfig(epochs=20)
+        _, table = grid_search(data, [config], k_folds=3, seed=11)
+        losses = []
+        for val_idx in np.array_split(fold_order(90, 11), 3):
+            train_mask = np.ones(90, dtype=bool)
+            train_mask[val_idx] = False
+            model = train(Dataset(data.features[train_mask], data.labels[train_mask],
+                                  data.weights[train_mask]), config)
+            losses.append(weighted_log_loss(model, Dataset(
+                data.features[val_idx], data.labels[val_idx], data.weights[val_idx])))
+        assert table[0].fold_losses == tuple(losses)
 
     def test_validation_errors(self):
         data, _ = synthetic_dataset(n=30)

@@ -1,8 +1,10 @@
 import dataclasses
+import decimal
 import gc
 import math
 import re
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -183,6 +185,128 @@ class TestGenerateCatalog:
             assert 0 <= it.age_days <= 90
             assert it.likes >= 0
             assert 0.0 <= it.season_phase < 1.0
+
+
+def within(sample_mean: float, expected: float, sd: float, n: int, z: float = 5.0) -> bool:
+    """Whether a sample mean lies within ``z`` standard errors of its expectation."""
+    return abs(sample_mean - expected) < z * sd / math.sqrt(n)
+
+
+class TestCatalogDraws:
+    """Each column's law, and the rule that a row's draws depend on its id alone."""
+
+    N = 100_000
+
+    @pytest.fixture(scope="class")
+    def big(self):
+        return generate_catalog(SimConfig(n_items=self.N, rng_seed=7))
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_a_catalog_is_the_prefix_of_a_longer_one(self, seed, cleared_serial_columns):
+        short = generate_catalog(SimConfig(n_items=40, rng_seed=seed))
+        long = generate_catalog(SimConfig(n_items=400, rng_seed=seed))
+        for column in CATALOG_COLUMNS + ("keys", "matrix"):
+            a, b = getattr(short, column), getattr(long, column)[:40]
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), column
+
+    def test_integer_columns(self, big):
+        n = self.N
+        assert big.condition.dtype == np.int64 and big.likes.dtype == np.int64
+        assert set(np.unique(big.condition).tolist()) == {1, 2, 3, 4, 5}
+        for value in range(1, 6):  # 1 + floor(5u): each value a fifth of the rows
+            assert within((big.condition == value).mean(), 0.2, math.sqrt(0.16), n)
+        age = big.age_days
+        assert (np.floor(age) == age).all() and age.min() == 0 and age.max() == 90
+        m = 91  # floor(91 u) is uniform on 0..90
+        assert within(age.mean(), (m - 1) / 2, math.sqrt((m * m - 1) / 12), n)
+
+    @pytest.mark.parametrize("column,params", [
+        ("price", "price_lognormal_params"), ("ltv", "ltv_lognormal_params"),
+    ])
+    def test_yen_columns_are_rounded_lognormals(self, big, column, params):
+        mu, sigma = getattr(SimConfig(), params)
+        yen = getattr(big, column)
+        assert yen.dtype == np.int64 and yen.min() >= 1
+        log_yen = np.log(yen)
+        assert within(log_yen.mean(), mu, sigma, self.N)
+        # the sample variance of a normal has standard error sigma**2 sqrt(2 / n)
+        assert within(log_yen.var(), sigma**2, sigma**2 * math.sqrt(2), self.N)
+
+    def test_demand_is_standard_normal(self, big):
+        z = big.demand
+        assert within(z.mean(), 0.0, 1.0, self.N)
+        assert within(z.var(), 1.0, math.sqrt(2), self.N)
+        assert within((z**4).mean(), 3.0, math.sqrt(96), self.N)  # Var(z**4) = 105 - 9
+        assert within((z < -1.96).mean(), 0.025, math.sqrt(0.025 * 0.975), self.N)
+
+    def test_the_box_muller_pair_is_independent(self, big):
+        """Price and LTV share one radius: their squares would correlate if the
+        two halves of the pair were not independent normals."""
+        mu_p, s_p = SimConfig().price_lognormal_params
+        mu_l, s_l = SimConfig().ltv_lognormal_params
+        zp, zl = (np.log(big.price) - mu_p) / s_p, (np.log(big.ltv) - mu_l) / s_l
+        assert within(np.corrcoef(zp, zl)[0, 1], 0.0, 1.0, self.N)
+        assert within(np.corrcoef(zp**2, zl**2)[0, 1], 0.0, 1.0, self.N)
+        assert within(np.corrcoef(zp**2, big.demand**2)[0, 1], 0.0, 1.0, self.N)
+
+    def test_uniform_columns(self, big):
+        n, sd = self.N, math.sqrt(1 / 12)
+        assert 0.0 <= big.season.min() and big.season.max() < 1.0
+        assert within(big.season.mean(), 0.5, sd, n)
+        phase = (big.key_ts - simulator._KEY_ACTION_EPOCH_H) / 8760.0
+        assert 0.0 <= phase.min() and phase.max() < 1.0
+        assert within(phase.mean(), 0.5, sd, n)
+        assert within(np.corrcoef(phase, big.season)[0, 1], 0.0, 1.0, n)
+
+    @pytest.mark.parametrize("rate", [0.0, 3.0, 1000.0])
+    def test_likes_are_poisson(self, rate):
+        n = 50_000
+        likes = generate_catalog(SimConfig(n_items=n, rng_seed=2, likes_rate=rate)).likes
+        if rate == 0.0:
+            assert (likes == 0).all()
+            return
+        assert within(likes.mean(), rate, math.sqrt(rate), n)
+        # Var of the sample variance of a Poisson is (2 rate**2 + rate) / n
+        assert within(likes.var(), rate, math.sqrt(2 * rate * rate + rate), n)
+        for k in (0, 1, 3, 6) if rate == 3.0 else (950, 1000, 1050):
+            pmf = math.exp(k * math.log(rate) - rate - math.lgamma(k + 1))
+            assert within((likes == k).mean(), pmf, math.sqrt(pmf * (1 - pmf)), n)
+
+    @pytest.mark.parametrize("rate", [0.0, 0.5, 3.0, 1000.0, 123456.7, 1e6])
+    def test_the_poisson_table_is_the_exact_cdf(self, rate):
+        """Against a 50-digit recurrence ``p(k) = p(k - 1) rate / k`` over the table."""
+        lo, cdf = simulator._poisson_cdf(rate)
+        if rate == 0.0:
+            assert (lo, cdf.tolist()) == (0, [1.0])
+            return
+        assert cdf.dtype == np.float64 and cdf[-1] == 1.0 and (np.diff(cdf) >= 0).all()
+        assert lo <= rate < lo + len(cdf) - 1
+        with decimal.localcontext(decimal.Context(prec=50)):
+            weight, exact_rate, running = decimal.Decimal(1), decimal.Decimal(repr(rate)), []
+            for k in range(lo + 1, lo + len(cdf) + 1):
+                running.append(weight if not running else running[-1] + weight)
+                weight = weight * exact_rate / k
+            exact = np.array([float(r / running[-1]) for r in running])
+        np.testing.assert_allclose(cdf, exact, rtol=4e-13, atol=0)
+
+    def test_rates_past_the_table_bound_are_refused(self):
+        assert SimConfig(likes_rate=simulator.MAX_LIKES_RATE).likes_rate == 1e6
+        for rate in (1.5e6, math.inf):
+            with pytest.raises(InputError, match=r"^likes_rate must be <= 1000000$"):
+                SimConfig(likes_rate=rate)
+
+    @pytest.mark.parametrize("column", ["price_lognormal_params", "ltv_lognormal_params"])
+    @pytest.mark.parametrize("mu,shown", [(60.0, r"\d\.\d+e\+2\d"), (1000.0, "inf")])
+    def test_a_drawn_amount_past_the_yen_range_is_refused_before_any_cast(
+        self, column, mu, shown
+    ):
+        """The refusal names the drawn amount, and no cast warns on the way."""
+        name = {"price_lognormal_params": "price_yen",
+                "ltv_lognormal_params": "seller_ltv_yen"}[column]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match=rf"^{name} is out of range.*, got {shown}$"):
+                generate_catalog(SimConfig(n_items=5, **{column: (mu, 1.0)}))
 
 
 # CatalogArrays fields that hold one ItemRecord field each

@@ -270,20 +270,20 @@ class TestPredictions:
     def test_frozen_regression_bundle(self, trained_pair, fixture_item):
         p1, _, p2, p_baseline = predict_one(trained_pair, fixture_item, 2.0)
         expected_p1 = (
-            0.4272136395879707,
-            0.4532796202286531,
-            0.5087238398819603,
-            0.5463279475885882,
+            0.46509035782014485,
+            0.5248624468148181,
+            0.5676271813078543,
+            0.609617890987598,
         )
         expected_p2 = (
-            0.2685561827639355,
-            0.2685561827639355,
-            0.2685561827639355,
-            0.28610479727727894,
+            0.2973781189147556,
+            0.32230174586905924,
+            0.32230174586905924,
+            0.3437233967910272,
         )
         np.testing.assert_allclose(p1, expected_p1, rtol=1e-6)
         np.testing.assert_allclose(p2, expected_p2, rtol=1e-6)
-        assert p_baseline == pytest.approx(0.581038958079473, rel=1e-6)
+        assert p_baseline == pytest.approx(0.6241607810009552, rel=1e-6)
 
 
 def traced_peak(call):

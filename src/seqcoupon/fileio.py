@@ -13,20 +13,22 @@ it), ``int``, ``yen`` (an integer below 2**53 in magnitude), ``float``
 (written at 12 significant digits) and ``flag`` (0 or 1). Two outcome-log
 rules ride along: a ``sale`` cell is empty on an unsold row and reads as
 NaN, and a ``coupon`` cell is not read on a discount-0 row. The header, the
-``np.loadtxt`` fields of the one-call parse, the row parser it falls back to
-and the writer's cell formats all follow from the spec, so one
-``_read_table`` and one ``_write_table`` serve every table.
+``np.loadtxt`` fields of the one-call parse (bytes for text, flag and sale
+cells, typed by whole-column checks and casts, so no cell passes through
+Python on its own), the row parser it falls back to and the writer's cell
+formats all follow from the spec, so one ``_read_table`` and one
+``_write_table`` serve every table.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
 import dataclasses
 import hashlib
 import json
 import os
 import warnings
-from itertools import repeat
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -139,7 +141,7 @@ def _parse_row(row: list[str], columns: Sequence[Column], path: str, line: int) 
 
 def _read_rows(path: str, expected_header: str) -> list[tuple[int, list[str]]]:
     """The row parser: every non-blank row after the header, with its line number."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -162,35 +164,70 @@ def _read_rows(path: str, expected_header: str) -> list[tuple[int, list[str]]]:
     return rows
 
 
+# The one-call parse holds a sale cell in this many bytes and a flag in two: the
+# widest number a writer makes ("%.12g" of -1e-100) takes 19 and a valid flag one.
+# A cell that fills its field leaves the file to the row parser.
+SALE_CELL_BYTES = 24
+
+
 def _parse_columns(path: str, header: str, dtype: np.dtype) -> Optional[np.ndarray]:
     """The table as one structured array, or None where only the row parser can tell.
 
-    Splitting the text on newlines and commas gives ``csv.reader``'s cells
-    when it holds no quote, carriage return or NUL, the header matches and
-    every non-blank row has the header's width. ``np.loadtxt`` then parses
-    every row in one call. It refuses some cells that ``int``/``float``
-    accept (``1_0``, non-ASCII digits, integers past int64) but accepts none
-    that they refuse, so any error or warning leaves the file to the row
-    parser, which accepts those cells and names the line of a bad one.
+    Split on newlines and commas, the file's bytes give ``csv.reader``'s cells
+    when they hold no quote, CR or NUL, decode as UTF-8 and the header matches.
+    ``np.loadtxt`` then parses every row in one call and refuses a non-blank row
+    that is not the header's width. It refuses some numbers that ``int``/``float``
+    accept (``1_0``, non-ASCII digits, integers past int64) but none that they
+    refuse, so an error or warning leaves the file to the row parser, which
+    names the line of a bad cell. Read as latin-1, an ``S`` cell holds the
+    file's UTF-8 bytes. An unsized ``S`` field of ``dtype`` is first twice as
+    wide as its first-row cell, plus one byte; if a later cell fills it, the
+    file is parsed again with the field one byte past the longest line. A
+    cell that fills a sized ``S`` field leaves the file to the row parser.
     """
-    with open(path, newline="") as fh:
-        text = fh.read()
-    if '"' in text or "\r" in text or "\0" in text:
+    with open(path, "rb") as fh:
+        data = fh.read()
+    head = header.encode() + b"\n"
+    if not data.startswith(head) or any(map(data.__contains__, (b'"', b"\r", b"\0"))):
         return None
-    lines = text.split("\n")
-    width = header.count(",") + 1
-    body = list(filter(None, lines[1:]))
-    if lines[0] != header or not set(map(str.count, body, repeat(","))) <= {width - 1}:
-        return None
-    if not body:
-        return np.empty(0, dtype)
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            return np.loadtxt(body, dtype=dtype, delimiter=",", comments=None,
-                              quotechar=None, ndmin=1)
-    except (ValueError, OverflowError, Warning):
+        if not data.isascii():
+            data.decode()
+    except UnicodeDecodeError:
         return None
+    ends = np.flatnonzero(np.frombuffer(data, np.uint8) == 10)
+    longest = int(np.diff(ends, append=len(data)).max()) - 1
+    first_row = data[len(head):ends[1] if len(ends) > 1 else None].split(b",")
+    del data, ends  # ``np.loadtxt`` reads the file again, a block at a time
+    unsized = {name for name in dtype.names if dtype[name] == np.dtype("S")}
+    guess = {name: 2 * len(cell) + 1 for name, cell in zip(dtype.names, first_row)}
+    for widths in (guess, {}):
+        sized = np.dtype([(name, f"S{widths.get(name, longest + 1)}" if name in unsized
+                           else dtype[name]) for name in dtype.names])
+        if not longest:
+            return np.empty(0, sized)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                table = np.loadtxt(path, dtype=sized, delimiter=",", comments=None,
+                                   skiprows=1, quotechar=None, ndmin=1, encoding="latin-1")
+        except (ValueError, OverflowError, Warning):
+            return None
+        filled = {name for name in dtype.names
+                  if sized[name].kind == "S" and _field_bytes(table, name)[:, -1].any()}
+        if filled - unsized:
+            return None
+        if not widths or not filled:
+            return table
+
+
+def _field_bytes(table: np.ndarray, name: str) -> np.ndarray:
+    """An ``S`` field's bytes, a row per table row. A cell holds no NUL, so byte j is set
+    in some row exactly when the longest cell is longer than j; a cell that sets the
+    last byte fills the field and may have been cut short."""
+    field, offset = table.dtype.fields[name]
+    raw = table.view(np.uint8).reshape(len(table), table.dtype.itemsize)
+    return raw[:, offset:offset + field.itemsize]
 
 
 def _columns_of(table: np.ndarray, columns: Sequence[Column]) -> dict:
@@ -200,15 +237,17 @@ def _columns_of(table: np.ndarray, columns: Sequence[Column]) -> dict:
     for c in columns:
         cells = table[c.name]
         if c.kind == "text":
-            value = cells.tolist()
+            raw = _field_bytes(table, c.name)
+            longest = bisect.bisect_left(range(raw.shape[1]), True,
+                                         key=lambda j: not raw[:, j].any())
+            value = cells.astype(f"S{longest or 1}")
         elif c.kind == "flag":
-            if not set(cells.tolist()) <= {"0", "1"}:
+            value = cells == b"1"
+            if not (value | (cells == b"0")).all():
                 raise ValueError(f"column {c.header!r} must be 0 or 1")
-            value = cells == "1"
         elif c.rule == "sale":
-            value, filled = np.full(len(cells), np.nan), cells != ""
-            parse = float if c.kind == "float" else int
-            value[filled] = np.array(list(map(parse, cells[filled])), dtype=float)
+            value, filled = np.full(len(cells), np.nan), cells != b""
+            value[filled] = cells[filled].astype(float if c.kind == "float" else np.int64)
         elif c.rule == "coupon":
             value = np.where(out["discount_pct"] == 0, 0, cells)
         else:
@@ -222,14 +261,15 @@ def _columns_of(table: np.ndarray, columns: Sequence[Column]) -> dict:
 def _read_table(path: str, columns: Sequence[Column]) -> dict:
     """A table's typed columns, keyed by the ``from_columns`` argument names.
 
-    ``np.loadtxt`` parses the file in one call, holding text, flags and sale
-    cells (empty where unsold) as text until checked. Where it or ``_columns_of``
-    cannot take a cell, the row parser re-reads the file and names the line
-    of the first bad cell.
+    ``np.loadtxt`` parses the file in one call, holding ids, flags and sale
+    cells (empty where unsold) as bytes until whole-column checks and casts
+    type them. Where it or ``_columns_of`` cannot take a cell, the row parser
+    re-reads the file and names the line of the first bad cell.
     """
     header = _header(columns)
-    dtype = np.dtype([(c.name, object if c.kind in ("text", "flag") or c.rule == "sale"
-                       else float if c.kind == "float" else np.int64) for c in columns])
+    fields = {"text": "S", "flag": "S2", "float": float}
+    dtype = np.dtype([(c.name, f"S{SALE_CELL_BYTES}" if c.rule == "sale"
+                       else fields.get(c.kind, np.int64)) for c in columns])
     table = _parse_columns(path, header, dtype)
     if table is not None:
         try:
@@ -274,7 +314,7 @@ def _write_table(path: str, columns: Sequence[Column], table, sold=None) -> None
     column is decoded as a ``map``, so only its row's id is alive.
     """
     row_format = ",".join("%s" if c.rule == "sale" else CELL_FORMATS[c.kind] for c in columns)
-    with open(path, "w", newline="\n") as fh:
+    with open(path, "w", newline="\n", encoding="utf-8") as fh:
         fh.write(_header(columns) + "\n")
         for lo in range(0, len(table), WRITE_BLOCK_ROWS):
             rows = slice(lo, lo + WRITE_BLOCK_ROWS)

@@ -292,21 +292,26 @@ def _min_norm_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
         rows.append(schur[j] / np.sqrt(schur[j, j]))
         schur -= np.outer(rows[-1], rows[-1])
     R = np.array(rows).reshape(-1, len(b))
-    M = R @ R.T
-    return R.T @ _cholesky_solve(M, _cholesky_solve(M, R @ b))
+    L = _cholesky(R @ R.T)
+    return R.T @ _cholesky_solve(L, _cholesky_solve(L, R @ b))
 
 
-def _cholesky_solve(M: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Solve ``M x = y`` for a small symmetric positive definite ``M``.
+def _cholesky(M: np.ndarray) -> np.ndarray:
+    """The lower Cholesky factor of a small symmetric positive definite ``M``.
 
     Written out rather than calling ``np.linalg``: the LAPACK call maps about
     half a megabyte of code pages, which shows in the process's peak RSS.
     """
-    n = len(y)
     L = np.zeros_like(M)
-    for j in range(n):
+    for j in range(len(M)):
         L[j, j] = np.sqrt(M[j, j] - L[j, :j] @ L[j, :j])
         L[j + 1:, j] = (M[j + 1:, j] - L[j + 1:, :j] @ L[j, :j]) / L[j, j]
+    return L
+
+
+def _cholesky_solve(L: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Solve ``L Lᵀ x = y`` by two triangular sweeps over the factor ``L``."""
+    n = len(y)
     z = np.empty(n)
     for i in range(n):
         z[i] = (y[i] - L[i, :i] @ z[:i]) / L[i, i]

@@ -38,7 +38,9 @@ from seqcoupon.evaluation import (
     UpliftCurve,
     _metrics,
 )
-from seqcoupon.learner import LEAF_CLIP, N_SPLIT_CANDIDATES, PROB_CLAMP, Stump, predict_matrix
+from seqcoupon.learner import (
+    LEAF_CLIP, N_SPLIT_CANDIDATES, PROB_CLAMP, RANK_TOL, Stump, predict_matrix,
+)
 from seqcoupon.simulator import (
     GroundTruth,
     RolloutTotals,
@@ -234,6 +236,38 @@ def _sigmoid(z):
 def _loss(p, y, w_norm):
     p = np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
     return float(w_norm @ np.where(y, -np.log(p), -np.log1p(-p)))
+
+
+def _cholesky_solve_factoring(M, y):
+    """Solve ``M x = y``, factorising ``M`` on every call."""
+    n = len(y)
+    L = np.zeros_like(M)
+    for j in range(n):
+        L[j, j] = np.sqrt(M[j, j] - L[j, :j] @ L[j, :j])
+        L[j + 1:, j] = (M[j + 1:, j] - L[j + 1:, :j] @ L[j, :j]) / L[j, j]
+    z = np.empty(n)
+    for i in range(n):
+        z[i] = (y[i] - L[i, :i] @ z[:i]) / L[i, i]
+    x = np.empty(n)
+    for i in reversed(range(n)):
+        x[i] = (z[i] - L[i + 1:, i] @ x[i + 1:]) / L[i, i]
+    return x
+
+
+def min_norm_solve_factoring_twice(A, b):
+    """``learner._min_norm_solve`` with ``M = R Rᵀ`` factorised once per solve."""
+    schur = A.copy()
+    floor = RANK_TOL * np.max(np.diag(A))
+    rows = []
+    for _ in range(len(b)):
+        j = int(np.argmax(np.diag(schur)))
+        if not schur[j, j] > floor:
+            break
+        rows.append(schur[j] / np.sqrt(schur[j, j]))
+        schur -= np.outer(rows[-1], rows[-1])
+    R = np.array(rows).reshape(-1, len(b))
+    M = R @ R.T
+    return R.T @ _cholesky_solve_factoring(M, _cholesky_solve_factoring(M, R @ b))
 
 
 def _weighted_quantiles(x, w, qs):

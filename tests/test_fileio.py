@@ -4,6 +4,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import tempfile
 from types import SimpleNamespace
 from unittest import mock
@@ -163,17 +165,22 @@ class TestCatalogRoundTrip:
             read_catalog(path)
 
 
+def non_ascii_catalog(config: SimConfig) -> CatalogArrays:
+    """A drawn catalog with ids in several scripts, out of id order."""
+    heads = ("é", "日本-", "it", "ø", "Zz", "商品")
+    return CatalogArrays.from_items([
+        dataclasses.replace(it, item_id=f"{heads[i % 6]}{i}", seller_id=f"売り手{i % 7}")
+        for i, it in enumerate(generate_catalog(config))])
+
+
 class TestNonAsciiIds:
     """Ids are UTF-8 bytes in memory and text in files, whatever their script."""
 
     @pytest.fixture
     def world(self, round1_menu, round2_menu):
         config = SimConfig(n_items=60, rng_seed=3)
-        heads = ("é", "日本-", "it", "ø", "Zz", "商品")
         # Out of id order, so the trial has to sort its logs.
-        items = CatalogArrays.from_items([
-            dataclasses.replace(it, item_id=f"{heads[i % 6]}{i}", seller_id=f"売り手{i % 7}")
-            for i, it in enumerate(generate_catalog(config))])
+        items = non_ascii_catalog(config)
         log1, survivors, log2 = run_rct(GroundTruth(config), items, round1_menu, round2_menu,
                                         [0.25] * 4, [0.25] * 4, seed=3)
         return SimpleNamespace(items=items, log1=log1, survivors=survivors, log2=log2)
@@ -206,6 +213,26 @@ class TestNonAsciiIds:
             write_outcomes(back, per_record)
             assert open(path, "rb").read() == open(per_record, "rb").read()
 
+
+    def test_files_are_utf8_in_an_ascii_locale(self, tmp_path):
+        # The writer and both readers use UTF-8 whatever the locale's encoding.
+        script = f"""
+import locale
+from unittest import mock
+from seqcoupon import fileio
+from test_fileio import non_ascii_catalog, SimConfig
+assert locale.getpreferredencoding(False) != "UTF-8"
+items, path = non_ascii_catalog(SimConfig(n_items=30, rng_seed=3)), {str(tmp_path / "c.csv")!r}
+fileio.write_catalog(items, path)
+fast = fileio.read_catalog(path)
+with mock.patch.object(fileio, "_parse_columns", return_value=None):
+    rows = fileio.read_catalog(path)
+assert fast.ids.tobytes() == rows.ids.tobytes() == items.ids.tobytes()
+"""
+        tests = os.path.dirname(os.path.abspath(__file__))
+        env = {**os.environ, "LC_ALL": "POSIX", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+               "PYTHONPATH": os.pathsep.join([*sys.path, tests])}
+        subprocess.run([sys.executable, "-c", script], env=env, check=True, cwd=tests)
 
 class TestQuotedIds:
     """An id holding a comma, quote, CR or LF is written quoted, as ``csv`` writes it,
@@ -437,6 +464,11 @@ PARSE_CELLS = (
 )
 CATALOG_NUMERIC = range(2, 10)
 LOG_NUMERIC = (1, 2, 3, 4, 5, 7, 8, 9)
+# Id cells: non-ASCII, past 64 bytes, with inner blanks, and empty. Text decoded
+# as UTF-8 would hold é as its latin-1 byte, and a 64-byte field cuts the long ones.
+PARSE_IDS = ("é1", "売り手3", "x" * 65, "é" * 40, "a b", "a\tb", "")
+CATALOG_TEXT = (0, 1)
+PARSE_FLAGS = ("00", " 1", "1.0", "2", "", "0", "1")
 
 
 def read_or_error(read, path):
@@ -458,13 +490,21 @@ class TestParseEquivalence:
         return [",".join(row) for row in cells]
 
     @given(
-        catalog=st.lists(st.tuples(st.integers(0, 2), st.sampled_from(CATALOG_NUMERIC),
-                                   st.sampled_from(PARSE_CELLS)), max_size=3),
-        log=st.lists(st.tuples(st.integers(0, 3), st.sampled_from(LOG_NUMERIC),
-                               st.sampled_from(PARSE_CELLS)), max_size=3),
+        catalog=st.lists(st.one_of(
+            st.tuples(st.integers(0, 2), st.sampled_from(CATALOG_NUMERIC),
+                      st.sampled_from(PARSE_CELLS)),
+            st.tuples(st.integers(0, 2), st.sampled_from(CATALOG_TEXT),
+                      st.sampled_from(PARSE_IDS)),
+        ), max_size=3),
+        log=st.lists(st.one_of(
+            st.tuples(st.integers(0, 3), st.sampled_from(LOG_NUMERIC),
+                      st.sampled_from(PARSE_CELLS)),
+            st.tuples(st.integers(0, 3), st.just(0), st.sampled_from(PARSE_IDS)),
+            st.tuples(st.integers(0, 3), st.just(6), st.sampled_from(PARSE_FLAGS)),
+        ), max_size=3),
         no_coupon_cells=st.tuples(st.sampled_from(PARSE_CELLS), st.sampled_from(PARSE_CELLS)),
     )
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=500, deadline=None)
     def test_matches_the_row_parser(self, catalog, log, no_coupon_cells):
         log_rows = self.substituted(PARSE_LOG, log)
         # Validity and cap of the first, no-coupon row are never read.
@@ -518,12 +558,21 @@ class TestParseEquivalence:
         assert cat.price[0] == 2**53 - 1 and cat.ltv[2] == 2**53 - 1
 
     def test_canonical_files_parse_in_one_call(self, tmp_path, monkeypatch, small_world):
-        paths = (str(tmp_path / "catalog.csv"), str(tmp_path / "log.csv"))
-        write_catalog(small_world["items"][:300], paths[0])
-        write_outcomes(small_world["log1"], paths[1])
+        catalog, log = (write_catalog, read_catalog, ("ids", "seller_ids")), (
+            write_outcomes, read_outcomes, ("item_ids",))
+        cases = [
+            ("drawn", small_world["items"][:300], *catalog),
+            ("non_ascii", non_ascii_catalog(SimConfig(n_items=60, rng_seed=3)), *catalog),
+            ("log1", small_world["log1"], *log),
+            ("log2", small_world["log2"], *log),
+            ("empty", OutcomeLog.from_records([]), *log),
+        ]
+        for name, table, write, _, _ in cases:
+            write(table, str(tmp_path / f"{name}.csv"))
         monkeypatch.setattr(fileio, "_read_rows", None)  # the row parser is never reached
-        assert len(read_catalog(paths[0])) == 300
-        assert len(read_outcomes(paths[1])) == len(small_world["log1"])
+        for name, table, _, read, ids in cases:
+            back, want = column_bytes(read(str(tmp_path / f"{name}.csv"))), column_bytes(table)
+            assert [back[c] for c in ids] == [want[c] for c in ids], name
 
 
 class TestPlanWriter:

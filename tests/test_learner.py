@@ -264,6 +264,30 @@ class TestNewtonSolver:
         np.testing.assert_allclose(model.coef, expected[:-1], rtol=1e-10, atol=0)
         assert model.intercept == pytest.approx(expected[-1], rel=1e-10)
 
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 12), rank=st.integers(0, 12))
+    @settings(max_examples=200, deadline=None)
+    def test_one_factorisation_gives_the_bits_of_two(self, seed, d, rank):
+        # A = Bᵀ B is PSD of rank min(rank, d); b = A v lies in its range, as a gradient does.
+        gen = np.random.default_rng(seed)
+        B = gen.standard_normal((min(rank, d), d)) * gen.uniform(1e-3, 1e3, d)
+        A = B.T @ B
+        b = A @ gen.standard_normal(d)
+        got = learner._min_norm_solve(A, b)
+        assert got.tobytes() == oracles.min_norm_solve_factoring_twice(A, b).tobytes()
+
+    def test_singular_cap_ky_hessian_is_solved_with_the_bits_of_two_factorisations(
+            self, small_world, monkeypatch):
+        solved = []
+        real = learner._min_norm_solve
+        monkeypatch.setattr(learner, "_min_norm_solve",
+                            lambda A, b: solved.append((A, b, real(A, b))) or solved[-1][2])
+        fit_first_round(small_world["items"], small_world["log1"],
+                        LearnerConfig(learning_rate=1.0, epochs=1500))
+        # cap_ky is discount_pct / 5 under the standard menu, so every Hessian is singular.
+        assert solved and all(np.linalg.matrix_rank(A) < len(A) for A, _, _ in solved)
+        for A, b, step in solved:
+            assert step.tobytes() == oracles.min_norm_solve_factoring_twice(A, b).tobytes()
+
 
 class TestDeterminismAndWeights:
     def test_retrain_bitwise_identical(self):

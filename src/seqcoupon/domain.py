@@ -225,7 +225,7 @@ def _check_coupons(discount_pct, validity_hours, cap_yen) -> tuple[np.ndarray, .
 
     A discount is a whole percentage in [0, 100) and a cap whole yen in [0, 2**53);
     a no-coupon row (discount 0) has cap 0 and gets validity 0, any other row a
-    positive validity.
+    finite positive validity.
     """
     disc = _int64(discount_pct, "discount_pct")
     cap = _int64(_check_yen(cap_yen, "cap_yen"), "cap_yen")
@@ -236,6 +236,7 @@ def _check_coupons(discount_pct, validity_hours, cap_yen) -> tuple[np.ndarray, .
     _check_column(none & (cap != 0), cap, "no-coupon arm must have cap_yen = 0")
     validity = np.where(none, 0.0, validity)
     _check_column(~none & (validity <= 0), validity, "validity_hours must be > 0, got {}")
+    _check_column(~np.isfinite(validity), validity, "validity_hours must be finite, got {}")
     return disc, validity, cap
 
 
@@ -324,6 +325,7 @@ class OutcomeLog:
 
         _check_column((round != 1) & (round != 2), round, "round must be 1 or 2, got {}")
         _check_column(attach < 0, attach, "attach_delay_h must be >= 0")
+        _check_column(~np.isfinite(attach), attach, "attach_delay_h must be finite, got {}")
         has_t, has_price, has_cost = ~np.isnan(purchase), ~np.isnan(price), ~np.isnan(cost)
         for column, name, present in ((price, "sale_price_yen", has_price),
                                       (cost, "coupon_cost_yen", has_cost)):
@@ -331,6 +333,7 @@ class OutcomeLog:
         _check_column(sold & ~(has_t & has_price), sold,
                      "sold record requires purchase_delay_h and sale_price_yen")
         _check_column(sold & (purchase < 0), purchase, "purchase_delay_h must be >= 0")
+        _check_column(sold & np.isinf(purchase), purchase, "purchase_delay_h must be finite, got {}")
         outside = sold & ~none & (purchase > validity)
         if outside.any():
             i = int(np.argmax(outside))

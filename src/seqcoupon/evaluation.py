@@ -140,9 +140,11 @@ def _prop_diff(sold_a: float, n_a: int, sold_b: float, n_b: int) -> float:
 # delay diagnostics
 
 
-def _bucket_edges(max_value: float, bucket_h: float) -> np.ndarray:
+def _buckets(values: np.ndarray, max_value: float, bucket_h: float):
+    """Bucket starts up to ``max_value``, and each value's bucket: the last start <= it."""
     n_buckets = max(1, int(math.floor(max_value / bucket_h)) + 1)
-    return np.arange(n_buckets, dtype=float) * bucket_h
+    edges = np.arange(n_buckets, dtype=float) * bucket_h
+    return edges, np.searchsorted(edges, values, side="right") - 1
 
 
 def delay_analysis(
@@ -167,36 +169,22 @@ def delay_analysis(
     purchase = records.purchase_delay_h
     price = records.sale_price_yen.astype(float)
 
-    lift_rows = []
-    for start in _bucket_edges(float(attach.max()), bucket_h):
-        in_bucket = (attach >= start) & (attach < start + bucket_h)
-        t = in_bucket & treated
-        c = in_bucket & ~treated
-        if t.any() and c.any():
-            value = _prop_diff(
-                float(sold[t].sum()), int(t.sum()), float(sold[c].sum()), int(c.sum())
-            )
-        else:
-            value = None
-        lift_rows.append(BucketRow(float(start), value, int(in_bucket.sum())))
+    edges, bucket = _buckets(attach, float(attach.max()), bucket_h)
+    n_t, n_c, sold_t, sold_c = (np.bincount(bucket[rows], minlength=len(edges)).tolist()
+                                for rows in (treated, ~treated, treated & sold, ~treated & sold))
+    lift_rows = [
+        BucketRow(float(start), _prop_diff(s_t, t, s_c, c) if t and c else None, t + c)
+        for start, t, c, s_t, s_c in zip(edges, n_t, n_c, sold_t, sold_c)
+    ]
 
     has_sale = sold & np.isfinite(purchase)
     max_purchase = float(purchase[has_sale].max()) if has_sale.any() else 0.0
-    str_rows = []
-    aov_rows = []
-    for start in _bucket_edges(max_purchase, bucket_h):
-        in_bucket = has_sale & (purchase >= start) & (purchase < start + bucket_h)
-        n_bucket = int(in_bucket.sum())
-        str_rows.append(
-            BucketRow(float(start), n_bucket / len(records) if n_bucket else None, n_bucket)
-        )
-        aov_rows.append(
-            BucketRow(
-                float(start),
-                float(price[in_bucket].mean()) if n_bucket else None,
-                n_bucket,
-            )
-        )
+    edges, bucket = _buckets(purchase[has_sale], max_purchase, bucket_h)
+    sale_price, n_sold = price[has_sale], np.bincount(bucket, minlength=len(edges)).tolist()
+    str_rows = [BucketRow(float(start), n / len(records) if n else None, n)
+                for start, n in zip(edges, n_sold)]
+    aov_rows = [BucketRow(float(start), float(sale_price[bucket == i].mean()) if n else None, n)
+                for i, (start, n) in enumerate(zip(edges, n_sold))]
     return DelayTables(
         bucket_h=float(bucket_h),
         lift_by_attach_delay=tuple(lift_rows),

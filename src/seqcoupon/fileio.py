@@ -14,18 +14,19 @@ it), ``int``, ``yen`` (an integer below 2**53 in magnitude), ``float``
 rules ride along: a ``sale`` cell is empty on an unsold row and reads as
 NaN, and a ``coupon`` cell is not read on a discount-0 row. The header, the
 ``np.loadtxt`` fields of the one-call parse (bytes for text, flag and sale
-cells, typed by whole-column checks and casts, so no cell passes through
-Python on its own), the row parser it falls back to and the writer's cell
-formats all follow from the spec, so one ``_read_table`` and one
+cells, each as wide as its column's widest cell as one scan of the file
+measures it, then typed by whole-column checks and casts, so no cell passes
+through Python on its own), the row parser it falls back to and the writer's
+cell formats all follow from the spec, so one ``_read_table`` and one
 ``_write_table`` serve every table.
 """
 
 from __future__ import annotations
 
-import bisect
 import csv
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import warnings
@@ -37,7 +38,7 @@ from . import __version__
 from .decision import PlanTable
 from .domain import YEN_BOUND, CatalogArrays, CouponConfig, CouponSet, OutcomeLog, check_catalog
 from .errors import InputError, ManifestMismatchError
-from .evaluation import BucketRow, ComparisonReport, DelayTables, StrategyMetrics, UpliftCurve
+from .evaluation import ComparisonReport, DelayTables, StrategyMetrics, UpliftCurve
 from .learner import GridResult, LearnerConfig, Model, Stump
 from .uplift import PredictorPair, check_ipw_epsilon
 
@@ -99,9 +100,7 @@ CELL_FORMATS = {"text": "%s", "int": "%d", "yen": "%d", "float": FLOAT_CELL, "fl
 
 def fmt(value: Optional[float]) -> str:
     """Canonical float cell: 12 significant digits, `inf` literal, empty for null."""
-    if value is None:
-        return ""
-    return FLOAT_CELL % value
+    return "" if value is None else FLOAT_CELL % value
 
 
 def _write_text(path: str, text: str) -> None:
@@ -139,21 +138,35 @@ def _parse_row(row: list[str], columns: Sequence[Column], path: str, line: int) 
     return values
 
 
-def _read_rows(path: str, expected_header: str) -> list[tuple[int, list[str]]]:
-    """The row parser: every non-blank row after the header, with its line number."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+def _read_utf8(path: str) -> bytes:
+    """The file's bytes; bytes that are not UTF-8 raise InputError naming their line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if not data.isascii():
         try:
-            header = next(reader)
-        except StopIteration:
-            raise InputError(f"{path}:1: missing header row") from None
+            data.decode()
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise InputError(f"{path}:{line}: not UTF-8 text: {exc.reason}") from None
+    return data
+
+
+def _read_rows(path: str, expected_header: str) -> list[tuple[int, list[str]]]:
+    """The row parser: every non-blank row after the header, with its line number.
+    A cell past ``csv``'s field size limit raises InputError naming its line."""
+    reader = csv.reader(io.StringIO(_read_utf8(path).decode(), newline=""))
+    rows, end = [], 0
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise InputError(f"{path}:1: missing header row")
         if header != expected_header.split(","):
             raise InputError(
                 f"{path}:1: unexpected header {','.join(header)!r}; "
                 f"expected {expected_header!r}"
             )
         # A record's line is the file line it starts on; a quoted cell may span lines.
-        rows, end = [], 1
+        end = 1
         for row in reader:
             line, end = end + 1, reader.line_num
             if not row:
@@ -161,73 +174,76 @@ def _read_rows(path: str, expected_header: str) -> list[tuple[int, list[str]]]:
             if len(row) != len(header):
                 raise InputError(f"{path}:{line}: expected {len(header)} cells, got {len(row)}")
             rows.append((line, row))
+    except csv.Error as exc:
+        raise InputError(f"{path}:{end + 1}: {exc}") from None
     return rows
 
 
-# The one-call parse holds a sale cell in this many bytes and a flag in two: the
-# widest number a writer makes ("%.12g" of -1e-100) takes 19 and a valid flag one.
-# A cell that fills its field leaves the file to the row parser.
-SALE_CELL_BYTES = 24
+SCAN_BLOCK_BYTES = 1 << 15
+
+
+def _scan_cells(data: bytes, start: int, dtype: np.dtype):
+    """(rows, ``dtype`` with each unsized ``S`` field as wide as its column's widest
+    cell) of the lines after the newline ``data[start]``, or None unless each ends
+    in a newline and holds a cell per field. Lines are scanned about
+    ``SCAN_BLOCK_BYTES`` at a time, so the scan holds a few blocks, not the file."""
+    names, raw, rows = dtype.names, np.frombuffer(data, np.uint8), 0
+    n_cells = len(names)
+    widths = {j: 1 for j, name in enumerate(names) if dtype[name] == np.dtype("S")}
+    while start < len(data) - 1:
+        # The last newline within a block, or the first past a line longer than one.
+        end = max(data.rfind(b"\n", start + 1, start + SCAN_BLOCK_BYTES),
+                  data.find(b"\n", start + 1))
+        if end < 0:
+            return None
+        block, start = raw[start:end + 1], end
+        newlines = block == 10
+        cuts = np.flatnonzero(newlines | (block == 44))
+        # Both ends are newlines, so every line holds n_cells cells exactly when
+        # every n_cells-th cut, and only it, is a newline.
+        line_ends = cuts[::n_cells]
+        if np.count_nonzero(newlines) != len(line_ends) or not newlines[line_ends].all():
+            return None
+        rows += (len(cuts) - 1) // n_cells
+        for j, widest in widths.items():
+            widths[j] = max(widest, int((cuts[j + 1::n_cells] - cuts[j:-1:n_cells]).max()) - 1)
+    return rows, np.dtype([(name, f"S{widths[j]}" if j in widths else dtype[name])
+                           for j, name in enumerate(names)])
 
 
 def _parse_columns(path: str, header: str, dtype: np.dtype) -> Optional[np.ndarray]:
     """The table as one structured array, or None where only the row parser can tell.
 
     Split on newlines and commas, the file's bytes give ``csv.reader``'s cells
-    when they hold no quote, CR or NUL, decode as UTF-8 and the header matches.
-    ``np.loadtxt`` then parses every row in one call and refuses a non-blank row
-    that is not the header's width. It refuses some numbers that ``int``/``float``
-    accept (``1_0``, non-ASCII digits, integers past int64) but none that they
-    refuse, so an error or warning leaves the file to the row parser, which
-    names the line of a bad cell. Read as latin-1, an ``S`` cell holds the
-    file's UTF-8 bytes. An unsized ``S`` field of ``dtype`` is first twice as
-    wide as its first-row cell, plus one byte; if a later cell fills it, the
-    file is parsed again with the field one byte past the longest line. A
-    cell that fills a sized ``S`` field leaves the file to the row parser.
+    when they hold no quote, CR or NUL and the header matches. ``_scan_cells``
+    checks that every line holds the header's number of cells (a blank line or
+    a last line without a newline, which no writer makes, fails) and sizes each
+    ``S`` field to its column's widest cell, so ``np.loadtxt`` cuts no cell as
+    it parses every row in one call. It refuses some numbers that ``int`` and
+    ``float`` accept (``1_0``, non-ASCII digits, integers past int64) but none
+    that they refuse, so an error, a warning or a row count other than the
+    scan's (the file changed between the reads) leaves the file to the row
+    parser, which names the line of a bad cell. Read as latin-1, an ``S`` cell
+    holds the file's UTF-8 bytes.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    head = header.encode() + b"\n"
+    data, head = _read_utf8(path), header.encode() + b"\n"
     if not data.startswith(head) or any(map(data.__contains__, (b'"', b"\r", b"\0"))):
         return None
-    try:
-        if not data.isascii():
-            data.decode()
-    except UnicodeDecodeError:
+    scan = _scan_cells(data, len(head) - 1, dtype)
+    del data  # ``np.loadtxt`` reads the file again, a block at a time
+    if scan is None:
         return None
-    ends = np.flatnonzero(np.frombuffer(data, np.uint8) == 10)
-    longest = int(np.diff(ends, append=len(data)).max()) - 1
-    first_row = data[len(head):ends[1] if len(ends) > 1 else None].split(b",")
-    del data, ends  # ``np.loadtxt`` reads the file again, a block at a time
-    unsized = {name for name in dtype.names if dtype[name] == np.dtype("S")}
-    guess = {name: 2 * len(cell) + 1 for name, cell in zip(dtype.names, first_row)}
-    for widths in (guess, {}):
-        sized = np.dtype([(name, f"S{widths.get(name, longest + 1)}" if name in unsized
-                           else dtype[name]) for name in dtype.names])
-        if not longest:
-            return np.empty(0, sized)
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                table = np.loadtxt(path, dtype=sized, delimiter=",", comments=None,
-                                   skiprows=1, quotechar=None, ndmin=1, encoding="latin-1")
-        except (ValueError, OverflowError, Warning):
-            return None
-        filled = {name for name in dtype.names
-                  if sized[name].kind == "S" and _field_bytes(table, name)[:, -1].any()}
-        if filled - unsized:
-            return None
-        if not widths or not filled:
-            return table
-
-
-def _field_bytes(table: np.ndarray, name: str) -> np.ndarray:
-    """An ``S`` field's bytes, a row per table row. A cell holds no NUL, so byte j is set
-    in some row exactly when the longest cell is longer than j; a cell that sets the
-    last byte fills the field and may have been cut short."""
-    field, offset = table.dtype.fields[name]
-    raw = table.view(np.uint8).reshape(len(table), table.dtype.itemsize)
-    return raw[:, offset:offset + field.itemsize]
+    rows, sized = scan
+    if not rows:
+        return np.empty(0, sized)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(path, dtype=sized, delimiter=",", comments=None,
+                               skiprows=1, quotechar=None, ndmin=1, encoding="latin-1")
+    except (ValueError, OverflowError, Warning):
+        return None
+    return table if len(table) == rows else None
 
 
 def _columns_of(table: np.ndarray, columns: Sequence[Column]) -> dict:
@@ -236,12 +252,7 @@ def _columns_of(table: np.ndarray, columns: Sequence[Column]) -> dict:
     out = {}
     for c in columns:
         cells = table[c.name]
-        if c.kind == "text":
-            raw = _field_bytes(table, c.name)
-            longest = bisect.bisect_left(range(raw.shape[1]), True,
-                                         key=lambda j: not raw[:, j].any())
-            value = cells.astype(f"S{longest or 1}")
-        elif c.kind == "flag":
+        if c.kind == "flag":
             value = cells == b"1"
             if not (value | (cells == b"0")).all():
                 raise ValueError(f"column {c.header!r} must be 0 or 1")
@@ -267,9 +278,9 @@ def _read_table(path: str, columns: Sequence[Column]) -> dict:
     re-reads the file and names the line of the first bad cell.
     """
     header = _header(columns)
-    fields = {"text": "S", "flag": "S2", "float": float}
-    dtype = np.dtype([(c.name, f"S{SALE_CELL_BYTES}" if c.rule == "sale"
-                       else fields.get(c.kind, np.int64)) for c in columns])
+    fields = {"text": "S", "flag": "S", "float": float}
+    dtype = np.dtype([(c.name, "S" if c.rule == "sale" else fields.get(c.kind, np.int64))
+                      for c in columns])
     table = _parse_columns(path, header, dtype)
     if table is not None:
         try:
@@ -360,11 +371,8 @@ def write_curve(curve: UpliftCurve, path: str) -> None:
 
 def write_delay_tables(tables: DelayTables, path: str) -> None:
     lines = [BUCKET_HEADER]
-    named: Sequence[tuple[str, Sequence[BucketRow]]] = (
-        ("lift_str", tables.lift_by_attach_delay),
-        ("str", tables.str_by_purchase_delay),
-        ("aov", tables.aov_by_purchase_delay),
-    )
+    named = (("lift_str", tables.lift_by_attach_delay), ("str", tables.str_by_purchase_delay),
+             ("aov", tables.aov_by_purchase_delay))
     for metric, rows in named:
         for r in rows:
             lines.append(",".join([fmt(r.bucket_start_h), metric, fmt(r.value), str(r.n)]))

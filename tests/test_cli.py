@@ -394,6 +394,38 @@ class TestExitCodes:
         assert code == 2
         assert f"{name} must be finite" in capsys.readouterr().err
 
+    def test_nan_attach_delay_exits_2(self, ws, tmp_path, capsys):
+        """A round-1 log row whose attach delay is NaN is refused, not bucketed nowhere."""
+        sim = tmp_path / "sim"
+        shutil.copytree(ws["sim"], sim)
+        lines = (sim / "round1_log.csv").read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[5] = "nan"
+        lines[3] = ",".join(cells)
+        (sim / "round1_log.csv").write_text("\n".join(lines) + "\n")
+        cfg = tmp_path / "n.cfg"
+        cfg.write_text(sim_config_text(sim, tmp_path / "m"))
+        code = main(["train", "--config", str(cfg), "--out", str(tmp_path / "m"), "--quiet"])
+        assert code == 2
+        assert "attach_delay_h must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("defect", ["not_utf8", "cell_past_csv_limit"])
+    def test_unreadable_catalog_exits_2_naming_the_file(self, ws, tmp_path, capsys, defect):
+        """Bytes that are not UTF-8, or a quoted cell past ``csv``'s field size limit,
+        are named by file and line, not reported as an internal error."""
+        sim = tmp_path / "sim"
+        shutil.copytree(ws["sim"], sim)
+        lines = (sim / "catalog.csv").read_bytes().split(b"\n")
+        cells = lines[3].split(b",")
+        cells[0] = b"it\xff" if defect == "not_utf8" else b'"' + b"x," * 70000 + b'"'
+        lines[3] = b",".join(cells)
+        (sim / "catalog.csv").write_bytes(b"\n".join(lines))
+        cfg = tmp_path / "u.cfg"
+        cfg.write_text(sim_config_text(sim, tmp_path / "m"))
+        code = main(["train", "--config", str(cfg), "--out", str(tmp_path / "m"), "--quiet"])
+        assert code == 2
+        assert f"error: {sim / 'catalog.csv'}:4: " in capsys.readouterr().err
+
     def test_missing_config_exits_3(self, tmp_path):
         code = main(["simulate", "--config", str(tmp_path / "absent.cfg"),
                      "--out", str(tmp_path / "o")])
@@ -454,7 +486,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "corrupt", ["epsilon_text", "epsilon_range", "two_entry_arm", "bad_discount",
-                    "fractional_discount", "binary"]
+                    "fractional_discount", "nan_validity", "binary"]
     )
     def test_malformed_pair_exits_2_naming_the_file(self, ws, tmp_path, capsys, corrupt):
         model = tmp_path / "model"
@@ -471,6 +503,8 @@ class TestExitCodes:
             payload["round1_set"][1][0] = 150
         elif corrupt == "fractional_discount":
             payload["round1_set"][1][0] += 0.5
+        elif corrupt == "nan_validity":
+            payload["round1_set"][1][1] = float("nan")
         pair.write_text(json.dumps(payload))
         if corrupt == "binary":
             pair.write_bytes(b"\xff\xfe\x00pair")

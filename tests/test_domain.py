@@ -148,6 +148,11 @@ class TestCouponTypes:
         with pytest.raises(InputError):
             CouponConfig(10, 0.0, 1000)
 
+    @pytest.mark.parametrize("validity", [math.nan, math.inf])
+    def test_real_coupon_needs_finite_validity(self, validity):
+        with pytest.raises(InputError, match=f"^validity_hours must be finite, got {validity}$"):
+            CouponConfig(10, validity, 1000)
+
     @pytest.mark.parametrize("fields,message", [
         ((10.5, 72.0, 1000.7), "discount_pct must be an integer, got 10.5"),
         ((10, 72.0, 1000.7), "cap_yen must be an integer, got 1000.7"),
@@ -339,6 +344,12 @@ class TestOutcomeLog:
             {"coupon_cost_yen": None},
             {"sold": False},
             {"sold": False, "purchase_delay_h": None, "sale_price_yen": None},
+            {"attach_delay_h": math.nan},
+            {"attach_delay_h": math.inf},
+            {"validity_hours": math.nan},
+            {"validity_hours": math.inf},
+            {"discount_pct": 0, "validity_hours": 0.0, "cap_yen": 0, "coupon_cost_yen": 0,
+             "purchase_delay_h": math.inf},
         ],
     )
     def test_every_record_check_fires_with_the_same_message(self, change):
@@ -397,6 +408,29 @@ class TestOutcomeLog:
         message = f"{name} must be an integer, got {value}"
         with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
             OutcomeLog.from_columns(**columns)
+
+    # (column, row, value, message): row 3 is a sold coupon row, row 0 a sold
+    # no-coupon row, which no validity window bounds.
+    @pytest.mark.parametrize("name,row,value,message", [
+        ("attach_delay_h", 3, math.nan, "attach_delay_h must be finite, got nan"),
+        ("attach_delay_h", 3, math.inf, "attach_delay_h must be finite, got inf"),
+        ("validity_hours", 3, math.nan, "validity_hours must be finite, got nan"),
+        ("purchase_delay_h", 0, math.inf, "purchase_delay_h must be finite, got inf"),
+    ])
+    def test_non_finite_delays_and_validities_are_refused(self, name, row, value, message):
+        columns = log_columns(OutcomeLog.from_records(sample_records()))
+        columns[name][row] = value
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            OutcomeLog.from_columns(**columns)
+        records = sample_records()
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            if name == "validity_hours":
+                coupon = records[row].coupon
+                records[row] = dataclasses.replace(
+                    records[row], coupon=CouponConfig(coupon.discount_pct, value, coupon.cap_yen))
+            else:
+                records[row] = dataclasses.replace(records[row], **{name: value})
+            OutcomeLog.from_records(records)
 
     def test_no_coupon_validity_is_normalised(self):
         columns = log_columns(OutcomeLog.from_records(sample_records()))

@@ -125,6 +125,22 @@ class TestDelayAnalysis:
                 OutcomeLog.from_records(group("t", 5, 1, coupon=TEN_PCT)), bucket_h=0.0
             )
 
+    @pytest.mark.parametrize("bucket_h", [0.1, 0.3, 1.1, 2.0])
+    def test_each_delay_lands_in_one_bucket(self, bucket_h):
+        # Delays on the bucket edges, as products i * bucket_h and as the decimals
+        # a file holds (3 * 0.1 != 0.3), where a test of start <= x < start +
+        # bucket_h can put a delay in two buckets or in none.
+        edges = [i * bucket_h for i in range(12)]
+        delays = [*edges, *(float(f"{x:.12g}") for x in edges), 0.3, 0.6, 0.6, 0.7]
+        log = OutcomeLog.from_records([
+            outcome(f"r-{i}", sold=i % 3 != 0, coupon=TEN_PCT if i % 2 else None,
+                    attach=d, purchase=d)
+            for i, d in enumerate(delays)])
+        tables = delay_analysis(log, bucket_h=bucket_h)
+        assert sum(r.n for r in tables.lift_by_attach_delay) == len(log)
+        for rows in (tables.str_by_purchase_delay, tables.aov_by_purchase_delay):
+            assert sum(r.n for r in rows) == int(log.sold.sum())
+
 
 class TestCumulativeUplift:
     def test_final_point_equals_overall_effect(self):

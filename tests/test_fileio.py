@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from types import SimpleNamespace
 from unittest import mock
 
@@ -557,6 +558,91 @@ class TestParseEquivalence:
         cat = read_catalog(path)
         assert cat.price[0] == 2**53 - 1 and cat.ltv[2] == 2**53 - 1
 
+    @staticmethod
+    def edge_file(path, case):
+        """A file the measured-width parse must read as the row parser does: ids and
+        sale cells far wider than the first row's, two-byte flags, rows of the wrong
+        width that balance out, a blank line before a wide id, or no final newline."""
+        header, rows = ((CATALOG_HEADER, PARSE_CATALOG) if case == "wide_later_id"
+                        else (OUTCOME_HEADER, PARSE_LOG))
+        substitutions = {
+            "wide_later_id": [(0, 0, "a"), (2, 0, "x" * 200)],
+            "long_sale_cells": [(3, 7, "1." + "0" * 27 + "1"), (3, 8, "0" * 26 + "3000")],
+            "two_byte_flags": [(1, 6, "00"), (3, 6, "10")],
+            "blank_line": [(2, 0, "y" * 200)],
+        }
+        rows = TestParseEquivalence.substituted(rows, substitutions.get(case, []))
+        end = "\n"
+        if case == "balanced_widths":
+            rows[1], rows[2] = rows[1] + ",", rows[2][:rows[2].rindex(",")]
+        elif case == "blank_line":
+            rows.insert(2, "")
+        elif case == "no_final_newline":
+            end = ""
+        with open(path, "w", newline="\n") as fh:
+            fh.write("\n".join([header, *rows]) + end)
+        return read_catalog if case == "wide_later_id" else read_outcomes
+
+    EDGE_CASES = ("wide_later_id", "long_sale_cells", "two_byte_flags", "balanced_widths",
+                  "blank_line", "no_final_newline")
+
+    @pytest.mark.parametrize("case", EDGE_CASES)
+    def test_edge_files_match_the_row_parser(self, tmp_path, case):
+        path = str(tmp_path / "table.csv")
+        read = self.edge_file(path, case)
+        fast = read_or_error(read, path)
+        with mock.patch.object(fileio, "_parse_columns", return_value=None):
+            assert fast == read_or_error(read, path)
+        errors = {
+            "two_byte_flags": f"{path}:3: column 'sold' must be 0 or 1, got '00'",
+            "balanced_widths": f"{path}:3: expected 10 cells, got 11",
+        }
+        if case in errors:
+            assert fast == (InputError, errors[case])
+        else:
+            assert isinstance(fast, dict)
+
+    def test_a_file_that_grows_after_the_scan_goes_to_the_row_parser(self, tmp_path,
+                                                                    monkeypatch):
+        path, scan = str(tmp_path / "log.csv"), fileio._scan_cells
+        with open(path, "w", newline="\n") as fh:
+            fh.write("\n".join([OUTCOME_HEADER, *PARSE_LOG]) + "\n")
+
+        def scan_then_grow(*args):
+            with open(path, "a", newline="\n") as fh:
+                fh.write(PARSE_LOG[0].replace("it-1", "it-9") + "\n")
+            return scan(*args)
+
+        monkeypatch.setattr(fileio, "_scan_cells", scan_then_grow)
+        with mock.patch.object(fileio, "_read_rows", wraps=fileio._read_rows) as rows:
+            assert len(read_outcomes(path)) == len(PARSE_LOG) + 1
+        assert rows.called
+
+    def test_the_scan_holds_a_few_blocks_not_the_file(self, monkeypatch):
+        row = PARSE_LOG[3].encode() + b"\n"
+        head = OUTCOME_HEADER.encode() + b"\n"
+        data = head + row * (32 * fileio.SCAN_BLOCK_BYTES // len(row))
+        dtype = np.dtype([(c.name, "S" if c.kind in ("text", "flag") or c.rule == "sale"
+                           else float) for c in fileio.OUTCOME_COLUMNS])
+        widths = {"item_ids": 4, "sold": 1, "purchase_delay_h": 2, "sale_price_yen": 4,
+                  "coupon_cost_yen": 3}
+
+        def peak_of_scan():
+            tracemalloc.start()
+            try:
+                rows, sized = fileio._scan_cells(data, len(head) - 1, dtype)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert rows == (len(data) - len(head)) // len(row)
+            assert {name: sized[name].itemsize for name in widths} == widths
+            return peak
+
+        bound = 8 * fileio.SCAN_BLOCK_BYTES
+        assert peak_of_scan() < bound
+        monkeypatch.setattr(fileio, "SCAN_BLOCK_BYTES", 2 * len(data))  # one whole-file block
+        assert peak_of_scan() > bound
+
     def test_canonical_files_parse_in_one_call(self, tmp_path, monkeypatch, small_world):
         catalog, log = (write_catalog, read_catalog, ("ids", "seller_ids")), (
             write_outcomes, read_outcomes, ("item_ids",))
@@ -569,10 +655,19 @@ class TestParseEquivalence:
         ]
         for name, table, write, _, _ in cases:
             write(table, str(tmp_path / f"{name}.csv"))
+        # Ids and sale cells wider than the first row's, read by the row parser first.
+        edge = {case: str(tmp_path / f"{case}.csv") for case in ("wide_later_id",
+                                                                 "long_sale_cells")}
+        with mock.patch.object(fileio, "_parse_columns", return_value=None):
+            rows = {case: column_bytes(self.edge_file(path, case)(path))
+                    for case, path in edge.items()}
         monkeypatch.setattr(fileio, "_read_rows", None)  # the row parser is never reached
         for name, table, _, read, ids in cases:
             back, want = column_bytes(read(str(tmp_path / f"{name}.csv"))), column_bytes(table)
             assert [back[c] for c in ids] == [want[c] for c in ids], name
+        for case, path in edge.items():
+            read = read_catalog if case == "wide_later_id" else read_outcomes
+            assert column_bytes(read(path)) == rows[case], case
 
 
 class TestPlanWriter:

@@ -171,8 +171,7 @@ def cmd_allocate(run: _Run) -> None:
     cfg = run.config
     pair = fileio.load_pair(cfg.io.model_dir)
     catalog = fileio.read_catalog(cfg.io.catalog)
-    rows = np.flatnonzero(~_sold_rows(cfg, catalog))
-    cat = catalog[rows[np.argsort(catalog.ids[rows], kind="stable")]]
+    cat = catalog[~_sold_rows(cfg, catalog)]
     p1, _, p2, p_baseline = predict_arrays(pair, cat.matrix, cat.age_days, cfg.attach_delay_h)
     j, k, feasible = allocate_batch(
         p1, p2, p_baseline, cat.price, cat.ltv,

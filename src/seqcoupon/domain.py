@@ -9,7 +9,10 @@ built on demand by iteration. Records are plain values. Each row type has one
 validator, the column class it enters: ``CatalogArrays.from_columns`` for
 items and ``OutcomeLog.from_columns`` for outcomes. ``from_items`` and
 ``from_records`` feed hand-built records to them, and every computation takes
-a catalog or a log, so no record reaches one unchecked.
+a catalog or a log, so no record reaches one unchecked. The two validators
+also own row order: whatever order the columns come in, a catalog or a log
+holds its rows in ascending item-id order, so no result depends on the order
+of a file's rows.
 """
 
 from __future__ import annotations
@@ -251,32 +254,31 @@ def _id_column(ids, name: str) -> np.ndarray:
     return np.fromiter(map(str.encode, ids), f"S{width}", len(ids))
 
 
-def _check_unique_ids(ids: np.ndarray, what: str) -> None:
-    """Refuse a repeated id, naming the first row whose id was seen before. A column
-    in ascending order (UTF-8 byte order is ``str`` order), as simulated catalogs, logs
-    and the files written from them are, passes without a sort."""
+def _id_order(ids: np.ndarray, what: str) -> Optional[np.ndarray]:
+    """The stable argsort that puts ``ids`` in ascending order (UTF-8 byte order is
+    ``str`` order), or None when they already ascend, as simulated catalogs, logs and
+    the files written from them do. A repeated id is refused, naming the first row
+    whose id was seen before."""
     if (ids[1:] > ids[:-1]).all():
-        return
+        return None
     order = np.argsort(ids, kind="stable")
     repeats = order[1:][ids[order[1:]] == ids[order[:-1]]]
     if len(repeats):
         raise InputError(f"{what} repeats item id {ids[repeats.min()].decode()!r}")
+    return order
 
 
 def _id_rows(own: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For each ``S`` id of ``ids``, a row of ``own`` holding that id, and whether one does.
 
-    ``own`` must not repeat an id. One sort of ``own`` (skipped when it is
-    already sorted) and one ``searchsorted`` join the whole column.
+    ``own`` is a catalog's or a log's id column, so it ascends without a repeat,
+    and one ``searchsorted`` joins the whole column.
     """
     if len(ids) == len(own) and (ids == own).all():
         return np.arange(len(ids)), np.ones(len(ids), dtype=bool)
     if not len(ids) or not len(own):
         return np.zeros(len(ids), dtype=np.intp), np.zeros(len(ids), dtype=bool)
-    order = None if (own[1:] > own[:-1]).all() else np.argsort(own, kind="stable")
-    rows = np.minimum(np.searchsorted(own, ids, sorter=order), len(own) - 1)
-    if order is not None:
-        rows = order[rows]
+    rows = np.minimum(np.searchsorted(own, ids), len(own) - 1)
     return rows, own[rows] == ids
 
 
@@ -287,7 +289,8 @@ class OutcomeLog:
     The coupon is split into ``discount_pct``/``validity_hours``/``cap_yen``
     (validity and cap are 0 on no-coupon rows). ``purchase_delay_h`` is NaN
     and ``sale_price_yen``/``coupon_cost_yen`` are 0 where the item did not
-    sell. Ids are UTF-8 bytes (``S``). Iterating yields ``OutcomeRecord``s built on demand.
+    sell. Ids are UTF-8 bytes (``S``), one per row, in ascending order. Iterating
+    yields ``OutcomeRecord``s built on demand, in that order.
     """
 
     item_ids: np.ndarray  # S, UTF-8
@@ -306,7 +309,8 @@ class OutcomeLog:
                      attach_delay_h, sold, purchase_delay_h, sale_price_yen,
                      coupon_cost_yen) -> "OutcomeLog":
         """Validate the columns, one ``OutcomeRecord`` field each, the coupon
-        split into three that ``_check_coupons`` checks.
+        split into three that ``_check_coupons`` checks, and hold their rows in
+        ascending item-id order, whatever order they come in.
 
         The last three columns are floats with NaN for a missing value (a
         record's None); yen amounts must be integers below 2**53.
@@ -350,14 +354,11 @@ class OutcomeLog:
             raise InputError(f"coupon_cost_yen {got} != expected {expected[i]}")
         _check_column(~sold & (has_t | has_price), sold, "unsold record must not carry sale fields")
         _check_column(~sold & has_cost, sold, "unsold record must not carry coupon_cost_yen")
-        _check_unique_ids(item_ids, "log")
-        return cls(
-            item_ids=item_ids, round=round, discount_pct=disc, validity_hours=validity,
-            cap_yen=cap, attach_delay_h=attach, sold=sold,
-            purchase_delay_h=np.where(sold, purchase, np.nan),
-            sale_price_yen=np.where(sold, sale_price, 0),
-            coupon_cost_yen=np.where(sold, expected, 0),
-        )
+        order = _id_order(item_ids, "log")
+        columns = (item_ids, round, disc, validity, cap, attach, sold,
+                   np.where(sold, purchase, np.nan), np.where(sold, sale_price, 0),
+                   np.where(sold, expected, 0))
+        return cls(*(c if order is None else c[order] for c in columns))
 
     @classmethod
     def from_records(cls, records: Sequence[OutcomeRecord]) -> "OutcomeLog":
@@ -403,10 +404,10 @@ class OutcomeLog:
 class CatalogArrays:
     """A catalog as columns, one per ``ItemRecord`` field, plus keys and features.
 
-    Row i of every column describes the same item; ``matrix`` holds its raw
-    item features and ``keys`` its ``rng.item_key``. The keys are hashed on
-    first use (a simulated catalog comes with them), so a catalog read to
-    train, plan or evaluate hashes none.
+    Row i of every column describes the same item, the rows in ascending id
+    order; ``matrix`` holds its raw item features and ``keys`` its ``rng.item_key``.
+    The keys are hashed on first use (a simulated catalog comes with them), so a
+    catalog read to train, plan or evaluate hashes none.
     The ids and seller ids are UTF-8 bytes (``S``); records carry them as ``str``.
     Iterating yields ``ItemRecord``s built on demand, and an int index one row's.
     """
@@ -431,7 +432,8 @@ class CatalogArrays:
     @classmethod
     def from_columns(cls, ids, seller_ids, price, condition, age_days, likes, demand,
                      season, ltv, key_ts) -> "CatalogArrays":
-        """Validate the columns, one ``ItemRecord`` field each, then featurise."""
+        """Validate the columns, one ``ItemRecord`` field each, put their rows in
+        ascending item-id order, whatever order they come in, then featurise."""
         ids, seller_ids = _id_column(ids, "item_id"), _id_column(seller_ids, "seller_id")
         price = _int64(_check_yen(price, "price_yen"), "price_yen")
         condition = _int64(condition, "condition")
@@ -456,7 +458,10 @@ class CatalogArrays:
                       "season_phase must be in [0, 1), got {}")
         for name, column in (("demand_index", demand), ("key_action_ts", key_ts)):
             _check_column(~np.isfinite(column), column, f"{name} must be finite, got {{}}")
-        _check_unique_ids(ids, "catalog")
+        order = _id_order(ids, "catalog")
+        if order is not None:
+            ids, seller_ids, price, condition, age_days, likes, demand, season, ltv, key_ts = (
+                c[order] for c in (ids, *columns))
         return cls(
             ids=ids, seller_ids=seller_ids, price=price, condition=condition,
             age_days=age_days, likes=likes, demand=demand, season=season, ltv=ltv,
@@ -493,12 +498,16 @@ class CatalogArrays:
 
     def __getitem__(self, rows):
         """Row ``rows`` as an ``ItemRecord`` for an int; otherwise the catalog
-        restricted to ``rows`` (a slice or an index array), in that order, with
-        nothing recomputed. Keys already hashed are carried over; otherwise
-        they stay unhashed.
+        restricted to ``rows`` (a slice, an index array or a mask), with nothing
+        recomputed. The rows are taken once each in ascending row order, whatever
+        order ``rows`` names them in, so the result is in id order too. Keys
+        already hashed are carried over; otherwise they stay unhashed.
         """
         if isinstance(rows, (int, np.integer)):
             return next(iter(self[[rows]]))
+        rows = np.arange(len(self))[rows]
+        if not (rows[1:] > rows[:-1]).all():
+            rows = np.unique(rows)
         taken = CatalogArrays(
             ids=self.ids[rows], seller_ids=self.seller_ids[rows], price=self.price[rows],
             condition=self.condition[rows], age_days=self.age_days[rows],

@@ -385,24 +385,13 @@ def _two_rounds(draws: _RoundDraws, menu1, arm1, delay1, menu2, arm2):
     return sold1, t1, surv_idx, delay2, sold2, t2
 
 
-def _id_rank(cat: CatalogArrays) -> np.ndarray:
-    """Each catalog row's position in item-id order (UTF-8 byte order is ``str`` order)."""
-    ids = cat.ids
-    if (ids[1:] > ids[:-1]).all():
-        return np.arange(len(ids))
-    rank = np.empty(len(ids), dtype=np.intp)
-    rank[np.argsort(ids)] = np.arange(len(ids))
-    return rank
-
-
-def _round_log(cat, rank, round, rows, menu, arm, delay, sold, t) -> OutcomeLog:
-    """One round's log over the catalog ``rows``, sorted by item id.
+def _round_log(cat, round, rows, menu, arm, delay, sold, t) -> OutcomeLog:
+    """One round's log over the catalog ``rows``, which ascend, so the log is in
+    item-id order without a sort.
 
     ``menu`` is a menu's (discount, validity, cap) columns; ``arm``, ``delay``,
     ``sold`` and the drawn purchase delays ``t`` align with ``rows``.
     """
-    order = np.argsort(rank[rows], kind="stable")
-    rows, arm, sold = rows[order], arm[order], sold[order]
     disc, validity, cap = (c[arm] for c in menu)
     price = cat.price[rows]
     return OutcomeLog.from_columns(
@@ -411,26 +400,25 @@ def _round_log(cat, rank, round, rows, menu, arm, delay, sold, t) -> OutcomeLog:
         discount_pct=disc,
         validity_hours=validity,
         cap_yen=cap,
-        attach_delay_h=delay[order],
+        attach_delay_h=delay,
         sold=sold,
-        purchase_delay_h=np.where(sold, t[order], np.nan),
+        purchase_delay_h=np.where(sold, t, np.nan),
         sale_price_yen=np.where(sold, price, np.nan),
         coupon_cost_yen=np.where(sold, coupon_cost_rows(price, disc, cap), np.nan),
     )
 
 
 def _trial_logs(gt, cat, menu1, arm1, delay1, menu2, arm2, seed):
-    """Both rounds over the whole catalog as two logs, each sorted by item id.
+    """Both rounds over the whole catalog as two logs, each in item-id order.
 
     As ``_two_rounds``, but ``delay1`` has one entry per row and the caps are read.
     """
     sold1, t1, surv_idx, delay2, sold2, t2 = _two_rounds(
         _RoundDraws(gt, cat, seed), menu1, arm1, delay1, menu2, arm2
     )
-    rank = _id_rank(cat)
     return (
-        _round_log(cat, rank, 1, np.arange(len(cat)), menu1, arm1, delay1, sold1, t1),
-        _round_log(cat, rank, 2, surv_idx, menu2, arm2[surv_idx], delay2, sold2, t2),
+        _round_log(cat, 1, np.arange(len(cat)), menu1, arm1, delay1, sold1, t1),
+        _round_log(cat, 2, surv_idx, menu2, arm2[surv_idx], delay2, sold2, t2),
     )
 
 
@@ -442,12 +430,13 @@ def run_rct(
     round1_probs: Sequence[float],
     round2_probs: Sequence[float],
     seed: int,
-) -> tuple[OutcomeLog, list[str], OutcomeLog]:
+) -> tuple[OutcomeLog, np.ndarray, OutcomeLog]:
     """Randomised two-round trial: independent arm draws per round with holdout.
 
     ``items`` is the catalog, a ``CatalogArrays`` whose rows are the
     ``ItemRecord``s. Returns (round1_log, survivor item ids, round2_log), each
-    sorted by item_id. Survivors are exactly the items unsold after round 1.
+    in item-id order as every log is. The survivors, exactly the items unsold
+    after round 1, are ``round2_log.item_ids``, an ``S`` array of UTF-8 ids.
     """
     check_catalog(items)
     validate_probs(round1_probs, len(round1_set), "round1_probs")
@@ -462,7 +451,7 @@ def run_rct(
         gt, items, coupon_columns(round1_set), arm1, delay1,
         coupon_columns(round2_set), arm2, seed,
     )
-    return round1_log, list(map(bytes.decode, round2_log.item_ids)), round2_log
+    return round1_log, round2_log.item_ids, round2_log
 
 
 PolicyFn = Callable[[ItemRecord], tuple[tuple[CouponConfig, float], CouponConfig]]

@@ -28,7 +28,14 @@ from seqcoupon.decision import PolicyConstraint, allocate
 from seqcoupon.errors import InputError
 from seqcoupon.fileio import write_catalog
 from seqcoupon.learner import LearnerConfig
-from seqcoupon.simulator import rollout_arms, rollout_policy, run_rct
+from seqcoupon.simulator import (
+    GroundTruth,
+    SimConfig,
+    generate_catalog,
+    rollout_arms,
+    rollout_policy,
+    run_rct,
+)
 from seqcoupon.uplift import (
     ItemPredictions,
     fit_first_round,
@@ -219,6 +226,8 @@ class TestItemAndOutcomeRecords:
     def test_ids_are_utf8_byte_columns(self):
         ids = ["é1", "日本-2", "it-3", ""]
         cat = CatalogArrays.from_items([make_item(item_id=i, seller_id=i * 2) for i in ids])
+        # Rows are held in id order: UTF-8 byte order, which is ``str`` order.
+        ids = sorted(ids)
         assert cat.ids.dtype.kind == "S" and cat.ids.tolist() == [i.encode() for i in ids]
         assert [it.item_id for it in cat] == ids
         assert cat.keys.tolist() == [rng.item_key(i) for i in ids]
@@ -451,6 +460,80 @@ class TestOutcomeLog:
         records[8] = dataclasses.replace(records[8], item_id=records[1].item_id)
         with pytest.raises(InputError, match="log repeats item id 'it0000002'"):
             OutcomeLog.from_records(records)
+
+
+CATALOG_COLUMNS = tuple(CATALOG_FIELDS.values())
+CATALOG_ARRAYS = CATALOG_COLUMNS + ("matrix", "keys")
+LOG_FIELDS = tuple(f.name for f in dataclasses.fields(OutcomeLog))
+
+
+def same_bits(got, want, names) -> None:
+    for name in names:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+class TestIdOrder:
+    """A catalog or a log holds its rows in ascending id order, whatever order
+    its columns, its records or the rows taken from it come in."""
+
+    @pytest.fixture(scope="class")
+    def world(self, round1_menu, round2_menu):
+        config = SimConfig(n_items=40, rng_seed=5)
+        cat = generate_catalog(config)
+        log1, _, log2 = run_rct(GroundTruth(config), cat, round1_menu, round2_menu,
+                                [0.25] * 4, [0.25] * 4, seed=5)
+        return cat, log1, log2
+
+    @given(perm=st.permutations(range(40)))
+    @settings(max_examples=50, deadline=None)
+    def test_any_permutation_gives_the_same_catalog(self, world, perm):
+        cat, perm = world[0], list(perm)
+        columns = {name: getattr(cat, name)[perm] for name in CATALOG_COLUMNS}
+        records = list(cat)
+        for got in (CatalogArrays.from_columns(**columns),
+                    CatalogArrays.from_items([records[i] for i in perm])):
+            same_bits(got, cat, CATALOG_ARRAYS)
+
+    @given(data=st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_any_permutation_gives_the_same_log(self, world, data):
+        for log in world[1:]:
+            perm = list(data.draw(st.permutations(range(len(log)))))
+            columns = {name: column[perm] for name, column in log_columns(log).items()}
+            records = list(log)
+            for got in (OutcomeLog.from_columns(**columns),
+                        OutcomeLog.from_records([records[i] for i in perm])):
+                same_bits(got, log, LOG_FIELDS)
+
+    @given(data=st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_a_repeat_is_refused_with_the_same_message(self, world, data):
+        cat, log1, _ = world
+        repeat = data.draw(st.integers(0, 39))
+        rows = np.append(np.arange(40), repeat)[list(data.draw(st.permutations(range(41))))]
+        message = re.escape(f"repeats item id {cat[repeat].item_id!r}") + "$"
+        with pytest.raises(InputError, match="^catalog " + message):
+            CatalogArrays.from_columns(
+                **{name: getattr(cat, name)[rows] for name in CATALOG_COLUMNS})
+        with pytest.raises(InputError, match="^log " + message):
+            OutcomeLog.from_columns(
+                **{name: column[rows] for name, column in log_columns(log1).items()})
+
+    @given(perm=st.permutations(range(40)), mask=st.lists(st.booleans(), min_size=40,
+                                                           max_size=40), k=st.integers(0, 40))
+    @settings(max_examples=50, deadline=None)
+    def test_rows_are_taken_in_id_order(self, world, perm, mask, k):
+        cat, perm, mask = world[0], np.array(perm, dtype=np.intp), np.array(mask)
+        same_bits(cat[perm], cat, CATALOG_ARRAYS)
+        same_bits(cat[::-1], cat, CATALOG_ARRAYS)
+        for rows, want in ((mask, np.flatnonzero(mask)), (perm[:k], np.sort(perm[:k])),
+                           (np.append(perm[:k], perm[:k]), np.sort(perm[:k]))):
+            taken = cat[rows]
+            assert (taken.ids[1:] > taken.ids[:-1]).all()
+            assert taken.ids.tolist() == cat.ids[want].tolist()
+            assert taken.matrix.tobytes() == cat.matrix[want].tobytes()
+            assert taken.keys.tobytes() == cat.keys[want].tobytes()
 
 
 class TestEncoding:

@@ -180,7 +180,7 @@ class TestNonAsciiIds:
     @pytest.fixture
     def world(self, round1_menu, round2_menu):
         config = SimConfig(n_items=60, rng_seed=3)
-        # Out of id order, so the trial has to sort its logs.
+        # Built out of id order, so the catalog has to sort its rows.
         items = non_ascii_catalog(config)
         log1, survivors, log2 = run_rct(GroundTruth(config), items, round1_menu, round2_menu,
                                         [0.25] * 4, [0.25] * 4, seed=3)
@@ -203,7 +203,9 @@ class TestNonAsciiIds:
     def test_logs_sort_as_str_sorts_and_round_trip(self, tmp_path, world):
         ids = [it.item_id for it in world.items]
         assert [r.item_id for r in world.log1] == sorted(ids)
-        assert world.survivors == [r.item_id for r in world.log2] == sorted(world.survivors)
+        survivors = oracles.id_strs(world.survivors)
+        assert world.survivors.dtype.kind == "S"
+        assert survivors == [r.item_id for r in world.log2] == sorted(survivors)
         for log in (world.log1, world.log2):
             path, per_record = str(tmp_path / "log.csv"), str(tmp_path / "per_record.csv")
             write_outcomes(log, path)
@@ -291,9 +293,11 @@ class TestQuotedIds:
 
     def test_only_cells_that_need_it_are_quoted(self, tmp_path, world):
         path = str(tmp_path / "catalog.csv")
-        write_catalog(world.items[:6], path)
+        first_six = np.array([f"{self.IDS[i]}{i}".encode() for i in range(6)])
+        write_catalog(world.items[world.items.rows_of(first_six)], path)
         text = open(path, newline="").read()
-        assert text.split("\n")[1].startswith('"it,""x""0","s,0",')
+        assert text.split("\n", 1)[1].startswith('"a\nb2","s,2",')
+        assert '\n"it,""x""0","s,0",' in text
         assert "\nplain4,s,0" not in text and '\nplain4,"s,0",' in text
 
     def test_a_bad_cell_after_a_multi_line_id_names_its_file_line(self, tmp_path, world):

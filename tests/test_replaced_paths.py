@@ -227,14 +227,16 @@ class TestTrialLogs:
         probs1, probs2 = gen.dirichlet(np.ones(len(menu1))), gen.dirichlet(np.ones(len(menu2)))
         items = generate_catalog(config)
         # Rebuilt from records, the keys are hashed on use; shuffled records are
-        # out of id order, so both logs are sorted back into it.
-        shuffled = CatalogArrays.from_items(list(items[gen.permutation(n)]))
-        for cat in (items, CatalogArrays.from_items(list(items)), shuffled):
+        # out of id order, so the catalog sorts them back into it.
+        records = list(items)
+        shuffled = CatalogArrays.from_items([records[i] for i in gen.permutation(n)])
+        for cat in (items, CatalogArrays.from_items(records), shuffled):
             got1, survivors, got2 = run_rct(gt, cat, menu1, menu2, probs1, probs2, seed)
             want1, want2 = oracles.run_rct_logs(gt, cat, menu1, menu2, probs1, probs2, seed)
             same_log(got1, want1)
             same_log(got2, want2)
-            assert survivors == oracles.id_strs(want2.item_ids)
+            assert survivors.dtype.kind == "S"
+            assert survivors.tolist() == want2.item_ids.tolist()
             assert oracles.id_strs(got1.item_ids) == sorted(it.item_id for it in items)
 
 

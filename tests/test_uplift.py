@@ -90,9 +90,9 @@ class TestIpwWeights:
         np.testing.assert_allclose(w, 1000.0, rtol=1e-12)
 
     def test_bounds_for_trained_model(self, trained_pair, small_world, round1_menu):
-        by_id = {r.item_id: r for r in small_world["log1"]}
-        surv = small_world["survivors"][:500]
-        index = {it.item_id: it for it in small_world["items"]}
+        by_id = {r.item_id.encode(): r for r in small_world["log1"]}
+        surv = small_world["survivors"][:500].tolist()
+        index = {it.item_id.encode(): it for it in small_world["items"]}
         items = CatalogArrays.from_items([index[i] for i in surv])
         records = OutcomeLog.from_records([by_id[i] for i in surv])
         for variant in (IPW_VARIANT_MEAN, IPW_VARIANT_APPLIED):
@@ -131,11 +131,17 @@ class TestIpwWeights:
 
     def test_rejects_misalignment(self, three_items, round1_menu):
         first = flat_model(SCHEMA_ROUND1, 0.0)
-        records = [unsold(it.item_id) for it in reversed(three_items)]
-        with pytest.raises(InputError):
+        # Same length, but one id is not the catalog's.
+        records = [unsold(i) for i in ("ipw-0", "ipw-1", "ipw-9")]
+        with pytest.raises(InputError, match="aligned by item_id"):
             ipw_weights(first, three_items, OutcomeLog.from_records(records), round1_menu)
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="must be aligned$"):
             ipw_weights(first, three_items, OutcomeLog.from_records(records[:2]), round1_menu)
+        # A log given in reverse is held in id order, so it aligns.
+        reversed_log = OutcomeLog.from_records([unsold(it.item_id) for it in reversed(three_items)])
+        forward_log = OutcomeLog.from_records([unsold(it.item_id) for it in three_items])
+        np.testing.assert_array_equal(ipw_weights(first, three_items, reversed_log, round1_menu),
+                                      ipw_weights(first, three_items, forward_log, round1_menu))
 
 
 class TestRound1TrainingDataset:
@@ -147,8 +153,10 @@ class TestRound1TrainingDataset:
 
     def test_records_columns_and_row_order_give_the_same_bits(self, small_world):
         cat, log1 = small_world["items"], small_world["log1"]
-        records = CatalogArrays.from_items(list(cat))
-        shuffled = cat[np.random.default_rng(1).permutation(len(cat))]
+        items = list(cat)
+        records = CatalogArrays.from_items(items)
+        shuffled = CatalogArrays.from_items(
+            [items[i] for i in np.random.default_rng(1).permutation(len(cat))])
         want = round1_training_dataset(cat, log1)
         for got in (round1_training_dataset(records, log1),
                     round1_training_dataset(shuffled, log1)):
@@ -217,7 +225,7 @@ class TestFitSecondRound:
             )
 
     def test_wrong_round_refused(self, small_world, trained_pair, round1_menu):
-        bad = OutcomeLog.from_records([unsold(small_world["survivors"][0])])
+        bad = OutcomeLog.from_records([unsold(small_world["survivors"][0].decode())])
         with pytest.raises(InputError):
             fit_second_round(
                 small_world["items"], small_world["log1"], bad,

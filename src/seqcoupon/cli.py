@@ -32,6 +32,7 @@ import numpy as np
 from . import __version__, fileio
 from .config import RunConfig, load_config
 from .decision import allocate_batch, materialize_plans
+from .domain import item_feature_matrix
 from .errors import (
     IdentifiabilityError,
     InputError,
@@ -46,7 +47,7 @@ from .uplift import (
     PredictorPair,
     check_round,
     fit_predictor_pair,
-    predict_arrays,
+    predict_batch,
     round1_arm_probabilities,
     round1_training_dataset,
 )
@@ -172,7 +173,7 @@ def cmd_allocate(run: _Run) -> None:
     pair = fileio.load_pair(cfg.io.model_dir)
     catalog = fileio.read_catalog(cfg.io.catalog)
     cat = catalog[~_sold_rows(cfg, catalog)]
-    p1, _, p2, p_baseline = predict_arrays(pair, cat.matrix, cat.age_days, cfg.attach_delay_h)
+    p1, _, p2, p_baseline = predict_batch(pair, cat, cfg.attach_delay_h)
     j, k, feasible = allocate_batch(
         p1, p2, p_baseline, cat.price, cat.ltv,
         pair.round1_set, pair.round2_set, cfg.constraint(),
@@ -200,7 +201,7 @@ def cmd_evaluate(run: _Run) -> None:
             f"{cfg.io.round1_log}: no no-coupon holdout records; lift is undefined"
         )
 
-    matrix = cat.matrix[cat.rows_of(log1.item_ids)]
+    matrix = item_feature_matrix(cat)[cat.rows_of(log1.item_ids)]
     p1 = round1_arm_probabilities(pair.first, matrix, pair.round1_set, log1.attach_delay_h)
     scores = (p1[:, 1:] - p1[:, [0]]).mean(axis=1)
     sold = log1.sold

@@ -14,8 +14,10 @@ Grammar (INI as understood by :mod:`configparser`, ``#``/``;`` comments):
                        For logistic fits ``epochs`` caps the Newton steps
                        (a fit stops earlier once converged) and
                        ``learning_rate`` scales each step (1.0 = full step).
-    [learner.second] — optional overrides for the second-round learner
-                       (no grid); defaults to the [learner] point values.
+    [learner.second] — optional second-round learner (no grid); without it
+                       the second round uses the [learner] point values.
+                       A key omitted from either learner section takes
+                       ``LearnerConfig``'s default, not the other's value.
     [policy]         — lift_threshold, attach_delay_h, ipw_epsilon,
                        ipw_variant, optional ltv_override.
     [evaluation]     — deciles, bootstrap_b, bucket_h, seeds (comma list),
@@ -42,9 +44,10 @@ from typing import Optional
 from .decision import DEFAULT_ATTACH_DELAY_H, PolicyConstraint
 from .domain import CouponConfig, CouponSet
 from .errors import InputError
+from .evaluation import DEFAULT_BUCKET_H, DEFAULT_DECILES
 from .learner import LearnerConfig
 from .simulator import SimConfig
-from .uplift import IPW_EPSILON_DEFAULT, check_ipw_epsilon
+from .uplift import IPW_EPSILON_DEFAULT, IPW_VARIANT_APPLIED, IPW_VARIANT_MEAN, check_ipw_epsilon
 
 
 @dataclass(frozen=True)
@@ -62,9 +65,9 @@ class LearnerSection:
 
 @dataclass(frozen=True)
 class EvaluationSection:
-    deciles: int = 10
+    deciles: int = DEFAULT_DECILES
     bootstrap_b: int = 200
-    bucket_h: float = 2.0
+    bucket_h: float = DEFAULT_BUCKET_H
     seeds: tuple[int, ...] = (7,)
     train_seed: int = 1000
     train_n_items: int = 50_000
@@ -113,15 +116,13 @@ class RunConfig:
         )
     )
     learner: LearnerSection = field(
-        default_factory=lambda: LearnerSection(
-            base=_DEFAULT_LEARNER, grid=(_DEFAULT_LEARNER,)
-        )
+        default_factory=lambda: LearnerSection(base=LearnerConfig(), grid=(LearnerConfig(),))
     )
     learner_second: Optional[LearnerConfig] = None
-    lift_threshold: float = 0.01
+    lift_threshold: float = PolicyConstraint.lift_threshold
     attach_delay_h: float = DEFAULT_ATTACH_DELAY_H
     ipw_epsilon: float = IPW_EPSILON_DEFAULT
-    ipw_variant: str = "mean"
+    ipw_variant: str = IPW_VARIANT_MEAN
     ltv_override: Optional[float] = None
     evaluation: EvaluationSection = field(default_factory=EvaluationSection)
     io: IoSection = field(default_factory=IoSection)
@@ -131,10 +132,9 @@ class RunConfig:
         if not self.attach_delay_h >= 0:
             raise InputError(f"attach_delay_h must be >= 0, got {self.attach_delay_h!r}")
         check_ipw_epsilon(self.ipw_epsilon)
-        if self.ipw_variant not in ("mean", "applied"):
-            raise InputError(
-                f"ipw_variant must be 'mean' or 'applied', got {self.ipw_variant!r}"
-            )
+        if self.ipw_variant not in (IPW_VARIANT_MEAN, IPW_VARIANT_APPLIED):
+            raise InputError(f"ipw_variant must be {IPW_VARIANT_MEAN!r} or "
+                             f"{IPW_VARIANT_APPLIED!r}, got {self.ipw_variant!r}")
 
     def constraint(self) -> PolicyConstraint:
         return PolicyConstraint(
@@ -143,9 +143,6 @@ class RunConfig:
 
     def second_learner(self) -> LearnerConfig:
         return self.learner_second if self.learner_second is not None else self.learner.base
-
-
-_DEFAULT_LEARNER = LearnerConfig(kind="logistic", learning_rate=1.0, epochs=1500)
 
 
 def _default_set(arms, purpose: str) -> CouponSet:

@@ -572,20 +572,6 @@ def encode_rows(item_matrix: np.ndarray, slot, discount_pct, validity_hours, cap
     return out
 
 
-def encode_round1_batch(
-    item_matrix: np.ndarray, coupon: CouponConfig, attach_delay_h: np.ndarray
-) -> np.ndarray:
-    """First-round features, one row per row of an item-feature matrix (n x 7).
-
-    Item coordinates, attach delay, coupon coordinates, and a
-    discount-by-delay interaction (a coupon attached late may move the needle
-    differently than the same coupon attached right after the key action).
-    """
-    delays = np.asarray(attach_delay_h, dtype=float)
-    return encode_rows(item_matrix, delays, coupon.discount_pct, coupon.validity_hours,
-                       coupon.cap_yen, coupon.discount_pct * delays)
-
-
 def encode_round2_batch(
     item_matrix: np.ndarray,
     coupon: CouponConfig,
@@ -594,9 +580,9 @@ def encode_round2_batch(
 ) -> np.ndarray:
     """Second-round features, one row per row of an item-feature matrix (n x 7).
 
-    The round-1 layout with the attach-delay slot holding the item's elapsed
-    age in hours, plus a trailing coordinate for the mean first-round
-    propensity over all arms.
+    The ``encode_rows`` layout with the slot holding the item's elapsed age in
+    hours and a trailing coordinate for the mean first-round propensity over
+    all arms.
     """
     return encode_rows(item_matrix, elapsed_age_h, coupon.discount_pct, coupon.validity_hours,
                        coupon.cap_yen, mean_p1)
@@ -627,6 +613,7 @@ def feature_matrix(price, condition, age_days, likes, demand, season) -> np.ndar
 
 
 def item_feature_matrix(items: CatalogArrays) -> np.ndarray:
-    """The raw item-feature matrix of a catalog, one row per item."""
+    """The raw item-feature matrix of a catalog, one row per item: how every
+    entry point that encodes or predicts checks its catalog and reads the matrix."""
     check_catalog(items)
     return items.matrix

@@ -34,7 +34,7 @@ from .simulator import (
     generate_catalog,
     rollout_arms,
 )
-from .uplift import PredictorPair, predict_arrays
+from .uplift import PredictorPair, predict_batch
 
 DEFAULT_BUCKET_H = 2.0
 DEFAULT_DECILES = 10
@@ -405,7 +405,7 @@ def _allocated(allocator, seed, cat, preds, pair, constraint):
 
 
 # The compared strategies, in report order. A plan rule maps (seed, catalog,
-# ``predict_arrays`` output, pair, constraint) to per-row (arm1, arm2) menu
+# ``predict_batch`` output, pair, constraint) to per-row (arm1, arm2) menu
 # indices, arm 0 being no coupon. The lambdas look their allocator up at call
 # time, so a wrapper installed on the module attribute sees every call.
 STRATEGIES: dict[str, Callable[..., tuple[np.ndarray, np.ndarray]]] = {
@@ -427,7 +427,7 @@ def compare_strategies(
     For each seed one catalog is drawn straight into columns
     (``generate_catalog``: no per-item records, and the ids and keys
     of the last catalog drawn are reused), and it is freed before the next
-    is drawn. Predictions come from the catalog's columns, each plan
+    is drawn. ``predict_batch`` predicts the catalog, each plan
     rule turns them into arm-index arrays, and one ``rollout_arms`` pass rolls
     out a no-coupon holdout and then every rule's plan on that catalog under
     shared sale draws. Realized ROI is incremental sales over the holdout
@@ -446,7 +446,7 @@ def compare_strategies(
     for seed in seeds:
         cfg = dataclasses.replace(config, rng_seed=seed)
         cat = generate_catalog(cfg)
-        preds = predict_arrays(pair, cat.matrix, cat.age_days, attach_delay_h)
+        preds = predict_batch(pair, cat, attach_delay_h)
         no_coupon = np.zeros(len(cat), dtype=np.int64)
         plans = [(no_coupon, no_coupon)]
         plans += [rule(seed, cat, preds, pair, constraint) for rule in STRATEGIES.values()]

@@ -67,7 +67,7 @@ class Dataset:
 @dataclass(frozen=True)
 class LearnerConfig:
     kind: str = KIND_LOGISTIC
-    learning_rate: float = 0.5
+    learning_rate: float = 1.0
     l2: float = 0.0
     epochs: int = 300
     max_stumps: int = 400

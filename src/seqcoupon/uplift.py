@@ -25,13 +25,12 @@ from .domain import (
     OutcomeLog,
     _check_column,
     _id_rows,
-    check_catalog,
     coupon_columns,
     coupon_coordinates,
     encode_rows,
+    item_feature_matrix,
 )
 from .errors import (
-    ContractError,
     DegenerateDataError,
     IdentifiabilityError,
     InputError,
@@ -112,7 +111,7 @@ def round1_training_dataset(
     The log must span at least two coupon arms including the no-coupon arm;
     otherwise the per-arm effect is unidentifiable and training refuses.
     """
-    check_catalog(cat)
+    item_matrix = item_feature_matrix(cat)
     if not len(round1_log):
         raise DegenerateDataError("round-1 log is empty")
     check_round(round1_log, 1)
@@ -125,7 +124,7 @@ def round1_training_dataset(
         raise IdentifiabilityError(
             "round-1 log must cover >= 2 coupon arms including the no-coupon arm"
         )
-    features = encode_rows(cat.matrix, delays, disc, round1_log.validity_hours,
+    features = encode_rows(item_matrix, delays, disc, round1_log.validity_hours,
                            round1_log.cap_yen, disc * delays,
                            rows=cat.rows_of(round1_log.item_ids))
     return Dataset(features, round1_log.sold, schema_id=SCHEMA_ROUND1)
@@ -193,7 +192,7 @@ def round1_arm_probabilities(
 ) -> np.ndarray:
     """Matrix of first-round propensities, one column per arm of the menu.
 
-    Equal to ``predict_matrix`` on each arm's ``encode_round1_batch`` matrix;
+    Equal to ``predict_matrix`` on each arm's round-1 ``encode_rows`` matrix;
     the item and delay columns are standardised once for all arms.
     """
     delays = np.broadcast_to(np.asarray(attach_delay_h, dtype=float),
@@ -218,12 +217,12 @@ def ipw_weights(
     all round-1 arms (default) or the propensity of the arm each survivor
     actually received.
     """
-    check_catalog(cat)
+    item_matrix = item_feature_matrix(cat)
     if len(cat) != len(round1_records):
         raise InputError("items and round-1 records must be aligned")
     if (cat.ids != round1_records.item_ids).any():
         raise InputError("items and round-1 records must be aligned by item_id")
-    return _ipw(first, cat.matrix, round1_records, None, round1_set, epsilon, variant)[0]
+    return _ipw(first, item_matrix, round1_records, None, round1_set, epsilon, variant)[0]
 
 
 def _ipw(first, item_matrix, log1, rows, round1_set, epsilon, variant):
@@ -285,11 +284,11 @@ def fit_second_round(
 
     As in ``fit_first_round``, ``train`` standardises the design in place.
     """
-    check_catalog(cat)
+    matrix = item_feature_matrix(cat)
     if not len(round2_log):
         raise DegenerateDataError("round-2 survivor log is empty")
     cat_rows, r1_rows = _survivor_frames(cat, round1_log, round2_log)
-    item_matrix = cat.matrix[cat_rows]
+    item_matrix = matrix[cat_rows]
     weights, mean_p1 = _ipw(first, item_matrix, round1_log, r1_rows, round1_set, epsilon,
                             variant)
     features = encode_rows(item_matrix, cat.age_days[cat_rows] * 24.0,
@@ -325,41 +324,28 @@ def fit_predictor_pair(
     )
 
 
-def predict_arrays(
-    pair: PredictorPair,
-    item_matrix: np.ndarray,
-    age_days: np.ndarray,
-    attach_delay_h: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Columnar predictions from an item-feature matrix and an ``age_days`` column.
-
-    Returns (p1 matrix, mean_p1, p2 matrix, p_baseline), one row per matrix row.
-    A negative attach delay is refused: the models never saw one. Each round
-    standardises its item and delay (or age) columns once; per arm only the
-    coupon columns and the last column are rewritten before scoring, which
-    gives the bits of scoring each arm's encoded matrix with ``predict_matrix``.
-    """
-    if not attach_delay_h >= 0:
-        raise ContractError("attach_delay_h must be >= 0")
-    p1 = round1_arm_probabilities(pair.first, item_matrix, pair.round1_set,
-                                  attach_delay_h)
-    mean_p1 = p1.mean(axis=1)
-    elapsed_age_h = np.asarray(age_days, dtype=float) * 24.0
-    p2 = _arm_probabilities(
-        pair.second, item_matrix, elapsed_age_h, pair.round2_set,
-        lambda arm, rows: mean_p1[rows],
-    )
-    p_baseline = p1[:, 0] + (1.0 - p1[:, 0]) * p2[:, 0]
-    return p1, mean_p1, p2, p_baseline
-
-
 def predict_batch(
     pair: PredictorPair,
     cat: CatalogArrays,
     attach_delay_h: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``predict_arrays`` over a catalog, a ``CatalogArrays`` whose rows are the
-    ``ItemRecord``s: (p1 matrix, mean_p1, p2 matrix, p_baseline), one row per item.
+    """Per-arm predictions over a catalog: (p1 matrix, mean_p1, p2 matrix,
+    p_baseline), one row per item.
+
+    A negative or NaN attach delay is refused: the models never saw one. Each
+    round standardises its item and delay (or age) columns once; per arm only
+    the coupon columns and the last column are rewritten before scoring, which
+    gives the bits of scoring each arm's encoded matrix with ``predict_matrix``.
     """
-    check_catalog(cat)
-    return predict_arrays(pair, cat.matrix, cat.age_days, attach_delay_h)
+    item_matrix = item_feature_matrix(cat)
+    if not attach_delay_h >= 0:
+        raise InputError("attach_delay_h must be >= 0")
+    p1 = round1_arm_probabilities(pair.first, item_matrix, pair.round1_set,
+                                  attach_delay_h)
+    mean_p1 = p1.mean(axis=1)
+    p2 = _arm_probabilities(
+        pair.second, item_matrix, cat.age_days * 24.0, pair.round2_set,
+        lambda arm, rows: mean_p1[rows],
+    )
+    p_baseline = p1[:, 0] + (1.0 - p1[:, 0]) * p2[:, 0]
+    return p1, mean_p1, p2, p_baseline

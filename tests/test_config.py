@@ -88,6 +88,18 @@ class TestDefaults:
         assert EvaluationSection().seeds == (7,)
         assert IoSection().model_dir == "model"
 
+    @pytest.mark.parametrize("text,first,second", [
+        ("", {}, None),
+        ("[learner]\nl2 = 0.01\n", {"l2": 0.01}, None),
+        ("[learner.second]\nl2 = 0.1\n", {}, {"l2": 0.1}),
+    ], ids=["empty", "learner_l2", "second_l2"])
+    def test_omitted_learner_keys_take_learner_config_defaults(self, tmp_path, text, first,
+                                                               second):
+        config = load_config(write_config(tmp_path, text))
+        assert config.learner.base == LearnerConfig(**first)
+        assert config.learner.grid == (config.learner.base,)
+        assert config.second_learner() == LearnerConfig(**(first if second is None else second))
+
 
 class TestFullParse:
     @pytest.fixture()

@@ -19,8 +19,8 @@ from seqcoupon.domain import (
     OutcomeRecord,
     ROUND1_FEATURE_NAMES,
     CatalogArrays,
-    encode_round1_batch,
     encode_round2_batch,
+    encode_rows,
     feature_matrix,
     item_feature_matrix,
 )
@@ -75,9 +75,10 @@ CATALOG_FIELDS = dict(zip(
 
 
 def encode_round1(item, coupon, attach_delay_h):
-    """One item's first-round feature row, through the batch encoder."""
+    """One item's first-round feature row, encoded as ``round1_training_dataset`` does."""
     delays = np.array([attach_delay_h])
-    return encode_round1_batch(CatalogArrays.from_items([item]).matrix, coupon, delays)[0]
+    return encode_rows(CatalogArrays.from_items([item]).matrix, delays, coupon.discount_pct,
+                       coupon.validity_hours, coupon.cap_yen, coupon.discount_pct * delays)[0]
 
 
 def encode_round2(item, coupon, mean_p1):

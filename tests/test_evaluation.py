@@ -13,7 +13,7 @@ import seqcoupon
 from seqcoupon import evaluation, fileio, rng
 from seqcoupon.config import RunConfig
 from seqcoupon.domain import CouponConfig, OutcomeLog, OutcomeRecord
-from seqcoupon.errors import ContractError, InputError
+from seqcoupon.errors import InputError
 from seqcoupon.decision import DEFAULT_ATTACH_DELAY_H, PolicyConstraint, combine_cost, roi
 from seqcoupon.evaluation import (
     BucketRow,
@@ -34,7 +34,7 @@ from seqcoupon.simulator import (
     rollout_policy,
 )
 from seqcoupon.learner import LearnerConfig
-from seqcoupon.uplift import predict_arrays
+from seqcoupon.uplift import predict_batch
 
 from oracles import bootstrap_band_resorting, cumulative_uplift_sorting
 
@@ -515,9 +515,8 @@ def _tiny_catalog(world):
         world["gt"], world["items"][:5],
         lambda item: ((CouponConfig.none(), v), CouponConfig.none()), 1),
      InputError, "policy produced a negative attach delay"),
-    (lambda v, pair, world: predict_arrays(
-        pair, _tiny_catalog(world).matrix, _tiny_catalog(world).age_days, v),
-     ContractError, "attach_delay_h must be >= 0"),
+    (lambda v, pair, world: predict_batch(pair, _tiny_catalog(world), v),
+     InputError, "attach_delay_h must be >= 0"),
     (lambda v, pair, world: LearnerConfig(learning_rate=v), InputError,
      "learning_rate must be > 0"),
     (lambda v, pair, world: LearnerConfig(l2=v), InputError, "l2 must be >= 0"),
@@ -534,7 +533,7 @@ def _tiny_catalog(world):
     (lambda v, pair, world: combine_cost(0.5, 0.5, 100.0, v), InputError,
      "costs must be >= 0"),
 ], ids=["compare_strategies", "delay_analysis", "rollout_arms", "rollout_policy",
-        "predict_arrays", "learning_rate", "l2", "effect_scale", "purchase_time_rate",
+        "predict_batch", "learning_rate", "l2", "effect_scale", "purchase_time_rate",
         "RunConfig.attach_delay_h", "roi.ltv", "roi.expected_cost", "combine_cost.cost_j",
         "combine_cost.cost_k"])
 def test_nan_is_refused_as_a_negative_value_is(

@@ -864,7 +864,7 @@ class TestGridTable:
         lines = open(path).read().splitlines()
         assert lines[0] == GRID_HEADER
         assert lines[1] == "logistic,0.5,0,100,400,0.5,0.4;0.6,"
-        assert lines[2] == "boosted_stumps,0.5,0,300,7,0.25,0.2;0.3,1"
+        assert lines[2] == "boosted_stumps,1,0,300,7,0.25,0.2;0.3,1"
 
 
 class TestComparisonReportRendering:

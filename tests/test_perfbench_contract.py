@@ -7,7 +7,10 @@ point, a renamed parameter or a return value without a length would crash
 every traced benchmark run. ``perfbench/worker.py`` fits the ``rollout``
 workload's pair in ``prep`` and scores predictors in ``quality``, outside the
 timed region, through the catalog API; a signature change there would crash
-the traced runs too. Both files are read here, never edited.
+the traced runs too. The tracer is also installed in-process around a tiny
+``compare_strategies`` and ``allocate``, so a catalog predictor that bypasses
+its traced entry points shows as a zero span. Both files are read here, never
+edited.
 """
 
 import ast
@@ -21,9 +24,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from seqcoupon import fileio
+from seqcoupon import cli, evaluation, fileio
 from seqcoupon.config import load_config
 from seqcoupon.decision import PolicyConstraint, allocate_batch, materialize_plans
+from seqcoupon.simulator import SimConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
@@ -135,3 +139,49 @@ def test_the_worker_prep_and_quality_steps_run(prepped, workload):
     assert set(scores) == expected
     assert all(math.isfinite(value) for value in scores.values())
     assert 0 < scores["p1_mae"] < 0.5 and 0 < scores["p2_mae"] < 0.5
+
+
+@pytest.fixture(scope="module")
+def trained_run(tmp_path_factory):
+    """A config whose ``[io]`` points at a simulated catalog, its logs and a trained pair."""
+    root = tmp_path_factory.mktemp("traced")
+    config = root / "run.cfg"
+    config.write_text(f"""[simulator]
+n_items = 600
+rng_seed = 5
+
+[learner]
+k_folds = 2
+
+[io]
+catalog = {root}/sim/catalog.csv
+round1_log = {root}/sim/round1_log.csv
+round2_log = {root}/sim/round2_log.csv
+model_dir = {root}/model
+""")
+    for command, out in (("simulate", "sim"), ("train", "model")):
+        assert cli.main([command, "--config", str(config), "--out", str(root / out),
+                         "--quiet"]) == 0
+    return root, str(config)
+
+
+@pytest.mark.parametrize("run", ["compare_strategies", "allocate"])
+def test_traced_prediction_reads_the_catalog_through_its_entry_points(trained_run,
+                                                                       trained_pair, run):
+    """The traced spans and counters see the one catalog predictor at work."""
+    root, config = trained_run
+    tracer = _load("perfbench_tracer", TRACER).Tracer()
+    tracer.install()
+    try:
+        if run == "allocate":
+            assert cli.main(["allocate", "--config", config, "--out", str(root / "alloc"),
+                             "--quiet"]) == 0
+        else:
+            evaluation.compare_strategies(SimConfig(n_items=50, rng_seed=1), trained_pair,
+                                          PolicyConstraint(), [1, 2])
+    finally:
+        tracer.uninstall()
+    summary = tracer.summary()
+    for span in ("uplift.predict_batch", "domain.item_feature_matrix"):
+        assert summary.get(span, {}).get("calls", 0) > 0, f"{run} recorded no {span} call"
+    assert tracer.counters["domain.feature_rows"] > 0

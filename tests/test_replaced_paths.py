@@ -33,7 +33,7 @@ from seqcoupon import uplift
 from seqcoupon.uplift import (
     fit_predictor_pair,
     fit_second_round,
-    predict_arrays,
+    predict_batch,
     round1_arm_probabilities,
     round1_training_dataset,
 )
@@ -315,7 +315,7 @@ class TestStandardiseOncePrediction:
                     generate_catalog(SimConfig(n_items=max(edge, 1), rng_seed=seed))[:edge]):
             delay = float(gen.choice([0.0, 2.0, 30.0]))
             for pair in pairs:
-                got = predict_arrays(pair, cat.matrix, cat.age_days, delay)
+                got = predict_batch(pair, cat, delay)
                 want = oracles.predict_arrays_per_arm(pair, cat.matrix, cat.age_days, delay)
                 for g, w in zip(got, want):
                     same_bits(g, w)

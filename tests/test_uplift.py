@@ -14,7 +14,6 @@ from seqcoupon.domain import (
     OutcomeRecord,
 )
 from seqcoupon.errors import (
-    ContractError,
     DegenerateDataError,
     IdentifiabilityError,
     InputError,
@@ -272,7 +271,7 @@ class TestPredictions:
             assert one_baseline == pytest.approx(p_baseline[i], rel=1e-12)
 
     def test_negative_delay_refused(self, trained_pair, fixture_item):
-        with pytest.raises(ContractError):
+        with pytest.raises(InputError, match="attach_delay_h must be >= 0"):
             predict_batch(trained_pair, CatalogArrays.from_items([fixture_item]), -0.5)
 
     def test_frozen_regression_bundle(self, trained_pair, fixture_item):

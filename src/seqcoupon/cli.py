@@ -9,9 +9,10 @@ Five subcommands form a pipeline over an output directory tree:
     compare   — train then roll out random / per-round / sequential policies
 
 Every command reads one config file, writes into ``--out``, and stamps the
-directory with a manifest (tool version, config hash, seed). Re-running with
-the same inputs reproduces every output byte for byte; resuming into a
-directory whose manifest disagrees is refused rather than overwritten.
+directory with a manifest (tool version, config hash, seed) after its last
+artifact. Re-running with the same inputs reproduces every output byte for
+byte; resuming into a directory whose manifest disagrees is refused rather
+than overwritten.
 
 Exit codes: 0 success; 1 internal error; 2 unparseable config or invalid
 input data; 3 IO failure or manifest mismatch; 4 unidentifiable training log
@@ -87,11 +88,17 @@ class _Run:
         self.config_path: str = args.config
 
     def start(self) -> None:
+        """Make the output directory and refuse one stamped by another run."""
         os.makedirs(self.out, exist_ok=True)
-        manifest = fileio.build_manifest(
+        self.manifest = fileio.build_manifest(
             self.command, fileio.sha256_of_file(self.config_path), self.seed
         )
-        fileio.ensure_manifest(self.out, manifest)
+        fileio.check_manifest(self.out, self.manifest)
+
+    def finish(self) -> None:
+        """Stamp the directory once the command's last artifact is written, so
+        a run that dies midway leaves no manifest beside its partial output."""
+        fileio.ensure_manifest(self.out, self.manifest)
 
     def path(self, name: str) -> str:
         return os.path.join(self.out, name)
@@ -279,6 +286,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         run = _Run(args)
         run.start()
         args.func(run)
+        run.finish()
     except MissingHoldoutError as exc:
         return _fail(EXIT_HOLDOUT, exc)
     except SchemaMismatchError as exc:

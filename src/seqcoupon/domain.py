@@ -66,6 +66,10 @@ N_COUPON_FEATURES = 4
 # Yen amounts are integers below 2**53, the largest a float column holds exactly.
 YEN_BOUND = 2**53
 
+# Encoders that work row by row take a block of this many rows at a time, so
+# their temporaries, Python floats among them, do not grow with the catalog.
+BLOCK_ROWS = 4096
+
 
 @dataclass(frozen=True)
 class CouponConfig:
@@ -544,12 +548,34 @@ def coupon_coordinates(out: np.ndarray, discount_pct, validity_hours, cap_yen) -
     Discount linear and squared (so arm-level response curves can bend), validity
     log-scaled (by ``math``, once per distinct value, as ``feature_matrix`` logs
     prices), cap in thousand yen; the no-coupon arm, all three 0, gets zeros.
+    Each block of ``BLOCK_ROWS`` rows finds its validities among the distinct
+    ones by ``searchsorted``, so no index column the size of ``out`` is made.
     """
     out[..., 0] = discount_pct
     np.square(out[..., 0], out=out[..., 1])
-    distinct, inverse = np.unique(np.asarray(validity_hours, dtype=float), return_inverse=True)
-    out[..., 2] = np.fromiter(map(math.log1p, distinct.tolist()), float, len(distinct))[inverse]
-    out[..., 3] = np.asarray(cap_yen, dtype=float) / 1000.0
+    validity = np.asarray(validity_hours, dtype=float)
+    # ``np.unique``'s values, found by hand: without ``return_*`` flags it
+    # imports ``numpy.ma`` on first use.
+    distinct = np.sort(validity, axis=None)
+    distinct = distinct[np.append(True, distinct[1:] != distinct[:-1])]
+    logs = _by_math(math.log1p, distinct)
+    if validity.ndim == 0:
+        out[..., 2] = logs[0]
+    else:
+        for lo in range(0, len(validity), BLOCK_ROWS):
+            part = validity[lo:lo + BLOCK_ROWS]
+            out[lo:lo + len(part), 2] = logs[np.searchsorted(distinct, part)]
+    np.divide(cap_yen, 1000.0, out=out[..., 3])
+    return out
+
+
+def _by_math(function, values: np.ndarray) -> np.ndarray:
+    """``function`` (a ``math`` one) of each of ``values``, through Python floats
+    made one block of ``BLOCK_ROWS`` at a time."""
+    out = np.empty(len(values))
+    for lo in range(0, len(values), BLOCK_ROWS):
+        part = values[lo:lo + BLOCK_ROWS].tolist()
+        out[lo:lo + len(part)] = np.fromiter(map(function, part), float, len(part))
     return out
 
 
@@ -595,14 +621,16 @@ def feature_matrix(price, condition, age_days, likes, demand, season) -> np.ndar
     likes, demand index, and the season phase as a point on the unit circle.
     ``log`` goes through ``math`` once per distinct price: the SIMD kernel
     behind ``np.log`` may differ from libm in the last bit, and every sale draw
-    and artifact downstream depends on these values. ``np.sin`` and ``np.cos``
-    matched libm on every angle tried, and tests pin them on drawn catalogs.
+    and artifact downstream depends on these values. The bits of ``np.sin`` and
+    ``np.cos`` depend on the host's kernels (glibc without FMA moves them), as
+    ``math.log``'s do, so the catalogs that tests pin hold only on hosts that
+    take the same kernels.
     """
     price = np.asarray(price, dtype=float)
     angle = 2.0 * math.pi * np.asarray(season, dtype=float)
     out = np.empty((len(price), N_ITEM_FEATURES))
     distinct, inverse = np.unique(price, return_inverse=True)
-    out[:, 0] = np.fromiter(map(math.log, distinct.tolist()), float, len(distinct))[inverse]
+    out[:, 0] = _by_math(math.log, distinct)[inverse]
     out[:, 1] = condition
     out[:, 2] = age_days
     out[:, 3] = likes

@@ -587,20 +587,26 @@ def build_manifest(command: str, config_sha256: str, seed: int) -> dict:
     }
 
 
-def ensure_manifest(out_dir: str, manifest: dict) -> None:
-    """Write the manifest, or verify it matches component-for-component.
+def check_manifest(out_dir: str, manifest: dict) -> bool:
+    """Whether ``out_dir`` holds ``manifest``; a different one raises.
 
     A mismatch means the directory holds results from a different run;
     refusing protects those files from a silent mixed-config overwrite.
     """
     path = os.path.join(out_dir, MANIFEST_NAME)
-    if os.path.exists(path):
-        existing = _load_json(path)
-        if existing != manifest:
-            raise ManifestMismatchError(
-                f"{path} was written by a different run "
-                f"(existing {existing}, current {manifest}); "
-                "use a fresh output directory"
-            )
-        return
-    _dump_json(manifest, path)
+    if not os.path.exists(path):
+        return False
+    existing = _load_json(path)
+    if existing != manifest:
+        raise ManifestMismatchError(
+            f"{path} was written by a different run "
+            f"(existing {existing}, current {manifest}); "
+            "use a fresh output directory"
+        )
+    return True
+
+
+def ensure_manifest(out_dir: str, manifest: dict) -> None:
+    """Write the manifest, or verify it matches component-for-component."""
+    if not check_manifest(out_dir, manifest):
+        _dump_json(manifest, os.path.join(out_dir, MANIFEST_NAME))

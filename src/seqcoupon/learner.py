@@ -23,10 +23,12 @@ LEAF_CLIP = 4.0
 N_SPLIT_CANDIDATES = 32
 GRAD_TOL = 1e-10  # logistic fits stop once the gradient norm is below this
 RANK_TOL = 1e-12  # pivots below this share of the largest are rank deficiency
-# The Hessian is summed over weighted copies of row blocks of this size,
-# below glibc's 128 KiB mmap threshold. A whole n x d copy per Newton step
-# raised the peak RSS of a `compare` run (12k training rows) by about 1.2 MB.
-HESSIAN_BLOCK_BYTES = 64 * 1024
+# Temporaries beside a fit's n x d matrix are made per row block of at most
+# this size, below glibc's 128 KiB mmap threshold: the Hessian's weighted
+# copies, the finiteness check's booleans and the sigmoid's denominators. A
+# whole n x d copy per Newton step raised the peak RSS of a `compare` run
+# (12k training rows) by about 1.2 MB.
+BLOCK_BYTES = 64 * 1024
 
 KIND_LOGISTIC = "logistic"
 KIND_BOOSTED = "boosted_stumps"
@@ -50,7 +52,8 @@ class Dataset:
         w = np.ones(len(y)) if w is None else np.asarray(w, dtype=float)
         if not (len(X) == len(y) == len(w)):
             raise InputError("features, labels and weights must have equal row counts")
-        if not np.all(np.isfinite(X)):
+        rows = max(1, BLOCK_BYTES // max(1, X.shape[1]))
+        if not all(np.isfinite(X[lo:lo + rows]).all() for lo in range(0, len(X), rows)):
             raise InputError("features contain non-finite values")
         if not np.all(np.isfinite(w)) or np.any(w <= 0):
             raise InputError("weights must be positive and finite")
@@ -134,15 +137,21 @@ def _sigmoid(z):
 
     ``exp`` only sees ``-|z|``, so it never overflows, and no row is gathered
     or scattered by sign: ``maximum(e, z >= 0)`` is 1 or ``e``, since ``e <= 1``.
-    Two arrays the size of ``z`` are made, and the result is one of them.
+    One array the size of ``z`` is made, the result; ``z`` is only read. The
+    rest is made per block of rows: the denominators, and the float copy of
+    the signs that ``maximum`` casts, take ``BLOCK_BYTES`` together.
     """
     z = np.asarray(z, dtype=float)
     e = np.abs(z)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    denominator = e + 1.0
-    np.maximum(e, z >= 0, out=e)
-    e /= denominator
+    block = BLOCK_BYTES // 16
+    denominator = np.empty(min(len(e), block))
+    for lo in range(0, len(e), block):
+        part = e[lo:lo + block]
+        np.add(part, 1.0, out=denominator[:len(part)])
+        np.maximum(part, z[lo:lo + block] >= 0, out=part)
+        part /= denominator[:len(part)]
     return e
 
 
@@ -234,19 +243,20 @@ def _fit_logistic(Xs, y, w_norm, config) -> tuple[np.ndarray, float, int, float]
     reduce it, which is where rounding, not the model, limits progress.
     """
     d = Xs.shape[1]
-    block = max(1, HESSIAN_BLOCK_BYTES // (8 * (d + 1)))
+    block = max(1, BLOCK_BYTES // (8 * (d + 1)))
     coef = np.zeros(d)
     intercept = 0.0
-    yf = y.astype(float)
     steps, prev_norm = 0, np.inf
     while True:
         # Each O(n) column is computed in place where the bits allow, so a
-        # step holds a few columns beside Xs: the logits become p, and the
-        # residual's buffer becomes the Hessian weights once the gradient is in.
+        # step holds two columns beside Xs and the weights: the logits and p
+        # while the sigmoid runs, then p and the residual, whose buffer becomes
+        # the Hessian weights once the gradient is in. ``p - y`` casts the
+        # bool labels per buffer, to the bits of a float copy of them.
         p = Xs @ coef
         p += intercept
         p = _sigmoid(p)
-        resid = p - yf
+        resid = p - y
         resid *= w_norm
         grad = np.append(Xs.T @ resid + config.l2 * coef, resid.sum())
         grad_norm = float(np.sqrt(grad @ grad))
@@ -256,7 +266,7 @@ def _fit_logistic(Xs, y, w_norm, config) -> tuple[np.ndarray, float, int, float]
         # Hessian with the intercept as its last row and column. Xs is never
         # copied whole: weighted copies are made per block of rows.
         h = np.multiply(w_norm, p, out=resid)
-        h *= 1.0 - p
+        h *= np.subtract(1.0, p, out=p)
         hess = np.empty((d + 1, d + 1))
         hess[:d, :d] = config.l2 * np.eye(d)
         for lo in range(0, len(h), block):
@@ -264,6 +274,7 @@ def _fit_logistic(Xs, y, w_norm, config) -> tuple[np.ndarray, float, int, float]
             hess[:d, :d] += rows.T @ (rows * h[lo:lo + block, None])
         hess[d, :d] = hess[:d, d] = h @ Xs
         hess[d, d] = h.sum()
+        del p, resid, h  # freed before the next step's logits are made
         step = _min_norm_solve(hess, grad)
         coef = coef - config.learning_rate * step[:d]
         intercept = intercept - config.learning_rate * step[d]

@@ -55,6 +55,9 @@ def item_key(item_id: str) -> int:
 
 
 _BLAKE2S_8 = hashlib.blake2s(digest_size=8)
+# ``item_keys`` hashes this many ids at a time, so its Python objects (one
+# ``bytes`` id and one digest per id) do not grow with the catalog.
+_HASH_BLOCK_IDS = 4096
 
 
 def item_keys(item_ids: np.ndarray) -> np.ndarray:
@@ -63,14 +66,20 @@ def item_keys(item_ids: np.ndarray) -> np.ndarray:
     Each id is hashed by a ``copy`` of one empty 8-byte blake2s state, which
     skips the parameter set-up of a fresh hash object, from the ``bytes`` that
     ``tolist`` gives (iterating the array would box one ``np.bytes_`` per id).
-    The digests are joined and read as little-endian words.
+    The digests of each block of ``_HASH_BLOCK_IDS`` ids are joined and read as
+    little-endian words into one preallocated array.
     """
-    copy, digests = _BLAKE2S_8.copy, []
-    for item_id in np.asarray(item_ids, dtype="S").tolist():
-        h = copy()
-        h.update(item_id)
-        digests.append(h.digest())
-    return np.frombuffer(b"".join(digests), "<u8").astype(np.uint64)
+    ids = np.asarray(item_ids, dtype="S")
+    keys = np.empty(len(ids), dtype=np.uint64)
+    copy = _BLAKE2S_8.copy
+    for lo in range(0, len(ids), _HASH_BLOCK_IDS):
+        digests = []
+        for item_id in ids[lo:lo + _HASH_BLOCK_IDS].tolist():
+            h = copy()
+            h.update(item_id)
+            digests.append(h.digest())
+        keys[lo:lo + len(digests)] = np.frombuffer(b"".join(digests), "<u8")
+    return keys
 
 
 def _mix(z: np.ndarray) -> np.ndarray:

@@ -143,22 +143,25 @@ def fit_first_round(
     return train(round1_training_dataset(cat, round1_log), config, in_place=True)
 
 
-def _arm_probabilities(model: Model, item_matrix, slot, coupon_set: CouponSet, last):
+def _arm_probabilities(model: Model, item_matrix, slot, coupon_set: CouponSet, last,
+                       rows=None):
     """Probabilities of ``model`` under each arm of ``coupon_set``: (n, arms).
 
     Each arm's design matrix is the round's encoding: the item features, the
     ``slot`` column (attach delay or elapsed age), the coupon's coordinates and
-    the last column ``last(coupon, rows)`` of the rows ``rows`` (a slice). The
-    rows are scored in blocks of ``SCORE_BLOCK_ROWS`` through one reused
-    C-contiguous buffer: a block's item and slot columns are standardised once,
-    and per arm only the coupon and last columns are rewritten. Every entry
-    equals ``predict_matrix`` on that arm's encoded matrix, bit for bit: the
-    matrix-vector product rounds a row alike in any block that starts at a
-    multiple of the block size, except a block of one row, which numpy scores
-    by a dot product. So a lone last row is scored with the block before it.
+    the last column ``last(coupon, block)`` of the rows ``block`` (a slice).
+    Row i's item is row ``rows[i]`` of ``item_matrix`` (row i when ``rows`` is
+    None), gathered per block. The rows are scored in blocks of
+    ``SCORE_BLOCK_ROWS`` through one reused C-contiguous buffer: a block's item
+    and slot columns are standardised once, and per arm only the coupon and
+    last columns are rewritten. Every entry equals ``predict_matrix`` on that
+    arm's encoded matrix, bit for bit: the matrix-vector product rounds a row
+    alike in any block that starts at a multiple of the block size, except a
+    block of one row, which numpy scores by a dot product. So a lone last row
+    is scored with the block before it.
     """
     width = N_ITEM_FEATURES + 1 + N_COUPON_FEATURES + 1
-    n = item_matrix.shape[0]
+    n = item_matrix.shape[0] if rows is None else len(rows)
     _check_width(model, (n, width))
     mean, scale = model.feature_mean, model.feature_scale
     items, coupon = slice(0, N_ITEM_FEATURES), slice(N_ITEM_FEATURES + 1, width - 1)
@@ -172,15 +175,16 @@ def _arm_probabilities(model: Model, item_matrix, slot, coupon_set: CouponSet, l
         del edges[-2]
     buffer = np.empty((min(n, SCORE_BLOCK_ROWS + 1), width))
     for lo, hi in zip(edges, edges[1:]):
-        rows = slice(lo, hi)
+        block = slice(lo, hi)
         Xs = buffer[:hi - lo]
-        np.subtract(item_matrix[rows], mean[items], out=Xs[:, items])
+        item_rows = item_matrix[block] if rows is None else item_matrix[rows[block]]
+        np.subtract(item_rows, mean[items], out=Xs[:, items])
         Xs[:, items] /= scale[items]
-        Xs[:, N_ITEM_FEATURES] = (slot[rows] - mean[N_ITEM_FEATURES]) / scale[N_ITEM_FEATURES]
+        Xs[:, N_ITEM_FEATURES] = (slot[block] - mean[N_ITEM_FEATURES]) / scale[N_ITEM_FEATURES]
         for a, arm in enumerate(coupon_set):
             Xs[:, coupon] = coordinates[a]
-            Xs[:, -1] = (last(arm, rows) - mean[-1]) / scale[-1]
-            probs[rows, a] = predict_standardised(model, Xs)
+            Xs[:, -1] = (last(arm, block) - mean[-1]) / scale[-1]
+            probs[block, a] = predict_standardised(model, Xs)
     return probs
 
 
@@ -189,17 +193,19 @@ def round1_arm_probabilities(
     item_matrix: np.ndarray,
     round1_set: CouponSet,
     attach_delay_h,
+    rows: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Matrix of first-round propensities, one column per arm of the menu.
 
-    Equal to ``predict_matrix`` on each arm's round-1 ``encode_rows`` matrix;
-    the item and delay columns are standardised once for all arms.
+    Equal to ``predict_matrix`` on each arm's round-1 ``encode_rows`` matrix
+    (with the same ``rows``); the item and delay columns are standardised once
+    for all arms.
     """
-    delays = np.broadcast_to(np.asarray(attach_delay_h, dtype=float),
-                             (item_matrix.shape[0],))
+    n = item_matrix.shape[0] if rows is None else len(rows)
+    delays = np.broadcast_to(np.asarray(attach_delay_h, dtype=float), (n,))
     return _arm_probabilities(
         first, item_matrix, delays, round1_set,
-        lambda arm, rows: arm.discount_pct * delays[rows],
+        lambda arm, block: arm.discount_pct * delays[block], rows,
     )
 
 
@@ -222,28 +228,36 @@ def ipw_weights(
         raise InputError("items and round-1 records must be aligned")
     if (cat.ids != round1_records.item_ids).any():
         raise InputError("items and round-1 records must be aligned by item_id")
-    return _ipw(first, item_matrix, round1_records, None, round1_set, epsilon, variant)[0]
+    return _ipw(first, item_matrix, None, round1_records, None, round1_set, epsilon,
+                variant)[0]
 
 
-def _ipw(first, item_matrix, log1, rows, round1_set, epsilon, variant):
-    """(``ipw_weights``, mean round-1 propensity) for the round-1 rows ``rows``.
+def _ipw(first, item_matrix, cat_rows, log1, r1_rows, round1_set, epsilon, variant):
+    """(``ipw_weights``, mean round-1 propensity) for the round-1 rows ``r1_rows``.
 
-    ``rows`` selects rows of the round-1 log ``log1`` (None: all of them) and
-    ``item_matrix`` holds their items' features, one row each.
+    ``r1_rows`` selects rows of the round-1 log ``log1`` (None: all of them);
+    the i-th selected row's item is row ``cat_rows[i]`` of ``item_matrix`` (row
+    i when ``cat_rows`` is None). Only the ``applied`` variant reads the coupon
+    columns.
     """
     if not 0.0 < epsilon <= 1.0:
         raise InputError("epsilon must lie in (0, 1]")
     if variant not in (IPW_VARIANT_MEAN, IPW_VARIANT_APPLIED):
         raise InputError(f"unknown IPW variant {variant!r}")
-    disc, validity, cap, delays = (c if rows is None else c[rows] for c in (
-        log1.discount_pct, log1.validity_hours, log1.cap_yen, log1.attach_delay_h))
-    mean_p1 = np.mean(round1_arm_probabilities(first, item_matrix, round1_set, delays), axis=1)
+
+    def column(values):
+        return values if r1_rows is None else values[r1_rows]
+
+    delays = column(log1.attach_delay_h)
+    mean_p1 = np.mean(round1_arm_probabilities(first, item_matrix, round1_set, delays,
+                                               rows=cat_rows), axis=1)
     if variant == IPW_VARIANT_MEAN:
         p1 = mean_p1
     else:
-        p1 = predict_matrix(
-            first, encode_rows(item_matrix, delays, disc, validity, cap, disc * delays)
-        )
+        disc = column(log1.discount_pct)
+        p1 = predict_matrix(first, encode_rows(
+            item_matrix, delays, disc, column(log1.validity_hours), column(log1.cap_yen),
+            disc * delays, rows=cat_rows))
     return 1.0 / np.clip(1.0 - p1, epsilon, 1.0), mean_p1
 
 
@@ -282,18 +296,23 @@ def fit_second_round(
 ) -> Model:
     """Train the second-round model on survivors with inverse-propensity weights.
 
-    As in ``fit_first_round``, ``train`` standardises the design in place.
+    The survivors' items are read from the catalog matrix through their row
+    indices, so no gathered copy of their rows is made. As in
+    ``fit_first_round``, ``train`` standardises the design in place.
     """
     matrix = item_feature_matrix(cat)
     if not len(round2_log):
         raise DegenerateDataError("round-2 survivor log is empty")
     cat_rows, r1_rows = _survivor_frames(cat, round1_log, round2_log)
-    item_matrix = matrix[cat_rows]
-    weights, mean_p1 = _ipw(first, item_matrix, round1_log, r1_rows, round1_set, epsilon,
+    weights, mean_p1 = _ipw(first, matrix, cat_rows, round1_log, r1_rows, round1_set, epsilon,
                             variant)
-    features = encode_rows(item_matrix, cat.age_days[cat_rows] * 24.0,
+    # Each O(n) column is freed once read: the design matrix, and then the
+    # fit, hold only the columns they still need beside them.
+    del r1_rows
+    features = encode_rows(matrix, cat.age_days[cat_rows] * 24.0,
                            round2_log.discount_pct, round2_log.validity_hours,
-                           round2_log.cap_yen, mean_p1)
+                           round2_log.cap_yen, mean_p1, rows=cat_rows)
+    del cat_rows, mean_p1
     data = Dataset(features, round2_log.sold, weights=weights, schema_id=SCHEMA_ROUND2)
     return train(data, config, in_place=True)
 

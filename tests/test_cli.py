@@ -311,6 +311,28 @@ class TestDeterminism:
                      "--quiet"]) == 0
         assert hashed == [1200, 1300]
 
+    def test_a_failed_run_leaves_no_manifest_and_a_rerun_matches_a_clean_run(
+        self, ws, tmp_path, monkeypatch
+    ):
+        """The manifest is written after the last artifact: a writer that fails
+        on the round-2 log leaves the catalog and round-1 log unstamped."""
+        real_write = fileio.write_outcomes
+
+        def write_outcomes(log, path):
+            if path.endswith(cli.ROUND2_LOG_FILE):
+                raise OSError("disk full")
+            real_write(log, path)
+
+        monkeypatch.setattr(fileio, "write_outcomes", write_outcomes)
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", ws["cfg"], "--out", str(out), "--quiet"]) == 3
+        assert sorted(p.name for p in out.iterdir()) == ["catalog.csv", "round1_log.csv"]
+        monkeypatch.setattr(fileio, "write_outcomes", real_write)
+        assert main(["simulate", "--config", ws["cfg"], "--out", str(out), "--quiet"]) == 0
+        names = ["catalog.csv", "round1_log.csv", "round2_log.csv", fileio.MANIFEST_NAME]
+        assert sorted(p.name for p in out.iterdir()) == sorted(names)
+        assert {n: sha(str(out / n)) for n in names} == {n: sha(f"{ws['sim']}/{n}") for n in names}
+
     def test_seed_override_changes_the_world(self, ws, tmp_path):
         out = tmp_path / "seed99"
         code = main(["simulate", "--config", ws["cfg"], "--out", str(out),
@@ -533,7 +555,7 @@ class TestExitCodes:
         assert main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
         assert (f"{artifact}: malformed model artifact: unknown model kind {kind!r}"
                 in capsys.readouterr().err)
-        assert sorted(p.name for p in out.iterdir()) == [fileio.MANIFEST_NAME]
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("artifact,field,edit", [
         (fileio.FIRST_MODEL_FILE, "feature_scale", lambda v: None),

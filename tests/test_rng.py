@@ -6,11 +6,17 @@ from seqcoupon import rng
 class TestItemKeys:
     def test_batch_matches_scalar_key(self):
         """As an ``S`` array and as a list of ``bytes``: multi-byte UTF-8, ids of
-        many lengths, and trailing spaces, which ``S`` keeps (it drops NULs)."""
+        many lengths, and trailing spaces, which ``S`` keeps (it drops NULs).
+        Three whole hashing blocks and a remainder, with an empty and a
+        multi-byte id on each side of every block edge."""
+        block = rng._HASH_BLOCK_IDS
         ids = ["it0000001", "sl0000042", "", "商品-7", "café", "x" * 200] + [
             f"{prefix}{i}{' ' * (i % 3)}"
-            for i in range(300) for prefix in ("it", "商品-", "ß" * (i % 9))
+            for i in range(block + 7) for prefix in ("it", "商品-", "ß" * (i % 9))
         ]
+        assert 3 * block < len(ids) < 4 * block
+        for edge in (block, 2 * block, 3 * block):
+            ids[edge - 2:edge + 2] = ["", "商品-α", "", "ß€"]
         encoded = [i.encode() for i in ids]
         keys = rng.item_keys(np.array(encoded))
         assert keys.dtype == np.uint64 and keys.shape == (len(ids),)

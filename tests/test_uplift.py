@@ -318,6 +318,25 @@ class TestTrainingMemory:
         _, peak = traced_peak(lambda: fit_first_round(cat, log1, config))
         assert peak < 2 * n * len(ROUND1_FEATURE_NAMES) * 8, peak
 
+    def test_each_fit_holds_its_design_matrix_and_a_few_columns(self, round1_menu,
+                                                                 round2_menu):
+        """Above entry, each fit peaks at its own design matrix plus a few
+        O(n) columns. The second reads the survivors' items through their
+        catalog rows; a gathered copy of them took it to 2.37 survivor design
+        matrices here, and the Newton loop's float labels and third sigmoid
+        column took the first to 1.59."""
+        sim = SimConfig(n_items=20_000, rng_seed=5)
+        cat = generate_catalog(sim)
+        log1, _, log2 = run_rct(GroundTruth(sim), cat, round1_menu, round2_menu,
+                                [0.25] * 4, [0.25] * 4, seed=5)
+        config = LearnerConfig(learning_rate=1.0, epochs=50)
+        first, first_peak = traced_peak(lambda: fit_first_round(cat, log1, config))
+        _, second_peak = traced_peak(lambda: fit_second_round(cat, log1, log2, first,
+                                                              round1_menu, config))
+        row_bytes = len(ROUND1_FEATURE_NAMES) * 8
+        assert first_peak <= 1.40 * len(log1) * row_bytes, first_peak / (len(log1) * row_bytes)
+        assert second_peak <= 1.50 * len(log2) * row_bytes, second_peak / (len(log2) * row_bytes)
+
     def test_arm_scoring_peak_does_not_grow_with_n(self, trained_pair):
         """Beyond its (n, arms) output, scoring holds one block of rows."""
         block_bytes = SCORE_BLOCK_ROWS * len(ROUND1_FEATURE_NAMES) * 8

@@ -208,8 +208,8 @@ def cmd_evaluate(run: _Run) -> None:
             f"{cfg.io.round1_log}: no no-coupon holdout records; lift is undefined"
         )
 
-    matrix = item_feature_matrix(cat)[cat.rows_of(log1.item_ids)]
-    p1 = round1_arm_probabilities(pair.first, matrix, pair.round1_set, log1.attach_delay_h)
+    p1 = round1_arm_probabilities(pair.first, item_feature_matrix(cat), pair.round1_set,
+                                  log1.attach_delay_h, rows=cat.rows_of(log1.item_ids))
     scores = (p1[:, 1:] - p1[:, [0]]).mean(axis=1)
     sold = log1.sold
 

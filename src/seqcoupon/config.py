@@ -305,7 +305,7 @@ def load_config(path: str) -> RunConfig:
         interpolation=None, inline_comment_prefixes=("#", ";")
     )
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             parser.read_file(fh, source=path)
     except configparser.Error as exc:
         raise InputError(f"{path}: {exc}") from None

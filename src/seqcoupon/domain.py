@@ -511,7 +511,7 @@ class CatalogArrays:
             return next(iter(self[[rows]]))
         rows = np.arange(len(self))[rows]
         if not (rows[1:] > rows[:-1]).all():
-            rows = np.unique(rows)
+            rows = _distinct(rows)
         taken = CatalogArrays(
             ids=self.ids[rows], seller_ids=self.seller_ids[rows], price=self.price[rows],
             condition=self.condition[rows], age_days=self.age_days[rows],
@@ -546,36 +546,44 @@ def coupon_coordinates(out: np.ndarray, discount_pct, validity_hours, cap_yen) -
     row per entry of the coupon columns (or one for scalars), and return it.
 
     Discount linear and squared (so arm-level response curves can bend), validity
-    log-scaled (by ``math``, once per distinct value, as ``feature_matrix`` logs
-    prices), cap in thousand yen; the no-coupon arm, all three 0, gets zeros.
-    Each block of ``BLOCK_ROWS`` rows finds its validities among the distinct
-    ones by ``searchsorted``, so no index column the size of ``out`` is made.
+    log-scaled by ``_by_math`` (as ``feature_matrix`` logs prices), cap in thousand
+    yen; the no-coupon arm, all three 0, gets zeros.
     """
     out[..., 0] = discount_pct
     np.square(out[..., 0], out=out[..., 1])
-    validity = np.asarray(validity_hours, dtype=float)
-    # ``np.unique``'s values, found by hand: without ``return_*`` flags it
-    # imports ``numpy.ma`` on first use.
-    distinct = np.sort(validity, axis=None)
-    distinct = distinct[np.append(True, distinct[1:] != distinct[:-1])]
-    logs = _by_math(math.log1p, distinct)
-    if validity.ndim == 0:
-        out[..., 2] = logs[0]
-    else:
-        for lo in range(0, len(validity), BLOCK_ROWS):
-            part = validity[lo:lo + BLOCK_ROWS]
-            out[lo:lo + len(part), 2] = logs[np.searchsorted(distinct, part)]
+    _by_math(math.log1p, validity_hours, out[..., 2])
     np.divide(cap_yen, 1000.0, out=out[..., 3])
     return out
 
 
-def _by_math(function, values: np.ndarray) -> np.ndarray:
-    """``function`` (a ``math`` one) of each of ``values``, through Python floats
-    made one block of ``BLOCK_ROWS`` at a time."""
-    out = np.empty(len(values))
+def _distinct(values) -> np.ndarray:
+    """The sorted distinct entries of ``values``, found by sorting and comparing
+    neighbours: numpy's own ``unique`` imports ``numpy.ma`` on first use."""
+    values = np.sort(values, axis=None)
+    keep = np.ones(len(values), dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
+def _by_math(function, values, out: np.ndarray) -> np.ndarray:
+    """Write ``function`` (a ``math`` one: numpy's SIMD kernels may differ from libm
+    in the last bit) of each entry of ``values`` into ``out``, or of a 0-d ``values``
+    into all of ``out``, and return it. ``function`` runs once per distinct value,
+    and each ``BLOCK_ROWS`` block of rows finds its values among those by
+    ``searchsorted``, so no index column the size of ``out`` is made."""
+    values = np.asarray(values, dtype=float)
+    distinct = _distinct(values)
+    mapped = np.empty(len(distinct))
+    for lo in range(0, len(distinct), BLOCK_ROWS):
+        part = distinct[lo:lo + BLOCK_ROWS].tolist()
+        mapped[lo:lo + len(part)] = np.fromiter(map(function, part), float, len(part))
+    if values.ndim == 0:
+        out[...] = mapped[0]
+        return out
     for lo in range(0, len(values), BLOCK_ROWS):
-        part = values[lo:lo + BLOCK_ROWS].tolist()
-        out[lo:lo + len(part)] = np.fromiter(map(function, part), float, len(part))
+        part = values[lo:lo + BLOCK_ROWS]
+        order = np.argsort(part)  # searches in ascending order branch predictably
+        out[lo:lo + BLOCK_ROWS][order] = mapped[np.searchsorted(distinct, part[order])]
     return out
 
 
@@ -619,18 +627,14 @@ def feature_matrix(price, condition, age_days, likes, demand, season) -> np.ndar
 
     Columns follow ``ITEM_FEATURE_NAMES``: log price, condition, age in days,
     likes, demand index, and the season phase as a point on the unit circle.
-    ``log`` goes through ``math`` once per distinct price: the SIMD kernel
-    behind ``np.log`` may differ from libm in the last bit, and every sale draw
-    and artifact downstream depends on these values. The bits of ``np.sin`` and
+    The log price comes from libm by ``_by_math``. The bits of ``np.sin`` and
     ``np.cos`` depend on the host's kernels (glibc without FMA moves them), as
     ``math.log``'s do, so the catalogs that tests pin hold only on hosts that
     take the same kernels.
     """
-    price = np.asarray(price, dtype=float)
     angle = 2.0 * math.pi * np.asarray(season, dtype=float)
     out = np.empty((len(price), N_ITEM_FEATURES))
-    distinct, inverse = np.unique(price, return_inverse=True)
-    out[:, 0] = _by_math(math.log, distinct)[inverse]
+    _by_math(math.log, price, out[:, 0])
     out[:, 1] = condition
     out[:, 2] = age_days
     out[:, 3] = likes

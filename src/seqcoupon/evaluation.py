@@ -24,7 +24,7 @@ from .decision import (
     allocate_batch,
     allocate_independent_batch,
 )
-from .domain import OutcomeLog
+from .domain import OutcomeLog, _distinct
 from .errors import InputError
 from .simulator import (
     GroundTruth,
@@ -38,6 +38,8 @@ from .uplift import PredictorPair, predict_batch
 
 DEFAULT_BUCKET_H = 2.0
 DEFAULT_DECILES = 10
+# The most buckets a delay table may hold, about a week of delays at 6-second buckets.
+MAX_BUCKETS = 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +143,11 @@ def _prop_diff(sold_a: float, n_a: int, sold_b: float, n_b: int) -> float:
 
 
 def _buckets(values: np.ndarray, max_value: float, bucket_h: float):
-    """Bucket starts up to ``max_value``, and each value's bucket: the last start <= it."""
+    """Bucket starts up to ``max_value``, and each value's bucket: the last start <= it.
+    More than ``MAX_BUCKETS`` buckets are refused."""
+    if not max_value / bucket_h < MAX_BUCKETS:
+        raise InputError(f"a delay of {max_value} h at bucket_h = {bucket_h} h needs more "
+                         f"than {MAX_BUCKETS} buckets")
     n_buckets = max(1, int(math.floor(max_value / bucket_h)) + 1)
     edges = np.arange(n_buckets, dtype=float) * bucket_h
     return edges, np.searchsorted(edges, values, side="right") - 1
@@ -167,7 +173,6 @@ def delay_analysis(
     sold = records.sold
     attach = records.attach_delay_h
     purchase = records.purchase_delay_h
-    price = records.sale_price_yen.astype(float)
 
     edges, bucket = _buckets(attach, float(attach.max()), bucket_h)
     n_t, n_c, sold_t, sold_c = (np.bincount(bucket[rows], minlength=len(edges)).tolist()
@@ -180,11 +185,14 @@ def delay_analysis(
     has_sale = sold & np.isfinite(purchase)
     max_purchase = float(purchase[has_sale].max()) if has_sale.any() else 0.0
     edges, bucket = _buckets(purchase[has_sale], max_purchase, bucket_h)
-    sale_price, n_sold = price[has_sale], np.bincount(bucket, minlength=len(edges)).tolist()
+    # Sales and their yen per bucket: integer-yen sums are exact, so each mean
+    # below is the one numpy would take.
+    n_sold, gmv = (np.bincount(bucket, weights, len(edges)).tolist()
+                   for weights in (None, records.sale_price_yen[has_sale]))
     str_rows = [BucketRow(float(start), n / len(records) if n else None, n)
                 for start, n in zip(edges, n_sold)]
-    aov_rows = [BucketRow(float(start), float(sale_price[bucket == i].mean()) if n else None, n)
-                for i, (start, n) in enumerate(zip(edges, n_sold))]
+    aov_rows = [BucketRow(float(start), total / n if n else None, n)
+                for start, n, total in zip(edges, n_sold, gmv)]
     return DelayTables(
         bucket_h=float(bucket_h),
         lift_by_attach_delay=tuple(lift_rows),
@@ -275,11 +283,8 @@ class _Ranking:
                 for i in straddled
             ]
         # Whole-row sums are needed only before the ranks in ``at``: sum each
-        # column times ``w`` over the segments between them. The edges are
-        # ``np.unique``'s, found by hand: without ``return_*`` flags it imports
-        # ``numpy.ma`` on first use.
-        edges = np.sort(np.append(at, 0))
-        edges = edges[np.append(True, edges[1:] != edges[:-1])]
+        # column times ``w`` over the segments between them.
+        edges = _distinct(np.append(at, 0))
         through = np.zeros((len(self.columns), len(edges)), dtype=np.int64)
         for k, column in enumerate(self.columns):
             np.multiply(w, column, out=self._product)

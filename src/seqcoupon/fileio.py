@@ -36,7 +36,8 @@ import numpy as np
 
 from . import __version__
 from .decision import PlanTable
-from .domain import YEN_BOUND, CatalogArrays, CouponConfig, CouponSet, OutcomeLog, check_catalog
+from .domain import (BLOCK_ROWS, YEN_BOUND, CatalogArrays, CouponConfig, CouponSet,
+                     OutcomeLog, check_catalog)
 from .errors import InputError, ManifestMismatchError
 from .evaluation import ComparisonReport, DelayTables, StrategyMetrics, UpliftCurve
 from .learner import GridResult, LearnerConfig, Model, Stump
@@ -104,7 +105,7 @@ def fmt(value: Optional[float]) -> str:
 
 
 def _write_text(path: str, text: str) -> None:
-    with open(path, "w", newline="\n") as fh:
+    with open(path, "w", newline="\n", encoding="utf-8") as fh:
         fh.write(text)
 
 
@@ -291,9 +292,6 @@ def _read_table(path: str, columns: Sequence[Column]) -> dict:
     return {c.name: [row[c.name] for row in rows] for c in columns}
 
 
-WRITE_BLOCK_ROWS = 8192
-
-
 def _quote(cell: str) -> str:
     """``cell`` as ``csv.QUOTE_MINIMAL`` writes it: quoted where it holds a comma,
     quote, CR or LF, with its quotes doubled."""
@@ -327,8 +325,8 @@ def _write_table(path: str, columns: Sequence[Column], table, sold=None) -> None
     row_format = ",".join("%s" if c.rule == "sale" else CELL_FORMATS[c.kind] for c in columns)
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
         fh.write(_header(columns) + "\n")
-        for lo in range(0, len(table), WRITE_BLOCK_ROWS):
-            rows = slice(lo, lo + WRITE_BLOCK_ROWS)
+        for lo in range(0, len(table), BLOCK_ROWS):
+            rows = slice(lo, lo + BLOCK_ROWS)
             block = [_cells(getattr(table, c.name)[rows], c, None if sold is None else sold[rows])
                      for c in columns]
             fh.write("\n".join(map(row_format.__mod__, zip(*block))) + "\n")
@@ -396,7 +394,7 @@ def _dump_json(payload: dict, path: str) -> None:
 
 
 def _load_json(path: str) -> dict:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
@@ -447,7 +445,7 @@ def load_model(path: str) -> Model:
             intercept=float(payload["intercept"]),
             coef=None if payload["coef"] is None else np.array(payload["coef"], dtype=float),
             stumps=tuple(
-                Stump(int(f), float(t), float(lv), float(rv))
+                Stump(f, float(t), float(lv), float(rv))
                 for f, t, lv, rv in payload["stumps"]
             ),
             # Keys of no ``LearnerConfig`` field (an old ``rng_seed``) are ignored.
@@ -461,8 +459,9 @@ def load_model(path: str) -> Model:
             raise ValueError("feature_mean must be finite and feature_scale finite and > 0")
         if not np.isfinite([model.intercept, *([] if model.coef is None else model.coef)]).all():
             raise ValueError("the intercept and coefficients must be finite")
-        if not all(0 <= s.feature < len(mean) for s in model.stumps):
-            raise ValueError(f"stump features must lie in [0, {len(mean)})")
+        # ``type`` and not ``isinstance``: a bool is an int too.
+        if not all(type(s.feature) is int and 0 <= s.feature < len(mean) for s in model.stumps):
+            raise ValueError(f"stump features must be integers in [0, {len(mean)})")
         leaves = [(s.threshold, s.left_value, s.right_value) for s in model.stumps]
         if not np.isfinite(leaves).all():
             raise ValueError("stump thresholds and leaf values must be finite")

@@ -82,10 +82,12 @@ class LearnerConfig:
             raise InputError("learning_rate must be > 0")
         if not self.l2 >= 0:
             raise InputError("l2 must be >= 0")
-        if self.epochs < 1:
-            raise InputError("epochs must be >= 1")
-        if self.max_stumps < 1:
-            raise InputError("max_stumps must be >= 1")
+        for name in ("epochs", "max_stumps"):
+            value = getattr(self, name)
+            if type(value) is not int:  # a bool is an int too
+                raise InputError(f"{name} must be an int, got {value!r}")
+            if value < 1:
+                raise InputError(f"{name} must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .domain import (
+    BLOCK_ROWS,
     N_COUPON_FEATURES,
     N_ITEM_FEATURES,
     SCHEMA_ROUND1,
@@ -48,9 +49,6 @@ from .learner import (
 )
 
 IPW_EPSILON_DEFAULT = 1e-3
-# Per-arm scoring standardises this many rows at a time into one buffer
-# (416 KiB at the 13 design columns), so its memory does not grow with n.
-SCORE_BLOCK_ROWS = 4096
 IPW_VARIANT_MEAN = "mean"
 IPW_VARIANT_APPLIED = "applied"
 
@@ -151,14 +149,15 @@ def _arm_probabilities(model: Model, item_matrix, slot, coupon_set: CouponSet, l
     ``slot`` column (attach delay or elapsed age), the coupon's coordinates and
     the last column ``last(coupon, block)`` of the rows ``block`` (a slice).
     Row i's item is row ``rows[i]`` of ``item_matrix`` (row i when ``rows`` is
-    None), gathered per block. The rows are scored in blocks of
-    ``SCORE_BLOCK_ROWS`` through one reused C-contiguous buffer: a block's item
-    and slot columns are standardised once, and per arm only the coupon and
-    last columns are rewritten. Every entry equals ``predict_matrix`` on that
-    arm's encoded matrix, bit for bit: the matrix-vector product rounds a row
-    alike in any block that starts at a multiple of the block size, except a
-    block of one row, which numpy scores by a dot product. So a lone last row
-    is scored with the block before it.
+    None), gathered per block. The rows are scored in blocks of ``BLOCK_ROWS``
+    through one reused C-contiguous buffer (416 KiB at the 13 design columns),
+    so its memory does not grow with n: a block's item and slot columns are
+    standardised once, and per arm only the coupon and last columns are
+    rewritten. Every entry equals ``predict_matrix`` on that arm's encoded
+    matrix, bit for bit: the matrix-vector product rounds a row alike in any
+    block that starts at a multiple of the block size, except a block of one
+    row, which numpy scores by a dot product. So a lone last row is scored
+    with the block before it.
     """
     width = N_ITEM_FEATURES + 1 + N_COUPON_FEATURES + 1
     n = item_matrix.shape[0] if rows is None else len(rows)
@@ -170,10 +169,10 @@ def _arm_probabilities(model: Model, item_matrix, slot, coupon_set: CouponSet, l
     coordinates -= mean[coupon]
     coordinates /= scale[coupon]
     probs = np.empty((n, len(coupon_set)))
-    edges = [*range(0, n, SCORE_BLOCK_ROWS), n]
+    edges = [*range(0, n, BLOCK_ROWS), n]
     if len(edges) > 2 and n - edges[-2] == 1:
         del edges[-2]
-    buffer = np.empty((min(n, SCORE_BLOCK_ROWS + 1), width))
+    buffer = np.empty((min(n, BLOCK_ROWS + 1), width))
     for lo, hi in zip(edges, edges[1:]):
         block = slice(lo, hi)
         Xs = buffer[:hi - lo]

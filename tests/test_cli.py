@@ -570,12 +570,17 @@ class TestExitCodes:
         (fileio.FIRST_MODEL_FILE, "coef", lambda v: v[:-1] + [float("-inf")]),
         (fileio.SECOND_MODEL_FILE, "stumps", lambda v: [[99, *v[0][1:]], *v[1:]]),
         (fileio.SECOND_MODEL_FILE, "stumps", lambda v: [[-1, *v[0][1:]], *v[1:]]),
+        (fileio.SECOND_MODEL_FILE, "stumps", lambda v: [[1.7, *v[0][1:]], *v[1:]]),
+        (fileio.SECOND_MODEL_FILE, "stumps", lambda v: [[True, *v[0][1:]], *v[1:]]),
+        (fileio.FIRST_MODEL_FILE, "config", lambda v: {**v, "epochs": 2.5}),
+        (fileio.SECOND_MODEL_FILE, "config", lambda v: {**v, "max_stumps": True}),
         *((fileio.SECOND_MODEL_FILE, "stumps",
            lambda v, i=i, x=x: [[*v[0][:i], x, *v[0][i + 1:]], *v[1:]])
           for i in (1, 2, 3) for x in (float("nan"), float("inf"))),
     ], ids=["scale_null", "scale_empty", "scale_one_entry", "scale_negative", "scale_zero",
             "scale_nan", "mean_2d", "mean_inf", "intercept_nan", "coef_inf",
-            "stump_feature_99", "stump_feature_negative",
+            "stump_feature_99", "stump_feature_negative", "stump_feature_fraction",
+            "stump_feature_bool", "config_epochs_fraction", "config_max_stumps_bool",
             *(f"stump_{field}_{x}" for field in ("threshold", "left_value", "right_value")
               for x in ("nan", "inf"))])
     def test_malformed_model_field_exits_2_naming_the_file(self, ws, tmp_path, capsys,

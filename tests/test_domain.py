@@ -1,6 +1,10 @@
 import dataclasses
 import math
+import os
 import re
+import subprocess
+import sys
+import textwrap
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,9 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import seqcoupon
 from seqcoupon import rng
 from seqcoupon.config import RunConfig
 from seqcoupon.domain import (
+    BLOCK_ROWS,
     CouponConfig,
     CouponSet,
     ItemRecord,
@@ -19,6 +25,8 @@ from seqcoupon.domain import (
     OutcomeRecord,
     ROUND1_FEATURE_NAMES,
     CatalogArrays,
+    _by_math,
+    _distinct,
     encode_round2_batch,
     encode_rows,
     feature_matrix,
@@ -641,6 +649,45 @@ class TestEncoding:
         assert len(np.unique(price)) < n
         expected = [math.log(p) for p in price.tolist()]
         assert matrix[:, 0].view(np.int64).tolist() == np.array(expected).view(np.int64).tolist()
+
+    @pytest.mark.parametrize("values", [[], [3], [5, 1, 5, 2, 1, 1], [9, 7, 5, 3]])
+    def test_distinct_values_ascend_once_each(self, values):
+        assert _distinct(np.array(values, dtype=np.int64)).tolist() == sorted(set(values))
+
+    @pytest.mark.parametrize("function", [math.log, math.log1p])
+    @pytest.mark.parametrize("n", [0, 1, 2 * BLOCK_ROWS + 5])
+    def test_by_math_is_libm_entry_by_entry(self, function, n):
+        # Repeated values out of order, among them prices whose log np.log's SIMD
+        # kernel rounds differently, over more than one block of rows.
+        gen = np.random.default_rng(n)
+        values = gen.choice(np.array([9170.0, 19143.0, 72.0, 0.5, 1.0, 250_000.0]), n)
+        out = _by_math(function, values, np.full(n, np.nan))
+        expected = np.array([function(v) for v in values.tolist()], dtype=float)
+        assert out.view(np.int64).tolist() == expected.view(np.int64).tolist()
+
+    @pytest.mark.parametrize("function", [math.log, math.log1p])
+    def test_by_math_of_a_scalar_fills_out(self, function):
+        out = _by_math(function, np.float64(19143.0), np.full((BLOCK_ROWS + 3, 2), np.nan))
+        assert (out.view(np.int64) == np.float64(function(19143.0)).view(np.int64)).all()
+
+
+def test_featurising_and_taking_rows_do_not_import_numpy_ma():
+    """numpy's ``unique`` imports ``numpy.ma`` on first use (15-18 ms): a fresh
+    process that draws a catalog and takes its rows out of order must not pay it."""
+    script = textwrap.dedent("""
+        import sys
+        import numpy as np
+        from seqcoupon.simulator import SimConfig, generate_catalog
+        cat = generate_catalog(SimConfig(n_items=50, rng_seed=1))
+        taken = cat[np.arange(len(cat))[::-2]]
+        assert (taken.ids[1:] > taken.ids[:-1]).all() and len(taken) == 25
+        print("numpy.ma" in sys.modules)
+    """)
+    src = os.path.dirname(os.path.dirname(seqcoupon.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == ["False"]
 
 
 # Each public entry point that takes a catalog, reached from records that hold

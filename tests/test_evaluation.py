@@ -125,6 +125,13 @@ class TestDelayAnalysis:
                 OutcomeLog.from_records(group("t", 5, 1, coupon=TEN_PCT)), bucket_h=0.0
             )
 
+    def test_a_delay_past_the_bucket_bound_is_refused(self):
+        # One bucket per 2 h up to 1e20 h asked numpy for 5e19 bucket starts.
+        records = group("t", 5, 1, coupon=TEN_PCT) + group("c", 5, 1, attach=1e20)
+        with pytest.raises(InputError, match=r"a delay of 1e\+20 h at bucket_h = 2.0 h needs "
+                                             f"more than {evaluation.MAX_BUCKETS} buckets"):
+            delay_analysis(OutcomeLog.from_records(records), bucket_h=2.0)
+
     @pytest.mark.parametrize("bucket_h", [0.1, 0.3, 1.1, 2.0])
     def test_each_delay_lands_in_one_bucket(self, bucket_h):
         # Delays on the bucket edges, as products i * bucket_h and as the decimals

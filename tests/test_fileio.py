@@ -23,7 +23,7 @@ from seqcoupon.decision import (
     allocate_batch,
     materialize_plans,
 )
-from seqcoupon.domain import CouponConfig, OutcomeLog
+from seqcoupon.domain import BLOCK_ROWS, CouponConfig, OutcomeLog
 from seqcoupon.errors import InputError, ManifestMismatchError
 from seqcoupon.evaluation import (
     BucketRow,
@@ -218,11 +218,17 @@ class TestNonAsciiIds:
 
 
     def test_files_are_utf8_in_an_ascii_locale(self, tmp_path):
-        # The writer and both readers use UTF-8 whatever the locale's encoding.
+        # The writer and both readers use UTF-8 whatever the locale's encoding, and
+        # so do the config reader and the JSON writer and reader.
+        config = tmp_path / "run.cfg"
+        config.write_text("[simulator]\nn_items = 30\n\n[io]\ncatalog = 目録/catalog.csv\n"
+                          "round1_log = r1.csv\nround2_log = r2.csv\nmodel_dir = model\n",
+                          encoding="utf-8")
         script = f"""
 import locale
 from unittest import mock
 from seqcoupon import fileio
+from seqcoupon.cli import main
 from test_fileio import non_ascii_catalog, SimConfig
 assert locale.getpreferredencoding(False) != "UTF-8"
 items, path = non_ascii_catalog(SimConfig(n_items=30, rng_seed=3)), {str(tmp_path / "c.csv")!r}
@@ -231,6 +237,9 @@ fast = fileio.read_catalog(path)
 with mock.patch.object(fileio, "_parse_columns", return_value=None):
     rows = fileio.read_catalog(path)
 assert fast.ids.tobytes() == rows.ids.tobytes() == items.ids.tobytes()
+for _ in range(2):  # the rerun reads back the manifest the first run wrote
+    assert main(["simulate", "--config", {str(config)!r}, "--out", {str(tmp_path / "sim")!r},
+                 "--quiet"]) == 0
 """
         tests = os.path.dirname(os.path.abspath(__file__))
         env = {**os.environ, "LC_ALL": "POSIX", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
@@ -695,7 +704,7 @@ class TestPlanWriter:
     def test_table_writer_matches_the_per_plan_writer(self, tmp_path, round1_menu, round2_menu):
         # More rows than one write block, with free (ROI +inf) and infeasible plans.
         gen = np.random.default_rng(6)
-        n = fileio.WRITE_BLOCK_ROWS + 300
+        n = BLOCK_ROWS + 300
         p1, p2 = gen.uniform(0.0, 0.9, (n, 4)), gen.uniform(0.0, 0.9, (n, 4))
         p_baseline = gen.uniform(0.05, 0.9, n)
         prices, ltvs = gen.integers(300, 60000, n), gen.integers(1000, 300000, n)

@@ -115,6 +115,14 @@ class TestLearnerConfigValidation:
         with pytest.raises(InputError):
             LearnerConfig(max_stumps=0)
 
+    @pytest.mark.parametrize("bad", [2.5, 3.0, True, "3"])
+    def test_epochs_and_stumps_are_ints(self, bad):
+        # A boosted fit would die in ``range`` on 2.5 (a TypeError), and True ran as 1.
+        with pytest.raises(InputError, match=f"epochs must be an int, got {bad!r}"):
+            LearnerConfig(epochs=bad)
+        with pytest.raises(InputError, match=f"max_stumps must be an int, got {bad!r}"):
+            LearnerConfig(max_stumps=bad)
+
 
 class TestLogistic:
     def test_constant_features_learn_the_base_rate(self):

@@ -299,7 +299,7 @@ def pairs(small_world, round1_menu, round2_menu, trained_pair):
     return [trained_pair, fit(logistic, logistic), fit(boosted, logistic)]
 
 
-# Row counts around the edges of uplift.SCORE_BLOCK_ROWS, the scoring block.
+# Row counts around the edges of domain.BLOCK_ROWS, the scoring block.
 BLOCK_EDGES = (0, 1, 4095, 4096, 4097, 10000)
 
 

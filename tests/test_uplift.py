@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from seqcoupon.domain import (
+    BLOCK_ROWS,
     ROUND1_FEATURE_NAMES,
     ROUND2_FEATURE_NAMES,
     SCHEMA_ROUND1,
@@ -28,7 +29,6 @@ from seqcoupon.uplift import (
     IPW_VARIANT_MEAN,
     ItemPredictions,
     PredictorPair,
-    SCORE_BLOCK_ROWS,
     fit_first_round,
     fit_second_round,
     ipw_weights,
@@ -339,10 +339,10 @@ class TestTrainingMemory:
 
     def test_arm_scoring_peak_does_not_grow_with_n(self, trained_pair):
         """Beyond its (n, arms) output, scoring holds one block of rows."""
-        block_bytes = SCORE_BLOCK_ROWS * len(ROUND1_FEATURE_NAMES) * 8
+        block_bytes = BLOCK_ROWS * len(ROUND1_FEATURE_NAMES) * 8
         extra = {}
         for blocks in (2, 8):
-            n = blocks * SCORE_BLOCK_ROWS
+            n = blocks * BLOCK_ROWS
             cat = generate_catalog(SimConfig(n_items=n, rng_seed=blocks))
             delays = np.random.default_rng(blocks).uniform(0, 36, n)
             probs, peak = traced_peak(lambda: round1_arm_probabilities(

@@ -10,13 +10,15 @@ Five subcommands form a pipeline over an output directory tree:
 
 Every command reads one config file, writes into ``--out``, and stamps the
 directory with a manifest (tool version, config hash, seed) after its last
-artifact. Re-running with the same inputs reproduces every output byte for
-byte; resuming into a directory whose manifest disagrees is refused rather
-than overwritten.
+artifact; each artifact appears whole or not at all. Re-running with the same
+inputs reproduces every output byte for byte; resuming into a directory whose
+manifest disagrees is refused rather than overwritten.
 
-Exit codes: 0 success; 1 internal error; 2 unparseable config or invalid
-input data; 3 IO failure or manifest mismatch; 4 unidentifiable training log
-(single arm); 5 model/encoder schema mismatch; 6 missing no-coupon holdout.
+Exit codes: 0 success; 1 internal error; 2 unparseable config, invalid
+input data, an input that is not UTF-8 or an input path the file system
+encoding cannot encode; 3 IO failure or manifest mismatch; 4 unidentifiable
+training log (single arm); 5 model/encoder schema mismatch; 6 missing
+no-coupon holdout.
 """
 
 from __future__ import annotations

@@ -35,6 +35,7 @@ default.
 from __future__ import annotations
 
 import configparser
+import io
 import itertools
 import math
 import typing
@@ -45,6 +46,7 @@ from .decision import DEFAULT_ATTACH_DELAY_H, PolicyConstraint
 from .domain import CouponConfig, CouponSet
 from .errors import InputError
 from .evaluation import DEFAULT_BUCKET_H, DEFAULT_DECILES
+from .fileio import read_utf8
 from .learner import LearnerConfig
 from .simulator import SimConfig
 from .uplift import IPW_EPSILON_DEFAULT, IPW_VARIANT_APPLIED, IPW_VARIANT_MEAN, check_ipw_epsilon
@@ -305,12 +307,9 @@ def load_config(path: str) -> RunConfig:
         interpolation=None, inline_comment_prefixes=("#", ";")
     )
     try:
-        with open(path, encoding="utf-8") as fh:
-            parser.read_file(fh, source=path)
+        parser.read_file(io.StringIO(read_utf8(path).decode(), newline=None), source=path)
     except configparser.Error as exc:
         raise InputError(f"{path}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise InputError(f"{path}: not a text file: {exc}") from None
     for section in parser.sections():
         if section not in _KNOWN_SECTIONS:
             raise InputError(f"{path}: unknown section [{section}]")

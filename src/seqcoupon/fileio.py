@@ -18,7 +18,8 @@ cells, each as wide as its column's widest cell as one scan of the file
 measures it, then typed by whole-column checks and casts, so no cell passes
 through Python on its own), the row parser it falls back to and the writer's
 cell formats all follow from the spec, so one ``_read_table`` and one
-``_write_table`` serve every table.
+``_table_chunks`` serve every table. One reader, ``read_utf8``, opens every
+input and one writer, ``_write_text``, every artifact.
 """
 
 from __future__ import annotations
@@ -29,8 +30,9 @@ import hashlib
 import io
 import json
 import os
+import sys
 import warnings
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -104,9 +106,18 @@ def fmt(value: Optional[float]) -> str:
     return "" if value is None else FLOAT_CELL % value
 
 
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        fh.write(text)
+def _write_text(path: str, chunks: Iterable[str]) -> None:
+    """The one writer: ``chunks`` as UTF-8 with LF newlines into ``<path>.tmp``,
+    renamed over ``path`` after the last, so an artifact appears whole or not at all."""
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w", newline="\n", encoding="utf-8") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def _parse_cell(cell: str, column: Column, path: str, line: int):
@@ -139,10 +150,16 @@ def _parse_row(row: list[str], columns: Sequence[Column], path: str, line: int) 
     return values
 
 
-def _read_utf8(path: str) -> bytes:
-    """The file's bytes; bytes that are not UTF-8 raise InputError naming their line."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+def read_utf8(path: str) -> bytes:
+    """The one reader: the file's bytes. Bytes that are not UTF-8 raise
+    InputError naming their line, and a path the file system encoding cannot
+    hold raises InputError naming it."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except UnicodeEncodeError:
+        raise InputError(f"{path}: the file system encoding "
+                         f"{sys.getfilesystemencoding()} cannot encode this path") from None
     if not data.isascii():
         try:
             data.decode()
@@ -155,7 +172,7 @@ def _read_utf8(path: str) -> bytes:
 def _read_rows(path: str, expected_header: str) -> list[tuple[int, list[str]]]:
     """The row parser: every non-blank row after the header, with its line number.
     A cell past ``csv``'s field size limit raises InputError naming its line."""
-    reader = csv.reader(io.StringIO(_read_utf8(path).decode(), newline=""))
+    reader = csv.reader(io.StringIO(read_utf8(path).decode(), newline=""))
     rows, end = [], 0
     try:
         header = next(reader, None)
@@ -227,7 +244,7 @@ def _parse_columns(path: str, header: str, dtype: np.dtype) -> Optional[np.ndarr
     parser, which names the line of a bad cell. Read as latin-1, an ``S`` cell
     holds the file's UTF-8 bytes.
     """
-    data, head = _read_utf8(path), header.encode() + b"\n"
+    data, head = read_utf8(path), header.encode() + b"\n"
     if not data.startswith(head) or any(map(data.__contains__, (b'"', b"\r", b"\0"))):
         return None
     scan = _scan_cells(data, len(head) - 1, dtype)
@@ -313,8 +330,8 @@ def _cells(values: np.ndarray, column: Column, sold: Optional[np.ndarray]):
     return values.tolist()
 
 
-def _write_table(path: str, columns: Sequence[Column], table, sold=None) -> None:
-    """Write the header and every row of ``table``, taking each column from the
+def _table_chunks(columns: Sequence[Column], table, sold=None) -> Iterator[str]:
+    """The header and every row of ``table``, taking each column from the
     attribute it names; ``sold`` marks the rows whose sale cells are filled.
 
     Each row is formatted by one ``%`` of the joined cell formats on its
@@ -323,18 +340,17 @@ def _write_table(path: str, columns: Sequence[Column], table, sold=None) -> None
     column is decoded as a ``map``, so only its row's id is alive.
     """
     row_format = ",".join("%s" if c.rule == "sale" else CELL_FORMATS[c.kind] for c in columns)
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        fh.write(_header(columns) + "\n")
-        for lo in range(0, len(table), BLOCK_ROWS):
-            rows = slice(lo, lo + BLOCK_ROWS)
-            block = [_cells(getattr(table, c.name)[rows], c, None if sold is None else sold[rows])
-                     for c in columns]
-            fh.write("\n".join(map(row_format.__mod__, zip(*block))) + "\n")
+    yield _header(columns) + "\n"
+    for lo in range(0, len(table), BLOCK_ROWS):
+        rows = slice(lo, lo + BLOCK_ROWS)
+        block = [_cells(getattr(table, c.name)[rows], c, None if sold is None else sold[rows])
+                 for c in columns]
+        yield "\n".join(map(row_format.__mod__, zip(*block))) + "\n"
 
 
 def write_catalog(items: CatalogArrays, path: str) -> None:
     check_catalog(items)
-    _write_table(path, CATALOG_COLUMNS, items)
+    _write_text(path, _table_chunks(CATALOG_COLUMNS, items))
 
 
 def read_catalog(path: str) -> CatalogArrays:
@@ -343,7 +359,7 @@ def read_catalog(path: str) -> CatalogArrays:
 
 
 def write_outcomes(records: OutcomeLog, path: str) -> None:
-    _write_table(path, OUTCOME_COLUMNS, records, sold=records.sold)
+    _write_text(path, _table_chunks(OUTCOME_COLUMNS, records, sold=records.sold))
 
 
 def read_outcomes(path: str) -> OutcomeLog:
@@ -351,7 +367,7 @@ def read_outcomes(path: str) -> OutcomeLog:
 
 
 def write_plans(plans: PlanTable, path: str) -> None:
-    _write_table(path, PLAN_COLUMNS, plans)
+    _write_text(path, _table_chunks(PLAN_COLUMNS, plans))
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +380,7 @@ def write_curve(curve: UpliftCurve, path: str) -> None:
     for (frac, value), band in zip(curve.points, bands):
         lo, hi = band if band is not None else (None, None)
         lines.append(",".join([fmt(frac), fmt(value), fmt(lo), fmt(hi)]))
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_text(path, ["\n".join(lines) + "\n"])
 
 
 def write_delay_tables(tables: DelayTables, path: str) -> None:
@@ -374,7 +390,7 @@ def write_delay_tables(tables: DelayTables, path: str) -> None:
     for metric, rows in named:
         for r in rows:
             lines.append(",".join([fmt(r.bucket_start_h), metric, fmt(r.value), str(r.n)]))
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_text(path, ["\n".join(lines) + "\n"])
 
 
 # ---------------------------------------------------------------------------
@@ -390,17 +406,14 @@ def _coupon_set_from(payload, purpose: str) -> CouponSet:
 
 
 def _dump_json(payload: dict, path: str) -> None:
-    _write_text(path, json.dumps(payload, sort_keys=True, indent=1, allow_nan=False) + "\n")
+    _write_text(path, [json.dumps(payload, sort_keys=True, indent=1, allow_nan=False) + "\n"])
 
 
 def _load_json(path: str) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: invalid JSON: {exc}") from None
-        except UnicodeDecodeError as exc:
-            raise InputError(f"{path}: not a text file: {exc}") from None
+    try:
+        payload = json.loads(read_utf8(path).decode())
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise InputError(f"{path}: expected a JSON object")
     return payload
@@ -525,7 +538,7 @@ def write_grid_table(results: Sequence[GridResult], path: str) -> None:
             ";".join(fmt(v) for v in r.fold_losses),
             ";".join(str(int(v)) for v in r.prior_folds),
         ]))
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_text(path, ["\n".join(lines) + "\n"])
 
 
 # ---------------------------------------------------------------------------
@@ -561,7 +574,7 @@ def render_comparison_report(report: ComparisonReport) -> str:
 
 
 def write_comparison_report(report: ComparisonReport, path: str) -> None:
-    _write_text(path, render_comparison_report(report))
+    _write_text(path, [render_comparison_report(report)])
 
 
 # ---------------------------------------------------------------------------
@@ -569,11 +582,7 @@ def write_comparison_report(report: ComparisonReport, path: str) -> None:
 
 
 def sha256_of_file(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
+    return hashlib.sha256(read_utf8(path)).hexdigest()
 
 
 def build_manifest(command: str, config_sha256: str, seed: int) -> dict:

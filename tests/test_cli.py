@@ -537,6 +537,21 @@ class TestExitCodes:
         assert str(pair) in capsys.readouterr().err
         assert not (out / "plans.csv").exists()
 
+    @pytest.mark.parametrize("target", ["config", "pair"])
+    def test_non_utf8_input_exits_2_naming_the_file_and_line(self, ws, tmp_path, capsys,
+                                                             target):
+        model, cfg = tmp_path / "model", tmp_path / "p.cfg"
+        shutil.copytree(ws["model"], model)
+        cfg.write_text(sim_config_text(ws["sim"], model))
+        bad = cfg if target == "config" else model / fileio.PAIR_FILE
+        lines = bad.read_bytes().split(b"\n")
+        lines[2] += b"\xff"
+        bad.write_bytes(b"\n".join(lines))
+        out = tmp_path / "o"
+        assert main(["allocate", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+        assert f"{bad}:3: not UTF-8 text" in capsys.readouterr().err
+        assert not out.exists() or not list(out.iterdir())
+
     @pytest.mark.parametrize("command", ["allocate", "evaluate"])
     @pytest.mark.parametrize("kind", ["x", None, []])
     def test_unknown_model_kind_exits_2_naming_the_file(self, ws, tmp_path, capsys, command,

@@ -264,10 +264,16 @@ class TestDiagnostics:
         with pytest.raises(OSError):
             load_config(str(tmp_path / "absent.cfg"))
 
+    def test_crlf_config_loads_as_its_lf_copy(self, tmp_path):
+        lf = write_config(tmp_path, FULL_CONFIG)
+        crlf = tmp_path / "crlf.cfg"
+        crlf.write_bytes((tmp_path / "run.cfg").read_bytes().replace(b"\n", b"\r\n"))
+        assert load_config(str(crlf)) == load_config(lf)
+
     def test_binary_file_rejected(self, tmp_path):
         path = tmp_path / "blob.cfg"
         path.write_bytes(b"\xff\xfe\x00\x01binary")
-        with pytest.raises(InputError, match="not a text file"):
+        with pytest.raises(InputError, match=r"blob\.cfg:1: not UTF-8 text"):
             load_config(str(path))
 
 

@@ -217,13 +217,19 @@ class TestNonAsciiIds:
             assert open(path, "rb").read() == open(per_record, "rb").read()
 
 
+    ASCII_LOCALE = {"LC_ALL": "POSIX", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+
+    @staticmethod
+    def write_run_config(path, catalog):
+        path.write_text(f"[simulator]\nn_items = 30\n\n[io]\ncatalog = {catalog}\n"
+                        "round1_log = r1.csv\nround2_log = r2.csv\nmodel_dir = model\n",
+                        encoding="utf-8")
+
     def test_files_are_utf8_in_an_ascii_locale(self, tmp_path):
         # The writer and both readers use UTF-8 whatever the locale's encoding, and
         # so do the config reader and the JSON writer and reader.
         config = tmp_path / "run.cfg"
-        config.write_text("[simulator]\nn_items = 30\n\n[io]\ncatalog = 目録/catalog.csv\n"
-                          "round1_log = r1.csv\nround2_log = r2.csv\nmodel_dir = model\n",
-                          encoding="utf-8")
+        self.write_run_config(config, "目録/catalog.csv")
         script = f"""
 import locale
 from unittest import mock
@@ -242,9 +248,56 @@ for _ in range(2):  # the rerun reads back the manifest the first run wrote
                  "--quiet"]) == 0
 """
         tests = os.path.dirname(os.path.abspath(__file__))
-        env = {**os.environ, "LC_ALL": "POSIX", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+        env = {**os.environ, **self.ASCII_LOCALE,
                "PYTHONPATH": os.pathsep.join([*sys.path, tests])}
         subprocess.run([sys.executable, "-c", script], env=env, check=True, cwd=tests)
+
+    def test_an_input_path_the_locale_cannot_encode_exits_2_naming_it(self, tmp_path):
+        """The path is refused as input, not left to a traceback from ``open``."""
+        config = tmp_path / "run.cfg"
+        self.write_run_config(config, "目/c.csv")
+        env = {**os.environ, **self.ASCII_LOCALE, "PYTHONPATH": os.pathsep.join(sys.path)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "seqcoupon.cli", "train", "--config", str(config),
+             "--out", str(tmp_path / "model"), "--quiet"],
+            env=env, cwd=tmp_path, capture_output=True, text=True, encoding="ascii",
+            errors="backslashreplace")
+        assert proc.returncode == 2, proc.stderr
+        # The ASCII stderr escapes the path's non-ASCII characters.
+        assert proc.stderr == ("error: \\u76ee/c.csv: the file system encoding ascii "
+                               "cannot encode this path\n")
+
+
+class TestAtomicWrites:
+    """An artifact appears whole or not at all, and no temporary file stays."""
+
+    @pytest.mark.parametrize("earlier", [None, b"earlier bytes\n"])
+    def test_a_writer_that_fails_midway_leaves_the_target_as_it_was(
+            self, tmp_path, monkeypatch, earlier):
+        items = generate_catalog(SimConfig(n_items=BLOCK_ROWS + 904, rng_seed=1))
+        path = tmp_path / "catalog.csv"
+        if earlier is not None:
+            path.write_bytes(earlier)
+        cells, blocks = fileio._cells, []
+
+        def cells_failing_in_the_second_block(values, column, sold):
+            if column.header == "item_id":  # the first column of each block
+                blocks.append(len(values))
+            if len(blocks) == 2:
+                raise OSError("disk full")
+            return cells(values, column, sold)
+
+        monkeypatch.setattr(fileio, "_cells", cells_failing_in_the_second_block)
+        with pytest.raises(OSError, match="disk full"):
+            write_catalog(items, str(path))
+        assert blocks == [BLOCK_ROWS, 904]
+        assert (path.read_bytes() if path.exists() else None) == earlier
+        assert os.listdir(tmp_path) == ([] if earlier is None else [path.name])
+        monkeypatch.undo()
+        write_catalog(items, str(path))
+        assert len(read_catalog(str(path))) == len(items)
+        assert os.listdir(tmp_path) == [path.name]
+
 
 class TestQuotedIds:
     """An id holding a comma, quote, CR or LF is written quoted, as ``csv`` writes it,

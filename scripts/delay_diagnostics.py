@@ -34,10 +34,8 @@ def main() -> None:
     menus = RunConfig()
     sim = SimConfig(n_items=args.items, rng_seed=args.seed)
     items = generate_catalog(sim)
-    uniform = [1.0 / len(menus.round1_set)] * len(menus.round1_set)
     log1, _, _ = run_rct(
-        GroundTruth(sim), items, menus.round1_set, menus.round2_set,
-        uniform, uniform, seed=args.seed,
+        GroundTruth(sim), items, menus.round1_set, menus.round2_set, None, None, seed=args.seed,
     )
     tables = delay_analysis(log1, args.bucket_h)
 

@@ -51,8 +51,7 @@ def main() -> None:
     tracemalloc.start()
     cat, catalog_peak = traced(lambda: generate_catalog(sim))
     (log1, _, log2), rct_peak = traced(lambda: run_rct(
-        GroundTruth(sim), cat, r1, r2, [1.0 / len(r1)] * len(r1), [1.0 / len(r2)] * len(r2),
-        seed=seed))
+        GroundTruth(sim), cat, r1, r2, None, None, seed=seed))
     first, first_peak = traced(lambda: fit_first_round(cat, log1, cfg.learner.base))
     _, second_peak = traced(lambda: fit_second_round(
         cat, log1, log2, first, r1, cfg.second_learner(), cfg.ipw_epsilon, cfg.ipw_variant))

@@ -24,6 +24,7 @@ no-coupon holdout.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import os
 import sys
 import traceback
@@ -77,7 +78,10 @@ class _Run:
     """Shared per-invocation state: parsed config, output dir, effective seed."""
 
     def __init__(self, args: argparse.Namespace):
-        self.config: RunConfig = load_config(args.config)
+        # The bytes parsed are the bytes the manifest hashes: the config is read once.
+        data = fileio.read_utf8(args.config)
+        self.config: RunConfig = load_config(args.config, data)
+        self.config_sha256: str = hashlib.sha256(data).hexdigest()
         self.command: str = args.command
         self.quiet: bool = args.quiet
         self.out: str = args.out
@@ -87,14 +91,11 @@ class _Run:
         default = (self.config.evaluation.train_seed if self.command == "compare"
                    else self.config.simulator.rng_seed)
         self.seed: int = args.seed if self.seed_given else default
-        self.config_path: str = args.config
 
     def start(self) -> None:
         """Make the output directory and refuse one stamped by another run."""
         os.makedirs(self.out, exist_ok=True)
-        self.manifest = fileio.build_manifest(
-            self.command, fileio.sha256_of_file(self.config_path), self.seed
-        )
+        self.manifest = fileio.build_manifest(self.command, self.config_sha256, self.seed)
         fileio.check_manifest(self.out, self.manifest)
 
     def finish(self) -> None:
@@ -114,9 +115,8 @@ def _uniform_trial(cfg: RunConfig, sim: SimConfig):
     """(catalog, round-1 log, round-2 log): a catalog drawn from ``sim`` and a
     two-round trial on it that draws every arm of each menu with equal odds."""
     cat = generate_catalog(sim)
-    r1, r2 = cfg.round1_set, cfg.round2_set
-    log1, _, log2 = run_rct(GroundTruth(sim), cat, r1, r2, [1.0 / len(r1)] * len(r1),
-                            [1.0 / len(r2)] * len(r2), seed=sim.rng_seed)
+    log1, _, log2 = run_rct(GroundTruth(sim), cat, cfg.round1_set, cfg.round2_set, None, None,
+                            seed=sim.rng_seed)
     return cat, log1, log2
 
 

@@ -301,13 +301,15 @@ _KNOWN_SECTIONS = {
 }
 
 
-def load_config(path: str) -> RunConfig:
-    """Parse and validate a config file; raises InputError with diagnostics."""
+def load_config(path: str, data: Optional[bytes] = None) -> RunConfig:
+    """Parse and validate a config file; raises InputError with diagnostics.
+    ``data`` is its ``read_utf8`` bytes, for a caller that has read them."""
     parser = configparser.ConfigParser(
         interpolation=None, inline_comment_prefixes=("#", ";")
     )
+    data = read_utf8(path) if data is None else data
     try:
-        parser.read_file(io.StringIO(read_utf8(path).decode(), newline=None), source=path)
+        parser.read_file(io.StringIO(data.decode(), newline=None), source=path)
     except configparser.Error as exc:
         raise InputError(f"{path}: {exc}") from None
     for section in parser.sections():

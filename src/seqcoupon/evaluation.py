@@ -30,9 +30,9 @@ from .simulator import (
     GroundTruth,
     RolloutTotals,
     SimConfig,
-    arm_draw,
     generate_catalog,
     rollout_arms,
+    trial_arms,
 )
 from .uplift import PredictorPair, predict_batch
 
@@ -394,10 +394,8 @@ def _metrics(
 
 
 def _random_plan(seed, cat, preds, pair, constraint):
-    """Each round's arm drawn uniformly, from the arm substreams of ``run_rct``."""
-    n1, n2 = len(pair.round1_set), len(pair.round2_set)
-    return (arm_draw(rng.uniforms(seed, cat.keys, rng.ARM_R1), [1.0 / n1] * n1),
-            arm_draw(rng.uniforms(seed, cat.keys, rng.ARM_R2), [1.0 / n2] * n2))
+    """The arms a uniform ``run_rct`` on this catalog and seed would draw."""
+    return trial_arms(seed, cat, pair.round1_set, pair.round2_set)
 
 
 def _allocated(allocator, seed, cat, preds, pair, constraint):

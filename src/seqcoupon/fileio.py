@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import hashlib
 import io
 import json
 import os
@@ -579,10 +578,6 @@ def write_comparison_report(report: ComparisonReport, path: str) -> None:
 
 # ---------------------------------------------------------------------------
 # run manifests
-
-
-def sha256_of_file(path: str) -> str:
-    return hashlib.sha256(read_utf8(path)).hexdigest()
 
 
 def build_manifest(command: str, config_sha256: str, seed: int) -> dict:

@@ -10,7 +10,7 @@ serving share constants, and both are bit-deterministic for identical inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -209,29 +209,23 @@ def train(data: Dataset, config: LearnerConfig, *, in_place: bool = False) -> Mo
     Xs /= scale
     w_norm = w / w.sum()
 
+    coef = iterations = grad_norm = None
+    stumps = ()
     if config.kind == KIND_LOGISTIC:
         coef, intercept, iterations, grad_norm = _fit_logistic(Xs, y, w_norm, config)
-        return Model(
-            kind=KIND_LOGISTIC,
-            schema_id=data.schema_id,
-            feature_mean=mean,
-            feature_scale=scale,
-            intercept=intercept,
-            coef=coef,
-            config=config,
-            iterations=iterations,
-            grad_norm=grad_norm,
-        )
-
-    intercept, stumps = _fit_boosted(Xs, y, w_norm, config)
+    else:
+        intercept, stumps = _fit_boosted(Xs, y, w_norm, config)
     return Model(
-        kind=KIND_BOOSTED,
+        kind=config.kind,
         schema_id=data.schema_id,
         feature_mean=mean,
         feature_scale=scale,
         intercept=intercept,
+        coef=coef,
         stumps=stumps,
         config=config,
+        iterations=iterations,
+        grad_norm=grad_norm,
     )
 
 
@@ -450,27 +444,12 @@ def weighted_log_loss(model: Model, data: Dataset) -> float:
     return _loss(p, data.labels, data.weights / data.weights.sum())
 
 
-def fit_prior_model(data: Dataset) -> Model:
-    """Intercept-only fallback used when a fold cannot identify a full model."""
-    w_norm = data.weights / data.weights.sum()
-    prior = float(np.clip(w_norm @ data.labels.astype(float), PROB_CLAMP, 1.0 - PROB_CLAMP))
-    mean, scale = _standardise_constants(data.features, data.weights)
-    return Model(
-        kind=KIND_LOGISTIC,
-        schema_id=data.schema_id,
-        feature_mean=mean,
-        feature_scale=scale,
-        intercept=float(np.log(prior / (1.0 - prior))),
-        coef=np.zeros(data.features.shape[1]),
-    )
-
-
 @dataclass(frozen=True)
 class GridResult:
     config: LearnerConfig
     mean_loss: float
     fold_losses: tuple[float, ...]
-    prior_folds: tuple[int, ...]  # folds scored with the fallback prior model
+    prior_folds: tuple[int, ...]  # one-class folds, scored with the intercept-only prior
 
 
 def fold_order(n: int, seed: int) -> np.ndarray:
@@ -487,7 +466,10 @@ def grid_search(
     """K-fold cross-validated mean log-loss per config; first strict minimum wins.
 
     The folds are ``fold_order(n, seed)`` cut into ``k_folds`` consecutive
-    near-equal parts, so they depend on the row count and the seed alone.
+    near-equal parts, so they depend on the row count and the seed alone. A
+    logistic config cannot fit a fold whose training rows hold one class; that
+    fold is scored with the boosted fit of those rows, which is the clamped
+    training prior alone, and listed in ``prior_folds``.
     """
     if not grid:
         raise InputError("grid must be non-empty")
@@ -516,7 +498,7 @@ def grid_search(
                 # d_train is this fold's own copy; a refusal leaves it unwritten.
                 model = train(d_train, config, in_place=True)
             except DegenerateDataError:
-                model = fit_prior_model(d_train)
+                model = train(d_train, replace(config, kind=KIND_BOOSTED), in_place=True)
                 prior_flags.append(fi)
             losses.append(weighted_log_loss(model, d_val))
         table.append(

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from .learner import _sigmoid
 # Delay multiplier bottoms out here; round-2 attaches never happen earlier,
 # which keeps the true round-2 propensity independent of the round-1 arm.
 DELAY_FLOOR_AT_H = 48.0
-ROUND2_MIN_DELAY_H = 48.0
+ROUND2_MIN_DELAY_H = DELAY_FLOOR_AT_H
 
 _KEY_ACTION_EPOCH_H = 473_000.0  # arbitrary base for key-action timestamps
 # The Poisson likes table spans about 24 sqrt(rate) + 200 entries; a mean above
@@ -327,6 +327,21 @@ def validate_probs(probs: Sequence[float], n_arms: int, label: str):
         raise InputError(f"{label}: probabilities must sum to 1, got {probs.sum()}")
 
 
+def trial_arms(seed: int, cat: CatalogArrays, round1_set: CouponSet, round2_set: CouponSet,
+               round1_probs: Optional[Sequence[float]] = None,
+               round2_probs: Optional[Sequence[float]] = None) -> tuple[np.ndarray, np.ndarray]:
+    """The randomised trial's (arm1, arm2), one menu index per catalog row and
+    round, each round from its own substream keyed by the item key, so a
+    survivor's round-2 arm is the one a survivor-only draw gives. None
+    probabilities give a menu's arms equal odds; both are checked before a draw."""
+    probs = [[1.0 / len(menu)] * len(menu) if given is None else given
+             for given, menu in ((round1_probs, round1_set), (round2_probs, round2_set))]
+    validate_probs(probs[0], len(round1_set), "round1_probs")
+    validate_probs(probs[1], len(round2_set), "round2_probs")
+    return (arm_draw(rng.uniforms(seed, cat.keys, rng.ARM_R1), probs[0]),
+            arm_draw(rng.uniforms(seed, cat.keys, rng.ARM_R2), probs[1]))
+
+
 class _RoundDraws:
     """The part of both rounds that no coupon plan changes, over every catalog row.
 
@@ -427,11 +442,11 @@ def run_rct(
     items: CatalogArrays,
     round1_set: CouponSet,
     round2_set: CouponSet,
-    round1_probs: Sequence[float],
-    round2_probs: Sequence[float],
+    round1_probs: Optional[Sequence[float]],
+    round2_probs: Optional[Sequence[float]],
     seed: int,
 ) -> tuple[OutcomeLog, np.ndarray, OutcomeLog]:
-    """Randomised two-round trial: independent arm draws per round with holdout.
+    """Randomised two-round trial: independent ``trial_arms`` per round, None being equal odds.
 
     ``items`` is the catalog, a ``CatalogArrays`` whose rows are the
     ``ItemRecord``s. Returns (round1_log, survivor item ids, round2_log), each
@@ -439,13 +454,7 @@ def run_rct(
     after round 1, are ``round2_log.item_ids``, an ``S`` array of UTF-8 ids.
     """
     check_catalog(items)
-    validate_probs(round1_probs, len(round1_set), "round1_probs")
-    validate_probs(round2_probs, len(round2_set), "round2_probs")
-
-    # Draws are per item key, so drawing round-2 arms for every row and using
-    # only the survivors' reproduces a survivor-only draw.
-    arm1 = arm_draw(rng.uniforms(seed, items.keys, rng.ARM_R1), round1_probs)
-    arm2 = arm_draw(rng.uniforms(seed, items.keys, rng.ARM_R2), round2_probs)
+    arm1, arm2 = trial_arms(seed, items, round1_set, round2_set, round1_probs, round2_probs)
     delay1 = rng.uniforms(seed, items.keys, rng.ATTACH_DELAY) * gt.config.rct_max_delay_h
     round1_log, round2_log = _trial_logs(
         gt, items, coupon_columns(round1_set), arm1, delay1,

@@ -237,7 +237,8 @@ def _ipw(first, item_matrix, cat_rows, log1, r1_rows, round1_set, epsilon, varia
     ``r1_rows`` selects rows of the round-1 log ``log1`` (None: all of them);
     the i-th selected row's item is row ``cat_rows[i]`` of ``item_matrix`` (row
     i when ``cat_rows`` is None). Only the ``applied`` variant reads the coupon
-    columns.
+    columns. ``epsilon`` may be up to 1, wider than a pair's (0, 0.5): at 1
+    every weight is 1, the unweighted fit that acceptance criterion 4 compares.
     """
     if not 0.0 < epsilon <= 1.0:
         raise InputError("epsilon must lie in (0, 1]")
@@ -327,7 +328,9 @@ def fit_predictor_pair(
     epsilon: float = IPW_EPSILON_DEFAULT,
     variant: str = IPW_VARIANT_MEAN,
 ) -> PredictorPair:
-    """Fit both rounds end to end from the two logs."""
+    """Fit both rounds end to end from the two logs; an ``epsilon`` a pair
+    cannot hold is refused before either fit."""
+    check_ipw_epsilon(epsilon)
     first = fit_first_round(cat, round1_log, config_first)
     second = fit_second_round(
         cat, round1_log, round2_log, first, round1_set,

@@ -120,7 +120,7 @@ class TestPipeline:
                 manifest = json.load(fh)
             assert manifest["command"] == command[key]
             assert manifest["seed"] == seed
-            assert manifest["config_sha256"] == fileio.sha256_of_file(ws["cfg"])
+            assert manifest["config_sha256"] == sha(ws["cfg"])
 
     def test_grid_table_covers_the_grid(self, ws):
         lines = read_lines(f"{ws['model']}/grid_search.csv")
@@ -250,6 +250,26 @@ def test_reading_commands_hash_no_item_keys(tmp_path, monkeypatch):
     for command, out in (("train", "model"), ("allocate", "alloc"), ("evaluate", "eval")):
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / out), "--quiet"]) == 0
     assert hashed == []
+
+
+def test_a_command_reads_its_config_once_and_hashes_those_bytes(tmp_path, monkeypatch):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(sim_config_text(tmp_path / "sim", tmp_path / "model", n_items=50))
+    reads = []
+    real_read = fileio.read_utf8
+
+    def spy(path):
+        data = real_read(path)
+        reads.append((path, data))
+        return data
+
+    monkeypatch.setattr(fileio, "read_utf8", spy)
+    monkeypatch.setattr(seqcoupon.config, "read_utf8", spy)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "sim"),
+                 "--quiet"]) == 0
+    [data] = [data for path, data in reads if path == str(cfg)]
+    manifest = json.loads((tmp_path / "sim" / fileio.MANIFEST_NAME).read_text())
+    assert manifest["config_sha256"] == hashlib.sha256(data).hexdigest()
 
 
 class TestDeterminism:

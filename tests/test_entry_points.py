@@ -1,9 +1,9 @@
-"""Code outside the package that imports it: the benchmark worker and the script.
+"""Code outside the package that imports it: the benchmark worker and the scripts.
 
 ``perfbench/worker.py`` imports package names inside its functions, so a
 deleted or renamed name breaks its ``--prep`` step or its quality scoring
-only when a benchmark runs. The script is run end to end at a tiny size.
-Neither the worker nor the script is edited here.
+only when a benchmark runs. The scripts are run end to end at a tiny size.
+Neither the worker nor the scripts are edited here.
 """
 
 import ast
@@ -55,3 +55,11 @@ def test_delay_diagnostics_script_writes_its_buckets(tmp_path, monkeypatch, caps
     buckets = tmp_path / "delay_buckets.csv"
     assert buckets.read_text().startswith("bucket_start_h,metric,value,n\n")
     assert f"wrote {buckets}" in capsys.readouterr().out
+
+
+def test_trial_memory_script_reports_each_stage(monkeypatch, capsys):
+    _run_script("trial_memory.py", monkeypatch, "--items", "2000")
+    out = capsys.readouterr().out
+    assert out.startswith("2000 items, seed ")
+    for stage in ("catalog", "rct", "first fit", "second fit"):
+        assert f"\n{stage} " in out

@@ -12,7 +12,7 @@ import seqcoupon
 
 from seqcoupon import evaluation, fileio, rng
 from seqcoupon.config import RunConfig
-from seqcoupon.domain import CouponConfig, OutcomeLog, OutcomeRecord
+from seqcoupon.domain import CouponConfig, OutcomeLog, OutcomeRecord, coupon_columns
 from seqcoupon.errors import InputError
 from seqcoupon.decision import DEFAULT_ATTACH_DELAY_H, PolicyConstraint, combine_cost, roi
 from seqcoupon.evaluation import (
@@ -32,6 +32,7 @@ from seqcoupon.simulator import (
     generate_catalog,
     rollout_arms,
     rollout_policy,
+    run_rct,
 )
 from seqcoupon.learner import LearnerConfig
 from seqcoupon.uplift import predict_batch
@@ -479,6 +480,21 @@ class TestCompareStrategies:
                 lift_threshold=light_report.lift_threshold,
                 n_items_per_seed=light_report.n_items_per_seed,
             )
+
+    def test_random_plan_is_the_uniform_trials_arms(self, trained_pair):
+        """Round 1 on every row and round 2 on the survivors carry the arms a
+        uniform ``run_rct`` draws on the same catalog and seed."""
+        config = SimConfig(n_items=3000, rng_seed=6)
+        cat = generate_catalog(config)
+        r1, r2 = trained_pair.round1_set, trained_pair.round2_set
+        arms = STRATEGIES["random"](6, cat, None, trained_pair, None)
+        logs = run_rct(GroundTruth(config), cat, r1, r2, None, None, seed=6)
+        for log, menu, arm in ((logs[0], r1, arms[0]), (logs[2], r2, arms[1])):
+            rows = cat.rows_of(log.item_ids)
+            for got, column in zip((log.discount_pct, log.validity_hours, log.cap_yen),
+                                   coupon_columns(menu)):
+                assert np.array_equal(got, column[arm[rows]])
+        assert len(logs[2]) < len(cat) == len(logs[0])
 
     def test_a_registered_strategy_is_rolled_out_and_reported(self, trained_pair, monkeypatch):
         def cheapest(seed, cat, preds, pair, constraint):

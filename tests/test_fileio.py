@@ -1,3 +1,4 @@
+import ast
 import csv
 import dataclasses
 import json
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import seqcoupon
 from seqcoupon import fileio, rng
 from seqcoupon.decision import (
     PlanTable,
@@ -50,7 +52,6 @@ from seqcoupon.fileio import (
     render_comparison_report,
     save_model,
     save_pair,
-    sha256_of_file,
     write_catalog,
     write_curve,
     write_delay_tables,
@@ -131,7 +132,8 @@ class TestCatalogRoundTrip:
         a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         write_catalog(items, a)
         write_catalog(items, b)
-        assert sha256_of_file(a) == sha256_of_file(b)
+        with open(a, "rb") as fa, open(b, "rb") as fb:
+            assert fa.read() == fb.read()
 
     def test_empty_catalog_writes_header_only(self, tmp_path):
         path = str(tmp_path / "empty.csv")
@@ -975,11 +977,24 @@ class TestManifest:
         with pytest.raises(ManifestMismatchError):
             ensure_manifest(out, build_manifest("train", "abc123", 42))
 
-    def test_sha256_matches_hashlib(self, tmp_path):
-        import hashlib
 
-        path = str(tmp_path / "blob.bin")
-        payload = b"deterministic bytes\n" * 100
-        with open(path, "wb") as fh:
-            fh.write(payload)
-        assert sha256_of_file(path) == hashlib.sha256(payload).hexdigest()
+def _open_callers(node, where):
+    """The function (``module.name``) around each ``open`` call below ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call):
+            callee = child.func
+            if getattr(callee, "id", getattr(callee, "attr", None)) in ("open", "fdopen"):
+                yield where
+        inner = where
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = f"{where.split('.')[0]}.{child.name}"
+        yield from _open_callers(child, inner)
+
+
+def test_only_the_one_reader_and_the_one_writer_open_files():
+    package, callers = os.path.dirname(seqcoupon.__file__), set()
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), "rb") as fh:
+                callers.update(_open_callers(ast.parse(fh.read()), name[:-3]))
+    assert callers == {"fileio.read_utf8", "fileio._write_text"}

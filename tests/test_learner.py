@@ -542,6 +542,22 @@ class TestGridSearch:
         _, table = grid_search(data, [LearnerConfig(epochs=5)], k_folds=k_folds, seed=seed)
         assert table[0].prior_folds == (0,)
 
+    def test_a_prior_folds_loss_is_that_of_the_clamped_training_prior(self):
+        n, k_folds, seed = 24, 2, 0
+        val, rest = np.array_split(fold_order(n, seed), k_folds)
+        gen = np.random.default_rng(3)
+        labels = np.ones(n, dtype=bool)  # fold 0 trains on the single class of ``rest``
+        labels[val] = np.arange(len(val)) % 3 == 0
+        weights = gen.uniform(0.5, 2.0, n)
+        data = Dataset(gen.normal(size=(n, 2)), labels, weights)
+        _, table = grid_search(data, [LearnerConfig(epochs=5)], k_folds=k_folds, seed=seed)
+        assert table[0].prior_folds == (0,)
+        prior = np.clip(weights[rest] @ labels[rest] / weights[rest].sum(),
+                        PROB_CLAMP, 1.0 - PROB_CLAMP)
+        log_loss = np.where(labels[val], -np.log(prior), -np.log1p(-prior))
+        expected = weights[val] @ log_loss / weights[val].sum()
+        assert table[0].fold_losses[0] == pytest.approx(expected, rel=1e-12)
+
     def test_caller_features_unchanged_with_a_prior_fold(self):
         n, k_folds, seed = 40, 2, 0
         folds = np.array_split(fold_order(n, seed), k_folds)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from seqcoupon import rng, simulator
-from seqcoupon.domain import CouponConfig, ItemRecord, item_feature_matrix
+from seqcoupon.domain import CouponConfig, CouponSet, ItemRecord, item_feature_matrix
 from seqcoupon.errors import InputError
 from seqcoupon.simulator import (
     DELAY_FLOOR_AT_H,
@@ -27,6 +27,7 @@ from seqcoupon.simulator import (
     rollout_policy,
     round2_attach_delay,
     run_rct,
+    trial_arms,
     validate_probs,
 )
 
@@ -617,6 +618,24 @@ class TestHelpers:
         with pytest.raises(InputError):
             validate_probs([-0.1, 1.1], 2, "p")
         validate_probs([0.25, 0.75], 2, "p")
+
+
+class TestTrialArms:
+    def test_none_gives_each_menu_equal_odds(self, round1_menu):
+        cat = generate_catalog(SimConfig(n_items=3000, rng_seed=2))
+        short = CouponSet(round1_menu.arms[:3], "round2")
+        got = trial_arms(9, cat, round1_menu, short)
+        want = trial_arms(9, cat, round1_menu, short, [0.25] * 4, [1.0 / 3] * 3)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+        assert set(got[0]) == {0, 1, 2, 3} and set(got[1]) == {0, 1, 2}
+
+    def test_both_lists_are_checked_before_either_draw(self, round1_menu, round2_menu,
+                                                       monkeypatch):
+        cat = generate_catalog(SimConfig(n_items=10, rng_seed=2))
+        monkeypatch.setattr(rng, "uniforms", lambda *args: pytest.fail("drew an arm"))
+        with pytest.raises(InputError, match="round2_probs"):
+            trial_arms(1, cat, round1_menu, round2_menu, None, [0.5, 0.5])
 
 
 class TestRunRct:

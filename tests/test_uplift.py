@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from seqcoupon import uplift
 from seqcoupon.domain import (
     BLOCK_ROWS,
     ROUND1_FEATURE_NAMES,
@@ -30,6 +31,7 @@ from seqcoupon.uplift import (
     ItemPredictions,
     PredictorPair,
     fit_first_round,
+    fit_predictor_pair,
     fit_second_round,
     ipw_weights,
     predict_batch,
@@ -370,6 +372,13 @@ class TestPairValidation:
                 first=r1, second=r2, round1_set=round1_menu, round2_set=round2_menu,
                 ipw_epsilon=0.5,
             )
+
+    def test_pair_epsilon_refused_before_either_fit(self, small_world, round1_menu,
+                                                   round2_menu, monkeypatch):
+        monkeypatch.setattr(uplift, "train", lambda *args, **kwargs: pytest.fail("fitted"))
+        with pytest.raises(InputError, match="ipw_epsilon must lie in"):
+            fit_predictor_pair(small_world["items"], small_world["log1"], small_world["log2"],
+                               round1_menu, round2_menu, LearnerConfig(), epsilon=0.7)
 
     def test_item_predictions_validation(self):
         with pytest.raises(InputError):
